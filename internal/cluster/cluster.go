@@ -40,7 +40,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -287,143 +287,166 @@ type Config struct {
 // that assemble configs from external data (scenario files) call it
 // directly for early, pathed errors.
 func (c Config) Validate() error {
+	_, err := c.validate()
+	return err
+}
+
+// validate is Validate returning the resolved hosts in Config.Hosts
+// order, so Run resolves every host exactly once.
+func (c Config) validate() ([]resolved, error) {
 	if len(c.Hosts) == 0 {
-		return errors.New("cluster: no hosts")
+		return nil, errors.New("cluster: no hosts")
 	}
 	if c.Kind != migration.Live && c.Kind != migration.NonLive {
-		return fmt.Errorf("cluster: unsupported migration kind %v (want live or non-live)", c.Kind)
+		return nil, fmt.Errorf("cluster: unsupported migration kind %v (want live or non-live)", c.Kind)
 	}
 	if c.Pair != "" {
 		src, dst, err := hw.Pair(c.Pair)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// Every move lowers onto this one pair, so it must be physically
 		// linkable or no move can ever simulate.
 		if src.Switch != dst.Switch {
-			return fmt.Errorf("cluster: pair %q spans switches %q and %q and cannot migrate", c.Pair, src.Switch, dst.Switch)
+			return nil, fmt.Errorf("cluster: pair %q spans switches %q and %q and cannot migrate", c.Pair, src.Switch, dst.Switch)
 		}
 	}
 	cat := hw.Catalog()
-	names := make(map[string]bool, len(c.Hosts))
-	switches := make(map[string]string, len(c.Hosts)) // declared link-contention domain
-	physical := make(map[string]string, len(c.Hosts)) // the machine model's physical switch
-	vms := map[string]bool{}
+	hosts := make([]resolved, len(c.Hosts))
+	index := make(map[string]int32, len(c.Hosts)) // host name → position in Hosts
+	switches := make([]string, len(c.Hosts))      // declared link-contention domain
+	physical := make([]string, len(c.Hosts))      // the machine model's physical switch
+	nvms := 0
 	for _, h := range c.Hosts {
+		nvms += len(h.VMs)
+	}
+	vms := make(map[string]bool, nvms)
+	for i, h := range c.Hosts {
 		r, err := h.resolve(cat)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if c.Pair == "" && h.Machine == "" {
-			return fmt.Errorf("cluster: host %s needs a machine model (or set Config.Pair to lower every move onto one testbed pair)", h.Name)
+			return nil, fmt.Errorf("cluster: host %s needs a machine model (or set Config.Pair to lower every move onto one testbed pair)", h.Name)
 		}
-		if names[r.Name] {
-			return fmt.Errorf("cluster: duplicate host %q", r.Name)
+		if _, dup := index[r.Name]; dup {
+			return nil, fmt.Errorf("cluster: duplicate host %q", r.Name)
 		}
-		names[r.Name] = true
-		switches[r.Name] = r.sw
+		index[r.Name] = int32(i)
+		hosts[i] = r
+		switches[i] = r.sw
 		// A Switch override changes the contention domain, not the
 		// physics: without a Pair override, a move still simulates on the
 		// machine models, whose catalog switches netsim enforces. Track
 		// them separately so an override cannot smuggle an unlinkable
 		// pair past the reachability guards below.
-		physical[r.Name] = r.sw
+		physical[i] = r.sw
 		if c.Pair == "" {
-			physical[r.Name] = cat[h.Machine].Switch
+			physical[i] = cat[h.Machine].Switch
 		}
 		for _, v := range h.VMs {
 			if vms[v.Name] {
-				return fmt.Errorf("cluster: VM %q appears on two hosts", v.Name)
+				return nil, fmt.Errorf("cluster: VM %q appears on two hosts", v.Name)
 			}
 			vms[v.Name] = true
 			if c.Serial && len(v.Phases) > 0 {
-				return fmt.Errorf("cluster: VM %q has phases; serial timelines are time-invariant", v.Name)
+				return nil, fmt.Errorf("cluster: VM %q has phases; serial timelines are time-invariant", v.Name)
 			}
 			// Policy snapshots name in-flight destination reservations
 			// "<vm>+incoming" in the same namespace as real VMs; a real VM
 			// wearing that suffix would silently alias a reservation (and
 			// its pin).
 			if c.Policy != nil && strings.HasSuffix(v.Name, "+incoming") {
-				return fmt.Errorf("cluster: VM name %q ends in \"+incoming\", which is reserved for in-flight reservations in policy timelines", v.Name)
+				return nil, fmt.Errorf("cluster: VM name %q ends in \"+incoming\", which is reserved for in-flight reservations in policy timelines", v.Name)
 			}
 		}
 	}
 	if c.Policy != nil {
 		switch {
 		case len(c.Moves) > 0:
-			return errors.New("cluster: a policy and explicit moves are mutually exclusive")
+			return nil, errors.New("cluster: a policy and explicit moves are mutually exclusive")
 		case c.Serial:
-			return errors.New("cluster: serial execution needs an explicit move list, not a policy")
+			return nil, errors.New("cluster: serial execution needs an explicit move list, not a policy")
 		case c.Tick <= 0:
-			return errors.New("cluster: a policy needs a positive tick period")
+			return nil, errors.New("cluster: a policy needs a positive tick period")
 		case c.Horizon <= 0:
-			return errors.New("cluster: a policy needs a positive horizon")
+			return nil, errors.New("cluster: a policy needs a positive horizon")
 		case len(c.Hosts) < 2:
-			return errors.New("cluster: planning needs at least two hosts")
+			return nil, errors.New("cluster: planning needs at least two hosts")
 		}
 		// The built-in policies are topology-blind: on a mixed-switch
 		// population they would eventually plan a cross-switch move and
 		// abort the whole timeline mid-run. Refuse up front — for the
 		// declared domains and the physical ones alike; cross-switch
 		// routing is a planned extension (see ROADMAP).
-		for _, domain := range []map[string]string{switches, physical} {
-			first := domain[c.Hosts[0].Name]
-			for _, h := range c.Hosts[1:] {
-				if sw := domain[h.Name]; sw != first {
-					return fmt.Errorf("cluster: policy-driven timelines need all hosts on one switch; %s is on %q, %s on %q",
-						c.Hosts[0].Name, first, h.Name, sw)
+		for _, domain := range [][]string{switches, physical} {
+			for i, sw := range domain {
+				if sw != domain[0] {
+					return nil, fmt.Errorf("cluster: policy-driven timelines need all hosts on one switch; %s is on %q, %s on %q",
+						c.Hosts[0].Name, domain[0], c.Hosts[i].Name, sw)
 				}
 			}
 		}
 	}
 	dispatched := map[string]map[time.Duration]bool{} // VM -> dispatch instants
 	for i, m := range c.Moves {
+		from, fromOK := index[m.From]
+		to, toOK := index[m.To]
 		switch {
 		case m.VM == "":
-			return fmt.Errorf("cluster: move %d has no VM", i)
+			return nil, fmt.Errorf("cluster: move %d has no VM", i)
 		case dispatched[m.VM][m.At]:
-			return fmt.Errorf("cluster: move %d dispatches VM %q twice at %v", i, m.VM, m.At)
+			return nil, fmt.Errorf("cluster: move %d dispatches VM %q twice at %v", i, m.VM, m.At)
 		case !vms[m.VM]:
-			return fmt.Errorf("cluster: move %d references unknown VM %q", i, m.VM)
-		case !names[m.From]:
-			return fmt.Errorf("cluster: move %d references unknown host %q", i, m.From)
-		case !names[m.To]:
-			return fmt.Errorf("cluster: move %d references unknown host %q", i, m.To)
+			return nil, fmt.Errorf("cluster: move %d references unknown VM %q", i, m.VM)
+		case !fromOK:
+			return nil, fmt.Errorf("cluster: move %d references unknown host %q", i, m.From)
+		case !toOK:
+			return nil, fmt.Errorf("cluster: move %d references unknown host %q", i, m.To)
 		case m.From == m.To:
-			return fmt.Errorf("cluster: move %d does not change hosts (%q)", i, m.From)
+			return nil, fmt.Errorf("cluster: move %d does not change hosts (%q)", i, m.From)
 		case m.At < 0:
-			return fmt.Errorf("cluster: move %d starts before the timeline (%v)", i, m.At)
+			return nil, fmt.Errorf("cluster: move %d starts before the timeline (%v)", i, m.At)
 		case c.Serial && m.At != 0:
-			return fmt.Errorf("cluster: move %d has a start time; serial timelines derive their own", i)
-		case switches[m.From] != switches[m.To]:
-			return fmt.Errorf("cluster: move %d has no migration path from %s (%s) to %s (%s): different switches",
-				i, m.From, switches[m.From], m.To, switches[m.To])
-		case physical[m.From] != physical[m.To]:
-			return fmt.Errorf("cluster: move %d has no physical migration path from %s (machine switch %q) to %s (machine switch %q)",
-				i, m.From, physical[m.From], m.To, physical[m.To])
+			return nil, fmt.Errorf("cluster: move %d has a start time; serial timelines derive their own", i)
+		case switches[from] != switches[to]:
+			return nil, fmt.Errorf("cluster: move %d has no migration path from %s (%s) to %s (%s): different switches",
+				i, m.From, switches[from], m.To, switches[to])
+		case physical[from] != physical[to]:
+			return nil, fmt.Errorf("cluster: move %d has no physical migration path from %s (machine switch %q) to %s (machine switch %q)",
+				i, m.From, physical[from], m.To, physical[to])
 		}
 		if dispatched[m.VM] == nil {
 			dispatched[m.VM] = map[time.Duration]bool{}
 		}
 		dispatched[m.VM][m.At] = true
 	}
-	return c.validateFailures(names, vms, switches)
+	if err := c.validateFailures(index, vms, switches); err != nil {
+		return nil, err
+	}
+	return hosts, nil
 }
 
-// sortedHosts returns the resolved hosts in name order.
-func (c Config) sortedHosts() ([]*resolved, error) {
-	cat := hw.Catalog()
-	out := make([]*resolved, 0, len(c.Hosts))
-	for _, h := range c.Hosts {
-		r, err := h.resolve(cat)
-		if err != nil {
-			return nil, err
+// sortedHosts orders resolved hosts, and each host's VMs, by name, the
+// engine's iteration order. Fleet templates stamp hosts and VMs in name
+// order, so lists already in order are kept as they are; a VM list that
+// needs sorting is copied first, because it still belongs to the
+// caller's Config.
+func sortedHosts(hosts []resolved) []*resolved {
+	out := make([]*resolved, len(hosts))
+	for i := range hosts {
+		r := &hosts[i]
+		if !slices.IsSortedFunc(r.VMs, vmByName) {
+			r.VMs = slices.Clone(r.VMs)
+			slices.SortFunc(r.VMs, vmByName)
 		}
-		r.VMs = append([]VM(nil), h.VMs...)
-		sort.Slice(r.VMs, func(i, j int) bool { return r.VMs[i].Name < r.VMs[j].Name })
-		rr := r
-		out = append(out, &rr)
+		out[i] = r
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
+	byName := func(a, b *resolved) int { return strings.Compare(a.Name, b.Name) }
+	if !slices.IsSortedFunc(out, byName) {
+		slices.SortFunc(out, byName)
+	}
+	return out
 }
+
+func vmByName(a, b VM) int { return strings.Compare(a.Name, b.Name) }

@@ -235,9 +235,6 @@ type dispatchResult struct {
 // report. The result is bit-identical across runs, worker counts and
 // cache settings.
 func Run(cfg Config) (*Report, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	e, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
@@ -248,10 +245,17 @@ func Run(cfg Config) (*Report, error) {
 	return e.run()
 }
 
+// newEngine validates cfg and builds the engine from the hosts the
+// validation resolved, so a run resolves every host once.
 func newEngine(cfg Config) (*engine, error) {
-	hosts, err := cfg.sortedHosts()
+	resolvedHosts, err := cfg.validate()
 	if err != nil {
 		return nil, err
+	}
+	hosts := sortedHosts(resolvedHosts)
+	nvms := 0
+	for _, r := range hosts {
+		nvms += len(r.VMs)
 	}
 	ctx := cfg.Ctx
 	if ctx == nil {
@@ -261,23 +265,36 @@ func newEngine(cfg Config) (*engine, error) {
 		cfg:      cfg,
 		ctx:      ctx,
 		done:     ctx.Done(),
+		hosts:    make([]*hostRT, len(hosts)),
 		byName:   make(map[string]*hostRT, len(hosts)),
-		vms:      make(map[string]*vmRT),
+		vms:      make(map[string]*vmRT, nvms),
 		rep:      &Report{},
 		timed:    flightHeap{key: dueKey},
 		switches: make(map[string]*swState),
 	}
-	for _, r := range hosts {
-		h := &hostRT{resolved: r, vi: int32(len(e.hosts))}
-		for _, v := range r.VMs {
-			vr := &vmRT{VM: v, host: h, phased: len(v.Phases) > 0}
+	// One backing array each for the hosts, the guests and the hosts'
+	// guest lists. Each guest list is capped at its own length, so a host
+	// that gains a guest reallocates instead of growing into the next
+	// host's list.
+	hostArr := make([]hostRT, len(hosts))
+	vmArr := make([]vmRT, nvms)
+	lists := make([]*vmRT, nvms)
+	k := 0
+	for i, r := range hosts {
+		h := &hostArr[i]
+		h.resolved, h.vi = r, int32(i)
+		h.vms = lists[k : k+len(r.VMs) : k+len(r.VMs)]
+		for j, v := range r.VMs {
+			vr := &vmArr[k+j]
+			vr.VM, vr.host, vr.phased = v, h, len(v.Phases) > 0
 			if vr.phased {
 				h.phasedRes++
 			}
-			h.vms = append(h.vms, vr)
+			h.vms[j] = vr
 			e.vms[v.Name] = vr
 		}
-		e.hosts = append(e.hosts, h)
+		k += len(r.VMs)
+		e.hosts[i] = h
 		e.byName[h.Name] = h
 	}
 	e.snapHosts = make([]consolidation.HostState, 0, len(e.hosts))
@@ -913,6 +930,15 @@ func (e *engine) finish() {
 	}
 	e.rep.PeakFlights = e.peak
 	e.rep.ReplanRounds = len(e.rep.Ticks)
+	freed := 0
+	for _, h := range e.hosts {
+		if len(h.vms) == 0 && !h.down {
+			freed++
+		}
+	}
+	if freed > 0 {
+		e.rep.FreedHosts = make([]string, 0, freed)
+	}
 	for _, h := range e.hosts {
 		if len(h.vms) == 0 && !h.down {
 			e.rep.FreedHosts = append(e.rep.FreedHosts, h.Name)
@@ -925,20 +951,23 @@ func (e *engine) finish() {
 	}
 	e.scoreSLO()
 	e.buildPowerTrace()
-	// The report escapes the engine; deep-copy the final placement out of
-	// the reusable snapshot scratch. Ticked timelines run to the horizon
-	// even when the last migration lands earlier, so the final demand is
-	// evaluated at the instant the timeline actually ended.
+	// The final placement. Ticked timelines run to the horizon even when
+	// the last migration lands earlier, so the final demand is evaluated
+	// at the instant the timeline actually ended. finish is the engine's
+	// last act, so the report takes the snapshot scratch over instead of
+	// copying it; an empty host reports no VM list, whichever scratch
+	// state the scheduler left behind.
 	at := e.rep.Makespan
 	if e.cfg.Policy != nil && e.cfg.Horizon > at {
 		at = e.cfg.Horizon
 	}
 	snap, _, _ := e.snapshot(at)
-	e.rep.Final = make([]consolidation.HostState, len(snap))
-	for i, h := range snap {
-		h.VMs = append([]consolidation.VMState(nil), h.VMs...)
-		e.rep.Final[i] = h
+	for i := range snap {
+		if len(snap[i].VMs) == 0 {
+			snap[i].VMs = nil
+		}
 	}
+	e.rep.Final = snap
 }
 
 // runSerial executes the explicit moves one at a time in spec order —

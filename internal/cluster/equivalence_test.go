@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/consolidation"
 	"repro/internal/migration"
@@ -334,5 +336,56 @@ func TestClusterTickAllocCeiling8k(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, touch)
 	if allocs > ceiling {
 		t.Errorf("steady-state view tick allocates %.0f times, ceiling is %d", allocs, ceiling)
+	}
+}
+
+// TestPlanViewAllocBytes closes the allocation gate's blind spot: the
+// tick ceilings above stop before the planner, and AllocsPerRun counts
+// allocations rather than bytes, so a per-call make([]float64, hosts)
+// passes them. Once the engine's persistent view has planned once, one
+// PlanView call on it must allocate under one fixed byte ceiling at
+// 8,192 and at 65,536 hosts alike: nothing proportional to the fleet.
+// The returned FreedHosts, one name per empty host, is the plan's own
+// output and is not counted.
+func TestPlanViewAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race for the ceiling")
+	}
+	const ceiling = 32 << 10 // bytes per call
+	for _, n := range []int{8192, 65536} {
+		e, err := newEngine(sparseFleet(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !e.viewOn {
+			t.Fatal("sparse fixture did not enable the incremental view")
+		}
+		pc := e.cfg.PolicyConfig
+		pc.Pinned, pc.Evacuate = e.viewPinnedEvac()
+		var freed uint64 // bytes of the FreedHosts backing arrays
+		plan := func() {
+			p, err := e.vp.PlanView(&e.pview, pc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(p.Moves) == 0 {
+				t.Fatalf("fixture drift: the %d-host round plans nothing", n)
+			}
+			freed += uint64(cap(p.FreedHosts)) * uint64(unsafe.Sizeof(""))
+		}
+		plan() // the view's first plan sizes its workspace
+		const calls = 10
+		freed = 0
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			plan()
+		}
+		runtime.ReadMemStats(&after)
+		perCall := (after.TotalAlloc - before.TotalAlloc - freed) / calls
+		t.Logf("%d hosts: %d bytes per PlanView call besides FreedHosts", n, perCall)
+		if perCall > ceiling {
+			t.Errorf("%d hosts: PlanView allocates %d bytes per call besides FreedHosts, ceiling is %d", n, perCall, ceiling)
+		}
 	}
 }

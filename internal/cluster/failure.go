@@ -371,11 +371,13 @@ func (e *engine) buildPowerTrace() {
 }
 
 // validateFailures rejects unusable failure schedules against the
-// already-resolved host, VM and switch-domain sets. Beyond per-event
-// shape checks it simulates the event order to refuse double crashes,
-// unpaired outage windows, and explicit moves that statically must fail
-// at dispatch (to a crashed host, or onto a downed switch).
-func (c Config) validateFailures(hosts, vms map[string]bool, switches map[string]string) error {
+// already-resolved host index (name → position in Hosts), VM set and
+// per-host switch domains. Beyond per-event shape checks it simulates
+// the event order to refuse double crashes, unpaired outage windows, and
+// explicit moves that statically must fail at dispatch (to a crashed
+// host, or onto a downed switch). The moves themselves are already
+// validated, so every move's hosts are in the index.
+func (c Config) validateFailures(index map[string]int32, vms map[string]bool, switches []string) error {
 	if c.EvacuationDeadline < 0 {
 		return fmt.Errorf("cluster: negative evacuation deadline %v", c.EvacuationDeadline)
 	}
@@ -385,7 +387,7 @@ func (c Config) validateFailures(hosts, vms map[string]bool, switches map[string
 	if c.Serial {
 		return errors.New("cluster: serial timelines cannot inject failures (no concurrent flights to fail)")
 	}
-	domains := make(map[string]bool, len(switches))
+	domains := map[string]bool{}
 	for _, sw := range switches {
 		domains[sw] = true
 	}
@@ -395,10 +397,11 @@ func (c Config) validateFailures(hosts, vms map[string]bool, switches map[string
 		}
 		switch ev.Kind {
 		case FailHostCrash:
+			_, hostKnown := index[ev.Host]
 			switch {
 			case ev.Host == "" || ev.VM != "" || ev.Switch != "":
 				return fmt.Errorf("cluster: failure %d (%s) must target exactly one host", i, ev.Kind)
-			case !hosts[ev.Host]:
+			case !hostKnown:
 				return fmt.Errorf("cluster: failure %d crashes unknown host %q", i, ev.Host)
 			}
 		case FailFlightAbort:
@@ -460,10 +463,11 @@ func (c Config) validateFailures(hosts, vms map[string]bool, switches map[string
 		if at, dead := crashAt[m.To]; dead && m.At >= at {
 			return fmt.Errorf("cluster: move %d dispatches %q to host %q after it crashes at %v", i, m.VM, m.To, at)
 		}
-		for _, w := range outages[switches[m.To]] {
+		sw := switches[index[m.To]]
+		for _, w := range outages[sw] {
 			if m.At >= w[0] && m.At < w[1] {
 				return fmt.Errorf("cluster: move %d dispatches %q at %v, inside an outage of switch %q starting at %v",
-					i, m.VM, m.At, switches[m.To], w[0])
+					i, m.VM, m.At, sw, w[0])
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -102,19 +103,24 @@ func (e *engine) flattenHostView(h *hostRT, t time.Duration) {
 // full-rebuild fallback (Config.fullRebuild).
 func (e *engine) rebuildView(t time.Duration) {
 	v := &e.pview
-	v.HostName = v.HostName[:0]
-	v.Threads = v.Threads[:0]
-	v.MemCap = v.MemCap[:0]
-	v.IdlePower = v.IdlePower[:0]
-	v.Down = v.Down[:0]
-	v.Busy = v.Busy[:0]
-	v.Mem = v.Mem[:0]
-	v.VMStart = v.VMStart[:0]
-	v.VMCount = v.VMCount[:0]
-	v.VMName = v.VMName[:0]
-	v.VMMem = v.VMMem[:0]
-	v.VMBusy = v.VMBusy[:0]
-	v.VMDirty = v.VMDirty[:0]
+	n, slots := len(e.hosts), 0
+	for _, h := range e.hosts {
+		slots += len(h.vms) + len(h.incoming)
+	}
+	v.HostName = emptied(v.HostName, n)
+	v.Threads = emptied(v.Threads, n)
+	v.MemCap = emptied(v.MemCap, n)
+	v.IdlePower = emptied(v.IdlePower, n)
+	v.Down = emptied(v.Down, n)
+	v.Busy = emptied(v.Busy, n)
+	v.Mem = emptied(v.Mem, n)
+	v.VMStart = emptied(v.VMStart, n)
+	v.VMCount = emptied(v.VMCount, n)
+	v.VMName = emptied(v.VMName, slots)
+	v.VMMem = emptied(v.VMMem, slots)
+	v.VMBusy = emptied(v.VMBusy, slots)
+	v.VMDirty = emptied(v.VMDirty, slots)
+	e.orderScratch = emptied(e.orderScratch, n)
 	for _, h := range e.hosts {
 		e.flattenHostView(h, t)
 	}
@@ -130,6 +136,9 @@ func (e *engine) rebuildView(t time.Duration) {
 	}
 	e.dirty = e.dirty[:0]
 }
+
+// emptied returns s truncated to zero length with room for n elements.
+func emptied[T any](s []T, n int) []T { return slices.Grow(s[:0], n) }
 
 // refreshHostView rewrites one host's view slots and aggregates at
 // time t. Slots are rewritten in place while the membership count fits

@@ -3,7 +3,6 @@ package consolidation
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/units"
@@ -211,16 +210,6 @@ func (c Config) evacuateSet() map[string]bool {
 	return set
 }
 
-// hasPinned reports whether any of the host's VMs is pinned.
-func (h HostState) hasPinned(pinned map[string]bool) bool {
-	for _, v := range h.VMs {
-		if pinned[v.Name] {
-			return true
-		}
-	}
-	return false
-}
-
 // Policy turns a data-centre state into a consolidation plan. Policies
 // are re-entrant: a periodic re-planner invokes Plan repeatedly against
 // the evolving state, pinning in-flight VMs via Config.Pinned between
@@ -289,20 +278,4 @@ func removeVMSlice(vms *[]VMState, name string) (VMState, bool) {
 		}
 	}
 	return VMState{}, false
-}
-
-// finishPlan computes the aggregate fields from the working state. A
-// crashed host emptied by evacuation is not "freed": it already draws
-// nothing, so switching it off reclaims nothing.
-func finishPlan(plan *Plan, hosts []HostState) {
-	for _, h := range hosts {
-		if len(h.VMs) == 0 && !h.Down {
-			plan.FreedHosts = append(plan.FreedHosts, h.Name)
-			plan.IdleSavings += h.IdlePower
-		}
-	}
-	sort.Strings(plan.FreedHosts)
-	for _, m := range plan.Moves {
-		plan.MigrationEnergy += m.Cost.Energy
-	}
 }

@@ -3,15 +3,18 @@ package consolidation
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/units"
 )
 
 // viewDrainScratch is the reusable working memory of EnergyAware's
-// tentative drains. One instance serves every drain of a PlanView call;
-// the epoch counter invalidates the per-host tentative deltas between
-// drains without clearing the arrays.
+// tentative drains, part of the view's planning workspace. One instance
+// serves every drain of every PlanView call on its view; the epoch
+// counter invalidates the per-host tentative deltas between drains
+// without clearing the arrays.
 type viewDrainScratch struct {
 	epoch     int
 	tentEpoch []int
@@ -25,14 +28,6 @@ type viewDrainScratch struct {
 	order       []VMState // src residents, biggest first
 	moves       []Move
 	moveDst     []int32 // target host index per move (avoids a name lookup at commit)
-}
-
-func newViewDrainScratch(n int) *viewDrainScratch {
-	return &viewDrainScratch{
-		tentEpoch: make([]int, n),
-		tentBusy:  make([]float64, n),
-		tentMem:   make([]units.Bytes, n),
-	}
 }
 
 // effective returns host j's busy/memory aggregates including this
@@ -96,7 +91,7 @@ func (p EnergyAware) PlanView(v *View, cfg Config) (*Plan, error) {
 
 func (p EnergyAware) planView(v *View, cfg Config) (*Plan, error) {
 	cfg = cfg.withDefaults()
-	w := newVwork(v)
+	w := v.workspace()
 	plan := &Plan{}
 	pinned := cfg.pinnedSet()
 
@@ -112,14 +107,9 @@ func (p EnergyAware) planView(v *View, cfg Config) (*Plan, error) {
 	// aggregates.
 	order := v.Order
 	if len(w.touched) > 0 {
-		order = append([]int32(nil), v.Order...)
-		sort.Slice(order, func(a, b int) bool {
-			i, j := order[a], order[b]
-			if w.busy[i] != w.busy[j] {
-				return w.busy[i] < w.busy[j]
-			}
-			return v.HostName[i] < v.HostName[j]
-		})
+		w.order = append(w.order[:0], v.Order...)
+		order = w.order
+		slices.SortFunc(order, v.compareHosts(w.busy))
 	}
 
 	// The order-indexed target scan: HeuristicCost's energy is strictly
@@ -135,15 +125,16 @@ func (p EnergyAware) planView(v *View, cfg Config) (*Plan, error) {
 	fastOK = fastOK && v.NameOrdered
 	var liveOrder []int32
 	if fastOK {
-		liveOrder = make([]int32, 0, len(order))
+		w.live = w.live[:0]
 		for _, j := range order {
 			if w.cnt[j] > 0 && !v.Down[j] {
-				liveOrder = append(liveOrder, j)
+				w.live = append(w.live, j)
 			}
 		}
+		liveOrder = w.live
 	}
 
-	sc := newViewDrainScratch(v.hostCount())
+	sc := &w.drain
 	for _, si := range order {
 		if w.cnt[si] == 0 {
 			continue
@@ -195,7 +186,7 @@ func (p EnergyAware) planView(v *View, cfg Config) (*Plan, error) {
 			break
 		}
 	}
-	w.finishPlan(plan)
+	finishPlan(plan, v, w.cnt)
 	return plan, nil
 }
 
@@ -313,11 +304,14 @@ func (p EnergyAware) drainView(w *vwork, si int32, cfg Config, movesSoFar int, s
 
 	// Biggest VMs first: they are the hardest to place.
 	sc.order = append(sc.order[:0], sc.srcVMs...)
-	sort.Slice(sc.order, func(i, j int) bool {
-		if sc.order[i].BusyVCPUs != sc.order[j].BusyVCPUs {
-			return sc.order[i].BusyVCPUs > sc.order[j].BusyVCPUs
+	slices.SortFunc(sc.order, func(a, b VMState) int {
+		switch {
+		case a.BusyVCPUs > b.BusyVCPUs:
+			return -1
+		case a.BusyVCPUs != b.BusyVCPUs:
+			return 1
 		}
-		return sc.order[i].Name < sc.order[j].Name
+		return strings.Compare(a.Name, b.Name)
 	})
 
 	for _, vm := range sc.order {
@@ -545,16 +539,7 @@ func (p FirstFitDecreasing) planView(v *View, cfg Config) (*Plan, error) {
 			plan.Moves = append(plan.Moves, move)
 		}
 	}
-	for i := 0; i < n; i++ {
-		if binCnt[i] == 0 && !v.Down[i] {
-			plan.FreedHosts = append(plan.FreedHosts, v.HostName[i])
-			plan.IdleSavings += v.IdlePower[i]
-		}
-	}
-	sort.Strings(plan.FreedHosts)
-	for _, m := range plan.Moves {
-		plan.MigrationEnergy += m.Cost.Energy
-	}
+	finishPlan(plan, v, binCnt)
 	return plan, nil
 }
 

@@ -1,7 +1,9 @@
 package consolidation
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/units"
 )
@@ -50,12 +52,19 @@ type View struct {
 	// order-indexed target scan, whose tie-breaking by name must agree
 	// with the historical tie-breaking by index.
 	NameOrdered bool
+
+	// work is the planning workspace PlanView keeps on the view between
+	// calls (see vwork); nil until the first plan. It makes a View
+	// single-planner: one View must not be planned concurrently.
+	work *vwork
 }
 
 // ViewPolicy is a Policy that can plan directly against a View. The
 // built-in policies implement it, and their classic Plan entry points
 // delegate through NewView, so both paths share one implementation and
-// produce bit-identical plans.
+// produce bit-identical plans. The built-in PlanView reuses a planning
+// workspace kept on the View from call to call, so one View must not be
+// planned concurrently; distinct Views may be.
 type ViewPolicy interface {
 	Policy
 	PlanView(v *View, cfg Config) (*Plan, error)
@@ -93,17 +102,25 @@ func (v *View) AppendHost(h HostState) {
 
 // SortOrder (re)builds Order ascending by (Busy, HostName).
 func (v *View) SortOrder() {
-	v.Order = v.Order[:0]
+	v.Order = slices.Grow(v.Order[:0], v.hostCount())
 	for i := range v.HostName {
 		v.Order = append(v.Order, int32(i))
 	}
-	sort.Slice(v.Order, func(a, b int) bool {
-		i, j := v.Order[a], v.Order[b]
-		if v.Busy[i] != v.Busy[j] {
-			return v.Busy[i] < v.Busy[j]
+	slices.SortFunc(v.Order, v.compareHosts(v.Busy))
+}
+
+// compareHosts orders host indices by (busy, HostName) under the given
+// per-host loads: the policies' unique total order.
+func (v *View) compareHosts(busy []float64) func(i, j int32) int {
+	return func(i, j int32) int {
+		switch {
+		case busy[i] < busy[j]:
+			return -1
+		case busy[i] != busy[j]:
+			return 1
 		}
-		return v.HostName[i] < v.HostName[j]
-	})
+		return strings.Compare(v.HostName[i], v.HostName[j])
+	}
 }
 
 // NewView flattens an AoS host list into a fresh View. The input is
@@ -123,9 +140,12 @@ func NewView(hosts []HostState) *View {
 	return v
 }
 
-// vwork is one PlanView invocation's working state: mutable aggregate
-// copies over a read-only View, with per-host VM lists materialized
-// lazily — only hosts a plan actually mutates ever copy their slots.
+// vwork is a View's planning workspace: mutable aggregate copies over
+// the read-only View, per-host VM lists materialized lazily — only
+// hosts a plan actually mutates ever copy their slots — and the
+// drain-candidate buffers. The View keeps it from one PlanView call to
+// the next, so a fleet-scale planning round allocates nothing
+// proportional to the host count.
 type vwork struct {
 	v    *View
 	busy []float64
@@ -137,23 +157,51 @@ type vwork struct {
 	// touched lists hosts whose aggregates differ from the snapshot
 	// (evacuation targets and sources, drain commits); the order-indexed
 	// target scan must price them individually instead of trusting the
-	// snapshot order.
+	// snapshot order. Every per-host entry a plan sets — vms, received,
+	// touchedMark — belongs to a touched host, so the next plan resets
+	// the workspace by walking this list.
 	touched     []int32
 	touchedMark []bool
 	received    []bool
+	// drain is EnergyAware's tentative-drain scratch; order and live
+	// back the re-sorted drain order and its live-host subset.
+	drain viewDrainScratch
+	order []int32
+	live  []int32
 }
 
-func newVwork(v *View) *vwork {
+// workspace readies the view's planning workspace for a new plan. The
+// aggregates are copied from the view, which may have changed since the
+// last plan; the per-host marks and overlays the last plan set are
+// cleared in O(hosts it touched). Only a change in the host count
+// allocates afresh. The drain scratch needs no clearing: its epoch keeps
+// counting, so no stale tentative delta matches a new drain.
+func (v *View) workspace() *vwork {
 	n := v.hostCount()
-	w := &vwork{
-		v:           v,
-		busy:        append([]float64(nil), v.Busy...),
-		mem:         append([]units.Bytes(nil), v.Mem...),
-		cnt:         append([]int32(nil), v.VMCount...),
-		vms:         make([][]VMState, n),
-		touchedMark: make([]bool, n),
-		received:    make([]bool, n),
+	w := v.work
+	if w == nil || len(w.touchedMark) != n {
+		w = &vwork{
+			vms:         make([][]VMState, n),
+			touchedMark: make([]bool, n),
+			received:    make([]bool, n),
+			drain: viewDrainScratch{
+				tentEpoch: make([]int, n),
+				tentBusy:  make([]float64, n),
+				tentMem:   make([]units.Bytes, n),
+			},
+		}
+		v.work = w
 	}
+	for _, i := range w.touched {
+		w.vms[i] = nil
+		w.touchedMark[i] = false
+		w.received[i] = false
+	}
+	w.touched = w.touched[:0]
+	w.v = v
+	w.busy = append(w.busy[:0], v.Busy...)
+	w.mem = append(w.mem[:0], v.Mem...)
+	w.cnt = append(w.cnt[:0], v.VMCount...)
 	return w
 }
 
@@ -166,7 +214,8 @@ func (w *vwork) touch(i int32) {
 }
 
 // vmsOf returns host i's current VM list, materializing it from the
-// arena on first call. Mutation paths only.
+// arena on first call. Mutation paths only: a materialized host counts
+// as touched, which keeps every overlay on the workspace's reset list.
 func (w *vwork) vmsOf(i int32) []VMState {
 	if w.vms[i] == nil {
 		s, n := w.v.VMStart[i], w.v.VMCount[i]
@@ -175,6 +224,7 @@ func (w *vwork) vmsOf(i int32) []VMState {
 			out = append(out, w.v.vm(k))
 		}
 		w.vms[i] = out
+		w.touch(i)
 	}
 	return w.vms[i]
 }
@@ -249,16 +299,36 @@ func (w *vwork) recompute(i int32) {
 	w.busy[i], w.mem[i] = busy, mem
 }
 
-// finishPlan computes the plan's aggregate fields from the working
-// state, exactly as finishPlan does for the AoS path.
-func (w *vwork) finishPlan(plan *Plan) {
-	for i := range w.cnt {
-		if w.cnt[i] == 0 && !w.v.Down[i] {
-			plan.FreedHosts = append(plan.FreedHosts, w.v.HostName[i])
-			plan.IdleSavings += w.v.IdlePower[i]
+// finishPlan fills a plan's aggregate fields from the final per-host
+// resident counts cnt: every live host left empty is freed (a crashed
+// host emptied by evacuation is not — it already draws nothing, so
+// switching it off reclaims nothing). FreedHosts is allocated at its
+// exact size, and a NameOrdered view yields it already sorted.
+func finishPlan(plan *Plan, v *View, cnt []int32) {
+	n := len(cnt)
+	down, hostName, idle := v.Down[:n], v.HostName[:n], v.IdlePower[:n]
+	freed := 0
+	for i, c := range cnt {
+		if c == 0 && !down[i] {
+			freed++
 		}
 	}
-	sort.Strings(plan.FreedHosts)
+	if freed > 0 {
+		names := make([]string, freed)
+		var savings units.Watts
+		k := 0
+		for i, c := range cnt {
+			if c == 0 && !down[i] {
+				names[k] = hostName[i]
+				savings += idle[i]
+				k++
+			}
+		}
+		if !v.NameOrdered {
+			sort.Strings(names)
+		}
+		plan.FreedHosts, plan.IdleSavings = names, savings
+	}
 	for _, m := range plan.Moves {
 		plan.MigrationEnergy += m.Cost.Energy
 	}

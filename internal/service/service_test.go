@@ -555,8 +555,12 @@ func waitGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		// Idle HTTP keep-alive and timer goroutines linger briefly;
-		// a small cushion keeps the check meaningful without flaking.
+		// The test clients' idle keep-alive connections each hold a
+		// read/write goroutine pair on the client side; they are not the
+		// server's, so close them before counting. Timer goroutines
+		// linger briefly; a small cushion keeps the check meaningful
+		// without flaking.
+		http.DefaultClient.CloseIdleConnections()
 		if runtime.NumGoroutine() <= baseline+5 {
 			return
 		}
