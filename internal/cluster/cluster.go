@@ -433,6 +433,8 @@ func (c Config) validate() ([]resolved, error) {
 // needs sorting is copied first, because it still belongs to the
 // caller's Config.
 func sortedHosts(hosts []resolved) []*resolved {
+	vmByName := func(a, b VM) int { return strings.Compare(a.Name, b.Name) }
+	hostByName := func(a, b *resolved) int { return strings.Compare(a.Name, b.Name) }
 	out := make([]*resolved, len(hosts))
 	for i := range hosts {
 		r := &hosts[i]
@@ -442,11 +444,8 @@ func sortedHosts(hosts []resolved) []*resolved {
 		}
 		out[i] = r
 	}
-	byName := func(a, b *resolved) int { return strings.Compare(a.Name, b.Name) }
-	if !slices.IsSortedFunc(out, byName) {
-		slices.SortFunc(out, byName)
+	if !slices.IsSortedFunc(out, hostByName) {
+		slices.SortFunc(out, hostByName)
 	}
 	return out
 }
-
-func vmByName(a, b VM) int { return strings.Compare(a.Name, b.Name) }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -303,6 +304,38 @@ func policyFleet() Config {
 		Tick:    30 * time.Minute,
 		Horizon: 2 * time.Hour,
 		Seed:    7,
+	}
+}
+
+// TestHostOrderIndependence: the engine iterates hosts and each host's
+// VMs in name order whatever order the config lists them in, and it
+// never reorders the caller's lists. Reversing both yields the report
+// of the name-ordered config.
+func TestHostOrderIndependence(t *testing.T) {
+	want, err := Run(policyFleet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := policyFleet()
+	slices.Reverse(cfg.Hosts)
+	for i := range cfg.Hosts {
+		slices.Reverse(cfg.Hosts[i].VMs)
+	}
+	listed := make([][]VM, len(cfg.Hosts))
+	for i, h := range cfg.Hosts {
+		listed[i] = slices.Clone(h.VMs)
+	}
+	got, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("reversed host and VM lists changed the report:\n%+v\nwant\n%+v", got, want)
+	}
+	for i, h := range cfg.Hosts {
+		if !reflect.DeepEqual(h.VMs, listed[i]) {
+			t.Errorf("Run reordered host %s's VM list: %v, was %v", h.Name, h.VMs, listed[i])
+		}
 	}
 }
 

@@ -110,7 +110,9 @@ func (v *View) SortOrder() {
 }
 
 // compareHosts orders host indices by (busy, HostName) under the given
-// per-host loads: the policies' unique total order.
+// per-host loads: the policies' unique total order. It is written with
+// < and != so every comparison decides as the historical less function
+// did.
 func (v *View) compareHosts(busy []float64) func(i, j int32) int {
 	return func(i, j int32) int {
 		switch {
