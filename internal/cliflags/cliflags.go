@@ -1,6 +1,6 @@
 // Package cliflags wires the simulation-driving flags every command
-// shares — -workers, -nocache, -cache-dir, -cache-backend, the store
-// resilience knobs (-cache-op-timeout, -cache-retries, -cache-breaker,
+// shares — -workers, -nocache, -cache-dir, the store resilience knobs
+// (-cache-op-timeout, -cache-retries, -cache-breaker,
 // -cache-breaker-cooldown, -cache-chaos), -benchjson, -timeout,
 // -cpuprofile and -memprofile — so the binaries stay in flag parity by
 // construction instead of by copy-paste. A command registers the common
@@ -44,16 +44,11 @@ type Common struct {
 	// sessions: a warm dir answers every cacheable kernel run from disk
 	// with bit-identical results.
 	CacheDir string
-	// CacheBackend selects the persistent store layout under -cache-dir:
-	// "dir" (flock-locked directory tree, cross-process singleflight) or
-	// "obj" (lockless object-store semantics — owner-wins conditional
-	// puts, no locking, the S3 shape).
-	CacheBackend string
 	// CacheOpTimeout bounds one persistent-store Get/Put/Quarantine so a
 	// hung store cannot stall a kernel run past it. 0 disables the bound.
 	CacheOpTimeout time.Duration
-	// CacheRetries is how many times a failed store op is re-attempted
-	// with decorrelated-jitter backoff before being survived as a miss.
+	// CacheRetries is how many times a failed store op is re-attempted,
+	// with capped doubling backoff, before being survived as a miss.
 	CacheRetries int
 	// CacheBreaker opens the store circuit breaker after this many
 	// consecutive failures, running the cache memory-only until a
@@ -89,9 +84,8 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.IntVar(&c.Workers, "workers", 0, "concurrent simulations (0 = all CPUs, 1 = sequential; results identical)")
 	fs.BoolVar(&c.NoCache, "nocache", false, "disable the run cache (results identical, only slower)")
 	fs.StringVar(&c.CacheDir, "cache-dir", "", "persist run artefacts in this directory (created if missing; shareable across processes; results identical)")
-	fs.StringVar(&c.CacheBackend, "cache-backend", "dir", "persistent store layout under -cache-dir: dir (flock singleflight) or obj (lockless object-store semantics)")
 	fs.DurationVar(&c.CacheOpTimeout, "cache-op-timeout", 2*time.Second, "bound one persistent-store operation (0 = unbounded); a slower store degrades to misses, never stalls")
-	fs.IntVar(&c.CacheRetries, "cache-retries", 2, "re-attempts per failed store operation, with jittered backoff (0 = no retries)")
+	fs.IntVar(&c.CacheRetries, "cache-retries", 2, "re-attempts per failed store operation, with doubling backoff (0 = no retries)")
 	fs.IntVar(&c.CacheBreaker, "cache-breaker", 5, "consecutive store failures that open the circuit breaker and degrade the cache to memory-only (0 = no breaker)")
 	fs.DurationVar(&c.CacheBreakerCooldown, "cache-breaker-cooldown", time.Second, "how long the open breaker waits before half-open probing the store")
 	fs.StringVar(&c.CacheChaos, "cache-chaos", "", "inject deterministic store faults, e.g. 'seed=7,err=0.3,torn=0.1,latency=1ms,for=2s' (test harness; results stay identical)")
@@ -184,19 +178,11 @@ func (c *Common) Cache() (*sim.Cache, error) {
 	if c.CacheDir == "" {
 		return sim.NewCache(0), nil
 	}
-	var store sim.CacheStore
-	var err error
-	switch c.CacheBackend {
-	case "", "dir":
-		store, err = sim.NewDirStore(c.CacheDir)
-	case "obj":
-		store, err = sim.NewObjStore(c.CacheDir)
-	default:
-		return nil, fmt.Errorf("cliflags: -cache-backend %q: want dir or obj", c.CacheBackend)
-	}
+	dir, err := sim.NewDirStore(c.CacheDir)
 	if err != nil {
 		return nil, err
 	}
+	var store sim.CacheStore = dir
 	if c.CacheChaos != "" {
 		cfg, err := sim.ParseFaultSpec(c.CacheChaos)
 		if err != nil {

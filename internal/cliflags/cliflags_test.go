@@ -119,7 +119,6 @@ func TestResilienceFlagsParse(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	c := Register(fs)
 	err := fs.Parse([]string{
-		"-cache-backend", "obj",
 		"-cache-op-timeout", "500ms",
 		"-cache-retries", "1",
 		"-cache-breaker", "3",
@@ -129,34 +128,10 @@ func TestResilienceFlagsParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.CacheBackend != "obj" || c.CacheOpTimeout != 500*time.Millisecond ||
+	if c.CacheOpTimeout != 500*time.Millisecond ||
 		c.CacheRetries != 1 || c.CacheBreaker != 3 ||
 		c.CacheBreakerCooldown != 200*time.Millisecond || c.CacheChaos != "seed=7,err=0.3" {
 		t.Errorf("parsed %+v", c)
-	}
-}
-
-func TestCacheBackendObj(t *testing.T) {
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	c := Register(fs)
-	dir := filepath.Join(t.TempDir(), "objcache")
-	if err := fs.Parse([]string{"-cache-dir", dir, "-cache-backend", "obj"}); err != nil {
-		t.Fatal(err)
-	}
-	cache, err := c.Cache()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cache.Persistent() {
-		t.Error("-cache-backend obj must still yield a persistent cache")
-	}
-	if err := cache.Close(); err != nil {
-		t.Errorf("closing the obj-backed cache: %v", err)
-	}
-
-	c.CacheBackend = "bogus"
-	if _, err := c.Cache(); err == nil {
-		t.Error("an unknown -cache-backend must error")
 	}
 }
 

@@ -97,12 +97,6 @@ func (h HostState) UsedMem() units.Bytes {
 	return s
 }
 
-// fits reports whether vm can be placed on h under the utilisation cap.
-func (h HostState) fits(vm VMState, cpuCap float64) bool {
-	return h.BusyThreads()+vm.BusyVCPUs <= float64(h.Threads)*cpuCap &&
-		h.UsedMem()+vm.MemBytes <= h.MemBytes
-}
-
 // MigrationCost is what the energy model predicts for one candidate move.
 type MigrationCost struct {
 	Energy   units.Joules
@@ -242,31 +236,6 @@ func validateHosts(hosts []HostState) error {
 		}
 	}
 	return nil
-}
-
-// cloneHosts deep-copies the state so planning never mutates the input.
-func cloneHosts(hosts []HostState) []HostState {
-	out := make([]HostState, len(hosts))
-	for i, h := range hosts {
-		out[i] = h
-		out[i].VMs = append([]VMState(nil), h.VMs...)
-	}
-	return out
-}
-
-// hostByName returns a pointer into the working copy.
-func hostByName(hosts []HostState, name string) *HostState {
-	for i := range hosts {
-		if hosts[i].Name == name {
-			return &hosts[i]
-		}
-	}
-	return nil
-}
-
-// removeVM detaches a VM from a host state.
-func removeVM(h *HostState, name string) (VMState, bool) {
-	return removeVMSlice(&h.VMs, name)
 }
 
 // removeVMSlice detaches a VM from a bare VM list, preserving order.

@@ -82,16 +82,6 @@ func TestHostAccounting(t *testing.T) {
 	if h.UsedMem() != gib(8) {
 		t.Errorf("used mem = %v, want 8 GiB", h.UsedMem())
 	}
-	vm := VMState{Name: "n", MemBytes: gib(4), BusyVCPUs: 16}
-	if !h.fits(vm, 0.9) {
-		t.Error("12+16 = 28 of 28.8 cap should fit")
-	}
-	if h.fits(VMState{Name: "n2", MemBytes: gib(4), BusyVCPUs: 17}, 0.9) {
-		t.Error("29 of 28.8 cap must not fit")
-	}
-	if h.fits(VMState{Name: "n3", MemBytes: gib(25), BusyVCPUs: 1}, 0.9) {
-		t.Error("memory overflow must not fit")
-	}
 }
 
 func TestEnergyAwareEmptiesLeastLoadedHost(t *testing.T) {

@@ -48,7 +48,7 @@ func TestRunClusterInheritsConfigPolicy(t *testing.T) {
 	if !reflect.DeepEqual(direct, viaCfg) {
 		t.Error("RunCluster under workers+cache differs from the direct sequential run")
 	}
-	if _, misses := cache.Stats(); misses == 0 {
+	if cache.Snapshot().Misses == 0 {
 		t.Error("the config's cache was not used")
 	}
 }

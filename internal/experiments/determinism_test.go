@@ -122,9 +122,8 @@ func TestCampaignDeterministicCacheOnOff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hits, misses := cached.Cache.Stats()
-		if hits == 0 {
-			t.Errorf("workers=%d: overlapping families produced no cache hits (%d misses)", workers, misses)
+		if st := cached.Cache.Snapshot(); st.Hits == 0 {
+			t.Errorf("workers=%d: overlapping families produced no cache hits (%d misses)", workers, st.Misses)
 		}
 		if got, want := campOn.Dataset.Len(), campOff.Dataset.Len(); got != want {
 			t.Fatalf("workers=%d: cached dataset has %d rows, uncached %d", workers, got, want)

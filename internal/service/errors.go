@@ -26,8 +26,7 @@ const (
 	codeInvalidRequest  = "invalid_request"  // 400: unreadable body, bad route parameter
 	codeInvalidScenario = "invalid_scenario" // 422: body decoded but failed scenario validation
 	codeNotFound        = "not_found"        // 404: unknown route or library scenario
-	codeMethod          = "method_not_allowed"
-	codeOverloaded      = "overloaded" // 429: admission queue full
+	codeOverloaded      = "overloaded"       // 429: admission queue full
 	codeDeadline        = "deadline_exceeded"
 	codeDraining        = "draining" // 503: daemon is shutting down
 	codeInternal        = "internal" // 500: handler panic or unexpected failure

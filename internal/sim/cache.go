@@ -244,23 +244,21 @@ func (c *Cache) compute(ctx context.Context, sc, key Scenario) (*RunResult, erro
 	}
 	// Cross-process singleflight: elect one kernel-run owner per key.
 	// Losers block here and re-read the owner's artefact on wake-up.
-	if locker, ok := c.store.(CacheLocker); ok {
-		unlock, err := locker.Lock(ctx, name)
-		switch {
-		case err == nil:
-			defer unlock()
-			if res := c.loadArtefact(name, keyBytes, hash); res != nil {
-				c.diskHits.Add(1)
-				return res, nil
-			}
-		case ctx.Err() != nil:
-			return nil, ctx.Err()
-		default:
-			// Lock machinery failed (exotic filesystem): degrade to
-			// owner-wins Put, which may duplicate work across processes
-			// but stays correct.
-			c.storeErrors.Add(1)
+	unlock, err := c.store.Lock(ctx, name)
+	switch {
+	case err == nil:
+		defer unlock()
+		if res := c.loadArtefact(name, keyBytes, hash); res != nil {
+			c.diskHits.Add(1)
+			return res, nil
 		}
+	case ctx.Err() != nil:
+		return nil, ctx.Err()
+	default:
+		// Lock machinery failed (a wedged lock file, a sick store):
+		// degrade to owner-wins Put, which may duplicate work across
+		// processes but stays correct.
+		c.storeErrors.Add(1)
 	}
 	c.diskMisses.Add(1)
 	c.kernelRuns.Add(1)
@@ -342,27 +340,6 @@ func (c *Cache) removeLocked(key Scenario, e *cacheEntry) {
 		delete(c.entries, key)
 		c.lru.Remove(e.elem)
 	}
-}
-
-// Len reports the number of cached (or in-flight) runs.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Stats reports cumulative memory-tier lookup hits and misses. Snapshot
-// returns the full two-tier picture.
-func (c *Cache) Stats() (hits, misses uint64) {
-	if c == nil {
-		return 0, 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }
 
 // Snapshot returns the cache's counters across both tiers. A nil cache

@@ -38,8 +38,8 @@ func TestCacheHitIsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
-		t.Fatalf("stats = %d hits / %d misses, want 1/1 (label must not split the key)", hits, misses)
+	if st := c.Snapshot(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %d hits / %d misses, want 1/1 (label must not split the key)", st.Hits, st.Misses)
 	}
 
 	if !reflect.DeepEqual(plain, first) {
@@ -70,8 +70,8 @@ func TestCacheKeySeparatesPhysics(t *testing.T) {
 	if _, err := c.Run(live); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := c.Stats(); hits != 0 || misses != 3 {
-		t.Fatalf("stats = %d hits / %d misses, want 0/3", hits, misses)
+	if st := c.Snapshot(); st.Hits != 0 || st.Misses != 3 {
+		t.Fatalf("stats = %d hits / %d misses, want 0/3", st.Hits, st.Misses)
 	}
 }
 
@@ -96,7 +96,7 @@ func TestCacheSingleflight(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if _, misses := c.Stats(); misses != 1 {
+	if misses := c.Snapshot().Misses; misses != 1 {
 		t.Fatalf("%d misses, want 1 (singleflight)", misses)
 	}
 	for i := 1; i < callers; i++ {
@@ -114,18 +114,18 @@ func TestCacheBoundAndClear(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := c.Len(); n != 2 {
+	if n := c.Snapshot().Entries; n != 2 {
 		t.Fatalf("cache holds %d entries, want bound 2", n)
 	}
 	// Seed 1 was evicted (least recent); seed 3 must still hit.
 	if _, err := c.Run(cacheScenario(3)); err != nil {
 		t.Fatal(err)
 	}
-	if hits, _ := c.Stats(); hits != 1 {
+	if hits := c.Snapshot().Hits; hits != 1 {
 		t.Fatalf("expected the most recent entry to survive eviction (hits = %d)", hits)
 	}
 	c.Clear()
-	if n := c.Len(); n != 0 {
+	if n := c.Snapshot().Entries; n != 0 {
 		t.Fatalf("Clear left %d entries", n)
 	}
 }
@@ -141,7 +141,7 @@ func TestCacheErrorNotMemoized(t *testing.T) {
 			t.Fatal("invalid scenario did not error")
 		}
 	}
-	if n := c.Len(); n != 0 {
+	if n := c.Snapshot().Entries; n != 0 {
 		t.Fatalf("failed run left %d cache entries", n)
 	}
 }
@@ -160,7 +160,7 @@ func TestNilCacheRuns(t *testing.T) {
 	if !reflect.DeepEqual(plain, r) {
 		t.Error("nil cache result differs from plain Run")
 	}
-	if c.Len() != 0 {
+	if c.Snapshot().Entries != 0 {
 		t.Error("nil cache reported entries")
 	}
 	c.Clear() // must not panic

@@ -116,10 +116,10 @@ func TestCacheCancelledLeaderDoesNotPoisonWaiters(t *testing.T) {
 	}
 	// The cancelled leader's entry must be gone; the waiter's
 	// re-dispatch is a second miss that leaves a clean cached entry.
-	if _, misses := c.Stats(); misses != 2 {
+	if misses := c.Snapshot().Misses; misses != 2 {
 		t.Errorf("misses = %d, want 2 (leader + waiter re-dispatch)", misses)
 	}
-	if n := c.Len(); n != 1 {
+	if n := c.Snapshot().Entries; n != 1 {
 		t.Errorf("cache holds %d entries, want 1 (the waiter's)", n)
 	}
 }
@@ -173,7 +173,7 @@ func waitStats(t *testing.T, c *Cache, cond func(hits, misses uint64) bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if cond(c.Stats()) {
+		if st := c.Snapshot(); cond(st.Hits, st.Misses) {
 			return
 		}
 		if time.Now().After(deadline) {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -223,6 +224,9 @@ type failingStore struct{}
 func (failingStore) Get(string) ([]byte, error)      { return nil, ErrArtefactNotFound }
 func (failingStore) Put(string, []byte) error        { return errors.New("disk full") }
 func (failingStore) Quarantine(string, string) error { return errors.New("disk full") }
+func (failingStore) Lock(context.Context, string) (func(), error) {
+	return nil, errors.New("disk full")
+}
 
 // TestDirStoreQuarantineRecreatesDir asserts quarantine/ removed at
 // runtime (an operator cleanup, a tmp reaper) is recreated on demand —
@@ -251,19 +255,20 @@ func TestDirStoreQuarantineRecreatesDir(t *testing.T) {
 	}
 }
 
-// TestDirStoreLockDeadlineFallsBackToOwnerWins wedges an artefact's lock
-// file from a second file descriptor (modelling a leaked flock / dead
-// NFS handle) and asserts (a) Lock gives up at its deadline with an
-// error distinct from the caller's context, and (b) a cache over that
-// store still completes the run — owner-wins, with the lock trouble
-// counted as a store error.
-func TestDirStoreLockDeadlineFallsBackToOwnerWins(t *testing.T) {
+// TestWedgedLockTimesOutToOwnerWins wedges an artefact's lock file from
+// a second file descriptor (modelling a leaked flock / dead NFS handle)
+// and asserts (a) the resilience policy's lock timeout gives up on the
+// DirStore lock with an error distinct from the caller's context, and
+// (b) a cache over that store still completes the run — owner-wins, with
+// the lock trouble counted as a store error.
+func TestWedgedLockTimesOutToOwnerWins(t *testing.T) {
 	dir := t.TempDir()
 	store, err := NewDirStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.LockDeadline = 40 * time.Millisecond
+	const lockTimeout = 40 * time.Millisecond
+	rs := NewResilientStore(store, ResilienceConfig{lockTimeout: lockTimeout})
 
 	sc := diskScenario(9)
 	keyBytes := encodeCacheKey(cacheKey(sc))
@@ -283,13 +288,13 @@ func TestDirStoreLockDeadlineFallsBackToOwnerWins(t *testing.T) {
 	}
 
 	start := time.Now()
-	_, lerr := store.Lock(context.Background(), name)
+	_, lerr := rs.Lock(context.Background(), name)
 	elapsed := time.Since(start)
-	if !errors.Is(lerr, errLockWedged) {
-		t.Fatalf("wedged Lock error = %v, want errLockWedged", lerr)
+	if !errors.Is(lerr, ErrStoreTimeout) {
+		t.Fatalf("wedged Lock error = %v, want ErrStoreTimeout", lerr)
 	}
-	if elapsed < store.LockDeadline || elapsed > 100*store.LockDeadline {
-		t.Errorf("wedged Lock took %v, want about the %v deadline", elapsed, store.LockDeadline)
+	if elapsed < lockTimeout || elapsed > 100*lockTimeout {
+		t.Errorf("wedged Lock took %v, want about the %v lock timeout", elapsed, lockTimeout)
 	}
 
 	// The cache-level story: the wedged lock degrades to owner-wins and
@@ -298,7 +303,7 @@ func TestDirStoreLockDeadlineFallsBackToOwnerWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCacheWithStore(0, store)
+	c := NewCacheWithStore(0, rs)
 	got, err := c.Run(sc)
 	if err != nil {
 		t.Fatalf("run with a wedged lock: %v", err)
@@ -312,5 +317,68 @@ func TestDirStoreLockDeadlineFallsBackToOwnerWins(t *testing.T) {
 	// The artefact still published despite the wedged lock.
 	if files := artefactFiles(t, dir); len(files) != 1 {
 		t.Errorf("%d artefacts after owner-wins publish, want 1", len(files))
+	}
+}
+
+// TestLockFailureOwnerWinsSingleflight is the end-to-end proof of the
+// degraded singleflight: two caches (two "processes") over one
+// directory whose every Lock fails, racing the same key from many
+// goroutines. Without cross-process locking the kernel may run once per
+// cache — but never more, results are bit-identical everywhere, and
+// exactly one artefact exists after the dust settles.
+func TestLockFailureOwnerWinsSingleflight(t *testing.T) {
+	dir := t.TempDir()
+	sc := diskScenario(21)
+	want, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	newLocklessCache := func() *Cache {
+		store, err := NewDirStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewCacheWithStore(0, NewFaultStore(store, FaultConfig{LockFailRate: 1}))
+	}
+	c1, c2 := newLocklessCache(), newLocklessCache()
+	var wg sync.WaitGroup
+	for _, c := range []*Cache{c1, c2} {
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(c *Cache) {
+				defer wg.Done()
+				got, err := c.Run(sc)
+				if err != nil {
+					t.Errorf("racing run: %v", err)
+					return
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Error("racing run differs from the uncached reference")
+				}
+			}(c)
+		}
+	}
+	wg.Wait()
+
+	runs := c1.Snapshot().KernelRuns + c2.Snapshot().KernelRuns
+	if runs < 1 || runs > 2 {
+		t.Errorf("kernel runs = %d, want 1..2 (once per cache at worst, never per request)", runs)
+	}
+	if files := artefactFiles(t, dir); len(files) != 1 {
+		t.Errorf("store holds %d artefacts, want exactly 1 (owner-wins collapsed the race)", len(files))
+	}
+
+	// A third, cold cache warms entirely from the artefact.
+	c3 := newLocklessCache()
+	got, err := c3.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("warm read differs from the uncached reference")
+	}
+	if st := c3.Snapshot(); st.DiskHits != 1 || st.KernelRuns != 0 {
+		t.Errorf("warm stats = %+v, want 1 disk hit, 0 kernel runs", st)
 	}
 }

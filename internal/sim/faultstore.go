@@ -110,12 +110,10 @@ func parseRate(v string) (float64, error) {
 // failures, optionally confined to a scripted window (FaultConfig).
 // It exists to prove the resilience stack's invariant — any store
 // misbehaviour degrades to a miss or a skip, never an error, never a
-// wrong byte — under test and in CI, against the real store layouts.
+// wrong byte — under test and in CI, against the real store layout.
 //
-// Construct with NewFaultStore, which preserves the inner store's
-// CacheLocker-ness (a FaultStore over a DirStore still offers Lock, a
-// FaultStore over an ObjStore does not). Close releases any injected
-// hangs still in flight and closes the inner store if it is closeable.
+// Construct with NewFaultStore. Close releases any injected hangs still
+// in flight and closes the inner store if it is closeable.
 type FaultStore struct {
 	inner CacheStore
 	cfg   FaultConfig
@@ -126,23 +124,12 @@ type FaultStore struct {
 	closed    chan struct{}
 }
 
-// faultLockedStore adds Lock when the inner store offers it, so the
-// cache sees the same locking capability with or without chaos.
-type faultLockedStore struct {
-	*FaultStore
-}
-
-// NewFaultStore wraps inner with the scripted chaos of cfg. The return
-// implements CacheLocker exactly when inner does.
-func NewFaultStore(inner CacheStore, cfg FaultConfig) CacheStore {
+// NewFaultStore wraps inner with the scripted chaos of cfg.
+func NewFaultStore(inner CacheStore, cfg FaultConfig) *FaultStore {
 	if cfg.HangFor <= 0 {
 		cfg.HangFor = 30 * time.Second
 	}
-	s := &FaultStore{inner: inner, cfg: cfg, start: time.Now(), closed: make(chan struct{})}
-	if _, ok := inner.(CacheLocker); ok {
-		return &faultLockedStore{s}
-	}
-	return s
+	return &FaultStore{inner: inner, cfg: cfg, start: time.Now(), closed: make(chan struct{})}
 }
 
 // Close releases every injected hang and closes the inner store when it
@@ -266,10 +253,10 @@ func (s *FaultStore) Quarantine(name, reason string) error {
 // Lock acquires through the chaos: latency and hangs apply (released by
 // ctx as well as Close), then an injected acquisition failure, then the
 // inner lock.
-func (s *faultLockedStore) Lock(ctx context.Context, name string) (func(), error) {
+func (s *FaultStore) Lock(ctx context.Context, name string) (func(), error) {
 	n, hostile := s.op()
 	if !hostile {
-		return s.inner.(CacheLocker).Lock(ctx, name)
+		return s.inner.Lock(ctx, name)
 	}
 	if err := s.misbehave(n, "lock", ctx.Done()); err != nil {
 		return nil, err
@@ -277,11 +264,7 @@ func (s *faultLockedStore) Lock(ctx context.Context, name string) (func(), error
 	if s.cfg.LockFailRate > 0 && s.u01(n, saltLock) < s.cfg.LockFailRate {
 		return nil, fmt.Errorf("sim: injected lock fault (op %d)", n)
 	}
-	return s.inner.(CacheLocker).Lock(ctx, name)
+	return s.inner.Lock(ctx, name)
 }
 
-var (
-	_ CacheStore  = (*FaultStore)(nil)
-	_ CacheStore  = (*faultLockedStore)(nil)
-	_ CacheLocker = (*faultLockedStore)(nil)
-)
+var _ CacheStore = (*FaultStore)(nil)

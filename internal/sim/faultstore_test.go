@@ -88,25 +88,6 @@ func TestFaultStoreScheduleHeals(t *testing.T) {
 	}
 }
 
-// TestFaultStorePreservesLockerShape mirrors the resilient wrapper's
-// shape test: chaos must not change the store's locking capability.
-func TestFaultStorePreservesLockerShape(t *testing.T) {
-	dir, err := NewDirStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := NewFaultStore(dir, FaultConfig{}).(CacheLocker); !ok {
-		t.Error("faulty DirStore lost its locker")
-	}
-	obj, err := NewObjStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := NewFaultStore(obj, FaultConfig{}).(CacheLocker); ok {
-		t.Error("faulty ObjStore invented a locker")
-	}
-}
-
 // hostileStack builds the full production chain over a real DirStore —
 // chaos beneath, policy on top, tuned tight so the test runs fast.
 func hostileStack(t *testing.T, dir string, fault FaultConfig) *Cache {
@@ -115,18 +96,16 @@ func hostileStack(t *testing.T, dir string, fault FaultConfig) *Cache {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.LockDeadline = 250 * time.Millisecond
 	chain := NewResilientStore(NewFaultStore(store, fault), ResilienceConfig{
 		OpTimeout:        100 * time.Millisecond,
-		LockTimeout:      500 * time.Millisecond,
 		Retries:          2,
-		RetryBase:        time.Millisecond,
-		RetryCap:         5 * time.Millisecond,
 		BreakerThreshold: 8,
 		BreakerCooldown:  20 * time.Millisecond,
 		AsyncPublish:     true,
-		DrainTimeout:     2 * time.Second,
-		Seed:             fault.Seed,
+		lockTimeout:      250 * time.Millisecond,
+		retryBase:        time.Millisecond,
+		retryCap:         5 * time.Millisecond,
+		drainTimeout:     2 * time.Second,
 	})
 	return NewCacheWithStore(0, chain)
 }
@@ -331,7 +310,7 @@ func TestFaultStoreCloseReleasesHangs(t *testing.T) {
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
-	if err := fs.(interface{ Close() error }).Close(); err != nil {
+	if err := fs.Close(); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,24 +24,17 @@ var ErrBreakerOpen = errors.New("sim: store circuit breaker open")
 
 // ResilienceConfig tunes a ResilientStore. Zero values select the
 // defaults noted per field; negative values disable the mechanism where
-// that is meaningful (OpTimeout, LockTimeout, Retries, BreakerThreshold).
+// that is meaningful (OpTimeout, lockTimeout, Retries, BreakerThreshold).
+// The exported fields are the ones the commands' cache-* flags set; the
+// rest keep their defaults outside tests.
 type ResilienceConfig struct {
 	// OpTimeout bounds one Get/Put/Quarantine attempt (default 2s; the
 	// hot-path guarantee that no kernel run or HTTP request waits on a
 	// hung store past this). Negative disables.
 	OpTimeout time.Duration
-	// LockTimeout bounds one Lock acquisition (default 30s — locks
-	// legitimately wait for another process's kernel run, so this is much
-	// looser than OpTimeout). Negative disables.
-	LockTimeout time.Duration
 	// Retries is the number of re-attempts after a transient failure
 	// (default 2, so up to 3 attempts). Negative disables retrying.
 	Retries int
-	// RetryBase and RetryCap shape the decorrelated-jitter backoff
-	// between attempts: sleep = min(cap, base + U*(3*prev - base)).
-	// Defaults 25ms and 250ms.
-	RetryBase time.Duration
-	RetryCap  time.Duration
 	// BreakerThreshold opens the breaker after this many consecutive
 	// failed operations (default 5). Negative disables the breaker.
 	BreakerThreshold int
@@ -54,15 +46,23 @@ type ResilienceConfig struct {
 	// back to the caller's synchronous path (backpressure, bounded by
 	// the op timeout and retry budget — a completed kernel run's
 	// artefact is never dropped under load); publishes arriving after
-	// Close are dropped and counted. Close drains the queue.
+	// Close, or still queued when its drain times out, are dropped and
+	// counted. Close drains the queue.
 	AsyncPublish bool
-	// PublishBudget is the async publish queue depth (default 64).
-	PublishBudget int
-	// DrainTimeout bounds Close's wait for queued publishes (default 5s).
-	DrainTimeout time.Duration
-	// Seed keys the retry jitter; 0 seeds from the clock (jitter does not
-	// need determinism, but tests appreciate it).
-	Seed int64
+
+	// lockTimeout bounds one Lock acquisition (default 30s — locks
+	// legitimately wait for another process's kernel run, so this is much
+	// looser than OpTimeout). It is the store tier's only lock bound.
+	// Negative disables.
+	lockTimeout time.Duration
+	// retryBase and retryCap shape the backoff between attempts: the
+	// first retry sleeps retryBase, each later one twice the previous,
+	// capped at retryCap. Defaults 25ms and 250ms.
+	retryBase, retryCap time.Duration
+	// publishBudget is the async publish queue depth (default 64).
+	publishBudget int
+	// drainTimeout bounds Close's wait for queued publishes (default 5s).
+	drainTimeout time.Duration
 }
 
 func (c ResilienceConfig) withDefaults() ResilienceConfig {
@@ -74,11 +74,11 @@ func (c ResilienceConfig) withDefaults() ResilienceConfig {
 		}
 	}
 	def(&c.OpTimeout, 2*time.Second)
-	def(&c.LockTimeout, 30*time.Second)
-	def(&c.RetryBase, 25*time.Millisecond)
-	def(&c.RetryCap, 250*time.Millisecond)
+	def(&c.lockTimeout, 30*time.Second)
+	def(&c.retryBase, 25*time.Millisecond)
+	def(&c.retryCap, 250*time.Millisecond)
 	def(&c.BreakerCooldown, time.Second)
-	def(&c.DrainTimeout, 5*time.Second)
+	def(&c.drainTimeout, 5*time.Second)
 	if c.Retries == 0 {
 		c.Retries = 2
 	} else if c.Retries < 0 {
@@ -89,8 +89,8 @@ func (c ResilienceConfig) withDefaults() ResilienceConfig {
 	} else if c.BreakerThreshold < 0 {
 		c.BreakerThreshold = 0
 	}
-	if c.PublishBudget <= 0 {
-		c.PublishBudget = 64
+	if c.publishBudget <= 0 {
+		c.publishBudget = 64
 	}
 	return c
 }
@@ -197,6 +197,22 @@ func (b *circuitBreaker) failure() {
 	}
 }
 
+// release hands back a half-open probe slot whose operation ended
+// without a verdict (the caller cancelled it), recording neither success
+// nor failure: the breaker stays half-open and admits the next operation
+// as its probe. Without it, a cancelled probe would leave the breaker
+// rejecting every operation forever.
+func (b *circuitBreaker) release() {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == breakerHalfOpen {
+		b.probe = false
+	}
+}
+
 // reopen transitions to open; callers hold b.mu.
 func (b *circuitBreaker) reopen() {
 	b.state = breakerOpen
@@ -218,7 +234,8 @@ func (b *circuitBreaker) snapshot() (state string, opens uint64) {
 // publisher is the bounded-budget async publish queue: one worker
 // drains it, tryEnqueue never blocks the caller (a full queue signals
 // the caller to publish synchronously instead; a closed one drops the
-// publish, counted), close waits for the drain.
+// publish, counted), close waits for the drain and drops, counted,
+// whatever is still queued when the wait expires.
 type publisher struct {
 	put func(name string, data []byte)
 
@@ -266,14 +283,12 @@ func (p *publisher) tryEnqueue(name string, data []byte) bool {
 }
 
 // close stops intake and waits up to timeout for queued publishes to
-// land. Publishes still queued at expiry are counted as drops.
+// land. At expiry it takes the publishes still queued away from the
+// worker and counts them as drops; the one the worker is executing, if
+// any, completes (or times out) in the background. Called once, by
+// ResilientStore.Close.
 func (p *publisher) close(timeout time.Duration) error {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		<-p.done
-		return nil
-	}
 	p.closed = true
 	close(p.queue)
 	p.mu.Unlock()
@@ -283,22 +298,24 @@ func (p *publisher) close(timeout time.Duration) error {
 	case <-p.done:
 		return nil
 	case <-t.C:
+		for range p.queue {
+			p.drops.Add(1)
+		}
 		return fmt.Errorf("sim: publish drain exceeded %v", timeout)
 	}
 }
 
 // ResilientStore wraps a CacheStore with the survival policy the
 // persistent tier needs against a hostile store: per-op timeouts,
-// bounded retries with decorrelated-jitter backoff, a circuit breaker
-// that degrades the cache to memory-only while the store is sick, and
-// (optionally) asynchronous bounded-budget publishes. Every mechanism
-// converts a store failure into a clean miss or a skipped publish —
-// callers above see the same CacheStore contract, just slower-or-missing
-// rather than wrong or wedged.
+// bounded retries with capped doubling backoff, a lock timeout, a
+// circuit breaker that degrades the cache to memory-only while the
+// store is sick, and (optionally) asynchronous bounded-budget publishes.
+// Every mechanism converts a store failure into a clean miss or a
+// skipped publish — callers above see the same CacheStore contract,
+// just slower-or-missing rather than wrong or wedged.
 //
-// Construct with NewResilientStore, which preserves the inner store's
-// CacheLocker-ness. Close drains async publishes and closes the inner
-// store; Cache.Close forwards to it.
+// Construct with NewResilientStore. Close drains async publishes and
+// closes the inner store; Cache.Close forwards to it.
 type ResilientStore struct {
 	inner   CacheStore
 	cfg     ResilienceConfig
@@ -308,37 +325,20 @@ type ResilientStore struct {
 	retries  atomic.Uint64
 	timeouts atomic.Uint64
 
-	jitterMu sync.Mutex
-	jitter   *rand.Rand
-
 	closeOnce sync.Once
 	closeErr  error
 }
 
-// resilientLockedStore adds Lock when the inner store offers it.
-type resilientLockedStore struct {
-	*ResilientStore
-}
-
-// NewResilientStore wraps inner with the policy of cfg. The return
-// implements CacheLocker exactly when inner does.
-func NewResilientStore(inner CacheStore, cfg ResilienceConfig) CacheStore {
+// NewResilientStore wraps inner with the policy of cfg.
+func NewResilientStore(inner CacheStore, cfg ResilienceConfig) *ResilientStore {
 	cfg = cfg.withDefaults()
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
 	s := &ResilientStore{
 		inner:   inner,
 		cfg:     cfg,
 		breaker: newCircuitBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		jitter:  rand.New(rand.NewSource(seed)),
 	}
 	if cfg.AsyncPublish {
-		s.pub = newPublisher(cfg.PublishBudget, s.publishSync)
-	}
-	if _, ok := inner.(CacheLocker); ok {
-		return &resilientLockedStore{s}
+		s.pub = newPublisher(cfg.publishBudget, s.publishSync)
 	}
 	return s
 }
@@ -360,12 +360,12 @@ func (s *ResilientStore) ResilienceStats() ResilienceStats {
 	}
 }
 
-// Close drains pending async publishes (bounded by DrainTimeout) and
+// Close drains pending async publishes (bounded by the drain timeout) and
 // closes the inner store when it supports closing. Idempotent.
 func (s *ResilientStore) Close() error {
 	s.closeOnce.Do(func() {
 		if s.pub != nil {
-			s.closeErr = s.pub.close(s.cfg.DrainTimeout)
+			s.closeErr = s.pub.close(s.cfg.drainTimeout)
 		}
 		if cl, ok := s.inner.(interface{ Close() error }); ok {
 			if err := cl.Close(); err != nil && s.closeErr == nil {
@@ -404,34 +404,17 @@ func timedCall[T any](timeout time.Duration, op func() (T, error)) (T, error) {
 	}
 }
 
-// backoff computes the next decorrelated-jitter sleep from the previous
-// one: min(cap, base + U*(3*prev - base)).
-func (s *ResilientStore) backoff(prev time.Duration) time.Duration {
-	base, cap := s.cfg.RetryBase, s.cfg.RetryCap
-	s.jitterMu.Lock()
-	u := s.jitter.Float64()
-	s.jitterMu.Unlock()
-	d := base + time.Duration(u*float64(3*prev-base))
-	if d < base {
-		d = base
-	}
-	if d > cap {
-		d = cap
-	}
-	return d
-}
-
 // callRetry is the shared policy path for synchronous store ops: breaker
-// gate, timed attempts, retries with backoff for transient errors, and
-// breaker bookkeeping. ErrArtefactNotFound is a successful answer (the
-// store responded; the artefact is absent) — never retried, never a
-// breaker failure.
+// gate, timed attempts, retries with capped doubling backoff for
+// transient errors, and breaker bookkeeping. ErrArtefactNotFound is a
+// successful answer (the store responded; the artefact is absent) —
+// never retried, never a breaker failure.
 func callRetry[T any](s *ResilientStore, op func() (T, error)) (T, error) {
 	var zero T
 	if !s.breaker.allow() {
 		return zero, ErrBreakerOpen
 	}
-	sleep := s.cfg.RetryBase
+	sleep := s.cfg.retryBase
 	for attempt := 0; ; attempt++ {
 		v, err := timedCall(s.cfg.OpTimeout, op)
 		if err == nil || errors.Is(err, ErrArtefactNotFound) {
@@ -449,8 +432,8 @@ func callRetry[T any](s *ResilientStore, op func() (T, error)) (T, error) {
 			return zero, ErrBreakerOpen
 		}
 		s.retries.Add(1)
-		sleep = s.backoff(sleep)
 		time.Sleep(sleep)
+		sleep = min(2*sleep, s.cfg.retryCap)
 	}
 }
 
@@ -493,29 +476,32 @@ func (s *ResilientStore) Quarantine(name, reason string) error {
 	return err
 }
 
-// Lock acquires through the policy: breaker-gated and bounded by
-// LockTimeout (not OpTimeout — locks legitimately wait for another
+// Lock acquires through the policy: breaker-gated and bounded by the
+// lock timeout (not OpTimeout — locks legitimately wait for another
 // process's kernel run, and are never retried: on failure the cache
 // falls straight back to owner-wins). Caller cancellation propagates
-// as ctx's error; a policy timeout surfaces as ErrStoreTimeout so the
-// cache's owner-wins degradation (not its cancellation path) handles it.
-func (s *resilientLockedStore) Lock(ctx context.Context, name string) (func(), error) {
+// as ctx's error and leaves the breaker as it was (a half-open probe
+// hands its slot back); a policy timeout surfaces as ErrStoreTimeout so
+// the cache's owner-wins degradation (not its cancellation path)
+// handles it.
+func (s *ResilientStore) Lock(ctx context.Context, name string) (func(), error) {
 	if !s.breaker.allow() {
 		return nil, ErrBreakerOpen
 	}
 	lctx := ctx
-	if s.cfg.LockTimeout > 0 {
+	if s.cfg.lockTimeout > 0 {
 		var cancel context.CancelFunc
-		lctx, cancel = context.WithTimeout(ctx, s.cfg.LockTimeout)
+		lctx, cancel = context.WithTimeout(ctx, s.cfg.lockTimeout)
 		defer cancel()
 	}
-	unlock, err := s.inner.(CacheLocker).Lock(lctx, name)
+	unlock, err := s.inner.Lock(lctx, name)
 	if err == nil {
 		s.breaker.success()
 		return unlock, nil
 	}
 	if ctx.Err() != nil {
 		// The caller's own context ended; not the store's fault.
+		s.breaker.release()
 		return nil, err
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
@@ -527,8 +513,4 @@ func (s *resilientLockedStore) Lock(ctx context.Context, name string) (func(), e
 	return nil, err
 }
 
-var (
-	_ CacheStore  = (*ResilientStore)(nil)
-	_ CacheStore  = (*resilientLockedStore)(nil)
-	_ CacheLocker = (*resilientLockedStore)(nil)
-)
+var _ CacheStore = (*ResilientStore)(nil)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -94,14 +95,12 @@ func (s *scriptStore) Quarantine(name, reason string) error {
 	return nil
 }
 
-// policyStats reads the resilience counters off a wrapped store.
-func policyStats(t *testing.T, s CacheStore) ResilienceStats {
-	t.Helper()
-	rep, ok := s.(interface{ ResilienceStats() ResilienceStats })
-	if !ok {
-		t.Fatal("store does not report resilience stats")
+// Lock is a scripted op that, when it succeeds, grants the name at once.
+func (s *scriptStore) Lock(ctx context.Context, name string) (func(), error) {
+	if err := s.step(); err != nil {
+		return nil, err
 	}
-	return rep.ResilienceStats()
+	return func() {}, nil
 }
 
 // TestBreakerLifecycle walks the circuit breaker through its full state
@@ -116,10 +115,9 @@ func TestBreakerLifecycle(t *testing.T) {
 		Retries:          -1, // one attempt per op: op failures map 1:1 to breaker failures
 		BreakerThreshold: 3,
 		BreakerCooldown:  cooldown,
-		Seed:             1,
 	})
 
-	if st := policyStats(t, rs); st.BreakerState != "closed" || st.BreakerOpens != 0 {
+	if st := rs.ResilienceStats(); st.BreakerState != "closed" || st.BreakerOpens != 0 {
 		t.Fatalf("initial stats = %+v, want closed breaker with 0 opens", st)
 	}
 
@@ -130,7 +128,7 @@ func TestBreakerLifecycle(t *testing.T) {
 			t.Fatalf("fault %d: Get succeeded, want injected failure", i)
 		}
 	}
-	if st := policyStats(t, rs); st.BreakerState != "open" || st.BreakerOpens != 1 {
+	if st := rs.ResilienceStats(); st.BreakerState != "open" || st.BreakerOpens != 1 {
 		t.Fatalf("after 3 faults: stats = %+v, want open breaker with 1 open", st)
 	}
 
@@ -150,7 +148,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if err != nil || string(data) != "payload" {
 		t.Fatalf("half-open probe Get = %q, %v; want payload, nil", data, err)
 	}
-	if st := policyStats(t, rs); st.BreakerState != "closed" || st.BreakerOpens != 1 {
+	if st := rs.ResilienceStats(); st.BreakerState != "closed" || st.BreakerOpens != 1 {
 		t.Fatalf("after probe success: stats = %+v, want re-closed breaker", st)
 	}
 
@@ -163,7 +161,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if _, err := rs.Get("a"); err == nil {
 		t.Fatal("failing half-open probe succeeded")
 	}
-	if st := policyStats(t, rs); st.BreakerState != "open" || st.BreakerOpens != 3 {
+	if st := rs.ResilienceStats(); st.BreakerState != "open" || st.BreakerOpens != 3 {
 		t.Fatalf("after failed probe: stats = %+v, want re-opened breaker (opens: trip, probe-fail)", st)
 	}
 }
@@ -176,10 +174,9 @@ func TestRetryRecoversTransientFaults(t *testing.T) {
 	inner.data["a"] = []byte("payload")
 	rs := NewResilientStore(inner, ResilienceConfig{
 		Retries:          2,
-		RetryBase:        time.Millisecond,
-		RetryCap:         4 * time.Millisecond,
+		retryBase:        time.Millisecond,
+		retryCap:         4 * time.Millisecond,
 		BreakerThreshold: -1,
-		Seed:             1,
 	})
 
 	inner.failNext(2)
@@ -187,7 +184,7 @@ func TestRetryRecoversTransientFaults(t *testing.T) {
 	if err != nil || string(data) != "payload" {
 		t.Fatalf("Get after 2 transient faults = %q, %v; want payload, nil", data, err)
 	}
-	if st := policyStats(t, rs); st.Retries != 2 {
+	if st := rs.ResilienceStats(); st.Retries != 2 {
 		t.Fatalf("stats = %+v, want 2 retries", st)
 	}
 
@@ -195,7 +192,7 @@ func TestRetryRecoversTransientFaults(t *testing.T) {
 	if _, err := rs.Get("absent"); !errors.Is(err, ErrArtefactNotFound) {
 		t.Fatalf("Get(absent) error = %v, want ErrArtefactNotFound", err)
 	}
-	if st := policyStats(t, rs); st.Retries != 2 {
+	if st := rs.ResilienceStats(); st.Retries != 2 {
 		t.Fatalf("stats = %+v: a clean miss was retried", st)
 	}
 
@@ -220,7 +217,6 @@ func TestOpTimeoutBounds(t *testing.T) {
 		OpTimeout:        bound,
 		Retries:          -1,
 		BreakerThreshold: -1,
-		Seed:             1,
 	})
 
 	start := time.Now()
@@ -232,7 +228,7 @@ func TestOpTimeoutBounds(t *testing.T) {
 	if elapsed > 10*bound {
 		t.Fatalf("hung Get took %v, want ~%v", elapsed, bound)
 	}
-	if st := policyStats(t, rs); st.Timeouts != 1 {
+	if st := rs.ResilienceStats(); st.Timeouts != 1 {
 		t.Fatalf("stats = %+v, want 1 timeout", st)
 	}
 }
@@ -250,8 +246,7 @@ func TestAsyncPublishDrainAndBackpressure(t *testing.T) {
 		Retries:          -1,
 		BreakerThreshold: -1,
 		AsyncPublish:     true,
-		PublishBudget:    1,
-		Seed:             1,
+		publishBudget:    1,
 	})
 
 	// First publish: the worker picks it up and blocks inside the store.
@@ -268,14 +263,13 @@ func TestAsyncPublishDrainAndBackpressure(t *testing.T) {
 		rs.Put("c", []byte("C"))
 	}()
 	<-inner.entered // the backpressured Put is inside inner.Put("c")
-	if st := policyStats(t, rs); st.PublishDrops != 0 {
+	if st := rs.ResilienceStats(); st.PublishDrops != 0 {
 		t.Fatalf("stats = %+v: backpressure dropped a publish", st)
 	}
 
 	close(inner.block)
 	<-overBudget
-	closer := rs.(interface{ Close() error })
-	if err := closer.Close(); err != nil {
+	if err := rs.Close(); err != nil {
 		t.Fatalf("Close = %v, want clean drain", err)
 	}
 	inner.mu.Lock()
@@ -289,10 +283,10 @@ func TestAsyncPublishDrainAndBackpressure(t *testing.T) {
 	if err := rs.Put("d", []byte("D")); err != nil {
 		t.Fatalf("post-close Put returned %v", err)
 	}
-	if st := policyStats(t, rs); st.PublishDrops != 1 {
+	if st := rs.ResilienceStats(); st.PublishDrops != 1 {
 		t.Fatalf("stats = %+v, want 1 publish drop from the post-close Put", st)
 	}
-	if err := closer.Close(); err != nil {
+	if err := rs.Close(); err != nil {
 		t.Fatalf("second Close = %v, want idempotent nil", err)
 	}
 }
@@ -308,7 +302,6 @@ func TestBreakerDegradesCacheToMemoryOnly(t *testing.T) {
 		Retries:          -1,
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Minute, // stays open for the whole test
-		Seed:             1,
 	})
 	c := NewCacheWithStore(0, rs)
 	defer c.Close()
@@ -342,8 +335,8 @@ func TestBreakerDegradesCacheToMemoryOnly(t *testing.T) {
 	}
 }
 
-// blockingLocker is a CacheStore+CacheLocker whose Lock never acquires
-// until the context ends.
+// blockingLocker is a CacheStore whose Lock never acquires until the
+// context ends.
 type blockingLocker struct {
 	*scriptStore
 }
@@ -354,55 +347,102 @@ func (b *blockingLocker) Lock(ctx context.Context, name string) (func(), error) 
 }
 
 // TestLockTimeoutSurfacesAsStoreTimeout asserts the policy layer's
-// LockTimeout converts a wedged lock acquisition into ErrStoreTimeout
+// lock timeout converts a wedged lock acquisition into ErrStoreTimeout
 // (the signal the cache degrades on) while genuine caller cancellation
 // passes through untouched.
 func TestLockTimeoutSurfacesAsStoreTimeout(t *testing.T) {
 	inner := &blockingLocker{newScriptStore()}
 	rs := NewResilientStore(inner, ResilienceConfig{
-		LockTimeout:      20 * time.Millisecond,
+		lockTimeout:      20 * time.Millisecond,
 		Retries:          -1,
 		BreakerThreshold: -1,
-		Seed:             1,
 	})
-	locker, ok := rs.(CacheLocker)
-	if !ok {
-		t.Fatal("resilient wrapper over a locking store lost CacheLocker")
-	}
-
-	if _, err := locker.Lock(context.Background(), "a"); !errors.Is(err, ErrStoreTimeout) {
+	if _, err := rs.Lock(context.Background(), "a"); !errors.Is(err, ErrStoreTimeout) {
 		t.Fatalf("wedged Lock error = %v, want ErrStoreTimeout", err)
 	}
-	if st := policyStats(t, rs); st.Timeouts != 1 {
+	if st := rs.ResilienceStats(); st.Timeouts != 1 {
 		t.Fatalf("stats = %+v, want 1 timeout", st)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(5 * time.Millisecond); cancel() }()
-	if _, err := locker.Lock(ctx, "a"); !errors.Is(err, context.Canceled) {
+	if _, err := rs.Lock(ctx, "a"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Lock error = %v, want context.Canceled", err)
 	}
-	if st := policyStats(t, rs); st.Timeouts != 1 {
+	if st := rs.ResilienceStats(); st.Timeouts != 1 {
 		t.Fatalf("stats = %+v: caller cancellation was miscounted as a store timeout", st)
 	}
 }
 
-// TestResilientStorePreservesLockerShape asserts the wrapper implements
-// CacheLocker exactly when the wrapped store does — the property the
-// cache's singleflight dispatch relies on.
-func TestResilientStorePreservesLockerShape(t *testing.T) {
-	dir, err := NewDirStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+// TestCancelledLockProbeReleasesBreaker: a half-open probe that is a
+// Lock ended by its caller's context (a daemon client that disconnects
+// or times out while waiting on another process's lock) says nothing
+// about the store, so it must hand the probe slot back. Otherwise the
+// breaker stays half-open with its one probe "in flight" forever and
+// rejects every later operation.
+func TestCancelledLockProbeReleasesBreaker(t *testing.T) {
+	inner := &blockingLocker{newScriptStore()}
+	inner.data["a"] = []byte("payload")
+	const cooldown = 10 * time.Millisecond
+	rs := NewResilientStore(inner, ResilienceConfig{
+		Retries:          -1,
+		BreakerThreshold: 1,
+		BreakerCooldown:  cooldown,
+	})
+
+	inner.failNext(1)
+	if _, err := rs.Get("a"); err == nil {
+		t.Fatal("scripted fault did not fail the Get")
 	}
-	if _, ok := NewResilientStore(dir, ResilienceConfig{}).(CacheLocker); !ok {
-		t.Error("resilient DirStore lost its locker")
+	time.Sleep(cooldown + 5*time.Millisecond)
+
+	// The probe: a Lock whose caller gives up after 5 ms.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	if _, err := rs.Lock(ctx, "a"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("cancelled probe Lock error = %v, want the caller's deadline", err)
 	}
-	obj, err := NewObjStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	if st := rs.ResilienceStats(); st.BreakerState != "half-open" || st.BreakerOpens != 1 || st.Timeouts != 0 {
+		t.Fatalf("after the cancelled probe: stats = %+v, want half-open, 1 open, 0 timeouts", st)
 	}
-	if _, ok := NewResilientStore(obj, ResilienceConfig{}).(CacheLocker); ok {
-		t.Error("resilient ObjStore invented a locker")
+
+	// The next operation is admitted as the probe and re-closes the
+	// breaker against the healthy store.
+	data, err := rs.Get("a")
+	if err != nil || string(data) != "payload" {
+		t.Fatalf("Get after the cancelled probe = %q, %v; want payload, nil", data, err)
+	}
+	if st := rs.ResilienceStats(); st.BreakerState != "closed" {
+		t.Fatalf("after the next probe: stats = %+v, want a closed breaker", st)
+	}
+}
+
+// TestAsyncPublishDrainExpiryCountsDrops: when Close's drain times out
+// behind a store that stopped answering, the publishes still queued are
+// abandoned and must be counted as publish drops.
+func TestAsyncPublishDrainExpiryCountsDrops(t *testing.T) {
+	inner := newScriptStore()
+	inner.block = make(chan struct{})
+	inner.entered = make(chan struct{}, 4)
+	defer close(inner.block) // release the worker stuck in the store
+	rs := NewResilientStore(inner, ResilienceConfig{
+		OpTimeout:        -1,
+		Retries:          -1,
+		BreakerThreshold: -1,
+		AsyncPublish:     true,
+		publishBudget:    2,
+		drainTimeout:     20 * time.Millisecond,
+	})
+
+	rs.Put("a", []byte("A"))
+	<-inner.entered // the worker is blocked inside inner.Put("a")
+	rs.Put("b", []byte("B"))
+	rs.Put("c", []byte("C"))
+
+	if err := rs.Close(); err == nil || !strings.Contains(err.Error(), "publish drain exceeded") {
+		t.Fatalf("Close = %v, want the drain-timeout error", err)
+	}
+	if st := rs.ResilienceStats(); st.PublishDrops != 2 {
+		t.Fatalf("stats = %+v, want 2 publish drops (b and c were still queued)", st)
 	}
 }

@@ -17,31 +17,25 @@ var ErrArtefactNotFound = errors.New("sim: artefact not found")
 
 // CacheStore is the persistence tier behind a Cache: a content-addressed
 // blob store keyed by artefact name (hash + encoding version, see
-// artefactName). The dir-tree DirStore is the only backend today; an
-// object-store backend slots in behind the same three calls. Stores hold
-// opaque bytes — all encoding, verification and corruption handling
-// lives in the cache layer above, so a store never has to distinguish a
-// good artefact from a rotten one.
+// artefactName). DirStore is the backend; ResilientStore and FaultStore
+// wrap it. Stores hold opaque bytes — all encoding, verification and
+// corruption handling lives in the cache layer above, so a store never
+// has to distinguish a good artefact from a rotten one.
 //
 // Contract: Get returns ErrArtefactNotFound for absent names; Put is
 // atomic and owner-wins (concurrent writers of the same name are
 // bit-identical by construction, so any complete write is correct);
-// Quarantine moves a name out of the lookup path so the next Get misses.
-// All methods must be safe for concurrent use by multiple goroutines and
-// multiple processes.
+// Quarantine moves a name out of the lookup path so the next Get misses;
+// Lock is the cross-process singleflight — it blocks (honouring ctx)
+// until the caller exclusively owns the name's compute slot, and the
+// returned func releases it. A Lock that fails degrades the cache to
+// owner-wins Put, which may duplicate work across processes but never
+// corrupts results. All methods must be safe for concurrent use by
+// multiple goroutines and multiple processes.
 type CacheStore interface {
 	Get(name string) ([]byte, error)
 	Put(name string, data []byte) error
 	Quarantine(name, reason string) error
-}
-
-// CacheLocker is the optional cross-process singleflight a CacheStore
-// may offer: Lock blocks (honouring ctx) until the caller exclusively
-// owns the named artefact's compute slot, and the returned func releases
-// it. Stores without locking (an eventual object-store backend) simply
-// don't implement it — the cache then degrades to owner-wins Put, which
-// duplicates work across processes but never corrupts results.
-type CacheLocker interface {
 	Lock(ctx context.Context, name string) (unlock func(), err error)
 }
 
@@ -58,25 +52,18 @@ const quarantineDir = "quarantine"
 //     the final name, then fsyncs the directory — readers only ever
 //     observe absent or complete files, and a published artefact survives
 //     power loss immediately after Put returns.
-//   - Lock (the CacheLocker interface) takes an advisory flock on a
-//     sidecar <name>.lock file, so concurrent processes sharing the
-//     directory elect one kernel-run owner per key and the losers re-read
-//     the owner's artefact. Locks die with their process: a crashed owner
-//     never wedges the directory, and a wedged lock *file* (a stale NFS
-//     handle, a filesystem that silently drops flocks) is bounded by a
-//     per-acquisition deadline after which the caller degrades to
-//     owner-wins instead of polling forever.
+//   - Lock takes an advisory flock on a sidecar <name>.lock file, so
+//     concurrent processes sharing the directory elect one kernel-run
+//     owner per key and the losers re-read the owner's artefact. Locks
+//     die with their process, so a crashed owner never wedges the
+//     directory; a wedged lock *file* (a stale NFS handle, a leaked
+//     flock) is bounded by ResilientStore's lock timeout, after which
+//     the caller degrades to owner-wins.
 //   - Quarantine renames a corrupt artefact into quarantine/ with the
 //     failure reason in the file name, recreating quarantine/ if it was
 //     removed at runtime.
 type DirStore struct {
 	dir string
-
-	// LockDeadline bounds one Lock acquisition: on expiry Lock returns an
-	// error (not the caller's ctx error), which the cache layer degrades
-	// to owner-wins publishing. 0 selects DefaultLockDeadline; negative
-	// waits without bound.
-	LockDeadline time.Duration
 }
 
 // NewDirStore opens (creating if necessary) a cache directory.
@@ -90,18 +77,15 @@ func NewDirStore(dir string) (*DirStore, error) {
 // Dir returns the store's root directory.
 func (s *DirStore) Dir() string { return s.dir }
 
-// checkArtefactName refuses names that could escape a store directory or
-// collide with its internals. Cache-layer names are hex hashes plus a
-// version suffix, so anything else indicates a bug. Shared by every
-// dir-backed store (DirStore, ObjStore).
+// checkArtefactName refuses names that could escape the store directory
+// or collide with its internals. Cache-layer names are hex hashes plus a
+// version suffix, so anything else indicates a bug.
 func checkArtefactName(name string) error {
 	if name == "" || name == quarantineDir || strings.ContainsAny(name, "/\\") || strings.HasPrefix(name, ".") {
 		return fmt.Errorf("sim: invalid artefact name %q", name)
 	}
 	return nil
 }
-
-func (s *DirStore) checkName(name string) error { return checkArtefactName(name) }
 
 // syncDir flushes a directory's entry table so a just-renamed file
 // survives power loss. Best-effort: a filesystem that cannot fsync a
@@ -118,7 +102,7 @@ func syncDir(dir string) {
 
 // Get reads an artefact's bytes.
 func (s *DirStore) Get(name string) ([]byte, error) {
-	if err := s.checkName(name); err != nil {
+	if err := checkArtefactName(name); err != nil {
 		return nil, err
 	}
 	data, err := os.ReadFile(filepath.Join(s.dir, name))
@@ -133,7 +117,7 @@ func (s *DirStore) Get(name string) ([]byte, error) {
 // writers produced bit-identical bytes, so whichever rename lands last
 // changes nothing observable.
 func (s *DirStore) Put(name string, data []byte) error {
-	if err := s.checkName(name); err != nil {
+	if err := checkArtefactName(name); err != nil {
 		return err
 	}
 	f, err := os.CreateTemp(s.dir, "."+name+".tmp-*")
@@ -178,7 +162,7 @@ func (s *DirStore) Put(name string, data []byte) error {
 // corruption would fail its quarantine and re-read the same bad file
 // forever.
 func (s *DirStore) Quarantine(name, reason string) error {
-	if err := s.checkName(name); err != nil {
+	if err := checkArtefactName(name); err != nil {
 		return err
 	}
 	src := filepath.Join(s.dir, name)
@@ -206,43 +190,20 @@ func (s *DirStore) Quarantine(name, reason string) error {
 // long enough not to spin.
 const lockPollInterval = 5 * time.Millisecond
 
-// DefaultLockDeadline is the per-acquisition bound Lock applies when
-// DirStore.LockDeadline is zero: long enough for any realistic owner's
-// kernel run, short enough that a wedged lock file cannot stall a
-// process forever.
-const DefaultLockDeadline = 30 * time.Second
-
-// errLockWedged reports a Lock acquisition that hit its deadline while
-// the caller's own context was still live — the signature of a wedged
-// lock file (a dead NFS handle, a leaked flock). The cache layer treats
-// it like any other store failure: degrade to owner-wins publishing.
-var errLockWedged = errors.New("sim: artefact lock acquisition deadline exceeded; degrading to owner-wins")
-
-// Lock implements CacheLocker with an advisory flock on <name>.lock,
-// acquired non-blocking in a poll loop so ctx cancellation is honoured
-// while waiting. The poll timer is allocated once and reused across
-// iterations (the loop runs at 200 Hz while waiting). Acquisition is
-// bounded by LockDeadline so a wedged lock file degrades to owner-wins
-// instead of polling forever. The lock file itself is left in place —
+// Lock takes an advisory flock on <name>.lock, acquired non-blocking in
+// a poll loop so ctx cancellation is honoured while waiting. The poll
+// timer is allocated once and reused across iterations (the loop runs at
+// 200 Hz while waiting). The wait is bounded only by ctx; ResilientStore
+// supplies the lock timeout. The lock file itself is left in place —
 // removing it would race a third process onto a different inode and
 // break the exclusion.
 func (s *DirStore) Lock(ctx context.Context, name string) (func(), error) {
-	if err := s.checkName(name); err != nil {
+	if err := checkArtefactName(name); err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(filepath.Join(s.dir, name+".lock"), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("sim: opening artefact lock: %w", err)
-	}
-	deadline := s.LockDeadline
-	if deadline == 0 {
-		deadline = DefaultLockDeadline
-	}
-	var expire <-chan time.Time
-	if deadline > 0 {
-		expireTimer := time.NewTimer(deadline)
-		defer expireTimer.Stop()
-		expire = expireTimer.C
 	}
 	poll := time.NewTimer(lockPollInterval)
 	defer poll.Stop()
@@ -262,16 +223,10 @@ func (s *DirStore) Lock(ctx context.Context, name string) (func(), error) {
 		case <-ctx.Done():
 			f.Close()
 			return nil, ctx.Err()
-		case <-expire:
-			f.Close()
-			return nil, errLockWedged
 		case <-poll.C:
 			poll.Reset(lockPollInterval)
 		}
 	}
 }
 
-var (
-	_ CacheStore  = (*DirStore)(nil)
-	_ CacheLocker = (*DirStore)(nil)
-)
+var _ CacheStore = (*DirStore)(nil)

@@ -143,5 +143,3 @@ func dot(a, b []float64) float64 {
 	}
 	return s
 }
-
-func norm2(a []float64) float64 { return math.Sqrt(dot(a, a)) }

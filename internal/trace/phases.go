@@ -80,9 +80,6 @@ func (b Boundaries) Span(p Phase) (from, to time.Duration, err error) {
 	}
 }
 
-// MigrationDuration returns ME − MS.
-func (b Boundaries) MigrationDuration() time.Duration { return b.ME - b.MS }
-
 // PhaseEnergy bundles the paper's four energy metrics for one host: the
 // energy of each phase, and their sum (Eq. 4).
 type PhaseEnergy struct {

@@ -199,15 +199,6 @@ func (a Allocation) GuestCPU(name string) units.Utilisation {
 	return a.Guest(slot)
 }
 
-// GuestShare returns granted/demanded for a guest, the factor by which its
-// progress (and page dirtying) is slowed under multiplexing.
-func (a Allocation) GuestShare(name string, demanded units.Utilisation) float64 {
-	if demanded <= 0 {
-		return 1
-	}
-	return float64(a.GuestCPU(name)) / float64(demanded)
-}
-
 // MigrationShare returns granted/demanded for the migration helper; the
 // achievable transfer bandwidth scales with it.
 func (a Allocation) MigrationShare() float64 {
