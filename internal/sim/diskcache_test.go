@@ -197,7 +197,7 @@ func TestDirStoreBasics(t *testing.T) {
 
 // TestDiskCachePutFailureDegrades: a store that cannot persist must not
 // fail runs — the session degrades to memory-only caching with the
-// failure counted.
+// failed publish counted.
 func TestDiskCachePutFailureDegrades(t *testing.T) {
 	c := NewCacheWithStore(0, failingStore{})
 	sc := diskScenario(3)
@@ -213,20 +213,19 @@ func TestDiskCachePutFailureDegrades(t *testing.T) {
 		t.Error("broken-store result differs from uncached reference")
 	}
 	st := c.Snapshot()
-	if st.KernelRuns != 1 || st.StoreErrors == 0 {
-		t.Errorf("stats = %+v, want 1 kernel run and counted store errors", st)
+	if st.KernelRuns != 1 || st.StoreErrors != 1 {
+		t.Errorf("stats = %+v, want 1 kernel run and the failed Put as the 1 store error", st)
 	}
 }
 
-// failingStore errors on everything except a clean miss.
+// failingStore cannot write: Get is a clean miss and Lock succeeds, so
+// the only store error a run meets is its failed Put.
 type failingStore struct{}
 
-func (failingStore) Get(string) ([]byte, error)      { return nil, ErrArtefactNotFound }
-func (failingStore) Put(string, []byte) error        { return errors.New("disk full") }
-func (failingStore) Quarantine(string, string) error { return errors.New("disk full") }
-func (failingStore) Lock(context.Context, string) (func(), error) {
-	return nil, errors.New("disk full")
-}
+func (failingStore) Get(string) ([]byte, error)                   { return nil, ErrArtefactNotFound }
+func (failingStore) Put(string, []byte) error                     { return errors.New("disk full") }
+func (failingStore) Quarantine(string, string) error              { return errors.New("disk full") }
+func (failingStore) Lock(context.Context, string) (func(), error) { return func() {}, nil }
 
 // TestDirStoreQuarantineRecreatesDir asserts quarantine/ removed at
 // runtime (an operator cleanup, a tmp reaper) is recreated on demand —

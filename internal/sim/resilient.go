@@ -24,9 +24,10 @@ var ErrBreakerOpen = errors.New("sim: store circuit breaker open")
 
 // ResilienceConfig tunes a ResilientStore. Zero values select the
 // defaults noted per field; negative values disable the mechanism where
-// that is meaningful (OpTimeout, lockTimeout, Retries, BreakerThreshold).
+// that is meaningful (OpTimeout, Retries, BreakerThreshold).
 // The exported fields are the ones the commands' cache-* flags set; the
-// rest keep their defaults outside tests.
+// rest keep their defaults outside tests, and a zero or negative value
+// in them selects the default.
 type ResilienceConfig struct {
 	// OpTimeout bounds one Get/Put/Quarantine attempt (default 2s; the
 	// hot-path guarantee that no kernel run or HTTP request waits on a
@@ -53,7 +54,6 @@ type ResilienceConfig struct {
 	// lockTimeout bounds one Lock acquisition (default 30s — locks
 	// legitimately wait for another process's kernel run, so this is much
 	// looser than OpTimeout). It is the store tier's only lock bound.
-	// Negative disables.
 	lockTimeout time.Duration
 	// retryBase and retryCap shape the backoff between attempts: the
 	// first retry sleeps retryBase, each later one twice the previous,
@@ -74,11 +74,16 @@ func (c ResilienceConfig) withDefaults() ResilienceConfig {
 		}
 	}
 	def(&c.OpTimeout, 2*time.Second)
-	def(&c.lockTimeout, 30*time.Second)
-	def(&c.retryBase, 25*time.Millisecond)
-	def(&c.retryCap, 250*time.Millisecond)
 	def(&c.BreakerCooldown, time.Second)
-	def(&c.drainTimeout, 5*time.Second)
+	orDefault := func(v *time.Duration, d time.Duration) {
+		if *v <= 0 {
+			*v = d
+		}
+	}
+	orDefault(&c.lockTimeout, 30*time.Second)
+	orDefault(&c.retryBase, 25*time.Millisecond)
+	orDefault(&c.retryCap, 250*time.Millisecond)
+	orDefault(&c.drainTimeout, 5*time.Second)
 	if c.Retries == 0 {
 		c.Retries = 2
 	} else if c.Retries < 0 {
@@ -125,7 +130,8 @@ type circuitBreaker struct {
 	state    string
 	failures int       // consecutive, while closed
 	openedAt time.Time // while open
-	probe    bool      // a half-open probe is in flight
+	probe    uint64    // ticket of the half-open probe in flight; 0 when none
+	tickets  uint64    // probe tickets issued so far
 	opens    uint64
 }
 
@@ -138,30 +144,31 @@ func newCircuitBreaker(threshold int, cooldown time.Duration) *circuitBreaker {
 
 // allow reports whether an operation may touch the store right now.
 // In the open state it flips to half-open once the cooldown has elapsed
-// and admits exactly one probe; everything else is rejected fast.
-func (b *circuitBreaker) allow() bool {
+// and admits exactly one probe; everything else is rejected fast. When
+// the admitted operation is that probe, probe is its non-zero ticket,
+// which only release takes.
+func (b *circuitBreaker) allow() (ok bool, probe uint64) {
 	if b == nil {
-		return true
+		return true, 0
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case breakerClosed:
-		return true
+		return true, 0
 	case breakerOpen:
 		if time.Since(b.openedAt) < b.cooldown {
-			return false
+			return false, 0
 		}
 		b.state = breakerHalfOpen
-		b.probe = true
-		return true
 	default: // half-open
-		if b.probe {
-			return false
+		if b.probe != 0 {
+			return false, 0
 		}
-		b.probe = true
-		return true
 	}
+	b.tickets++
+	b.probe = b.tickets
+	return true, b.probe
 }
 
 // success records an operation that reached the store and came back
@@ -174,7 +181,7 @@ func (b *circuitBreaker) success() {
 	defer b.mu.Unlock()
 	b.state = breakerClosed
 	b.failures = 0
-	b.probe = false
+	b.probe = 0
 }
 
 // failure records an operation the store failed. The threshold'th
@@ -197,19 +204,21 @@ func (b *circuitBreaker) failure() {
 	}
 }
 
-// release hands back a half-open probe slot whose operation ended
-// without a verdict (the caller cancelled it), recording neither success
-// nor failure: the breaker stays half-open and admits the next operation
-// as its probe. Without it, a cancelled probe would leave the breaker
-// rejecting every operation forever.
-func (b *circuitBreaker) release() {
-	if b == nil {
+// release hands back the half-open probe slot of ticket probe, whose
+// operation ended without a verdict (the caller cancelled it), recording
+// neither success nor failure: the breaker stays half-open and admits
+// the next operation as its probe. Without it, a cancelled probe would
+// leave the breaker rejecting every operation forever. A zero ticket (an
+// operation admitted while closed) or a stale one holds no slot and
+// releases nothing, so at most one probe is ever in flight.
+func (b *circuitBreaker) release(probe uint64) {
+	if b == nil || probe == 0 {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == breakerHalfOpen {
-		b.probe = false
+	if b.probe == probe {
+		b.probe = 0
 	}
 }
 
@@ -217,7 +226,7 @@ func (b *circuitBreaker) release() {
 func (b *circuitBreaker) reopen() {
 	b.state = breakerOpen
 	b.failures = 0
-	b.probe = false
+	b.probe = 0
 	b.openedAt = time.Now()
 	b.opens++
 }
@@ -411,7 +420,7 @@ func timedCall[T any](timeout time.Duration, op func() (T, error)) (T, error) {
 // never retried, never a breaker failure.
 func callRetry[T any](s *ResilientStore, op func() (T, error)) (T, error) {
 	var zero T
-	if !s.breaker.allow() {
+	if ok, _ := s.breaker.allow(); !ok {
 		return zero, ErrBreakerOpen
 	}
 	sleep := s.cfg.retryBase
@@ -428,7 +437,7 @@ func callRetry[T any](s *ResilientStore, op func() (T, error)) (T, error) {
 		if attempt >= s.cfg.Retries {
 			return zero, err
 		}
-		if !s.breaker.allow() {
+		if ok, _ := s.breaker.allow(); !ok {
 			return zero, ErrBreakerOpen
 		}
 		s.retries.Add(1)
@@ -480,20 +489,17 @@ func (s *ResilientStore) Quarantine(name, reason string) error {
 // lock timeout (not OpTimeout — locks legitimately wait for another
 // process's kernel run, and are never retried: on failure the cache
 // falls straight back to owner-wins). Caller cancellation propagates
-// as ctx's error and leaves the breaker as it was (a half-open probe
-// hands its slot back); a policy timeout surfaces as ErrStoreTimeout so
-// the cache's owner-wins degradation (not its cancellation path)
-// handles it.
+// as ctx's error and leaves the breaker as it was (a Lock that is the
+// half-open probe hands its slot back); a policy timeout surfaces as
+// ErrStoreTimeout so the cache's owner-wins degradation (not its
+// cancellation path) handles it.
 func (s *ResilientStore) Lock(ctx context.Context, name string) (func(), error) {
-	if !s.breaker.allow() {
+	ok, probe := s.breaker.allow()
+	if !ok {
 		return nil, ErrBreakerOpen
 	}
-	lctx := ctx
-	if s.cfg.lockTimeout > 0 {
-		var cancel context.CancelFunc
-		lctx, cancel = context.WithTimeout(ctx, s.cfg.lockTimeout)
-		defer cancel()
-	}
+	lctx, cancel := context.WithTimeout(ctx, s.cfg.lockTimeout)
+	defer cancel()
 	unlock, err := s.inner.Lock(lctx, name)
 	if err == nil {
 		s.breaker.success()
@@ -501,7 +507,7 @@ func (s *ResilientStore) Lock(ctx context.Context, name string) (func(), error) 
 	}
 	if ctx.Err() != nil {
 		// The caller's own context ended; not the store's fault.
-		s.breaker.release()
+		s.breaker.release(probe)
 		return nil, err
 	}
 	if errors.Is(err, context.DeadlineExceeded) {

@@ -336,12 +336,16 @@ func TestBreakerDegradesCacheToMemoryOnly(t *testing.T) {
 }
 
 // blockingLocker is a CacheStore whose Lock never acquires until the
-// context ends.
+// context ends. A Lock signals the embedded scriptStore's entered
+// channel, when set, once it is waiting.
 type blockingLocker struct {
 	*scriptStore
 }
 
 func (b *blockingLocker) Lock(ctx context.Context, name string) (func(), error) {
+	if b.entered != nil {
+		b.entered <- struct{}{}
+	}
 	<-ctx.Done()
 	return nil, ctx.Err()
 }
@@ -414,6 +418,78 @@ func TestCancelledLockProbeReleasesBreaker(t *testing.T) {
 	}
 	if st := rs.ResilienceStats(); st.BreakerState != "closed" {
 		t.Fatalf("after the next probe: stats = %+v, want a closed breaker", st)
+	}
+}
+
+// TestCancelledNonProbeLockKeepsProbe: a Lock admitted while the
+// breaker was closed holds no probe slot. If its caller cancels it after
+// the breaker opened and another operation took the half-open probe, it
+// must hand nothing back — otherwise a second probe would reach the
+// store beside the first.
+func TestCancelledNonProbeLockKeepsProbe(t *testing.T) {
+	inner := &blockingLocker{newScriptStore()}
+	inner.entered = make(chan struct{}, 4)
+	const cooldown = 10 * time.Millisecond
+	rs := NewResilientStore(inner, ResilienceConfig{
+		Retries:          -1,
+		BreakerThreshold: 1,
+		BreakerCooldown:  cooldown,
+	})
+
+	// A Lock admitted while closed, waiting on another process.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	lockErr := make(chan error, 1)
+	go func() {
+		_, err := rs.Lock(ctx, "a")
+		lockErr <- err
+	}()
+	<-inner.entered
+
+	// Open the breaker, let the cooldown pass, and start a probe that
+	// stays inside the store.
+	inner.failNext(1)
+	if _, err := rs.Get("a"); err == nil {
+		t.Fatal("scripted fault did not fail the Get")
+	}
+	time.Sleep(cooldown + 5*time.Millisecond)
+	block := make(chan struct{})
+	inner.mu.Lock()
+	inner.block = block
+	inner.mu.Unlock()
+	probeErr := make(chan error, 1)
+	go func() {
+		_, err := rs.Get("a")
+		probeErr <- err
+	}()
+	<-inner.entered
+
+	cancel()
+	if err := <-lockErr; !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled Lock error = %v, want context.Canceled", err)
+	}
+
+	// The probe is still in flight, so the next operation is rejected.
+	next := make(chan error, 1)
+	go func() {
+		_, err := rs.Get("b")
+		next <- err
+	}()
+	select {
+	case err := <-next:
+		if !errors.Is(err, ErrBreakerOpen) {
+			t.Errorf("Get during the probe = %v, want ErrBreakerOpen", err)
+		}
+	case <-time.After(time.Second):
+		t.Error("a second operation reached the store while the probe was in flight")
+	}
+
+	close(block)
+	if err := <-probeErr; !errors.Is(err, ErrArtefactNotFound) {
+		t.Fatalf("probe Get = %v, want the clean miss", err)
+	}
+	if st := rs.ResilienceStats(); st.BreakerState != "closed" || st.BreakerOpens != 1 {
+		t.Fatalf("after the probe: stats = %+v, want a closed breaker opened once", st)
 	}
 }
 
