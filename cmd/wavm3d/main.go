@@ -66,6 +66,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wavm3d: unexpected argument %q (the daemon takes only flags)\n", flag.Arg(0))
 		os.Exit(2)
 	}
+	// -timeout and -benchjson bound and report a batch session, which a
+	// daemon does not have: refuse them instead of silently ignoring them.
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "timeout" || f.Name == "benchjson" {
+			fmt.Fprintf(os.Stderr, "wavm3d: -%s applies to batch commands only; the daemon bounds each run with -run-timeout and reports its counters on /healthz\n", f.Name)
+			os.Exit(2)
+		}
+	})
 
 	logger := log.New(os.Stderr, "wavm3d: ", log.LstdFlags)
 	cache, err := common.Cache()

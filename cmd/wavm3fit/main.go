@@ -31,6 +31,8 @@ func main() {
 	common := cliflags.Register(flag.CommandLine)
 	flag.Parse()
 
+	ctx, cancel := common.Context()
+	defer cancel()
 	cache, err := common.Cache()
 	if err != nil {
 		fatal(err)
@@ -43,6 +45,7 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Workers = common.Workers
 	cfg.Cache = cache
+	cfg.Ctx = ctx
 	if *quick {
 		cfg.MinRuns = 2
 		cfg.VarianceTol = 0.9
@@ -101,7 +104,12 @@ func main() {
 	}
 }
 
+// fatal reports err and exits: code 3 when -timeout expired, 1 for
+// every other failure.
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "wavm3fit:", err)
+	if cliflags.IsDeadline(err) {
+		os.Exit(cliflags.ExitDeadline)
+	}
 	os.Exit(1)
 }

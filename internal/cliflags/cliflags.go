@@ -6,7 +6,8 @@
 // construction instead of by copy-paste. A command registers the common
 // set next to its own flags, builds the session cache and execution
 // context from it, starts the profilers around its compute, and
-// finishes its benchmark report through it.
+// finishes its benchmark report through it. The wavm3d daemon has no
+// session to bound or report, so it refuses -timeout and -benchjson.
 package cliflags
 
 import (

@@ -389,18 +389,6 @@ func TestRunRecordValidate(t *testing.T) {
 	}
 }
 
-func TestRunRecordDuration(t *testing.T) {
-	r := synthRecord(migration.Live, Source, "x", 1, 0)
-	want := time.Duration(len(r.Obs)-1) * 500 * time.Millisecond
-	if r.Duration() != want {
-		t.Errorf("duration = %v, want %v", r.Duration(), want)
-	}
-	empty := &RunRecord{}
-	if empty.Duration() != 0 {
-		t.Error("empty record duration must be 0")
-	}
-}
-
 func TestRoleString(t *testing.T) {
 	if Source.String() != "Source" || Target.String() != "Target" {
 		t.Error("role names wrong")

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 
 	"repro/internal/migration"
 	"repro/internal/trace"
@@ -71,14 +70,6 @@ func (r *RunRecord) Validate() error {
 		return fmt.Errorf("core: run %s has non-positive measured energy", r.RunID)
 	}
 	return nil
-}
-
-// Duration returns the observed span of the record.
-func (r *RunRecord) Duration() time.Duration {
-	if len(r.Obs) == 0 {
-		return 0
-	}
-	return r.Obs[len(r.Obs)-1].At - r.Obs[0].At
 }
 
 // Dataset is a campaign's worth of run records.

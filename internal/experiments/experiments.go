@@ -160,10 +160,6 @@ type Config struct {
 	// and a shared cache simulates each distinct (scenario, seed) block
 	// once. nil runs uncached; cached results are bit-identical.
 	Cache *sim.Cache
-	// Scenarios optionally carries externally loaded scenarios (e.g.
-	// compiled from the internal/scenario library) for RunScenarios to
-	// execute under this config's repeat/worker/cache policy.
-	Scenarios []sim.Scenario
 	// Ctx optionally bounds every campaign run under this config: a done
 	// context stops dispatching new points/runs and abandons in-flight
 	// kernel steps, surfacing the context's error. nil means

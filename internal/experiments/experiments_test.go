@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/hw"
@@ -229,6 +231,17 @@ func TestFigure2(t *testing.T) {
 				t.Errorf("panel %q series %q bounds: %v", p.Name, s.Label, err)
 			}
 		}
+	}
+}
+
+// TestFigure2HonoursCtx: Figure 2's runs stop at a done Config.Ctx, so
+// wavm3bench -timeout bounds them like every other artefact.
+func TestFigure2HonoursCtx(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	fig, err := Figure2(Config{Pair: hw.PairM, Seed: 2, MinRuns: 2, VarianceTol: 0.9, Ctx: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Figure2 under a cancelled ctx = (%v, %v), want context.Canceled", fig, err)
 	}
 }
 

@@ -92,7 +92,7 @@ func Figure2(cfg Config) (*Figure, error) {
 			return nil, err
 		}
 		sc = shrinkTimings(sc)
-		run, err := cfg.Cache.Run(sc)
+		run, err := cfg.Cache.RunCtx(cfg.context(), sc)
 		if err != nil {
 			return nil, err
 		}

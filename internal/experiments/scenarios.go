@@ -16,17 +16,13 @@ type ScenarioResult struct {
 
 // RunScenarios executes loaded scenarios under the config's repeat,
 // worker and cache policy — the campaign machinery of RunFamily applied
-// to a caller-supplied scenario list instead of a Table IIa family. The
-// explicit argument wins; with none, cfg.Scenarios is run. Scenarios fan
-// out across cfg.Workers with the spare budget parallelising the repeats
-// inside each scenario, and every scenario keeps its own seed (deriving
-// one from the list position only when it has none), so results are
-// bit-identical for every worker count and cache setting.
+// to a caller-supplied scenario list instead of a Table IIa family.
+// Scenarios fan out across cfg.Workers with the spare budget parallelising
+// the repeats inside each scenario, and every scenario keeps its own seed
+// (deriving one from the list position only when it has none), so results
+// are bit-identical for every worker count and cache setting.
 func RunScenarios(cfg Config, scs ...sim.Scenario) ([]*ScenarioResult, error) {
 	cfg = cfg.withDefaults()
-	if len(scs) == 0 {
-		scs = cfg.Scenarios
-	}
 	if len(scs) == 0 {
 		return nil, fmt.Errorf("experiments: no scenarios to run")
 	}

@@ -50,20 +50,6 @@ func TestRunScenariosDeterministicAcrossWorkersAndCache(t *testing.T) {
 	}
 }
 
-func TestRunScenariosFromConfigField(t *testing.T) {
-	cfg := Config{MinRuns: 2, VarianceTol: 0.9, Seed: 1, Workers: 2, Scenarios: scenListForTest()}
-	res, err := RunScenarios(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 {
-		t.Fatalf("config-carried scenarios: got %d results", len(res))
-	}
-	if res[0].Scenario.Name != "scen/a" || res[1].Scenario.Name != "scen/b" {
-		t.Errorf("result order broken: %s, %s", res[0].Scenario.Name, res[1].Scenario.Name)
-	}
-}
-
 func TestRunScenariosEmpty(t *testing.T) {
 	if _, err := RunScenarios(Config{}); err == nil {
 		t.Fatal("no scenarios must be an error")

@@ -132,6 +132,3 @@ func Pair(name string) (src, dst MachineSpec, err error) {
 	}
 	return MachineSpec{}, MachineSpec{}, fmt.Errorf("hw: unknown machine pair %q (want %q, %q or \"src/dst\" from the catalog)", name, PairM, PairO)
 }
-
-// PairNames lists the machine pairs in evaluation order.
-func PairNames() []string { return []string{PairM, PairO} }

@@ -78,9 +78,6 @@ func TestPair(t *testing.T) {
 	if _, _, err := Pair("nonsense"); err == nil {
 		t.Error("unknown pair must fail")
 	}
-	if got := PairNames(); len(got) != 2 || got[0] != PairM || got[1] != PairO {
-		t.Errorf("PairNames = %v", got)
-	}
 }
 
 func TestCustomPair(t *testing.T) {

@@ -264,9 +264,3 @@ func (NoDirtier) Step(*Image, float64) int64 { return 0 }
 
 // Rate implements Dirtier.
 func (NoDirtier) Rate() float64 { return 0 }
-
-// TrafficGBs converts a page-write rate into memory traffic in GB/s for
-// the ground-truth power model.
-func TrafficGBs(pagesPerSecond float64) float64 {
-	return pagesPerSecond * float64(units.PageSize) / 1e9
-}

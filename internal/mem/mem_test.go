@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -229,13 +228,5 @@ func TestNoDirtier(t *testing.T) {
 	}
 	if im.DirtyPages() != 0 {
 		t.Error("NoDirtier dirtied pages")
-	}
-}
-
-func TestTrafficGBs(t *testing.T) {
-	// 1e9/4096 pages/s × 4096 B/page = 1 GB/s.
-	got := TrafficGBs(1e9 / 4096)
-	if math.Abs(got-1.0) > 1e-9 {
-		t.Errorf("TrafficGBs = %v, want 1", got)
 	}
 }

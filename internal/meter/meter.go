@@ -102,12 +102,6 @@ func (m *Meter) Observe(now time.Duration, truth units.Watts) (units.Watts, bool
 // Trace returns the accumulated power trace (live view, not a copy).
 func (m *Meter) Trace() *trace.PowerTrace { return m.tr }
 
-// Reset clears the trace and sampling phase for a fresh run.
-func (m *Meter) Reset() {
-	m.tr = &trace.PowerTrace{Host: m.tr.Host}
-	m.next = 0
-}
-
 // StabilisationDetector implements the run-gating rule: power has
 // stabilised when StabilisationWindow consecutive readings differ from
 // their predecessor by less than the tolerance.
@@ -147,13 +141,6 @@ func (d *StabilisationDetector) Add(w units.Watts) bool {
 
 // Stable reports whether the last Window readings were within tolerance.
 func (d *StabilisationDetector) Stable() bool { return d.streak >= d.Window }
-
-// Reset clears the detector for reuse.
-func (d *StabilisationDetector) Reset() {
-	d.haveOne = false
-	d.streak = 0
-	d.last = 0
-}
 
 // ErrNeverStabilised reports that a series ended without stabilising.
 var ErrNeverStabilised = errors.New("meter: power never stabilised")

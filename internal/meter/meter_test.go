@@ -77,22 +77,6 @@ func TestMeterDeterminism(t *testing.T) {
 	}
 }
 
-func TestMeterReset(t *testing.T) {
-	m := New("m01", 1)
-	m.Observe(0, 500)
-	m.Observe(DefaultPeriod, 500)
-	m.Reset()
-	if m.Trace().Len() != 0 {
-		t.Error("reset did not clear trace")
-	}
-	if m.Trace().Host != "m01" {
-		t.Error("reset lost the host label")
-	}
-	if _, ok := m.Observe(0, 500); !ok {
-		t.Error("reset did not rewind the sampling clock")
-	}
-}
-
 func TestStabilisationDetector(t *testing.T) {
 	d := NewStabilisationDetector()
 	// 19 stable readings are not enough...
@@ -136,20 +120,6 @@ func TestStabilisationZeroSeries(t *testing.T) {
 	}
 	if !stable {
 		t.Error("an all-zero series is trivially stable")
-	}
-}
-
-func TestDetectorReset(t *testing.T) {
-	d := NewStabilisationDetector()
-	for i := 0; i < 25; i++ {
-		d.Add(500)
-	}
-	if !d.Stable() {
-		t.Fatal("precondition: stable")
-	}
-	d.Reset()
-	if d.Stable() {
-		t.Error("reset did not clear stability")
 	}
 }
 

@@ -117,8 +117,3 @@ func (s *Stream) Total() units.Bytes { return s.total }
 
 // Remaining returns the bytes still to move.
 func (s *Stream) Remaining() units.Bytes { return s.total - s.moved }
-
-// ETA estimates the remaining transfer time at the given bandwidth.
-func (s *Stream) ETA(bw units.BitsPerSecond) time.Duration {
-	return bw.TimeToSend(s.Remaining())
-}

@@ -170,11 +170,3 @@ func TestStreamConservation(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestStreamETA(t *testing.T) {
-	s, _ := NewStream(125_000_000) // 1 Gbit
-	eta := s.ETA(units.Gbps)
-	if math.Abs(eta.Seconds()-1) > 1e-9 {
-		t.Errorf("ETA = %v, want 1s", eta)
-	}
-}

@@ -4,27 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"sync/atomic"
 	"testing"
 )
-
-// TestMapCtxBackgroundMatchesMap: a background context changes nothing —
-// MapCtx and Map return identical results.
-func TestMapCtxBackgroundMatchesMap(t *testing.T) {
-	fn := func(i int) (int, error) { return i * i, nil }
-	plain, err := Map(4, 20, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxed, err := MapCtx(context.Background(), 4, 20, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, ctxed) {
-		t.Error("MapCtx(Background) differs from Map")
-	}
-}
 
 // TestMapCtxPreCancelled: a dead context dispatches nothing and returns
 // its error.
@@ -119,23 +101,5 @@ func TestUntilCtxCancelBetweenBatches(t *testing.T) {
 	}
 	if n := calls.Load(); n > 16 {
 		t.Errorf("%d items ran after cancellation", n)
-	}
-}
-
-// TestUntilCtxBackgroundMatchesUntil: with a background context the
-// convergence semantics are untouched.
-func TestUntilCtxBackgroundMatchesUntil(t *testing.T) {
-	fn := func(i int) (int, error) { return i, nil }
-	stop := func(prefix []int) bool { return len(prefix) >= 7 }
-	plain, err := Until(4, 100, 3, fn, stop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxed, err := UntilCtx(context.Background(), 4, 100, 3, fn, stop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, ctxed) {
-		t.Error("UntilCtx(Background) differs from Until")
 	}
 }

@@ -8,9 +8,9 @@
 // lowest-indexed failed item. Because each item derives its own RNG seed
 // from its index (never from shared mutable state), running with one
 // worker and running with many produce bit-identical outputs; only
-// wall-clock time changes. Until additionally replicates the semantics of
-// a sequential stop-when-converged loop by running speculative batches and
-// truncating at the first index where the stop rule fires.
+// wall-clock time changes. UntilCtx additionally replicates the semantics
+// of a sequential stop-when-converged loop by running speculative batches
+// and truncating at the first index where the stop rule fires.
 package parallel
 
 import (
@@ -103,21 +103,17 @@ func (p *Pool) Wait() error {
 	return p.err
 }
 
-// Map runs fn(0), …, fn(n-1) on at most workers concurrent goroutines and
-// returns the results in index order. On failure it returns nil and the
-// lowest-indexed error, mirroring what a sequential loop would have hit
+// MapCtx runs fn(0), …, fn(n-1) on at most workers concurrent goroutines
+// and returns the results in index order. On failure it returns nil and
+// the lowest-indexed error, mirroring what a sequential loop would have hit
 // first; items not yet dispatched when an earlier item fails are skipped.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), workers, n, fn)
-}
-
-// MapCtx is Map with a cancellation boundary at every dispatch: once ctx
-// is done, no further item starts, already-running items are waited for
-// (they observe ctx themselves through their closure), and ctx's error is
-// returned unless an already-dispatched item failed with a lower index —
-// the same precedence a sequential loop hitting the cancelled item in
-// place would have reported. Results are bit-identical to Map whenever
-// ctx never fires.
+//
+// Every dispatch is a cancellation boundary: once ctx is done, no further
+// item starts, already-running items are waited for (they observe ctx
+// themselves through their closure), and ctx's error is returned unless an
+// already-dispatched item failed with a lower index — the same precedence
+// a sequential loop hitting the cancelled item in place would have
+// reported.
 func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	p := NewPool(workers)
@@ -148,8 +144,8 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error
 	return out, nil
 }
 
-// Until drives an open-ended sequence of indexed tasks 0, 1, 2, … with the
-// sequential semantics
+// UntilCtx drives an open-ended sequence of indexed tasks 0, 1, 2, … with
+// the sequential semantics
 //
 //	for i := 0; i < max; i++ {
 //	        v, err := fn(i)            // abort on error
@@ -174,15 +170,10 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error
 // convergence is genuinely far off. hint <= 0 means no hint. Batch sizes
 // never influence the returned prefix, only how much speculative work can
 // be discarded.
-func Until[T any](workers, max, hint int, fn func(i int) (T, error), stop func(prefix []T) bool) ([]T, error) {
-	return UntilCtx(context.Background(), workers, max, hint, fn, stop)
-}
-
-// UntilCtx is Until with a cancellation boundary between speculative
-// batches: a done ctx stops the loop before the next batch dispatches and
-// returns ctx's error. Items inside a batch observe ctx through their own
-// closures; the replay-in-order semantics are unchanged, so any prefix
-// returned before cancellation is bit-identical to Until's.
+//
+// A done ctx stops the loop before the next batch dispatches and returns
+// ctx's error. Items inside a batch observe ctx through their own
+// closures.
 func UntilCtx[T any](ctx context.Context, workers, max, hint int, fn func(i int) (T, error), stop func(prefix []T) bool) ([]T, error) {
 	w := Workers(workers)
 	var out []T

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -46,7 +47,7 @@ func TestSplitBudget(t *testing.T) {
 }
 
 func TestMapOrderedResults(t *testing.T) {
-	out, err := Map(4, 100, func(i int) (int, error) { return i * i, nil })
+	out, err := MapCtx(context.Background(), 4, 100, func(i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestMapOrderedResults(t *testing.T) {
 func TestMapBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var inflight, peak atomic.Int64
-	_, err := Map(workers, 50, func(i int) (struct{}, error) {
+	_, err := MapCtx(context.Background(), workers, 50, func(i int) (struct{}, error) {
 		n := inflight.Add(1)
 		for {
 			p := peak.Load()
@@ -87,7 +88,7 @@ func TestMapLowestIndexErrorWins(t *testing.T) {
 	// Fail at several indices; the reported error must be the lowest one,
 	// as a sequential loop would have hit it first.
 	for trial := 0; trial < 10; trial++ {
-		_, err := Map(8, 40, func(i int) (int, error) {
+		_, err := MapCtx(context.Background(), 8, 40, func(i int) (int, error) {
 			if i%7 == 3 { // fails at 3, 10, 17, ...
 				return 0, fmt.Errorf("item %d failed", i)
 			}
@@ -109,7 +110,7 @@ func TestPoolWaitWithoutTasks(t *testing.T) {
 	}
 }
 
-// sequentialUntil is the reference semantics Until must replicate.
+// sequentialUntil is the reference semantics UntilCtx must replicate.
 func sequentialUntil[T any](max int, fn func(i int) (T, error), stop func([]T) bool) ([]T, error) {
 	var out []T
 	for i := 0; i < max; i++ {
@@ -132,7 +133,7 @@ func TestUntilMatchesSequential(t *testing.T) {
 		want, _ := sequentialUntil(20, fn, stop)
 		for _, workers := range []int{1, 2, 8} {
 			for _, hint := range []int{0, 1, 3, 25} {
-				got, err := Until(workers, 20, hint, fn, stop)
+				got, err := UntilCtx(context.Background(), workers, 20, hint, fn, stop)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -158,7 +159,7 @@ func TestUntilHintBoundsSpeculativeWaste(t *testing.T) {
 	var calls atomic.Int64
 	fn := func(i int) (int, error) { calls.Add(1); return i, nil }
 	stop := func(prefix []int) bool { return len(prefix) >= 2 }
-	out, err := Until(64, 50, 2, fn, stop)
+	out, err := UntilCtx(context.Background(), 64, 50, 2, fn, stop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestUntilHintBoundsSpeculativeWaste(t *testing.T) {
 	// pool width. Batches go 2, 2, 4 → at most 8 computed items.
 	calls.Store(0)
 	stop6 := func(prefix []int) bool { return len(prefix) >= 6 }
-	if _, err := Until(64, 50, 2, fn, stop6); err != nil {
+	if _, err := UntilCtx(context.Background(), 64, 50, 2, fn, stop6); err != nil {
 		t.Fatal(err)
 	}
 	if n := calls.Load(); n > 8 {
@@ -183,7 +184,7 @@ func TestUntilHintBoundsSpeculativeWaste(t *testing.T) {
 
 func TestUntilStopBeatsLaterError(t *testing.T) {
 	// fn fails at index 5, but stop fires at index 2: a sequential loop
-	// never reaches index 5, so Until must succeed even when the failing
+	// never reaches index 5, so UntilCtx must succeed even when the failing
 	// index was computed speculatively in the same batch.
 	fn := func(i int) (int, error) {
 		if i >= 5 {
@@ -192,9 +193,9 @@ func TestUntilStopBeatsLaterError(t *testing.T) {
 		return i, nil
 	}
 	stop := func(prefix []int) bool { return len(prefix) == 3 }
-	out, err := Until(8, 50, 2, fn, stop)
+	out, err := UntilCtx(context.Background(), 8, 50, 2, fn, stop)
 	if err != nil {
-		t.Fatalf("Until = %v, want success (stop precedes the failure)", err)
+		t.Fatalf("UntilCtx = %v, want success (stop precedes the failure)", err)
 	}
 	if len(out) != 3 {
 		t.Fatalf("len = %d, want 3", len(out))
@@ -209,14 +210,14 @@ func TestUntilErrorBeforeStop(t *testing.T) {
 		return i, nil
 	}
 	stop := func(prefix []int) bool { return len(prefix) == 4 }
-	if _, err := Until(8, 50, 0, fn, stop); err == nil || err.Error() != "early failure" {
+	if _, err := UntilCtx(context.Background(), 8, 50, 0, fn, stop); err == nil || err.Error() != "early failure" {
 		t.Fatalf("err = %v, want the index-1 failure", err)
 	}
 }
 
 func TestUntilHitsCap(t *testing.T) {
 	never := func(prefix []int) bool { return false }
-	out, err := Until(4, 13, 0, func(i int) (int, error) { return i, nil }, never)
+	out, err := UntilCtx(context.Background(), 4, 13, 0, func(i int) (int, error) { return i, nil }, never)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestUntilStopSeesDensePrefixes(t *testing.T) {
 		}
 		return len(prefix) >= 9
 	}
-	if _, err := Until(4, 50, 3, func(i int) (int, error) { return i, nil }, stop); err != nil {
+	if _, err := UntilCtx(context.Background(), 4, 50, 3, func(i int) (int, error) { return i, nil }, stop); err != nil {
 		t.Fatal(err)
 	}
 	for i, l := range lens {

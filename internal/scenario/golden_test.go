@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -233,7 +234,7 @@ func runLibrary(t *testing.T) *golden {
 			continue
 		}
 		for _, r := range c.Runs {
-			runs, err := cache.RunRepeatedWorkers(r.Scenario, r.MinRuns, r.VarianceTol, 0)
+			runs, err := cache.RunRepeatedCtx(context.Background(), r.Scenario, r.MinRuns, r.VarianceTol, 0)
 			if err != nil {
 				t.Fatalf("running %s: %v", r.Label, err)
 			}

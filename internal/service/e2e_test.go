@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -164,27 +165,54 @@ func expectedFor(t *testing.T, which string) []byte {
 	}
 }
 
-// TestTimeoutFlagExitCode: wavm3scen under an expiring -timeout aborts
-// at a cancellation boundary and exits with the documented code 3.
+// TestTimeoutFlagExitCode: every batch command under an expiring
+// -timeout aborts at a cancellation boundary and exits with the
+// documented code 3, naming the deadline on stderr. The daemon has no
+// session to bound, so it refuses -timeout with the usage code 2 and
+// points at -run-timeout; its row is bounded so that a daemon which
+// starts serving anyway fails the test instead of hanging it.
 func TestTimeoutFlagExitCode(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs a real CLI process")
+		t.Skip("builds and runs real CLI processes")
 	}
-	bin := buildTool(t, "wavm3scen")
 	specFile := filepath.Join(t.TempDir(), "slow.json")
 	if err := os.WriteFile(specFile, []byte(slowSpecJSON), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(bin, "-timeout", "150ms", specFile)
-	out, err := cmd.CombinedOutput()
-	var exitErr *exec.ExitError
-	if err == nil || !errors.As(err, &exitErr) {
-		t.Fatalf("expected a non-zero exit, got err=%v\n%s", err, out)
+	// wavm3scen's slow spec is mid-run at 150ms. Figure 2's two shortened
+	// runs finish within a millisecond, so the other batch rows use a
+	// deadline that has passed before their first run starts.
+	cases := []struct {
+		tool     string
+		args     []string
+		code     int
+		inStderr string
+	}{
+		{"wavm3scen", []string{"-timeout", "150ms", specFile}, cliflags.ExitDeadline, "deadline"},
+		{"wavm3bench", []string{"-timeout", "1ns", "-only", "fig2"}, cliflags.ExitDeadline, "deadline"},
+		{"wavm3fit", []string{"-timeout", "1ns", "-quick"}, cliflags.ExitDeadline, "deadline"},
+		{"wavm3sim", []string{"-timeout", "1ns", "-quick"}, cliflags.ExitDeadline, "deadline"},
+		{"wavm3d", []string{"-timeout", "1s", "-addr", "127.0.0.1:0"}, 2, "-run-timeout"},
 	}
-	if code := exitErr.ExitCode(); code != cliflags.ExitDeadline {
-		t.Fatalf("exit code = %d, want %d\n%s", code, cliflags.ExitDeadline, out)
-	}
-	if !strings.Contains(string(out), "deadline") {
-		t.Errorf("stderr does not mention the deadline:\n%s", out)
+	for _, tc := range cases {
+		t.Run(tc.tool, func(t *testing.T) {
+			bin := buildTool(t, tc.tool)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			out, err := exec.CommandContext(ctx, bin, tc.args...).CombinedOutput()
+			if ctx.Err() != nil {
+				t.Fatalf("%s %v still running after 60s:\n%s", tc.tool, tc.args, out)
+			}
+			var exitErr *exec.ExitError
+			if !errors.As(err, &exitErr) {
+				t.Fatalf("expected a non-zero exit, got err=%v\n%s", err, out)
+			}
+			if code := exitErr.ExitCode(); code != tc.code {
+				t.Fatalf("exit code = %d, want %d\n%s", code, tc.code, out)
+			}
+			if !strings.Contains(string(out), tc.inStderr) {
+				t.Errorf("output does not mention %q:\n%s", tc.inStderr, out)
+			}
+		})
 	}
 }

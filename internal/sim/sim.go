@@ -431,17 +431,12 @@ func RunRepeatedWorkers(sc Scenario, minRuns int, tol float64, workers int) ([]*
 	return runRepeated(context.Background(), nil, sc, minRuns, tol, workers)
 }
 
-// RunRepeatedWorkers is the cache-aware variant of the package function:
-// identical semantics, with each run answered through the cache. A nil
-// receiver degrades to uncached execution.
-func (c *Cache) RunRepeatedWorkers(sc Scenario, minRuns int, tol float64, workers int) ([]*RunResult, error) {
-	return runRepeated(context.Background(), c, sc, minRuns, tol, workers)
-}
-
-// RunRepeatedCtx is RunRepeatedWorkers with a cancellation boundary
-// between speculative batches and inside every run: a done ctx abandons
-// the repeat sequence and returns ctx's error. Prefixes returned before
-// cancellation are bit-identical to the uncancellable variant's.
+// RunRepeatedCtx is the cache-aware RunRepeatedWorkers: each run is
+// answered through the cache, and a nil receiver degrades to uncached
+// execution. It adds a cancellation boundary between speculative batches
+// and inside every run: a done ctx abandons the repeat sequence and
+// returns ctx's error. Prefixes returned before cancellation are
+// bit-identical to the uncancellable variant's.
 func (c *Cache) RunRepeatedCtx(ctx context.Context, sc Scenario, minRuns int, tol float64, workers int) ([]*RunResult, error) {
 	return runRepeated(ctx, c, sc, minRuns, tol, workers)
 }
@@ -452,7 +447,7 @@ func runRepeated(ctx context.Context, c *Cache, sc Scenario, minRuns int, tol fl
 	}
 	const maxRuns = 50
 	// The convergence rule inspects growing prefixes in index order
-	// (parallel.Until's contract), so the per-run energies accumulate
+	// (parallel.UntilCtx's contract), so the per-run energies accumulate
 	// incrementally instead of being rebuilt from the whole prefix on
 	// every check — the check stays O(new runs), not O(prefix²).
 	energies := make([]float64, 0, maxRuns)

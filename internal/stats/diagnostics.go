@@ -3,68 +3,8 @@ package stats
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 )
-
-// Pearson returns the sample Pearson correlation coefficient of two
-// equal-length series. It errors on length mismatch, fewer than two
-// points, or a zero-variance series.
-func Pearson(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, ErrLengthMismatch
-	}
-	if len(x) < 2 {
-		return 0, errors.New("stats: Pearson needs at least two points")
-	}
-	mx, my := Mean(x), Mean(y)
-	var sxy, sxx, syy float64
-	for i := range x {
-		dx, dy := x[i]-mx, y[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, errors.New("stats: Pearson undefined for a constant series")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// ResidualSummary characterises a fit's residuals for diagnostics.
-type ResidualSummary struct {
-	Mean   float64
-	StdDev float64
-	MaxAbs float64
-	// Skew is the sample skewness; a well-behaved linear fit has residuals
-	// roughly symmetric around zero.
-	Skew float64
-}
-
-// Residuals summarises residuals (predicted − actual would do equally; the
-// summary is sign-symmetric except for Mean and Skew).
-func Residuals(rs []float64) (ResidualSummary, error) {
-	if len(rs) < 2 {
-		return ResidualSummary{}, errors.New("stats: need at least two residuals")
-	}
-	var out ResidualSummary
-	out.Mean = Mean(rs)
-	out.StdDev = StdDev(rs)
-	for _, r := range rs {
-		if a := math.Abs(r); a > out.MaxAbs {
-			out.MaxAbs = a
-		}
-	}
-	if out.StdDev > 0 {
-		var s3 float64
-		for _, r := range rs {
-			d := (r - out.Mean) / out.StdDev
-			s3 += d * d * d
-		}
-		out.Skew = s3 / float64(len(rs))
-	}
-	return out, nil
-}
 
 // KFold produces k disjoint index folds over n items, shuffled with the
 // seed. Every index appears in exactly one fold; fold sizes differ by at

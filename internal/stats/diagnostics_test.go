@@ -1,93 +1,6 @@
 package stats
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
-
-func TestPearsonPerfectCorrelation(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{2, 4, 6, 8, 10}
-	r, err := Pearson(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(r, 1, 1e-12) {
-		t.Errorf("perfectly correlated r = %v, want 1", r)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	r, err = Pearson(x, neg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(r, -1, 1e-12) {
-		t.Errorf("anti-correlated r = %v, want -1", r)
-	}
-}
-
-func TestPearsonBounds(t *testing.T) {
-	// Property: |r| ≤ 1 for any non-degenerate pair.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(30)
-		x := make([]float64, n)
-		y := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-			y[i] = rng.NormFloat64()
-		}
-		r, err := Pearson(x, y)
-		if err != nil {
-			return true // degenerate draw, fine
-		}
-		return r >= -1-1e-12 && r <= 1+1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPearsonErrors(t *testing.T) {
-	if _, err := Pearson([]float64{1}, []float64{1, 2}); err != ErrLengthMismatch {
-		t.Error("length mismatch not reported")
-	}
-	if _, err := Pearson([]float64{1}, []float64{1}); err == nil {
-		t.Error("single point must fail")
-	}
-	if _, err := Pearson([]float64{1, 1, 1}, []float64{1, 2, 3}); err == nil {
-		t.Error("constant series must fail")
-	}
-}
-
-func TestResiduals(t *testing.T) {
-	rs := []float64{-1, 1, -2, 2, 0}
-	sum, err := Residuals(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Mean != 0 {
-		t.Errorf("mean = %v", sum.Mean)
-	}
-	if sum.MaxAbs != 2 {
-		t.Errorf("maxabs = %v", sum.MaxAbs)
-	}
-	if math.Abs(sum.Skew) > 1e-12 {
-		t.Errorf("symmetric residuals skew = %v, want 0", sum.Skew)
-	}
-	skewed := []float64{-0.1, -0.1, -0.1, -0.1, 10}
-	sum, err = Residuals(skewed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Skew <= 0 {
-		t.Errorf("right-skewed residuals reported skew %v", sum.Skew)
-	}
-	if _, err := Residuals([]float64{1}); err == nil {
-		t.Error("single residual must fail")
-	}
-}
+import "testing"
 
 func TestKFold(t *testing.T) {
 	folds, err := KFold(10, 3, 1)

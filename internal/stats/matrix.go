@@ -133,13 +133,3 @@ func (m *Matrix) FrobeniusNorm() float64 {
 	}
 	return math.Sqrt(s)
 }
-
-// vector helpers shared across the package
-
-func dot(a, b []float64) float64 {
-	s := 0.0
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}

@@ -3,7 +3,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -56,20 +55,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Median returns the median of xs without modifying it.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // ErrLengthMismatch reports paired slices of different lengths.

@@ -3,7 +3,6 @@ package stats
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // LinearFit is the result of an ordinary least-squares regression.
@@ -138,146 +137,4 @@ func DesignMatrix(features [][]float64, intercept bool) (*Matrix, error) {
 		}
 	}
 	return m, nil
-}
-
-// Model is a residual function for non-linear least squares: given the
-// parameter vector, it returns the model prediction for observation i.
-type Model func(params []float64, i int) float64
-
-// NLLSOptions tunes the Levenberg–Marquardt solver.
-type NLLSOptions struct {
-	MaxIter  int     // maximum outer iterations (default 200)
-	Tol      float64 // relative RSS improvement to declare convergence (default 1e-10)
-	Lambda0  float64 // initial damping (default 1e-3)
-	FDelta   float64 // finite-difference step (default 1e-6)
-	MaxBoost int     // damping increases allowed per iteration (default 30)
-}
-
-func (o *NLLSOptions) defaults() {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 200
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-10
-	}
-	if o.Lambda0 <= 0 {
-		o.Lambda0 = 1e-3
-	}
-	if o.FDelta <= 0 {
-		o.FDelta = 1e-6
-	}
-	if o.MaxBoost <= 0 {
-		o.MaxBoost = 30
-	}
-}
-
-// NLLSResult is the outcome of a non-linear least-squares fit.
-type NLLSResult struct {
-	Params []float64
-	RSS    float64
-	Iters  int
-}
-
-// NLLS fits model parameters minimising Σᵢ (yᵢ − f(p, i))² with damped
-// Gauss-Newton (Levenberg–Marquardt), using forward finite differences for
-// the Jacobian. The paper fits its per-phase coefficients with "the Non
-// Linear Least Square algorithm"; for the linear forms of Eqs. 5–7 this
-// reduces to OLS but NLLS also covers the exponent-bearing ground-truth
-// calibration used in tests.
-func NLLS(model Model, y []float64, p0 []float64, opts *NLLSOptions) (*NLLSResult, error) {
-	if len(y) == 0 {
-		return nil, errors.New("stats: NLLS needs observations")
-	}
-	if len(p0) == 0 {
-		return nil, errors.New("stats: NLLS needs at least one parameter")
-	}
-	var o NLLSOptions
-	if opts != nil {
-		o = *opts
-	}
-	o.defaults()
-
-	n, m := len(y), len(p0)
-	p := append([]float64(nil), p0...)
-
-	residuals := func(params []float64) ([]float64, float64) {
-		r := make([]float64, n)
-		rss := 0.0
-		for i := 0; i < n; i++ {
-			r[i] = y[i] - model(params, i)
-			rss += r[i] * r[i]
-		}
-		return r, rss
-	}
-
-	r, rss := residuals(p)
-	lambda := o.Lambda0
-
-	iter := 0
-	for ; iter < o.MaxIter; iter++ {
-		// Jacobian by forward differences: J[i][j] = ∂f(p,i)/∂p[j].
-		jac := NewMatrix(n, m)
-		for j := 0; j < m; j++ {
-			h := o.FDelta * math.Max(1, math.Abs(p[j]))
-			pj := p[j]
-			p[j] = pj + h
-			for i := 0; i < n; i++ {
-				jac.Set(i, j, (model(p, i)-(y[i]-r[i]))/h)
-			}
-			p[j] = pj
-		}
-
-		// Solve the damped normal equations (JᵀJ + λ·diag(JᵀJ)) δ = Jᵀr
-		// via an augmented least-squares system [J; √λ·D] δ = [r; 0],
-		// which reuses the QR solver and stays numerically stable.
-		improved := false
-		for boost := 0; boost < o.MaxBoost; boost++ {
-			aug := NewMatrix(n+m, m)
-			rhs := make([]float64, n+m)
-			for i := 0; i < n; i++ {
-				for j := 0; j < m; j++ {
-					aug.Set(i, j, jac.At(i, j))
-				}
-				rhs[i] = r[i]
-			}
-			for j := 0; j < m; j++ {
-				colNorm := 0.0
-				for i := 0; i < n; i++ {
-					colNorm += jac.At(i, j) * jac.At(i, j)
-				}
-				d := math.Sqrt(lambda * math.Max(colNorm, 1e-12))
-				aug.Set(n+j, j, d)
-			}
-			qr, err := DecomposeQR(aug)
-			if err != nil {
-				return nil, err
-			}
-			delta, err := qr.Solve(rhs)
-			if err != nil {
-				lambda *= 10
-				continue
-			}
-			trial := make([]float64, m)
-			for j := 0; j < m; j++ {
-				trial[j] = p[j] + delta[j]
-			}
-			_, trialRSS := residuals(trial)
-			if trialRSS < rss {
-				rel := (rss - trialRSS) / math.Max(rss, 1e-300)
-				p = trial
-				r, rss = residuals(p)
-				lambda = math.Max(lambda/10, 1e-12)
-				improved = true
-				if rel < o.Tol {
-					return &NLLSResult{Params: p, RSS: rss, Iters: iter + 1}, nil
-				}
-				break
-			}
-			lambda *= 10
-		}
-		if !improved {
-			break // damping exhausted: local minimum
-		}
-	}
-	return &NLLSResult{Params: p, RSS: rss, Iters: iter}, nil
 }

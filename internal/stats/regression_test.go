@@ -164,66 +164,3 @@ func TestDesignMatrix(t *testing.T) {
 		t.Error("ragged features should fail")
 	}
 }
-
-func TestNLLSLinearMatchesOLS(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 100
-	xs := make([]float64, n)
-	y := make([]float64, n)
-	for i := range xs {
-		xs[i] = rng.Float64() * 50
-		y[i] = 700 + 2.4*xs[i] + rng.NormFloat64()
-	}
-	model := func(p []float64, i int) float64 { return p[0] + p[1]*xs[i] }
-	res, err := NLLS(model, y, []float64{0, 0}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(res.Params[0], 700, 2) || !almostEq(res.Params[1], 2.4, 0.1) {
-		t.Errorf("NLLS params = %v, want ≈[700 2.4]", res.Params)
-	}
-}
-
-func TestNLLSNonlinearExponent(t *testing.T) {
-	// y = a · x^k, the shape of the ground-truth CPU power curve.
-	rng := rand.New(rand.NewSource(11))
-	n := 200
-	xs := make([]float64, n)
-	y := make([]float64, n)
-	for i := range xs {
-		xs[i] = 0.05 + rng.Float64()
-		y[i] = 12.5 * math.Pow(xs[i], 1.12)
-	}
-	model := func(p []float64, i int) float64 { return p[0] * math.Pow(xs[i], p[1]) }
-	res, err := NLLS(model, y, []float64{1, 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(res.Params[0], 12.5, 0.05) || !almostEq(res.Params[1], 1.12, 0.01) {
-		t.Errorf("NLLS params = %v, want ≈[12.5 1.12]", res.Params)
-	}
-}
-
-func TestNLLSValidation(t *testing.T) {
-	model := func(p []float64, i int) float64 { return p[0] }
-	if _, err := NLLS(model, nil, []float64{1}, nil); err == nil {
-		t.Error("no observations should fail")
-	}
-	if _, err := NLLS(model, []float64{1}, nil, nil); err == nil {
-		t.Error("no parameters should fail")
-	}
-}
-
-func TestNLLSAlreadyConverged(t *testing.T) {
-	// Starting at the exact optimum must terminate quickly and keep RSS ≈ 0.
-	xs := []float64{1, 2, 3, 4}
-	y := []float64{2, 4, 6, 8}
-	model := func(p []float64, i int) float64 { return p[0] * xs[i] }
-	res, err := NLLS(model, y, []float64{2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RSS > 1e-18 {
-		t.Errorf("RSS = %v, want ≈0", res.RSS)
-	}
-}

@@ -66,20 +66,6 @@ func (b Boundaries) PhaseAt(t time.Duration) Phase {
 	}
 }
 
-// Span returns the [from, to) interval of the given migration phase.
-func (b Boundaries) Span(p Phase) (from, to time.Duration, err error) {
-	switch p {
-	case PhaseInitiation:
-		return b.MS, b.TS, nil
-	case PhaseTransfer:
-		return b.TS, b.TE, nil
-	case PhaseActivation:
-		return b.TE, b.ME, nil
-	default:
-		return 0, 0, fmt.Errorf("trace: phase %v has no single span", p)
-	}
-}
-
 // PhaseEnergy bundles the paper's four energy metrics for one host: the
 // energy of each phase, and their sum (Eq. 4).
 type PhaseEnergy struct {
@@ -107,32 +93,4 @@ func EnergyByPhase(p *PowerTrace, b Boundaries) (PhaseEnergy, error) {
 	out.Transfer = p.EnergyBetween(b.TS, b.TE)
 	out.Activation = p.EnergyBetween(b.TE, b.ME)
 	return out, nil
-}
-
-// ExcessEnergy returns the migration energy above the pre-migration
-// baseline power: ∫(P − baseline) over [MS, ME]. The paper isolates the
-// migration's own cost by ensuring constant consumption during normal
-// execution; subtracting that baseline makes runs with different idle
-// powers comparable.
-func ExcessEnergy(p *PowerTrace, b Boundaries, baseline units.Watts) (units.Joules, error) {
-	if err := b.Validate(); err != nil {
-		return 0, err
-	}
-	gross := p.EnergyBetween(b.MS, b.ME)
-	base := units.EnergyOver(baseline, b.ME-b.MS)
-	return gross - base, nil
-}
-
-// BaselinePower estimates the normal-execution power before the migration
-// begins: the time-weighted mean power over [0, MS). Returns an error when
-// the trace has no pre-migration samples.
-func BaselinePower(p *PowerTrace, b Boundaries) (units.Watts, error) {
-	if b.MS <= 0 {
-		return 0, errors.New("trace: no pre-migration window")
-	}
-	pre := p.Slice(0, b.MS-time.Nanosecond) // [0, MS): exclude the first migration sample
-	if pre.Len() < 2 {
-		return 0, errors.New("trace: too few pre-migration samples")
-	}
-	return pre.MeanPower(), nil
 }

@@ -58,20 +58,6 @@ func TestPhaseAt(t *testing.T) {
 	}
 }
 
-func TestSpan(t *testing.T) {
-	b := validB()
-	from, to, err := b.Span(PhaseTransfer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if from != b.TS || to != b.TE {
-		t.Errorf("transfer span = [%v, %v], want [%v, %v]", from, to, b.TS, b.TE)
-	}
-	if _, _, err := b.Span(PhaseNormal); err == nil {
-		t.Error("normal phase has no span and must error")
-	}
-}
-
 func TestPhaseStrings(t *testing.T) {
 	want := map[Phase]string{
 		PhaseNormal:     "normal",
@@ -150,44 +136,5 @@ func TestEnergyByPhaseValidation(t *testing.T) {
 	short := mkTrace(t, 1)
 	if _, err := EnergyByPhase(short, validB()); err == nil {
 		t.Error("too-short trace must fail")
-	}
-}
-
-func TestBaselineAndExcess(t *testing.T) {
-	// 10 s at 500 W (normal), then 40 s at 700 W (migration), then back.
-	tr := &PowerTrace{}
-	for i := 0; i <= 120; i++ {
-		at := time.Duration(i) * 500 * time.Millisecond
-		w := units.Watts(500)
-		if at >= 10*time.Second && at < 50*time.Second {
-			w = 700
-		}
-		_ = tr.Append(at, w)
-	}
-	b := validB()
-	base, err := BaselinePower(tr, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(base)-500) > 1e-9 {
-		t.Errorf("baseline = %v, want 500 W", base)
-	}
-	ex, err := ExcessEnergy(tr, b, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 40 s × 200 W = 8000 J, minus two 0.25 s transition trapezoids' softening.
-	if float64(ex) < 7800 || float64(ex) > 8000 {
-		t.Errorf("excess = %v, want ≈7900-8000 J", ex)
-	}
-}
-
-func TestBaselineErrors(t *testing.T) {
-	tr := mkTrace(t, 1, 2)
-	if _, err := BaselinePower(tr, Boundaries{}); err == nil {
-		t.Error("MS=0 leaves no baseline window, must fail")
-	}
-	if _, err := BaselinePower(tr, Boundaries{MS: time.Nanosecond, TS: time.Nanosecond, TE: time.Nanosecond, ME: time.Nanosecond}); err == nil {
-		t.Error("sub-sample baseline window must fail")
 	}
 }

@@ -233,30 +233,3 @@ func AverageTraces(runs []*PowerTrace, dt time.Duration) (*PowerTrace, error) {
 	}
 	return out, nil
 }
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of the trace's power samples
-// using linear interpolation between order statistics. Used for summary
-// bands over repeated runs.
-func (p *PowerTrace) Quantile(q float64) (units.Watts, error) {
-	if len(p.Samples) == 0 {
-		return 0, errors.New("trace: quantile of empty trace")
-	}
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("trace: quantile %v outside [0,1]", q)
-	}
-	vals := make([]float64, len(p.Samples))
-	for i, s := range p.Samples {
-		vals[i] = float64(s.Power)
-	}
-	sort.Float64s(vals)
-	if len(vals) == 1 {
-		return units.Watts(vals[0]), nil
-	}
-	pos := q * float64(len(vals)-1)
-	lo := int(pos)
-	if lo == len(vals)-1 {
-		return units.Watts(vals[lo]), nil
-	}
-	frac := pos - float64(lo)
-	return units.Watts(vals[lo] + frac*(vals[lo+1]-vals[lo])), nil
-}

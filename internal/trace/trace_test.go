@@ -229,41 +229,3 @@ func TestAverageTracesErrors(t *testing.T) {
 		t.Error("all-empty runs must fail")
 	}
 }
-
-func TestQuantile(t *testing.T) {
-	tr := mkTrace(t, 400, 500, 600, 700, 800)
-	cases := []struct {
-		q    float64
-		want float64
-	}{
-		{0, 400},
-		{0.25, 500},
-		{0.5, 600},
-		{0.75, 700},
-		{1, 800},
-		{0.125, 450}, // interpolated
-	}
-	for _, tc := range cases {
-		got, err := tr.Quantile(tc.q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(float64(got)-tc.want) > 1e-9 {
-			t.Errorf("Quantile(%v) = %v, want %v", tc.q, got, tc.want)
-		}
-	}
-	if _, err := tr.Quantile(-0.1); err == nil {
-		t.Error("negative quantile must fail")
-	}
-	if _, err := tr.Quantile(1.1); err == nil {
-		t.Error("quantile > 1 must fail")
-	}
-	empty := &PowerTrace{}
-	if _, err := empty.Quantile(0.5); err == nil {
-		t.Error("empty trace must fail")
-	}
-	single := mkTrace(t, 500)
-	if got, _ := single.Quantile(0.5); got != 500 {
-		t.Errorf("single-sample quantile = %v", got)
-	}
-}

@@ -18,12 +18,6 @@ func ExampleEnergyOver() {
 	// Output: 45 kJ
 }
 
-func ExampleBitsPerSecond_TimeToSend() {
-	bw := 760 * units.Mbps
-	fmt.Println(bw.TimeToSend(4 * units.GiB).Round(time.Second))
-	// Output: 45s
-}
-
 func ExampleFraction_Percent() {
 	fmt.Println(units.Fraction(0.95).Percent())
 	// Output: 95%

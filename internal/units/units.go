@@ -64,17 +64,6 @@ func (b BitsPerSecond) BytesIn(d time.Duration) Bytes {
 	return Bytes(b.BytesPerSecond() * d.Seconds())
 }
 
-// TimeToSend returns how long moving n bytes takes at bandwidth b.
-// It returns a very large duration for non-positive bandwidths so callers
-// can treat a dead link as "never finishes" without dividing by zero.
-func (b BitsPerSecond) TimeToSend(n Bytes) time.Duration {
-	if b <= 0 {
-		return time.Duration(1<<62 - 1)
-	}
-	secs := float64(n) / b.BytesPerSecond()
-	return time.Duration(secs * float64(time.Second))
-}
-
 // Utilisation is a CPU utilisation expressed in units of one virtual CPU:
 // 1.0 means one fully busy vCPU, 4.0 means four. The paper's CPU(h,t) and
 // CPU(v,t) terms use this convention (a host with 32 threads saturates at

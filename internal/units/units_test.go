@@ -54,34 +54,6 @@ func TestBandwidthBytesIn(t *testing.T) {
 	}
 }
 
-func TestTimeToSend(t *testing.T) {
-	d := Gbps.TimeToSend(125_000_000)
-	if math.Abs(d.Seconds()-1.0) > 1e-9 {
-		t.Errorf("TimeToSend(125 MB @ 1Gbps) = %v, want 1s", d)
-	}
-	if d := BitsPerSecond(0).TimeToSend(1); d < time.Hour*24*365 {
-		t.Errorf("zero bandwidth should effectively never finish, got %v", d)
-	}
-	if d := BitsPerSecond(-5).TimeToSend(1); d < time.Hour {
-		t.Errorf("negative bandwidth should effectively never finish, got %v", d)
-	}
-}
-
-func TestTimeToSendInvertsBytesIn(t *testing.T) {
-	// Sending the bytes that fit in d should take roughly d again.
-	f := func(ms uint16, mbps uint8) bool {
-		d := time.Duration(int(ms)+1) * time.Millisecond
-		bw := BitsPerSecond(int(mbps)+1) * Mbps
-		n := bw.BytesIn(d)
-		back := bw.TimeToSend(n)
-		// Quantisation to whole bytes loses at most one byte of time.
-		return back <= d && d-back <= bw.TimeToSend(1)+time.Millisecond
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestUtilisationClamp(t *testing.T) {
 	if got := Utilisation(-1).Clamp(32); got != 0 {
 		t.Errorf("Clamp(-1) = %v, want 0", got)
