@@ -41,18 +41,12 @@ func (im *Image) Dirty(i units.Pages) error {
 	if i < 0 || i >= im.total {
 		return fmt.Errorf("mem: page %d out of range [0, %d)", i, im.total)
 	}
-	im.dirtyFast(i)
-	return nil
-}
-
-// dirtyFast is Dirty without the range check: the inlinable twin the
-// dirtier hot loops use for indices they guarantee in range.
-func (im *Image) dirtyFast(i units.Pages) {
 	w, m := i>>6, uint64(1)<<uint(i&63)
 	if im.dirty[w]&m == 0 {
 		im.dirty[w] |= m
 		im.ndirt++
 	}
+	return nil
 }
 
 // IsDirty reports whether page i is dirty.
@@ -125,7 +119,7 @@ type UniformDirtier struct {
 	// WorkingSetFrac is the fraction of the image the writes span
 	// (pagedirtier's 3.8/4.0 ≈ 0.95).
 	WorkingSetFrac units.Fraction
-	rng            prng
+	rng            uint64 // splitmix64 state
 	carry          float64
 }
 
@@ -134,45 +128,35 @@ func NewUniformDirtier(pagesPerSecond float64, workingSet units.Fraction, seed i
 	return &UniformDirtier{
 		PagesPerSecond: pagesPerSecond,
 		WorkingSetFrac: workingSet.Clamp(),
-		rng:            newPRNG(seed),
+		rng:            seedState(seed),
 	}
 }
 
-// prng is the dirtiers' random source: splitmix64, chosen over math/rand
-// because the dirtiers draw tens of thousands of page indices per 100 ms
-// simulation step — the hottest loop of the whole kernel — and splitmix64
-// needs no interface dispatch, no rejection loop and no division while
-// passing BigCrush. Same seed, same sequence: the determinism guarantees
-// of the campaign layers are unaffected.
-type prng struct{ s uint64 }
+// The dirtiers' random source is splitmix64: a state advanced by the
+// Weyl increment weyl and a pure finaliser mix64 per draw. It is chosen
+// over math/rand because the dirtiers draw tens of thousands of page
+// indices per 100 ms simulation step — the hottest loop of the whole
+// kernel — and splitmix64 needs no interface dispatch, no rejection loop
+// and no division while passing BigCrush. Same seed, same sequence: the
+// determinism guarantees of the campaign layers are unaffected.
+//
+// A draw is mix64(s += weyl). A page index in [0, n) is the high word of
+// the draw times n (Lemire's multiply-shift reduction; the bias of
+// skipping the rejection step is below 2^-40 for any page span a VM image
+// can have), and a uniform value in [0, 1) is the draw's top 53 bits
+// times 2^-53.
+const weyl = 0x9e3779b97f4a7c15
 
-func newPRNG(seed int64) prng {
-	r := prng{s: uint64(seed)}
-	r.next() // decorrelate small adjacent seeds before first use
-	return r
-}
-
-// next returns the next 64 uniformly random bits.
-func (r *prng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
+// mix64 is splitmix64's output finaliser.
+func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
 
-// uint64n returns a uniform value in [0, n) by multiply-shift reduction
-// (Lemire); the bias of skipping the rejection step is below 2^-40 for
-// any page span a VM image can have.
-func (r *prng) uint64n(n uint64) uint64 {
-	hi, _ := bits.Mul64(r.next(), n)
-	return hi
-}
-
-// float64v returns a uniform value in [0, 1) with 53 random bits.
-func (r *prng) float64v() float64 {
-	return float64(r.next()>>11) * 0x1.0p-53
-}
+// seedState returns the generator state for a seed, one draw past it so
+// small adjacent seeds are decorrelated before first use.
+func seedState(seed int64) uint64 { return uint64(seed) + weyl }
 
 // Step implements Dirtier.
 func (u *UniformDirtier) Step(im *Image, dtSeconds float64) int64 {
@@ -186,11 +170,24 @@ func (u *UniformDirtier) Step(im *Image, dtSeconds float64) int64 {
 	u.carry += u.PagesPerSecond * dtSeconds
 	n := int64(u.carry)
 	u.carry -= float64(n)
-	span64 := uint64(span)
+	// The generator state, the bitmap and the new-page count stay in
+	// locals for the whole step: no store through a pointer per draw, and
+	// no branch on the old bit, which no predictor can anticipate.
+	s, d, span64, added := u.rng, im.dirty, uint64(span), units.Pages(0)
 	for i := int64(0); i < n; i++ {
-		// The index is bounded by span ≤ total.
-		im.dirtyFast(units.Pages(u.rng.uint64n(span64)))
+		s += weyl
+		p, _ := bits.Mul64(mix64(s), span64) // p < span ≤ total
+		w := p >> 6
+		old := d[w]
+		nw := old | 1<<(p&63)
+		d[w] = nw
+		x := units.Pages(0)
+		if nw != old {
+			x = 1
+		}
+		added += x
 	}
+	u.rng, im.ndirt = s, im.ndirt+added
 	return n
 }
 
@@ -206,7 +203,7 @@ type HotColdDirtier struct {
 	HotFrac units.Fraction
 	// HotProb is the probability a write lands in the hot set.
 	HotProb float64
-	rng     prng
+	rng     uint64 // splitmix64 state
 	carry   float64
 }
 
@@ -222,7 +219,7 @@ func NewHotColdDirtier(pagesPerSecond float64, hotFrac units.Fraction, hotProb f
 		PagesPerSecond: pagesPerSecond,
 		HotFrac:        hotFrac.Clamp(),
 		HotProb:        hotProb,
-		rng:            newPRNG(seed),
+		rng:            seedState(seed),
 	}
 }
 
@@ -239,16 +236,29 @@ func (h *HotColdDirtier) Step(im *Image, dtSeconds float64) int64 {
 	h.carry += h.PagesPerSecond * dtSeconds
 	n := int64(h.carry)
 	h.carry -= float64(n)
+	// As in UniformDirtier.Step; each write takes two draws, the hot/cold
+	// choice first, and the bound is picked before the one reduction.
+	s, d, prob, added := h.rng, im.dirty, h.HotProb, units.Pages(0)
 	hot64, total64 := uint64(hot), uint64(total)
 	for i := int64(0); i < n; i++ {
-		var p units.Pages
-		if h.rng.float64v() < h.HotProb {
-			p = units.Pages(h.rng.uint64n(hot64))
-		} else {
-			p = units.Pages(h.rng.uint64n(total64))
+		s += weyl
+		bound := total64
+		if float64(mix64(s)>>11)*0x1.0p-53 < prob {
+			bound = hot64
 		}
-		im.dirtyFast(p)
+		s += weyl
+		p, _ := bits.Mul64(mix64(s), bound) // p < hot ≤ total, or p < total
+		w := p >> 6
+		old := d[w]
+		nw := old | 1<<(p&63)
+		d[w] = nw
+		x := units.Pages(0)
+		if nw != old {
+			x = 1
+		}
+		added += x
 	}
+	h.rng, im.ndirt = s, im.ndirt+added
 	return n
 }
 

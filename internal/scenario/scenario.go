@@ -202,11 +202,11 @@ func (p PhaseSpec) validate(name, path string, sampled bool) error {
 	if p.DurationS <= 0 {
 		return errf(name, path+".duration_s", "must be positive, got %v", p.DurationS)
 	}
-	if p.Level < 0 {
-		return errf(name, path+".level", "must be non-negative, got %v", p.Level)
+	if p.Level < 0 || p.Level > workload.MaxPhaseFactor {
+		return errf(name, path+".level", "must be in [0, %v], got %v", workload.MaxPhaseFactor, p.Level)
 	}
-	if p.Peak < 0 {
-		return errf(name, path+".peak", "must be non-negative, got %v", p.Peak)
+	if p.Peak < 0 || p.Peak > workload.MaxPhaseFactor {
+		return errf(name, path+".peak", "must be in [0, %v], got %v", workload.MaxPhaseFactor, p.Peak)
 	}
 	// Belt and braces: the lowered phase must agree.
 	if err := ph.Validate(); err != nil {

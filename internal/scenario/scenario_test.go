@@ -157,6 +157,21 @@ func TestValidationFailurePaths(t *testing.T) {
 		{"phase at out of range", func(s *Spec) {
 			s.Phases = []PhaseSpec{{Kind: "steady", DurationS: 10, At: at(1.5)}}
 		}, "phases[0].at"},
+		{"phase level above bound", func(s *Spec) {
+			s.Phases = []PhaseSpec{{Kind: "steady", DurationS: 60, Level: 400_000}}
+		}, "phases[0].level"},
+		{"negative phase level", func(s *Spec) {
+			s.Phases = []PhaseSpec{{Kind: "steady", DurationS: 60, Level: -1}}
+		}, "phases[0].level"},
+		{"phase peak above bound", func(s *Spec) {
+			s.Phases = []PhaseSpec{
+				{Kind: "steady", DurationS: 10},
+				{Kind: "burst", DurationS: 10, Level: 1, Peak: 101},
+			}
+		}, "phases[1].peak"},
+		{"negative phase peak", func(s *Spec) {
+			s.Phases = []PhaseSpec{{Kind: "ramp", DurationS: 10, Peak: -0.5}}
+		}, "phases[0].peak"},
 		{"second phase bad", func(s *Spec) {
 			s.Phases = []PhaseSpec{
 				{Kind: "steady", DurationS: 10},

@@ -196,6 +196,9 @@ func TestRunRequestRejections(t *testing.T) {
 		{"malformed json", "/v1/runs", "{", http.StatusUnprocessableEntity, codeInvalidScenario},
 		{"unknown field", "/v1/runs", `{"name":"x","bogus":1}`, http.StatusUnprocessableEntity, codeInvalidScenario},
 		{"invalid spec", "/v1/runs", `{"version":1,"name":"x","seed":-4}`, http.StatusUnprocessableEntity, codeInvalidScenario},
+		{"phase factor above bound", "/v1/runs", `{"version":1,"name":"x","pair":"m01-m02","kind":"live",
+			"migrating":{"workload":{"profile":"pagedirtier","dirty_target":0.95}},
+			"phases":[{"kind":"steady","duration_s":60,"level":400000}]}`, http.StatusUnprocessableEntity, codeInvalidScenario},
 		{"unknown library name", "/v1/runs?name=no-such", "", http.StatusNotFound, codeNotFound},
 		{"name plus body", "/v1/runs?name=meter-1hz", minimalSpec, http.StatusBadRequest, codeInvalidRequest},
 	}

@@ -35,14 +35,21 @@ func PhaseKinds() []PhaseKind {
 	return []PhaseKind{PhaseSteady, PhaseBurst, PhaseDiurnal, PhaseRamp}
 }
 
+// MaxPhaseFactor is the largest intensity factor a phase may take. A
+// factor scales the page-write rate linearly, and the kernel issues every
+// write of a 100 ms step before it next checks for cancellation, so an
+// unbounded factor would let one spec hold a worker for hours.
+const MaxPhaseFactor = 100
+
 // Phase is one segment of a workload timeline: a shape, a duration, and
 // the intensity factors the shape interpolates between. A factor of 1
 // reproduces the underlying profile unchanged; factors below 1 throttle
-// it towards idle; values above 1 intensify it (CPU demand saturates at
-// one full vCPU, dirty rates scale without bound). Note the zero values
-// of Level and Peak select defaults (1 and Level respectively) — an
-// exactly-zero intensity is expressed with a vanishingly small factor,
-// or by pointing the scenario at the idle workload profile instead.
+// it towards idle; values above 1, up to MaxPhaseFactor, intensify it
+// (CPU demand saturates at one full vCPU, dirty rates scale linearly).
+// Note the zero values of Level and Peak select defaults (1 and Level
+// respectively) — an exactly-zero intensity is expressed with a
+// vanishingly small factor, or by pointing the scenario at the idle
+// workload profile instead.
 type Phase struct {
 	// Name labels the phase in run labels ("night", "lunch-spike"); the
 	// kind plus index is used when empty.
@@ -82,6 +89,9 @@ func (p Phase) Validate() error {
 	}
 	if p.Level < 0 || p.Peak < 0 {
 		return fmt.Errorf("workload: phase %q has negative intensity factor", p.label())
+	}
+	if !(p.Level <= MaxPhaseFactor && p.Peak <= MaxPhaseFactor) {
+		return fmt.Errorf("workload: phase %q has intensity factor above %v", p.label(), MaxPhaseFactor)
 	}
 	return nil
 }

@@ -7,9 +7,13 @@ import (
 )
 
 func TestPhaseValidate(t *testing.T) {
-	good := Phase{Kind: PhaseSteady, Duration: time.Hour}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid phase rejected: %v", err)
+	for _, good := range []Phase{
+		{Kind: PhaseSteady, Duration: time.Hour},
+		{Kind: PhaseBurst, Duration: time.Hour, Level: 0.5, Peak: MaxPhaseFactor},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Fatalf("valid phase %+v rejected: %v", good, err)
+		}
 	}
 	cases := []Phase{
 		{Kind: "spiky", Duration: time.Hour},      // unknown kind
@@ -17,6 +21,9 @@ func TestPhaseValidate(t *testing.T) {
 		{Kind: PhaseRamp, Duration: -time.Second}, // negative length
 		{Kind: PhaseSteady, Duration: time.Hour, Level: -1},
 		{Kind: PhaseSteady, Duration: time.Hour, Peak: -0.5},
+		{Kind: PhaseSteady, Duration: time.Hour, Level: 400_000},          // a single step would issue ~10^10 writes
+		{Kind: PhaseBurst, Duration: time.Hour, Peak: MaxPhaseFactor + 1}, // peak above the bound
+		{Kind: PhaseSteady, Duration: time.Hour, Level: math.NaN()},
 	}
 	for _, c := range cases {
 		if err := c.Validate(); err == nil {
