@@ -9,6 +9,8 @@
 // Image; the migration engine consumes the bitmap round by round during
 // pre-copy. The Dirtier step loop is the hottest code in memory-heavy
 // simulations (~98% of a MEMLOAD run), which is why it draws from an
-// inline splitmix64 generator instead of math/rand. Entry points:
-// NewImage, NewUniformDirtier, NewHotColdDirtier.
+// inline splitmix64 generator instead of math/rand and keeps the
+// generator state, the bitmap and the new-page count in locals for the
+// whole step. Entry points: NewImage, NewUniformDirtier,
+// NewHotColdDirtier.
 package mem

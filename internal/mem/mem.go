@@ -41,12 +41,23 @@ func (im *Image) Dirty(i units.Pages) error {
 	if i < 0 || i >= im.total {
 		return fmt.Errorf("mem: page %d out of range [0, %d)", i, im.total)
 	}
-	w, m := i>>6, uint64(1)<<uint(i&63)
-	if im.dirty[w]&m == 0 {
-		im.dirty[w] |= m
-		im.ndirt++
-	}
+	im.ndirt += mark(im.dirty, uint64(i))
 	return nil
+}
+
+// mark sets bit p of the bitmap d and returns 1 if the bit was clear, 0
+// if not. It counts without branching on the old bit: in the dirtier
+// step loops that branch is a coin toss no predictor can anticipate.
+func mark(d []uint64, p uint64) units.Pages {
+	w := p >> 6
+	old := d[w]
+	nw := old | 1<<(p&63)
+	d[w] = nw
+	x := units.Pages(0)
+	if nw != old {
+		x = 1
+	}
+	return x
 }
 
 // IsDirty reports whether page i is dirty.
@@ -171,21 +182,13 @@ func (u *UniformDirtier) Step(im *Image, dtSeconds float64) int64 {
 	n := int64(u.carry)
 	u.carry -= float64(n)
 	// The generator state, the bitmap and the new-page count stay in
-	// locals for the whole step: no store through a pointer per draw, and
-	// no branch on the old bit, which no predictor can anticipate.
+	// locals for the whole step and are written back once, so no draw
+	// stores through a pointer.
 	s, d, span64, added := u.rng, im.dirty, uint64(span), units.Pages(0)
 	for i := int64(0); i < n; i++ {
 		s += weyl
 		p, _ := bits.Mul64(mix64(s), span64) // p < span ≤ total
-		w := p >> 6
-		old := d[w]
-		nw := old | 1<<(p&63)
-		d[w] = nw
-		x := units.Pages(0)
-		if nw != old {
-			x = 1
-		}
-		added += x
+		added += mark(d, p)
 	}
 	u.rng, im.ndirt = s, im.ndirt+added
 	return n
@@ -248,15 +251,7 @@ func (h *HotColdDirtier) Step(im *Image, dtSeconds float64) int64 {
 		}
 		s += weyl
 		p, _ := bits.Mul64(mix64(s), bound) // p < hot ≤ total, or p < total
-		w := p >> 6
-		old := d[w]
-		nw := old | 1<<(p&63)
-		d[w] = nw
-		x := units.Pages(0)
-		if nw != old {
-			x = 1
-		}
-		added += x
+		added += mark(d, p)
 	}
 	h.rng, im.ndirt = s, im.ndirt+added
 	return n
