@@ -250,7 +250,7 @@ func (h *HotColdDirtier) Step(im *Image, dtSeconds float64) int64 {
 			bound = hot64
 		}
 		s += weyl
-		p, _ := bits.Mul64(mix64(s), bound) // p < hot ≤ total, or p < total
+		p, _ := bits.Mul64(mix64(s), bound) // p < bound ≤ total
 		added += mark(d, p)
 	}
 	h.rng, im.ndirt = s, im.ndirt+added
