@@ -114,7 +114,7 @@ func TestDirtierMatchesReference(t *testing.T) {
 			pages = units.Pages(60_000 + rnd.Intn(10_000))
 		}
 		rate := rnd.Float64() * 40_000
-		if trial%10 == 0 {
+		if trial%11 == 0 {
 			rate = 0
 		}
 		frac := units.Fraction(rnd.Float64())
