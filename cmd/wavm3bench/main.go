@@ -40,6 +40,14 @@ import (
 var artefactOrder = []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "table3", "table4", "table5", "table6", "table7", "ablation", "xval"}
 
 func main() {
+	if err := run(); err != nil {
+		fatal(err)
+	}
+}
+
+// run is the session. Every return after StartProfiles stops the
+// profilers and closes the cache, on failure as on success.
+func run() (err error) {
 	var (
 		quick = flag.Bool("quick", false, "reduced sweeps and repeats")
 		only  = flag.String("only", "", "comma-separated artefacts (fig2..fig7, table3..table7); empty = all")
@@ -64,12 +72,18 @@ func main() {
 	defer cancel()
 	cache, err := common.Cache()
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	defer cache.Close() // a no-op once Finish has closed it
 	stopProf, err := common.StartProfiles()
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	defer func() {
+		if perr := stopProf(); err == nil {
+			err = perr
+		}
+	}()
 	mcfg := experiments.DefaultConfig(hw.PairM)
 	mcfg.Seed = *seed
 	mcfg.Workers = common.Workers
@@ -93,10 +107,13 @@ func main() {
 	perf.Quick = *quick
 	perf.Seed = *seed
 	started := time.Now()
-	timed := func(id string, f func()) {
+	timed := func(id string, f func() error) error {
 		t0 := time.Now()
-		f()
+		if err := f(); err != nil {
+			return err
+		}
 		perf.Add(id, time.Since(t0))
+		return nil
 	}
 
 	// Figures come straight from family campaigns; the shared cache lets
@@ -110,29 +127,33 @@ func main() {
 	}
 
 	if want["fig2"] {
-		timed("fig2", func() {
+		if err := timed("fig2", func() error {
 			fig, err := experiments.Figure2(mcfg)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			emit(fig)
-		})
+			return emit(fig)
+		}); err != nil {
+			return err
+		}
 	}
 	for _, id := range []string{"fig3", "fig4", "fig5", "fig6", "fig7"} {
 		if !want[id] {
 			continue
 		}
-		timed(id, func() {
+		if err := timed(id, func() error {
 			prs, err := experiments.RunFamily(mcfg, famFor[id])
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			fig, err := experiments.FamilyFigure(famFor[id], prs)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			emit(fig)
-		})
+			return emit(fig)
+		}); err != nil {
+			return err
+		}
 	}
 
 	needTables := want["table3"] || want["table4"] || want["table5"] || want["table6"] ||
@@ -142,80 +163,65 @@ func main() {
 		var (
 			mCamp, oCamp *experiments.Campaign
 			suite        *experiments.Suite
-			err          error
 		)
-		timed("campaign-m", func() {
-			mCamp, err = experiments.RunCampaign(mcfg,
-				experiments.CPULoadSource, experiments.CPULoadTarget, experiments.MemLoadVM)
-			if err != nil {
-				fatal(err)
-			}
-		})
-		if want["table5"] {
-			timed("campaign-o", func() {
+		steps := []struct {
+			id string
+			on bool
+			f  func() error
+		}{
+			{"campaign-m", true, func() (err error) {
+				mCamp, err = experiments.RunCampaign(mcfg,
+					experiments.CPULoadSource, experiments.CPULoadTarget, experiments.MemLoadVM)
+				return err
+			}},
+			{"campaign-o", want["table5"], func() (err error) {
 				oCamp, err = experiments.RunCampaign(ocfg,
 					experiments.CPULoadSource, experiments.CPULoadTarget, experiments.MemLoadVM)
-				if err != nil {
-					fatal(err)
-				}
-			})
-		}
-		timed("training", func() {
-			suite, err = experiments.BuildSuite(mCamp, oCamp)
-			if err != nil {
-				fatal(err)
-			}
-		})
-		if want["table3"] {
-			timed("table3", func() {
+				return err
+			}},
+			{"training", true, func() (err error) {
+				suite, err = experiments.BuildSuite(mCamp, oCamp)
+				return err
+			}},
+			{"table3", want["table3"], func() error {
 				ct, err := suite.CoefficientTable(migration.NonLive)
 				if err != nil {
-					fatal(err)
+					return err
 				}
-				writeTable(report.CoeffTable(ct))
-			})
-		}
-		if want["table4"] {
-			timed("table4", func() {
+				return writeTable(report.CoeffTable(ct))
+			}},
+			{"table4", want["table4"], func() error {
 				ct, err := suite.CoefficientTable(migration.Live)
 				if err != nil {
-					fatal(err)
+					return err
 				}
-				writeTable(report.CoeffTable(ct))
-			})
-		}
-		if want["table5"] {
-			timed("table5", func() {
+				return writeTable(report.CoeffTable(ct))
+			}},
+			{"table5", want["table5"], func() error {
 				t5, err := suite.Table5()
 				if err != nil {
-					fatal(err)
+					return err
 				}
-				writeTable(report.NRMSETable(t5))
-			})
-		}
-		if want["table6"] {
-			timed("table6", func() {
+				return writeTable(report.NRMSETable(t5))
+			}},
+			{"table6", want["table6"], func() error {
 				t6, err := suite.Table6()
 				if err != nil {
-					fatal(err)
+					return err
 				}
-				writeTable(report.BaselineTable(t6))
-			})
-		}
-		if want["table7"] {
-			timed("table7", func() {
+				return writeTable(report.BaselineTable(t6))
+			}},
+			{"table7", want["table7"], func() error {
 				t7, err := suite.Table7()
 				if err != nil {
-					fatal(err)
+					return err
 				}
-				writeTable(report.ComparisonTable(t7))
-			})
-		}
-		if want["ablation"] {
-			timed("ablation", func() {
+				return writeTable(report.ComparisonTable(t7))
+			}},
+			{"ablation", want["ablation"], func() error {
 				abs, err := experiments.AblateLive(suite)
 				if err != nil {
-					fatal(err)
+					return err
 				}
 				fmt.Println("Feature ablation (live migration, NRMSE on test split):")
 				for _, a := range abs {
@@ -223,40 +229,47 @@ func main() {
 						a.NRMSE[core.Source]*100, a.NRMSE[core.Target]*100)
 				}
 				fmt.Println()
-			})
-		}
-		if want["xval"] {
-			timed("xval", func() {
+				return nil
+			}},
+			{"xval", want["xval"], func() error {
 				cv, err := suite.CrossValidateLive(4)
 				if err != nil {
-					fatal(err)
+					return err
 				}
-				writeTable(report.CrossValTable(cv))
-			})
+				return writeTable(report.CrossValTable(cv))
+			}},
+		}
+		for _, st := range steps {
+			if !st.on {
+				continue
+			}
+			if err := timed(st.id, st.f); err != nil {
+				return err
+			}
 		}
 	}
 
 	if err := common.Finish(os.Stderr, perf, cache, started); err != nil {
-		fatal(err)
-	}
-	if err := stopProf(); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "wavm3bench: done in %v\n", time.Since(started).Round(time.Second))
+	return nil
 }
 
-func emit(fig *experiments.Figure) {
+func emit(fig *experiments.Figure) error {
 	if err := report.WriteFigure(os.Stdout, fig, 25); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Println()
+	return nil
 }
 
-func writeTable(t *report.Table) {
+func writeTable(t *report.Table) error {
 	if err := t.Write(os.Stdout); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Println()
+	return nil
 }
 
 // fatal reports err and exits: code 3 when -timeout expired, 1 for

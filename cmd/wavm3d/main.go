@@ -52,6 +52,15 @@ import (
 )
 
 func main() {
+	logger := log.New(os.Stderr, "wavm3d: ", log.LstdFlags)
+	if err := run(logger); err != nil {
+		logger.Fatal(err)
+	}
+}
+
+// run is the daemon's lifetime. Every return after StartProfiles stops
+// the profilers and closes the cache, on failure as on success.
+func run(logger *log.Logger) (err error) {
 	var (
 		addr    = flag.String("addr", ":8080", "listen address")
 		dir     = flag.String("dir", "", "scenario library to serve (enables /v1/scenarios and ?name= runs)")
@@ -75,15 +84,20 @@ func main() {
 		}
 	})
 
-	logger := log.New(os.Stderr, "wavm3d: ", log.LstdFlags)
 	cache, err := common.Cache()
 	if err != nil {
-		logger.Fatal(err)
+		return err
 	}
+	defer cache.Close() // a no-op once the drain has closed it
 	stopProf, err := common.StartProfiles()
 	if err != nil {
-		logger.Fatal(err)
+		return err
 	}
+	defer func() {
+		if perr := stopProf(); err == nil {
+			err = perr
+		}
+	}()
 	srv, err := service.New(service.Config{
 		Addr:           *addr,
 		ScenarioDir:    *dir,
@@ -95,7 +109,7 @@ func main() {
 		Logger:         logger,
 	})
 	if err != nil {
-		logger.Fatal(err)
+		return err
 	}
 
 	// SIGTERM/SIGINT start the drain; a second signal during the drain
@@ -111,13 +125,11 @@ func main() {
 
 	logger.Printf("serving on %s (library: %q, %d slots + %d queued)", *addr, *dir, *maxConc, *queue)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Fatal(err)
+		return err
 	}
 	if err := <-done; err != nil {
-		logger.Fatal(err)
-	}
-	if err := stopProf(); err != nil {
-		logger.Fatal(err)
+		return err
 	}
 	logger.Printf("drained, exiting")
+	return nil
 }

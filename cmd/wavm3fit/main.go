@@ -23,6 +23,14 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fatal(err)
+	}
+}
+
+// run is the session. Every return after StartProfiles stops the
+// profilers and closes the cache, on failure as on success.
+func run() (err error) {
 	var (
 		quick = flag.Bool("quick", false, "trim sweeps and repeats for a fast demonstration")
 		runs  = flag.Int("runs", 0, "override repeats per point (0 = 10, or 2 with -quick)")
@@ -35,12 +43,18 @@ func main() {
 	defer cancel()
 	cache, err := common.Cache()
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	defer cache.Close() // a no-op once Finish has closed it
 	stopProf, err := common.StartProfiles()
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	defer func() {
+		if perr := stopProf(); err == nil {
+			err = perr
+		}
+	}()
 	cfg := experiments.DefaultConfig(hw.PairM)
 	cfg.Seed = *seed
 	cfg.Workers = common.Workers
@@ -65,13 +79,13 @@ func main() {
 	camp, err := experiments.RunCampaign(cfg,
 		experiments.CPULoadSource, experiments.CPULoadTarget, experiments.MemLoadVM)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	perf.Add("campaign", time.Since(t0))
 	t0 = time.Now()
 	suite, err := experiments.BuildSuite(camp, nil)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	perf.Add("training", time.Since(t0))
 
@@ -79,29 +93,24 @@ func main() {
 	for _, kind := range []migration.Kind{migration.NonLive, migration.Live} {
 		ct, err := suite.CoefficientTable(kind)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := report.CoeffTable(ct).Write(os.Stdout); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Println()
 	}
 
 	t6, err := suite.Table6()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := report.BaselineTable(t6).Write(os.Stdout); err != nil {
-		fatal(err)
+		return err
 	}
 	perf.Add("tables", time.Since(t0))
 
-	if err := common.Finish(os.Stderr, perf, cache, started); err != nil {
-		fatal(err)
-	}
-	if err := stopProf(); err != nil {
-		fatal(err)
-	}
+	return common.Finish(os.Stderr, perf, cache, started)
 }
 
 // fatal reports err and exits: code 3 when -timeout expired, 1 for

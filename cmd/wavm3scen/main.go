@@ -39,6 +39,14 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fatal(err)
+	}
+}
+
+// run is the session. Every return after StartProfiles stops the
+// profilers and closes the cache, on failure as on success.
+func run() (err error) {
 	var (
 		dir   = flag.String("dir", "", "run every *.json scenario in this directory")
 		check = flag.Bool("check", false, "load, validate and compile the scenarios, run nothing (CI round-trip gate)")
@@ -54,11 +62,11 @@ func main() {
 
 	if *list {
 		if *dir == "" {
-			fatal(fmt.Errorf("-list needs -dir"))
+			return fmt.Errorf("-list needs -dir")
 		}
 		infos, err := scenario.List(*dir)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		for _, in := range infos {
 			form := "migration"
@@ -72,15 +80,18 @@ func main() {
 			}
 			fmt.Printf("%-24s (%s)\n    %s\n", in.Name, form, in.Description)
 		}
-		return
+		return nil
 	}
 
-	specs := loadSpecs(*dir, flag.Args())
+	specs, err := loadSpecs(*dir, flag.Args())
+	if err != nil {
+		return err
+	}
 	compiled := make([]*scenario.Compiled, len(specs))
 	for i, s := range specs {
 		c, err := s.Compile()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		compiled[i] = c
 	}
@@ -95,19 +106,25 @@ func main() {
 				fmt.Printf("ok %-24s %d block(s)\n", specs[i].Name, len(c.Runs))
 			}
 		}
-		return
+		return nil
 	}
 
 	ctx, cancel := common.Context()
 	defer cancel()
 	cache, err := common.Cache()
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	defer cache.Close() // a no-op once Finish has closed it
 	stopProf, err := common.StartProfiles()
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	defer func() {
+		if perr := stopProf(); err == nil {
+			err = perr
+		}
+	}()
 	perf := common.NewBenchReport("wavm3scen")
 	started := time.Now()
 
@@ -116,7 +133,7 @@ func main() {
 		before := cache.Snapshot()
 		res, err := service.Exec(ctx, os.Stdout, c, common.Workers, cache)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		// Per-artefact cache effectiveness: this scenario's share of the
 		// session cache traffic across both tiers (a nil cache reads as
@@ -138,24 +155,22 @@ func main() {
 	}
 
 	if err := common.Finish(os.Stderr, perf, cache, started); err != nil {
-		fatal(err)
-	}
-	if err := stopProf(); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "wavm3scen: %d scenario(s) in %v\n", len(specs), time.Since(started).Round(time.Millisecond))
+	return nil
 }
 
 // loadSpecs resolves -dir and positional file/glob arguments in order.
 // The combined set is held to the same invariant a single directory is:
 // unique names and unique effective seeds, so `-dir scenarios/ a.json`
 // cannot run a scenario twice or smuggle in a seed collision.
-func loadSpecs(dir string, args []string) []*scenario.Spec {
+func loadSpecs(dir string, args []string) ([]*scenario.Spec, error) {
 	var specs []*scenario.Spec
 	if dir != "" {
 		ds, err := scenario.LoadDir(dir)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
 		specs = append(specs, ds...)
 	}
@@ -164,26 +179,26 @@ func loadSpecs(dir string, args []string) []*scenario.Spec {
 		// flag placed after a file would arrive here; refuse it instead of
 		// trying to open a file called "-benchjson".
 		if strings.HasPrefix(a, "-") {
-			fatal(fmt.Errorf("flag %q after positional arguments; flags must come before scenario files", a))
+			return nil, fmt.Errorf("flag %q after positional arguments; flags must come before scenario files", a)
 		}
 		if strings.ContainsAny(a, "*?[") {
 			gs, err := scenario.LoadGlob(a)
 			if err != nil {
-				fatal(err)
+				return nil, err
 			}
 			specs = append(specs, gs...)
 			continue
 		}
 		s, err := scenario.Load(a)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
 		specs = append(specs, s)
 	}
 	if err := scenario.CheckUnique(specs); err != nil {
-		fatal(err)
+		return nil, err
 	}
-	return specs
+	return specs, nil
 }
 
 // fatal reports err and exits: code 3 when -timeout expired, 1 for

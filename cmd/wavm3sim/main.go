@@ -25,6 +25,14 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fatal(err)
+	}
+}
+
+// run is the session. Every return after StartProfiles stops the
+// profilers and closes the cache, on failure as on success.
+func run() (err error) {
 	var (
 		family = flag.String("family", "CPULOAD-SOURCE", "experiment family: CPULOAD-SOURCE, CPULOAD-TARGET, MEMLOAD-VM, MEMLOAD-SOURCE, MEMLOAD-TARGET")
 		pair   = flag.String("pair", hw.PairM, "machine pair: m01-m02 or o1-o2")
@@ -40,12 +48,18 @@ func main() {
 	defer cancel()
 	cache, err := common.Cache()
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	defer cache.Close() // a no-op once Finish has closed it
 	stopProf, err := common.StartProfiles()
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	defer func() {
+		if perr := stopProf(); err == nil {
+			err = perr
+		}
+	}()
 	cfg := experiments.Config{Pair: *pair, MinRuns: *runs, VarianceTol: 0.5, Seed: *seed, Workers: common.Workers, Cache: cache, Ctx: ctx}
 	if *quick {
 		cfg.LoadLevels = []int{0, 8}
@@ -60,15 +74,15 @@ func main() {
 	t0 := time.Now()
 	prs, err := experiments.RunFamily(cfg, f)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	perf.Add(string(f), time.Since(t0))
 	fig, err := experiments.FamilyFigure(f, prs)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := report.WriteFigure(os.Stdout, fig, 30); err != nil {
-		fatal(err)
+		return err
 	}
 
 	fmt.Println()
@@ -76,21 +90,18 @@ func main() {
 		label := fmt.Sprintf("%s %s %s", f, pr.Point.Kind, pr.Point.Label())
 		run := pr.Runs[0]
 		if err := report.PhaseSummary(os.Stdout, label, run.SourceEnergy, run.TargetEnergy); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Println()
 	}
 
 	if err := common.Finish(os.Stderr, perf, cache, started); err != nil {
-		fatal(err)
-	}
-	if err := stopProf(); err != nil {
-		fatal(err)
+		return err
 	}
 
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fatal(err)
+			return err
 		}
 		for _, p := range fig.Panels {
 			for _, s := range p.Series {
@@ -98,19 +109,20 @@ func main() {
 				path := filepath.Join(*csvDir, name)
 				fh, err := os.Create(path)
 				if err != nil {
-					fatal(err)
+					return err
 				}
 				if err := s.Trace.WriteCSV(fh); err != nil {
 					fh.Close()
-					fatal(err)
+					return err
 				}
 				if err := fh.Close(); err != nil {
-					fatal(err)
+					return err
 				}
 				fmt.Printf("wrote %s\n", path)
 			}
 		}
 	}
+	return nil
 }
 
 func sanitize(s string) string {

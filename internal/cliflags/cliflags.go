@@ -1,13 +1,13 @@
 // Package cliflags wires the simulation-driving flags every command
 // shares — -workers, -nocache, -cache-dir, the store resilience knobs
 // (-cache-op-timeout, -cache-retries, -cache-breaker,
-// -cache-breaker-cooldown, -cache-chaos), -benchjson, -timeout,
-// -cpuprofile and -memprofile — so the binaries stay in flag parity by
-// construction instead of by copy-paste. A command registers the common
-// set next to its own flags, builds the session cache and execution
-// context from it, starts the profilers around its compute, and
-// finishes its benchmark report through it. The wavm3d daemon has no
-// session to bound or report, so it refuses -timeout and -benchjson.
+// -cache-breaker-cooldown), -benchjson, -timeout, -cpuprofile and
+// -memprofile — so the binaries stay in flag parity by construction
+// instead of by copy-paste. A command registers the common set next to
+// its own flags, builds the session cache and execution context from
+// it, starts the profilers around its compute, and finishes its
+// benchmark report through it. The wavm3d daemon has no session to
+// bound or report, so it refuses -timeout and -benchjson.
 package cliflags
 
 import (
@@ -58,10 +58,6 @@ type Common struct {
 	// CacheBreakerCooldown is how long the breaker stays open before
 	// probing.
 	CacheBreakerCooldown time.Duration
-	// CacheChaos, when non-empty, wraps the store in a deterministic
-	// fault injector (sim.ParseFaultSpec syntax) — the hostile-store
-	// test harness, not a production knob.
-	CacheChaos string
 	// BenchJSON, when non-empty, is where the machine-readable timing
 	// and cache metrics go.
 	BenchJSON string
@@ -89,7 +85,6 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.IntVar(&c.CacheRetries, "cache-retries", 2, "re-attempts per failed store operation, with doubling backoff (0 = no retries)")
 	fs.IntVar(&c.CacheBreaker, "cache-breaker", 5, "consecutive store failures that open the circuit breaker and degrade the cache to memory-only (0 = no breaker)")
 	fs.DurationVar(&c.CacheBreakerCooldown, "cache-breaker-cooldown", time.Second, "how long the open breaker waits before half-open probing the store")
-	fs.StringVar(&c.CacheChaos, "cache-chaos", "", "inject deterministic store faults, e.g. 'seed=7,err=0.3,torn=0.1,latency=1ms,for=2s' (test harness; results stay identical)")
 	fs.StringVar(&c.BenchJSON, "benchjson", "", "write machine-readable timing and cache metrics to this path")
 	fs.DurationVar(&c.Timeout, "timeout", 0, "abort the session after this wall-clock span (e.g. 90s, 5m; 0 = unbounded; exit code 3 on expiry)")
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a pprof CPU profile of the session to this path")
@@ -166,8 +161,7 @@ func IsDeadline(err error) bool {
 // backed by the persistent artefact directory when -cache-dir was
 // given. Persistent stores are always wrapped in the resilience policy
 // (timeouts, retries, breaker, async publishes) configured by the
-// cache-* flags, and optionally in the -cache-chaos fault injector
-// beneath it. The error is an unusable -cache-dir or a malformed flag.
+// cache-* flags. The error is an unusable -cache-dir.
 //
 // Callers with a persistent cache must sim.Cache.Close it before
 // trusting the store's contents — Finish does this; wavm3d closes
@@ -182,14 +176,6 @@ func (c *Common) Cache() (*sim.Cache, error) {
 	dir, err := sim.NewDirStore(c.CacheDir)
 	if err != nil {
 		return nil, err
-	}
-	var store sim.CacheStore = dir
-	if c.CacheChaos != "" {
-		cfg, err := sim.ParseFaultSpec(c.CacheChaos)
-		if err != nil {
-			return nil, fmt.Errorf("cliflags: -cache-chaos: %w", err)
-		}
-		store = sim.NewFaultStore(store, cfg)
 	}
 	// Flag zero means "mechanism off", which the config spells as a
 	// negative (its own zero selects the defaults).
@@ -212,7 +198,7 @@ func (c *Common) Cache() (*sim.Cache, error) {
 	if rc.BreakerThreshold <= 0 {
 		rc.BreakerThreshold = -1
 	}
-	return sim.NewCacheWithStore(0, sim.NewResilientStore(store, rc)), nil
+	return sim.NewCacheWithStore(0, sim.NewResilientStore(dir, rc)), nil
 }
 
 // NewBenchReport starts a benchmark report for the named tool with the

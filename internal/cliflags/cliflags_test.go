@@ -2,6 +2,7 @@ package cliflags
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -123,26 +124,14 @@ func TestResilienceFlagsParse(t *testing.T) {
 		"-cache-retries", "1",
 		"-cache-breaker", "3",
 		"-cache-breaker-cooldown", "200ms",
-		"-cache-chaos", "seed=7,err=0.3",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.CacheOpTimeout != 500*time.Millisecond ||
 		c.CacheRetries != 1 || c.CacheBreaker != 3 ||
-		c.CacheBreakerCooldown != 200*time.Millisecond || c.CacheChaos != "seed=7,err=0.3" {
+		c.CacheBreakerCooldown != 200*time.Millisecond {
 		t.Errorf("parsed %+v", c)
-	}
-}
-
-func TestCacheChaosSpecValidated(t *testing.T) {
-	c := &Common{CacheDir: filepath.Join(t.TempDir(), "cc"), CacheChaos: "err=2"}
-	if _, err := c.Cache(); err == nil {
-		t.Error("an out-of-range -cache-chaos rate must error")
-	}
-	c.CacheChaos = "nonsense"
-	if _, err := c.Cache(); err == nil {
-		t.Error("a malformed -cache-chaos spec must error")
 	}
 }
 
@@ -159,7 +148,7 @@ func TestFinishFlushesAsyncPublishes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cache.Run(sim.Scenario{Kind: migration.NonLive, MigratingProfile: workload.IdleProfile(), Seed: 77}); err != nil {
+	if _, err := cache.RunCtx(context.Background(), sim.Scenario{Kind: migration.NonLive, MigratingProfile: workload.IdleProfile(), Seed: 77}); err != nil {
 		t.Fatal(err)
 	}
 	var log bytes.Buffer

@@ -264,12 +264,6 @@ type Config struct {
 	// timeline that completes under any context is bit-identical.
 	Ctx context.Context
 
-	// referenceScan selects the retained linear-scan scheduler (O(F²)
-	// per event) instead of the heap scheduler. Test-only: the
-	// equivalence property test runs every fleet through both and
-	// demands bit-identical reports.
-	referenceScan bool
-
 	// fullRebuild disables the incremental dirty-set maintenance of the
 	// policy view: every planning round rebuilds the whole view from
 	// the runtime state. Test-only: the equivalence property test runs

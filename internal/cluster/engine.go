@@ -179,10 +179,6 @@ type engine struct {
 	inFlight int
 	peak     int
 
-	// flights is the linear reference scheduler's state, maintained only
-	// when cfg.referenceScan asks for the retained O(F²) loop.
-	flights []*flight
-
 	// fail is the failure-injection state (see failure.go). The airborne
 	// list inside is maintained unconditionally; the event schedule and
 	// orphan maps exist only when Config.Failures is non-empty.
@@ -352,14 +348,6 @@ func phaseLabel(p workload.Phase, i int) string {
 // happens, advance the shared-link transfers to it, then fire what is
 // due — completions first, then phase shifts, then new dispatches.
 func (e *engine) run() (*Report, error) {
-	next := e.nextEventTime
-	advance := e.advance
-	fire := e.fire
-	if e.cfg.referenceScan {
-		next = e.nextEventTimeScan
-		advance = e.advanceScan
-		fire = e.fireScan
-	}
 	for {
 		// Cancellation boundary: one non-blocking poll per event (the
 		// checks vanish for background contexts, whose Done is nil).
@@ -379,12 +367,12 @@ func (e *engine) run() (*Report, error) {
 		if err := e.joinPending(); err != nil {
 			return nil, err
 		}
-		t, ok := next()
+		t, ok := e.nextEventTime()
 		if !ok {
 			break
 		}
-		advance(t)
-		if err := fire(t); err != nil {
+		e.advance(t)
+		if err := e.fire(t); err != nil {
 			return nil, err
 		}
 	}
@@ -525,7 +513,8 @@ func (e *engine) fire(t time.Duration) error {
 }
 
 // dispatchDue runs the policy round and explicit moves due at instant t
-// and dispatches the resulting batch. Shared by both schedulers.
+// and dispatches the resulting batch. The test-side linear-scan
+// reference calls it too.
 func (e *engine) dispatchDue(t time.Duration) error {
 	var batch []TimedMove
 	if e.cfg.Policy != nil && e.tick <= t && e.tick < e.cfg.Horizon {
@@ -561,12 +550,11 @@ func (e *engine) dispatchDue(t time.Duration) error {
 
 // planRound runs one policy round at instant t and returns its moves
 // plus the pinned-list length for the tick record. The fast path plans
-// against the incrementally maintained view; the linear-scan reference
-// and non-view policies build the classic AoS snapshot. On a clean tick
-// — no host refreshed, no pinned/evacuate input changed, and the
-// previous round planned zero moves — the plan is a pure function of
-// unchanged inputs, so the round reuses the previous (empty) result
-// without calling the policy.
+// against the incrementally maintained view; non-view policies build
+// the classic AoS snapshot. On a clean tick — no host refreshed, no
+// pinned/evacuate input changed, and the previous round planned zero
+// moves — the plan is a pure function of unchanged inputs, so the round
+// reuses the previous (empty) result without calling the policy.
 func (e *engine) planRound(t time.Duration) ([]consolidation.Move, int, error) {
 	if !e.viewOn {
 		snap, pinned, evac := e.snapshot(t)
@@ -805,13 +793,7 @@ func (e *engine) joinPending() error {
 				e.markHostVarying(f.to)
 			}
 		}
-	}
-	if e.cfg.referenceScan {
-		e.flights = append(e.flights, flights...)
-	} else {
-		for _, f := range flights {
-			e.timedPush(f, f.headEnd)
-		}
+		e.timedPush(f, f.headEnd)
 	}
 	e.inFlight += len(flights)
 	if e.inFlight > e.peak {

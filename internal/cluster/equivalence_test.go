@@ -187,8 +187,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 		full, errFull := Run(rebuild)
 		ref := cfg
 		ref.Cache = cache
-		ref.referenceScan = true
-		got, errRef := Run(ref)
+		got, errRef := runReference(ref)
 		if (errFast == nil) != (errRef == nil) || (errFast == nil) != (errFull == nil) ||
 			(errFast != nil && (errFast.Error() != errRef.Error() || errFast.Error() != errFull.Error())) {
 			t.Fatalf("fleet %d: schedulers disagree on failure:\ndirty-set: %v\nrebuild: %v\nscan: %v", i, errFast, errFull, errRef)

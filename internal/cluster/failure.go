@@ -13,11 +13,10 @@ import (
 // This file is the engine's failure-injection layer. A timeline may
 // declare timed failure events — host crashes, flight aborts, switch
 // outage windows — that the discrete-event loop applies between flight
-// transitions and new dispatches at each instant. Both schedulers (the
-// heap core and the retained linear-scan reference) share every method
-// here, so failure handling is bit-identical across them by
-// construction; only the removal of an aborted flight from the
-// scheduler's own bookkeeping branches on cfg.referenceScan.
+// transitions and new dispatches at each instant. The linear-scan
+// reference scheduler the tests check the heap core against drives
+// these same methods, so failure handling is bit-identical across the
+// two by construction.
 //
 // Semantics at one instant t, in order:
 //
@@ -184,14 +183,7 @@ func (e *engine) abortNamed(name string, t time.Duration) {
 // stays resident on its source (re-pinned for one policy round when the
 // source is still alive).
 func (e *engine) abortFlight(f *flight, t time.Duration, reason string) {
-	if e.cfg.referenceScan {
-		for i, g := range e.flights {
-			if g == f {
-				e.flights = append(e.flights[:i], e.flights[i+1:]...)
-				break
-			}
-		}
-	} else if f.state == fTransfer {
+	if f.state == fTransfer {
 		e.switchState(f.sw).heap.remove(f)
 	} else {
 		e.timed.remove(f)

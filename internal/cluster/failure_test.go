@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -333,7 +334,7 @@ func TestDispatchTransactional(t *testing.T) {
 		if strings.Contains(sc.Name, "vb") {
 			return nil, errors.New("injected kernel failure")
 		}
-		return cache.Run(sc)
+		return cache.RunCtx(context.Background(), sc)
 	}
 	e, err := newEngine(cfg)
 	if err != nil {

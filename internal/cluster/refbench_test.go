@@ -7,8 +7,8 @@ import (
 )
 
 // The RefTimeline benchmarks run the identical fleets through the
-// retained linear-scan scheduler (see reference.go), so the committed
-// scaling curve carries its own baseline: compare
+// linear-scan reference scheduler (see reference_test.go), so the
+// committed scaling curve carries its own baseline: compare
 // BenchmarkClusterTimeline<N> against BenchmarkRefTimeline<N> to see
 // what the heap scheduler buys at each fleet size. The gap grows with
 // the concurrent-flight count — the linear loop pays O(F²) per event
@@ -19,8 +19,7 @@ func benchTimelineRef(b *testing.B, n int) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchFleet(n)
 		cfg.Cache = cache
-		cfg.referenceScan = true
-		if _, err := Run(cfg); err != nil {
+		if _, err := runReference(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

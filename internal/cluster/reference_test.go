@@ -3,19 +3,74 @@ package cluster
 import (
 	"math"
 	"time"
+
+	"repro/internal/consolidation"
 )
 
-// This file retains the original linear-scan scheduler — O(F) per-event
-// sweeps with O(F) occupancy counts, O(F²) per event — selected by the
-// unexported Config.referenceScan knob. It is the executable
+// This file holds the original linear-scan scheduler — O(F) per-event
+// sweeps with O(F) occupancy counts, O(F²) per event — as a test-side
+// event loop over the production engine. It is the executable
 // specification the heap scheduler is property-tested against (see
 // TestSchedulerEquivalence): both must produce bit-identical reports on
-// any fleet. It shares dispatch, lowering, snapshotting, landing and
-// reporting with the fast path; only event finding and clock advancing
-// differ.
+// any fleet. It shares dispatch, lowering, snapshotting, failure
+// handling, landing and reporting with the production engine; only
+// event finding and clock advancing differ, over a flight list of its
+// own.
+
+// planOnly hides a policy's PlanView, so the engine plans through the
+// AoS snapshot and Plan, as the reference always has.
+type planOnly struct{ consolidation.Policy }
+
+// scanEngine runs an engine's timeline with the linear-scan loop.
+type scanEngine struct {
+	*engine
+	// flights lists the airborne flights in dispatch order.
+	flights []*flight
+}
+
+// runReference executes cfg on the linear-scan reference scheduler.
+func runReference(cfg Config) (*Report, error) {
+	if cfg.Policy != nil {
+		cfg.Policy = planOnly{cfg.Policy}
+	}
+	e, err := newEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return (&scanEngine{engine: e}).runScan()
+}
+
+// runScan is the discrete-event loop of engine.run with the scans in
+// place of the heaps.
+func (e *scanEngine) runScan() (*Report, error) {
+	for {
+		// joinPending commits a batch onto the timed heap; the scans keep
+		// it in their own list instead.
+		pd := e.pendJoin
+		if err := e.joinPending(); err != nil {
+			return nil, err
+		}
+		if pd != nil {
+			for _, f := range pd.flights {
+				e.timed.remove(f)
+			}
+			e.flights = append(e.flights, pd.flights...)
+		}
+		t, ok := e.nextEventTimeScan()
+		if !ok {
+			break
+		}
+		e.advanceScan(t)
+		if err := e.fireScan(t); err != nil {
+			return nil, err
+		}
+	}
+	e.finish()
+	return e.rep, nil
+}
 
 // occupancy counts the transfers currently sharing a switch.
-func (e *engine) occupancy(sw string) int64 {
+func (e *scanEngine) occupancy(sw string) int64 {
 	n := int64(0)
 	for _, f := range e.flights {
 		if f.state == fTransfer && f.sw == sw {
@@ -27,7 +82,7 @@ func (e *engine) occupancy(sw string) int64 {
 
 // flightEventTime projects a flight's next transition instant under the
 // current link occupancy.
-func (e *engine) flightEventTime(f *flight) time.Duration {
+func (e *scanEngine) flightEventTime(f *flight) time.Duration {
 	switch f.state {
 	case fHead:
 		return f.headEnd
@@ -40,7 +95,7 @@ func (e *engine) flightEventTime(f *flight) time.Duration {
 
 // nextEventTimeScan returns the earliest instant with something due, by
 // scanning every flight.
-func (e *engine) nextEventTimeScan() (time.Duration, bool) {
+func (e *scanEngine) nextEventTimeScan() (time.Duration, bool) {
 	t, ok := time.Duration(math.MaxInt64), false
 	consider := func(c time.Duration) {
 		if c < t {
@@ -73,7 +128,7 @@ func (e *engine) nextEventTimeScan() (time.Duration, bool) {
 // by its equal share of the elapsed span. Occupancy is constant between
 // events, so the sharing arithmetic is exact integer division; a due
 // flight's remaining work reaches exactly zero.
-func (e *engine) advanceScan(t time.Duration) {
+func (e *scanEngine) advanceScan(t time.Duration) {
 	dt := t - e.now
 	if dt > 0 {
 		for _, f := range e.flights {
@@ -95,7 +150,7 @@ func (e *engine) advanceScan(t time.Duration) {
 // transitionScan advances one flight through every lifecycle phase due
 // at instant t (a flight may cascade through zero-span phases within
 // one instant) and reports whether it landed.
-func (e *engine) transitionScan(f *flight, t time.Duration) (landed bool) {
+func (e *scanEngine) transitionScan(f *flight, t time.Duration) (landed bool) {
 	for {
 		switch f.state {
 		case fHead:
@@ -121,7 +176,7 @@ func (e *engine) transitionScan(f *flight, t time.Duration) (landed bool) {
 }
 
 // fireScan processes everything due at instant t.
-func (e *engine) fireScan(t time.Duration) error {
+func (e *scanEngine) fireScan(t time.Duration) error {
 	// 1. Flight transitions, in dispatch order.
 	kept := e.flights[:0]
 	for _, f := range e.flights {
@@ -133,8 +188,16 @@ func (e *engine) fireScan(t time.Duration) error {
 
 	// 2. Failure events: same-instant completions above beat the
 	// failure; shifts and dispatches below observe the post-failure
-	// state.
+	// state. An aborted flight's VM is no longer migrating, and no batch
+	// commits before the next join, so that marks every flight to drop.
 	e.applyFailures(t)
+	kept = e.flights[:0]
+	for _, f := range e.flights {
+		if f.vm.migrating {
+			kept = append(kept, f)
+		}
+	}
+	e.flights = kept
 
 	// 3. Workload phase transitions.
 	for e.si < len(e.shifts) && e.shifts[e.si].At <= t {

@@ -95,9 +95,13 @@ func (h *flightHeap) pop() *flight {
 }
 
 // remove deletes a flight from any heap position in O(log n) via its
-// tracked index — the abort path's counterpart to pop.
+// tracked index — the abort path's counterpart to pop. A flight held by
+// no heap is left alone.
 func (h *flightHeap) remove(f *flight) {
 	i := f.heapIdx
+	if i < 0 {
+		return
+	}
 	last := len(h.fs) - 1
 	if i != last {
 		h.fs[i] = h.fs[last]

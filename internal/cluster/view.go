@@ -15,7 +15,7 @@ import (
 // only the hosts events actually changed since the last tick.
 //
 // Invariants (property-tested against the full-rebuild fallback and the
-// retained linear-scan reference):
+// test-side linear-scan reference):
 //
 //   - Every event that changes a host's slot membership or demand marks
 //     it dirty: dispatch commit (destination gains a reservation), land
@@ -34,11 +34,12 @@ import (
 //     a full sort exactly.
 
 // viewEnabled reports whether this configuration plans through the
-// incrementally maintained view: a ViewPolicy on the heap scheduler.
-// The linear-scan reference and non-view policies keep the historical
-// AoS snapshot path.
+// incrementally maintained view: a policy that implements
+// consolidation.ViewPolicy. Other policies, and the test-side
+// linear-scan reference, which hides PlanView, keep the AoS snapshot
+// path.
 func (e *engine) viewEnabled() (consolidation.ViewPolicy, bool) {
-	if e.cfg.Policy == nil || e.cfg.referenceScan {
+	if e.cfg.Policy == nil {
 		return nil, false
 	}
 	vp, ok := e.cfg.Policy.(consolidation.ViewPolicy)

@@ -105,8 +105,7 @@ type BenchReport struct {
 	// Store resilience counters (omitted for memory-only sessions):
 	// store ops that failed and were survived, re-attempts, per-op bound
 	// hits, circuit-breaker trips with the breaker's end-of-session
-	// state, and async publishes shed past the budget. The CI
-	// hostile-store smoke jq-gates these.
+	// state, and async publishes shed past the budget.
 	StoreErrors   uint64 `json:"store_errors,omitempty"`
 	StoreRetries  uint64 `json:"store_retries,omitempty"`
 	StoreTimeouts uint64 `json:"store_timeouts,omitempty"`

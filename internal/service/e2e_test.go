@@ -167,7 +167,9 @@ func expectedFor(t *testing.T, which string) []byte {
 
 // TestTimeoutFlagExitCode: every batch command under an expiring
 // -timeout aborts at a cancellation boundary and exits with the
-// documented code 3, naming the deadline on stderr. The daemon has no
+// documented code 3, naming the deadline on stderr — and still stops
+// its profilers, so -cpuprofile and -memprofile hold readable
+// gzip-compressed profiles rather than empty files. The daemon has no
 // session to bound, so it refuses -timeout with the usage code 2 and
 // points at -run-timeout; its row is bounded so that a daemon which
 // starts serving anyway fails the test instead of hanging it.
@@ -197,9 +199,16 @@ func TestTimeoutFlagExitCode(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.tool, func(t *testing.T) {
 			bin := buildTool(t, tc.tool)
+			args := tc.args
+			var profiles []string
+			if tc.code == cliflags.ExitDeadline {
+				dir := t.TempDir()
+				profiles = []string{filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")}
+				args = append([]string{"-cpuprofile", profiles[0], "-memprofile", profiles[1]}, args...)
+			}
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
-			out, err := exec.CommandContext(ctx, bin, tc.args...).CombinedOutput()
+			out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
 			if ctx.Err() != nil {
 				t.Fatalf("%s %v still running after 60s:\n%s", tc.tool, tc.args, out)
 			}
@@ -212,6 +221,14 @@ func TestTimeoutFlagExitCode(t *testing.T) {
 			}
 			if !strings.Contains(string(out), tc.inStderr) {
 				t.Errorf("output does not mention %q:\n%s", tc.inStderr, out)
+			}
+			for _, p := range profiles {
+				data, err := os.ReadFile(p)
+				if err != nil {
+					t.Errorf("profile after the deadline exit: %v", err)
+				} else if !bytes.HasPrefix(data, []byte{0x1f, 0x8b}) {
+					t.Errorf("%s is not a gzip-compressed profile (%d bytes)", filepath.Base(p), len(data))
+				}
 			}
 		})
 	}

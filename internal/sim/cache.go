@@ -148,14 +148,10 @@ func cacheKey(sc Scenario) Scenario {
 	return k
 }
 
-// Run answers a scenario from the cache, simulating it at most once per
-// key. A nil receiver runs uncached.
-func (c *Cache) Run(sc Scenario) (*RunResult, error) {
-	return c.RunCtx(context.Background(), sc)
-}
-
-// RunCtx is Run with cancellation semantics engineered for shared,
-// long-lived caches (a daemon serving many clients):
+// RunCtx answers a scenario from the cache, simulating it at most once
+// per key. A nil receiver runs uncached. Its cancellation semantics are
+// engineered for shared, long-lived caches (a daemon serving many
+// clients):
 //
 //   - A waiter whose own ctx expires stops waiting and returns its ctx
 //     error; the in-flight leader is unaffected.

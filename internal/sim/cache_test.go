@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -28,13 +29,13 @@ func TestCacheHitIsBitIdentical(t *testing.T) {
 	}
 
 	c := NewCache(0)
-	first, err := c.Run(sc)
+	first, err := c.RunCtx(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	relabelled := sc
 	relabelled.Name = "cache-b"
-	hit, err := c.Run(relabelled)
+	hit, err := c.RunCtx(context.Background(), relabelled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,15 +60,15 @@ func TestCacheHitIsBitIdentical(t *testing.T) {
 // never share an entry.
 func TestCacheKeySeparatesPhysics(t *testing.T) {
 	c := NewCache(0)
-	if _, err := c.Run(cacheScenario(7)); err != nil {
+	if _, err := c.RunCtx(context.Background(), cacheScenario(7)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(cacheScenario(8)); err != nil { // different seed
+	if _, err := c.RunCtx(context.Background(), cacheScenario(8)); err != nil { // different seed
 		t.Fatal(err)
 	}
 	live := cacheScenario(7)
 	live.Kind = migration.Live
-	if _, err := c.Run(live); err != nil {
+	if _, err := c.RunCtx(context.Background(), live); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Snapshot(); st.Hits != 0 || st.Misses != 3 {
@@ -87,7 +88,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := c.Run(sc)
+			r, err := c.RunCtx(context.Background(), sc)
 			if err != nil {
 				t.Error(err)
 				return
@@ -110,7 +111,7 @@ func TestCacheSingleflight(t *testing.T) {
 func TestCacheBoundAndClear(t *testing.T) {
 	c := NewCache(2)
 	for seed := int64(1); seed <= 3; seed++ {
-		if _, err := c.Run(cacheScenario(seed)); err != nil {
+		if _, err := c.RunCtx(context.Background(), cacheScenario(seed)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,7 +119,7 @@ func TestCacheBoundAndClear(t *testing.T) {
 		t.Fatalf("cache holds %d entries, want bound 2", n)
 	}
 	// Seed 1 was evicted (least recent); seed 3 must still hit.
-	if _, err := c.Run(cacheScenario(3)); err != nil {
+	if _, err := c.RunCtx(context.Background(), cacheScenario(3)); err != nil {
 		t.Fatal(err)
 	}
 	if hits := c.Snapshot().Hits; hits != 1 {
@@ -137,7 +138,7 @@ func TestCacheErrorNotMemoized(t *testing.T) {
 	bad := cacheScenario(1)
 	bad.SourceLoadVMs = -1
 	for i := 0; i < 2; i++ {
-		if _, err := c.Run(bad); err == nil {
+		if _, err := c.RunCtx(context.Background(), bad); err == nil {
 			t.Fatal("invalid scenario did not error")
 		}
 	}
@@ -149,7 +150,7 @@ func TestCacheErrorNotMemoized(t *testing.T) {
 // TestNilCacheRuns proves the nil receiver degrades to plain execution.
 func TestNilCacheRuns(t *testing.T) {
 	var c *Cache
-	r, err := c.Run(cacheScenario(5))
+	r, err := c.RunCtx(context.Background(), cacheScenario(5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"os"
@@ -72,7 +73,7 @@ func TestCacheCorruptionMatrix(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			// Publish a good artefact, then corrupt it in place.
-			if _, err := newDiskCache(t, dir).Run(sc); err != nil {
+			if _, err := newDiskCache(t, dir).RunCtx(context.Background(), sc); err != nil {
 				t.Fatal(err)
 			}
 			files := artefactFiles(t, dir)
@@ -90,7 +91,7 @@ func TestCacheCorruptionMatrix(t *testing.T) {
 
 			// A fresh cache must recover: miss, quarantine, re-run, same bits.
 			c := newDiskCache(t, dir)
-			got, err := c.Run(sc)
+			got, err := c.RunCtx(context.Background(), sc)
 			if err != nil {
 				t.Fatalf("corrupt artefact surfaced as an error: %v", err)
 			}
@@ -118,7 +119,7 @@ func TestCacheCorruptionMatrix(t *testing.T) {
 
 			// The dir is fully healed: the next process is pure disk hits.
 			warm := newDiskCache(t, dir)
-			got2, err := warm.Run(sc)
+			got2, err := warm.RunCtx(context.Background(), sc)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -59,7 +59,7 @@ func TestDiskCacheColdWarmBitIdentical(t *testing.T) {
 	}
 
 	cold := newDiskCache(t, dir)
-	got, err := cold.Run(sc)
+	got, err := cold.RunCtx(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestDiskCacheColdWarmBitIdentical(t *testing.T) {
 	// A fresh cache in a fresh process position: disk answers, the
 	// kernel never runs, and the result is bit-identical.
 	warm := newDiskCache(t, dir)
-	got2, err := warm.Run(sc)
+	got2, err := warm.RunCtx(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestDiskCacheColdWarmBitIdentical(t *testing.T) {
 
 	// Clearing the memory tier re-warms from disk, not from the kernel.
 	warm.Clear()
-	if _, err := warm.Run(sc); err != nil {
+	if _, err := warm.RunCtx(context.Background(), sc); err != nil {
 		t.Fatal(err)
 	}
 	if st := warm.Snapshot(); st.KernelRuns != 0 || st.DiskHits != 2 {
@@ -100,11 +100,11 @@ func TestDiskCacheColdWarmBitIdentical(t *testing.T) {
 func TestDiskCacheDistinctKeysDistinctArtefacts(t *testing.T) {
 	dir := t.TempDir()
 	c := newDiskCache(t, dir)
-	a, err := c.Run(diskScenario(1))
+	a, err := c.RunCtx(context.Background(), diskScenario(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Run(diskScenario(2))
+	b, err := c.RunCtx(context.Background(), diskScenario(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestDiskCacheDistinctKeysDistinctArtefacts(t *testing.T) {
 	// artefact.
 	renamed := diskScenario(1)
 	renamed.Name = "other-label"
-	if _, err := newDiskCache(t, dir).Run(renamed); err != nil {
+	if _, err := newDiskCache(t, dir).RunCtx(context.Background(), renamed); err != nil {
 		t.Fatal(err)
 	}
 	if files := artefactFiles(t, dir); len(files) != 2 {
@@ -205,7 +205,7 @@ func TestDiskCachePutFailureDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Run(sc)
+	got, err := c.RunCtx(context.Background(), sc)
 	if err != nil {
 		t.Fatalf("run failed on a broken store: %v", err)
 	}
@@ -303,7 +303,7 @@ func TestWedgedLockTimesOutToOwnerWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCacheWithStore(0, rs)
-	got, err := c.Run(sc)
+	got, err := c.RunCtx(context.Background(), sc)
 	if err != nil {
 		t.Fatalf("run with a wedged lock: %v", err)
 	}
@@ -347,7 +347,7 @@ func TestLockFailureOwnerWinsSingleflight(t *testing.T) {
 			wg.Add(1)
 			go func(c *Cache) {
 				defer wg.Done()
-				got, err := c.Run(sc)
+				got, err := c.RunCtx(context.Background(), sc)
 				if err != nil {
 					t.Errorf("racing run: %v", err)
 					return
@@ -370,7 +370,7 @@ func TestLockFailureOwnerWinsSingleflight(t *testing.T) {
 
 	// A third, cold cache warms entirely from the artefact.
 	c3 := newLocklessCache()
-	got, err := c3.Run(sc)
+	got, err := c3.RunCtx(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}

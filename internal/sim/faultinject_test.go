@@ -3,8 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,67 +48,14 @@ type FaultConfig struct {
 	FaultFor time.Duration
 }
 
-// ParseFaultSpec parses the CLI's compact fault syntax into a
-// FaultConfig: comma-separated key=value pairs, e.g.
-// "seed=7,err=0.3,torn=0.1,hang=0.05,hangfor=50ms,lockfail=0.2,latency=1ms,ops=400,for=2s".
-func ParseFaultSpec(spec string) (FaultConfig, error) {
-	var cfg FaultConfig
-	for _, kv := range strings.Split(spec, ",") {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return cfg, fmt.Errorf("sim: fault spec %q: %q is not key=value", spec, kv)
-		}
-		var err error
-		switch k {
-		case "seed":
-			cfg.Seed, err = strconv.ParseInt(v, 10, 64)
-		case "ops":
-			cfg.FaultyOps, err = strconv.ParseInt(v, 10, 64)
-		case "err":
-			cfg.ErrRate, err = parseRate(v)
-		case "torn":
-			cfg.TornRate, err = parseRate(v)
-		case "hang":
-			cfg.HangRate, err = parseRate(v)
-		case "lockfail":
-			cfg.LockFailRate, err = parseRate(v)
-		case "latency":
-			cfg.Latency, err = time.ParseDuration(v)
-		case "hangfor":
-			cfg.HangFor, err = time.ParseDuration(v)
-		case "for":
-			cfg.FaultFor, err = time.ParseDuration(v)
-		default:
-			return cfg, fmt.Errorf("sim: fault spec %q: unknown key %q", spec, k)
-		}
-		if err != nil {
-			return cfg, fmt.Errorf("sim: fault spec %q: %s: %w", spec, k, err)
-		}
-	}
-	return cfg, nil
-}
-
-func parseRate(v string) (float64, error) {
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, err
-	}
-	if f < 0 || f > 1 {
-		return 0, fmt.Errorf("rate %v outside [0, 1]", f)
-	}
-	return f, nil
-}
-
 // FaultStore wraps any CacheStore with deterministic, seeded chaos:
 // injected errors, latency, hangs, torn reads and lock-acquisition
 // failures, optionally confined to a scripted window (FaultConfig).
-// It exists to prove the resilience stack's invariant — any store
-// misbehaviour degrades to a miss or a skip, never an error, never a
-// wrong byte — under test and in CI, against the real store layout.
+// It is a test harness: it proves the resilience stack's invariant —
+// any store misbehaviour degrades to a miss or a skip, never an error,
+// never a wrong byte — against the real store layout. It lives in a
+// test file, so no binary ships it, and keeps its exported names so
+// the external sim_test package can build the production chain over it.
 //
 // Construct with NewFaultStore. Close releases any injected hangs still
 // in flight and closes the inner store if it is closeable.

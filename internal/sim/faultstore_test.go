@@ -2,35 +2,12 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"reflect"
 	"testing"
 	"time"
 )
-
-// TestParseFaultSpec covers the CLI syntax round trip and its rejects.
-func TestParseFaultSpec(t *testing.T) {
-	cfg, err := ParseFaultSpec("seed=7,err=0.3,torn=0.1,hang=0.05,lockfail=0.2,latency=1ms,hangfor=50ms,ops=400,for=2s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := FaultConfig{
-		Seed: 7, ErrRate: 0.3, TornRate: 0.1, HangRate: 0.05, LockFailRate: 0.2,
-		Latency: time.Millisecond, HangFor: 50 * time.Millisecond,
-		FaultyOps: 400, FaultFor: 2 * time.Second,
-	}
-	if !reflect.DeepEqual(cfg, want) {
-		t.Errorf("parsed %+v, want %+v", cfg, want)
-	}
-	if _, err := ParseFaultSpec(""); err != nil {
-		t.Errorf("empty spec rejected: %v", err)
-	}
-	for _, bad := range []string{"err", "err=2", "err=x", "bogus=1", "latency=fast"} {
-		if _, err := ParseFaultSpec(bad); err == nil {
-			t.Errorf("spec %q accepted, want error", bad)
-		}
-	}
-}
 
 // TestFaultStoreDeterministic asserts two FaultStores with the same
 // seed inject the identical fault sequence over the identical op
@@ -158,7 +135,7 @@ func TestFaultyStoreTortureBitIdentical(t *testing.T) {
 	// reads everything back bit-identical.
 	clean := newDiskCache(t, dir)
 	for _, s := range seeds {
-		res, err := clean.Run(diskScenario(s))
+		res, err := clean.RunCtx(context.Background(), diskScenario(s))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +164,7 @@ func TestFaultWindowBreakerRecloses(t *testing.T) {
 	c := hostileStack(t, dir, FaultConfig{Seed: 3, ErrRate: 1.0, FaultFor: window})
 
 	// Inside the window: every store op fails, the run still answers.
-	got, err := c.Run(sc)
+	got, err := c.RunCtx(context.Background(), sc)
 	if err != nil {
 		t.Fatalf("run during the fault window: %v", err)
 	}
@@ -203,7 +180,7 @@ func TestFaultWindowBreakerRecloses(t *testing.T) {
 	// trips; ErrBreakerOpen never surfaces to a caller. (Fresh keys each
 	// time: a memory hit makes no store op, so repeats prove nothing.)
 	for s := int64(100); mid.BreakerOpens == 0 && s < 140; s++ {
-		if _, err := c.Run(diskScenario(s)); err != nil {
+		if _, err := c.RunCtx(context.Background(), diskScenario(s)); err != nil {
 			t.Fatalf("seed %d during fault window: %v", s, err)
 		}
 		mid = c.Snapshot()
@@ -218,7 +195,7 @@ func TestFaultWindowBreakerRecloses(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	probe := int64(200)
 	for {
-		if _, err := c.Run(diskScenario(probe)); err != nil {
+		if _, err := c.RunCtx(context.Background(), diskScenario(probe)); err != nil {
 			t.Fatal(err)
 		}
 		if st := c.Snapshot(); st.BreakerState == "closed" {
@@ -235,14 +212,14 @@ func TestFaultWindowBreakerRecloses(t *testing.T) {
 	// drain: its artefact must land on disk and answer a fresh cache
 	// from disk without a kernel run — warm hits have resumed.
 	healed := diskScenario(999)
-	if _, err := c.Run(healed); err != nil {
+	if _, err := c.RunCtx(context.Background(), healed); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("drain after heal: %v", err)
 	}
 	c2 := newDiskCache(t, dir)
-	if _, err := c2.Run(healed); err != nil {
+	if _, err := c2.RunCtx(context.Background(), healed); err != nil {
 		t.Fatal(err)
 	}
 	if st := c2.Snapshot(); st.DiskHits != 1 || st.KernelRuns != 0 {
@@ -257,7 +234,7 @@ func TestTornReadReprobe(t *testing.T) {
 	dir := t.TempDir()
 	sc := diskScenario(5)
 	seed := newDiskCache(t, dir)
-	if _, err := seed.Run(sc); err != nil {
+	if _, err := seed.RunCtx(context.Background(), sc); err != nil {
 		t.Fatal(err)
 	}
 
@@ -267,11 +244,11 @@ func TestTornReadReprobe(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCacheWithStore(0, &tearOnceStore{CacheStore: store})
-	got, err := c.Run(sc)
+	got, err := c.RunCtx(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRes, _ := seed.Run(sc)
+	wantRes, _ := seed.RunCtx(context.Background(), sc)
 	if !reflect.DeepEqual(got, wantRes) {
 		t.Fatal("re-probed result differs")
 	}

@@ -312,7 +312,7 @@ func TestBreakerDegradesCacheToMemoryOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		got, err := c.Run(sc)
+		got, err := c.RunCtx(context.Background(), sc)
 		if err != nil {
 			t.Fatalf("run %d against a dead store: %v", i, err)
 		}

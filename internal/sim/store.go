@@ -17,10 +17,11 @@ var ErrArtefactNotFound = errors.New("sim: artefact not found")
 
 // CacheStore is the persistence tier behind a Cache: a content-addressed
 // blob store keyed by artefact name (hash + encoding version, see
-// artefactName). DirStore is the backend; ResilientStore and FaultStore
-// wrap it. Stores hold opaque bytes — all encoding, verification and
-// corruption handling lives in the cache layer above, so a store never
-// has to distinguish a good artefact from a rotten one.
+// artefactName). DirStore is the backend and ResilientStore wraps it;
+// the tests also wrap it in a fault injector. Stores hold opaque bytes
+// — all encoding, verification and corruption handling lives in the
+// cache layer above, so a store never has to distinguish a good
+// artefact from a rotten one.
 //
 // Contract: Get returns ErrArtefactNotFound for absent names; Put is
 // atomic and owner-wins (concurrent writers of the same name are

@@ -3,6 +3,7 @@ package sim
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -45,7 +46,7 @@ func hammer(t *testing.T, c *Cache, seeds []int64, want map[int64]string, worker
 			for rep := 0; rep < reps; rep++ {
 				for i := range seeds {
 					s := seeds[(i+g+rep)%len(seeds)] // varied order: same-key and cross-key contention
-					res, err := c.Run(diskScenario(s))
+					res, err := c.RunCtx(context.Background(), diskScenario(s))
 					if err != nil {
 						t.Errorf("seed %d: %v", s, err)
 						return
@@ -89,7 +90,7 @@ func TestCacheTortureHelper(t *testing.T) {
 			for rep := 0; rep < 2; rep++ {
 				for i := range seeds {
 					s := seeds[(i+g+rep)%len(seeds)]
-					if _, err := c.Run(diskScenario(s)); err != nil {
+					if _, err := c.RunCtx(context.Background(), diskScenario(s)); err != nil {
 						t.Errorf("seed %d: %v", s, err)
 						return
 					}
@@ -99,7 +100,7 @@ func TestCacheTortureHelper(t *testing.T) {
 	}
 	wg.Wait()
 	for _, s := range seeds {
-		res, err := c.Run(diskScenario(s)) // memory hit; no extra kernel run
+		res, err := c.RunCtx(context.Background(), diskScenario(s)) // memory hit; no extra kernel run
 		if err != nil {
 			t.Fatal(err)
 		}
