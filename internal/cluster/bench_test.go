@@ -155,13 +155,18 @@ func benchSparseTimeline(b *testing.B, n int) {
 	for i := 0; i < b.N; i++ {
 		cfg := sparseFleet(n)
 		cfg.Cache = cache
-		rep, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Timeline) == 0 || rep.ReplanRounds != 96 {
-			b.Fatalf("fixture drift: %d moves over %d rounds, want a converging 96-round day", len(rep.Timeline), rep.ReplanRounds)
-		}
+		runSparseDay(b, cfg)
+	}
+}
+
+// runSparseDay runs one sparse-fixture day and checks its shape.
+func runSparseDay(b *testing.B, cfg Config) {
+	rep, err := Run(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(rep.Timeline) == 0 || rep.ReplanRounds != 96 {
+		b.Fatalf("fixture drift: %d moves over %d rounds, want a converging 96-round day", len(rep.Timeline), rep.ReplanRounds)
 	}
 }
 
@@ -173,3 +178,20 @@ func benchSparseTimeline(b *testing.B, n int) {
 // planner's scan and the incremental view, not kernel throughput.
 func BenchmarkClusterTimeline8k(b *testing.B)   { benchSparseTimeline(b, 8192) }
 func BenchmarkClusterTimeline100k(b *testing.B) { benchSparseTimeline(b, 100000) }
+
+// BenchmarkClusterTimeline100kPrepared times what a compiled scenario's
+// run costs: the 100,000-host fixture is built and prepared before the
+// timer starts, as scenario compilation does, so each iteration builds
+// only the run's mutable state before the day runs.
+func BenchmarkClusterTimeline100kPrepared(b *testing.B) {
+	cfg, err := Prepare(sparseFleet(100000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Cache = sim.NewCache(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runSparseDay(b, cfg)
+	}
+}

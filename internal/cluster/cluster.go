@@ -205,7 +205,9 @@ type TimedMove struct {
 	At time.Duration
 }
 
-// Config describes one cluster timeline.
+// Config describes one cluster timeline. Prepare checks and lays out a
+// config once for many runs; a prepared config's Hosts, Moves and
+// Failures, and everything they hold, are read-only.
 type Config struct {
 	// Hosts is the cluster population.
 	Hosts []Host
@@ -275,19 +277,94 @@ type Config struct {
 	// migration scenarios. Test-only: the dispatch-transaction tests
 	// inject kernels that fail mid-batch.
 	simOverride func(sim.Scenario) (*sim.RunResult, error)
+
+	// layout is what Prepare checked and laid out for this config. It is
+	// shared by every copy of the config and every run of it.
+	layout *layout
 }
 
-// Validate rejects unusable configurations. It is called by Run; callers
-// that assemble configs from external data (scenario files) call it
-// directly for early, pathed errors.
+// Validate rejects unusable configurations. Run calls it for any config
+// Prepare did not lay out, or whose checked fields changed since;
+// callers that assemble configs from external data (scenario files)
+// call it directly for early, pathed errors.
 func (c Config) Validate() error {
 	_, err := c.validate()
 	return err
 }
 
-// validate is Validate returning the resolved hosts in Config.Hosts
-// order, so Run resolves every host exactly once.
-func (c Config) validate() ([]resolved, error) {
+// Prepare validates cfg and returns it with its layout attached: the
+// resolved hosts in name order plus host and VM name indices. Run then
+// builds only the mutable per-run state, so a config run many times — a
+// compiled scenario — is validated, sorted and indexed once.
+//
+// A prepared config's Hosts, Moves and Failures are read-only. Copies
+// keep the layout, and may set Workers, Cache, Ctx, PolicyConfig, Seed
+// or another policy. Run validates and lays out afresh a config whose
+// Hosts, Moves or Failures is another slice, whose other fields Validate
+// reads have changed, or whose policy was set or unset. Concurrent runs
+// of one prepared config share the layout; none writes to it.
+func Prepare(cfg Config) (Config, error) {
+	l, err := cfg.validate()
+	if err != nil {
+		return Config{}, err
+	}
+	l.order()
+	cfg.layout = l
+	return cfg, nil
+}
+
+// layout is a validated config's hosts in the engine's iteration order,
+// plus the name indices a run resolves moves and failures through. No
+// run writes to it.
+type layout struct {
+	hosts   []*resolved      // name order, each host's VMs in name order
+	hostIdx map[string]int32 // host name → position in hosts
+	vmIdx   map[string]int32 // VM name → position among all VMs, in hosts order
+	nvms    int
+
+	// What validate read, so fits can tell whether a config is still the
+	// one checked. The slices are the config's own, held rather than
+	// their addresses so equal configs stay reflect.DeepEqual.
+	cfgHosts []Host
+	moves    []TimedMove
+	failures []FailureEvent
+	scalars  checkedScalars
+}
+
+// checkedScalars are the comparable Config fields validate reads.
+// policy records whether a policy is set, never which, so a copy of a
+// prepared config may plan with a wrapped or different policy.
+type checkedScalars struct {
+	kind                    migration.Kind
+	pair                    string
+	policy, serial          bool
+	tick, horizon, deadline time.Duration
+}
+
+// scalarsOf returns c's checked scalar fields.
+func scalarsOf(c Config) checkedScalars {
+	return checkedScalars{c.Kind, c.Pair, c.Policy != nil, c.Serial, c.Tick, c.Horizon, c.EvacuationDeadline}
+}
+
+// fits reports whether l was checked for c: every field validate reads
+// is unchanged, and Hosts, Moves and Failures are the same slices (same
+// first element, same length).
+func (l *layout) fits(c Config) bool {
+	return l != nil && l.scalars == scalarsOf(c) &&
+		sameSlice(l.cfgHosts, c.Hosts) && sameSlice(l.moves, c.Moves) && sameSlice(l.failures, c.Failures)
+}
+
+// sameSlice reports whether a and b view the same elements.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// validate is Validate returning the layout its checks built, before
+// order: the hosts resolved in Config.Hosts order, and the name indices
+// as the checks used them (host name → position in Hosts, VM names as a
+// set). Prepare orders it; Validate drops it, so a check alone pays for
+// no sort.
+func (c Config) validate() (*layout, error) {
 	if len(c.Hosts) == 0 {
 		return nil, errors.New("cluster: no hosts")
 	}
@@ -314,7 +391,11 @@ func (c Config) validate() ([]resolved, error) {
 	for _, h := range c.Hosts {
 		nvms += len(h.VMs)
 	}
-	vms := make(map[string]bool, nvms)
+	vms := make(map[string]int32, nvms)
+	l := &layout{
+		hosts: make([]*resolved, len(c.Hosts)), hostIdx: index, vmIdx: vms, nvms: nvms,
+		cfgHosts: c.Hosts, moves: c.Moves, failures: c.Failures, scalars: scalarsOf(c),
+	}
 	for i, h := range c.Hosts {
 		r, err := h.resolve(cat)
 		if err != nil {
@@ -328,6 +409,7 @@ func (c Config) validate() ([]resolved, error) {
 		}
 		index[r.Name] = int32(i)
 		hosts[i] = r
+		l.hosts[i] = &hosts[i]
 		switches[i] = r.sw
 		// A Switch override changes the contention domain, not the
 		// physics: without a Pair override, a move still simulates on the
@@ -339,10 +421,10 @@ func (c Config) validate() ([]resolved, error) {
 			physical[i] = cat[h.Machine].Switch
 		}
 		for _, v := range h.VMs {
-			if vms[v.Name] {
+			if _, dup := vms[v.Name]; dup {
 				return nil, fmt.Errorf("cluster: VM %q appears on two hosts", v.Name)
 			}
-			vms[v.Name] = true
+			vms[v.Name] = 0
 			if c.Serial && len(v.Phases) > 0 {
 				return nil, fmt.Errorf("cluster: VM %q has phases; serial timelines are time-invariant", v.Name)
 			}
@@ -386,12 +468,13 @@ func (c Config) validate() ([]resolved, error) {
 	for i, m := range c.Moves {
 		from, fromOK := index[m.From]
 		to, toOK := index[m.To]
+		_, vmOK := vms[m.VM]
 		switch {
 		case m.VM == "":
 			return nil, fmt.Errorf("cluster: move %d has no VM", i)
 		case dispatched[m.VM][m.At]:
 			return nil, fmt.Errorf("cluster: move %d dispatches VM %q twice at %v", i, m.VM, m.At)
-		case !vms[m.VM]:
+		case !vmOK:
 			return nil, fmt.Errorf("cluster: move %d references unknown VM %q", i, m.VM)
 		case !fromOK:
 			return nil, fmt.Errorf("cluster: move %d references unknown host %q", i, m.From)
@@ -418,28 +501,35 @@ func (c Config) validate() ([]resolved, error) {
 	if err := c.validateFailures(index, vms, switches); err != nil {
 		return nil, err
 	}
-	return hosts, nil
+	return l, nil
 }
 
-// sortedHosts orders resolved hosts, and each host's VMs, by name, the
-// engine's iteration order. Fleet templates stamp hosts and VMs in name
-// order, so lists already in order are kept as they are; a VM list that
+// order sorts the layout's hosts, and each host's VMs, by name — the
+// engine's iteration order — and points the name indices at the sorted
+// positions. A list already in order is kept as it is; a VM list that
 // needs sorting is copied first, because it still belongs to the
-// caller's Config.
-func sortedHosts(hosts []resolved) []*resolved {
+// caller's Config. Fleet templates stamp names with a fixed-width
+// "-%04d" suffix, so a group of more than 10,000 replicas is out of
+// order ("spare-10000" sorts before "spare-9999") and pays a full sort
+// here, once per prepared config.
+func (l *layout) order() {
 	vmByName := func(a, b VM) int { return strings.Compare(a.Name, b.Name) }
 	hostByName := func(a, b *resolved) int { return strings.Compare(a.Name, b.Name) }
-	out := make([]*resolved, len(hosts))
-	for i := range hosts {
-		r := &hosts[i]
+	for _, r := range l.hosts {
 		if !slices.IsSortedFunc(r.VMs, vmByName) {
 			r.VMs = slices.Clone(r.VMs)
 			slices.SortFunc(r.VMs, vmByName)
 		}
-		out[i] = r
 	}
-	if !slices.IsSortedFunc(out, hostByName) {
-		slices.SortFunc(out, hostByName)
+	if !slices.IsSortedFunc(l.hosts, hostByName) {
+		slices.SortFunc(l.hosts, hostByName)
 	}
-	return out
+	k := int32(0)
+	for i, r := range l.hosts {
+		l.hostIdx[r.Name] = int32(i)
+		for _, v := range r.VMs {
+			l.vmIdx[v.Name] = k
+			k++
+		}
+	}
 }

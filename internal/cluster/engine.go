@@ -155,12 +155,13 @@ type indexedRec struct {
 }
 
 type engine struct {
-	cfg     Config
-	ctx     context.Context
-	done    <-chan struct{} // ctx.Done(), captured once; nil when uncancellable
+	cfg  Config // its layout is set, and shared with every other run of cfg
+	ctx  context.Context
+	done <-chan struct{} // ctx.Done(), captured once; nil when uncancellable
+	// hosts and guests are this run's runtime state, in the layout's
+	// order, so the layout's name indices index them.
 	hosts   []*hostRT
-	byName  map[string]*hostRT
-	vms     map[string]*vmRT
+	guests  []vmRT
 	now     time.Duration
 	tick    time.Duration
 	pending []TimedMove
@@ -228,8 +229,10 @@ type dispatchResult struct {
 }
 
 // Run executes one cluster timeline to completion and returns its
-// report. The result is bit-identical across runs, worker counts and
-// cache settings.
+// report. A config Prepare laid out runs without being checked again;
+// any other config is validated and laid out first. The result is
+// bit-identical across runs, worker counts, cache settings and whether
+// the config was prepared.
 func Run(cfg Config) (*Report, error) {
 	e, err := newEngine(cfg)
 	if err != nil {
@@ -241,18 +244,18 @@ func Run(cfg Config) (*Report, error) {
 	return e.run()
 }
 
-// newEngine validates cfg and builds the engine from the hosts the
-// validation resolved, so a run resolves every host once.
+// newEngine builds a run's mutable state — the host and VM runtime
+// arrays, the policy view and the heaps — from cfg's layout. A config
+// without a layout that fits it is validated and laid out here, once
+// per run.
 func newEngine(cfg Config) (*engine, error) {
-	resolvedHosts, err := cfg.validate()
-	if err != nil {
-		return nil, err
+	if !cfg.layout.fits(cfg) {
+		var err error
+		if cfg, err = Prepare(cfg); err != nil {
+			return nil, err
+		}
 	}
-	hosts := sortedHosts(resolvedHosts)
-	nvms := 0
-	for _, r := range hosts {
-		nvms += len(r.VMs)
-	}
+	l := cfg.layout
 	ctx := cfg.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -261,37 +264,32 @@ func newEngine(cfg Config) (*engine, error) {
 		cfg:      cfg,
 		ctx:      ctx,
 		done:     ctx.Done(),
-		hosts:    make([]*hostRT, len(hosts)),
-		byName:   make(map[string]*hostRT, len(hosts)),
-		vms:      make(map[string]*vmRT, nvms),
+		hosts:    make([]*hostRT, len(l.hosts)),
+		guests:   make([]vmRT, l.nvms),
 		rep:      &Report{},
 		timed:    flightHeap{key: dueKey},
 		switches: make(map[string]*swState),
 	}
-	// One backing array each for the hosts, the guests and the hosts'
-	// guest lists. Each guest list is capped at its own length, so a host
-	// that gains a guest reallocates instead of growing into the next
-	// host's list.
-	hostArr := make([]hostRT, len(hosts))
-	vmArr := make([]vmRT, nvms)
-	lists := make([]*vmRT, nvms)
+	// One backing array each for the hosts and the hosts' guest lists.
+	// Each guest list is capped at its own length, so a host that gains a
+	// guest reallocates instead of growing into the next host's list.
+	hostArr := make([]hostRT, len(l.hosts))
+	lists := make([]*vmRT, l.nvms)
 	k := 0
-	for i, r := range hosts {
+	for i, r := range l.hosts {
 		h := &hostArr[i]
 		h.resolved, h.vi = r, int32(i)
 		h.vms = lists[k : k+len(r.VMs) : k+len(r.VMs)]
 		for j, v := range r.VMs {
-			vr := &vmArr[k+j]
+			vr := &e.guests[k+j]
 			vr.VM, vr.host, vr.phased = v, h, len(v.Phases) > 0
 			if vr.phased {
 				h.phasedRes++
 			}
 			h.vms[j] = vr
-			e.vms[v.Name] = vr
 		}
 		k += len(r.VMs)
 		e.hosts[i] = h
-		e.byName[h.Name] = h
 	}
 	e.snapHosts = make([]consolidation.HostState, 0, len(e.hosts))
 	e.initFailures(cfg.Failures)
@@ -670,10 +668,26 @@ func (e *engine) lower(v *vmRT, src, dst *hostRT, t time.Duration, idx int) sim.
 	return sc
 }
 
+// hostNamed returns the host called name, or nil.
+func (e *engine) hostNamed(name string) *hostRT {
+	if i, ok := e.cfg.layout.hostIdx[name]; ok {
+		return e.hosts[i]
+	}
+	return nil
+}
+
+// guestNamed returns the VM called name, or nil.
+func (e *engine) guestNamed(name string) *vmRT {
+	if i, ok := e.cfg.layout.vmIdx[name]; ok {
+		return &e.guests[i]
+	}
+	return nil
+}
+
 // checkMove resolves and sanity-checks one dispatching move.
 func (e *engine) checkMove(m TimedMove) (*vmRT, *hostRT, error) {
-	v, ok := e.vms[m.VM]
-	if !ok {
+	v := e.guestNamed(m.VM)
+	if v == nil {
 		return nil, nil, fmt.Errorf("cluster: move references unknown VM %q", m.VM)
 	}
 	if v.migrating {
@@ -682,8 +696,8 @@ func (e *engine) checkMove(m TimedMove) (*vmRT, *hostRT, error) {
 	if v.host.Name != m.From {
 		return nil, nil, fmt.Errorf("cluster: VM %q is on host %q, not %q", m.VM, v.host.Name, m.From)
 	}
-	dst, ok := e.byName[m.To]
-	if !ok {
+	dst := e.hostNamed(m.To)
+	if dst == nil {
 		return nil, nil, fmt.Errorf("cluster: move references unknown host %q", m.To)
 	}
 	if dst == v.host {

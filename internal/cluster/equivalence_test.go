@@ -153,6 +153,20 @@ func injectFailures(r *rand.Rand, cfg *Config) {
 	}
 }
 
+// equivalenceFleets are the 22 seeded random fleets the scheduler
+// equivalence property runs; the last 12 carry failure schedules.
+func equivalenceFleets() []Config {
+	r := rand.New(rand.NewSource(20260728))
+	out := make([]Config, 22)
+	for i := range out {
+		out[i] = randomFleet(r)
+		if i >= 10 {
+			injectFailures(r, &out[i])
+		}
+	}
+	return out
+}
+
 // TestSchedulerEquivalence is the tentpole's safety net: on randomized
 // fleets, the heap scheduler with its incrementally maintained dirty-set
 // policy view, the property-tested full-rebuild fallback (the same view
@@ -168,13 +182,8 @@ func injectFailures(r *rand.Rand, cfg *Config) {
 // fail identically on every path.
 func TestSchedulerEquivalence(t *testing.T) {
 	cache := sim.NewCache(0)
-	r := rand.New(rand.NewSource(20260728))
 	fleets, aborted := 0, 0
-	for i := 0; i < 22; i++ {
-		cfg := randomFleet(r)
-		if i >= 10 {
-			injectFailures(r, &cfg)
-		}
+	for i, cfg := range equivalenceFleets() {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("fleet %d: generator produced an invalid config: %v", i, err)
 		}

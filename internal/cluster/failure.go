@@ -139,7 +139,7 @@ func (e *engine) applyFailures(t time.Duration) {
 // crashHost drops a host: every flight touching it aborts, every
 // resident orphans, and the host leaves the idle-power floor.
 func (e *engine) crashHost(name string, t time.Duration) {
-	h := e.byName[name]
+	h := e.hostNamed(name)
 	h.down = true
 	if e.viewOn {
 		e.markHostDirty(h)
@@ -363,13 +363,13 @@ func (e *engine) buildPowerTrace() {
 }
 
 // validateFailures rejects unusable failure schedules against the
-// already-resolved host index (name → position in Hosts), VM set and
-// per-host switch domains. Beyond per-event shape checks it simulates
+// already-resolved host index (name → position in Hosts), VM name set
+// and per-host switch domains. Beyond per-event shape checks it simulates
 // the event order to refuse double crashes, unpaired outage windows, and
 // explicit moves that statically must fail at dispatch (to a crashed
 // host, or onto a downed switch). The moves themselves are already
 // validated, so every move's hosts are in the index.
-func (c Config) validateFailures(index map[string]int32, vms map[string]bool, switches []string) error {
+func (c Config) validateFailures(index, vms map[string]int32, switches []string) error {
 	if c.EvacuationDeadline < 0 {
 		return fmt.Errorf("cluster: negative evacuation deadline %v", c.EvacuationDeadline)
 	}
@@ -397,10 +397,11 @@ func (c Config) validateFailures(index map[string]int32, vms map[string]bool, sw
 				return fmt.Errorf("cluster: failure %d crashes unknown host %q", i, ev.Host)
 			}
 		case FailFlightAbort:
+			_, vmKnown := vms[ev.VM]
 			switch {
 			case ev.VM == "" || ev.Host != "" || ev.Switch != "":
 				return fmt.Errorf("cluster: failure %d (%s) must target exactly one VM", i, ev.Kind)
-			case !vms[ev.VM]:
+			case !vmKnown:
 				return fmt.Errorf("cluster: failure %d aborts unknown VM %q", i, ev.VM)
 			}
 		case FailSwitchOutage, FailSwitchRestore:

@@ -302,19 +302,19 @@ func TestCheckMoveRefusesDownTargets(t *testing.T) {
 	}
 	move := TimedMove{VM: "va", From: "h00", To: "h01"}
 
-	e.byName["h01"].down = true
+	e.hostNamed("h01").down = true
 	if _, _, err := e.checkMove(move); err == nil || !strings.Contains(err.Error(), "down") {
 		t.Errorf("move to a crashed host: err = %v, want a down refusal", err)
 	}
-	e.byName["h01"].down = false
+	e.hostNamed("h01").down = false
 
-	e.switchState(e.byName["h01"].sw).down = true
+	e.switchState(e.hostNamed("h01").sw).down = true
 	if _, _, err := e.checkMove(move); err == nil || !strings.Contains(err.Error(), "switch") {
 		t.Errorf("move onto a downed switch: err = %v, want a switch refusal", err)
 	}
 	// Moving OFF a crashed host stays legal: that is an evacuation.
-	e.switchState(e.byName["h01"].sw).down = false
-	e.byName["h00"].down = true
+	e.switchState(e.hostNamed("h01").sw).down = false
+	e.hostNamed("h00").down = true
 	if _, _, err := e.checkMove(move); err != nil {
 		t.Errorf("evacuation off a crashed host refused: %v", err)
 	}
@@ -344,9 +344,9 @@ func TestDispatchTransactional(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "injected kernel failure") {
 		t.Fatalf("run with a failing kernel: err = %v", err)
 	}
-	for name, v := range e.vms {
+	for _, v := range e.guests {
 		if v.migrating {
-			t.Errorf("VM %s left marked migrating by the failed batch", name)
+			t.Errorf("VM %s left marked migrating by the failed batch", v.Name)
 		}
 	}
 	for _, h := range e.hosts {
@@ -358,8 +358,8 @@ func TestDispatchTransactional(t *testing.T) {
 		t.Errorf("engine state not rolled back: inFlight=%d nextIdx=%d airborne=%d timed=%d",
 			e.inFlight, e.nextIdx, len(e.fail.airborne), len(e.timed.fs))
 	}
-	if e.vms["va"].host.Name != "h00" {
-		t.Errorf("va moved to %s despite the failed batch", e.vms["va"].host.Name)
+	if va := e.guestNamed("va"); va.host.Name != "h00" {
+		t.Errorf("va moved to %s despite the failed batch", va.host.Name)
 	}
 }
 

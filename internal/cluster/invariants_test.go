@@ -108,12 +108,12 @@ func reportViolations(cfg Config, rep *Report) []string {
 			crashAt[ev.Host] = ev.At
 		}
 	}
-	hosts, err := cfg.validate()
+	l, err := cfg.validate()
 	if err != nil {
 		return append(bad, err.Error())
 	}
 	want := float64(rep.TotalEnergy)
-	for _, h := range hosts {
+	for _, h := range l.hosts {
 		live := end
 		if at, crashed := crashAt[h.Name]; crashed {
 			live = at

@@ -10,6 +10,9 @@ import (
 // session's concurrency budget and run cache. The timeline's own
 // fields (hosts, policy, moves, seed) come from the cluster config;
 // results are bit-identical for every worker count and cache setting.
+// Setting workers, cache and context keeps a prepared config (a
+// compiled scenario's, see cluster.Prepare) prepared, so its run skips
+// the engine's validation and host layout.
 func RunCluster(cfg Config, cc cluster.Config) (*cluster.Report, error) {
 	cfg = cfg.withDefaults()
 	cc.Workers = cfg.Workers

@@ -95,7 +95,7 @@ func TestClusterValidationPaths(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := clusterBase()
 			tc.mutate(s)
-			wantPathError(t, s.Validate(), tc.wantPath)
+			wantSpecError(t, s, tc.wantPath)
 		})
 	}
 	policyCases := []struct {
@@ -116,7 +116,7 @@ func TestClusterValidationPaths(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := clusterPolicyBase()
 			tc.mutate(s)
-			wantPathError(t, s.Validate(), tc.wantPath)
+			wantSpecError(t, s, tc.wantPath)
 		})
 	}
 }
@@ -177,7 +177,7 @@ func TestClusterFailureValidationPaths(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := clusterFailureBase()
 			tc.mutate(s)
-			wantPathError(t, s.Validate(), tc.wantPath)
+			wantSpecError(t, s, tc.wantPath)
 		})
 	}
 }

@@ -62,7 +62,10 @@ type ClusterRun struct {
 	// Policy labels the timeline in reports: the planning policy, or
 	// "timeline" for explicit move lists.
 	Policy string
-	// Config is the lowered engine input.
+	// Config is the lowered engine input, prepared (cluster.Prepare), so
+	// every run of it skips the engine's validation and host layout. Its
+	// Hosts, Moves and Failures are read-only; a copy may set Workers,
+	// Cache, Ctx or another policy and still run prepared.
 	Config cluster.Config
 }
 
@@ -76,11 +79,13 @@ type Compiled struct {
 	Cluster *ClusterRun
 }
 
-// Compile validates the spec and lowers it into executable form. The
-// result is deterministic: the same spec compiles to the same scenarios
-// — and therefore the same run-cache keys — in every session.
+// Compile validates the spec and lowers it into executable form, with
+// the same errors as Validate. A cluster spec is lowered once, and its
+// config prepared for the engine: preparing it is Validate's last check.
+// The result is deterministic: the same spec compiles to the same
+// scenarios — and therefore the same run-cache keys — in every session.
 func (s *Spec) Compile() (*Compiled, error) {
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	if s.Datacenter != nil {
@@ -318,11 +323,16 @@ func (s *Spec) clusterConfig() (cluster.Config, error) {
 	return cfg, nil
 }
 
-// compileCluster lowers the cluster form of the spec.
+// compileCluster lowers the cluster form of the spec and prepares the
+// config. Preparing runs the engine's validation, Validate's last check,
+// so a compiled spec is lowered and engine-validated once.
 func (s *Spec) compileCluster() (*Compiled, error) {
 	cfg, err := s.clusterConfig()
 	if err != nil {
 		return nil, err
+	}
+	if cfg, err = cluster.Prepare(cfg); err != nil {
+		return nil, errf(s.Name, "(compiled)", "%v", err)
 	}
 	policy := "timeline"
 	if cfg.Policy != nil {

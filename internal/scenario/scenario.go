@@ -567,6 +567,25 @@ func validName(name string) bool {
 // Validate checks the spec exhaustively and returns the first failure as
 // a pathed *Error. A valid spec is guaranteed to Compile.
 func (s *Spec) Validate() error {
+	if err := s.validate(); err != nil || s.Cluster == nil {
+		return err
+	}
+	// Belt and braces: the lowered cluster config must satisfy the
+	// engine's own validation too (switch topology, move targets, …).
+	// Compile makes this last check by preparing the config it lowers.
+	cfg, err := s.clusterConfig()
+	if err != nil {
+		return err
+	}
+	if err := cfg.Validate(); err != nil {
+		return errf(s.Name, "(compiled)", "%v", err)
+	}
+	return nil
+}
+
+// validate is Validate without the engine's check of a lowered cluster
+// config, which is always last.
+func (s *Spec) validate() error {
 	name := s.Name
 	if s.Version != CurrentVersion {
 		return errf(name, "version", "unsupported version %d (this build reads version %d)", s.Version, CurrentVersion)
@@ -953,15 +972,6 @@ func (s *Spec) validateCluster(kind migration.Kind) error {
 	}
 	if c.EvacuationDeadlineS > 0 && len(c.Failures) == 0 {
 		return errf(name, "cluster.evacuation_deadline_s", "needs failures to score against")
-	}
-	// Belt and braces: the lowered cluster config must satisfy the
-	// engine's own validation too (switch topology, move targets, …).
-	cfg, err := s.clusterConfig()
-	if err != nil {
-		return err
-	}
-	if err := cfg.Validate(); err != nil {
-		return errf(name, "(compiled)", "%v", err)
 	}
 	return nil
 }

@@ -56,6 +56,18 @@ func wantPathError(t *testing.T, err error, want string) {
 	}
 }
 
+// wantSpecError checks that s fails Validate with a pathed error under
+// want, and that Compile, whose final engine check is cluster.Prepare
+// rather than Config.Validate, fails with the identical error.
+func wantSpecError(t *testing.T, s *Spec, want string) {
+	t.Helper()
+	err := s.Validate()
+	wantPathError(t, err, want)
+	if _, cerr := s.Compile(); cerr == nil || cerr.Error() != err.Error() {
+		t.Fatalf("Compile error %v differs from Validate's %v", cerr, err)
+	}
+}
+
 func TestMinimalSpecValidatesAndCompiles(t *testing.T) {
 	s := minimal()
 	if err := s.Validate(); err != nil {
@@ -202,7 +214,7 @@ func TestValidationFailurePaths(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := minimal()
 			tc.mutate(s)
-			wantPathError(t, s.Validate(), tc.wantPath)
+			wantSpecError(t, s, tc.wantPath)
 		})
 	}
 }
@@ -257,7 +269,7 @@ func TestDatacenterValidationPaths(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := base()
 			tc.mutate(s)
-			wantPathError(t, s.Validate(), tc.wantPath)
+			wantSpecError(t, s, tc.wantPath)
 		})
 	}
 }

@@ -103,7 +103,8 @@ func execPlan(w io.Writer, s *scenario.Spec, pr *scenario.PlanRun, workers int, 
 // migrations — and, under failure injection, aborts and the SLO scores —
 // are printed as deterministic sections, every energy
 // contention-adjusted. The report is returned so callers can record the
-// SLO outcome in benchmark artefacts.
+// SLO outcome in benchmark artefacts. cr.Config was prepared at compile
+// time, so the run builds only its per-run state.
 func execCluster(ctx context.Context, w io.Writer, s *scenario.Spec, cr *scenario.ClusterRun, workers int, cache *sim.Cache) (*cluster.Report, error) {
 	fmt.Fprintf(w, "== %s (cluster: %d hosts, %s)\n", s.Name, len(cr.Config.Hosts), cr.Policy)
 	rep, err := experiments.RunCluster(experiments.Config{Workers: workers, Cache: cache, Ctx: ctx}, cr.Config)
