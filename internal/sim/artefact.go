@@ -35,12 +35,42 @@ import (
 // The payload opens with the artefact's own cache identity — the SHA-256
 // key hash and the canonical key encoding it was computed from — so a
 // file renamed onto the wrong key, or a hash collision, is detected by
-// content, not trusted by name.
+// content, not trusted by name. The summary fields (bounds, energies,
+// bytes sent, rounds, downtime) follow as fixed-width words, then the
+// four traces, each as
+//
+//	host       string (uint64 length + bytes)
+//	time axis  flag byte: 1 = grid, followed by t0 and step (int64 ns),
+//	           so sample i is at t0 + i·step; 0 = every sample carries
+//	           its own int64 timestamp
+//	count      uint64
+//	samples    power:   [timestamp] power bits
+//	           feature: mask byte, [timestamp], then the bits of each
+//	                    field whose mask bit is set
+//
+// Bit j of a feature sample's mask is set when field j (HostCPU, VMCPU,
+// Bandwidth, DirtyRatio) differs in bits from the previous sample's;
+// the first sample is compared against all-zero bits. The meters sample
+// on fixed periods and three of the four fields rarely move, so a
+// feature sample usually takes 1 or 9 bytes, against 40 for its
+// timestamp and four fields in full.
+//
+// The encoding is canonical: every result has exactly one accepted
+// byte form, and the decoder rejects every other form as malformed (a
+// grid-capable trace spelled out, a grid on an empty trace, a step on a
+// one-sample trace, an unknown flag or mask bit, a field marked changed
+// that did not change). So an accepted artefact re-encodes to its own
+// bytes by construction, not only because its checksum cannot be forged.
 
 // artefactVersion is the on-disk encoding version. Bump it whenever the
-// payload layout or the canonical key encoding changes; old artefacts
-// then read as version mismatches (a miss), never as wrong results.
-const artefactVersion = 1
+// payload layout or the canonical key encoding changes. The version is
+// part of every artefact's file name, so a bump renames the whole cache:
+// old-version files are never read again (their keys cost one cold run,
+// and the files can be deleted by hand), and no decoder for an old
+// version is kept.
+// Version 2 stores traces on their time grid with per-sample change
+// masks.
+const artefactVersion = 2
 
 // artefactMagic opens every artefact file.
 const artefactMagic = "wavm3run"
@@ -231,6 +261,7 @@ func decodeArtefact(data []byte, keyBytes []byte, hash [sha256.Size]byte) (*RunR
 // artefactWriter accumulates the little-endian encoding.
 type artefactWriter struct{ b []byte }
 
+func (w *artefactWriter) u8(v byte)      { w.b = append(w.b, v) }
 func (w *artefactWriter) u64(v uint64)   { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
 func (w *artefactWriter) i64(v int64)    { w.u64(uint64(v)) }
 func (w *artefactWriter) f64(v float64)  { w.u64(math.Float64bits(v)) }
@@ -254,22 +285,96 @@ func (w *artefactWriter) energy(e trace.PhaseEnergy) {
 
 func (w *artefactWriter) power(p *trace.PowerTrace) {
 	w.str(p.Host)
-	w.u64(uint64(len(p.Samples)))
+	grid := writeAxis(w, p.Samples, powerAt)
 	for _, s := range p.Samples {
-		w.i64(int64(s.At))
+		if !grid {
+			w.i64(int64(s.At))
+		}
 		w.f64(float64(s.Power))
 	}
 }
 
 func (w *artefactWriter) features(f *trace.FeatureTrace) {
 	w.str(f.Host)
-	w.u64(uint64(len(f.Samples)))
-	for _, s := range f.Samples {
-		w.i64(int64(s.At))
-		w.f64(float64(s.HostCPU))
-		w.f64(float64(s.VMCPU))
-		w.f64(float64(s.Bandwidth))
-		w.f64(float64(s.DirtyRatio))
+	grid := writeAxis(w, f.Samples, featureAt)
+	var prev [4]uint64
+	for i := range f.Samples {
+		bits := featureBits(&f.Samples[i])
+		var mask byte
+		for j := range bits {
+			if bits[j] != prev[j] {
+				mask |= 1 << j
+			}
+		}
+		w.u8(mask)
+		if !grid {
+			w.i64(int64(f.Samples[i].At))
+		}
+		for j := range bits {
+			if mask&(1<<j) != 0 {
+				w.u64(bits[j])
+			}
+		}
+		prev = bits
+	}
+}
+
+// writeAxis writes a trace's time axis and sample count, and reports
+// whether the samples lie on a grid and so carry no timestamps.
+func writeAxis[S any](w *artefactWriter, samples []S, at func(*S) time.Duration) bool {
+	t0, step, grid := timeGrid(samples, at)
+	if grid {
+		w.u8(1)
+		w.i64(t0)
+		w.i64(step)
+	} else {
+		w.u8(0)
+	}
+	w.u64(uint64(len(samples)))
+	return grid
+}
+
+// timeGrid reports whether the samples' timestamps lie on a grid — sample
+// i at t0 + i·step — and which. An empty trace lies on none; a
+// one-sample trace's grid has step 0. The arithmetic wraps exactly as
+// timeAxis.at does, so a grid found here reproduces every timestamp.
+func timeGrid[S any](samples []S, at func(*S) time.Duration) (t0, step int64, ok bool) {
+	if len(samples) == 0 {
+		return 0, 0, false
+	}
+	t0 = int64(at(&samples[0]))
+	if len(samples) > 1 {
+		step = int64(at(&samples[1])) - t0
+	}
+	for i := range samples {
+		if int64(at(&samples[i])) != t0+int64(i)*step {
+			return 0, 0, false
+		}
+	}
+	return t0, step, true
+}
+
+func powerAt(s *trace.Sample) time.Duration          { return s.At }
+func featureAt(s *trace.FeatureSample) time.Duration { return s.At }
+
+// featureBits returns a feature sample's fields as IEEE-754 bits, in
+// mask-bit order; featureSample is its inverse.
+func featureBits(s *trace.FeatureSample) [4]uint64 {
+	return [4]uint64{
+		math.Float64bits(float64(s.HostCPU)),
+		math.Float64bits(float64(s.VMCPU)),
+		math.Float64bits(float64(s.Bandwidth)),
+		math.Float64bits(float64(s.DirtyRatio)),
+	}
+}
+
+func featureSample(at int64, bits *[4]uint64) trace.FeatureSample {
+	return trace.FeatureSample{
+		At:         time.Duration(at),
+		HostCPU:    units.Utilisation(math.Float64frombits(bits[0])),
+		VMCPU:      units.Utilisation(math.Float64frombits(bits[1])),
+		Bandwidth:  units.BitsPerSecond(math.Float64frombits(bits[2])),
+		DirtyRatio: units.Fraction(math.Float64frombits(bits[3])),
 	}
 }
 
@@ -290,6 +395,14 @@ func (r *artefactReader) take(n int) ([]byte, error) {
 	p := r.b[r.off : r.off+n]
 	r.off += n
 	return p, nil
+}
+
+func (r *artefactReader) u8() (byte, error) {
+	p, err := r.take(1)
+	if err != nil {
+		return 0, err
+	}
+	return p[0], nil
 }
 
 func (r *artefactReader) u64() (uint64, error) {
@@ -347,26 +460,91 @@ func (r *artefactReader) energy() (trace.PhaseEnergy, error) {
 	return e, nil
 }
 
+// timeAxis is a trace's decoded time axis: on a grid, sample i is at
+// t0 + i·step; off one, every sample carries its own timestamp.
+type timeAxis struct {
+	grid     bool
+	t0, step int64
+}
+
+func (a timeAxis) at(i int) int64 { return a.t0 + int64(i)*a.step }
+
+// axis reads a trace's time axis and sample count. gridSize is the
+// fewest bytes a sample on a grid takes; a spelled-out timestamp adds 8.
+// The count is capped by the bytes present before anything is
+// allocated, and the canonical-form rules that need only the axis and
+// the count are enforced here; the one that needs the timestamps is
+// spelledOut.
+func (r *artefactReader) axis(gridSize int) (timeAxis, int, error) {
+	var a timeAxis
+	flag, err := r.u8()
+	if err != nil {
+		return a, 0, err
+	}
+	switch flag {
+	case 0:
+		gridSize += 8
+	case 1:
+		a.grid = true
+		if a.t0, err = r.i64(); err != nil {
+			return a, 0, err
+		}
+		if a.step, err = r.i64(); err != nil {
+			return a, 0, err
+		}
+	default:
+		return a, 0, artefactErrf(reasonMalformed, "time-axis flag %d", flag)
+	}
+	n, err := r.count(gridSize)
+	if err != nil {
+		return a, 0, err
+	}
+	if a.grid && n == 0 {
+		return a, 0, artefactErrf(reasonMalformed, "time grid on an empty trace")
+	}
+	if a.grid && n == 1 && a.step != 0 {
+		return a, 0, artefactErrf(reasonMalformed, "time step %d on a one-sample trace", a.step)
+	}
+	return a, n, nil
+}
+
+// spelledOut rejects spelled-out timestamps that lie on a grid: the
+// canonical encoding stores those as the grid.
+func spelledOut[S any](a timeAxis, samples []S, at func(*S) time.Duration) error {
+	if a.grid {
+		return nil
+	}
+	if _, _, ok := timeGrid(samples, at); ok {
+		return artefactErrf(reasonMalformed, "spelled-out timestamps of %d samples lie on a grid", len(samples))
+	}
+	return nil
+}
+
 func (r *artefactReader) power() (*trace.PowerTrace, error) {
 	host, err := r.str()
 	if err != nil {
 		return nil, err
 	}
-	n, err := r.count(16)
+	a, n, err := r.axis(8)
 	if err != nil {
 		return nil, err
 	}
 	p := &trace.PowerTrace{Host: host, Samples: make([]trace.Sample, n)}
 	for i := range p.Samples {
-		at, err := r.i64()
-		if err != nil {
-			return nil, err
+		at := a.at(i)
+		if !a.grid {
+			if at, err = r.i64(); err != nil {
+				return nil, err
+			}
 		}
 		w, err := r.f64()
 		if err != nil {
 			return nil, err
 		}
 		p.Samples[i] = trace.Sample{At: time.Duration(at), Power: units.Watts(w)}
+	}
+	if err := spelledOut(a, p.Samples, powerAt); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -376,39 +554,43 @@ func (r *artefactReader) features() (*trace.FeatureTrace, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := r.count(40)
+	a, n, err := r.axis(1)
 	if err != nil {
 		return nil, err
 	}
 	f := &trace.FeatureTrace{Host: host, Samples: make([]trace.FeatureSample, n)}
+	var prev [4]uint64 // the previous sample's fields; all zero before the first
 	for i := range f.Samples {
-		at, err := r.i64()
+		mask, err := r.u8()
 		if err != nil {
 			return nil, err
 		}
-		hostCPU, err := r.f64()
-		if err != nil {
-			return nil, err
+		if mask > 0xf {
+			return nil, artefactErrf(reasonMalformed, "sample %d: mask %#x sets bits above bit 3", i, mask)
 		}
-		vmCPU, err := r.f64()
-		if err != nil {
-			return nil, err
+		at := a.at(i)
+		if !a.grid {
+			if at, err = r.i64(); err != nil {
+				return nil, err
+			}
 		}
-		bw, err := r.f64()
-		if err != nil {
-			return nil, err
+		for j := range prev {
+			if mask&(1<<j) == 0 {
+				continue
+			}
+			v, err := r.u64()
+			if err != nil {
+				return nil, err
+			}
+			if v == prev[j] {
+				return nil, artefactErrf(reasonMalformed, "sample %d: field %d marked changed but repeats its bits", i, j)
+			}
+			prev[j] = v
 		}
-		dr, err := r.f64()
-		if err != nil {
-			return nil, err
-		}
-		f.Samples[i] = trace.FeatureSample{
-			At:         time.Duration(at),
-			HostCPU:    units.Utilisation(hostCPU),
-			VMCPU:      units.Utilisation(vmCPU),
-			Bandwidth:  units.BitsPerSecond(bw),
-			DirtyRatio: units.Fraction(dr),
-		}
+		f.Samples[i] = featureSample(at, &prev)
+	}
+	if err := spelledOut(a, f.Samples, featureAt); err != nil {
+		return nil, err
 	}
 	return f, nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"crypto/sha256"
 	"testing"
 
 	"repro/internal/migration"
@@ -41,16 +42,72 @@ func BenchmarkSimRunLive(b *testing.B) {
 	benchRun(b, benchScenario(migration.Live))
 }
 
-// BenchmarkSimRunLiveMem measures the memory-heavy MEMLOAD point: a
-// pagedirtier guest at a 95% target dirty ratio, the most expensive run
-// class of the campaigns.
+// BenchmarkSimRunLiveMem measures the memory-heavy MEMLOAD point.
 func BenchmarkSimRunLiveMem(b *testing.B) {
-	sc := Scenario{
+	benchRun(b, liveMemScenario())
+}
+
+// liveMemScenario is the memory-heavy MEMLOAD point: a pagedirtier
+// guest at a 95% target dirty ratio, the most expensive run class of the
+// campaigns and the largest artefact.
+func liveMemScenario() Scenario {
+	return Scenario{
 		Name:             "bench-mem",
 		Kind:             migration.Live,
 		MigratingType:    vm.TypeMigratingMem,
 		MigratingProfile: workload.PagedirtierProfile(0.95),
 		Seed:             42,
 	}
-	benchRun(b, sc)
+}
+
+// liveMemArtefact runs liveMemScenario and returns its cache identity
+// and result.
+func liveMemArtefact(tb testing.TB) ([]byte, [sha256.Size]byte, *RunResult) {
+	tb.Helper()
+	sc := liveMemScenario()
+	res, err := Run(sc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	keyBytes := encodeCacheKey(cacheKey(sc))
+	return keyBytes, sha256.Sum256(keyBytes), res
+}
+
+// reportCodec reports an artefact codec benchmark's artefact size and
+// its time per stored trace sample.
+func reportCodec(b *testing.B, res *RunResult, size int) {
+	samples := len(res.Source.Samples) + len(res.Target.Samples) +
+		len(res.SourceFeatures.Samples) + len(res.TargetFeatures.Samples)
+	b.ReportMetric(float64(size), "bytes/artefact")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples), "ns/sample")
+}
+
+// BenchmarkArtefactEncode measures what a persistent-cache miss adds to
+// the kernel run: encoding the memory-heavy live run's artefact,
+// checksum included.
+func BenchmarkArtefactEncode(b *testing.B) {
+	keyBytes, hash, res := liveMemArtefact(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var data []byte
+	for i := 0; i < b.N; i++ {
+		data = encodeArtefact(keyBytes, hash, res)
+	}
+	reportCodec(b, res, len(data))
+}
+
+// BenchmarkArtefactDecode measures what a persistent-cache hit costs
+// once the bytes are read: verifying the checksum and identity of the
+// same artefact and decoding every trace.
+func BenchmarkArtefactDecode(b *testing.B) {
+	keyBytes, hash, res := liveMemArtefact(b)
+	data := encodeArtefact(keyBytes, hash, res)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := decodeArtefact(data, keyBytes, hash); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportCodec(b, res, len(data))
 }
