@@ -64,11 +64,11 @@ func run() (err error) {
 		if *dir == "" {
 			return fmt.Errorf("-list needs -dir")
 		}
-		infos, err := scenario.List(*dir)
+		specs, err := scenario.LoadDir(*dir)
 		if err != nil {
 			return err
 		}
-		for _, in := range infos {
+		for _, in := range scenario.List(specs) {
 			form := "migration"
 			switch {
 			case in.Datacenter:

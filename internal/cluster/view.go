@@ -126,7 +126,7 @@ func (e *engine) rebuildView(t time.Duration) {
 		e.flattenHostView(h, t)
 	}
 	e.viewLive = len(v.VMName)
-	// The engine's hosts are name-sorted (sortedHosts), so index order
+	// The engine's hosts are name-sorted (layout.order), so index order
 	// is name order — the precondition for the policies' order-indexed
 	// target scan.
 	v.NameOrdered = true

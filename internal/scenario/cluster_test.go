@@ -89,6 +89,11 @@ func TestClusterValidationPaths(t *testing.T) {
 		{"unknown to", func(s *Spec) { s.Cluster.Moves[0].To = "ghost" }, "cluster.moves[0].to"},
 		{"self move", func(s *Spec) { s.Cluster.Moves[0].To = "a" }, "cluster.moves[0].to"},
 		{"negative at", func(s *Spec) { s.Cluster.Moves[0].AtS = -1 }, "cluster.moves[0].at_s"},
+		{"at overflows a duration", func(s *Spec) { s.Cluster.Moves[0].AtS = 1e11 }, "cluster.moves[0].at_s"},
+		{"horizon overflows a duration", func(s *Spec) { s.Cluster.HorizonS = 1e11 }, "cluster.horizon_s"},
+		{"vm phase overflows a duration", func(s *Spec) {
+			s.Cluster.Hosts[0].VMs[0].Phases[0].DurationS = 1e11
+		}, "cluster.hosts[0].vms[0].phases[0].duration_s"},
 		{"cross-switch move", func(s *Spec) { s.Cluster.Hosts[1].Machine = "o1" }, "(compiled)"},
 	}
 	for _, tc := range cases {
@@ -111,6 +116,9 @@ func TestClusterValidationPaths(t *testing.T) {
 		{"policy one host", func(s *Spec) { s.Cluster.Hosts = s.Cluster.Hosts[:1] }, "cluster.hosts"},
 		{"cap out of range", func(s *Spec) { s.Cluster.CPUCap = 1.5 }, "cluster.cpu_cap"},
 		{"negative payback", func(s *Spec) { s.Cluster.PaybackS = -1 }, "cluster.payback_s"},
+		{"payback overflows a duration", func(s *Spec) { s.Cluster.PaybackS = 1e11 }, "cluster.payback_s"},
+		{"horizon overflows a duration", func(s *Spec) { s.Cluster.HorizonS = 1e11 }, "cluster.horizon_s"},
+		{"tick overflows a duration", func(s *Spec) { s.Cluster.TickS = 1e11 }, "cluster.tick_s"},
 	}
 	for _, tc := range policyCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -156,6 +164,8 @@ func TestClusterFailureValidationPaths(t *testing.T) {
 		{"outage without switch", func(s *Spec) { s.Cluster.Failures[1].Switch = "" }, "cluster.failures[1].switch"},
 		{"outage targets host too", func(s *Spec) { s.Cluster.Failures[1].Host = "a" }, "cluster.failures[1]"},
 		{"negative deadline", func(s *Spec) { s.Cluster.EvacuationDeadlineS = -1 }, "cluster.evacuation_deadline_s"},
+		{"at overflows a duration", func(s *Spec) { s.Cluster.Failures[3].AtS = 1e11 }, "cluster.failures[3].at_s"},
+		{"deadline overflows a duration", func(s *Spec) { s.Cluster.EvacuationDeadlineS = 1e11 }, "cluster.evacuation_deadline_s"},
 		{"deadline without failures", func(s *Spec) {
 			s.Cluster.Failures = nil
 		}, "cluster.evacuation_deadline_s"},

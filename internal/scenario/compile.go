@@ -1,13 +1,14 @@
 package scenario
 
 import (
-	"fmt"
 	"math"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/consolidation"
 	"repro/internal/dcsim"
+	"repro/internal/hw"
+	"repro/internal/migration"
 	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/vm"
@@ -79,53 +80,47 @@ type Compiled struct {
 	Cluster *ClusterRun
 }
 
-// Compile validates the spec and lowers it into executable form, with
-// the same errors as Validate. A cluster spec is lowered once, and its
-// config prepared for the engine: preparing it is Validate's last check.
-// The result is deterministic: the same spec compiles to the same
-// scenarios — and therefore the same run-cache keys — in every session.
+// Compile checks the spec exhaustively and lowers it into executable
+// form in one pass, returning the first failure as a pathed *Error.
+// Each form is checked and lowered together: a cluster spec's fleet
+// expands once, and its config is engine-validated once, by
+// cluster.Prepare. The result is deterministic: the same spec compiles
+// to the same scenarios — and therefore the same run-cache keys — in
+// every process, on every machine.
 func (s *Spec) Compile() (*Compiled, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
+	name := s.Name
+	if s.Version != CurrentVersion {
+		return nil, errf(name, "version", "unsupported version %d (this build reads version %d)", s.Version, CurrentVersion)
 	}
-	if s.Datacenter != nil {
-		return s.compileDatacenter()
+	if !validName(s.Name) {
+		return nil, errf(name, "name", "must be non-empty lowercase [a-z0-9._-], got %q", s.Name)
 	}
-	if s.Cluster != nil {
-		return s.compileCluster()
-	}
-	base, err := s.baseScenario()
+	src, dst, err := hw.Pair(s.pair())
 	if err != nil {
-		return nil, err
+		return nil, errf(name, "pair", "%v", err)
 	}
-	out := &Compiled{Spec: s}
-	if len(s.Phases) == 0 {
-		out.Runs = []Run{{
-			Label:       s.Name,
-			Scenario:    base,
-			MinRuns:     s.Repeat.minRuns(),
-			VarianceTol: s.Repeat.varianceTol(),
-		}}
-		return out, nil
+	// netsim will refuse a cross-switch link at run time; catch it here so
+	// the -check gate cannot green-light a scenario that can never run.
+	if src.Switch != dst.Switch {
+		return nil, errf(name, "pair", "%s (%s) and %s (%s) are on different switches and cannot migrate", src.Name, src.Switch, dst.Name, dst.Switch)
 	}
-	for i, p := range s.Phases {
-		factor := p.phase().Factor(p.at())
-		sc := base
-		sc.Name = fmt.Sprintf("%s/%s", base.Name, p.label(i))
-		sc.MigratingProfile = base.MigratingProfile.Modulate(factor)
-		// Co-located load tracks the phase intensity: a burst doubles both
-		// the guest's appetite and its neighbours'.
-		sc.SourceLoadVMs = scaleVMs(s.SourceLoadVMs, factor)
-		sc.TargetLoadVMs = scaleVMs(s.TargetLoadVMs, factor)
-		sc.Seed = base.Seed + int64(i)*phaseSeedStride
-		out.Runs = append(out.Runs, Run{
-			Label:       fmt.Sprintf("%s/%s", s.Name, p.label(i)),
-			Scenario:    sc,
-			MinRuns:     s.Repeat.minRuns(),
-			VarianceTol: s.Repeat.varianceTol(),
-		})
+	kind, err := s.kind()
+	if err != nil {
+		return nil, errf(name, "kind", "%v", err)
 	}
-	return out, nil
+	if s.Seed < 0 {
+		return nil, errf(name, "seed", "must be non-negative, got %d", s.Seed)
+	}
+	if s.Datacenter != nil && s.Cluster != nil {
+		return nil, errf(name, "cluster", "mutually exclusive with \"datacenter\"; pick one form")
+	}
+	switch {
+	case s.Datacenter != nil:
+		return s.compileDatacenter(kind)
+	case s.Cluster != nil:
+		return s.compileCluster(kind)
+	}
+	return s.compileMigration(kind)
 }
 
 // scaleVMs scales a load-VM count by a phase factor, rounding to nearest.
@@ -137,16 +132,10 @@ func scaleVMs(n int, factor float64) int {
 }
 
 // baseScenario lowers the spec's common fields into a sim.Scenario
-// (before any phase modulation).
-func (s *Spec) baseScenario() (sim.Scenario, error) {
-	kind, err := s.kind()
-	if err != nil {
-		return sim.Scenario{}, errf(s.Name, "kind", "%v", err)
-	}
-	prof, err := s.Migrating.Workload.profile()
-	if err != nil {
-		return sim.Scenario{}, errf(s.Name, "migrating.workload.profile", "%v", err)
-	}
+// (before any phase modulation). compileMigration has checked the
+// workload profiles it resolves.
+func (s *Spec) baseScenario(kind migration.Kind) (sim.Scenario, error) {
+	prof, _ := s.Migrating.Workload.profile()
 	typ := s.Migrating.Type
 	if typ == "" {
 		if prof.DirtyPagesPerSecond > 0 && s.Migrating.Workload.dirties() {
@@ -154,6 +143,10 @@ func (s *Spec) baseScenario() (sim.Scenario, error) {
 		} else {
 			typ = vm.TypeMigratingCPU
 		}
+	}
+	mig, err := s.Migration.config(s.Name, kind)
+	if err != nil {
+		return sim.Scenario{}, err
 	}
 	sc := sim.Scenario{
 		Name:             "scen/" + s.Name,
@@ -165,30 +158,30 @@ func (s *Spec) baseScenario() (sim.Scenario, error) {
 		TargetLoadVMs:    s.TargetLoadVMs,
 		PreMigration:     DefaultPreMigration,
 		PostMigration:    DefaultPostMigration,
-		Migration:        s.Migration.config(kind),
+		Migration:        mig,
 		Meter:            s.Meter.config(),
 		Seed:             s.EffectiveSeed(),
 	}
 	if s.LoadWorkload != nil {
-		lp, err := s.LoadWorkload.profile()
-		if err != nil {
-			return sim.Scenario{}, errf(s.Name, "load_workload.profile", "%v", err)
-		}
-		sc.LoadProfile = lp
+		sc.LoadProfile, _ = s.LoadWorkload.profile()
 	}
 	if s.Timing != nil {
 		if s.Timing.PreS > 0 {
-			sc.PreMigration = time.Duration(s.Timing.PreS * float64(time.Second))
+			if sc.PreMigration, err = seconds(s.Name, "timing.pre_s", s.Timing.PreS); err != nil {
+				return sim.Scenario{}, err
+			}
 		}
 		if s.Timing.PostS > 0 {
-			sc.PostMigration = time.Duration(s.Timing.PostS * float64(time.Second))
+			if sc.PostMigration, err = seconds(s.Name, "timing.post_s", s.Timing.PostS); err != nil {
+				return sim.Scenario{}, err
+			}
 		}
 	}
 	return sc, nil
 }
 
 // hostStates lowers the datacenter host specs.
-func (s *Spec) hostStates() ([]consolidation.HostState, error) {
+func (s *Spec) hostStates() []consolidation.HostState {
 	dc := s.Datacenter
 	hosts := make([]consolidation.HostState, 0, len(dc.Hosts))
 	for _, h := range dc.Hosts {
@@ -208,135 +201,10 @@ func (s *Spec) hostStates() ([]consolidation.HostState, error) {
 		}
 		hosts = append(hosts, hs)
 	}
-	return hosts, nil
+	return hosts
 }
 
 // gib converts a fractional GiB count to bytes.
 func gib(n float64) units.Bytes {
 	return units.Bytes(n * float64(units.GiB))
-}
-
-// compileDatacenter lowers the data-centre form of the spec.
-func (s *Spec) compileDatacenter() (*Compiled, error) {
-	kind, err := s.kind()
-	if err != nil {
-		return nil, errf(s.Name, "kind", "%v", err)
-	}
-	hosts, err := s.hostStates()
-	if err != nil {
-		return nil, err
-	}
-	pr := &PlanRun{
-		Policy: "scenario/" + s.Name,
-		Hosts:  hosts,
-		Executor: dcsim.Executor{
-			Pair: s.pair(),
-			Kind: kind,
-			Seed: s.EffectiveSeed(),
-		},
-	}
-	if len(s.Datacenter.Moves) > 0 {
-		plan := &consolidation.Plan{}
-		for _, mv := range s.Datacenter.Moves {
-			plan.Moves = append(plan.Moves, consolidation.Move{VM: mv.VM, From: mv.From, To: mv.To})
-		}
-		pr.Plan = plan
-	} else {
-		// No explicit moves: plan with the energy-blind first-fit-
-		// decreasing policy, the only built-in planner that needs no
-		// trained estimator — keeping compilation deterministic data.
-		ffd := consolidation.FirstFitDecreasing{}
-		plan, err := ffd.Plan(hosts, consolidation.Config{})
-		if err != nil {
-			return nil, errf(s.Name, "datacenter", "planning moves with %s: %v", ffd.Name(), err)
-		}
-		pr.Policy = ffd.Name()
-		pr.Plan = plan
-	}
-	return &Compiled{Spec: s, Plan: pr}, nil
-}
-
-// clusterConfig lowers the cluster form into the engine's Config. The
-// result is deterministic: the same spec lowers to the same timeline —
-// and the same lowered migration scenarios, the run-cache keys — in
-// every session.
-func (s *Spec) clusterConfig() (cluster.Config, error) {
-	kind, err := s.kind()
-	if err != nil {
-		return cluster.Config{}, errf(s.Name, "kind", "%v", err)
-	}
-	c := s.Cluster
-	cfg := cluster.Config{
-		Kind:    kind,
-		Horizon: time.Duration(c.HorizonS * float64(time.Second)),
-		Tick:    time.Duration(c.TickS * float64(time.Second)),
-		Seed:    s.EffectiveSeed(),
-	}
-	switch c.Policy {
-	case PolicyEnergyAware:
-		cfg.Policy = consolidation.EnergyAware{Model: consolidation.HeuristicCost{}}
-	case PolicyFirstFit:
-		cfg.Policy = consolidation.FirstFitDecreasing{Model: consolidation.HeuristicCost{}}
-	case "":
-	default:
-		return cluster.Config{}, errf(s.Name, "cluster.policy", "unknown policy %q", c.Policy)
-	}
-	cfg.PolicyConfig = consolidation.Config{
-		CPUCap:   c.CPUCap,
-		MaxMoves: c.MaxMoves,
-		Horizon:  time.Duration(c.PaybackS * float64(time.Second)),
-	}
-	hosts, _ := s.expandedClusterHosts()
-	cfg.Hosts = make([]cluster.Host, 0, len(hosts))
-	for _, h := range hosts {
-		ch := cluster.Host{Name: h.Name, Machine: h.Machine}
-		for _, v := range h.VMs {
-			cv := cluster.VM{
-				Name:       v.Name,
-				MemBytes:   gib(v.MemGiB),
-				BusyVCPUs:  v.BusyVCPUs,
-				DirtyRatio: units.Fraction(v.DirtyRatio),
-			}
-			for _, p := range v.Phases {
-				cv.Phases = append(cv.Phases, p.phase())
-			}
-			ch.VMs = append(ch.VMs, cv)
-		}
-		cfg.Hosts = append(cfg.Hosts, ch)
-	}
-	for _, m := range c.Moves {
-		cfg.Moves = append(cfg.Moves, cluster.TimedMove{
-			VM: m.VM, From: m.From, To: m.To,
-			At: time.Duration(m.AtS * float64(time.Second)),
-		})
-	}
-	for _, f := range c.Failures {
-		cfg.Failures = append(cfg.Failures, cluster.FailureEvent{
-			At:     time.Duration(f.AtS * float64(time.Second)),
-			Kind:   cluster.FailureKind(f.Kind),
-			Host:   f.Host,
-			VM:     f.VM,
-			Switch: f.Switch,
-		})
-	}
-	cfg.EvacuationDeadline = time.Duration(c.EvacuationDeadlineS * float64(time.Second))
-	return cfg, nil
-}
-
-// compileCluster lowers the cluster form of the spec and prepares the
-// config. Preparing runs the engine's validation, Validate's last check,
-// so a compiled spec is lowered and engine-validated once.
-func (s *Spec) compileCluster() (*Compiled, error) {
-	cfg, err := s.clusterConfig()
-	if err != nil {
-		return nil, err
-	}
-	if cfg, err = cluster.Prepare(cfg); err != nil {
-		return nil, errf(s.Name, "(compiled)", "%v", err)
-	}
-	policy := "timeline"
-	if cfg.Policy != nil {
-		policy = cfg.Policy.Name()
-	}
-	return &Compiled{Spec: s, Cluster: &ClusterRun{Policy: policy, Config: cfg}}, nil
 }

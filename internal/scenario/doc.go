@@ -10,10 +10,11 @@
 // an optional workload-phase timeline (steady/burst/diurnal/ramp from
 // internal/workload), migration-engine and power-meter overrides, repeat
 // policy, and, for data-centre scenarios, a host population with an
-// optional explicit move plan. Compile lowers a Spec into sim.Scenario
-// values (one per phase) or a dcsim execution, and Validate rejects bad
-// specs with pathed errors ("phases[2].duration_s: …") that point at the
-// offending JSON field.
+// optional explicit move plan. Compile checks a Spec and lowers it in one
+// pass into sim.Scenario values (one per phase), a dcsim execution or a
+// prepared cluster timeline, rejecting bad specs with pathed errors
+// ("phases[2].duration_s: …") that point at the offending JSON field.
+// Validate is Compile with the result dropped.
 //
 // Determinism and caching: a Spec pins every random choice. Its seed is
 // either given explicitly or derived from the scenario name with a stable
@@ -23,12 +24,12 @@
 // scenario file twice, with or without the cache, yields bit-identical
 // results.
 //
-// The registry half of the package (Load, LoadDir, LoadGlob, List) reads
+// The registry half of the package (Load, LoadDir, LoadGlob) reads
 // scenario files from disk with strict JSON decoding (unknown fields are
 // errors, catching typos in committed scenarios) and cross-file checks:
 // within one directory, scenario names and effective seeds must be
 // unique, keeping library entries independent samples and their cache
-// identities distinct.
+// identities distinct. List builds the catalog of a loaded spec set.
 //
 // The committed library lives in scenarios/ at the repository root and is
 // executed by cmd/wavm3scen; see ARCHITECTURE.md for where this package

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/hw"
@@ -29,9 +30,50 @@ func (c *ClusterSpec) hostCount() int {
 	return n
 }
 
-// replicaSuffix formats the deterministic replica name suffix.
-func replicaSuffix(i int) string {
-	return fmt.Sprintf("-%04d", i)
+// replicaNames stamps the names of count replicas of a template name: a
+// '-' and the index zero-padded to four digits ("web-0007"). The names
+// are slices of one string, so a group's names cost a few allocations
+// however many replicas it has.
+func replicaNames(name string, count int) []string {
+	buf := make([]byte, 0, count*(len(name)+7)) // indices stay below 10^6
+	ends := make([]int, count)
+	for i := range ends {
+		buf = append(buf, name...)
+		buf = append(buf, '-')
+		for pad := 1000; pad > 1 && i < pad; pad /= 10 {
+			buf = append(buf, '0')
+		}
+		buf = strconv.AppendInt(buf, int64(i), 10)
+		ends[i] = len(buf)
+	}
+	all, names, start := string(buf), make([]string, count), 0
+	for i, end := range ends {
+		names[i], start = all[start:end], end
+	}
+	return names
+}
+
+// hostPath is the JSON path of expanded host hi: an explicit host, or a
+// replica counted within its fleet group.
+func (c *ClusterSpec) hostPath(hi int) string {
+	if hi < len(c.Hosts) {
+		return fmt.Sprintf("cluster.hosts[%d]", hi)
+	}
+	gi, i := 0, hi-len(c.Hosts)
+	for ; i >= c.Fleet[gi].Count; gi++ {
+		i -= c.Fleet[gi].Count
+	}
+	return fmt.Sprintf("cluster.fleet[%d].replica[%d]", gi, i)
+}
+
+// machineModels lists the catalog's machine models for error messages.
+func machineModels(cat map[string]hw.MachineSpec) string {
+	models := make([]string, 0, len(cat))
+	for m := range cat {
+		models = append(models, m)
+	}
+	sort.Strings(models)
+	return strings.Join(models, ", ")
 }
 
 // fleetJitter derives replica i's phase lead-in, in whole seconds of
@@ -78,15 +120,15 @@ func (s *Spec) validateFleetGroups() error {
 			return errf(name, path+".count", "cluster exceeds %d hosts in total (group %q brings it to %d)", MaxFleetHosts, g.Name, total)
 		}
 		if _, ok := cat[g.Machine]; !ok {
-			models := make([]string, 0, len(cat))
-			for m := range cat {
-				models = append(models, m)
-			}
-			sort.Strings(models)
-			return errf(name, path+".machine", "unknown machine model %q (catalog: %s)", g.Machine, strings.Join(models, ", "))
+			return errf(name, path+".machine", "unknown machine model %q (catalog: %s)", g.Machine, machineModels(cat))
 		}
 		if g.PhaseJitterS < 0 {
 			return errf(name, path+".phase_jitter_s", "must be non-negative, got %v", g.PhaseJitterS)
+		}
+		// A lead-in is shorter than the jitter, so a jitter a Duration
+		// holds bounds every lead-in's duration too.
+		if _, err := seconds(name, path+".phase_jitter_s", g.PhaseJitterS); err != nil {
+			return err
 		}
 		if g.PhaseJitterS > 0 {
 			if g.PhaseJitterS < 1 || g.PhaseJitterS != math.Trunc(g.PhaseJitterS) {
@@ -102,7 +144,7 @@ func (s *Spec) validateFleetGroups() error {
 				// steady phase; Level 0 means "factor 1" in the phase
 				// grammar, so an entry factor of exactly 0 cannot be
 				// expressed and is refused.
-				if entry := v.Phases[0].phase().Factor(0); entry <= 0 {
+				if entry := v.Phases[0].factor(0); entry <= 0 {
 					return errf(name, fmt.Sprintf("%s.vms[%d].phases[0]", path, vi),
 						"entry intensity factor is %v; a jittered lead-in cannot hold it (factors must be positive)", entry)
 				}
@@ -115,47 +157,57 @@ func (s *Spec) validateFleetGroups() error {
 	return nil
 }
 
-// expandedClusterHosts returns the cluster's concrete host population —
-// explicit hosts followed by every fleet replica — plus a parallel
-// field-path label per host for error reporting.
-func (s *Spec) expandedClusterHosts() ([]ClusterHostSpec, []string) {
+// expandedClusterHosts returns the cluster's concrete host population:
+// explicit hosts followed by every fleet replica. Replica names, guests
+// and lead-in phase lists are slices of a few shared arrays, so the
+// expansion's allocations do not grow with the replica count. A replica
+// VM without a lead-in shares its template's phase list. Error paths
+// come from hostPath, only for the error returned.
+func (s *Spec) expandedClusterHosts() []ClusterHostSpec {
 	c := s.Cluster
 	hosts := make([]ClusterHostSpec, 0, c.hostCount())
-	paths := make([]string, 0, c.hostCount())
-	for hi, h := range c.Hosts {
-		hosts = append(hosts, h)
-		paths = append(paths, fmt.Sprintf("cluster.hosts[%d]", hi))
+	hosts = append(hosts, c.Hosts...)
+	nvms := 0
+	for _, g := range c.Fleet {
+		nvms += g.Count * len(g.VMs)
 	}
+	vms := make([]ClusterVMSpec, 0, nvms)
+	var phases []PhaseSpec // jittered replicas' phase lists
 	seed := s.EffectiveSeed()
-	for gi, g := range c.Fleet {
+	for _, g := range c.Fleet {
+		hostNames := replicaNames(g.Name, g.Count)
+		vmNames := make([][]string, len(g.VMs))
+		for vi, v := range g.VMs {
+			vmNames[vi] = replicaNames(v.Name, g.Count)
+		}
 		for i := 0; i < g.Count; i++ {
-			suffix := replicaSuffix(i)
-			host := ClusterHostSpec{
-				Name:    g.Name + suffix,
-				Machine: g.Machine,
-				VMs:     make([]ClusterVMSpec, 0, len(g.VMs)),
-			}
-			for _, v := range g.VMs {
+			first := len(vms)
+			for vi, v := range g.VMs {
 				rv := v
-				rv.Name = v.Name + suffix
-				rv.Phases = append([]PhaseSpec(nil), v.Phases...)
-				if g.PhaseJitterS >= 1 && len(rv.Phases) > 0 {
+				rv.Name = vmNames[vi][i]
+				if g.PhaseJitterS >= 1 && len(v.Phases) > 0 {
 					if lead := fleetJitter(seed, g.Name, i, int64(g.PhaseJitterS)); lead > 0 {
 						// Hold the timeline's entry intensity: a steady span
 						// at the first phase's position-0 factor.
-						rv.Phases = append([]PhaseSpec{{
+						start := len(phases)
+						phases = append(phases, PhaseSpec{
 							Name:      "lead-in",
 							Kind:      string(workload.PhaseSteady),
 							DurationS: float64(lead),
-							Level:     rv.Phases[0].phase().Factor(0),
-						}}, rv.Phases...)
+							Level:     v.Phases[0].factor(0),
+						})
+						phases = append(phases, v.Phases...)
+						rv.Phases = phases[start:len(phases):len(phases)]
 					}
 				}
-				host.VMs = append(host.VMs, rv)
+				vms = append(vms, rv)
 			}
-			hosts = append(hosts, host)
-			paths = append(paths, fmt.Sprintf("cluster.fleet[%d].replica[%d]", gi, i))
+			hosts = append(hosts, ClusterHostSpec{
+				Name:    hostNames[i],
+				Machine: g.Machine,
+				VMs:     vms[first:len(vms):len(vms)],
+			})
 		}
 	}
-	return hosts, paths
+	return hosts
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -32,7 +33,7 @@ func TestFleetExpansion(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatalf("valid fleet spec rejected: %v", err)
 	}
-	hosts, paths := s.expandedClusterHosts()
+	hosts := s.expandedClusterHosts()
 	if len(hosts) != 10 || s.Cluster.hostCount() != 10 {
 		t.Fatalf("expanded to %d hosts (hostCount %d), want 10", len(hosts), s.Cluster.hostCount())
 	}
@@ -42,8 +43,11 @@ func TestFleetExpansion(t *testing.T) {
 	if hosts[0].VMs[0].Name != "fe-0000" || hosts[9].VMs[0].Name != "low-0003" {
 		t.Errorf("VM names drifted: %s, %s", hosts[0].VMs[0].Name, hosts[9].VMs[0].Name)
 	}
-	if !strings.HasPrefix(paths[0], "cluster.fleet[0].replica[0]") {
-		t.Errorf("replica path label = %q", paths[0])
+	if p := s.Cluster.hostPath(0); p != "cluster.fleet[0].replica[0]" {
+		t.Errorf("replica path label = %q", p)
+	}
+	if p := s.Cluster.hostPath(7); p != "cluster.fleet[1].replica[1]" {
+		t.Errorf("second group's replica path label = %q", p)
 	}
 	// Jittered groups prepend a whole-second steady lead-in below the cap,
 	// holding the diurnal timeline's entry intensity.
@@ -61,8 +65,8 @@ func TestFleetExpansion(t *testing.T) {
 			if lead.DurationS <= 0 || lead.DurationS >= 600 || lead.DurationS != float64(int64(lead.DurationS)) {
 				t.Errorf("lead-in duration %v outside (0, 600) whole seconds", lead.DurationS)
 			}
-			if lead.Level != ph[1].phase().Factor(0) {
-				t.Errorf("lead-in level %v does not hold the entry factor %v", lead.Level, ph[1].phase().Factor(0))
+			if lead.Level != ph[1].factor(0) {
+				t.Errorf("lead-in level %v does not hold the entry factor %v", lead.Level, ph[1].factor(0))
 			}
 			jittered++
 			seenLead[lead.DurationS] = true
@@ -79,7 +83,7 @@ func TestFleetExpansion(t *testing.T) {
 	}
 
 	// Deterministic: expansion is a pure function of the spec.
-	again, _ := fleetSpec().expandedClusterHosts()
+	again := fleetSpec().expandedClusterHosts()
 	if !reflect.DeepEqual(hosts, again) {
 		t.Error("two expansions of one spec differ")
 	}
@@ -88,7 +92,7 @@ func TestFleetExpansion(t *testing.T) {
 	// names.
 	reseeded := fleetSpec()
 	reseeded.Seed = 99991
-	rh, _ := reseeded.expandedClusterHosts()
+	rh := reseeded.expandedClusterHosts()
 	if rh[0].Name != hosts[0].Name {
 		t.Error("seed changed replica names")
 	}
@@ -146,6 +150,7 @@ func TestFleetValidation(t *testing.T) {
 		{"sub-second jitter", func(s *Spec) { s.Cluster.Fleet[0].PhaseJitterS = 0.5 }, "phase_jitter_s"},
 		{"fractional jitter", func(s *Spec) { s.Cluster.Fleet[0].PhaseJitterS = 600.9 }, "whole number of seconds"},
 		{"jitter without phases", func(s *Spec) { s.Cluster.Fleet[1].PhaseJitterS = 60 }, "no template VM has phases"},
+		{"jitter overflows a duration", func(s *Spec) { s.Cluster.Fleet[0].PhaseJitterS = 1e11 }, "cluster.fleet[0].phase_jitter_s"},
 		{"replica collides with explicit host", func(s *Spec) {
 			s.Cluster.Hosts = []ClusterHostSpec{{Name: "web-0002", Machine: "m01",
 				VMs: []ClusterVMSpec{{Name: "x", MemGiB: 4, BusyVCPUs: 1}}}}
@@ -163,6 +168,98 @@ func TestFleetValidation(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestFleetErrorText pins the full text of replica-level errors, whose
+// paths are formatted only for the error returned: the replica index
+// counts within its group, after any explicit hosts, and a phase index
+// counts a jittered replica's lead-in.
+func TestFleetErrorText(t *testing.T) {
+	at := func(v float64) *float64 { return &v }
+	cases := []struct {
+		name string
+		mut  func(*Spec)
+		want string
+	}{
+		{"VM field in the second group's first replica", func(s *Spec) {
+			s.Cluster.Fleet[1].VMs[0].DirtyRatio = 2
+		}, `scenario "fleet-under-test": cluster.fleet[1].replica[0].vms[0].dirty_ratio: 2 outside [0, 1]`},
+		{"replica after explicit hosts", func(s *Spec) {
+			s.Cluster.Hosts = []ClusterHostSpec{{Name: "edge", Machine: "m01"}, {Name: "idle-0003", Machine: "m02"}}
+		}, `scenario "fleet-under-test": cluster.fleet[1].replica[3].name: duplicate host "idle-0003"`},
+		{"VM field in a replica after explicit hosts", func(s *Spec) {
+			s.Cluster.Hosts = []ClusterHostSpec{{Name: "edge", Machine: "m01"}}
+			s.Cluster.Fleet[0].VMs[0].BusyVCPUs = -1
+		}, `scenario "fleet-under-test": cluster.fleet[0].replica[0].vms[0].busy_vcpus: must be non-negative, got -1`},
+		{"phase field in an unjittered replica VM", func(s *Spec) {
+			s.Cluster.Fleet[1].VMs[0].Phases = []PhaseSpec{{Kind: "steady", DurationS: 60}, {Kind: "ramp", DurationS: 0}}
+		}, `scenario "fleet-under-test": cluster.fleet[1].replica[0].vms[0].phases[1].duration_s: must be positive, got 0`},
+		{"phase field behind a lead-in", func(s *Spec) {
+			s.Cluster.Fleet[0].VMs[0].Phases[0].At = at(0.5)
+		}, `scenario "fleet-under-test": cluster.fleet[0].replica[0].vms[0].phases[1].at: meaningless for a cluster VM phase (the timeline plays out continuously)`},
+	}
+	for _, tc := range cases {
+		s := fleetSpec()
+		tc.mut(s)
+		if err := s.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Validate error\n  got  %v\n  want %s", tc.name, err, tc.want)
+		}
+		if _, err := s.Compile(); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Compile error\n  got  %v\n  want %s", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestFleetCompileAllocCeiling holds Compile of every library fleet spec
+// under a per-host allocation ceiling. The fleet expands once and no
+// field path is formatted while nothing is wrong, so what a host costs
+// is its name, its guests' names and lead-in phase lists, and the
+// engine's layout; formatting each host's path again would break it.
+func TestFleetCompileAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race for the ceiling")
+	}
+	const ceiling = 1.0 // allocations per expanded host
+	specs, err := LoadDir(libraryDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleets := 0
+	for _, s := range specs {
+		if s.Cluster == nil || len(s.Cluster.Fleet) == 0 {
+			continue
+		}
+		fleets++
+		allocs := testing.AllocsPerRun(1, func() {
+			if _, err := s.Compile(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		hosts := s.Cluster.hostCount()
+		perHost := allocs / float64(hosts)
+		t.Logf("%s: %d hosts, Compile allocates %.0f objects, %.2f per host", s.Name, hosts, allocs, perHost)
+		if perHost > ceiling {
+			t.Errorf("%s: Compile allocates %.2f objects per host, ceiling is %v", s.Name, perHost, ceiling)
+		}
+	}
+	if fleets < 3 {
+		t.Fatalf("library has %d fleet specs, want at least 3", fleets)
+	}
+}
+
+// TestReplicaNames holds the replica name stamp to the "%s-%04d" format
+// the committed fleet goldens and cache keys were built with, for every
+// index a fleet group may have.
+func TestReplicaNames(t *testing.T) {
+	names := replicaNames("spare", MaxFleetReplicas)
+	if len(names) != MaxFleetReplicas {
+		t.Fatalf("stamped %d names, want %d", len(names), MaxFleetReplicas)
+	}
+	for i, got := range names {
+		if want := fmt.Sprintf("spare-%04d", i); got != want {
+			t.Fatalf("name %d = %q, want %q", i, got, want)
 		}
 	}
 }

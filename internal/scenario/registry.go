@@ -61,34 +61,26 @@ func LoadDir(dir string) ([]*Spec, error) {
 
 // LoadGlob is LoadDir for an arbitrary glob pattern.
 func LoadGlob(pattern string) ([]*Spec, error) {
-	specs, _, err := loadFiles(pattern)
-	return specs, err
-}
-
-// loadFiles resolves a glob, loads every match in name order and
-// cross-checks uniqueness, returning the specs alongside the file each
-// one came from (same index).
-func loadFiles(pattern string) ([]*Spec, []string, error) {
 	files, err := filepath.Glob(pattern)
 	if err != nil {
-		return nil, nil, &Error{Scenario: pattern, Path: "(glob)", Msg: err.Error()}
+		return nil, &Error{Scenario: pattern, Path: "(glob)", Msg: err.Error()}
 	}
 	if len(files) == 0 {
-		return nil, nil, &Error{Scenario: pattern, Path: "(glob)", Msg: "no scenario files match"}
+		return nil, &Error{Scenario: pattern, Path: "(glob)", Msg: "no scenario files match"}
 	}
 	sort.Strings(files)
 	specs := make([]*Spec, 0, len(files))
 	for _, f := range files {
 		s, err := Load(f)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		specs = append(specs, s)
 	}
 	if err := CheckUnique(specs); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return specs, files, nil
+	return specs, nil
 }
 
 // CheckUnique enforces the library invariant on an arbitrary spec set:
@@ -117,8 +109,6 @@ func CheckUnique(specs []*Spec) error {
 type Info struct {
 	// Name and Description come from the spec.
 	Name, Description string
-	// File is the path the spec was loaded from.
-	File string
 	// Datacenter reports the data-centre plan form.
 	Datacenter bool
 	// Cluster is the host count of an N-host cluster timeline (0 for
@@ -128,18 +118,13 @@ type Info struct {
 	Phases int
 }
 
-// List loads a scenario directory and returns its catalog in name order.
-func List(dir string) ([]Info, error) {
-	specs, files, err := loadFiles(filepath.Join(dir, "*.json"))
-	if err != nil {
-		return nil, err
-	}
+// List returns the catalog of a loaded spec set in name order.
+func List(specs []*Spec) []Info {
 	out := make([]Info, 0, len(specs))
-	for i, s := range specs {
+	for _, s := range specs {
 		in := Info{
 			Name:        s.Name,
 			Description: s.Description,
-			File:        files[i],
 			Datacenter:  s.Datacenter != nil,
 			Phases:      len(s.Phases),
 		}
@@ -149,5 +134,5 @@ func List(dir string) ([]Info, error) {
 		out = append(out, in)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
+	return out
 }

@@ -3,11 +3,12 @@ package scenario
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
-	"strings"
+	"math"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/consolidation"
+	"repro/internal/dcsim"
 	"repro/internal/hw"
 	"repro/internal/meter"
 	"repro/internal/migration"
@@ -45,6 +46,28 @@ func (e *Error) Error() string {
 // errf builds a pathed Error.
 func errf(scenario, path, format string, args ...any) *Error {
 	return &Error{Scenario: scenario, Path: path, Msg: fmt.Sprintf(format, args...)}
+}
+
+// under roots an error whose path is relative to one element (a host, a
+// VM, a phase) at that element's path, so an element formats its path
+// only for the error returned.
+func under(err error, prefix string) error {
+	if e, ok := err.(*Error); ok {
+		e.Path = prefix + e.Path
+	}
+	return err
+}
+
+// seconds converts a seconds field into a time.Duration. A value beyond
+// what a Duration holds (about 292 years) fails with a pathed error
+// instead of wrapping into a wrong, possibly negative, duration; the
+// negated range test refuses NaN too.
+func seconds(scenario, path string, v float64) (time.Duration, error) {
+	ns := v * float64(time.Second)
+	if !(ns >= -1<<63 && ns < 1<<63) {
+		return 0, errf(scenario, path, "%v s exceeds the longest representable duration (%v)", v, time.Duration(math.MaxInt64))
+	}
+	return time.Duration(ns), nil
 }
 
 // Spec is one declarative scenario. The zero value of every optional
@@ -188,51 +211,52 @@ type PhaseSpec struct {
 	At *float64 `json:"at,omitempty"`
 }
 
-// validate checks the phase's fields under the given path, naming the
-// field that is actually wrong. sampled marks contexts where the phase
-// is sampled at one position (migration timelines); cluster VM phases
-// play out continuously, so "at" is rejected there.
-func (p PhaseSpec) validate(name, path string, sampled bool) error {
-	ph := p.phase()
+// lower checks the phase's fields and lowers it into the workload
+// package's Phase, naming the field that is actually wrong. Error paths
+// are relative to the phase (".duration_s"); the caller roots them with
+// under. sampled marks contexts where the phase is sampled at one
+// position (migration timelines); cluster VM phases play out
+// continuously, so "at" is rejected there.
+func (p PhaseSpec) lower(name string, sampled bool) (workload.Phase, error) {
+	ph := workload.Phase{Name: p.Name, Kind: workload.PhaseKind(p.Kind), Level: p.Level, Peak: p.Peak}
 	switch ph.Kind {
 	case workload.PhaseSteady, workload.PhaseBurst, workload.PhaseDiurnal, workload.PhaseRamp:
 	default:
-		return errf(name, path+".kind", "unknown phase kind %q (want one of %v)", p.Kind, workload.PhaseKinds())
+		return ph, errf(name, ".kind", "unknown phase kind %q (want one of %v)", p.Kind, workload.PhaseKinds())
 	}
 	if p.DurationS <= 0 {
-		return errf(name, path+".duration_s", "must be positive, got %v", p.DurationS)
+		return ph, errf(name, ".duration_s", "must be positive, got %v", p.DurationS)
+	}
+	var err error
+	if ph.Duration, err = seconds(name, ".duration_s", p.DurationS); err != nil {
+		return ph, err
 	}
 	if p.Level < 0 || p.Level > workload.MaxPhaseFactor {
-		return errf(name, path+".level", "must be in [0, %v], got %v", workload.MaxPhaseFactor, p.Level)
+		return ph, errf(name, ".level", "must be in [0, %v], got %v", workload.MaxPhaseFactor, p.Level)
 	}
 	if p.Peak < 0 || p.Peak > workload.MaxPhaseFactor {
-		return errf(name, path+".peak", "must be in [0, %v], got %v", workload.MaxPhaseFactor, p.Peak)
+		return ph, errf(name, ".peak", "must be in [0, %v], got %v", workload.MaxPhaseFactor, p.Peak)
 	}
 	// Belt and braces: the lowered phase must agree.
 	if err := ph.Validate(); err != nil {
-		return errf(name, path, "%v", err)
+		return ph, errf(name, "", "%v", err)
 	}
 	if !sampled {
 		if p.At != nil {
-			return errf(name, path+".at", "meaningless for a cluster VM phase (the timeline plays out continuously)")
+			return ph, errf(name, ".at", "meaningless for a cluster VM phase (the timeline plays out continuously)")
 		}
-		return nil
+		return ph, nil
 	}
 	if at := p.at(); at < 0 || at > 1 {
-		return errf(name, path+".at", "%v outside [0, 1]", at)
+		return ph, errf(name, ".at", "%v outside [0, 1]", at)
 	}
-	return nil
+	return ph, nil
 }
 
-// phase lowers the JSON form into the workload package's Phase.
-func (p PhaseSpec) phase() workload.Phase {
-	return workload.Phase{
-		Name:     p.Name,
-		Kind:     workload.PhaseKind(p.Kind),
-		Duration: time.Duration(p.DurationS * float64(time.Second)),
-		Level:    p.Level,
-		Peak:     p.Peak,
-	}
+// factor is the phase's intensity factor at a fractional position; it
+// depends on the phase's shape, not its duration.
+func (p PhaseSpec) factor(frac float64) float64 {
+	return workload.Phase{Kind: workload.PhaseKind(p.Kind), Level: p.Level, Peak: p.Peak}.Factor(frac)
 }
 
 // at returns the sampling position.
@@ -277,17 +301,22 @@ type MigrationTuning struct {
 }
 
 // config lowers the tuning into the migration package's Config.
-func (m *MigrationTuning) config(kind migration.Kind) migration.Config {
+func (m *MigrationTuning) config(name string, kind migration.Kind) (migration.Config, error) {
 	cfg := migration.Config{Kind: kind}
 	if m == nil {
-		return cfg
+		return cfg, nil
 	}
-	cfg.InitiationTime = time.Duration(m.InitiationS * float64(time.Second))
-	cfg.ActivationTime = time.Duration(m.ActivationS * float64(time.Second))
+	var err error
+	if cfg.InitiationTime, err = seconds(name, "migration.initiation_s", m.InitiationS); err != nil {
+		return cfg, err
+	}
+	if cfg.ActivationTime, err = seconds(name, "migration.activation_s", m.ActivationS); err != nil {
+		return cfg, err
+	}
 	cfg.MaxRounds = m.MaxRounds
 	cfg.StopThreshold = units.Pages(m.StopThresholdPages)
 	cfg.MaxDataFactor = m.MaxDataFactor
-	return cfg
+	return cfg, nil
 }
 
 // Meter is the power-analyser override: sampling period in milliseconds
@@ -565,184 +594,158 @@ func validName(name string) bool {
 }
 
 // Validate checks the spec exhaustively and returns the first failure as
-// a pathed *Error. A valid spec is guaranteed to Compile.
+// a pathed *Error. It is Compile with the result dropped: checking and
+// lowering are one pass, so a spec is valid exactly when it compiles.
 func (s *Spec) Validate() error {
-	if err := s.validate(); err != nil || s.Cluster == nil {
-		return err
-	}
-	// Belt and braces: the lowered cluster config must satisfy the
-	// engine's own validation too (switch topology, move targets, …).
-	// Compile makes this last check by preparing the config it lowers.
-	cfg, err := s.clusterConfig()
-	if err != nil {
-		return err
-	}
-	if err := cfg.Validate(); err != nil {
-		return errf(s.Name, "(compiled)", "%v", err)
-	}
-	return nil
+	_, err := s.Compile()
+	return err
 }
 
-// validate is Validate without the engine's check of a lowered cluster
-// config, which is always last.
-func (s *Spec) validate() error {
+// compileMigration checks the single-migration form of the spec and
+// lowers it into one run, or one run per phase.
+func (s *Spec) compileMigration(kind migration.Kind) (*Compiled, error) {
 	name := s.Name
-	if s.Version != CurrentVersion {
-		return errf(name, "version", "unsupported version %d (this build reads version %d)", s.Version, CurrentVersion)
-	}
-	if !validName(s.Name) {
-		return errf(name, "name", "must be non-empty lowercase [a-z0-9._-], got %q", s.Name)
-	}
-	src, dst, err := hw.Pair(s.pair())
-	if err != nil {
-		return errf(name, "pair", "%v", err)
-	}
-	// netsim will refuse a cross-switch link at run time; catch it here so
-	// the -check gate cannot green-light a scenario that can never run.
-	if src.Switch != dst.Switch {
-		return errf(name, "pair", "%s (%s) and %s (%s) are on different switches and cannot migrate", src.Name, src.Switch, dst.Name, dst.Switch)
-	}
-	kind, err := s.kind()
-	if err != nil {
-		return errf(name, "kind", "%v", err)
-	}
-	if s.Seed < 0 {
-		return errf(name, "seed", "must be non-negative, got %d", s.Seed)
-	}
-	if s.Datacenter != nil && s.Cluster != nil {
-		return errf(name, "cluster", "mutually exclusive with \"datacenter\"; pick one form")
-	}
-	if s.Datacenter != nil {
-		return s.validateDatacenter(kind)
-	}
-	if s.Cluster != nil {
-		return s.validateCluster(kind)
-	}
-	return s.validateMigrationRun(name)
-}
-
-// validateMigrationRun checks the single-migration form of the spec.
-func (s *Spec) validateMigrationRun(name string) error {
 	if s.Migrating.Workload.Profile == "" {
-		return errf(name, "migrating.workload.profile", "required (or set \"datacenter\" for a data-centre scenario)")
+		return nil, errf(name, "migrating.workload.profile", "required (or set \"datacenter\" for a data-centre scenario)")
 	}
 	if err := s.Migrating.Workload.validate(name, "migrating.workload"); err != nil {
-		return err
+		return nil, err
 	}
 	if s.Migrating.Type != "" {
 		if _, err := vm.Lookup(s.Migrating.Type); err != nil {
-			return errf(name, "migrating.type", "%v", err)
+			return nil, errf(name, "migrating.type", "%v", err)
 		}
 	}
 	if s.SourceLoadVMs < 0 {
-		return errf(name, "source_load_vms", "must be non-negative, got %d", s.SourceLoadVMs)
+		return nil, errf(name, "source_load_vms", "must be non-negative, got %d", s.SourceLoadVMs)
 	}
 	if s.TargetLoadVMs < 0 {
-		return errf(name, "target_load_vms", "must be non-negative, got %d", s.TargetLoadVMs)
+		return nil, errf(name, "target_load_vms", "must be non-negative, got %d", s.TargetLoadVMs)
 	}
 	if s.LoadWorkload != nil {
 		if err := s.LoadWorkload.validate(name, "load_workload"); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	labels := make(map[string]int, len(s.Phases))
 	for i, p := range s.Phases {
-		if err := p.validate(name, fmt.Sprintf("phases[%d]", i), true); err != nil {
-			return err
+		if _, err := p.lower(name, true); err != nil {
+			return nil, under(err, fmt.Sprintf("phases[%d]", i))
 		}
 		// Phase labels become run labels and scenario names; collisions
 		// would make two blocks indistinguishable in every report.
 		if prev, dup := labels[p.label(i)]; dup {
-			return errf(name, fmt.Sprintf("phases[%d].name", i), "label %q collides with phase %d", p.label(i), prev)
+			return nil, errf(name, fmt.Sprintf("phases[%d].name", i), "label %q collides with phase %d", p.label(i), prev)
 		}
 		labels[p.label(i)] = i
 	}
 	if s.Timing != nil {
 		if s.Timing.PreS < 0 {
-			return errf(name, "timing.pre_s", "must be non-negative, got %v", s.Timing.PreS)
+			return nil, errf(name, "timing.pre_s", "must be non-negative, got %v", s.Timing.PreS)
 		}
 		if s.Timing.PostS < 0 {
-			return errf(name, "timing.post_s", "must be non-negative, got %v", s.Timing.PostS)
+			return nil, errf(name, "timing.post_s", "must be non-negative, got %v", s.Timing.PostS)
 		}
 	}
 	if m := s.Migration; m != nil {
 		switch {
 		case m.InitiationS < 0:
-			return errf(name, "migration.initiation_s", "must be non-negative, got %v", m.InitiationS)
+			return nil, errf(name, "migration.initiation_s", "must be non-negative, got %v", m.InitiationS)
 		case m.ActivationS < 0:
-			return errf(name, "migration.activation_s", "must be non-negative, got %v", m.ActivationS)
+			return nil, errf(name, "migration.activation_s", "must be non-negative, got %v", m.ActivationS)
 		case m.MaxRounds < 0:
-			return errf(name, "migration.max_rounds", "must be non-negative, got %d", m.MaxRounds)
+			return nil, errf(name, "migration.max_rounds", "must be non-negative, got %d", m.MaxRounds)
 		case m.StopThresholdPages < 0:
-			return errf(name, "migration.stop_threshold_pages", "must be non-negative, got %d", m.StopThresholdPages)
+			return nil, errf(name, "migration.stop_threshold_pages", "must be non-negative, got %d", m.StopThresholdPages)
 		case m.MaxDataFactor < 0:
-			return errf(name, "migration.max_data_factor", "must be non-negative, got %v", m.MaxDataFactor)
+			return nil, errf(name, "migration.max_data_factor", "must be non-negative, got %v", m.MaxDataFactor)
 		}
 	}
 	if s.Meter != nil {
 		if err := s.Meter.config().Validate(); err != nil {
-			return errf(name, "meter", "%v", err)
+			return nil, errf(name, "meter", "%v", err)
 		}
+	}
+	base, err := s.baseScenario(kind)
+	if err != nil {
+		return nil, err
 	}
 	// The pre-migration window must cover the paper's stabilisation rule:
 	// 20 consecutive samples at the effective meter cadence.
-	pre := DefaultPreMigration
-	if s.Timing != nil && s.Timing.PreS > 0 {
-		pre = time.Duration(s.Timing.PreS * float64(time.Second))
-	}
 	period := meter.DefaultPeriod
 	if s.Meter != nil && s.Meter.PeriodMS > 0 {
 		period = time.Duration(s.Meter.PeriodMS) * time.Millisecond
 	}
-	if need := time.Duration(meter.StabilisationWindow) * period; pre < need {
-		return errf(name, "timing.pre_s", "pre-migration window %v cannot cover the stabilisation rule (%d samples at %v = %v)", pre, meter.StabilisationWindow, period, need)
+	if need := time.Duration(meter.StabilisationWindow) * period; base.PreMigration < need {
+		return nil, errf(name, "timing.pre_s", "pre-migration window %v cannot cover the stabilisation rule (%d samples at %v = %v)", base.PreMigration, meter.StabilisationWindow, period, need)
 	}
 	if r := s.Repeat; r != nil {
 		if r.MinRuns == 1 || r.MinRuns < 0 {
-			return errf(name, "repeat.min_runs", "need at least 2 runs for the variance rule, got %d", r.MinRuns)
+			return nil, errf(name, "repeat.min_runs", "need at least 2 runs for the variance rule, got %d", r.MinRuns)
 		}
 		if r.VarianceTol < 0 {
-			return errf(name, "repeat.variance_tol", "must be non-negative, got %v", r.VarianceTol)
+			return nil, errf(name, "repeat.variance_tol", "must be non-negative, got %v", r.VarianceTol)
 		}
 	}
 	// Belt and braces: the compiled base scenario must satisfy the
 	// simulator's own validation too.
-	base, err := s.baseScenario()
-	if err != nil {
-		return err
-	}
 	if err := base.Validate(); err != nil {
-		return errf(name, "(compiled)", "%v", err)
+		return nil, errf(name, "(compiled)", "%v", err)
 	}
-	return nil
+	out := &Compiled{Spec: s}
+	if len(s.Phases) == 0 {
+		out.Runs = []Run{{
+			Label:       s.Name,
+			Scenario:    base,
+			MinRuns:     s.Repeat.minRuns(),
+			VarianceTol: s.Repeat.varianceTol(),
+		}}
+		return out, nil
+	}
+	for i, p := range s.Phases {
+		factor := p.factor(p.at())
+		sc := base
+		sc.Name = fmt.Sprintf("%s/%s", base.Name, p.label(i))
+		sc.MigratingProfile = base.MigratingProfile.Modulate(factor)
+		// Co-located load tracks the phase intensity: a burst doubles both
+		// the guest's appetite and its neighbours'.
+		sc.SourceLoadVMs = scaleVMs(s.SourceLoadVMs, factor)
+		sc.TargetLoadVMs = scaleVMs(s.TargetLoadVMs, factor)
+		sc.Seed = base.Seed + int64(i)*phaseSeedStride
+		out.Runs = append(out.Runs, Run{
+			Label:       fmt.Sprintf("%s/%s", s.Name, p.label(i)),
+			Scenario:    sc,
+			MinRuns:     s.Repeat.minRuns(),
+			VarianceTol: s.Repeat.varianceTol(),
+		})
+	}
+	return out, nil
 }
 
-// validateDatacenter checks the data-centre form of the spec.
-func (s *Spec) validateDatacenter(kind migration.Kind) error {
+// compileDatacenter checks the data-centre form of the spec and lowers
+// it into a host population and a move plan.
+func (s *Spec) compileDatacenter(kind migration.Kind) (*Compiled, error) {
 	name := s.Name
 	if s.Migrating.Workload.Profile != "" || s.Migrating.Type != "" {
-		return errf(name, "migrating", "unused in data-centre scenarios (the plan's moves select the workloads)")
+		return nil, errf(name, "migrating", "unused in data-centre scenarios (the plan's moves select the workloads)")
 	}
 	if len(s.Phases) > 0 {
-		return errf(name, "phases", "unused in data-centre scenarios")
+		return nil, errf(name, "phases", "unused in data-centre scenarios")
 	}
 	if s.SourceLoadVMs != 0 || s.TargetLoadVMs != 0 {
-		return errf(name, "source_load_vms/target_load_vms", "unused in data-centre scenarios (host load comes from the hosts' resident VMs)")
+		return nil, errf(name, "source_load_vms/target_load_vms", "unused in data-centre scenarios (host load comes from the hosts' resident VMs)")
 	}
 	if s.LoadWorkload != nil {
-		return errf(name, "load_workload", "unused in data-centre scenarios")
+		return nil, errf(name, "load_workload", "unused in data-centre scenarios")
 	}
 	if kind == migration.PostCopy {
-		return errf(name, "kind", "post-copy is not supported for data-centre plans")
+		return nil, errf(name, "kind", "post-copy is not supported for data-centre plans")
 	}
 	dc := s.Datacenter
 	if len(dc.Hosts) < 2 {
-		return errf(name, "datacenter.hosts", "need at least 2 hosts, got %d", len(dc.Hosts))
+		return nil, errf(name, "datacenter.hosts", "need at least 2 hosts, got %d", len(dc.Hosts))
 	}
-	hosts, err := s.hostStates()
-	if err != nil {
-		return err
-	}
+	hosts := s.hostStates()
 	// Replay the explicit moves against the evolving placement so a move
 	// referencing a VM after it has left its host fails here, not at run
 	// time.
@@ -750,15 +753,15 @@ func (s *Spec) validateDatacenter(kind migration.Kind) error {
 	hostSet := make(map[string]bool, len(hosts))
 	for hi, h := range hosts {
 		if err := h.Validate(); err != nil {
-			return errf(name, fmt.Sprintf("datacenter.hosts[%d]", hi), "%v", err)
+			return nil, errf(name, fmt.Sprintf("datacenter.hosts[%d]", hi), "%v", err)
 		}
 		if hostSet[h.Name] {
-			return errf(name, fmt.Sprintf("datacenter.hosts[%d].name", hi), "duplicate host %q", h.Name)
+			return nil, errf(name, fmt.Sprintf("datacenter.hosts[%d].name", hi), "duplicate host %q", h.Name)
 		}
 		hostSet[h.Name] = true
 		for _, v := range h.VMs {
 			if prev, dup := placement[v.Name]; dup {
-				return errf(name, fmt.Sprintf("datacenter.hosts[%d].vms", hi), "VM %q already on host %q", v.Name, prev)
+				return nil, errf(name, fmt.Sprintf("datacenter.hosts[%d].vms", hi), "VM %q already on host %q", v.Name, prev)
 			}
 			placement[v.Name] = h.Name
 		}
@@ -767,32 +770,59 @@ func (s *Spec) validateDatacenter(kind migration.Kind) error {
 		path := fmt.Sprintf("datacenter.moves[%d]", mi)
 		switch {
 		case mv.VM == "":
-			return errf(name, path+".vm", "required")
+			return nil, errf(name, path+".vm", "required")
 		case !hostSet[mv.From]:
-			return errf(name, path+".from", "unknown host %q", mv.From)
+			return nil, errf(name, path+".from", "unknown host %q", mv.From)
 		case !hostSet[mv.To]:
-			return errf(name, path+".to", "unknown host %q", mv.To)
+			return nil, errf(name, path+".to", "unknown host %q", mv.To)
 		case mv.From == mv.To:
-			return errf(name, path+".to", "move must change hosts, both are %q", mv.To)
+			return nil, errf(name, path+".to", "move must change hosts, both are %q", mv.To)
 		}
 		at, ok := placement[mv.VM]
 		if !ok {
-			return errf(name, path+".vm", "unknown VM %q", mv.VM)
+			return nil, errf(name, path+".vm", "unknown VM %q", mv.VM)
 		}
 		if at != mv.From {
-			return errf(name, path+".from", "VM %q is on host %q at this point in the plan, not %q", mv.VM, at, mv.From)
+			return nil, errf(name, path+".from", "VM %q is on host %q at this point in the plan, not %q", mv.VM, at, mv.From)
 		}
 		placement[mv.VM] = mv.To
 	}
 	if r := s.Repeat; r != nil {
-		return errf(name, "repeat", "unused in data-centre scenarios (each move runs once)")
+		return nil, errf(name, "repeat", "unused in data-centre scenarios (each move runs once)")
 	}
 	if s.Meter != nil || s.Migration != nil || s.Timing != nil {
 		// The dcsim executor derives per-move scenarios itself; overrides
 		// that would silently not apply are rejected.
-		return errf(name, "meter/migration/timing", "unused in data-centre scenarios")
+		return nil, errf(name, "meter/migration/timing", "unused in data-centre scenarios")
 	}
-	return nil
+	pr := &PlanRun{
+		Policy: "scenario/" + s.Name,
+		Hosts:  hosts,
+		Executor: dcsim.Executor{
+			Pair: s.pair(),
+			Kind: kind,
+			Seed: s.EffectiveSeed(),
+		},
+	}
+	if len(dc.Moves) > 0 {
+		plan := &consolidation.Plan{}
+		for _, mv := range dc.Moves {
+			plan.Moves = append(plan.Moves, consolidation.Move{VM: mv.VM, From: mv.From, To: mv.To})
+		}
+		pr.Plan = plan
+	} else {
+		// No explicit moves: plan with the energy-blind first-fit-
+		// decreasing policy, the only built-in planner that needs no
+		// trained estimator — keeping compilation deterministic data.
+		ffd := consolidation.FirstFitDecreasing{}
+		plan, err := ffd.Plan(hosts, consolidation.Config{})
+		if err != nil {
+			return nil, errf(name, "datacenter", "planning moves with %s: %v", ffd.Name(), err)
+		}
+		pr.Policy = ffd.Name()
+		pr.Plan = plan
+	}
+	return &Compiled{Spec: s, Plan: pr}, nil
 }
 
 // Cluster policy names.
@@ -801,177 +831,240 @@ const (
 	PolicyFirstFit    = "first-fit-decreasing"
 )
 
-// validateCluster checks the cluster form of the spec.
-func (s *Spec) validateCluster(kind migration.Kind) error {
+// compileCluster checks the cluster form of the spec and lowers it into
+// a prepared cluster config. The fleet expands once, and each host is
+// lowered as it is checked. Preparing the config runs the engine's own
+// validation, the last check, so the engine validates a spec once too.
+func (s *Spec) compileCluster(kind migration.Kind) (*Compiled, error) {
 	name := s.Name
 	if s.Pair != "" {
-		return errf(name, "pair", "unused in cluster scenarios (host machine models define the topology)")
+		return nil, errf(name, "pair", "unused in cluster scenarios (host machine models define the topology)")
 	}
 	if s.Migrating.Workload.Profile != "" || s.Migrating.Type != "" {
-		return errf(name, "migrating", "unused in cluster scenarios (the timeline's moves select the workloads)")
+		return nil, errf(name, "migrating", "unused in cluster scenarios (the timeline's moves select the workloads)")
 	}
 	if len(s.Phases) > 0 {
-		return errf(name, "phases", "unused in cluster scenarios (phase timelines live on the cluster's VMs)")
+		return nil, errf(name, "phases", "unused in cluster scenarios (phase timelines live on the cluster's VMs)")
 	}
 	if s.SourceLoadVMs != 0 || s.TargetLoadVMs != 0 {
-		return errf(name, "source_load_vms/target_load_vms", "unused in cluster scenarios (host load comes from the resident VMs)")
+		return nil, errf(name, "source_load_vms/target_load_vms", "unused in cluster scenarios (host load comes from the resident VMs)")
 	}
 	if s.LoadWorkload != nil {
-		return errf(name, "load_workload", "unused in cluster scenarios")
+		return nil, errf(name, "load_workload", "unused in cluster scenarios")
 	}
 	if s.Repeat != nil {
-		return errf(name, "repeat", "unused in cluster scenarios (each migration runs once)")
+		return nil, errf(name, "repeat", "unused in cluster scenarios (each migration runs once)")
 	}
 	if s.Meter != nil || s.Migration != nil || s.Timing != nil {
-		return errf(name, "meter/migration/timing", "unused in cluster scenarios")
+		return nil, errf(name, "meter/migration/timing", "unused in cluster scenarios")
 	}
 	if kind == migration.PostCopy {
-		return errf(name, "kind", "post-copy is not supported for cluster timelines")
+		return nil, errf(name, "kind", "post-copy is not supported for cluster timelines")
 	}
 	c := s.Cluster
 	if err := s.validateFleetGroups(); err != nil {
-		return err
+		return nil, err
 	}
 	if c.hostCount() == 0 {
-		return errf(name, "cluster.hosts", "required (directly or via \"fleet\" groups)")
+		return nil, errf(name, "cluster.hosts", "required (directly or via \"fleet\" groups)")
 	}
+	cfg := cluster.Config{Kind: kind, Seed: s.EffectiveSeed()}
 	switch c.Policy {
-	case "", PolicyEnergyAware, PolicyFirstFit:
+	case PolicyEnergyAware:
+		cfg.Policy = consolidation.EnergyAware{Model: consolidation.HeuristicCost{}}
+	case PolicyFirstFit:
+		cfg.Policy = consolidation.FirstFitDecreasing{Model: consolidation.HeuristicCost{}}
+	case "":
 	default:
-		return errf(name, "cluster.policy", "unknown policy %q (want %q or %q)", c.Policy, PolicyEnergyAware, PolicyFirstFit)
+		return nil, errf(name, "cluster.policy", "unknown policy %q (want %q or %q)", c.Policy, PolicyEnergyAware, PolicyFirstFit)
 	}
 	if c.HorizonS < 0 {
-		return errf(name, "cluster.horizon_s", "must be non-negative, got %v", c.HorizonS)
+		return nil, errf(name, "cluster.horizon_s", "must be non-negative, got %v", c.HorizonS)
+	}
+	var err error
+	if cfg.Horizon, err = seconds(name, "cluster.horizon_s", c.HorizonS); err != nil {
+		return nil, err
 	}
 	if c.Policy == "" {
 		switch {
 		case len(c.Moves) == 0:
-			return errf(name, "cluster.moves", "required without a policy (an empty timeline measures nothing)")
+			return nil, errf(name, "cluster.moves", "required without a policy (an empty timeline measures nothing)")
 		case c.TickS != 0:
-			return errf(name, "cluster.tick_s", "needs a policy to tick")
+			return nil, errf(name, "cluster.tick_s", "needs a policy to tick")
 		case c.CPUCap != 0 || c.MaxMoves != 0 || c.PaybackS != 0:
-			return errf(name, "cluster.cpu_cap/max_moves/payback_s", "bound planning rounds and need a policy")
+			return nil, errf(name, "cluster.cpu_cap/max_moves/payback_s", "bound planning rounds and need a policy")
 		}
 	} else {
 		switch {
 		case len(c.Moves) > 0:
-			return errf(name, "cluster.moves", "mutually exclusive with a policy")
+			return nil, errf(name, "cluster.moves", "mutually exclusive with a policy")
 		case c.TickS <= 0:
-			return errf(name, "cluster.tick_s", "must be positive with a policy, got %v", c.TickS)
+			return nil, errf(name, "cluster.tick_s", "must be positive with a policy, got %v", c.TickS)
 		case c.HorizonS <= 0:
-			return errf(name, "cluster.horizon_s", "must be positive with a policy, got %v", c.HorizonS)
+			return nil, errf(name, "cluster.horizon_s", "must be positive with a policy, got %v", c.HorizonS)
 		case c.hostCount() < 2:
-			return errf(name, "cluster.hosts", "planning needs at least 2 hosts, got %d", c.hostCount())
+			return nil, errf(name, "cluster.hosts", "planning needs at least 2 hosts, got %d", c.hostCount())
 		case c.CPUCap < 0 || c.CPUCap > 1:
-			return errf(name, "cluster.cpu_cap", "%v outside [0, 1]", c.CPUCap)
+			return nil, errf(name, "cluster.cpu_cap", "%v outside [0, 1]", c.CPUCap)
 		case c.MaxMoves < 0:
-			return errf(name, "cluster.max_moves", "must be non-negative, got %d", c.MaxMoves)
+			return nil, errf(name, "cluster.max_moves", "must be non-negative, got %d", c.MaxMoves)
 		case c.PaybackS < 0:
-			return errf(name, "cluster.payback_s", "must be non-negative, got %v", c.PaybackS)
+			return nil, errf(name, "cluster.payback_s", "must be non-negative, got %v", c.PaybackS)
 		}
 	}
+	if cfg.Tick, err = seconds(name, "cluster.tick_s", c.TickS); err != nil {
+		return nil, err
+	}
+	cfg.PolicyConfig = consolidation.Config{CPUCap: c.CPUCap, MaxMoves: c.MaxMoves}
+	if cfg.PolicyConfig.Horizon, err = seconds(name, "cluster.payback_s", c.PaybackS); err != nil {
+		return nil, err
+	}
 	cat := hw.Catalog()
-	hosts, hostPaths := s.expandedClusterHosts()
+	hosts := s.expandedClusterHosts()
+	nvms := 0
+	for _, h := range hosts {
+		nvms += len(h.VMs)
+	}
 	hostSet := make(map[string]bool, len(hosts))
-	vmSet := make(map[string]bool)
+	vmSet := make(map[string]bool, nvms)
+	// The lowered guests, and their phases, share backing arrays; each
+	// list is capped at its own length.
+	vms := make([]cluster.VM, 0, nvms)
+	var phases []workload.Phase
+	cfg.Hosts = make([]cluster.Host, len(hosts))
 	for hi, h := range hosts {
-		path := hostPaths[hi]
+		// Paths are formatted only for the error returned.
+		at := func(field string) string { return c.hostPath(hi) + field }
 		if h.Name == "" {
-			return errf(name, path+".name", "required")
+			return nil, errf(name, at(".name"), "required")
 		}
 		if hostSet[h.Name] {
-			return errf(name, path+".name", "duplicate host %q", h.Name)
+			return nil, errf(name, at(".name"), "duplicate host %q", h.Name)
 		}
 		hostSet[h.Name] = true
 		if _, ok := cat[h.Machine]; !ok {
-			models := make([]string, 0, len(cat))
-			for m := range cat {
-				models = append(models, m)
-			}
-			sort.Strings(models)
-			return errf(name, path+".machine", "unknown machine model %q (catalog: %s)", h.Machine, strings.Join(models, ", "))
+			return nil, errf(name, at(".machine"), "unknown machine model %q (catalog: %s)", h.Machine, machineModels(cat))
 		}
+		first := len(vms)
 		for vi, v := range h.VMs {
-			vpath := fmt.Sprintf("%s.vms[%d]", path, vi)
+			vmAt := func(field string) string { return at(fmt.Sprintf(".vms[%d]", vi) + field) }
 			switch {
 			case v.Name == "":
-				return errf(name, vpath+".name", "required")
+				return nil, errf(name, vmAt(".name"), "required")
 			case vmSet[v.Name]:
-				return errf(name, vpath+".name", "VM %q already exists in the cluster", v.Name)
+				return nil, errf(name, vmAt(".name"), "VM %q already exists in the cluster", v.Name)
 			case v.MemGiB <= 0:
-				return errf(name, vpath+".mem_gib", "must be positive, got %v", v.MemGiB)
+				return nil, errf(name, vmAt(".mem_gib"), "must be positive, got %v", v.MemGiB)
 			case v.BusyVCPUs < 0:
-				return errf(name, vpath+".busy_vcpus", "must be non-negative, got %v", v.BusyVCPUs)
+				return nil, errf(name, vmAt(".busy_vcpus"), "must be non-negative, got %v", v.BusyVCPUs)
 			case v.DirtyRatio < 0 || v.DirtyRatio > 1:
-				return errf(name, vpath+".dirty_ratio", "%v outside [0, 1]", v.DirtyRatio)
+				return nil, errf(name, vmAt(".dirty_ratio"), "%v outside [0, 1]", v.DirtyRatio)
 			}
 			vmSet[v.Name] = true
-			for pi, p := range v.Phases {
-				if err := p.validate(name, fmt.Sprintf("%s.phases[%d]", vpath, pi), false); err != nil {
-					return err
-				}
+			cv := cluster.VM{
+				Name:       v.Name,
+				MemBytes:   gib(v.MemGiB),
+				BusyVCPUs:  v.BusyVCPUs,
+				DirtyRatio: units.Fraction(v.DirtyRatio),
 			}
+			for pi, p := range v.Phases {
+				ph, err := p.lower(name, false)
+				if err != nil {
+					return nil, under(err, vmAt(fmt.Sprintf(".phases[%d]", pi)))
+				}
+				phases = append(phases, ph)
+			}
+			if n := len(v.Phases); n > 0 {
+				cv.Phases = phases[len(phases)-n : len(phases) : len(phases)]
+			}
+			vms = append(vms, cv)
+		}
+		cfg.Hosts[hi] = cluster.Host{Name: h.Name, Machine: h.Machine}
+		if len(vms) > first {
+			cfg.Hosts[hi].VMs = vms[first:len(vms):len(vms)]
 		}
 	}
 	for mi, m := range c.Moves {
 		path := fmt.Sprintf("cluster.moves[%d]", mi)
 		switch {
 		case m.VM == "":
-			return errf(name, path+".vm", "required")
+			return nil, errf(name, path+".vm", "required")
 		case !vmSet[m.VM]:
-			return errf(name, path+".vm", "unknown VM %q", m.VM)
+			return nil, errf(name, path+".vm", "unknown VM %q", m.VM)
 		case !hostSet[m.From]:
-			return errf(name, path+".from", "unknown host %q", m.From)
+			return nil, errf(name, path+".from", "unknown host %q", m.From)
 		case !hostSet[m.To]:
-			return errf(name, path+".to", "unknown host %q", m.To)
+			return nil, errf(name, path+".to", "unknown host %q", m.To)
 		case m.From == m.To:
-			return errf(name, path+".to", "move must change hosts, both are %q", m.To)
+			return nil, errf(name, path+".to", "move must change hosts, both are %q", m.To)
 		case m.AtS < 0:
-			return errf(name, path+".at_s", "must be non-negative, got %v", m.AtS)
+			return nil, errf(name, path+".at_s", "must be non-negative, got %v", m.AtS)
 		}
+		at, err := seconds(name, path+".at_s", m.AtS)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Moves = append(cfg.Moves, cluster.TimedMove{VM: m.VM, From: m.From, To: m.To, At: at})
 	}
 	for fi, f := range c.Failures {
 		path := fmt.Sprintf("cluster.failures[%d]", fi)
 		if f.AtS < 0 {
-			return errf(name, path+".at_s", "must be non-negative, got %v", f.AtS)
+			return nil, errf(name, path+".at_s", "must be non-negative, got %v", f.AtS)
+		}
+		at, err := seconds(name, path+".at_s", f.AtS)
+		if err != nil {
+			return nil, err
 		}
 		switch cluster.FailureKind(f.Kind) {
 		case cluster.FailHostCrash:
 			switch {
 			case f.Host == "":
-				return errf(name, path+".host", "required for kind %q", f.Kind)
+				return nil, errf(name, path+".host", "required for kind %q", f.Kind)
 			case f.VM != "" || f.Switch != "":
-				return errf(name, path, "%q targets a host only", f.Kind)
+				return nil, errf(name, path, "%q targets a host only", f.Kind)
 			case !hostSet[f.Host]:
-				return errf(name, path+".host", "unknown host %q", f.Host)
+				return nil, errf(name, path+".host", "unknown host %q", f.Host)
 			}
 		case cluster.FailFlightAbort:
 			switch {
 			case f.VM == "":
-				return errf(name, path+".vm", "required for kind %q", f.Kind)
+				return nil, errf(name, path+".vm", "required for kind %q", f.Kind)
 			case f.Host != "" || f.Switch != "":
-				return errf(name, path, "%q targets a VM only", f.Kind)
+				return nil, errf(name, path, "%q targets a VM only", f.Kind)
 			case !vmSet[f.VM]:
-				return errf(name, path+".vm", "unknown VM %q", f.VM)
+				return nil, errf(name, path+".vm", "unknown VM %q", f.VM)
 			}
 		case cluster.FailSwitchOutage, cluster.FailSwitchRestore:
 			switch {
 			case f.Switch == "":
-				return errf(name, path+".switch", "required for kind %q", f.Kind)
+				return nil, errf(name, path+".switch", "required for kind %q", f.Kind)
 			case f.Host != "" || f.VM != "":
-				return errf(name, path, "%q targets a switch only", f.Kind)
+				return nil, errf(name, path, "%q targets a switch only", f.Kind)
 			}
 			// Switch-domain existence (and window pairing) is checked by
-			// the compiled config below.
+			// the engine when the config is prepared.
 		default:
-			return errf(name, path+".kind", "unknown failure kind %q", f.Kind)
+			return nil, errf(name, path+".kind", "unknown failure kind %q", f.Kind)
 		}
+		cfg.Failures = append(cfg.Failures, cluster.FailureEvent{
+			At: at, Kind: cluster.FailureKind(f.Kind), Host: f.Host, VM: f.VM, Switch: f.Switch,
+		})
 	}
 	if c.EvacuationDeadlineS < 0 {
-		return errf(name, "cluster.evacuation_deadline_s", "must be non-negative, got %v", c.EvacuationDeadlineS)
+		return nil, errf(name, "cluster.evacuation_deadline_s", "must be non-negative, got %v", c.EvacuationDeadlineS)
 	}
 	if c.EvacuationDeadlineS > 0 && len(c.Failures) == 0 {
-		return errf(name, "cluster.evacuation_deadline_s", "needs failures to score against")
+		return nil, errf(name, "cluster.evacuation_deadline_s", "needs failures to score against")
 	}
-	return nil
+	if cfg.EvacuationDeadline, err = seconds(name, "cluster.evacuation_deadline_s", c.EvacuationDeadlineS); err != nil {
+		return nil, err
+	}
+	if cfg, err = cluster.Prepare(cfg); err != nil {
+		return nil, errf(name, "(compiled)", "%v", err)
+	}
+	policy := "timeline"
+	if cfg.Policy != nil {
+		policy = cfg.Policy.Name()
+	}
+	return &Compiled{Spec: s, Cluster: &ClusterRun{Policy: policy, Config: cfg}}, nil
 }

@@ -184,6 +184,13 @@ func TestValidationFailurePaths(t *testing.T) {
 		{"negative phase peak", func(s *Spec) {
 			s.Phases = []PhaseSpec{{Kind: "ramp", DurationS: 10, Peak: -0.5}}
 		}, "phases[0].peak"},
+		{"phase duration overflows a duration", func(s *Spec) {
+			s.Phases = []PhaseSpec{{Kind: "steady", DurationS: 1e11}}
+		}, "phases[0].duration_s"},
+		{"pre window overflows a duration", func(s *Spec) { s.Timing = &Timing{PreS: 1e11} }, "timing.pre_s"},
+		{"post window overflows a duration", func(s *Spec) { s.Timing = &Timing{PostS: 1e11} }, "timing.post_s"},
+		{"initiation overflows a duration", func(s *Spec) { s.Migration = &MigrationTuning{InitiationS: 1e11} }, "migration.initiation_s"},
+		{"activation overflows a duration", func(s *Spec) { s.Migration = &MigrationTuning{ActivationS: 1e11} }, "migration.activation_s"},
 		{"second phase bad", func(s *Spec) {
 			s.Phases = []PhaseSpec{
 				{Kind: "steady", DurationS: 10},
@@ -216,6 +223,28 @@ func TestValidationFailurePaths(t *testing.T) {
 			tc.mutate(s)
 			wantSpecError(t, s, tc.wantPath)
 		})
+	}
+}
+
+// TestSecondsOverflowText pins the message of a seconds field that no
+// time.Duration can hold: it names the field, where a wrapped duration
+// used to surface as a negative window or a silently replaced horizon.
+func TestSecondsOverflowText(t *testing.T) {
+	const limit = "exceeds the longest representable duration (2562047h47m16.854775807s)"
+	pre := minimal()
+	pre.Timing = &Timing{PreS: 1e11}
+	payback := clusterPolicyBase()
+	payback.Cluster.PaybackS = 1e11
+	for _, tc := range []struct {
+		s    *Spec
+		want string
+	}{
+		{pre, `scenario "test-minimal": timing.pre_s: 1e+11 s ` + limit},
+		{payback, `scenario "cl-test": cluster.payback_s: 1e+11 s ` + limit},
+	} {
+		if err := tc.s.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("error\n  got  %v\n  want %s", err, tc.want)
+		}
 	}
 }
 
@@ -355,7 +384,7 @@ func TestPhaseCompilation(t *testing.T) {
 		t.Errorf("labels = %q, %q", night.Label, burst.Label)
 	}
 	// Night runs at quarter intensity: quarter dirty rate, one load VM.
-	base, _ := s.baseScenario()
+	base, _ := s.baseScenario(migration.Live)
 	if night.Scenario.MigratingProfile.DirtyPagesPerSecond != base.MigratingProfile.DirtyPagesPerSecond*0.25 {
 		t.Errorf("night dirty rate not scaled: %v", night.Scenario.MigratingProfile.DirtyPagesPerSecond)
 	}
@@ -518,10 +547,11 @@ func TestList(t *testing.T) {
 	b.Phases = []PhaseSpec{{Kind: "steady", DurationS: 10}}
 	write(t, dir, "01-zeta.json", mustJSON(t, a))
 	write(t, dir, "02-alpha.json", mustJSON(t, b))
-	infos, err := List(dir)
+	specs, err := LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	infos := List(specs)
 	if len(infos) != 2 || infos[0].Name != "alpha" || infos[1].Name != "zeta" {
 		t.Fatalf("list = %+v", infos)
 	}

@@ -131,11 +131,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("service: loading scenario library: %w", err)
 		}
-		infos, err := scenario.List(cfg.ScenarioDir)
-		if err != nil {
-			return nil, fmt.Errorf("service: listing scenario library: %w", err)
-		}
-		s.library = infos
+		s.library = scenario.List(specs)
 		for _, sp := range specs {
 			s.byName[sp.Name] = sp
 		}

@@ -129,15 +129,56 @@ func TestScenarioListing(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Scenarios) == 0 {
-		t.Fatal("empty scenario listing")
+	specs, err := scenario.LoadDir(scenarioDir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	byName := map[string]scenarioEntry{}
-	for _, e := range out.Scenarios {
-		byName[e.Name] = e
+	described := map[string]string{}
+	for _, s := range specs {
+		described[s.Name] = s.Description
 	}
-	if e, ok := byName["drain-1024-rolling"]; !ok || e.Form != "cluster" || e.Hosts != 1024 {
-		t.Errorf("drain-1024-rolling listed as %+v", e)
+	// The whole library in name order, with each entry's form, host
+	// count and phase count; descriptions come from the specs.
+	want := []scenarioEntry{
+		{Name: "burst-overcommit-8", Form: "cluster", Hosts: 8},
+		{Name: "burst-web", Form: "migration", Phases: 2},
+		{Name: "c1-cpuload-live", Form: "migration"},
+		{Name: "c1-cpuload-nonlive", Form: "migration"},
+		{Name: "c2-xeon-memload", Form: "migration"},
+		{Name: "chaos-crash-cascade-16", Form: "cluster", Hosts: 16},
+		{Name: "consolidation-sweep", Form: "datacenter"},
+		{Name: "contended-links-4", Form: "cluster", Hosts: 4},
+		{Name: "diurnal-day", Form: "migration", Phases: 4},
+		{Name: "drain-100k-rolling", Form: "cluster", Hosts: 100000},
+		{Name: "drain-1024-rolling", Form: "cluster", Hosts: 1024},
+		{Name: "drain-16-maintenance", Form: "cluster", Hosts: 16},
+		{Name: "drain-for-maintenance", Form: "datacenter"},
+		{Name: "drain-under-crash-256", Form: "cluster", Hosts: 256},
+		{Name: "fleet-8k", Form: "cluster", Hosts: 8000},
+		{Name: "fleet-diurnal-256", Form: "cluster", Hosts: 256},
+		{Name: "fleet-diurnal-8", Form: "cluster", Hosts: 8},
+		{Name: "hetero-sunset-6", Form: "cluster", Hosts: 6},
+		{Name: "hetero-upgrade", Form: "migration"},
+		{Name: "hotcold-db", Form: "migration"},
+		{Name: "memstorm-live", Form: "migration"},
+		{Name: "memstorm-postcopy", Form: "migration"},
+		{Name: "meter-1hz", Form: "migration"},
+		{Name: "nonlive-baseline", Form: "migration"},
+		{Name: "overcommit-stress", Form: "migration"},
+		{Name: "partitioned-switch-evac-8", Form: "cluster", Hosts: 8},
+		{Name: "ramp-batch", Form: "migration", Phases: 2},
+	}
+	if len(out.Scenarios) != len(want) {
+		t.Fatalf("listing has %d scenarios, want %d:\n%+v", len(out.Scenarios), len(want), out.Scenarios)
+	}
+	for i, w := range want {
+		w.Description = described[w.Name]
+		if w.Description == "" {
+			t.Errorf("%s has no description in the library", w.Name)
+		}
+		if out.Scenarios[i] != w {
+			t.Errorf("entry %d = %+v\n  want %+v", i, out.Scenarios[i], w)
+		}
 	}
 }
 
