@@ -39,11 +39,10 @@ type hostRT struct {
 	snap []consolidation.VMState
 
 	// Incremental-view bookkeeping (see view.go): the host's index in
-	// the engine's SoA policy view, its dirty/varying marks, and the
-	// counts of phase-driven residents and inbound reservations that
-	// keep it in the varying set.
+	// the engine's SoA policy view, its varying mark, and the counts of
+	// phase-driven residents and inbound reservations that keep it in
+	// the varying set.
 	vi        int32
-	dirtyMark bool
 	varyMark  bool
 	phasedRes int
 	phasedInc int
@@ -197,6 +196,7 @@ type engine struct {
 	pview        consolidation.View
 	viewLive     int     // live slot count in the view arena
 	dirty        []int32 // hosts touched by events since the last refresh
+	marked       []bool  // by view index: the host is queued in dirty
 	varying      []int32 // hosts with phase-driven demand, refreshed every tick
 	orderScratch []int32
 	// viewEvents flags plan-input changes that are not per-host state

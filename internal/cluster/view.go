@@ -29,9 +29,12 @@ import (
 //     bit-identical to a full rebuild at the same instant.
 //   - Order repair drops the refreshed hosts (a stable compaction of
 //     entries whose keys did not change stays sorted), sorts them by
-//     their new (busy, name) keys, and merges. Host names are unique,
-//     so (busy, name) is a unique total order and the merge reproduces
-//     a full sort exactly.
+//     their new (busy, name) keys, and inserts each at its
+//     binary-searched position. Host names are unique, so (busy, name)
+//     is a unique total order and the merge reproduces a full sort
+//     exactly. Every ordering goes through the view's one comparator,
+//     consolidation.View.CompareHosts; the engine's hosts are
+//     name-sorted, so it breaks busy ties by index.
 
 // viewEnabled reports whether this configuration plans through the
 // incrementally maintained view: a policy that implements
@@ -48,8 +51,8 @@ func (e *engine) viewEnabled() (consolidation.ViewPolicy, bool) {
 
 // markHostDirty queues a host for refresh at the next planning tick.
 func (e *engine) markHostDirty(h *hostRT) {
-	if !h.dirtyMark {
-		h.dirtyMark = true
+	if !e.marked[h.vi] {
+		e.marked[h.vi] = true
 		e.dirty = append(e.dirty, h.vi)
 	}
 }
@@ -122,6 +125,9 @@ func (e *engine) rebuildView(t time.Duration) {
 	v.VMBusy = emptied(v.VMBusy, slots)
 	v.VMDirty = emptied(v.VMDirty, slots)
 	e.orderScratch = emptied(e.orderScratch, n)
+	if len(e.marked) != n {
+		e.marked = make([]bool, n)
+	}
 	for _, h := range e.hosts {
 		e.flattenHostView(h, t)
 	}
@@ -133,7 +139,7 @@ func (e *engine) rebuildView(t time.Duration) {
 	v.SortOrder()
 	// The rebuild consumed every outstanding mark.
 	for _, vi := range e.dirty {
-		e.hosts[vi].dirtyMark = false
+		e.marked[vi] = false
 	}
 	e.dirty = e.dirty[:0]
 }
@@ -183,18 +189,14 @@ func (e *engine) refreshHostView(h *hostRT, t time.Duration) {
 	v.Down[i] = h.down
 }
 
-// viewLess orders host indices by the policies' (busy, name) key.
-func viewLess(v *consolidation.View, a, b int32) bool {
-	if v.Busy[a] != v.Busy[b] {
-		return v.Busy[a] < v.Busy[b]
-	}
-	return v.HostName[a] < v.HostName[b]
-}
-
 // viewTick folds the varying set into the dirty set, refreshes every
-// dirty host at time t, and repairs Order by compact-sort-merge. It
-// reports whether anything was refreshed — a clean tick's view (and
-// therefore its plan) is identical to the last one.
+// dirty host at time t, and repairs Order: the refreshed hosts are
+// compacted out, sorted, and each inserted at its binary-searched
+// position among the clean entries, which move in bulk copies. The
+// comparator runs O(dirty · log hosts) times per tick, and the
+// compaction reads only the engine's compact mark slice. It reports
+// whether anything was refreshed — a clean tick's view (and therefore
+// its plan) is identical to the last one.
 func (e *engine) viewTick(t time.Duration) bool {
 	// Varying hosts (phased residents or phased reservations) refresh
 	// every tick; hosts whose phased population dropped to zero leave
@@ -217,30 +219,30 @@ func (e *engine) viewTick(t time.Duration) bool {
 	for _, vi := range e.dirty {
 		e.refreshHostView(e.hosts[vi], t)
 	}
-	sort.Slice(e.dirty, func(a, b int) bool { return viewLess(v, e.dirty[a], e.dirty[b]) })
-	// Merge: clean entries keep their relative order (their keys did not
-	// change, so they are still sorted); refreshed entries interleave by
-	// their new keys. The result is the unique (busy, name) total order.
-	out := e.orderScratch[:0]
-	di := 0
+	// Compact in place: clean entries keep their relative order (their
+	// keys did not change, so they are still sorted).
+	clean := v.Order[:0]
 	for _, hi := range v.Order {
-		if e.hosts[hi].dirtyMark {
-			continue
+		if !e.marked[hi] {
+			clean = append(clean, hi)
 		}
-		for di < len(e.dirty) && viewLess(v, e.dirty[di], hi) {
-			out = append(out, e.dirty[di])
-			di++
-		}
+	}
+	compare := v.CompareHosts(v.Busy)
+	slices.SortFunc(e.dirty, compare)
+	// Merge: refreshed entries interleave by their new keys. The result
+	// is the unique (busy, name) total order.
+	out := e.orderScratch[:0]
+	lo := 0
+	for _, hi := range e.dirty {
+		at, _ := slices.BinarySearchFunc(clean[lo:], hi, compare)
+		out = append(out, clean[lo:lo+at]...)
 		out = append(out, hi)
+		lo += at
+		e.marked[hi] = false
 	}
-	for ; di < len(e.dirty); di++ {
-		out = append(out, e.dirty[di])
-	}
+	out = append(out, clean[lo:]...)
 	e.orderScratch = v.Order[:0]
 	v.Order = out
-	for _, vi := range e.dirty {
-		e.hosts[vi].dirtyMark = false
-	}
 	e.dirty = e.dirty[:0]
 	e.compactArena()
 	return true

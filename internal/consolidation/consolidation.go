@@ -119,20 +119,25 @@ type Move struct {
 	Cost MigrationCost
 }
 
-// Plan is the outcome of one consolidation round.
+// Plan is the outcome of one consolidation round. The built-in
+// policies fill Moves and MigrationEnergy from both entry points; their
+// classic Plan alone fills FreedHosts and IdleSavings, and PlanView
+// leaves them empty.
 type Plan struct {
 	// Moves in execution order.
 	Moves []Move
 	// MigrationEnergy is the total predicted cost of the moves.
 	MigrationEnergy units.Joules
-	// FreedHosts are hosts left empty by the plan (candidates to switch off).
+	// FreedHosts are the live hosts left empty by the plan (candidates
+	// to switch off), in name order.
 	FreedHosts []string
 	// IdleSavings is the idle power reclaimed by switching freed hosts off.
 	IdleSavings units.Watts
 }
 
 // Payback returns how long the freed idle power needs to amortise the
-// migration energy; zero savings yields an error.
+// migration energy; zero savings, as on every PlanView plan, yields an
+// error.
 func (p *Plan) Payback() (time.Duration, error) {
 	if p.IdleSavings <= 0 {
 		return 0, errors.New("consolidation: plan frees no idle power")

@@ -65,7 +65,8 @@ func (EnergyAware) Name() string { return "energy-aware" }
 
 // Plan implements Policy by flattening the hosts into a View and
 // delegating to the shared view planner; both entry points run one
-// implementation and produce bit-identical plans.
+// implementation and plan bit-identical moves. Plan alone fills
+// FreedHosts and IdleSavings, from the planner's final resident counts.
 func (p EnergyAware) Plan(hosts []HostState, cfg Config) (*Plan, error) {
 	if p.Model == nil {
 		return nil, errors.New("consolidation: energy-aware policy needs a cost model")
@@ -73,7 +74,13 @@ func (p EnergyAware) Plan(hosts []HostState, cfg Config) (*Plan, error) {
 	if err := validateHosts(hosts); err != nil {
 		return nil, err
 	}
-	return p.planView(NewView(hosts), cfg)
+	v := NewView(hosts)
+	plan, cnt, err := p.planView(v, cfg)
+	if err != nil {
+		return nil, err
+	}
+	freeHosts(plan, v, cnt)
+	return plan, nil
 }
 
 // PlanView implements ViewPolicy. The view's host set is trusted (the
@@ -86,10 +93,13 @@ func (p EnergyAware) PlanView(v *View, cfg Config) (*Plan, error) {
 	if v.hostCount() < 2 {
 		return nil, errors.New("consolidation: need at least two hosts")
 	}
-	return p.planView(v, cfg)
+	plan, _, err := p.planView(v, cfg)
+	return plan, err
 }
 
-func (p EnergyAware) planView(v *View, cfg Config) (*Plan, error) {
+// planView plans against v and returns the plan with the final
+// resident count of every host.
+func (p EnergyAware) planView(v *View, cfg Config) (*Plan, []int32, error) {
 	cfg = cfg.withDefaults()
 	w := v.workspace()
 	plan := &Plan{}
@@ -98,7 +108,7 @@ func (p EnergyAware) planView(v *View, cfg Config) (*Plan, error) {
 	// Evacuations come first: VMs stranded on crashed hosts are placed
 	// before any consolidation work spends the move budget.
 	if err := p.evacuateView(w, cfg, plan, pinned); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Drain candidates: least loaded first (cheapest to empty). When
@@ -107,9 +117,7 @@ func (p EnergyAware) planView(v *View, cfg Config) (*Plan, error) {
 	// aggregates.
 	order := v.Order
 	if len(w.touched) > 0 {
-		w.order = append(w.order[:0], v.Order...)
-		order = w.order
-		slices.SortFunc(order, v.compareHosts(w.busy))
+		order = w.resort()
 	}
 
 	// The order-indexed target scan: HeuristicCost's energy is strictly
@@ -157,7 +165,7 @@ func (p EnergyAware) planView(v *View, cfg Config) (*Plan, error) {
 		}
 		moves, ok, err := p.drainView(w, si, cfg, len(plan.Moves), sc, liveOrder, fastOK)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if !ok {
 			continue // cannot fully empty this host; leave it untouched
@@ -176,7 +184,7 @@ func (p EnergyAware) planView(v *View, cfg Config) (*Plan, error) {
 			ti := sc.moveDst[k]
 			vm, found := w.removeVM(si, m.VM)
 			if !found {
-				return nil, fmt.Errorf("consolidation: internal error, VM %q vanished", m.VM)
+				return nil, nil, fmt.Errorf("consolidation: internal error, VM %q vanished", m.VM)
 			}
 			w.addVM(ti, vm)
 			plan.Moves = append(plan.Moves, m)
@@ -186,8 +194,8 @@ func (p EnergyAware) planView(v *View, cfg Config) (*Plan, error) {
 			break
 		}
 	}
-	finishPlan(plan, v, w.cnt)
-	return plan, nil
+	plan.MigrationEnergy = moveEnergy(plan.Moves)
+	return plan, w.cnt, nil
 }
 
 // evacuateView places the VMs named by Config.Evacuate — stranded on
@@ -422,13 +430,19 @@ type FirstFitDecreasing struct {
 // Name implements Policy.
 func (FirstFitDecreasing) Name() string { return "first-fit-decreasing" }
 
-// Plan implements Policy via the shared view planner (see
-// EnergyAware.Plan).
+// Plan implements Policy via the shared view planner, filling
+// FreedHosts and IdleSavings (see EnergyAware.Plan).
 func (p FirstFitDecreasing) Plan(hosts []HostState, cfg Config) (*Plan, error) {
 	if err := validateHosts(hosts); err != nil {
 		return nil, err
 	}
-	return p.planView(NewView(hosts), cfg)
+	v := NewView(hosts)
+	plan, cnt, err := p.planView(v, cfg)
+	if err != nil {
+		return nil, err
+	}
+	freeHosts(plan, v, cnt)
+	return plan, nil
 }
 
 // PlanView implements ViewPolicy.
@@ -436,10 +450,13 @@ func (p FirstFitDecreasing) PlanView(v *View, cfg Config) (*Plan, error) {
 	if v.hostCount() < 2 {
 		return nil, errors.New("consolidation: need at least two hosts")
 	}
-	return p.planView(v, cfg)
+	plan, _, err := p.planView(v, cfg)
+	return plan, err
 }
 
-func (p FirstFitDecreasing) planView(v *View, cfg Config) (*Plan, error) {
+// planView packs v and returns the plan with the final resident count
+// of every bin.
+func (p FirstFitDecreasing) planView(v *View, cfg Config) (*Plan, []int32, error) {
 	cfg = cfg.withDefaults()
 	plan := &Plan{}
 	pinned := cfg.pinnedSet()
@@ -523,7 +540,7 @@ func (p FirstFitDecreasing) planView(v *View, cfg Config) (*Plan, error) {
 			}
 		}
 		if placedAt < 0 {
-			return nil, fmt.Errorf("consolidation: FFD cannot place VM %q", pl.vm.Name)
+			return nil, nil, fmt.Errorf("consolidation: FFD cannot place VM %q", pl.vm.Name)
 		}
 		if placedAt != pl.from {
 			move := Move{VM: pl.vm.Name, From: v.HostName[pl.from], To: v.HostName[placedAt]}
@@ -532,15 +549,15 @@ func (p FirstFitDecreasing) planView(v *View, cfg Config) (*Plan, error) {
 				dstBusy := binBusy[placedAt] - pl.vm.BusyVCPUs
 				cost, err := p.Model.Cost(pl.vm, srcBusy, dstBusy)
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				move.Cost = cost
 			}
 			plan.Moves = append(plan.Moves, move)
 		}
 	}
-	finishPlan(plan, v, binCnt)
-	return plan, nil
+	plan.MigrationEnergy = moveEnergy(plan.Moves)
+	return plan, binCnt, nil
 }
 
 // Compile-time interface checks: both built-in policies plan directly

@@ -1,6 +1,7 @@
 package consolidation
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"strings"
@@ -25,7 +26,9 @@ import (
 //   - Order holds every host index, ascending by (Busy, HostName).
 //     Host names are unique, so the order is a unique total order and
 //     any maintenance strategy (full sort, incremental merge) yields
-//     the same permutation.
+//     the same permutation. CompareHosts is that order's one
+//     comparator; under NameOrdered it breaks busy ties by index,
+//     which is name order there, without comparing a string.
 //   - A host's slots list its residents first (in the owner's
 //     iteration order) and any reservation entries after them, exactly
 //     as the AoS snapshot ordered HostState.VMs.
@@ -50,7 +53,8 @@ type View struct {
 	// NameOrdered records that host index order equals host name order
 	// (the cluster engine sorts hosts by name). It licenses the
 	// order-indexed target scan, whose tie-breaking by name must agree
-	// with the historical tie-breaking by index.
+	// with the historical tie-breaking by index, and lets CompareHosts
+	// break busy ties by index instead of by name.
 	NameOrdered bool
 
 	// work is the planning workspace PlanView keeps on the view between
@@ -62,7 +66,10 @@ type View struct {
 // ViewPolicy is a Policy that can plan directly against a View. The
 // built-in policies implement it, and their classic Plan entry points
 // delegate through NewView, so both paths share one implementation and
-// produce bit-identical plans. The built-in PlanView reuses a planning
+// plan bit-identical moves. A plan from PlanView carries its Moves and
+// MigrationEnergy only: FreedHosts and IdleSavings stay empty, since a
+// fleet-scale caller tracks its empty hosts itself, and only the
+// classic Plan fills them. The built-in PlanView reuses a planning
 // workspace kept on the View from call to call, so one View must not be
 // planned concurrently; distinct Views may be.
 type ViewPolicy interface {
@@ -106,22 +113,27 @@ func (v *View) SortOrder() {
 	for i := range v.HostName {
 		v.Order = append(v.Order, int32(i))
 	}
-	slices.SortFunc(v.Order, v.compareHosts(v.Busy))
+	slices.SortFunc(v.Order, v.CompareHosts(v.Busy))
 }
 
-// compareHosts orders host indices by (busy, HostName) under the given
-// per-host loads: the policies' unique total order. It is written with
-// < and != so every comparison decides as the historical less function
-// did.
-func (v *View) compareHosts(busy []float64) func(i, j int32) int {
+// CompareHosts orders host indices by (busy, HostName) under the given
+// per-host loads: the policies' unique total order, and the one
+// comparator that builds, re-sorts and repairs Order. It is written
+// with < and != so every comparison decides as the historical less
+// function did. Under NameOrdered a busy tie is broken by index, which
+// is name order there, without comparing the names.
+func (v *View) CompareHosts(busy []float64) func(i, j int32) int {
+	byName := !v.NameOrdered
 	return func(i, j int32) int {
 		switch {
 		case busy[i] < busy[j]:
 			return -1
 		case busy[i] != busy[j]:
 			return 1
+		case byName:
+			return strings.Compare(v.HostName[i], v.HostName[j])
 		}
-		return strings.Compare(v.HostName[i], v.HostName[j])
+		return cmp.Compare(i, j)
 	}
 }
 
@@ -205,6 +217,15 @@ func (v *View) workspace() *vwork {
 	w.mem = append(w.mem[:0], v.Mem...)
 	w.cnt = append(w.cnt[:0], v.VMCount...)
 	return w
+}
+
+// resort returns the drain order under the workspace's aggregates: a
+// copy of the view's Order re-sorted by the view's comparator, for a
+// plan whose evacuations moved some hosts' loads.
+func (w *vwork) resort() []int32 {
+	w.order = append(w.order[:0], w.v.Order...)
+	slices.SortFunc(w.order, w.v.CompareHosts(w.busy))
+	return w.order
 }
 
 // touch marks host i as diverged from the snapshot.
@@ -301,12 +322,13 @@ func (w *vwork) recompute(i int32) {
 	w.busy[i], w.mem[i] = busy, mem
 }
 
-// finishPlan fills a plan's aggregate fields from the final per-host
-// resident counts cnt: every live host left empty is freed (a crashed
-// host emptied by evacuation is not — it already draws nothing, so
-// switching it off reclaims nothing). FreedHosts is allocated at its
-// exact size, and a NameOrdered view yields it already sorted.
-func finishPlan(plan *Plan, v *View, cnt []int32) {
+// freeHosts fills a classic plan's FreedHosts and IdleSavings from the
+// final per-host resident counts cnt: every live host left empty is
+// freed (a crashed host emptied by evacuation is not — it already draws
+// nothing, so switching it off reclaims nothing). FreedHosts is
+// allocated at its exact size, and a NameOrdered view yields it already
+// sorted.
+func freeHosts(plan *Plan, v *View, cnt []int32) {
 	n := len(cnt)
 	down, hostName, idle := v.Down[:n], v.HostName[:n], v.IdlePower[:n]
 	freed := 0
@@ -331,7 +353,13 @@ func finishPlan(plan *Plan, v *View, cnt []int32) {
 		}
 		plan.FreedHosts, plan.IdleSavings = names, savings
 	}
-	for _, m := range plan.Moves {
-		plan.MigrationEnergy += m.Cost.Energy
+}
+
+// moveEnergy totals the moves' predicted migration energy.
+func moveEnergy(moves []Move) units.Joules {
+	var e units.Joules
+	for _, m := range moves {
+		e += m.Cost.Energy
 	}
+	return e
 }

@@ -87,6 +87,27 @@ func refill(v *View, hosts []HostState) {
 	v.SortOrder()
 }
 
+// freedAfter replays moves on a copy of hosts and returns the live
+// hosts left empty, in name order, with their summed idle power.
+func freedAfter(hosts []HostState, moves []Move) ([]string, units.Watts) {
+	after := cloneHosts(hosts)
+	for _, m := range moves {
+		vm, _ := removeVM(hostByName(after, m.From), m.VM)
+		dst := hostByName(after, m.To)
+		dst.VMs = append(dst.VMs, vm)
+	}
+	var freed []string
+	var savings units.Watts
+	for _, h := range after {
+		if len(h.VMs) == 0 && !h.Down {
+			freed = append(freed, h.Name)
+			savings += h.IdlePower
+		}
+	}
+	sort.Strings(freed)
+	return freed, savings
+}
+
 // roundConfig draws one round's bounds: a move budget (often none),
 // pinned VMs plus a name that matches nothing, and every resident of a
 // crashed host as an evacuee.
@@ -111,7 +132,9 @@ func roundConfig(rng *rand.Rand, hosts []HostState) Config {
 // round. The rounds include evacuations (which re-sort the drain order
 // under touched hosts), pinned VMs, MaxMoves cut-offs, a change of host
 // count and fleets that are not name-ordered; a reset that leaves any
-// per-host overlay or mark of an earlier round behind diverges.
+// per-host overlay or mark of an earlier round behind diverges. The
+// classic Plan of each round must plan the same moves and free exactly
+// the live hosts its moves leave empty, in name order.
 func TestPlanViewWorkspaceReuse(t *testing.T) {
 	planners := []ViewPolicy{
 		EnergyAware{Model: HeuristicCost{}}, // order-indexed target scan on name-ordered views
@@ -150,8 +173,21 @@ func TestPlanViewWorkspaceReuse(t *testing.T) {
 					last = nil
 					continue
 				}
-				if !sort.StringsAreSorted(got.FreedHosts) {
-					t.Fatalf("seed %d %s round %d: FreedHosts not in name order: %v", seed, p.Name(), round, got.FreedHosts)
+				if got.FreedHosts != nil || got.IdleSavings != 0 {
+					t.Fatalf("seed %d %s round %d: PlanView filled FreedHosts %v, IdleSavings %v", seed, p.Name(), round, got.FreedHosts, got.IdleSavings)
+				}
+				// The classic entry point plans the same moves and fills the
+				// freed-host fields, in name order on unordered inputs too.
+				classic, err := p.Plan(hosts, cfg)
+				if err != nil {
+					t.Fatalf("seed %d %s round %d: Plan: %v", seed, p.Name(), round, err)
+				}
+				if !reflect.DeepEqual(classic.Moves, got.Moves) || classic.MigrationEnergy != got.MigrationEnergy {
+					t.Fatalf("seed %d %s round %d: Plan moves\n%+v\nPlanView moves\n%+v", seed, p.Name(), round, classic.Moves, got.Moves)
+				}
+				if freed, savings := freedAfter(hosts, classic.Moves); !slices.Equal(classic.FreedHosts, freed) || classic.IdleSavings != savings {
+					t.Fatalf("seed %d %s round %d: Plan frees %v (%v), replaying its moves frees %v (%v)",
+						seed, p.Name(), round, classic.FreedHosts, classic.IdleSavings, freed, savings)
 				}
 				moves += len(got.Moves)
 				if !fresh.NameOrdered {

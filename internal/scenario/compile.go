@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
 	"time"
 
@@ -148,6 +149,10 @@ func (s *Spec) baseScenario(kind migration.Kind) (sim.Scenario, error) {
 	if err != nil {
 		return sim.Scenario{}, err
 	}
+	mc, err := s.Meter.config(s.Name)
+	if err != nil {
+		return sim.Scenario{}, err
+	}
 	sc := sim.Scenario{
 		Name:             "scen/" + s.Name,
 		Pair:             s.pair(),
@@ -159,7 +164,7 @@ func (s *Spec) baseScenario(kind migration.Kind) (sim.Scenario, error) {
 		PreMigration:     DefaultPreMigration,
 		PostMigration:    DefaultPostMigration,
 		Migration:        mig,
-		Meter:            s.Meter.config(),
+		Meter:            mc,
 		Seed:             s.EffectiveSeed(),
 	}
 	if s.LoadWorkload != nil {
@@ -181,30 +186,46 @@ func (s *Spec) baseScenario(kind migration.Kind) (sim.Scenario, error) {
 }
 
 // hostStates lowers the datacenter host specs.
-func (s *Spec) hostStates() []consolidation.HostState {
+func (s *Spec) hostStates() ([]consolidation.HostState, error) {
 	dc := s.Datacenter
 	hosts := make([]consolidation.HostState, 0, len(dc.Hosts))
-	for _, h := range dc.Hosts {
+	for hi, h := range dc.Hosts {
+		mem, err := gib(s.Name, h.MemGiB)
+		if err != nil {
+			return nil, under(err, fmt.Sprintf("datacenter.hosts[%d]", hi))
+		}
 		hs := consolidation.HostState{
 			Name:      h.Name,
 			Threads:   h.Threads,
-			MemBytes:  gib(h.MemGiB),
+			MemBytes:  mem,
 			IdlePower: units.Watts(h.IdlePowerW),
 		}
-		for _, v := range h.VMs {
+		for vi, v := range h.VMs {
+			mem, err := gib(s.Name, v.MemGiB)
+			if err != nil {
+				return nil, under(err, fmt.Sprintf("datacenter.hosts[%d].vms[%d]", hi, vi))
+			}
 			hs.VMs = append(hs.VMs, consolidation.VMState{
 				Name:       v.Name,
-				MemBytes:   gib(v.MemGiB),
+				MemBytes:   mem,
 				BusyVCPUs:  v.BusyVCPUs,
 				DirtyRatio: units.Fraction(v.DirtyRatio),
 			})
 		}
 		hosts = append(hosts, hs)
 	}
-	return hosts
+	return hosts, nil
 }
 
-// gib converts a fractional GiB count to bytes.
-func gib(n float64) units.Bytes {
-	return units.Bytes(n * float64(units.GiB))
+// gib converts a mem_gib field into bytes. A size beyond what
+// units.Bytes holds fails with an error at ".mem_gib", which the caller
+// roots at the field's host or VM with under, instead of wrapping into
+// a wrong, possibly negative, size; the negated range test refuses NaN
+// too.
+func gib(scenario string, n float64) (units.Bytes, error) {
+	b := n * float64(units.GiB)
+	if !(b >= -1<<63 && b < 1<<63) {
+		return 0, errf(scenario, ".mem_gib", "%v GiB exceeds the largest representable size (%d GiB)", n, int64(math.MaxInt64/units.GiB))
+	}
+	return units.Bytes(b), nil
 }

@@ -2,9 +2,14 @@ package scenario
 
 import (
 	"fmt"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/sim"
 )
 
 // fleetSpec builds a minimal valid fleet-template cluster spec.
@@ -157,6 +162,7 @@ func TestFleetValidation(t *testing.T) {
 		}, "duplicate host"},
 		{"replica VM collides across groups", func(s *Spec) { s.Cluster.Fleet[1].VMs[0].Name = "fe" }, "already exists"},
 		{"bad template VM", func(s *Spec) { s.Cluster.Fleet[0].VMs[0].MemGiB = 0 }, "mem_gib"},
+		{"template VM memory overflows", func(s *Spec) { s.Cluster.Fleet[0].VMs[0].MemGiB = 1e10 }, "cluster.fleet[0].replica[0].vms[0].mem_gib"},
 	}
 	for _, tc := range cases {
 		s := fleetSpec()
@@ -246,6 +252,49 @@ func TestFleetCompileAllocCeiling(t *testing.T) {
 	}
 	if fleets < 3 {
 		t.Fatalf("library has %d fleet specs, want at least 3", fleets)
+	}
+}
+
+// TestFleetWarmRunAllocBytes holds a warm run of the 100k-host
+// drain-100k-rolling day under a byte ceiling: the spec compiles once,
+// a first run fills one memory cache, and the second run, which runs no
+// kernel, is measured. What it allocates is the run's engine state, its
+// policy view and the planning rounds, so a list with one entry per
+// empty host built on every planning round (about 75k names a round)
+// breaks the ceiling.
+func TestFleetWarmRunAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race for the ceiling")
+	}
+	const ceiling = 56 << 20 // bytes allocated by the warm run
+	s, err := Load(filepath.Join(libraryDir, "drain-100k-rolling.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := c.Cluster.Config
+	cfg.Cache = sim.NewCache(0)
+	cold, err := cluster.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	warm, err := cluster.Run(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warm.Timeline) == 0 || len(warm.Timeline) != len(cold.Timeline) {
+		t.Fatalf("fixture drift: the warm run made %d moves, the cold run %d", len(warm.Timeline), len(cold.Timeline))
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("warm %s run: %d moves, %d planning rounds, %.1f MB allocated", s.Name, len(warm.Timeline), warm.ReplanRounds, float64(bytes)/1e6)
+	if bytes > ceiling {
+		t.Errorf("warm %s run allocates %d bytes, ceiling is %d", s.Name, bytes, ceiling)
 	}
 }
 

@@ -330,16 +330,22 @@ type Meter struct {
 	NoiseSigma float64 `json:"noise_sigma,omitempty"`
 }
 
-// config lowers the override into the sim package's MeterConfig.
-func (m *Meter) config() sim.MeterConfig {
+// config lowers the override into the sim package's MeterConfig. A
+// period no time.Duration holds fails with a pathed error instead of
+// wrapping (2^58 ms wraps to zero, which would select the default).
+func (m *Meter) config(scenario string) (sim.MeterConfig, error) {
 	if m == nil {
-		return sim.MeterConfig{}
+		return sim.MeterConfig{}, nil
+	}
+	const maxMS = math.MaxInt64 / int64(time.Millisecond)
+	if ms := int64(m.PeriodMS); ms > maxMS || ms < -maxMS {
+		return sim.MeterConfig{}, errf(scenario, "meter.period_ms", "%d ms exceeds the longest representable duration (%v)", m.PeriodMS, time.Duration(math.MaxInt64))
 	}
 	return sim.MeterConfig{
 		Period:     time.Duration(m.PeriodMS) * time.Millisecond,
 		Accuracy:   m.Accuracy,
 		NoiseSigma: m.NoiseSigma,
-	}
+	}, nil
 }
 
 // Repeat is the repeat policy: how many times each compiled run executes
@@ -661,20 +667,18 @@ func (s *Spec) compileMigration(kind migration.Kind) (*Compiled, error) {
 			return nil, errf(name, "migration.max_data_factor", "must be non-negative, got %v", m.MaxDataFactor)
 		}
 	}
-	if s.Meter != nil {
-		if err := s.Meter.config().Validate(); err != nil {
-			return nil, errf(name, "meter", "%v", err)
-		}
-	}
 	base, err := s.baseScenario(kind)
 	if err != nil {
 		return nil, err
 	}
+	if err := base.Meter.Validate(); err != nil {
+		return nil, errf(name, "meter", "%v", err)
+	}
 	// The pre-migration window must cover the paper's stabilisation rule:
 	// 20 consecutive samples at the effective meter cadence.
 	period := meter.DefaultPeriod
-	if s.Meter != nil && s.Meter.PeriodMS > 0 {
-		period = time.Duration(s.Meter.PeriodMS) * time.Millisecond
+	if base.Meter.Period > 0 {
+		period = base.Meter.Period
 	}
 	if need := time.Duration(meter.StabilisationWindow) * period; base.PreMigration < need {
 		return nil, errf(name, "timing.pre_s", "pre-migration window %v cannot cover the stabilisation rule (%d samples at %v = %v)", base.PreMigration, meter.StabilisationWindow, period, need)
@@ -745,7 +749,10 @@ func (s *Spec) compileDatacenter(kind migration.Kind) (*Compiled, error) {
 	if len(dc.Hosts) < 2 {
 		return nil, errf(name, "datacenter.hosts", "need at least 2 hosts, got %d", len(dc.Hosts))
 	}
-	hosts := s.hostStates()
+	hosts, err := s.hostStates()
+	if err != nil {
+		return nil, err
+	}
 	// Replay the explicit moves against the evolving placement so a move
 	// referencing a VM after it has left its host fails here, not at run
 	// time.
@@ -961,9 +968,13 @@ func (s *Spec) compileCluster(kind migration.Kind) (*Compiled, error) {
 				return nil, errf(name, vmAt(".dirty_ratio"), "%v outside [0, 1]", v.DirtyRatio)
 			}
 			vmSet[v.Name] = true
+			mem, err := gib(name, v.MemGiB)
+			if err != nil {
+				return nil, under(err, at(fmt.Sprintf(".vms[%d]", vi)))
+			}
 			cv := cluster.VM{
 				Name:       v.Name,
-				MemBytes:   gib(v.MemGiB),
+				MemBytes:   mem,
 				BusyVCPUs:  v.BusyVCPUs,
 				DirtyRatio: units.Fraction(v.DirtyRatio),
 			}

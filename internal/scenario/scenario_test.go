@@ -202,6 +202,7 @@ func TestValidationFailurePaths(t *testing.T) {
 		{"negative initiation", func(s *Spec) { s.Migration = &MigrationTuning{InitiationS: -1} }, "migration.initiation_s"},
 		{"negative data factor", func(s *Spec) { s.Migration = &MigrationTuning{MaxDataFactor: -2} }, "migration.max_data_factor"},
 		{"bad meter period", func(s *Spec) { s.Meter = &Meter{PeriodMS: 250} }, "meter"},
+		{"meter period overflows a duration", func(s *Spec) { s.Meter = &Meter{PeriodMS: 1 << 58} }, "meter.period_ms"},
 		{"one repeat run", func(s *Spec) { s.Repeat = &Repeat{MinRuns: 1} }, "repeat.min_runs"},
 		{"negative variance tol", func(s *Spec) { s.Repeat = &Repeat{VarianceTol: -0.1} }, "repeat.variance_tol"},
 		{"duplicate phase names", func(s *Spec) {
@@ -226,21 +227,29 @@ func TestValidationFailurePaths(t *testing.T) {
 	}
 }
 
-// TestSecondsOverflowText pins the message of a seconds field that no
-// time.Duration can hold: it names the field, where a wrapped duration
-// used to surface as a negative window or a silently replaced horizon.
+// TestSecondsOverflowText pins the message of a seconds or
+// milliseconds field that no time.Duration can hold, and of a mem_gib
+// field that no byte count can hold: it names the field, where a
+// wrapped value used to surface as a negative window, a silently
+// replaced horizon, the default meter period or a VM with no memory.
 func TestSecondsOverflowText(t *testing.T) {
 	const limit = "exceeds the longest representable duration (2562047h47m16.854775807s)"
 	pre := minimal()
 	pre.Timing = &Timing{PreS: 1e11}
 	payback := clusterPolicyBase()
 	payback.Cluster.PaybackS = 1e11
+	period := minimal()
+	period.Meter = &Meter{PeriodMS: 1 << 58}
+	mem := clusterPolicyBase()
+	mem.Cluster.Hosts[0].VMs[0].MemGiB = 1e10
 	for _, tc := range []struct {
 		s    *Spec
 		want string
 	}{
 		{pre, `scenario "test-minimal": timing.pre_s: 1e+11 s ` + limit},
 		{payback, `scenario "cl-test": cluster.payback_s: 1e+11 s ` + limit},
+		{period, `scenario "test-minimal": meter.period_ms: 288230376151711744 ms ` + limit},
+		{mem, `scenario "cl-test": cluster.hosts[0].vms[0].mem_gib: 1e+10 GiB exceeds the largest representable size (8589934591 GiB)`},
 	} {
 		if err := tc.s.Validate(); err == nil || err.Error() != tc.want {
 			t.Errorf("error\n  got  %v\n  want %s", err, tc.want)
@@ -278,6 +287,8 @@ func TestDatacenterValidationPaths(t *testing.T) {
 		{"post-copy plan", func(s *Spec) { s.Kind = "post-copy" }, "kind"},
 		{"one host", func(s *Spec) { s.Datacenter.Hosts = s.Datacenter.Hosts[:1] }, "datacenter.hosts"},
 		{"invalid host", func(s *Spec) { s.Datacenter.Hosts[1].Threads = 0 }, "datacenter.hosts[1]"},
+		{"host memory overflows", func(s *Spec) { s.Datacenter.Hosts[0].MemGiB = 1e10 }, "datacenter.hosts[0].mem_gib"},
+		{"vm memory overflows", func(s *Spec) { s.Datacenter.Hosts[0].VMs[0].MemGiB = 1e10 }, "datacenter.hosts[0].vms[0].mem_gib"},
 		{"duplicate host", func(s *Spec) { s.Datacenter.Hosts[1].Name = "a" }, "datacenter.hosts[1].name"},
 		{"duplicate vm", func(s *Spec) {
 			s.Datacenter.Hosts[1].VMs = []VMSpec{{Name: "v1", MemGiB: 4}}
