@@ -818,12 +818,14 @@ func (e *engine) joinPending() error {
 
 // simulate answers a batch of lowered scenarios through the cache in
 // parallel, wrapping any failure with the identity of its move (idx
-// maps a batch position to the move's dispatch index). The engine's
-// context bounds the whole fan-out: once it is done, no further kernel
-// run dispatches and running ones abandon at their next step.
+// maps a batch position to the move's dispatch index). The engine reads
+// only each run's summary, so a persistent-tier hit decodes no trace.
+// The engine's context bounds the whole fan-out: once it is done, no
+// further kernel run dispatches and running ones abandon at their next
+// step.
 func (e *engine) simulate(scs []sim.Scenario, idx func(i int) int) ([]*sim.RunResult, error) {
 	run := func(sc sim.Scenario) (*sim.RunResult, error) {
-		return e.cfg.Cache.RunCtx(e.ctx, sc)
+		return e.cfg.Cache.SummaryCtx(e.ctx, sc)
 	}
 	if e.cfg.simOverride != nil {
 		run = e.cfg.simOverride

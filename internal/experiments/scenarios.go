@@ -20,7 +20,10 @@ type ScenarioResult struct {
 // Scenarios fan out across cfg.Workers with the spare budget parallelising
 // the repeats inside each scenario, and every scenario keeps its own seed
 // (deriving one from the list position only when it has none), so results
-// are bit-identical for every worker count and cache setting.
+// are bit-identical for every worker count and cache setting. Each run
+// is answered through the cache's summary lookup: a result carries the
+// bounds, energies, bytes sent, rounds and downtime, and callers must not
+// read its traces.
 func RunScenarios(cfg Config, scs ...sim.Scenario) ([]*ScenarioResult, error) {
 	cfg = cfg.withDefaults()
 	if len(scs) == 0 {
@@ -32,7 +35,7 @@ func RunScenarios(cfg Config, scs ...sim.Scenario) ([]*ScenarioResult, error) {
 		if sc.Seed == 0 {
 			sc.Seed = cfg.Seed + int64(i)*7919
 		}
-		runs, err := cfg.Cache.RunRepeatedCtx(cfg.context(), sc, cfg.MinRuns, cfg.VarianceTol, inner)
+		runs, err := cfg.Cache.SummaryRepeatedCtx(cfg.context(), sc, cfg.MinRuns, cfg.VarianceTol, inner)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scenario %s: %w", sc.Name, err)
 		}

@@ -77,6 +77,7 @@ func TestClusterValidationPaths(t *testing.T) {
 		}, "cluster.hosts[1].vms[0].name"},
 		{"no memory", func(s *Spec) { s.Cluster.Hosts[0].VMs[0].MemGiB = 0 }, "cluster.hosts[0].vms[0].mem_gib"},
 		{"memory overflows", func(s *Spec) { s.Cluster.Hosts[0].VMs[0].MemGiB = 1e10 }, "cluster.hosts[0].vms[0].mem_gib"},
+		{"memory below a byte", func(s *Spec) { s.Cluster.Hosts[0].VMs[0].MemGiB = 1e-12 }, "cluster.hosts[0].vms[0].mem_gib"},
 		{"negative busy", func(s *Spec) { s.Cluster.Hosts[0].VMs[0].BusyVCPUs = -1 }, "cluster.hosts[0].vms[0].busy_vcpus"},
 		{"dirty out of range", func(s *Spec) { s.Cluster.Hosts[0].VMs[0].DirtyRatio = 1.5 }, "cluster.hosts[0].vms[0].dirty_ratio"},
 		{"vm phase bad kind", func(s *Spec) {

@@ -217,14 +217,17 @@ func (s *Spec) hostStates() ([]consolidation.HostState, error) {
 	return hosts, nil
 }
 
-// gib converts a mem_gib field into bytes. A size beyond what
-// units.Bytes holds fails with an error at ".mem_gib", which the caller
-// roots at the field's host or VM with under, instead of wrapping into
-// a wrong, possibly negative, size; the negated range test refuses NaN
-// too.
+// gib converts a mem_gib field into bytes. A size that lowers to less
+// than one byte, or beyond what units.Bytes holds, fails with an error at
+// ".mem_gib", which the caller roots at the field's host or VM with
+// under, instead of becoming a memoryless machine or wrapping into a
+// wrong, possibly negative, size; the negated test refuses NaN too.
 func gib(scenario string, n float64) (units.Bytes, error) {
 	b := n * float64(units.GiB)
-	if !(b >= -1<<63 && b < 1<<63) {
+	switch {
+	case !(b >= 1):
+		return 0, errf(scenario, ".mem_gib", "must be at least one byte, got %v GiB", n)
+	case b >= 1<<63:
 		return 0, errf(scenario, ".mem_gib", "%v GiB exceeds the largest representable size (%d GiB)", n, int64(math.MaxInt64/units.GiB))
 	}
 	return units.Bytes(b), nil

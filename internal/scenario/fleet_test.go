@@ -163,6 +163,7 @@ func TestFleetValidation(t *testing.T) {
 		{"replica VM collides across groups", func(s *Spec) { s.Cluster.Fleet[1].VMs[0].Name = "fe" }, "already exists"},
 		{"bad template VM", func(s *Spec) { s.Cluster.Fleet[0].VMs[0].MemGiB = 0 }, "mem_gib"},
 		{"template VM memory overflows", func(s *Spec) { s.Cluster.Fleet[0].VMs[0].MemGiB = 1e10 }, "cluster.fleet[0].replica[0].vms[0].mem_gib"},
+		{"template VM memory below a byte", func(s *Spec) { s.Cluster.Fleet[0].VMs[0].MemGiB = 1e-12 }, "cluster.fleet[0].replica[0].vms[0].mem_gib"},
 	}
 	for _, tc := range cases {
 		s := fleetSpec()

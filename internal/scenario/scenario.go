@@ -955,23 +955,20 @@ func (s *Spec) compileCluster(kind migration.Kind) (*Compiled, error) {
 		first := len(vms)
 		for vi, v := range h.VMs {
 			vmAt := func(field string) string { return at(fmt.Sprintf(".vms[%d]", vi) + field) }
+			mem, err := gib(name, v.MemGiB)
 			switch {
 			case v.Name == "":
 				return nil, errf(name, vmAt(".name"), "required")
 			case vmSet[v.Name]:
 				return nil, errf(name, vmAt(".name"), "VM %q already exists in the cluster", v.Name)
-			case v.MemGiB <= 0:
-				return nil, errf(name, vmAt(".mem_gib"), "must be positive, got %v", v.MemGiB)
+			case err != nil:
+				return nil, under(err, vmAt(""))
 			case v.BusyVCPUs < 0:
 				return nil, errf(name, vmAt(".busy_vcpus"), "must be non-negative, got %v", v.BusyVCPUs)
 			case v.DirtyRatio < 0 || v.DirtyRatio > 1:
 				return nil, errf(name, vmAt(".dirty_ratio"), "%v outside [0, 1]", v.DirtyRatio)
 			}
 			vmSet[v.Name] = true
-			mem, err := gib(name, v.MemGiB)
-			if err != nil {
-				return nil, under(err, at(fmt.Sprintf(".vms[%d]", vi)))
-			}
 			cv := cluster.VM{
 				Name:       v.Name,
 				MemBytes:   mem,

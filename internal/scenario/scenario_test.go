@@ -229,9 +229,10 @@ func TestValidationFailurePaths(t *testing.T) {
 
 // TestSecondsOverflowText pins the message of a seconds or
 // milliseconds field that no time.Duration can hold, and of a mem_gib
-// field that no byte count can hold: it names the field, where a
-// wrapped value used to surface as a negative window, a silently
-// replaced horizon, the default meter period or a VM with no memory.
+// field that no byte count can hold or that lowers to less than one
+// byte: it names the field, where a wrapped or truncated value used to
+// surface as a negative window, a silently replaced horizon, the default
+// meter period or a VM with no memory.
 func TestSecondsOverflowText(t *testing.T) {
 	const limit = "exceeds the longest representable duration (2562047h47m16.854775807s)"
 	pre := minimal()
@@ -242,6 +243,8 @@ func TestSecondsOverflowText(t *testing.T) {
 	period.Meter = &Meter{PeriodMS: 1 << 58}
 	mem := clusterPolicyBase()
 	mem.Cluster.Hosts[0].VMs[0].MemGiB = 1e10
+	subByte := clusterPolicyBase()
+	subByte.Cluster.Hosts[0].VMs[0].MemGiB = 1e-12
 	for _, tc := range []struct {
 		s    *Spec
 		want string
@@ -250,6 +253,7 @@ func TestSecondsOverflowText(t *testing.T) {
 		{payback, `scenario "cl-test": cluster.payback_s: 1e+11 s ` + limit},
 		{period, `scenario "test-minimal": meter.period_ms: 288230376151711744 ms ` + limit},
 		{mem, `scenario "cl-test": cluster.hosts[0].vms[0].mem_gib: 1e+10 GiB exceeds the largest representable size (8589934591 GiB)`},
+		{subByte, `scenario "cl-test": cluster.hosts[0].vms[0].mem_gib: must be at least one byte, got 1e-12 GiB`},
 	} {
 		if err := tc.s.Validate(); err == nil || err.Error() != tc.want {
 			t.Errorf("error\n  got  %v\n  want %s", err, tc.want)
@@ -289,6 +293,12 @@ func TestDatacenterValidationPaths(t *testing.T) {
 		{"invalid host", func(s *Spec) { s.Datacenter.Hosts[1].Threads = 0 }, "datacenter.hosts[1]"},
 		{"host memory overflows", func(s *Spec) { s.Datacenter.Hosts[0].MemGiB = 1e10 }, "datacenter.hosts[0].mem_gib"},
 		{"vm memory overflows", func(s *Spec) { s.Datacenter.Hosts[0].VMs[0].MemGiB = 1e10 }, "datacenter.hosts[0].vms[0].mem_gib"},
+		{"host without memory", func(s *Spec) { s.Datacenter.Hosts[0].MemGiB = 0 }, "datacenter.hosts[0].mem_gib"},
+		{"host memory negative", func(s *Spec) { s.Datacenter.Hosts[0].MemGiB = -1 }, "datacenter.hosts[0].mem_gib"},
+		{"host memory below a byte", func(s *Spec) { s.Datacenter.Hosts[0].MemGiB = 1e-12 }, "datacenter.hosts[0].mem_gib"},
+		{"vm without memory", func(s *Spec) { s.Datacenter.Hosts[0].VMs[0].MemGiB = 0 }, "datacenter.hosts[0].vms[0].mem_gib"},
+		{"vm memory negative", func(s *Spec) { s.Datacenter.Hosts[0].VMs[0].MemGiB = -1 }, "datacenter.hosts[0].vms[0].mem_gib"},
+		{"vm memory below a byte", func(s *Spec) { s.Datacenter.Hosts[0].VMs[0].MemGiB = 1e-12 }, "datacenter.hosts[0].vms[0].mem_gib"},
 		{"duplicate host", func(s *Spec) { s.Datacenter.Hosts[1].Name = "a" }, "datacenter.hosts[1].name"},
 		{"duplicate vm", func(s *Spec) {
 			s.Datacenter.Hosts[1].VMs = []VMSpec{{Name: "v1", MemGiB: 4}}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/migration"
@@ -29,5 +30,37 @@ func TestSimRunAllocCeiling(t *testing.T) {
 	})
 	if avg > maxRunAllocs {
 		t.Fatalf("sim.Run allocates %.0f times, ceiling %d — a per-step allocation crept back into the kernel", avg, maxRunAllocs)
+	}
+}
+
+// TestSummaryDecodeAllocBytes holds a summary-only decode of the
+// memory-heavy live run's artefact (4,883 trace samples) under a fixed
+// byte ceiling: it allocates the result and no trace sample, where the
+// full decode of the same artefact allocates ~178 KB. Every warm
+// scenario, cluster and daemon lookup pays this decode.
+func TestSummaryDecodeAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race for the ceiling")
+	}
+	const ceiling = 4 << 10 // bytes per decode
+	keyBytes, hash, res := liveMemArtefact(t)
+	data := encodeArtefact(keyBytes, hash, res)
+	decode := func() {
+		if _, err := decodeArtefact(data, keyBytes, hash, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		decode()
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	t.Logf("%d-byte artefact: %d bytes per summary-only decode", len(data), perCall)
+	if perCall > ceiling {
+		t.Errorf("summary-only decode allocates %d bytes, ceiling is %d", perCall, ceiling)
 	}
 }

@@ -176,7 +176,14 @@ func encodeArtefact(keyBytes []byte, hash [sha256.Size]byte, res *RunResult) []b
 // *artefactError; the caller treats every error as a miss and
 // quarantines the file. A nil error guarantees the checksum held and the
 // artefact's identity matches (keyBytes, hash) exactly.
-func decodeArtefact(data []byte, keyBytes []byte, hash [sha256.Size]byte) (*RunResult, error) {
+//
+// With traces false the decode is summary-only: it runs every check the
+// full decode runs — framing, checksum, identity, every canonical-form
+// rule and exact payload consumption — over the same walk of the
+// payload, so both modes accept and reject the same bytes for the same
+// reason, but it materialises no trace: the result carries the bounds,
+// energies, bytes sent, rounds and downtime, and four nil traces.
+func decodeArtefact(data []byte, keyBytes []byte, hash [sha256.Size]byte, traces bool) (*RunResult, error) {
 	if len(data) < artefactHeaderLen+artefactSumLen {
 		return nil, artefactErrf(reasonTruncated, "%d bytes, need at least %d", len(data), artefactHeaderLen+artefactSumLen)
 	}
@@ -195,7 +202,7 @@ func decodeArtefact(data []byte, keyBytes []byte, hash [sha256.Size]byte) (*RunR
 		return nil, artefactErrf(reasonChecksum, "stored checksum does not match content")
 	}
 
-	r := artefactReader{b: body[artefactHeaderLen:]}
+	r := artefactReader{b: body[artefactHeaderLen:], traces: traces}
 	storedHash, err := r.take(artefactSumLen)
 	if err != nil {
 		return nil, err
@@ -207,7 +214,7 @@ func decodeArtefact(data []byte, keyBytes []byte, hash [sha256.Size]byte) (*RunR
 	if err != nil {
 		return nil, err
 	}
-	if storedKey != string(keyBytes) {
+	if string(storedKey) != string(keyBytes) {
 		return nil, artefactErrf(reasonKey, "embedded scenario differs from the lookup's canonical encoding")
 	}
 
@@ -336,22 +343,35 @@ func writeAxis[S any](w *artefactWriter, samples []S, at func(*S) time.Duration)
 
 // timeGrid reports whether the samples' timestamps lie on a grid — sample
 // i at t0 + i·step — and which. An empty trace lies on none; a
-// one-sample trace's grid has step 0. The arithmetic wraps exactly as
-// timeAxis.at does, so a grid found here reproduces every timestamp.
+// one-sample trace's grid has step 0.
 func timeGrid[S any](samples []S, at func(*S) time.Duration) (t0, step int64, ok bool) {
-	if len(samples) == 0 {
-		return 0, 0, false
-	}
-	t0 = int64(at(&samples[0]))
-	if len(samples) > 1 {
-		step = int64(at(&samples[1])) - t0
-	}
+	var g gridRun
 	for i := range samples {
-		if int64(at(&samples[i])) != t0+int64(i)*step {
-			return 0, 0, false
-		}
+		g.add(i, int64(at(&samples[i])))
 	}
-	return t0, step, true
+	return g.t0, g.step, g.on
+}
+
+// gridRun follows timestamps as they stream past and reports whether
+// every one so far lies on the grid its first two set: sample i at
+// t0 + i·step. The arithmetic wraps exactly as timeAxis.at does, so a
+// grid found here reproduces every timestamp. The encoder asks it
+// whether to store a grid, and the decoder whether spelled-out
+// timestamps should have been one, so both apply one definition.
+type gridRun struct {
+	t0, step int64
+	on       bool // every timestamp so far lies on the grid; false before the first
+}
+
+func (g *gridRun) add(i int, at int64) {
+	switch i {
+	case 0:
+		g.t0, g.on = at, true
+	case 1:
+		g.step = at - g.t0
+	default:
+		g.on = g.on && at == g.t0+int64(i)*g.step
+	}
 }
 
 func powerAt(s *trace.Sample) time.Duration          { return s.At }
@@ -382,15 +402,23 @@ func featureSample(at int64, bits *[4]uint64) trace.FeatureSample {
 // read that would cross the end of the buffer is a truncation error, and
 // every declared element count is capped by the bytes actually present
 // before anything is allocated, so a corrupt length field cannot demand
-// gigabytes.
+// gigabytes. With traces false it checks every sample but allocates
+// none: power and features return nil traces.
 type artefactReader struct {
-	b   []byte
-	off int
+	b      []byte
+	off    int
+	traces bool
+}
+
+// short is the truncation error of a read of n bytes where the payload
+// has only left.
+func short(n, left int) error {
+	return artefactErrf(reasonTruncated, "payload ends %d bytes early", n-left)
 }
 
 func (r *artefactReader) take(n int) ([]byte, error) {
 	if n < 0 || len(r.b)-r.off < n {
-		return nil, artefactErrf(reasonTruncated, "payload ends %d bytes early", n-(len(r.b)-r.off))
+		return nil, short(n, len(r.b)-r.off)
 	}
 	p := r.b[r.off : r.off+n]
 	r.off += n
@@ -423,16 +451,17 @@ func (r *artefactReader) f64() (float64, error) {
 	return math.Float64frombits(v), err
 }
 
-func (r *artefactReader) str() (string, error) {
+// str reads a length-prefixed string and returns its bytes, which alias
+// the payload.
+func (r *artefactReader) str() ([]byte, error) {
 	n, err := r.u64()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > uint64(len(r.b)-r.off) {
-		return "", artefactErrf(reasonMalformed, "string length %d exceeds remaining payload", n)
+		return nil, artefactErrf(reasonMalformed, "string length %d exceeds remaining payload", n)
 	}
-	p, err := r.take(int(n))
-	return string(p), err
+	return r.take(int(n))
 }
 
 // count reads an element count and bounds it by the bytes remaining for
@@ -474,7 +503,7 @@ func (a timeAxis) at(i int) int64 { return a.t0 + int64(i)*a.step }
 // The count is capped by the bytes present before anything is
 // allocated, and the canonical-form rules that need only the axis and
 // the count are enforced here; the one that needs the timestamps is
-// spelledOut.
+// onGrid.
 func (r *artefactReader) axis(gridSize int) (timeAxis, int, error) {
 	var a timeAxis
 	flag, err := r.u8()
@@ -508,14 +537,12 @@ func (r *artefactReader) axis(gridSize int) (timeAxis, int, error) {
 	return a, n, nil
 }
 
-// spelledOut rejects spelled-out timestamps that lie on a grid: the
-// canonical encoding stores those as the grid.
-func spelledOut[S any](a timeAxis, samples []S, at func(*S) time.Duration) error {
-	if a.grid {
-		return nil
-	}
-	if _, _, ok := timeGrid(samples, at); ok {
-		return artefactErrf(reasonMalformed, "spelled-out timestamps of %d samples lie on a grid", len(samples))
+// onGrid rejects n spelled-out timestamps that lie on a grid, which g
+// followed as they streamed past: the canonical encoding stores those
+// as the grid.
+func onGrid(g *gridRun, n int) error {
+	if g.on {
+		return artefactErrf(reasonMalformed, "spelled-out timestamps of %d samples lie on a grid", n)
 	}
 	return nil
 }
@@ -529,21 +556,33 @@ func (r *artefactReader) power() (*trace.PowerTrace, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &trace.PowerTrace{Host: host, Samples: make([]trace.Sample, n)}
-	for i := range p.Samples {
+	// axis capped n by the bytes present, so every sample fits.
+	size := 8
+	if !a.grid {
+		size = 16
+	}
+	b := r.b[r.off : r.off+n*size]
+	r.off += n * size
+	var p *trace.PowerTrace
+	if r.traces {
+		p = &trace.PowerTrace{Host: string(host), Samples: make([]trace.Sample, n)}
+	} else if a.grid {
+		return nil, nil // no timestamps to check
+	}
+	var g gridRun
+	for i := 0; i < n; i++ {
+		s := b[i*size : (i+1)*size]
 		at := a.at(i)
 		if !a.grid {
-			if at, err = r.i64(); err != nil {
-				return nil, err
-			}
+			at = int64(binary.LittleEndian.Uint64(s))
+			g.add(i, at)
+			s = s[8:]
 		}
-		w, err := r.f64()
-		if err != nil {
-			return nil, err
+		if p != nil {
+			p.Samples[i] = trace.Sample{At: time.Duration(at), Power: units.Watts(math.Float64frombits(binary.LittleEndian.Uint64(s)))}
 		}
-		p.Samples[i] = trace.Sample{At: time.Duration(at), Power: units.Watts(w)}
 	}
-	if err := spelledOut(a, p.Samples, powerAt); err != nil {
+	if err := onGrid(&g, n); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -558,38 +597,51 @@ func (r *artefactReader) features() (*trace.FeatureTrace, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &trace.FeatureTrace{Host: host, Samples: make([]trace.FeatureSample, n)}
+	var f *trace.FeatureTrace
+	if r.traces {
+		f = &trace.FeatureTrace{Host: string(host), Samples: make([]trace.FeatureSample, n)}
+	}
+	var g gridRun
 	var prev [4]uint64 // the previous sample's fields; all zero before the first
-	for i := range f.Samples {
-		mask, err := r.u8()
-		if err != nil {
-			return nil, err
+	b, off := r.b, r.off
+	for i := 0; i < n; i++ {
+		if off == len(b) {
+			return nil, short(1, 0)
 		}
+		mask := b[off]
+		off++
 		if mask > 0xf {
 			return nil, artefactErrf(reasonMalformed, "sample %d: mask %#x sets bits above bit 3", i, mask)
 		}
 		at := a.at(i)
 		if !a.grid {
-			if at, err = r.i64(); err != nil {
-				return nil, err
+			if len(b)-off < 8 {
+				return nil, short(8, len(b)-off)
 			}
+			at = int64(binary.LittleEndian.Uint64(b[off:]))
+			off += 8
+			g.add(i, at)
 		}
 		for j := range prev {
 			if mask&(1<<j) == 0 {
 				continue
 			}
-			v, err := r.u64()
-			if err != nil {
-				return nil, err
+			if len(b)-off < 8 {
+				return nil, short(8, len(b)-off)
 			}
+			v := binary.LittleEndian.Uint64(b[off:])
+			off += 8
 			if v == prev[j] {
 				return nil, artefactErrf(reasonMalformed, "sample %d: field %d marked changed but repeats its bits", i, j)
 			}
 			prev[j] = v
 		}
-		f.Samples[i] = featureSample(at, &prev)
+		if f != nil {
+			f.Samples[i] = featureSample(at, &prev)
+		}
 	}
-	if err := spelledOut(a, f.Samples, featureAt); err != nil {
+	r.off = off
+	if err := onGrid(&g, n); err != nil {
 		return nil, err
 	}
 	return f, nil

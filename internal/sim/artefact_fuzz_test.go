@@ -7,12 +7,14 @@ import (
 	"testing"
 )
 
-// FuzzCacheArtefactDecode pins the decoder's two safety properties
-// against arbitrary input: it never panics, and whenever it accepts an
-// input, re-encoding the decoded result reproduces that input byte for
-// byte — so a wrong-checksum or otherwise mangled artefact can never be
-// returned as a result. Seeds are a real artefact plus targeted
-// mutations of its header, identity, payload and checksum regions.
+// FuzzCacheArtefactDecode pins the decoder's safety properties against
+// arbitrary input: it never panics; its full and summary-only modes
+// agree on accepting or rejecting, with the same error, and on every
+// summary field; and whenever it accepts an input, re-encoding the
+// decoded result reproduces that input byte for byte — so a
+// wrong-checksum or otherwise mangled artefact can never be returned as
+// a result. Seeds are a real artefact plus targeted mutations of its
+// header, identity, payload and checksum regions.
 func FuzzCacheArtefactDecode(f *testing.F) {
 	sc := diskScenario(5)
 	res, err := Run(sc)
@@ -42,7 +44,16 @@ func FuzzCacheArtefactDecode(f *testing.F) {
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := decodeArtefact(data, keyBytes, hash) // must never panic
+		got, err := decodeArtefact(data, keyBytes, hash, true) // must never panic
+		sum, serr := decodeArtefact(data, keyBytes, hash, false)
+		switch {
+		case (err == nil) != (serr == nil):
+			t.Fatalf("decode modes disagree: full %v, summary-only %v", err, serr)
+		case err != nil && err.Error() != serr.Error():
+			t.Fatalf("decode modes reject differently: full %v, summary-only %v", err, serr)
+		case err == nil && !sameRun(sum, got, false):
+			t.Fatal("the summary-only decode is not the full decode's summary without traces")
+		}
 		if err != nil {
 			var aerr *artefactError
 			if !errors.As(err, &aerr) {

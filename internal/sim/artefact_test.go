@@ -25,6 +25,14 @@ func seal(payload []byte) []byte {
 	return append(out, sum[:]...)
 }
 
+// decodeModes are the decoder's two modes, which must agree on every
+// verdict: the full decode, and the summary-only decode that SummaryCtx
+// runs.
+var decodeModes = []struct {
+	name   string
+	traces bool
+}{{"full", true}, {"summary", false}}
+
 // splice returns payload with its one occurrence of old replaced by new.
 func splice(t *testing.T, payload, old, new []byte) []byte {
 	t.Helper()
@@ -38,8 +46,9 @@ func splice(t *testing.T, payload, old, new []byte) []byte {
 // TestArtefactRejectsNonCanonical pins the canonical form: for each rule
 // the decoder enforces, a variant of a real artefact that breaks only
 // that rule, re-sealed with a correct length and checksum, is rejected
-// as malformed. Each variant is built so that without its rule it would
-// decode, to a result whose canonical encoding differs from its bytes.
+// as malformed in both decode modes. Each variant is built so that
+// without its rule it would decode, to a result whose canonical encoding
+// differs from its bytes.
 func TestArtefactRejectsNonCanonical(t *testing.T) {
 	keyBytes, hash, res := liveMemArtefact(t)
 	good := encodeArtefact(keyBytes, hash, res)
@@ -54,6 +63,9 @@ func TestArtefactRejectsNonCanonical(t *testing.T) {
 	var fw artefactWriter
 	fw.features(res.SourceFeatures)
 	feats := fw.b
+	var tw artefactWriter
+	tw.features(res.TargetFeatures)
+	targetFeats := tw.b
 	host := res.Source.Host
 	s0 := res.Source.Samples[0]
 
@@ -140,35 +152,50 @@ func TestArtefactRejectsNonCanonical(t *testing.T) {
 			t.Fatal("no sample repeats its HostCPU")
 			return nil
 		}},
+		{"trailing-payload-byte", targetFeats, func() []byte {
+			// The Target feature trace ends the payload.
+			return append(append([]byte(nil), targetFeats...), 0)
+		}},
 	}
 	for _, tc := range variants {
 		t.Run(tc.name, func(t *testing.T) {
 			data := seal(splice(t, payload, tc.old, tc.variant()))
-			_, err := decodeArtefact(data, keyBytes, hash)
-			var aerr *artefactError
-			switch {
-			case err == nil:
-				t.Fatal("accepted a non-canonical encoding")
-			case !errors.As(err, &aerr):
-				t.Fatalf("error is not an *artefactError: %v", err)
-			case aerr.reason != reasonMalformed:
-				t.Fatalf("rejected as %q, want %q: %v", aerr.reason, reasonMalformed, err)
+			for _, mode := range decodeModes {
+				t.Run(mode.name, func(t *testing.T) {
+					_, err := decodeArtefact(data, keyBytes, hash, mode.traces)
+					var aerr *artefactError
+					switch {
+					case err == nil:
+						t.Fatal("accepted a non-canonical encoding")
+					case !errors.As(err, &aerr):
+						t.Fatalf("error is not an *artefactError: %v", err)
+					case aerr.reason != reasonMalformed:
+						t.Fatalf("rejected as %q, want %q: %v", aerr.reason, reasonMalformed, err)
+					}
+				})
 			}
 		})
 	}
 }
 
-// resultWords flattens every field an artefact stores into words, each
-// float as its IEEE-754 bits, so two results compare exactly:
-// reflect.DeepEqual calls a NaN unequal to itself and +0 equal to −0.
-func resultWords(r *RunResult) []uint64 {
+// summaryWords flattens the summary fields an artefact stores — what a
+// summary-only decode returns — into words, each float as its IEEE-754
+// bits, so two results compare exactly: reflect.DeepEqual calls a NaN
+// unequal to itself and +0 equal to −0.
+func summaryWords(r *RunResult) []uint64 {
 	f := func(v float64) uint64 { return math.Float64bits(v) }
-	w := []uint64{
+	return []uint64{
 		uint64(r.Bounds.MS), uint64(r.Bounds.TS), uint64(r.Bounds.TE), uint64(r.Bounds.ME),
 		f(float64(r.SourceEnergy.Initiation)), f(float64(r.SourceEnergy.Transfer)), f(float64(r.SourceEnergy.Activation)),
 		f(float64(r.TargetEnergy.Initiation)), f(float64(r.TargetEnergy.Transfer)), f(float64(r.TargetEnergy.Activation)),
 		uint64(r.BytesSent), uint64(r.Rounds), uint64(r.Downtime),
 	}
+}
+
+// resultWords extends summaryWords with every trace sample.
+func resultWords(r *RunResult) []uint64 {
+	f := func(v float64) uint64 { return math.Float64bits(v) }
+	w := summaryWords(r)
 	for _, p := range []*trace.PowerTrace{r.Source, r.Target} {
 		w = append(w, uint64(len(p.Samples)))
 		for _, s := range p.Samples {
@@ -188,7 +215,8 @@ func resultWords(r *RunResult) []uint64 {
 // TestArtefactRoundTripEdgeCases round-trips traces a real run does not
 // produce — empty and one-sample traces, a jittered timestamp, a field
 // that changes on every sample, signed zeros, infinities, a NaN payload
-// and a subnormal — and demands bit-exact results and canonical bytes.
+// and a subnormal — and demands bit-exact results and canonical bytes,
+// and the same summary, with no traces, from a summary-only decode.
 func TestArtefactRoundTripEdgeCases(t *testing.T) {
 	nan := math.Float64frombits(0x7ff8_0000_dead_beef)
 	negZero := math.Copysign(0, -1)
@@ -257,7 +285,7 @@ func TestArtefactRoundTripEdgeCases(t *testing.T) {
 			keyBytes := []byte(tc.name)
 			hash := sha256.Sum256(keyBytes)
 			data := encodeArtefact(keyBytes, hash, res)
-			back, err := decodeArtefact(data, keyBytes, hash)
+			back, err := decodeArtefact(data, keyBytes, hash, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -275,6 +303,13 @@ func TestArtefactRoundTripEdgeCases(t *testing.T) {
 			}
 			if !bytes.Equal(encodeArtefact(keyBytes, hash, back), data) {
 				t.Error("re-encoding the decoded result changed bytes")
+			}
+			sum, err := decodeArtefact(data, keyBytes, hash, false)
+			if err != nil {
+				t.Fatalf("summary-only decode rejects what the full decode accepts: %v", err)
+			}
+			if !sameRun(sum, res, false) {
+				t.Error("the summary-only decode is not the result's summary without traces")
 			}
 		})
 	}

@@ -97,17 +97,21 @@ func BenchmarkArtefactEncode(b *testing.B) {
 }
 
 // BenchmarkArtefactDecode measures what a persistent-cache hit costs
-// once the bytes are read: verifying the checksum and identity of the
-// same artefact and decoding every trace.
+// once the bytes are read: verifying the checksum, identity and
+// canonical form of the same artefact, and decoding every trace (full,
+// a RunCtx hit) or none (summary, a SummaryCtx hit).
 func BenchmarkArtefactDecode(b *testing.B) {
 	keyBytes, hash, res := liveMemArtefact(b)
 	data := encodeArtefact(keyBytes, hash, res)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := decodeArtefact(data, keyBytes, hash); err != nil {
-			b.Fatal(err)
-		}
+	for _, mode := range decodeModes {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := decodeArtefact(data, keyBytes, hash, mode.traces); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportCodec(b, res, len(data))
+		})
 	}
-	reportCodec(b, res, len(data))
 }

@@ -19,9 +19,10 @@ import (
 // the one in-flight simulation instead of duplicating it. Hits return a
 // shallow copy of the memoized RunResult with the caller's scenario label
 // restored — bit-identical to what an uncached Run would have produced —
-// sharing the underlying traces, which are treated as immutable by every
-// consumer. The cache is bounded (least-recently-used eviction) and
-// clearable so long benchmark sessions do not grow without limit.
+// sharing the underlying traces, if the entry holds them, which are
+// treated as immutable by every consumer. The cache is bounded
+// (least-recently-used eviction) and clearable so long benchmark sessions
+// do not grow without limit.
 //
 // A Cache optionally fronts a persistent CacheStore (NewCacheWithStore):
 // the memory tier stays the fast path and the singleflight authority,
@@ -29,9 +30,17 @@ import (
 // in-flight leader of each key — a disk hit fills the memory entry
 // without running the kernel, a disk miss runs the kernel and publishes
 // the artefact for every later process. Decoded artefacts are verified
-// end to end (checksum, version, key identity), and any decode failure
-// degrades to a miss that quarantines the bad file and re-runs the
-// kernel — never an error, never a wrong result.
+// end to end (checksum, version, key identity, canonical form), and any
+// decode failure degrades to a miss that quarantines the bad file and
+// re-runs the kernel — never an error, never a wrong result.
+//
+// There are two lookups. RunCtx answers with the run's traces;
+// SummaryCtx serves callers that read only the summary (bounds,
+// energies, bytes sent, rounds, downtime), and its disk hits decode no
+// trace sample. A summary disk hit fills the memory tier with a
+// summary-only entry; a RunCtx that finds one drops it and reads the
+// artefact again in full, a disk hit rather than a kernel run. Kernel
+// runs always memoise full results, which answer both lookups.
 //
 // The zero value is not usable; construct with NewCache. A nil *Cache is
 // valid everywhere and degrades to uncached execution.
@@ -54,8 +63,11 @@ type Cache struct {
 }
 
 // CacheStats is a point-in-time snapshot of a cache's counters across
-// both tiers. Hits/Misses count memory-tier lookups (every RunCtx does
-// exactly one); DiskHits/DiskMisses count persistent-tier probes by
+// both tiers. Hits/Misses count memory-tier lookups: every RunCtx or
+// SummaryCtx counts one, a RunCtx that replaces a completed summary-only
+// entry counting a miss, and a waiter that re-dispatches (its leader
+// failed, or left a summary it cannot use) counts once more;
+// DiskHits/DiskMisses count persistent-tier probes by
 // leaders of memory misses; KernelRuns counts simulations actually
 // executed — the number a warm, intact cache drives to zero; Quarantined
 // counts corrupt artefacts moved aside; StoreErrors counts store I/O
@@ -103,7 +115,7 @@ func (s CacheStats) Delta(prev CacheStats) CacheStats {
 
 type cacheEntry struct {
 	done chan struct{} // closed when res/err are set
-	res  *RunResult
+	res  *RunResult    // its traces are nil when a summary-only disk hit filled it
 	err  error
 	elem *list.Element
 }
@@ -148,10 +160,10 @@ func cacheKey(sc Scenario) Scenario {
 	return k
 }
 
-// RunCtx answers a scenario from the cache, simulating it at most once
-// per key. A nil receiver runs uncached. Its cancellation semantics are
-// engineered for shared, long-lived caches (a daemon serving many
-// clients):
+// RunCtx answers a scenario, traces included, from the cache,
+// simulating it at most once per key. A nil receiver runs uncached. Its
+// cancellation semantics are engineered for shared, long-lived caches (a
+// daemon serving many clients):
 //
 //   - A waiter whose own ctx expires stops waiting and returns its ctx
 //     error; the in-flight leader is unaffected.
@@ -167,7 +179,26 @@ func cacheKey(sc Scenario) Scenario {
 // Failures are not memoized, so a deterministic error (an invalid
 // scenario) terminates: the retrying waiter becomes the leader, computes
 // the same error itself and returns it as its own.
+//
+// An entry that a SummaryCtx disk hit filled holds no traces. RunCtx
+// replaces it, reading the artefact again in full, and a RunCtx waiting
+// on such an entry's leader re-dispatches as it does after a failure.
 func (c *Cache) RunCtx(ctx context.Context, sc Scenario) (*RunResult, error) {
+	return c.lookup(ctx, sc, true)
+}
+
+// SummaryCtx is RunCtx for callers that read only a run's summary: its
+// bounds, energies, bytes sent, rounds and downtime. A persistent-tier
+// hit runs every check RunCtx's does but decodes no trace sample, and
+// fills the memory tier with a summary-only entry. The result's traces
+// are nil after such a hit and present otherwise, so callers must not
+// read them.
+func (c *Cache) SummaryCtx(ctx context.Context, sc Scenario) (*RunResult, error) {
+	return c.lookup(ctx, sc, false)
+}
+
+// lookup is RunCtx when traces is set and SummaryCtx when not.
+func (c *Cache) lookup(ctx context.Context, sc Scenario, traces bool) (*RunResult, error) {
 	if c == nil {
 		return RunCtx(ctx, sc)
 	}
@@ -178,7 +209,8 @@ func (c *Cache) RunCtx(ctx context.Context, sc Scenario) (*RunResult, error) {
 			return nil, err
 		}
 		c.mu.Lock()
-		if e, ok := c.entries[key]; ok {
+		e, ok := c.entries[key]
+		if ok && !(traces && e.summaryOnly()) {
 			c.hits++
 			c.lru.MoveToFront(e.elem)
 			c.mu.Unlock()
@@ -187,27 +219,34 @@ func (c *Cache) RunCtx(ctx context.Context, sc Scenario) (*RunResult, error) {
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-			if e.err != nil {
-				// The leader failed or was cancelled; its entry is already
-				// gone. Re-dispatch instead of propagating its error.
+			if e.err != nil || (traces && e.res.Source == nil) {
+				// The leader failed or was cancelled, and its entry is
+				// already gone; or it left a summary this lookup cannot
+				// use, which the next pass replaces. Re-dispatch instead
+				// of propagating its error.
 				continue
 			}
 			return e.result(sc), nil
 		}
+		if ok {
+			// A completed summary-only entry: this lookup replaces it
+			// with a full read of the same artefact.
+			c.removeLocked(&key, e)
+		}
 		c.misses++
-		e := &cacheEntry{done: make(chan struct{})}
+		e = &cacheEntry{done: make(chan struct{})}
 		e.elem = c.lru.PushFront(key)
 		c.entries[key] = e
 		c.evictLocked()
 		c.mu.Unlock()
 
-		res, err := c.compute(ctx, sc, key)
+		res, err := c.compute(ctx, sc, key, traces)
 		e.res, e.err = res, err
 		if err != nil {
 			// Failures are not memoized: drop the entry *before* releasing
 			// the waiters, so their retry finds a clean slot.
 			c.mu.Lock()
-			c.removeLocked(key, e)
+			c.removeLocked(&key, e)
 			c.mu.Unlock()
 		}
 		close(e.done)
@@ -223,8 +262,9 @@ func (c *Cache) RunCtx(ctx context.Context, sc Scenario) (*RunResult, error) {
 // run the kernel and publish the artefact. Store failures of every kind
 // (I/O errors, lock trouble, corrupt artefacts) degrade to uncached
 // behaviour; corruption additionally quarantines the file so the rerun's
-// Put republishes a good artefact under the same name.
-func (c *Cache) compute(ctx context.Context, sc, key Scenario) (*RunResult, error) {
+// Put republishes a good artefact under the same name. A disk hit decodes
+// the traces only when traces is set; a kernel run always returns them.
+func (c *Cache) compute(ctx context.Context, sc, key Scenario, traces bool) (*RunResult, error) {
 	if c.store == nil {
 		c.kernelRuns.Add(1)
 		return RunCtx(ctx, sc)
@@ -234,7 +274,7 @@ func (c *Cache) compute(ctx context.Context, sc, key Scenario) (*RunResult, erro
 	name := artefactName(hash)
 
 	// Fast path: a complete, verified artefact answers without locking.
-	if res := c.loadArtefact(name, keyBytes, hash); res != nil {
+	if res := c.loadArtefact(name, keyBytes, hash, traces); res != nil {
 		c.diskHits.Add(1)
 		return res, nil
 	}
@@ -244,7 +284,7 @@ func (c *Cache) compute(ctx context.Context, sc, key Scenario) (*RunResult, erro
 	switch {
 	case err == nil:
 		defer unlock()
-		if res := c.loadArtefact(name, keyBytes, hash); res != nil {
+		if res := c.loadArtefact(name, keyBytes, hash, traces); res != nil {
 			c.diskHits.Add(1)
 			return res, nil
 		}
@@ -269,14 +309,15 @@ func (c *Cache) compute(ctx context.Context, sc, key Scenario) (*RunResult, erro
 	return res, nil
 }
 
-// loadArtefact reads and fully verifies one artefact, returning nil on
-// any miss. A decode failure is re-probed once — a hostile or non-atomic
+// loadArtefact reads and fully verifies one artefact, decoding its traces
+// only when traces is set, and returns nil on any miss. A decode failure
+// is re-probed once — a hostile or non-atomic
 // store can tear a single read, and re-reading distinguishes a transient
 // tear from a genuinely rotten file. Persistent decode failures —
 // truncation, bit-rot, stale version, wrong key — quarantine the file so
 // the subsequent kernel rerun can publish a good artefact under the same
 // name.
-func (c *Cache) loadArtefact(name string, keyBytes []byte, hash [sha256.Size]byte) *RunResult {
+func (c *Cache) loadArtefact(name string, keyBytes []byte, hash [sha256.Size]byte, traces bool) *RunResult {
 	data, err := c.store.Get(name)
 	if err != nil {
 		if !errors.Is(err, ErrArtefactNotFound) {
@@ -284,10 +325,10 @@ func (c *Cache) loadArtefact(name string, keyBytes []byte, hash [sha256.Size]byt
 		}
 		return nil
 	}
-	res, err := decodeArtefact(data, keyBytes, hash)
+	res, err := decodeArtefact(data, keyBytes, hash, traces)
 	if err != nil {
 		if data2, gerr := c.store.Get(name); gerr == nil {
-			if res2, derr := decodeArtefact(data2, keyBytes, hash); derr == nil {
+			if res2, derr := decodeArtefact(data2, keyBytes, hash, traces); derr == nil {
 				return res2
 			}
 		}
@@ -306,12 +347,25 @@ func (c *Cache) loadArtefact(name string, keyBytes []byte, hash [sha256.Size]byt
 }
 
 // result adapts the memoized run to the requesting scenario: a shallow
-// copy sharing the immutable traces, with the caller's labelling restored
-// so cached and uncached call sites see bit-identical values.
+// copy sharing the immutable traces, if the entry holds them, with the
+// caller's labelling restored so cached and uncached call sites see
+// bit-identical values.
 func (e *cacheEntry) result(sc Scenario) *RunResult {
 	out := *e.res
 	out.Scenario = sc.withDefaults()
 	return &out
+}
+
+// summaryOnly reports whether the entry is complete and holds no traces.
+// The caller holds the cache's lock, so a complete entry it finds
+// succeeded: a failed one leaves the map before its waiters wake.
+func (e *cacheEntry) summaryOnly() bool {
+	select {
+	case <-e.done:
+		return e.res.Source == nil
+	default:
+		return false
+	}
 }
 
 // evictLocked drops least-recently-used completed entries until the cache
@@ -324,16 +378,16 @@ func (c *Cache) evictLocked() {
 		e := c.entries[key]
 		select {
 		case <-e.done:
-			c.removeLocked(key, e)
+			c.removeLocked(&key, e)
 		default: // still simulating
 		}
 		back = prev
 	}
 }
 
-func (c *Cache) removeLocked(key Scenario, e *cacheEntry) {
-	if cur, ok := c.entries[key]; ok && cur == e {
-		delete(c.entries, key)
+func (c *Cache) removeLocked(key *Scenario, e *cacheEntry) {
+	if cur, ok := c.entries[*key]; ok && cur == e {
+		delete(c.entries, *key)
 		c.lru.Remove(e.elem)
 	}
 }

@@ -137,7 +137,7 @@ func TestArtefactRoundTrip(t *testing.T) {
 	hash := sha256.Sum256(keyBytes)
 	data := encodeArtefact(keyBytes, hash, res)
 
-	back, err := decodeArtefact(data, keyBytes, hash)
+	back, err := decodeArtefact(data, keyBytes, hash, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -428,7 +428,7 @@ func RunRepeated(sc Scenario, minRuns int, tol float64) ([]*RunResult, error) {
 // every worker count returns the bit-identical run sequence; workers only
 // changes how many speculative runs execute concurrently.
 func RunRepeatedWorkers(sc Scenario, minRuns int, tol float64, workers int) ([]*RunResult, error) {
-	return runRepeated(context.Background(), nil, sc, minRuns, tol, workers)
+	return runRepeated(context.Background(), nil, sc, minRuns, tol, workers, true)
 }
 
 // RunRepeatedCtx is the cache-aware RunRepeatedWorkers: each run is
@@ -438,10 +438,18 @@ func RunRepeatedWorkers(sc Scenario, minRuns int, tol float64, workers int) ([]*
 // returns ctx's error. Prefixes returned before cancellation are
 // bit-identical to the uncancellable variant's.
 func (c *Cache) RunRepeatedCtx(ctx context.Context, sc Scenario, minRuns int, tol float64, workers int) ([]*RunResult, error) {
-	return runRepeated(ctx, c, sc, minRuns, tol, workers)
+	return runRepeated(ctx, c, sc, minRuns, tol, workers, true)
 }
 
-func runRepeated(ctx context.Context, c *Cache, sc Scenario, minRuns int, tol float64, workers int) ([]*RunResult, error) {
+// SummaryRepeatedCtx is RunRepeatedCtx with every run answered through
+// SummaryCtx, for callers that read only the runs' summaries.
+func (c *Cache) SummaryRepeatedCtx(ctx context.Context, sc Scenario, minRuns int, tol float64, workers int) ([]*RunResult, error) {
+	return runRepeated(ctx, c, sc, minRuns, tol, workers, false)
+}
+
+// runRepeated answers each run through c.lookup with the given traces
+// flag.
+func runRepeated(ctx context.Context, c *Cache, sc Scenario, minRuns int, tol float64, workers int, traces bool) ([]*RunResult, error) {
 	if minRuns < 2 {
 		return nil, errors.New("sim: need at least two runs")
 	}
@@ -457,7 +465,7 @@ func runRepeated(ctx context.Context, c *Cache, sc Scenario, minRuns int, tol fl
 		func(i int) (*RunResult, error) {
 			run := sc
 			run.Seed = sc.Seed + int64(i)*1009
-			return c.RunCtx(ctx, run)
+			return c.lookup(ctx, run, traces)
 		},
 		func(prefix []*RunResult) bool {
 			for i := len(energies); i < len(prefix); i++ {
