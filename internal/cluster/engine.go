@@ -198,6 +198,7 @@ type engine struct {
 	dirty        []int32 // hosts touched by events since the last refresh
 	marked       []bool  // by view index: the host is queued in dirty
 	varying      []int32 // hosts with phase-driven demand, refreshed every tick
+	removed      []int   // Order positions of the dirty hosts, per tick
 	orderScratch []int32
 	// viewEvents flags plan-input changes that are not per-host state
 	// (an abort cool-down expiring); havePlan/lastPlanMoves/lastPinned

@@ -27,14 +27,16 @@ import (
 //   - A refreshed host re-sums its aggregates in slot order (never
 //     incremental subtraction), so clean hosts' cached sums are
 //     bit-identical to a full rebuild at the same instant.
-//   - Order repair drops the refreshed hosts (a stable compaction of
-//     entries whose keys did not change stays sorted), sorts them by
-//     their new (busy, name) keys, and inserts each at its
-//     binary-searched position. Host names are unique, so (busy, name)
-//     is a unique total order and the merge reproduces a full sort
-//     exactly. Every ordering goes through the view's one comparator,
-//     consolidation.View.CompareHosts; the engine's hosts are
-//     name-sorted, so it breaks busy ties by index.
+//   - Order repair locates each dirty host in Order by binary search
+//     under the loads Order was sorted by, before any refresh changes
+//     them. The clean entries between those positions keep their keys,
+//     so they stay sorted; Order is rebuilt from bulk copies of those
+//     runs, with each refreshed host inserted at its binary-searched
+//     position by its new (busy, name) key. Host names are unique, so
+//     (busy, name) is a unique total order and the merge reproduces a
+//     full sort exactly. Every ordering goes through the view's one
+//     comparator, consolidation.View.CompareHosts; the engine's hosts
+//     are name-sorted, so it breaks busy ties by index.
 
 // viewEnabled reports whether this configuration plans through the
 // incrementally maintained view: a policy that implements
@@ -190,13 +192,14 @@ func (e *engine) refreshHostView(h *hostRT, t time.Duration) {
 }
 
 // viewTick folds the varying set into the dirty set, refreshes every
-// dirty host at time t, and repairs Order: the refreshed hosts are
-// compacted out, sorted, and each inserted at its binary-searched
-// position among the clean entries, which move in bulk copies. The
-// comparator runs O(dirty · log hosts) times per tick, and the
-// compaction reads only the engine's compact mark slice. It reports
-// whether anything was refreshed — a clean tick's view (and therefore
-// its plan) is identical to the last one.
+// dirty host at time t, and repairs Order without reading it entry by
+// entry: each dirty host is located by binary search before its refresh
+// changes its key, and Order is rebuilt from bulk copies of the clean
+// runs between those positions, each refreshed host inserted at its
+// binary-searched position by its new key. The comparator runs
+// O(dirty · log hosts) times per tick; the marks only deduplicate the
+// dirty list. It reports whether anything was refreshed — a clean
+// tick's view (and therefore its plan) is identical to the last one.
 func (e *engine) viewTick(t time.Duration) bool {
 	// Varying hosts (phased residents or phased reservations) refresh
 	// every tick; hosts whose phased population dropped to zero leave
@@ -216,32 +219,54 @@ func (e *engine) viewTick(t time.Duration) bool {
 		return false
 	}
 	v := &e.pview
+	compare := v.CompareHosts(v.Busy)
+	// Order is sorted under the loads it was last repaired with, so each
+	// dirty host is found at its exact position before it refreshes.
+	e.removed = e.removed[:0]
+	for _, hi := range e.dirty {
+		at, _ := slices.BinarySearchFunc(v.Order, hi, compare)
+		e.removed = append(e.removed, at)
+	}
 	for _, vi := range e.dirty {
 		e.refreshHostView(e.hosts[vi], t)
 	}
-	// Compact in place: clean entries keep their relative order (their
-	// keys did not change, so they are still sorted).
-	clean := v.Order[:0]
-	for _, hi := range v.Order {
-		if !e.marked[hi] {
-			clean = append(clean, hi)
-		}
-	}
-	compare := v.CompareHosts(v.Busy)
+	slices.Sort(e.removed)
 	slices.SortFunc(e.dirty, compare)
-	// Merge: refreshed entries interleave by their new keys. The result
-	// is the unique (busy, name) total order.
+	// Merge: the clean entries form len(removed)+1 sorted runs between
+	// the removed positions, and lie in the (busy, name) total order
+	// across runs too. Each refreshed host, in its new key order, skips
+	// the runs wholly below it and is inserted at its binary-searched
+	// position in the first run that is not.
+	old, removed := v.Order, e.removed
+	runEnd := func(r int) int {
+		if r < len(removed) {
+			return removed[r]
+		}
+		return len(old)
+	}
 	out := e.orderScratch[:0]
-	lo := 0
+	r, lo, end := 0, 0, runEnd(0)
 	for _, hi := range e.dirty {
-		at, _ := slices.BinarySearchFunc(clean[lo:], hi, compare)
-		out = append(out, clean[lo:lo+at]...)
+		for r < len(removed) && (lo == end || compare(old[end-1], hi) < 0) {
+			out = append(out, old[lo:end]...)
+			r++
+			lo, end = removed[r-1]+1, runEnd(r)
+		}
+		at, _ := slices.BinarySearchFunc(old[lo:end], hi, compare)
+		out = append(out, old[lo:lo+at]...)
 		out = append(out, hi)
 		lo += at
 		e.marked[hi] = false
 	}
-	out = append(out, clean[lo:]...)
-	e.orderScratch = v.Order[:0]
+	for {
+		out = append(out, old[lo:end]...)
+		if r == len(removed) {
+			break
+		}
+		r++
+		lo, end = removed[r-1]+1, runEnd(r)
+	}
+	e.orderScratch = old[:0]
 	v.Order = out
 	e.dirty = e.dirty[:0]
 	e.compactArena()

@@ -49,10 +49,11 @@ func nameSorted(v *View, busy []float64) []int32 {
 
 // TestOrderMatchesNameSort holds the view's comparator to its
 // definition on seeded random views with many busy ties: SortOrder and
-// the drain re-sort, under loads an evacuation moved, must give exactly
-// the permutation a (Busy, HostName) string sort gives, whether the
-// host list is in name order (ties broken by index) or shuffled (ties
-// broken by name).
+// the drain re-sort, under loads an evacuation moved in the planning
+// workspace's overlay, must give exactly the permutation a (Busy,
+// HostName) string sort of the effective loads gives, whether the host
+// list is in name order (ties broken by index) or shuffled (ties broken
+// by name).
 func TestOrderMatchesNameSort(t *testing.T) {
 	var ordered, shuffled int
 	for seed := int64(1); seed <= 40; seed++ {
@@ -73,11 +74,17 @@ func TestOrderMatchesNameSort(t *testing.T) {
 		}
 		// Evacuations move whole VMs: some hosts gain or lose a few
 		// vCPUs of load, and the drain order is re-sorted under them.
+		// The moved loads go into the workspace's overlay, as a plan's
+		// mutations do; every other host keeps the view's load.
 		w := v.workspace()
 		for k := 1 + rng.Intn(n/4); k > 0; k-- {
-			w.busy[rng.Intn(n)] = float64(rng.Intn(4))
+			w.touch(int32(rng.Intn(n))).busy = float64(rng.Intn(4))
 		}
-		if got, want := w.resort(), nameSorted(v, w.busy); !slices.Equal(got, want) {
+		loads := make([]float64, n)
+		for i := range loads {
+			loads[i], _ = w.load(int32(i))
+		}
+		if got, want := w.resort(), nameSorted(v, loads); !slices.Equal(got, want) {
 			t.Fatalf("seed %d (name-ordered %v): the drain re-sort gives\n%v\nthe name sort gives\n%v", seed, v.NameOrdered, got, want)
 		}
 	}

@@ -38,7 +38,7 @@ func (sc *viewDrainScratch) effective(w *vwork, j int32) (float64, units.Bytes) 
 	if sc.tentEpoch[j] == sc.epoch {
 		return sc.tentBusy[j], sc.tentMem[j]
 	}
-	return w.busy[j], w.mem[j]
+	return w.load(j)
 }
 
 // add tentatively places a VM on host j for the rest of this drain.
@@ -75,11 +75,11 @@ func (p EnergyAware) Plan(hosts []HostState, cfg Config) (*Plan, error) {
 		return nil, err
 	}
 	v := NewView(hosts)
-	plan, cnt, err := p.planView(v, cfg)
+	plan, err := p.planView(v, cfg)
 	if err != nil {
 		return nil, err
 	}
-	freeHosts(plan, v, cnt)
+	freeHosts(plan, v, v.work.counts())
 	return plan, nil
 }
 
@@ -93,13 +93,12 @@ func (p EnergyAware) PlanView(v *View, cfg Config) (*Plan, error) {
 	if v.hostCount() < 2 {
 		return nil, errors.New("consolidation: need at least two hosts")
 	}
-	plan, _, err := p.planView(v, cfg)
-	return plan, err
+	return p.planView(v, cfg)
 }
 
-// planView plans against v and returns the plan with the final
-// resident count of every host.
-func (p EnergyAware) planView(v *View, cfg Config) (*Plan, []int32, error) {
+// planView plans against v, leaving the plan's final per-host state in
+// v's workspace.
+func (p EnergyAware) planView(v *View, cfg Config) (*Plan, error) {
 	cfg = cfg.withDefaults()
 	w := v.workspace()
 	plan := &Plan{}
@@ -108,7 +107,7 @@ func (p EnergyAware) planView(v *View, cfg Config) (*Plan, []int32, error) {
 	// Evacuations come first: VMs stranded on crashed hosts are placed
 	// before any consolidation work spends the move budget.
 	if err := p.evacuateView(w, cfg, plan, pinned); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Drain candidates: least loaded first (cheapest to empty). When
@@ -128,23 +127,27 @@ func (p EnergyAware) planView(v *View, cfg Config) (*Plan, []int32, error) {
 	// lowest-index tie-break. Hosts the plan has mutated are priced
 	// individually as finalists. liveOrder pre-drops hosts that can
 	// never take a drain guest (empty or down), so the walk skips a
-	// mostly-empty fleet in O(1).
+	// mostly-empty fleet in O(1). The drain loop walks it too: no host
+	// becomes live during the loop, because a drain target must already
+	// hold guests, so the hosts it leaves out are exactly those the
+	// loop's first two checks would skip.
 	_, fastOK := p.Model.(HeuristicCost)
 	fastOK = fastOK && v.NameOrdered
 	var liveOrder []int32
+	sources := order
 	if fastOK {
 		w.live = w.live[:0]
 		for _, j := range order {
-			if w.cnt[j] > 0 && !v.Down[j] {
+			if w.count(j) > 0 && !v.Down[j] {
 				w.live = append(w.live, j)
 			}
 		}
-		liveOrder = w.live
+		liveOrder, sources = w.live, w.live
 	}
 
 	sc := &w.drain
-	for _, si := range order {
-		if w.cnt[si] == 0 {
+	for _, si := range sources {
+		if w.count(si) == 0 {
 			continue
 		}
 		// A crashed host draws no idle power: emptying it frees nothing,
@@ -154,7 +157,7 @@ func (p EnergyAware) planView(v *View, cfg Config) (*Plan, []int32, error) {
 		}
 		// A host that just received migrations is pinned for this round:
 		// re-draining it would move VMs twice and burn energy for nothing.
-		if w.received[si] {
+		if w.received(si) {
 			continue
 		}
 		// A host with a pinned VM (an in-flight migration from an earlier
@@ -165,7 +168,7 @@ func (p EnergyAware) planView(v *View, cfg Config) (*Plan, []int32, error) {
 		}
 		moves, ok, err := p.drainView(w, si, cfg, len(plan.Moves), sc, liveOrder, fastOK)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if !ok {
 			continue // cannot fully empty this host; leave it untouched
@@ -184,18 +187,17 @@ func (p EnergyAware) planView(v *View, cfg Config) (*Plan, []int32, error) {
 			ti := sc.moveDst[k]
 			vm, found := w.removeVM(si, m.VM)
 			if !found {
-				return nil, nil, fmt.Errorf("consolidation: internal error, VM %q vanished", m.VM)
+				return nil, fmt.Errorf("consolidation: internal error, VM %q vanished", m.VM)
 			}
 			w.addVM(ti, vm)
 			plan.Moves = append(plan.Moves, m)
-			w.received[ti] = true
 		}
 		if cfg.MaxMoves > 0 && len(plan.Moves) >= cfg.MaxMoves {
 			break
 		}
 	}
 	plan.MigrationEnergy = moveEnergy(plan.Moves)
-	return plan, w.cnt, nil
+	return plan, nil
 }
 
 // evacuateView places the VMs named by Config.Evacuate — stranded on
@@ -241,15 +243,17 @@ func (p EnergyAware) evacuateView(w *vwork, cfg Config, plan *Plan, pinned map[s
 		}
 		best := int32(-1)
 		var bestCost MigrationCost
+		srcBusy, _ := w.load(c.si)
 		for j := int32(0); j < hosts; j++ {
 			if j == c.si || v.Down[j] {
 				continue
 			}
-			if w.busy[j]+c.vm.BusyVCPUs > float64(v.Threads[j])*cfg.CPUCap ||
-				w.mem[j]+c.vm.MemBytes > v.MemCap[j] {
+			busy, mem := w.load(j)
+			if busy+c.vm.BusyVCPUs > float64(v.Threads[j])*cfg.CPUCap ||
+				mem+c.vm.MemBytes > v.MemCap[j] {
 				continue
 			}
-			cost, err := p.Model.Cost(c.vm, w.busy[c.si]-c.vm.BusyVCPUs, w.busy[j])
+			cost, err := p.Model.Cost(c.vm, srcBusy-c.vm.BusyVCPUs, busy)
 			if err != nil {
 				return err
 			}
@@ -266,7 +270,6 @@ func (p EnergyAware) evacuateView(w *vwork, cfg Config, plan *Plan, pinned map[s
 			return fmt.Errorf("consolidation: internal error, VM %q vanished", c.vm.Name)
 		}
 		w.addVM(best, vm)
-		w.received[best] = true
 		plan.Moves = append(plan.Moves, Move{VM: vm.Name, From: v.HostName[c.si], To: v.HostName[best], Cost: bestCost})
 	}
 	return nil
@@ -279,7 +282,7 @@ func (p EnergyAware) considerTarget(w *vwork, sc *viewDrainScratch, si, j int32,
 	if j < 0 || j == si {
 		return best, bestCost, nil
 	}
-	if w.cnt[j] == 0 || w.v.Down[j] {
+	if w.count(j) == 0 || w.v.Down[j] {
 		return best, bestCost, nil
 	}
 	busy, mem := sc.effective(w, j)
@@ -344,13 +347,15 @@ func (p EnergyAware) drainView(w *vwork, si int32, cfg Config, movesSoFar int, s
 			// are bounded by the move budget and priced individually.
 			// (HeuristicCost's negative-load special case flattens the
 			// cost curve, so srcArg < 0 falls back to the linear scan.)
+			// An unmutated host's aggregates are the view's, and it is
+			// still live, so the walk reads the view directly.
 			cand := int32(-1)
 			for _, j := range liveOrder {
-				if j == si || w.cnt[j] == 0 || w.touchedMark[j] || sc.tentEpoch[j] == sc.epoch {
+				if j == si || w.slot[j] != 0 || sc.tentEpoch[j] == sc.epoch {
 					continue
 				}
-				if w.busy[j]+vm.BusyVCPUs > float64(v.Threads[j])*cfg.CPUCap ||
-					w.mem[j]+vm.MemBytes > v.MemCap[j] {
+				if v.Busy[j]+vm.BusyVCPUs > float64(v.Threads[j])*cfg.CPUCap ||
+					v.Mem[j]+vm.MemBytes > v.MemCap[j] {
 					continue
 				}
 				cand = j
@@ -368,7 +373,7 @@ func (p EnergyAware) drainView(w *vwork, si int32, cfg Config, movesSoFar int, s
 				}
 			}
 			for _, j := range sc.tentTouched {
-				if w.touchedMark[j] {
+				if w.slot[j] != 0 {
 					continue // already priced above
 				}
 				best, bestCost, err = p.considerTarget(w, sc, si, j, vm, srcArg, cfg, best, bestCost)
@@ -385,7 +390,7 @@ func (p EnergyAware) drainView(w *vwork, si int32, cfg Config, movesSoFar int, s
 				// consolidation. (Empty hosts never receive tentative adds,
 				// so the resident count needs no delta tracking.) Crashed
 				// hosts take no guests at all.
-				if w.cnt[j] == 0 || v.Down[j] {
+				if w.count(j) == 0 || v.Down[j] {
 					continue
 				}
 				busy, mem := sc.effective(w, j)

@@ -154,50 +154,55 @@ func NewView(hosts []HostState) *View {
 	return v
 }
 
-// vwork is a View's planning workspace: mutable aggregate copies over
-// the read-only View, per-host VM lists materialized lazily — only
-// hosts a plan actually mutates ever copy their slots — and the
-// drain-candidate buffers. The View keeps it from one PlanView call to
-// the next, so a fleet-scale planning round allocates nothing
-// proportional to the host count.
+// vwork is a View's planning workspace: a copy-on-touch overlay over
+// the read-only View. The first time a plan mutates a host, the host
+// gets an overlay entry holding its VM list, materialized from the
+// arena, and its aggregates; every other host is read straight from the
+// view, through load and count. Up front, only the slot index and the
+// drain scratch are host-length, and the View keeps the workspace from
+// one PlanView call to the next, so a fleet-scale planning round
+// allocates nothing and copies no per-host aggregates.
 type vwork struct {
-	v    *View
-	busy []float64
-	mem  []units.Bytes
-	cnt  []int32
-	// vms holds the materialized VM list of every mutated host; nil
-	// means the arena range is still current.
-	vms [][]VMState
+	v *View
+	// slot maps host i to its entry over[slot[i]-1], 0 while the plan
+	// has not touched it. touched[k] is the host of over[k].
+	slot []int32
+	over []overlay
 	// touched lists hosts whose aggregates differ from the snapshot
 	// (evacuation targets and sources, drain commits); the order-indexed
 	// target scan must price them individually instead of trusting the
-	// snapshot order. Every per-host entry a plan sets — vms, received,
-	// touchedMark — belongs to a touched host, so the next plan resets
-	// the workspace by walking this list.
-	touched     []int32
-	touchedMark []bool
-	received    []bool
+	// snapshot order. The next plan resets the workspace by walking it.
+	touched []int32
 	// drain is EnergyAware's tentative-drain scratch; order and live
-	// back the re-sorted drain order and its live-host subset.
+	// back the re-sorted drain order and its live-host subset, and
+	// loads the full-length busy keys the re-sort compares.
 	drain viewDrainScratch
 	order []int32
 	live  []int32
+	loads []float64
+}
+
+// overlay is a touched host's state under the plan so far. Its
+// resident count is len(vms).
+type overlay struct {
+	vms      []VMState
+	busy     float64
+	mem      units.Bytes
+	received bool // the host took a guest in this plan
 }
 
 // workspace readies the view's planning workspace for a new plan. The
-// aggregates are copied from the view, which may have changed since the
-// last plan; the per-host marks and overlays the last plan set are
-// cleared in O(hosts it touched). Only a change in the host count
-// allocates afresh. The drain scratch needs no clearing: its epoch keeps
+// view may have changed since the last plan, so the overlay entries the
+// last plan made are dropped in O(hosts it touched); nothing is copied
+// until a host is touched. Only a change in the host count allocates
+// afresh. The drain scratch needs no clearing: its epoch keeps
 // counting, so no stale tentative delta matches a new drain.
 func (v *View) workspace() *vwork {
 	n := v.hostCount()
 	w := v.work
-	if w == nil || len(w.touchedMark) != n {
+	if w == nil || len(w.slot) != n {
 		w = &vwork{
-			vms:         make([][]VMState, n),
-			touchedMark: make([]bool, n),
-			received:    make([]bool, n),
+			slot: make([]int32, n),
 			drain: viewDrainScratch{
 				tentEpoch: make([]int, n),
 				tentBusy:  make([]float64, n),
@@ -207,56 +212,86 @@ func (v *View) workspace() *vwork {
 		v.work = w
 	}
 	for _, i := range w.touched {
-		w.vms[i] = nil
-		w.touchedMark[i] = false
-		w.received[i] = false
+		w.slot[i] = 0
 	}
-	w.touched = w.touched[:0]
+	clear(w.over)
+	w.over, w.touched = w.over[:0], w.touched[:0]
 	w.v = v
-	w.busy = append(w.busy[:0], v.Busy...)
-	w.mem = append(w.mem[:0], v.Mem...)
-	w.cnt = append(w.cnt[:0], v.VMCount...)
 	return w
+}
+
+// load returns host i's busy and memory aggregates under the plan so
+// far: the overlay's for a touched host, the view's otherwise.
+func (w *vwork) load(i int32) (float64, units.Bytes) {
+	if s := w.slot[i]; s != 0 {
+		return w.over[s-1].busy, w.over[s-1].mem
+	}
+	return w.v.Busy[i], w.v.Mem[i]
+}
+
+// count returns host i's resident count under the plan so far.
+func (w *vwork) count(i int32) int32 {
+	if s := w.slot[i]; s != 0 {
+		return int32(len(w.over[s-1].vms))
+	}
+	return w.v.VMCount[i]
+}
+
+// received reports whether host i took a guest in this plan.
+func (w *vwork) received(i int32) bool {
+	s := w.slot[i]
+	return s != 0 && w.over[s-1].received
+}
+
+// counts returns every host's resident count after the plan: the
+// view's, overlaid by the touched hosts'. The classic Plan's freed-host
+// accounting reads it; PlanView never builds it.
+func (w *vwork) counts() []int32 {
+	cnt := slices.Clone(w.v.VMCount)
+	for k, i := range w.touched {
+		cnt[i] = int32(len(w.over[k].vms))
+	}
+	return cnt
 }
 
 // resort returns the drain order under the workspace's aggregates: a
 // copy of the view's Order re-sorted by the view's comparator, for a
-// plan whose evacuations moved some hosts' loads.
+// plan whose evacuations moved some hosts' loads. Only then does it
+// fill the full-length key buffer the comparator reads.
 func (w *vwork) resort() []int32 {
+	w.loads = append(w.loads[:0], w.v.Busy...)
+	for k, i := range w.touched {
+		w.loads[i] = w.over[k].busy
+	}
 	w.order = append(w.order[:0], w.v.Order...)
-	slices.SortFunc(w.order, w.v.CompareHosts(w.busy))
+	slices.SortFunc(w.order, w.v.CompareHosts(w.loads))
 	return w.order
 }
 
-// touch marks host i as diverged from the snapshot.
-func (w *vwork) touch(i int32) {
-	if !w.touchedMark[i] {
-		w.touchedMark[i] = true
-		w.touched = append(w.touched, i)
+// touch returns host i's overlay entry, making it on the first touch:
+// the VM list is materialized from the arena and the aggregates are the
+// view's. Mutation paths only. The pointer is good until the next
+// touch of another host.
+func (w *vwork) touch(i int32) *overlay {
+	if s := w.slot[i]; s != 0 {
+		return &w.over[s-1]
 	}
-}
-
-// vmsOf returns host i's current VM list, materializing it from the
-// arena on first call. Mutation paths only: a materialized host counts
-// as touched, which keeps every overlay on the workspace's reset list.
-func (w *vwork) vmsOf(i int32) []VMState {
-	if w.vms[i] == nil {
-		s, n := w.v.VMStart[i], w.v.VMCount[i]
-		out := make([]VMState, 0, n)
-		for k := s; k < s+n; k++ {
-			out = append(out, w.v.vm(k))
-		}
-		w.vms[i] = out
-		w.touch(i)
+	s, n := w.v.VMStart[i], w.v.VMCount[i]
+	vms := make([]VMState, 0, n)
+	for k := s; k < s+n; k++ {
+		vms = append(vms, w.v.vm(k))
 	}
-	return w.vms[i]
+	w.over = append(w.over, overlay{vms: vms, busy: w.v.Busy[i], mem: w.v.Mem[i]})
+	w.touched = append(w.touched, i)
+	w.slot[i] = int32(len(w.over))
+	return &w.over[len(w.over)-1]
 }
 
 // appendVMs copies host i's current VM list into dst without
-// materializing an overlay.
+// touching it.
 func (w *vwork) appendVMs(dst []VMState, i int32) []VMState {
-	if l := w.vms[i]; l != nil {
-		return append(dst, l...)
+	if s := w.slot[i]; s != 0 {
+		return append(dst, w.over[s-1].vms...)
 	}
 	s, n := w.v.VMStart[i], w.v.VMCount[i]
 	for k := s; k < s+n; k++ {
@@ -266,13 +301,13 @@ func (w *vwork) appendVMs(dst []VMState, i int32) []VMState {
 }
 
 // hostHasPinned reports whether any of host i's VMs is pinned, without
-// materializing.
+// touching it.
 func (w *vwork) hostHasPinned(i int32, pinned map[string]bool) bool {
 	if len(pinned) == 0 {
 		return false
 	}
-	if l := w.vms[i]; l != nil {
-		for _, g := range l {
+	if s := w.slot[i]; s != 0 {
+		for _, g := range w.over[s-1].vms {
 			if pinned[g.Name] {
 				return true
 			}
@@ -290,36 +325,33 @@ func (w *vwork) hostHasPinned(i int32, pinned map[string]bool) bool {
 
 // removeVM detaches a named VM from host i, preserving order.
 func (w *vwork) removeVM(i int32, name string) (VMState, bool) {
-	l := w.vmsOf(i)
-	g, ok := removeVMSlice(&l, name)
-	if !ok {
-		return VMState{}, false
+	o := w.touch(i)
+	g, ok := removeVMSlice(&o.vms, name)
+	if ok {
+		o.recompute()
 	}
-	w.vms[i] = l
-	w.cnt[i] = int32(len(l))
-	w.touch(i)
-	w.recompute(i)
-	return g, true
+	return g, ok
 }
 
-// addVM appends a VM to host i.
+// addVM appends a VM to host i, which thereby counts as having received
+// a guest in this plan.
 func (w *vwork) addVM(i int32, g VMState) {
-	w.vms[i] = append(w.vmsOf(i), g)
-	w.cnt[i] = int32(len(w.vms[i]))
-	w.touch(i)
-	w.recompute(i)
+	o := w.touch(i)
+	o.vms = append(o.vms, g)
+	o.received = true
+	o.recompute()
 }
 
-// recompute refreshes host i's aggregates by re-summing its current VM
-// list in order (see the View invariant).
-func (w *vwork) recompute(i int32) {
+// recompute refreshes the entry's aggregates by re-summing its current
+// VM list in order (see the View invariant).
+func (o *overlay) recompute() {
 	busy := 0.0
 	var mem units.Bytes
-	for _, g := range w.vmsOf(i) {
+	for _, g := range o.vms {
 		busy += g.BusyVCPUs
 		mem += g.MemBytes
 	}
-	w.busy[i], w.mem[i] = busy, mem
+	o.busy, o.mem = busy, mem
 }
 
 // freeHosts fills a classic plan's FreedHosts and IdleSavings from the

@@ -23,11 +23,28 @@ func Load(path string) (*Spec, error) {
 
 // Parse strictly decodes and validates one scenario from raw bytes —
 // the decode path Load shares with callers that hold scenario JSON but
-// no file (the wavm3d request body, the fuzz target). The name labels
-// errors; it is usually a path but any request identifier works. Every
-// failure, for any input, is a *Error value with a field path — Parse
-// never panics on malformed bytes.
+// no file (the fuzz target). The name labels errors; it is usually a
+// path but any request identifier works. Every failure, for any input,
+// is a *Error value with a field path — Parse never panics on malformed
+// bytes.
 func Parse(name string, data []byte) (*Spec, error) {
+	s, err := Decode(name, data)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Decode is Parse without the validation: the strict JSON decode alone,
+// which rejects malformed JSON, unknown fields and trailing data but
+// checks nothing the spec's values mean. A caller that compiles the spec
+// anyway (wavm3d, after admission) decodes it with this and gets
+// Validate's pathed errors from Compile, without lowering the spec
+// twice.
+func Decode(name string, data []byte) (*Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Spec
@@ -45,9 +62,6 @@ func Parse(name string, data []byte) (*Spec, error) {
 	// Reject trailing garbage after the top-level value.
 	if dec.More() {
 		return nil, &Error{Scenario: name, Path: "(json)", Msg: "trailing data after the scenario object"}
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
 	}
 	return &s, nil
 }

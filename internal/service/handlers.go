@@ -127,7 +127,9 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 // the exact bytes wavm3scen would print for it. The run is admitted
 // through the bounded queue and executes under a context that ends on
 // client disconnect, per-request deadline or daemon drain, whichever
-// comes first.
+// comes first. Only the body's JSON is checked before admission; the
+// spec is checked and lowered once, inside the slot, so a saturated
+// daemon rejects a request without compiling it.
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	if s.isDraining() {
 		writeError(w, http.StatusServiceUnavailable, apiError{
@@ -137,11 +139,6 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	}
 	spec, ok := s.decodeRunRequest(w, r)
 	if !ok {
-		return
-	}
-	compiled, err := spec.Compile()
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, scenarioAPIError(err))
 		return
 	}
 
@@ -171,6 +168,15 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
+	// Check and lower the spec inside the slot, under the request
+	// deadline. Compile is Validate, so a body whose values are wrong
+	// fails here with its field path.
+	compiled, err := spec.Compile()
+	if err != nil {
+		writeError(w, http.StatusUnprocessableEntity, scenarioAPIError(err))
+		return
+	}
+
 	// Buffer the rendering so failures yield a clean JSON error, never
 	// a half-written report.
 	var buf bytes.Buffer
@@ -183,9 +189,10 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	_, _ = buf.WriteTo(w)
 }
 
-// decodeRunRequest resolves the request to a validated spec: a strict
-// JSON body, or a library lookup when ?name= is given with no body. On
-// failure it writes the error response and returns ok=false.
+// decodeRunRequest resolves the request to a spec: a strictly decoded
+// JSON body, not yet validated (handleRuns compiles it once admitted),
+// or a library lookup when ?name= is given with no body. On failure it
+// writes the error response and returns ok=false.
 func (s *Server) decodeRunRequest(w http.ResponseWriter, r *http.Request) (*scenario.Spec, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
 	if err != nil {
@@ -219,7 +226,7 @@ func (s *Server) decodeRunRequest(w http.ResponseWriter, r *http.Request) (*scen
 		})
 		return nil, false
 	}
-	spec, err := scenario.Parse("(request)", body)
+	spec, err := scenario.Decode("(request)", body)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, scenarioAPIError(err))
 		return nil, false

@@ -398,6 +398,72 @@ func TestClientDisconnectFreesSlot(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
+// subByteSpec is a cluster spec whose one fault is a VM memory below one
+// byte: it decodes cleanly, and only Compile rejects it.
+const subByteSpec = `{"version":1,"name":"svc-sub-byte","kind":"live","cluster":{"horizon_s":60,
+	"hosts":[{"name":"a","machine":"m01","vms":[{"name":"v","mem_gib":1e-12,"busy_vcpus":1}]},{"name":"b","machine":"m01"}],
+	"moves":[{"vm":"v","from":"a","to":"b"}]}}`
+
+// TestSaturationAnsweredBeforeCompile: a posted spec is checked and
+// lowered only once its request holds an execution slot, so a saturated
+// daemon answers 429 without compiling anything. With the one slot held
+// by a blocked run and the one queue place by a second, a body whose
+// fault only Compile finds answers 429; once they free, the same body
+// answers 422 with its field path and message. Malformed JSON, which
+// the decode before admission catches, answers 422 at any load.
+// (QueueDepth 0 would mean the default depth of 8, hence a depth of 1
+// filled by a waiting run.)
+func TestSaturationAnsweredBeforeCompile(t *testing.T) {
+	be := newBlockingExec()
+	s, url := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 1, execOverride: be.exec})
+	release := sync.OnceFunc(func() { close(be.release) })
+	defer release() // a failed check must not leave the held runs to the drain deadline
+	const malformed = `{"version":1,"name":`
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if status, body, _ := postRun(t, url+"/v1/runs", minimalSpec); status != http.StatusOK {
+				t.Errorf("held run status = %d\n%s", status, body)
+			}
+		}()
+	}
+	be.waitStarted(t, 1)
+	for deadline := time.Now().Add(10 * time.Second); len(s.adm.tickets) < cap(s.adm.tickets); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second run never took the queue place")
+		}
+	}
+	expect := func(when, body string, status int, code string) apiError {
+		t.Helper()
+		got, resp, _ := postRun(t, url+"/v1/runs", body)
+		if got != status {
+			t.Fatalf("%s: status = %d, want %d\n%s", when, got, status, resp)
+		}
+		var env struct {
+			Error apiError `json:"error"`
+		}
+		if err := json.Unmarshal(resp, &env); err != nil {
+			t.Fatalf("%s: response is not the JSON error envelope: %v\n%s", when, err, resp)
+		}
+		if env.Error.Code != code {
+			t.Errorf("%s: code = %q, want %q", when, env.Error.Code, code)
+		}
+		return env.Error
+	}
+	expect("sub-byte spec while saturated", subByteSpec, http.StatusTooManyRequests, codeOverloaded)
+	expect("malformed JSON while saturated", malformed, http.StatusUnprocessableEntity, codeInvalidScenario)
+	release()
+	wg.Wait()
+	e := expect("sub-byte spec once the slot frees", subByteSpec, http.StatusUnprocessableEntity, codeInvalidScenario)
+	const path = "cluster.hosts[0].vms[0].mem_gib"
+	if want := `scenario "svc-sub-byte": ` + path + `: must be at least one byte, got 1e-12 GiB`; e.Path != path || e.Message != want {
+		t.Errorf("sub-byte spec: path %q, message %q; want %q, %q", e.Path, e.Message, path, want)
+	}
+	expect("malformed JSON once the slot frees", malformed, http.StatusUnprocessableEntity, codeInvalidScenario)
+}
+
 // TestDrainRefusesNewWork: once Shutdown begins, readyz answers 503 and
 // new runs are refused with the draining code.
 func TestDrainRefusesNewWork(t *testing.T) {
