@@ -48,7 +48,7 @@ func BenchmarkClusterTimelineUncached(b *testing.B) {
 // idle straggler the energy-aware policy drains, the rest carry
 // moderate phased load, so the first tick dispatches ~n/4 concurrent
 // migrations that all contend on one switch — the worst case for the
-// event loop (flight count, occupancy churn and snapshot size all grow
+// event loop (flight count, occupancy churn and view size all grow
 // with n).
 func benchFleet(n int) Config {
 	hosts := make([]Host, n)

@@ -13,8 +13,7 @@
 //     run cache), which supplies its measured energy, byte volume and
 //     phase spans;
 //   - workload phase transitions: VM intensity changes that the next
-//     snapshot — and therefore the next planning round and the next
-//     lowered scenario — observe.
+//     planning round and the next lowered scenario observe.
 //
 // Concurrent migrations whose endpoints hang off the same switch share
 // the migration path: the transfer phase of each flight progresses at
@@ -219,7 +218,9 @@ type Config struct {
 	// move's pair is "srcMachine/dstMachine".
 	Pair string
 	// Policy re-plans the cluster at every tick; nil disables planning
-	// (the timeline then runs the explicit Moves).
+	// (the timeline then runs the explicit Moves). Run plans against an
+	// incrementally maintained consolidation.View, so the policy must be
+	// a consolidation.ViewPolicy.
 	Policy consolidation.Policy
 	// PolicyConfig bounds each planning round. The engine adds the
 	// in-flight pins itself.
@@ -265,13 +266,6 @@ type Config struct {
 	// context.Background(). Cancellation never changes results — a
 	// timeline that completes under any context is bit-identical.
 	Ctx context.Context
-
-	// fullRebuild disables the incremental dirty-set maintenance of the
-	// policy view: every planning round rebuilds the whole view from
-	// the runtime state. Test-only: the equivalence property test runs
-	// fleets through the dirty-set path, this fallback and the linear
-	// reference, and demands bit-identical reports.
-	fullRebuild bool
 
 	// simOverride replaces the cache/kernel execution of lowered
 	// migration scenarios. Test-only: the dispatch-transaction tests
@@ -428,7 +422,7 @@ func (c Config) validate() (*layout, error) {
 			if c.Serial && len(v.Phases) > 0 {
 				return nil, fmt.Errorf("cluster: VM %q has phases; serial timelines are time-invariant", v.Name)
 			}
-			// Policy snapshots name in-flight destination reservations
+			// The policy view names in-flight destination reservations
 			// "<vm>+incoming" in the same namespace as real VMs; a real VM
 			// wearing that suffix would silently alias a reservation (and
 			// its pin).

@@ -340,7 +340,7 @@ func TestHostOrderIndependence(t *testing.T) {
 }
 
 func TestPolicyTimelineConsolidates(t *testing.T) {
-	rep, err := Run(policyFleet())
+	rep, final, err := runPlaced(policyFleet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestPolicyTimelineConsolidates(t *testing.T) {
 	}
 	// Conservation: every VM still placed exactly once.
 	n := 0
-	for _, h := range rep.Final {
+	for _, h := range final {
 		n += len(h.VMs)
 	}
 	if n != 9 {
@@ -437,12 +437,12 @@ func TestRetickPinsInflight(t *testing.T) {
 	}
 	pinnedSeen := false
 	for _, tick := range rep.Ticks[1:] {
-		// Pinned reports the placement entries the round's snapshot
-		// actually pinned: every in-flight migration contributes two —
+		// Pinned reports the placement entries the round actually
+		// pinned: every in-flight migration contributes two —
 		// the migrating VM on its source and its "+incoming"
 		// destination reservation. Reconcile against the timeline:
 		// flights spanning the tick instant (dispatched before, landed
-		// after) are exactly the in-flight set the snapshot saw.
+		// after) are exactly the in-flight set the round saw.
 		inFlight := 0
 		for _, rec := range rep.Timeline {
 			if rec.Start < tick.At && rec.End > tick.At {
@@ -474,7 +474,7 @@ func TestRetickPinsInflight(t *testing.T) {
 
 // TestPhaseShiftsDriveReplanning gives a VM a two-phase timeline whose
 // boundary is recorded as an event and whose intensity change is
-// visible to later snapshots.
+// visible to later planning rounds.
 func TestPhaseShiftsDriveReplanning(t *testing.T) {
 	v := vmSpec("spiky", 4, 0.1)
 	v.Phases = []workload.Phase{

@@ -31,12 +31,9 @@ type hostRT struct {
 	// candidates.
 	down bool
 	// incoming lists the flights bound for this host, in dispatch order
-	// (append at dispatch, remove at land), so snapshots place their
-	// destination reservations without rebuilding a map per tick.
+	// (append at dispatch commit, remove at land or abort), so a view
+	// refresh lays out the host's destination reservations without a map.
 	incoming []*flight
-	// snap is the host's persistent snapshot scratch: the VMState slice
-	// handed to the policy every tick, reused across rounds.
-	snap []consolidation.VMState
 
 	// Incremental-view bookkeeping (see view.go): the host's index in
 	// the engine's SoA policy view, its varying mark, and the counts of
@@ -59,8 +56,9 @@ type vmRT struct {
 	// continuously, so its host refreshes in the view every tick.
 	phased bool
 	// Phase cursor: pi is the phase the last evaluation landed in,
-	// pstart the cluster time that phase starts at. A query before
-	// pstart (the final report snapshot can rewind) resets the cursor.
+	// pstart the cluster time that phase starts at. The engine queries
+	// only at its advancing clock, but a query before pstart still resets
+	// the cursor, so every instant evaluates exactly as VM.factor does.
 	pi     int
 	pstart time.Duration
 }
@@ -127,7 +125,7 @@ type flight struct {
 	from, to *hostRT
 	sw       string
 	pair     string
-	resName  string // vm.Name + "+incoming", precomputed for snapshots
+	resName  string // vm.Name + "+incoming", precomputed for the view
 	run      *sim.RunResult
 
 	state            int
@@ -184,14 +182,12 @@ type engine struct {
 	// orphan maps exist only when Config.Failures is non-empty.
 	fail failState
 
-	// Snapshot scratch, reused every policy round.
-	snapHosts  []consolidation.HostState
-	snapPinned []string
-	snapEvac   []string
+	// Pinned and evacuation list scratch, reused every policy round.
+	pinned   []string
+	evacuate []string
 
-	// Incremental policy-view state (see view.go), active when the
-	// policy implements consolidation.ViewPolicy on the heap scheduler.
-	viewOn       bool
+	// Incremental policy-view state (see view.go). vp is the policy as a
+	// view planner; it is nil, and no view is kept, without a policy.
 	vp           consolidation.ViewPolicy
 	pview        consolidation.View
 	viewLive     int     // live slot count in the view arena
@@ -248,7 +244,7 @@ func Run(cfg Config) (*Report, error) {
 // newEngine builds a run's mutable state — the host and VM runtime
 // arrays, the policy view and the heaps — from cfg's layout. A config
 // without a layout that fits it is validated and laid out here, once
-// per run.
+// per run. A policy that cannot plan against the view is refused.
 func newEngine(cfg Config) (*engine, error) {
 	if !cfg.layout.fits(cfg) {
 		var err error
@@ -292,11 +288,14 @@ func newEngine(cfg Config) (*engine, error) {
 		k += len(r.VMs)
 		e.hosts[i] = h
 	}
-	e.snapHosts = make([]consolidation.HostState, 0, len(e.hosts))
 	e.initFailures(cfg.Failures)
-	if vp, ok := e.viewEnabled(); ok && !cfg.Serial {
-		e.viewOn, e.vp = true, vp
-		e.rebuildView(0)
+	if cfg.Policy != nil {
+		vp, ok := cfg.Policy.(consolidation.ViewPolicy)
+		if !ok {
+			return nil, fmt.Errorf("cluster: policy %s does not implement consolidation.ViewPolicy; the engine plans only against its view", cfg.Policy.Name())
+		}
+		e.vp = vp
+		e.buildView()
 		for _, h := range e.hosts {
 			if h.phasedRes > 0 {
 				e.markHostVarying(h)
@@ -512,8 +511,7 @@ func (e *engine) fire(t time.Duration) error {
 }
 
 // dispatchDue runs the policy round and explicit moves due at instant t
-// and dispatches the resulting batch. The test-side linear-scan
-// reference calls it too.
+// and dispatches the resulting batch.
 func (e *engine) dispatchDue(t time.Duration) error {
 	var batch []TimedMove
 	if e.cfg.Policy != nil && e.tick <= t && e.tick < e.cfg.Horizon {
@@ -547,28 +545,16 @@ func (e *engine) dispatchDue(t time.Duration) error {
 	return nil
 }
 
-// planRound runs one policy round at instant t and returns its moves
-// plus the pinned-list length for the tick record. The fast path plans
-// against the incrementally maintained view; non-view policies build
-// the classic AoS snapshot. On a clean tick — no host refreshed, no
-// pinned/evacuate input changed, and the previous round planned zero
-// moves — the plan is a pure function of unchanged inputs, so the round
-// reuses the previous (empty) result without calling the policy.
+// planRound runs one policy round at instant t against the
+// incrementally maintained view and returns its moves plus the
+// pinned-list length for the tick record. On a clean tick — no host
+// refreshed, no pinned/evacuate input changed, and the previous round
+// planned zero moves — the plan is a pure function of unchanged inputs,
+// so the round reuses the previous (empty) result without calling the
+// policy. An expiring abort cool-down changes the pinned list without
+// any host event; viewEvents carries it past the reuse.
 func (e *engine) planRound(t time.Duration) ([]consolidation.Move, int, error) {
-	if !e.viewOn {
-		snap, pinned, evac := e.snapshot(t)
-		pc := e.cfg.PolicyConfig
-		pc.Pinned = pinned
-		pc.Evacuate = evac
-		plan, err := e.cfg.Policy.Plan(snap, pc)
-		if err != nil {
-			return nil, 0, fmt.Errorf("cluster: policy %s at t=%v: %w", e.cfg.Policy.Name(), t, err)
-		}
-		return plan.Moves, len(pinned), nil
-	}
-	if e.cfg.fullRebuild {
-		e.rebuildView(t)
-	} else if !e.viewTick(t) && !e.viewEvents && e.havePlan && e.lastPlanMoves == 0 {
+	if !e.viewTick(t) && !e.viewEvents && e.havePlan && e.lastPlanMoves == 0 {
 		return nil, e.lastPinned, nil
 	}
 	e.viewEvents = false
@@ -582,61 +568,6 @@ func (e *engine) planRound(t time.Duration) ([]consolidation.Move, int, error) {
 	}
 	e.havePlan, e.lastPlanMoves, e.lastPinned = true, len(plan.Moves), len(pinned)
 	return plan.Moves, len(pinned), nil
-}
-
-// snapshot renders the cluster as the consolidation layer sees it at
-// time t: every resident guest with its phase-evaluated demand, with
-// in-flight guests pinned on their source and their destination
-// capacity held by a pinned reservation entry. Crashed hosts are
-// marked Down and their non-migrating residents listed as evacuees; a
-// VM in its post-abort cool-down is pinned like a mover. The returned
-// slices are the engine's persistent scratch buffers, valid until the
-// next snapshot; policies deep-copy before planning.
-func (e *engine) snapshot(t time.Duration) (hosts []consolidation.HostState, pinned, evacuate []string) {
-	e.snapPinned = e.snapPinned[:0]
-	e.snapEvac = e.snapEvac[:0]
-	out := e.snapHosts[:0]
-	for _, h := range e.hosts {
-		vms := h.snap[:0]
-		for _, v := range h.vms {
-			vms = append(vms, consolidation.VMState{
-				Name:       v.Name,
-				MemBytes:   v.MemBytes,
-				BusyVCPUs:  v.busyAt(t),
-				DirtyRatio: v.dirtyAt(t),
-			})
-			switch {
-			case v.migrating:
-				e.snapPinned = append(e.snapPinned, v.Name)
-			case h.down:
-				e.snapEvac = append(e.snapEvac, v.Name)
-			case e.fail.repin[v.Name]:
-				e.snapPinned = append(e.snapPinned, v.Name)
-			}
-		}
-		for _, f := range h.incoming {
-			vms = append(vms, consolidation.VMState{
-				Name:       f.resName,
-				MemBytes:   f.vm.MemBytes,
-				BusyVCPUs:  f.vm.busyAt(t),
-				DirtyRatio: f.vm.dirtyAt(t),
-			})
-			e.snapPinned = append(e.snapPinned, f.resName)
-		}
-		h.snap = vms
-		out = append(out, consolidation.HostState{
-			Name:      h.Name,
-			Threads:   h.Threads,
-			MemBytes:  h.MemBytes,
-			IdlePower: h.IdlePower,
-			Down:      h.down,
-			VMs:       vms,
-		})
-	}
-	e.snapHosts = out
-	sort.Strings(e.snapPinned)
-	sort.Strings(e.snapEvac)
-	return out, e.snapPinned, e.snapEvac
 }
 
 // lower translates one move into a two-host testbed scenario, exactly
@@ -801,7 +732,7 @@ func (e *engine) joinPending() error {
 		f.vm.migrating = true
 		f.to.incoming = append(f.to.incoming, f)
 		e.fail.airborne = append(e.fail.airborne, f)
-		if e.viewOn {
+		if e.vp != nil {
 			e.markHostDirty(f.to)
 			if f.vm.phased {
 				f.to.phasedInc++
@@ -858,7 +789,7 @@ func (e *engine) apply(v *vmRT, dst *hostRT) {
 
 // land completes a flight at instant t and records its outcome.
 func (e *engine) land(f *flight, t time.Duration) {
-	if e.viewOn {
+	if e.vp != nil {
 		// The source loses the guest, the destination converts its
 		// reservation into a resident.
 		e.markHostDirty(f.vm.host)
@@ -950,23 +881,6 @@ func (e *engine) finish() {
 	}
 	e.scoreSLO()
 	e.buildPowerTrace()
-	// The final placement. Ticked timelines run to the horizon even when
-	// the last migration lands earlier, so the final demand is evaluated
-	// at the instant the timeline actually ended. finish is the engine's
-	// last act, so the report takes the snapshot scratch over instead of
-	// copying it; an empty host reports no VM list, whichever scratch
-	// state the scheduler left behind.
-	at := e.rep.Makespan
-	if e.cfg.Policy != nil && e.cfg.Horizon > at {
-		at = e.cfg.Horizon
-	}
-	snap, _, _ := e.snapshot(at)
-	for i := range snap {
-		if len(snap[i].VMs) == 0 {
-			snap[i].VMs = nil
-		}
-	}
-	e.rep.Final = snap
 }
 
 // runSerial executes the explicit moves one at a time in spec order —

@@ -166,58 +166,75 @@ func equivalenceFleets() []Config {
 	return out
 }
 
-// TestSchedulerEquivalence is the tentpole's safety net: on randomized
-// fleets, the heap scheduler with its incrementally maintained dirty-set
-// policy view, the property-tested full-rebuild fallback (the same view
-// planner, reconstructed from scratch every round), and the retained
-// linear-scan reference (AoS snapshots through the classic Plan entry
-// point) must produce bit-identical reports — the same MigrationRecord
-// stream, tick records, shifts, stretches, energies, aborts and SLO
-// scores. The second half of the fleets inject random failure schedules
-// (crashes, flight-aborts, outage windows), so the equivalence covers
-// the abort paths too — crash, abort and outage events must dirty
-// exactly the hosts they touch, or the incremental view diverges from
-// the rebuilt one here. A fleet where planning legitimately fails must
-// fail identically on every path.
+// invariantFleets are the 300 seeded random fleets TestReportInvariants
+// checks; every other one carries a failure schedule.
+func invariantFleets() []Config {
+	r := rand.New(rand.NewSource(20261017))
+	out := make([]Config, 300)
+	for i := range out {
+		out[i] = randomFleet(r)
+		if i%2 == 1 {
+			injectFailures(r, &out[i])
+		}
+	}
+	return out
+}
+
+// TestSchedulerEquivalence is the engine's safety net: on randomized
+// fleets, the production engine — heap scheduler, incrementally
+// maintained policy view, clean-tick plan reuse — and the test-side
+// linear-scan reference, which plans every round from a snapshot of its
+// own through the classic Plan entry point, must produce bit-identical
+// reports (the same MigrationRecord stream, tick records, shifts,
+// stretches, energies, aborts and SLO scores) and the same end
+// placement. It runs the 22 equivalence fleets and the 300 invariant
+// fleets; half of each carry random failure schedules (crashes,
+// flight-aborts, outage windows), so an event that fails to dirty a
+// host it touched leaves the view stale and the plans diverge here. A
+// fleet where planning legitimately fails must fail identically on both.
 func TestSchedulerEquivalence(t *testing.T) {
-	cache := sim.NewCache(0)
-	fleets, aborted := 0, 0
+	type namedFleet struct {
+		name string
+		cfg  Config
+	}
+	var all []namedFleet
 	for i, cfg := range equivalenceFleets() {
+		all = append(all, namedFleet{fmt.Sprintf("equivalence fleet %d", i), cfg})
+	}
+	for i, cfg := range invariantFleets() {
+		all = append(all, namedFleet{fmt.Sprintf("invariant fleet %d", i), cfg})
+	}
+	cache := sim.NewCache(0)
+	moved, aborted := 0, 0
+	for _, f := range all {
+		cfg := f.cfg
 		if err := cfg.Validate(); err != nil {
-			t.Fatalf("fleet %d: generator produced an invalid config: %v", i, err)
+			t.Fatalf("%s: generator produced an invalid config: %v", f.name, err)
 		}
-		fast := cfg
-		fast.Cache = cache
-		want, errFast := Run(fast)
-		rebuild := cfg
-		rebuild.Cache = cache
-		rebuild.fullRebuild = true
-		full, errFull := Run(rebuild)
-		ref := cfg
-		ref.Cache = cache
-		got, errRef := runReference(ref)
-		if (errFast == nil) != (errRef == nil) || (errFast == nil) != (errFull == nil) ||
-			(errFast != nil && (errFast.Error() != errRef.Error() || errFast.Error() != errFull.Error())) {
-			t.Fatalf("fleet %d: schedulers disagree on failure:\ndirty-set: %v\nrebuild: %v\nscan: %v", i, errFast, errFull, errRef)
+		cfg.Cache = cache
+		want, wantAt, errHeap := runPlaced(cfg)
+		got, gotAt, errRef := runReference(cfg)
+		if (errHeap == nil) != (errRef == nil) || (errHeap != nil && errHeap.Error() != errRef.Error()) {
+			t.Fatalf("%s: schedulers disagree on failure:\nproduction: %v\nreference: %v", f.name, errHeap, errRef)
 		}
-		if errFast != nil {
+		if errHeap != nil {
 			continue
 		}
-		if !reflect.DeepEqual(want, full) {
-			t.Errorf("fleet %d (policy=%v, %d moves, %d failures): dirty-set and full-rebuild reports differ:\ndirty-set: %+v\nrebuild: %+v",
-				i, cfg.Policy != nil, len(cfg.Moves), len(cfg.Failures), want, full)
-		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("fleet %d (policy=%v, %d moves, %d failures): heap and linear-scan reports differ:\nheap: %+v\nscan: %+v",
-				i, cfg.Policy != nil, len(cfg.Moves), len(cfg.Failures), want, got)
+			t.Errorf("%s (policy=%v, %d moves, %d failures): production and reference reports differ:\nproduction: %+v\nreference: %+v",
+				f.name, cfg.Policy != nil, len(cfg.Moves), len(cfg.Failures), want, got)
+		}
+		if !reflect.DeepEqual(wantAt, gotAt) {
+			t.Errorf("%s: production and reference end placements differ:\nproduction: %+v\nreference: %+v", f.name, wantAt, gotAt)
 		}
 		if len(want.Timeline) > 0 {
-			fleets++
+			moved++
 		}
 		aborted += want.AbortedFlights
 	}
-	if fleets < 10 {
-		t.Fatalf("only %d of 22 random fleets migrated anything; generator drift weakens the property", fleets)
+	t.Logf("%d fleets: %d migrated, %d flights aborted", len(all), moved, aborted)
+	if moved < len(all)/2 {
+		t.Fatalf("only %d of %d random fleets migrated anything; generator drift weakens the property", moved, len(all))
 	}
 	if aborted == 0 {
 		t.Fatal("no random failure schedule ever aborted a flight; the abort paths went unexercised")
@@ -278,37 +295,6 @@ func TestFleetSummaryFields(t *testing.T) {
 	}
 }
 
-// TestClusterTickAllocCeiling is the tick-path allocation-regression
-// gate: once the engine's scratch buffers are sized, rendering a policy
-// snapshot — the per-round O(H) hot path — must not allocate, even with
-// pinned in-flight guests and destination reservations in the picture.
-func TestClusterTickAllocCeiling(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; run without -race for the ceiling")
-	}
-	cfg := policyFleet()
-	e, err := newEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Exercise the pinned paths: one guest in the air with its
-	// destination reservation.
-	mover := e.hosts[0].vms[0]
-	mover.migrating = true
-	dst := e.hosts[3]
-	dst.incoming = append(dst.incoming, &flight{vm: mover, resName: mover.Name + "+incoming"})
-	e.snapshot(0) // size the scratch buffers
-	tick := time.Duration(0)
-	const ceiling = 0
-	allocs := testing.AllocsPerRun(50, func() {
-		tick += 30 * time.Minute
-		e.snapshot(tick)
-	})
-	if allocs > ceiling {
-		t.Errorf("snapshot allocates %.0f times per policy round, ceiling is %d", allocs, ceiling)
-	}
-}
-
 // TestClusterTickAllocCeiling8k scales the allocation gate to fleet
 // size on the struct-of-arrays path: once the view arrays are sized, a
 // steady-state incremental tick — refresh a few dirty hosts, repair the
@@ -322,9 +308,6 @@ func TestClusterTickAllocCeiling8k(t *testing.T) {
 	e, err := newEngine(sparseFleet(8192))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !e.viewOn {
-		t.Fatal("sparse fixture did not enable the incremental view")
 	}
 	tick := time.Duration(0)
 	touch := func() {
@@ -362,9 +345,6 @@ func TestPlanViewAllocBytes(t *testing.T) {
 		e, err := newEngine(sparseFleet(n))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !e.viewOn {
-			t.Fatal("sparse fixture did not enable the incremental view")
 		}
 		pc := e.cfg.PolicyConfig
 		pc.Pinned, pc.Evacuate = e.viewPinnedEvac()

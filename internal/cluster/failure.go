@@ -141,7 +141,7 @@ func (e *engine) applyFailures(t time.Duration) {
 func (e *engine) crashHost(name string, t time.Duration) {
 	h := e.hostNamed(name)
 	h.down = true
-	if e.viewOn {
+	if e.vp != nil {
 		e.markHostDirty(h)
 		e.downHosts = append(e.downHosts, h)
 	}
@@ -190,7 +190,7 @@ func (e *engine) abortFlight(f *flight, t time.Duration, reason string) {
 	}
 	energy, phase := e.abortCharge(f, t)
 	f.vm.migrating = false
-	if e.viewOn {
+	if e.vp != nil {
 		// The destination loses its reservation. The source's slots are
 		// unchanged (the mover never left), and the repin added below is
 		// reflected through viewPinnedEvac at the next round.

@@ -36,6 +36,17 @@ func mustRun(t *testing.T, cfg Config) *Report {
 	return rep
 }
 
+// mustRunPlaced is runPlaced failing the test on error: the report and
+// the end placement.
+func mustRunPlaced(t *testing.T, cfg Config) (*Report, []placedHost) {
+	t.Helper()
+	rep, final, err := runPlaced(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, final
+}
+
 func TestHostCrashAbortsFlightAndOrphans(t *testing.T) {
 	base := mustRun(t, singleMove())
 	if len(base.Timeline) != 1 {
@@ -45,7 +56,7 @@ func TestHostCrashAbortsFlightAndOrphans(t *testing.T) {
 
 	cfg := singleMove()
 	cfg.Failures = []FailureEvent{{At: mid, Kind: FailHostCrash, Host: "h00"}}
-	rep := mustRun(t, cfg)
+	rep, final := mustRunPlaced(t, cfg)
 
 	if len(rep.Timeline) != 0 {
 		t.Errorf("crashed timeline completed %d migrations, want 0", len(rep.Timeline))
@@ -76,10 +87,8 @@ func TestHostCrashAbortsFlightAndOrphans(t *testing.T) {
 			t.Error("crashed host h00 reported as freed")
 		}
 	}
-	for _, h := range rep.Final {
-		if h.Name == "h00" && !h.Down {
-			t.Error("final placement does not mark h00 down")
-		}
+	if !hostNamed(t, final, "h00").Down {
+		t.Error("final placement does not mark h00 down")
 	}
 }
 
@@ -96,7 +105,7 @@ func TestFlightAbortReturnsVMForRedispatch(t *testing.T) {
 	// Retry the move after the abort; va is back on h00, so the same
 	// route dispatches cleanly.
 	cfg.Moves = append(cfg.Moves, TimedMove{VM: "va", From: "h00", To: "h01", At: end + time.Minute})
-	rep := mustRun(t, cfg)
+	rep, final := mustRunPlaced(t, cfg)
 
 	if len(rep.Aborted) != 1 || rep.Aborted[0].Reason != "flight-abort" {
 		t.Fatalf("aborts = %+v, want exactly va's flight-abort", rep.Aborted)
@@ -107,9 +116,8 @@ func TestFlightAbortReturnsVMForRedispatch(t *testing.T) {
 	// The retry runs on a private link from a clean start: its physics
 	// match the baseline's (same scenario, next dispatch index → only
 	// the seed differs, and energy is the same measured quantity class).
-	final := hostNamed(t, rep, "h01")
-	if len(final.VMs) != 1 || final.VMs[0].Name != "va" {
-		t.Errorf("va did not land on h01 after the retry: %+v", final.VMs)
+	if h01 := hostNamed(t, final, "h01"); len(h01.VMs) != 1 || h01.VMs[0] != "va" {
+		t.Errorf("va did not land on h01 after the retry: %v", h01.VMs)
 	}
 	if rep.OrphanedVMs != 0 || !rep.EvacuationDeadlineMet {
 		t.Errorf("flight-abort alone orphaned %d VMs (met=%v); crashes only do that",
@@ -117,16 +125,16 @@ func TestFlightAbortReturnsVMForRedispatch(t *testing.T) {
 	}
 }
 
-// hostNamed finds one host in the final placement.
-func hostNamed(t *testing.T, rep *Report, name string) consolidation.HostState {
+// hostNamed finds one host in an end placement.
+func hostNamed(t *testing.T, final []placedHost, name string) placedHost {
 	t.Helper()
-	for _, h := range rep.Final {
+	for _, h := range final {
 		if h.Name == name {
 			return h
 		}
 	}
 	t.Fatalf("host %q missing from final placement", name)
-	return consolidation.HostState{}
+	return placedHost{}
 }
 
 func TestSwitchOutageStallsTransferExactly(t *testing.T) {
@@ -169,7 +177,7 @@ func TestUnrestoredOutageStrandsFlight(t *testing.T) {
 
 	cfg := singleMove()
 	cfg.Failures = []FailureEvent{{At: mid, Kind: FailSwitchOutage, Switch: "Cisco Catalyst 3750"}}
-	rep := mustRun(t, cfg)
+	rep, final := mustRunPlaced(t, cfg)
 	if len(rep.Timeline) != 0 {
 		t.Errorf("stranded timeline completed %d migrations, want 0", len(rep.Timeline))
 	}
@@ -180,9 +188,8 @@ func TestUnrestoredOutageStrandsFlight(t *testing.T) {
 	if rep.OrphanedVMs != 0 || !rep.EvacuationDeadlineMet {
 		t.Errorf("stranding orphaned %d VMs (met=%v)", rep.OrphanedVMs, rep.EvacuationDeadlineMet)
 	}
-	src := hostNamed(t, rep, "h00")
-	if len(src.VMs) != 2 {
-		t.Errorf("source lost a VM to a stranded flight: %+v", src.VMs)
+	if src := hostNamed(t, final, "h00"); len(src.VMs) != 2 {
+		t.Errorf("source lost a VM to a stranded flight: %v", src.VMs)
 	}
 }
 
@@ -291,6 +298,61 @@ func TestAbortCooldownPinsOneRound(t *testing.T) {
 	}
 }
 
+// cooldownFleet is a 3-host policy cluster whose only move worth making
+// drains the small host: the big guests dirty memory so fast that moving
+// either cannot pay back within the 200 s planning horizon.
+func cooldownFleet() Config {
+	big := func(name string, busy float64) VM {
+		return VM{Name: name, MemBytes: gib(16), BusyVCPUs: busy, DirtyRatio: 0.9}
+	}
+	return Config{
+		Kind: migration.Live,
+		Hosts: fleet("m01",
+			[]VM{{Name: "small", MemBytes: gib(1), BusyVCPUs: 2, DirtyRatio: 0.05}},
+			[]VM{big("big1", 10)},
+			[]VM{big("big2", 12)},
+		),
+		Policy:       consolidation.EnergyAware{Model: consolidation.HeuristicCost{}},
+		PolicyConfig: consolidation.Config{Horizon: 200 * time.Second},
+		Tick:         time.Minute,
+		Horizon:      6 * time.Minute,
+		Seed:         3,
+	}
+}
+
+// TestCooldownExpiryReplansCleanTick: when an abort cool-down expires,
+// the next round's pinned list changes without any host event, and the
+// cool-down round before it planned nothing — exactly the tick on which
+// the engine would otherwise reuse the previous empty plan. That round
+// must plan afresh: it pins nothing and re-dispatches the aborted VM.
+func TestCooldownExpiryReplansCleanTick(t *testing.T) {
+	base := mustRun(t, cooldownFleet())
+	if len(base.Timeline) == 0 || base.Timeline[0].VM != "small" || base.Timeline[0].Start != 0 {
+		t.Fatalf("fixture drift: tick 0 did not drain small (%+v)", base.Timeline)
+	}
+	cfg := cooldownFleet()
+	cfg.Failures = []FailureEvent{{At: base.Timeline[0].End / 2, Kind: FailFlightAbort, VM: "small"}}
+	rep := mustRun(t, cfg)
+
+	if len(rep.Aborted) != 1 || len(rep.Ticks) != 6 || rep.Aborted[0].End >= rep.Ticks[1].At {
+		t.Fatalf("fixture drift: aborts %+v, ticks %+v; want one abort before the second of 6 ticks", rep.Aborted, rep.Ticks)
+	}
+	if cool := rep.Ticks[1]; cool.Pinned != 1 || cool.Moves != 0 {
+		t.Fatalf("fixture drift: cool-down round %+v, want small pinned and no move", cool)
+	}
+	next := rep.Ticks[2]
+	if next.Pinned != 0 {
+		t.Errorf("round after the cool-down: pinned=%d, want 0 (the pin expired)", next.Pinned)
+	}
+	redispatched := false
+	for _, rec := range rep.Timeline {
+		redispatched = redispatched || (rec.VM == "small" && rec.Start == next.At)
+	}
+	if !redispatched {
+		t.Errorf("round after the cool-down at %v did not re-dispatch small: timeline %+v, ticks %+v", next.At, rep.Timeline, rep.Ticks)
+	}
+}
+
 func TestCheckMoveRefusesDownTargets(t *testing.T) {
 	cfg := singleMove()
 	if err := cfg.Validate(); err != nil {
@@ -369,8 +431,13 @@ func TestDispatchTransactional(t *testing.T) {
 // idle·span + migration energy.
 func TestPowerTraceIntegral(t *testing.T) {
 	rep := mustRun(t, explicitPair(0))
+	// Idle floors come from the validated layout: host name → position.
+	l, err := explicitPair(0).validate()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var idle float64
-	for _, h := range rep.Final {
+	for _, h := range l.hosts {
 		idle += float64(h.IdlePower)
 	}
 	if len(rep.PowerTrace) == 0 {
@@ -397,12 +464,7 @@ func TestPowerTraceIntegral(t *testing.T) {
 	crashAt := rep.Makespan + time.Minute
 	cfg.Failures = []FailureEvent{{At: crashAt, Kind: FailHostCrash, Host: "h01"}}
 	crep := mustRun(t, cfg)
-	var h01 float64
-	for _, h := range crep.Final {
-		if h.Name == "h01" {
-			h01 = float64(h.IdlePower)
-		}
-	}
+	h01 := float64(l.hosts[l.hostIdx["h01"]].IdlePower)
 	clast := crep.PowerTrace[len(crep.PowerTrace)-1]
 	if clast.At != crashAt || float64(clast.Watts) != idle-h01 {
 		t.Errorf("post-crash floor = %v W at %v, want %v W at %v", clast.Watts, clast.At, idle-h01, crashAt)

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -23,21 +22,16 @@ import (
 // every run; these checks can.
 func TestReportInvariants(t *testing.T) {
 	cache := sim.NewCache(0)
-	r := rand.New(rand.NewSource(20261017))
 	flights, aborts := 0, 0
-	for i := 0; i < 300; i++ {
-		cfg := randomFleet(r)
-		if i%2 == 1 {
-			injectFailures(r, &cfg)
-		}
+	for i, cfg := range invariantFleets() {
 		cfg.Cache = cache
-		rep, err := Run(cfg)
+		rep, final, err := runPlaced(cfg)
 		if err != nil {
 			t.Fatalf("fleet %d: %v", i, err)
 		}
 		flights += len(rep.Timeline)
 		aborts += len(rep.Aborted)
-		for _, msg := range reportViolations(cfg, rep) {
+		for _, msg := range reportViolations(cfg, rep, final) {
 			t.Errorf("fleet %d: %s", i, msg)
 		}
 	}
@@ -47,8 +41,9 @@ func TestReportInvariants(t *testing.T) {
 	}
 }
 
-// reportViolations lists every invariant rep breaks for cfg.
-func reportViolations(cfg Config, rep *Report) []string {
+// reportViolations lists every invariant rep and its end placement
+// final break for cfg.
+func reportViolations(cfg Config, rep *Report, final []placedHost) []string {
 	var bad []string
 	fail := func(format string, args ...any) {
 		bad = append(bad, fmt.Sprintf(format, args...))
@@ -125,12 +120,12 @@ func reportViolations(cfg Config, rep *Report) []string {
 	}
 
 	placed := map[string]int{}
-	for _, h := range rep.Final {
+	for _, h := range final {
 		for _, v := range h.VMs {
-			if strings.HasSuffix(v.Name, "+incoming") {
-				fail("final placement keeps reservation %s on %s", v.Name, h.Name)
+			if strings.HasSuffix(v, "+incoming") {
+				fail("final placement keeps reservation %s on %s", v, h.Name)
 			}
-			placed[v.Name]++
+			placed[v]++
 		}
 	}
 	for _, h := range cfg.Hosts {

@@ -11,9 +11,9 @@ import (
 // TestPhaseCursorMatchesReference property-tests the engine's O(1)
 // phase cursor (vmRT.factor) against the specification walk (VM.factor)
 // over random phase timelines and query schedules — monotone advances,
-// rewinds behind the cursor (the final report snapshot can query an
-// earlier instant), repeated queries at one instant, and queries far
-// past the exhausted timeline. The two must agree bit-for-bit: the
+// rewinds behind the cursor (the engine's clock only advances, but the
+// cursor stays exact for any query order), repeated queries at one
+// instant, and queries far past the exhausted timeline. The two must agree bit-for-bit: the
 // cursor resumes mid-walk, but it performs the same integer offsets and
 // the same float division as the front-to-back walk.
 func TestPhaseCursorMatchesReference(t *testing.T) {

@@ -25,6 +25,10 @@ func (p countingViewPolicy) PlanView(v *consolidation.View, cfg consolidation.Co
 	return p.ViewPolicy.PlanView(v, cfg)
 }
 
+// planOnly hides a policy's PlanView: a policy that plans only through
+// the classic HostState entry point.
+type planOnly struct{ consolidation.Policy }
+
 // TestPreparedRunMatchesFresh checks that a prepared config runs exactly
 // as the same config checked and laid out afresh — the same report or
 // the same error — on every equivalence fleet and both fleet fixtures,
@@ -64,6 +68,10 @@ func TestPreparedRunMatchesFresh(t *testing.T) {
 		{"unknown crash", func(c *Config) {
 			c.Failures = []FailureEvent{{At: 0, Kind: FailHostCrash, Host: "nowhere"}}
 		}, `crashes unknown host "nowhere"`},
+		// The layout records only that a policy is set, so the engine
+		// itself refuses one it cannot plan against its view.
+		{"policy without PlanView", func(c *Config) { c.Policy = planOnly{c.Policy} },
+			"policy energy-aware does not implement consolidation.ViewPolicy"},
 	} {
 		cfg := prepared
 		c.change(&cfg)

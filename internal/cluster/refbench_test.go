@@ -19,7 +19,7 @@ func benchTimelineRef(b *testing.B, n int) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchFleet(n)
 		cfg.Cache = cache
-		if _, err := runReference(cfg); err != nil {
+		if _, _, err := runReference(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"repro/internal/consolidation"
@@ -11,15 +13,13 @@ import (
 // sweeps with O(F) occupancy counts, O(F²) per event — as a test-side
 // event loop over the production engine. It is the executable
 // specification the heap scheduler is property-tested against (see
-// TestSchedulerEquivalence): both must produce bit-identical reports on
-// any fleet. It shares dispatch, lowering, snapshotting, failure
-// handling, landing and reporting with the production engine; only
-// event finding and clock advancing differ, over a flight list of its
-// own.
-
-// planOnly hides a policy's PlanView, so the engine plans through the
-// AoS snapshot and Plan, as the reference always has.
-type planOnly struct{ consolidation.Policy }
+// TestSchedulerEquivalence): both must produce bit-identical reports
+// and end placements on any fleet. It shares dispatch, lowering,
+// failure handling, landing and reporting with the production engine.
+// Event finding and clock advancing differ, over a flight list of its
+// own, and so does planning: every round plans from a snapshot the
+// reference takes itself, through the policy's classic Plan, so it never
+// reads the engine's incremental view or its clean-tick plan reuse.
 
 // scanEngine runs an engine's timeline with the linear-scan loop.
 type scanEngine struct {
@@ -28,16 +28,59 @@ type scanEngine struct {
 	flights []*flight
 }
 
-// runReference executes cfg on the linear-scan reference scheduler.
-func runReference(cfg Config) (*Report, error) {
-	if cfg.Policy != nil {
-		cfg.Policy = planOnly{cfg.Policy}
-	}
+// runReference executes cfg on the linear-scan reference scheduler and
+// returns its report and end placement.
+func runReference(cfg Config) (*Report, []placedHost, error) {
 	e, err := newEngine(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return (&scanEngine{engine: e}).runScan()
+	rep, err := (&scanEngine{engine: e}).runScan()
+	if err != nil {
+		return nil, nil, err
+	}
+	return rep, endPlacement(e), nil
+}
+
+// runPlaced executes a non-serial cfg like Run and also returns the
+// end placement, read from the engine's host state once the timeline
+// has drained.
+func runPlaced(cfg Config) (*Report, []placedHost, error) {
+	e, err := newEngine(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep, err := e.run()
+	if err != nil {
+		return nil, nil, err
+	}
+	return rep, endPlacement(e), nil
+}
+
+// placedHost is one host of a finished run's end placement.
+type placedHost struct {
+	Name string
+	Down bool
+	// VMs names the host's residents in name order, then the reservation
+	// of any flight still bound for it; a drained timeline leaves none.
+	VMs []string
+}
+
+// endPlacement reads the end placement, in host name order, from the
+// engine's host state.
+func endPlacement(e *engine) []placedHost {
+	out := make([]placedHost, len(e.hosts))
+	for i, h := range e.hosts {
+		p := placedHost{Name: h.Name, Down: h.down}
+		for _, v := range h.vms {
+			p.VMs = append(p.VMs, v.Name)
+		}
+		for _, f := range h.incoming {
+			p.VMs = append(p.VMs, f.resName)
+		}
+		out[i] = p
+	}
+	return out
 }
 
 // runScan is the discrete-event loop of engine.run with the scans in
@@ -206,5 +249,86 @@ func (e *scanEngine) fireScan(t time.Duration) error {
 	}
 
 	// 4. New dispatches: the policy tick's plan, then explicit moves.
-	return e.dispatchDue(t)
+	return e.dispatchDueScan(t)
+}
+
+// dispatchDueScan is engine.dispatchDue with the reference's own policy
+// round: the snapshot at t, planned through the policy's classic Plan.
+func (e *scanEngine) dispatchDueScan(t time.Duration) error {
+	var batch []TimedMove
+	if e.cfg.Policy != nil && e.tick <= t && e.tick < e.cfg.Horizon {
+		hosts, pinned, evacuate := e.snapshot(t)
+		pc := e.cfg.PolicyConfig
+		pc.Pinned = pinned
+		pc.Evacuate = evacuate
+		plan, err := e.cfg.Policy.Plan(hosts, pc)
+		if err != nil {
+			return fmt.Errorf("cluster: policy %s at t=%v: %w", e.cfg.Policy.Name(), t, err)
+		}
+		for _, m := range plan.Moves {
+			batch = append(batch, TimedMove{VM: m.VM, From: m.From, To: m.To, At: t})
+		}
+		e.rep.Ticks = append(e.rep.Ticks, TickRecord{At: t, Moves: len(plan.Moves), Pinned: len(pinned)})
+		e.tick += e.cfg.Tick
+		// Abort cool-downs last exactly one round.
+		for name := range e.fail.repin {
+			delete(e.fail.repin, name)
+		}
+	}
+	for len(e.pending) > 0 && e.pending[0].At <= t {
+		batch = append(batch, e.pending[0])
+		e.pending = e.pending[1:]
+	}
+	if len(batch) > 0 {
+		return e.dispatch(t, batch)
+	}
+	return nil
+}
+
+// snapshot renders the cluster as the consolidation layer sees it at
+// time t: every resident guest with its phase-evaluated demand, with
+// in-flight guests pinned on their source and their destination
+// capacity held by a pinned reservation entry. Crashed hosts are
+// marked Down and their non-migrating residents listed as evacuees; a
+// VM in its post-abort cool-down is pinned like a mover.
+func (e *scanEngine) snapshot(t time.Duration) (hosts []consolidation.HostState, pinned, evacuate []string) {
+	for _, h := range e.hosts {
+		var vms []consolidation.VMState
+		for _, v := range h.vms {
+			vms = append(vms, consolidation.VMState{
+				Name:       v.Name,
+				MemBytes:   v.MemBytes,
+				BusyVCPUs:  v.busyAt(t),
+				DirtyRatio: v.dirtyAt(t),
+			})
+			switch {
+			case v.migrating:
+				pinned = append(pinned, v.Name)
+			case h.down:
+				evacuate = append(evacuate, v.Name)
+			case e.fail.repin[v.Name]:
+				pinned = append(pinned, v.Name)
+			}
+		}
+		for _, f := range h.incoming {
+			vms = append(vms, consolidation.VMState{
+				Name:       f.resName,
+				MemBytes:   f.vm.MemBytes,
+				BusyVCPUs:  f.vm.busyAt(t),
+				DirtyRatio: f.vm.dirtyAt(t),
+			})
+			pinned = append(pinned, f.resName)
+		}
+		hosts = append(hosts, consolidation.HostState{
+			Name:      h.Name,
+			Threads:   h.Threads,
+			MemBytes:  h.MemBytes,
+			IdlePower: h.IdlePower,
+			Down:      h.down,
+			VMs:       vms,
+		})
+	}
+	sort.Strings(pinned)
+	sort.Strings(evacuate)
+	return hosts, pinned, evacuate
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"time"
 
-	"repro/internal/consolidation"
 	"repro/internal/units"
 )
 
@@ -43,8 +42,8 @@ type TickRecord struct {
 	At time.Duration
 	// Moves is how many migrations the round planned and dispatched.
 	Moves int
-	// Pinned is how many placement entries the round's snapshot pinned —
-	// what the policy actually saw: every in-flight migration contributes
+	// Pinned is how many placement entries the round pinned — what the
+	// policy actually saw: every in-flight migration contributes
 	// two (the migrating VM on its source and its "+incoming" destination
 	// reservation), and a VM whose flight just aborted contributes one
 	// for its one-round cool-down.
@@ -109,9 +108,6 @@ type Report struct {
 	// IdleSavings is the idle power those hosts stop drawing once
 	// switched off.
 	IdleSavings units.Watts
-	// Final is the end-of-timeline placement in host name order, with
-	// VM demand evaluated at the makespan.
-	Final []consolidation.HostState
 	// PeakFlights is the most migrations ever simultaneously in the air
 	// — the fleet's worst-case concurrent transfer pressure (1 on serial
 	// timelines with moves, 0 when nothing migrated).

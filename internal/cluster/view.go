@@ -5,17 +5,18 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/consolidation"
 	"repro/internal/units"
 )
 
 // This file maintains the engine's persistent consolidation.View — the
-// struct-of-arrays policy snapshot — incrementally under an
-// event-driven dirty set, so a planning round at fleet scale touches
-// only the hosts events actually changed since the last tick.
+// struct-of-arrays policy input, the engine's only planning path — built
+// once per run and kept current under an event-driven dirty set, so a
+// planning round at fleet scale touches only the hosts events actually
+// changed since the last tick.
 //
-// Invariants (property-tested against the full-rebuild fallback and the
-// test-side linear-scan reference):
+// Invariants (property-tested against the test-side linear-scan
+// reference, which plans every round from a snapshot of its own through
+// the policy's classic Plan; see TestSchedulerEquivalence):
 //
 //   - Every event that changes a host's slot membership or demand marks
 //     it dirty: dispatch commit (destination gains a reservation), land
@@ -26,7 +27,7 @@ import (
 //     also covers every phase-transition event.
 //   - A refreshed host re-sums its aggregates in slot order (never
 //     incremental subtraction), so clean hosts' cached sums are
-//     bit-identical to a full rebuild at the same instant.
+//     bit-identical to laying the host out afresh at the same instant.
 //   - Order repair locates each dirty host in Order by binary search
 //     under the loads Order was sorted by, before any refresh changes
 //     them. The clean entries between those positions keep their keys,
@@ -37,19 +38,6 @@ import (
 //     full sort exactly. Every ordering goes through the view's one
 //     comparator, consolidation.View.CompareHosts; the engine's hosts
 //     are name-sorted, so it breaks busy ties by index.
-
-// viewEnabled reports whether this configuration plans through the
-// incrementally maintained view: a policy that implements
-// consolidation.ViewPolicy. Other policies, and the test-side
-// linear-scan reference, which hides PlanView, keep the AoS snapshot
-// path.
-func (e *engine) viewEnabled() (consolidation.ViewPolicy, bool) {
-	if e.cfg.Policy == nil {
-		return nil, false
-	}
-	vp, ok := e.cfg.Policy.(consolidation.ViewPolicy)
-	return vp, ok
-}
 
 // markHostDirty queues a host for refresh at the next planning tick.
 func (e *engine) markHostDirty(h *hostRT) {
@@ -68,70 +56,51 @@ func (e *engine) markHostVarying(h *hostRT) {
 	}
 }
 
-// flattenHostView appends host h's current state to the view arrays at
-// time t. Build path only (rebuildView); the incremental path rewrites
-// slots in place via refreshHostView.
-func (e *engine) flattenHostView(h *hostRT, t time.Duration) {
+// buildView lays the whole view out from the runtime state at time 0,
+// once per run, before any event: every host holds only its initial
+// residents, and nothing is marked yet. From then on viewTick keeps it
+// current.
+func (e *engine) buildView() {
 	v := &e.pview
-	v.HostName = append(v.HostName, h.Name)
-	v.Threads = append(v.Threads, h.Threads)
-	v.MemCap = append(v.MemCap, h.MemBytes)
-	v.IdlePower = append(v.IdlePower, h.IdlePower)
-	v.Down = append(v.Down, h.down)
-	v.VMStart = append(v.VMStart, int32(len(v.VMName)))
-	v.VMCount = append(v.VMCount, int32(len(h.vms)+len(h.incoming)))
-	busy := 0.0
-	var mem units.Bytes
-	for _, g := range h.vms {
-		b := g.busyAt(t)
-		v.VMName = append(v.VMName, g.Name)
-		v.VMMem = append(v.VMMem, g.MemBytes)
-		v.VMBusy = append(v.VMBusy, b)
-		v.VMDirty = append(v.VMDirty, g.dirtyAt(t))
-		busy += b
-		mem += g.MemBytes
-	}
-	for _, f := range h.incoming {
-		b := f.vm.busyAt(t)
-		v.VMName = append(v.VMName, f.resName)
-		v.VMMem = append(v.VMMem, f.vm.MemBytes)
-		v.VMBusy = append(v.VMBusy, b)
-		v.VMDirty = append(v.VMDirty, f.vm.dirtyAt(t))
-		busy += b
-		mem += f.vm.MemBytes
-	}
-	v.Busy = append(v.Busy, busy)
-	v.Mem = append(v.Mem, mem)
-}
-
-// rebuildView reconstructs the whole view from the runtime state at
-// time t: the initial build, and every tick of the property-tested
-// full-rebuild fallback (Config.fullRebuild).
-func (e *engine) rebuildView(t time.Duration) {
-	v := &e.pview
-	n, slots := len(e.hosts), 0
+	n, slots := len(e.hosts), len(e.guests)
+	v.HostName = make([]string, 0, n)
+	v.Threads = make([]int, 0, n)
+	v.MemCap = make([]units.Bytes, 0, n)
+	v.IdlePower = make([]units.Watts, 0, n)
+	v.Down = make([]bool, n) // no host is down before the first event
+	v.Busy = make([]float64, 0, n)
+	v.Mem = make([]units.Bytes, 0, n)
+	v.VMStart = make([]int32, 0, n)
+	v.VMCount = make([]int32, 0, n)
+	// The arena keeps the allocator's size-class slack as capacity
+	// (slices.Grow exposes it, make does not), so the first hosts that
+	// outgrow their ranges relocate without copying the arena.
+	v.VMName = slices.Grow([]string(nil), slots)
+	v.VMMem = slices.Grow([]units.Bytes(nil), slots)
+	v.VMBusy = slices.Grow([]float64(nil), slots)
+	v.VMDirty = slices.Grow([]units.Fraction(nil), slots)
+	e.orderScratch = make([]int32, 0, n)
+	e.marked = make([]bool, n)
 	for _, h := range e.hosts {
-		slots += len(h.vms) + len(h.incoming)
-	}
-	v.HostName = emptied(v.HostName, n)
-	v.Threads = emptied(v.Threads, n)
-	v.MemCap = emptied(v.MemCap, n)
-	v.IdlePower = emptied(v.IdlePower, n)
-	v.Down = emptied(v.Down, n)
-	v.Busy = emptied(v.Busy, n)
-	v.Mem = emptied(v.Mem, n)
-	v.VMStart = emptied(v.VMStart, n)
-	v.VMCount = emptied(v.VMCount, n)
-	v.VMName = emptied(v.VMName, slots)
-	v.VMMem = emptied(v.VMMem, slots)
-	v.VMBusy = emptied(v.VMBusy, slots)
-	v.VMDirty = emptied(v.VMDirty, slots)
-	e.orderScratch = emptied(e.orderScratch, n)
-	if len(e.marked) != n {
-		e.marked = make([]bool, n)
-	}
-	for _, h := range e.hosts {
-		e.flattenHostView(h, t)
+		v.HostName = append(v.HostName, h.Name)
+		v.Threads = append(v.Threads, h.Threads)
+		v.MemCap = append(v.MemCap, h.MemBytes)
+		v.IdlePower = append(v.IdlePower, h.IdlePower)
+		v.VMStart = append(v.VMStart, int32(len(v.VMName)))
+		v.VMCount = append(v.VMCount, int32(len(h.vms)))
+		busy := 0.0
+		var mem units.Bytes
+		for _, g := range h.vms {
+			b := g.busyAt(0)
+			v.VMName = append(v.VMName, g.Name)
+			v.VMMem = append(v.VMMem, g.MemBytes)
+			v.VMBusy = append(v.VMBusy, b)
+			v.VMDirty = append(v.VMDirty, g.dirtyAt(0))
+			busy += b
+			mem += g.MemBytes
+		}
+		v.Busy = append(v.Busy, busy)
+		v.Mem = append(v.Mem, mem)
 	}
 	e.viewLive = len(v.VMName)
 	// The engine's hosts are name-sorted (layout.order), so index order
@@ -139,15 +108,7 @@ func (e *engine) rebuildView(t time.Duration) {
 	// target scan.
 	v.NameOrdered = true
 	v.SortOrder()
-	// The rebuild consumed every outstanding mark.
-	for _, vi := range e.dirty {
-		e.marked[vi] = false
-	}
-	e.dirty = e.dirty[:0]
 }
-
-// emptied returns s truncated to zero length with room for n elements.
-func emptied[T any](s []T, n int) []T { return slices.Grow(s[:0], n) }
 
 // refreshHostView rewrites one host's view slots and aggregates at
 // time t. Slots are rewritten in place while the membership count fits
@@ -297,28 +258,29 @@ func (e *engine) compactArena() {
 }
 
 // viewPinnedEvac derives the pinned and evacuation name lists from the
-// flight and failure state: airborne movers and their reservations plus
-// post-abort cool-downs are pinned; non-migrating residents of crashed
-// hosts are evacuees. Produces exactly the sorted lists the AoS
-// snapshot assembles per-host (abort cool-downs only ever name VMs on
-// live hosts — crashHost clears its residents' repins).
+// flight and failure state, without a pass over the hosts: airborne
+// movers and their reservations plus post-abort cool-downs are pinned;
+// non-migrating residents of crashed hosts are evacuees. The sorted
+// lists equal those the test-side reference's snapshot assembles host
+// by host (abort cool-downs only ever name VMs on live hosts —
+// crashHost clears its residents' repins).
 func (e *engine) viewPinnedEvac() (pinned, evacuate []string) {
-	e.snapPinned = e.snapPinned[:0]
-	e.snapEvac = e.snapEvac[:0]
+	e.pinned = e.pinned[:0]
+	e.evacuate = e.evacuate[:0]
 	for _, f := range e.fail.airborne {
-		e.snapPinned = append(e.snapPinned, f.vm.Name, f.resName)
+		e.pinned = append(e.pinned, f.vm.Name, f.resName)
 	}
 	for name := range e.fail.repin {
-		e.snapPinned = append(e.snapPinned, name)
+		e.pinned = append(e.pinned, name)
 	}
 	for _, h := range e.downHosts {
 		for _, g := range h.vms {
 			if !g.migrating {
-				e.snapEvac = append(e.snapEvac, g.Name)
+				e.evacuate = append(e.evacuate, g.Name)
 			}
 		}
 	}
-	sort.Strings(e.snapPinned)
-	sort.Strings(e.snapEvac)
-	return e.snapPinned, e.snapEvac
+	sort.Strings(e.pinned)
+	sort.Strings(e.evacuate)
+	return e.pinned, e.evacuate
 }
