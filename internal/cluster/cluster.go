@@ -120,69 +120,41 @@ func (v VM) dirtyAt(t time.Duration) units.Fraction {
 type Host struct {
 	// Name identifies the host.
 	Name string
-	// Machine names the hw catalog model this host is an instance of; it
-	// supplies capacity, idle power and the switch the host hangs off.
-	// Required unless Config.Pair overrides lowering and the explicit
-	// capacity fields below are set.
+	// Machine names the hw catalog model this host is an instance of
+	// (required). It supplies the host's capacity, the idle draw
+	// reclaimed by emptying it, and the switch it hangs off: hosts on
+	// one switch share the migration path and contend. Every move
+	// lowers onto its two hosts' machine models.
 	Machine string
-	// Threads, MemBytes and IdlePower override (or, without a Machine,
-	// supply) the host capacity and the idle draw reclaimed by emptying
-	// the host.
-	Threads   int
-	MemBytes  units.Bytes
-	IdlePower units.Watts
-	// Switch overrides the link domain; hosts on one switch share the
-	// migration path and contend. Defaults to the machine's switch.
-	Switch string
 	// VMs are the initially resident guests.
 	VMs []VM
 }
 
-// resolved is a host with its machine-derived fields filled in.
+// resolved is a host with its machine model's capacity, idle draw and
+// link domain filled in.
 type resolved struct {
 	Host
-	sw string // effective link domain
+	Threads   int
+	MemBytes  units.Bytes
+	IdlePower units.Watts
+	sw        string // the machine's switch: the link-contention domain
 }
 
 // resolve fills the host's capacity fields from its machine model and
-// validates the result. The catalog is passed in because fleet-scale
+// validates the host. The catalog is passed in because fleet-scale
 // configs resolve thousands of hosts per run and hw.Catalog builds a
 // fresh map per call.
 func (h Host) resolve(cat map[string]hw.MachineSpec) (resolved, error) {
-	out := resolved{Host: h}
-	if h.Name == "" {
-		return out, errors.New("cluster: host has no name")
-	}
-	if h.Machine != "" {
-		spec, ok := cat[h.Machine]
-		if !ok {
-			return out, fmt.Errorf("cluster: host %s: unknown machine model %q", h.Name, h.Machine)
-		}
-		if out.Threads == 0 {
-			out.Threads = spec.Threads
-		}
-		if out.MemBytes == 0 {
-			out.MemBytes = spec.RAM
-		}
-		if out.IdlePower == 0 {
-			out.IdlePower = spec.IdlePower()
-		}
-		if out.Switch == "" {
-			out.Switch = spec.Switch
-		}
-	}
-	out.sw = out.Switch
-	if out.sw == "" {
-		out.sw = "switch0"
-	}
+	spec, known := cat[h.Machine]
 	switch {
-	case out.Threads <= 0:
-		return out, fmt.Errorf("cluster: host %s has no CPU capacity (set Machine or Threads)", h.Name)
-	case out.MemBytes <= 0:
-		return out, fmt.Errorf("cluster: host %s has no memory (set Machine or MemBytes)", h.Name)
-	case out.IdlePower <= 0:
-		return out, fmt.Errorf("cluster: host %s has no idle power (set Machine or IdlePower)", h.Name)
+	case h.Name == "":
+		return resolved{}, errors.New("cluster: host has no name")
+	case h.Machine == "":
+		return resolved{}, fmt.Errorf("cluster: host %s needs a machine model", h.Name)
+	case !known:
+		return resolved{}, fmt.Errorf("cluster: host %s: unknown machine model %q", h.Name, h.Machine)
 	}
+	out := resolved{Host: h, Threads: spec.Threads, MemBytes: spec.RAM, IdlePower: spec.IdlePower(), sw: spec.Switch}
 	seen := map[string]bool{}
 	for _, v := range h.VMs {
 		if err := v.Validate(); err != nil {
@@ -212,11 +184,6 @@ type Config struct {
 	Hosts []Host
 	// Kind is the migration mechanism for every move (Live or NonLive).
 	Kind migration.Kind
-	// Pair optionally lowers every move onto one fixed testbed pair
-	// instead of the per-host machine models — the two-host
-	// approximation dcsim's compatibility wrapper uses. When empty, each
-	// move's pair is "srcMachine/dstMachine".
-	Pair string
 	// Policy re-plans the cluster at every tick; nil disables planning
 	// (the timeline then runs the explicit Moves). Run plans against an
 	// incrementally maintained consolidation.View, so the policy must be
@@ -239,19 +206,14 @@ type Config struct {
 	// aborts, switch outage windows — into the timeline (see
 	// FailureEvent). Events apply after same-instant flight completions
 	// and before same-instant dispatches, and are not bounded by
-	// Horizon. Incompatible with Serial.
+	// Horizon.
 	Failures []FailureEvent
 	// EvacuationDeadline scores host crashes: every orphaned VM must
 	// land on a live host within this span of its crash for the
 	// report's EvacuationDeadlineMet to hold. Zero means "eventually".
 	EvacuationDeadline time.Duration
-	// Serial chains the explicit moves back to back — each move starts
-	// when the previous one lands, with the state evolved in between —
-	// reproducing the two-host executor's one-at-a-time semantics. It
-	// requires every move's At to be zero and no VM phases.
-	Serial bool
 	// Seed derives every migration's simulation seed (dispatch index i
-	// uses Seed + i·607, the two-host executor's stride).
+	// uses Seed + i·607, the plan executor's stride).
 	Seed int64
 	// Workers bounds how many migration simulations run concurrently
 	// (0 = NumCPU, 1 = sequential). Results are bit-identical for every
@@ -277,15 +239,6 @@ type Config struct {
 	layout *layout
 }
 
-// Validate rejects unusable configurations. Run calls it for any config
-// Prepare did not lay out, or whose checked fields changed since;
-// callers that assemble configs from external data (scenario files)
-// call it directly for early, pathed errors.
-func (c Config) Validate() error {
-	_, err := c.validate()
-	return err
-}
-
 // Prepare validates cfg and returns it with its layout attached: the
 // resolved hosts in name order plus host and VM name indices. Run then
 // builds only the mutable per-run state, so a config run many times — a
@@ -294,8 +247,8 @@ func (c Config) Validate() error {
 // A prepared config's Hosts, Moves and Failures are read-only. Copies
 // keep the layout, and may set Workers, Cache, Ctx, PolicyConfig, Seed
 // or another policy. Run validates and lays out afresh a config whose
-// Hosts, Moves or Failures is another slice, whose other fields Validate
-// reads have changed, or whose policy was set or unset. Concurrent runs
+// Hosts, Moves or Failures is another slice, whose other checked fields
+// have changed, or whose policy was set or unset. Concurrent runs
 // of one prepared config share the layout; none writes to it.
 func Prepare(cfg Config) (Config, error) {
 	l, err := cfg.validate()
@@ -330,14 +283,13 @@ type layout struct {
 // prepared config may plan with a wrapped or different policy.
 type checkedScalars struct {
 	kind                    migration.Kind
-	pair                    string
-	policy, serial          bool
+	policy                  bool
 	tick, horizon, deadline time.Duration
 }
 
 // scalarsOf returns c's checked scalar fields.
 func scalarsOf(c Config) checkedScalars {
-	return checkedScalars{c.Kind, c.Pair, c.Policy != nil, c.Serial, c.Tick, c.Horizon, c.EvacuationDeadline}
+	return checkedScalars{c.Kind, c.Policy != nil, c.Tick, c.Horizon, c.EvacuationDeadline}
 }
 
 // fits reports whether l was checked for c: every field validate reads
@@ -353,11 +305,10 @@ func sameSlice[T any](a, b []T) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// validate is Validate returning the layout its checks built, before
-// order: the hosts resolved in Config.Hosts order, and the name indices
-// as the checks used them (host name → position in Hosts, VM names as a
-// set). Prepare orders it; Validate drops it, so a check alone pays for
-// no sort.
+// validate rejects unusable configurations and returns the layout its
+// checks built, before order: the hosts resolved in Config.Hosts order,
+// and the name indices as the checks used them (host name → position in
+// Hosts, VM names as a set). Prepare orders it.
 func (c Config) validate() (*layout, error) {
 	if len(c.Hosts) == 0 {
 		return nil, errors.New("cluster: no hosts")
@@ -365,22 +316,10 @@ func (c Config) validate() (*layout, error) {
 	if c.Kind != migration.Live && c.Kind != migration.NonLive {
 		return nil, fmt.Errorf("cluster: unsupported migration kind %v (want live or non-live)", c.Kind)
 	}
-	if c.Pair != "" {
-		src, dst, err := hw.Pair(c.Pair)
-		if err != nil {
-			return nil, err
-		}
-		// Every move lowers onto this one pair, so it must be physically
-		// linkable or no move can ever simulate.
-		if src.Switch != dst.Switch {
-			return nil, fmt.Errorf("cluster: pair %q spans switches %q and %q and cannot migrate", c.Pair, src.Switch, dst.Switch)
-		}
-	}
 	cat := hw.Catalog()
 	hosts := make([]resolved, len(c.Hosts))
 	index := make(map[string]int32, len(c.Hosts)) // host name → position in Hosts
-	switches := make([]string, len(c.Hosts))      // declared link-contention domain
-	physical := make([]string, len(c.Hosts))      // the machine model's physical switch
+	switches := make([]string, len(c.Hosts))      // link-contention domain
 	nvms := 0
 	for _, h := range c.Hosts {
 		nvms += len(h.VMs)
@@ -395,9 +334,6 @@ func (c Config) validate() (*layout, error) {
 		if err != nil {
 			return nil, err
 		}
-		if c.Pair == "" && h.Machine == "" {
-			return nil, fmt.Errorf("cluster: host %s needs a machine model (or set Config.Pair to lower every move onto one testbed pair)", h.Name)
-		}
 		if _, dup := index[r.Name]; dup {
 			return nil, fmt.Errorf("cluster: duplicate host %q", r.Name)
 		}
@@ -405,23 +341,11 @@ func (c Config) validate() (*layout, error) {
 		hosts[i] = r
 		l.hosts[i] = &hosts[i]
 		switches[i] = r.sw
-		// A Switch override changes the contention domain, not the
-		// physics: without a Pair override, a move still simulates on the
-		// machine models, whose catalog switches netsim enforces. Track
-		// them separately so an override cannot smuggle an unlinkable
-		// pair past the reachability guards below.
-		physical[i] = r.sw
-		if c.Pair == "" {
-			physical[i] = cat[h.Machine].Switch
-		}
 		for _, v := range h.VMs {
 			if _, dup := vms[v.Name]; dup {
 				return nil, fmt.Errorf("cluster: VM %q appears on two hosts", v.Name)
 			}
 			vms[v.Name] = 0
-			if c.Serial && len(v.Phases) > 0 {
-				return nil, fmt.Errorf("cluster: VM %q has phases; serial timelines are time-invariant", v.Name)
-			}
 			// The policy view names in-flight destination reservations
 			// "<vm>+incoming" in the same namespace as real VMs; a real VM
 			// wearing that suffix would silently alias a reservation (and
@@ -435,8 +359,6 @@ func (c Config) validate() (*layout, error) {
 		switch {
 		case len(c.Moves) > 0:
 			return nil, errors.New("cluster: a policy and explicit moves are mutually exclusive")
-		case c.Serial:
-			return nil, errors.New("cluster: serial execution needs an explicit move list, not a policy")
 		case c.Tick <= 0:
 			return nil, errors.New("cluster: a policy needs a positive tick period")
 		case c.Horizon <= 0:
@@ -446,15 +368,12 @@ func (c Config) validate() (*layout, error) {
 		}
 		// The built-in policies are topology-blind: on a mixed-switch
 		// population they would eventually plan a cross-switch move and
-		// abort the whole timeline mid-run. Refuse up front — for the
-		// declared domains and the physical ones alike; cross-switch
+		// abort the whole timeline mid-run. Refuse up front; cross-switch
 		// routing is a planned extension (see ROADMAP).
-		for _, domain := range [][]string{switches, physical} {
-			for i, sw := range domain {
-				if sw != domain[0] {
-					return nil, fmt.Errorf("cluster: policy-driven timelines need all hosts on one switch; %s is on %q, %s on %q",
-						c.Hosts[0].Name, domain[0], c.Hosts[i].Name, sw)
-				}
+		for i, sw := range switches {
+			if sw != switches[0] {
+				return nil, fmt.Errorf("cluster: policy-driven timelines need all hosts on one switch; %s is on %q, %s on %q",
+					c.Hosts[0].Name, switches[0], c.Hosts[i].Name, sw)
 			}
 		}
 	}
@@ -478,14 +397,9 @@ func (c Config) validate() (*layout, error) {
 			return nil, fmt.Errorf("cluster: move %d does not change hosts (%q)", i, m.From)
 		case m.At < 0:
 			return nil, fmt.Errorf("cluster: move %d starts before the timeline (%v)", i, m.At)
-		case c.Serial && m.At != 0:
-			return nil, fmt.Errorf("cluster: move %d has a start time; serial timelines derive their own", i)
 		case switches[from] != switches[to]:
 			return nil, fmt.Errorf("cluster: move %d has no migration path from %s (%s) to %s (%s): different switches",
 				i, m.From, switches[from], m.To, switches[to])
-		case physical[from] != physical[to]:
-			return nil, fmt.Errorf("cluster: move %d has no physical migration path from %s (machine switch %q) to %s (machine switch %q)",
-				i, m.From, physical[from], m.To, physical[to])
 		}
 		if dispatched[m.VM] == nil {
 			dispatched[m.VM] = map[time.Duration]bool{}

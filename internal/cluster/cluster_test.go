@@ -41,7 +41,7 @@ func TestValidate(t *testing.T) {
 		Hosts: fleet("m01", []VM{vmSpec("a", 4, 0.1)}, nil),
 		Moves: []TimedMove{{VM: "a", From: "h00", To: "h01"}},
 	}
-	if err := good.Validate(); err != nil {
+	if _, err := Prepare(good); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	cases := []struct {
@@ -51,14 +51,8 @@ func TestValidate(t *testing.T) {
 	}{
 		{"no hosts", func(c *Config) { c.Hosts = nil }, "no hosts"},
 		{"post-copy", func(c *Config) { c.Kind = migration.PostCopy }, "unsupported migration kind"},
-		{"bad pair", func(c *Config) { c.Pair = "m01-nope" }, "unknown machine pair"},
 		{"unknown machine", func(c *Config) { c.Hosts[0].Machine = "z9" }, "unknown machine model"},
-		{"no machine no pair", func(c *Config) {
-			c.Hosts[0].Machine = ""
-			c.Hosts[0].Threads = 8
-			c.Hosts[0].MemBytes = gib(8)
-			c.Hosts[0].IdlePower = 100
-		}, "needs a machine model"},
+		{"no machine", func(c *Config) { c.Hosts[0].Machine = "" }, "needs a machine model"},
 		{"dup host", func(c *Config) { c.Hosts[1].Name = "h00" }, "duplicate host"},
 		{"dup vm", func(c *Config) { c.Hosts[1].VMs = []VM{vmSpec("a", 1, 0)} }, "two hosts"},
 		{"unknown move vm", func(c *Config) { c.Moves[0].VM = "ghost" }, "unknown VM"},
@@ -80,38 +74,15 @@ func TestValidate(t *testing.T) {
 			c.Policy = consolidation.EnergyAware{Model: consolidation.HeuristicCost{}}
 			c.Tick = time.Hour
 		}, "horizon"},
-		{"serial with at", func(c *Config) { c.Serial = true; c.Moves[0].At = time.Second }, "serial"},
-		{"serial with phases", func(c *Config) {
-			c.Serial = true
-			c.Hosts[0].VMs[0].Phases = []workload.Phase{{Kind: workload.PhaseSteady, Duration: time.Hour}}
-		}, "serial"},
 		{"policy with mixed switches", func(c *Config) {
 			// Topology-blind policies would plan a cross-switch move and
-			// abort mid-timeline; Validate must refuse the population.
+			// abort mid-timeline; Prepare must refuse the population.
 			c.Moves = nil
 			c.Policy = consolidation.EnergyAware{Model: consolidation.HeuristicCost{}}
 			c.Tick = time.Hour
 			c.Horizon = time.Hour
 			c.Hosts[1].Machine = "o1"
 		}, "one switch"},
-		{"switch override cannot fake a physical path", func(c *Config) {
-			// Declaring both hosts on one "lab" switch does not change the
-			// machine models the move simulates on; netsim would refuse
-			// m01→o1 mid-run, so Validate must refuse it up front.
-			c.Hosts[0].Switch = "lab"
-			c.Hosts[1].Machine = "o1"
-			c.Hosts[1].Switch = "lab"
-		}, "no physical migration path"},
-		{"policy switch override over mixed models", func(c *Config) {
-			c.Moves = nil
-			c.Policy = consolidation.EnergyAware{Model: consolidation.HeuristicCost{}}
-			c.Tick = time.Hour
-			c.Horizon = time.Hour
-			c.Hosts[0].Switch = "lab"
-			c.Hosts[1].Machine = "o1"
-			c.Hosts[1].Switch = "lab"
-		}, "one switch"},
-		{"cross-switch pair override", func(c *Config) { c.Pair = "m01/o1" }, "cannot migrate"},
 		{"same vm dispatched twice at one instant", func(c *Config) {
 			c.Moves = append(c.Moves, TimedMove{VM: "a", From: "h00", To: "h01"})
 		}, "twice"},
@@ -130,7 +101,7 @@ func TestValidate(t *testing.T) {
 			Moves: []TimedMove{{VM: "a", From: "h00", To: "h01"}},
 		}
 		tc.mut(&cfg)
-		err := cfg.Validate()
+		_, err := Prepare(cfg)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
@@ -513,41 +484,49 @@ func TestPhaseShiftsDriveReplanning(t *testing.T) {
 	}
 }
 
-// TestSerialMatchesEventLoop: with moves spaced far enough apart that
-// nothing overlaps, the event loop and the serial path measure the same
-// migrations (the serial path compresses the timeline, but each move's
-// physics and energy agree).
+// TestSerialMatchesEventLoop: the plan executor runs its moves one
+// after another with no timeline, and the event loop, with the same
+// moves spaced far enough apart that nothing overlaps, measures each
+// move the same: both lower it alike, residual loads included, and
+// neither path contends.
 func TestSerialMatchesEventLoop(t *testing.T) {
-	mk := func(serial bool, secondAt time.Duration) Config {
-		return Config{
-			Kind: migration.Live,
-			Pair: "m01-m02",
-			Hosts: fleet("m01",
-				[]VM{vmSpec("va", 4, 0.1)},
-				nil,
-				[]VM{vmSpec("vb", 8, 0.1)},
-				nil,
-			),
-			Moves: []TimedMove{
-				{VM: "va", From: "h00", To: "h01"},
-				{VM: "vb", From: "h02", To: "h03", At: secondAt},
-			},
-			Serial: serial,
-			Seed:   9,
+	hosts := fleet("m01",
+		[]VM{vmSpec("va", 4, 0.1), vmSpec("vc", 8, 0.1)},
+		nil,
+		[]VM{vmSpec("vb", 8, 0.5)},
+		[]VM{vmSpec("vd", 12, 0.1)},
+	)
+	spaced, err := Run(Config{
+		Kind:  migration.Live,
+		Hosts: hosts,
+		Moves: []TimedMove{
+			{VM: "va", From: "h00", To: "h01"},
+			{VM: "vb", From: "h02", To: "h03", At: time.Hour},
+		},
+		Seed: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc := make([]consolidation.HostState, len(hosts))
+	for i, h := range hosts {
+		dc[i].Name = h.Name
+		for _, v := range h.VMs {
+			dc[i].VMs = append(dc[i].VMs, consolidation.VMState{Name: v.Name, MemBytes: v.MemBytes, BusyVCPUs: v.BusyVCPUs, DirtyRatio: v.DirtyRatio})
 		}
 	}
-	serial, err := Run(mk(true, 0))
+	plan := &consolidation.Plan{Moves: []consolidation.Move{{VM: "va", From: "h00", To: "h01"}, {VM: "vb", From: "h02", To: "h03"}}}
+	serial, err := Executor{Pair: "m01/m01", Kind: migration.Live, Seed: 9}.ExecutePlan("serial", plan, dc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spaced, err := Run(mk(false, time.Hour))
-	if err != nil {
-		t.Fatal(err)
+	if len(serial.Moves) != len(spaced.Timeline) {
+		t.Fatalf("executor measured %d moves, event loop %d", len(serial.Moves), len(spaced.Timeline))
 	}
-	for i := range serial.Timeline {
-		s, p := serial.Timeline[i], spaced.Timeline[i]
-		if s.Energy != p.Energy || s.BytesSent != p.BytesSent || s.Duration != p.Duration {
-			t.Errorf("move %d: serial and spaced event-loop measurements differ:\n  %+v\n  %+v", i, s, p)
+	for i, s := range serial.Moves {
+		p := spaced.Timeline[i]
+		if s.MeasuredEnergy != p.Energy || s.BytesSent != p.BytesSent || s.Duration != p.Duration {
+			t.Errorf("move %d: executor and spaced event-loop measurements differ:\n  %+v\n  %+v", i, s, p)
 		}
 	}
 }

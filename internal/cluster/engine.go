@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/consolidation"
+	"repro/internal/migration"
 	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -15,10 +16,10 @@ import (
 	"repro/internal/workload"
 )
 
-// seedStride separates the derived seeds of a timeline's migrations; it
-// is the two-host executor's historical stride, which keeps the lowered
-// scenarios — and therefore the run-cache keys and golden outputs — of
-// wrapped two-host plans unchanged.
+// seedStride separates the derived seeds of a run's migrations; it is
+// the plan executor's historical stride, which keeps the lowered
+// scenarios — and therefore the run-cache keys and golden outputs —
+// unchanged.
 const seedStride = 607
 
 // hostRT is a host's runtime state: its resolved spec plus the resident
@@ -234,9 +235,6 @@ func Run(cfg Config) (*Report, error) {
 	e, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Serial {
-		return e.runSerial()
 	}
 	return e.run()
 }
@@ -570,27 +568,24 @@ func (e *engine) planRound(t time.Duration) ([]consolidation.Move, int, error) {
 	return plan.Moves, len(pinned), nil
 }
 
-// lower translates one move into a two-host testbed scenario, exactly
-// as the two-host executor does: residual busy threads approximate the
-// co-located load in 4-vCPU load-VM units, and the guest's dirty ratio
-// selects the migrating workload. The pair — the topology — is part of
-// the scenario and therefore of the run-cache key.
-func (e *engine) lower(v *vmRT, src, dst *hostRT, t time.Duration, idx int) sim.Scenario {
-	srcBusy := src.busyAtExcluding(t, v)
-	dstBusy := dst.busyAtExcluding(t, nil)
-	pair := e.cfg.Pair
-	if pair == "" {
-		pair = src.Machine + "/" + dst.Machine
-	}
+// lowerMove translates move idx of a run — m.VM leaving m.From for
+// m.To, on machine pair pair — into a two-host testbed scenario. The
+// residual CPU demand on each end, the guest's own excluded, becomes
+// co-located load in 4-vCPU load-VM units; a dirty ratio above 0.2
+// selects the memory-dirtying workload; the seed derives from idx. The
+// pair — the topology — is part of the scenario and therefore of the
+// run-cache key. The engine and the plan executor both lower through
+// here, so one move lowers alike on either path.
+func lowerMove(kind migration.Kind, seed int64, idx int, pair string, m consolidation.Move, srcBusy, dstBusy float64, dirty units.Fraction) sim.Scenario {
 	sc := sim.Scenario{
-		Name:          fmt.Sprintf("cluster/%s->%s/%s", src.Name, dst.Name, v.Name),
+		Name:          fmt.Sprintf("cluster/%s->%s/%s", m.From, m.To, m.VM),
 		Pair:          pair,
-		Kind:          e.cfg.Kind,
+		Kind:          kind,
 		SourceLoadVMs: int(math.Round(srcBusy / 4)),
 		TargetLoadVMs: int(math.Round(dstBusy / 4)),
-		Seed:          e.cfg.Seed + int64(idx)*seedStride,
+		Seed:          seed + int64(idx)*seedStride,
 	}
-	if dirty := v.dirtyAt(t); dirty > 0.2 {
+	if dirty > 0.2 {
 		sc.MigratingType = vm.TypeMigratingMem
 		sc.MigratingProfile = workload.PagedirtierProfile(dirty)
 	} else {
@@ -683,7 +678,9 @@ func (e *engine) dispatch(t time.Duration, batch []TimedMove) error {
 		}
 		staged[m.VM] = true
 		idx := e.nextIdx + len(flights)
-		sc := e.lower(v, v.host, dst, t, idx)
+		sc := lowerMove(e.cfg.Kind, e.cfg.Seed, idx, v.host.Machine+"/"+dst.Machine,
+			consolidation.Move{VM: v.Name, From: v.host.Name, To: dst.Name},
+			v.host.busyAtExcluding(t, v), dst.busyAtExcluding(t, nil), v.dirtyAt(t))
 		f := &flight{
 			idx: idx, vm: v, from: v.host, to: dst,
 			sw: dst.sw, pair: sc.Pair, start: t,
@@ -881,51 +878,4 @@ func (e *engine) finish() {
 	}
 	e.scoreSLO()
 	e.buildPowerTrace()
-}
-
-// runSerial executes the explicit moves one at a time in spec order —
-// the two-host executor's semantics. The state evolves between moves
-// (each scenario sees all earlier moves landed), there is never link
-// contention, and the whole batch of kernel runs fans out in parallel
-// because every scenario is derivable up front.
-func (e *engine) runSerial() (*Report, error) {
-	scs := make([]sim.Scenario, 0, len(e.cfg.Moves))
-	type planned struct {
-		vm       string
-		from, to string
-		pair     string
-	}
-	moves := make([]planned, 0, len(e.cfg.Moves))
-	for i, m := range e.cfg.Moves {
-		v, dst, err := e.checkMove(m)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: move %d: %w", i, err)
-		}
-		sc := e.lower(v, v.host, dst, 0, i)
-		scs = append(scs, sc)
-		moves = append(moves, planned{vm: v.Name, from: v.host.Name, to: dst.Name, pair: sc.Pair})
-		e.apply(v, dst)
-	}
-	runs, err := e.simulate(scs, func(i int) int { return i })
-	if err != nil {
-		return nil, err
-	}
-	at := time.Duration(0)
-	for i, run := range runs {
-		d := run.Bounds.ME - run.Bounds.MS
-		energy := run.SourceEnergy.Total() + run.TargetEnergy.Total()
-		e.recs = append(e.recs, indexedRec{idx: i, rec: MigrationRecord{
-			VM: moves[i].vm, From: moves[i].from, To: moves[i].to, Pair: moves[i].pair,
-			Start: at, End: at + d, Duration: d,
-			Stretch: 1, Energy: energy, IntrinsicEnergy: energy,
-			BytesSent: run.BytesSent, Rounds: run.Rounds, Downtime: run.Downtime,
-		}})
-		at += d
-	}
-	if len(moves) > 0 {
-		// Serial semantics: exactly one migration in the air at a time.
-		e.peak = 1
-	}
-	e.finish()
-	return e.rep, nil
 }

@@ -180,6 +180,25 @@ func invariantFleets() []Config {
 	return out
 }
 
+// namedFleet is one randomized fleet, with the name failures report.
+type namedFleet struct {
+	name string
+	cfg  Config
+}
+
+// randomFleets names the 22 equivalence fleets and the 300 invariant
+// fleets.
+func randomFleets() []namedFleet {
+	var all []namedFleet
+	for i, cfg := range equivalenceFleets() {
+		all = append(all, namedFleet{fmt.Sprintf("equivalence fleet %d", i), cfg})
+	}
+	for i, cfg := range invariantFleets() {
+		all = append(all, namedFleet{fmt.Sprintf("invariant fleet %d", i), cfg})
+	}
+	return all
+}
+
 // TestSchedulerEquivalence is the engine's safety net: on randomized
 // fleets, the production engine — heap scheduler, incrementally
 // maintained policy view, clean-tick plan reuse — and the test-side
@@ -193,22 +212,12 @@ func invariantFleets() []Config {
 // host it touched leaves the view stale and the plans diverge here. A
 // fleet where planning legitimately fails must fail identically on both.
 func TestSchedulerEquivalence(t *testing.T) {
-	type namedFleet struct {
-		name string
-		cfg  Config
-	}
-	var all []namedFleet
-	for i, cfg := range equivalenceFleets() {
-		all = append(all, namedFleet{fmt.Sprintf("equivalence fleet %d", i), cfg})
-	}
-	for i, cfg := range invariantFleets() {
-		all = append(all, namedFleet{fmt.Sprintf("invariant fleet %d", i), cfg})
-	}
+	all := randomFleets()
 	cache := sim.NewCache(0)
 	moved, aborted := 0, 0
 	for _, f := range all {
 		cfg := f.cfg
-		if err := cfg.Validate(); err != nil {
+		if _, err := Prepare(cfg); err != nil {
 			t.Fatalf("%s: generator produced an invalid config: %v", f.name, err)
 		}
 		cfg.Cache = cache
@@ -238,6 +247,98 @@ func TestSchedulerEquivalence(t *testing.T) {
 	}
 	if aborted == 0 {
 		t.Fatal("no random failure schedule ever aborted a flight; the abort paths went unexercised")
+	}
+}
+
+// viewCheck is a view policy that, before it delegates each planning
+// round, compares the view the engine hands it with one laid out afresh
+// from the engine's host state at that instant.
+type viewCheck struct {
+	consolidation.ViewPolicy
+	e      *engine
+	rounds int
+	stale  []string
+}
+
+func (p *viewCheck) PlanView(v *consolidation.View, cfg consolidation.Config) (*consolidation.Plan, error) {
+	p.rounds++
+	hosts, _, _ := (&scanEngine{engine: p.e}).snapshot(p.e.now)
+	if diff := viewDiff(v, consolidation.NewView(hosts)); diff != "" {
+		p.stale = append(p.stale, fmt.Sprintf("t=%v: %s", p.e.now, diff))
+	}
+	return p.ViewPolicy.PlanView(v, cfg)
+}
+
+// viewDiff describes the first difference between two views in what a
+// policy reads: each host's name, capacities, Down, Busy, Mem and slot
+// list, and Order. It returns "" for views that plan alike.
+func viewDiff(got, want *consolidation.View) string {
+	if len(got.HostName) != len(want.HostName) {
+		return fmt.Sprintf("%d hosts, want %d", len(got.HostName), len(want.HostName))
+	}
+	for i, name := range want.HostName {
+		if got.HostName[i] != name || got.Threads[i] != want.Threads[i] || got.MemCap[i] != want.MemCap[i] ||
+			got.IdlePower[i] != want.IdlePower[i] || got.Down[i] != want.Down[i] ||
+			got.Busy[i] != want.Busy[i] || got.Mem[i] != want.Mem[i] {
+			return fmt.Sprintf("host %d: %s down=%v busy=%v mem=%v, want %s down=%v busy=%v mem=%v",
+				i, got.HostName[i], got.Down[i], got.Busy[i], got.Mem[i], name, want.Down[i], want.Busy[i], want.Mem[i])
+		}
+		if g, w := viewSlots(got, i), viewSlots(want, i); !reflect.DeepEqual(g, w) {
+			return fmt.Sprintf("host %s: slots %+v, want %+v", name, g, w)
+		}
+	}
+	if !reflect.DeepEqual(got.Order, want.Order) {
+		return fmt.Sprintf("order %v, want %v", got.Order, want.Order)
+	}
+	return ""
+}
+
+// viewSlots lists host i's slots of a view.
+func viewSlots(v *consolidation.View, i int) []consolidation.VMState {
+	s, n := v.VMStart[i], v.VMCount[i]
+	out := make([]consolidation.VMState, n)
+	for k := range out {
+		j := s + int32(k)
+		out[k] = consolidation.VMState{Name: v.VMName[j], MemBytes: v.VMMem[j], BusyVCPUs: v.VMBusy[j], DirtyRatio: v.VMDirty[j]}
+	}
+	return out
+}
+
+// TestViewMatchesFreshLayout checks the engine's incrementally
+// maintained policy view where the engine plans from it: at every
+// planning round of every policy fleet among the equivalence and
+// invariant fleets, it must equal a view laid out afresh from the
+// engine's host state. A missed dirty mark fails here at the round that
+// reads the stale host, even when the plan it yields happens to agree.
+// Rounds a clean tick reuses never reach the policy; the equivalence
+// test pins that reuse decision.
+func TestViewMatchesFreshLayout(t *testing.T) {
+	cache := sim.NewCache(0)
+	rounds := 0
+	for _, f := range randomFleets() {
+		if f.cfg.Policy == nil {
+			continue
+		}
+		vc := &viewCheck{ViewPolicy: f.cfg.Policy.(consolidation.ViewPolicy)}
+		cfg := f.cfg
+		cfg.Policy, cfg.Cache = vc, cache
+		e, err := newEngine(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		vc.e = e
+		// A fleet whose planning legitimately fails still had its view
+		// checked up to the failing round; TestSchedulerEquivalence pins
+		// the failure itself.
+		_, _ = e.run()
+		rounds += vc.rounds
+		if len(vc.stale) > 0 {
+			t.Errorf("%s: %d of %d planning rounds saw a stale view; first at %s", f.name, len(vc.stale), vc.rounds, vc.stale[0])
+		}
+	}
+	t.Logf("%d planning rounds checked", rounds)
+	if rounds == 0 {
+		t.Fatal("no planning round reached the policy")
 	}
 }
 
@@ -272,26 +373,6 @@ func TestFleetSummaryFields(t *testing.T) {
 	}
 	if pol.MaxStretch < 1 {
 		t.Errorf("MaxStretch = %v, want >= 1", pol.MaxStretch)
-	}
-
-	// Serial timelines run one migration at a time by construction.
-	serial := Config{
-		Kind: migration.Live,
-		Pair: "m01-m02",
-		Hosts: fleet("m01",
-			[]VM{vmSpec("va", 4, 0.1)},
-			nil,
-		),
-		Moves:  []TimedMove{{VM: "va", From: "h00", To: "h01"}},
-		Serial: true,
-		Seed:   9,
-	}
-	srep, err := Run(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srep.PeakFlights != 1 {
-		t.Errorf("serial PeakFlights = %d, want 1", srep.PeakFlights)
 	}
 }
 

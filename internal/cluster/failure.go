@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -375,9 +374,6 @@ func (c Config) validateFailures(index, vms map[string]int32, switches []string)
 	}
 	if len(c.Failures) == 0 {
 		return nil
-	}
-	if c.Serial {
-		return errors.New("cluster: serial timelines cannot inject failures (no concurrent flights to fail)")
 	}
 	domains := map[string]bool{}
 	for _, sw := range switches {

@@ -355,7 +355,7 @@ func TestCooldownExpiryReplansCleanTick(t *testing.T) {
 
 func TestCheckMoveRefusesDownTargets(t *testing.T) {
 	cfg := singleMove()
-	if err := cfg.Validate(); err != nil {
+	if _, err := Prepare(cfg); err != nil {
 		t.Fatal(err)
 	}
 	e, err := newEngine(cfg)
@@ -388,7 +388,7 @@ func TestCheckMoveRefusesDownTargets(t *testing.T) {
 // flights, no consumed dispatch indices.
 func TestDispatchTransactional(t *testing.T) {
 	cfg := explicitPair(0)
-	if err := cfg.Validate(); err != nil {
+	if _, err := Prepare(cfg); err != nil {
 		t.Fatal(err)
 	}
 	var cache *sim.Cache // nil-receiver-safe: runs uncached
@@ -500,11 +500,6 @@ func TestValidateFailures(t *testing.T) {
 		{"unpaired restore", func(c *Config) {
 			c.Failures = []FailureEvent{{Kind: FailSwitchRestore, Switch: "Cisco Catalyst 3750"}}
 		}, "not down"},
-		{"serial", func(c *Config) {
-			c.Serial = true
-			c.Moves[0].At = 0
-			c.Failures[0].At = 0
-		}, "serial"},
 		{"negative deadline", func(c *Config) { c.EvacuationDeadline = -time.Second }, "deadline"},
 		{"move to crashed host", func(c *Config) {
 			c.Failures[0] = FailureEvent{At: time.Second, Kind: FailHostCrash, Host: "h01"}
@@ -522,7 +517,7 @@ func TestValidateFailures(t *testing.T) {
 		cfg := singleMove()
 		cfg.Failures = []FailureEvent{{At: time.Minute, Kind: FailHostCrash, Host: "h01"}}
 		tc.mut(&cfg)
-		err := cfg.Validate()
+		_, err := Prepare(cfg)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
@@ -539,7 +534,7 @@ func TestValidateFailures(t *testing.T) {
 		{At: time.Minute, Kind: FailSwitchRestore, Switch: "Cisco Catalyst 3750"},
 	}
 	ok.Moves[0].At = time.Minute
-	if err := ok.Validate(); err != nil {
+	if _, err := Prepare(ok); err != nil {
 		t.Errorf("move at the restore instant refused: %v", err)
 	}
 }

@@ -1,6 +1,8 @@
-package dcsim
+package cluster
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -8,8 +10,6 @@ import (
 	"repro/internal/migration"
 	"repro/internal/units"
 )
-
-func gib(n int) units.Bytes { return units.Bytes(n) * units.GiB }
 
 // stubCost prices moves the way WAVM3 qualitatively does, for planning.
 type stubCost struct{}
@@ -125,22 +125,50 @@ func TestEnergyAwareBeatsFFDMeasured(t *testing.T) {
 	}
 }
 
+// TestExecutePlanValidation has one row per input the executor refuses
+// before any kernel runs.
 func TestExecutePlanValidation(t *testing.T) {
 	ex := Executor{}
 	if _, err := ex.ExecutePlan("x", nil, testDC()); err == nil {
 		t.Error("nil plan must fail")
 	}
-	plan := &consolidation.Plan{Moves: []consolidation.Move{{VM: "ghost", From: "busy", To: "calm"}}}
-	if _, err := ex.ExecutePlan("x", plan, testDC()); err == nil {
-		t.Error("move of unknown VM must fail")
+	if _, err := ex.ExecutePlan("x", &consolidation.Plan{}, nil); err == nil {
+		t.Error("a plan without hosts must fail")
 	}
-	plan = &consolidation.Plan{Moves: []consolidation.Move{{VM: "y", From: "nowhere", To: "calm"}}}
-	if _, err := ex.ExecutePlan("x", plan, testDC()); err == nil {
-		t.Error("unknown source host must fail")
-	}
-	plan = &consolidation.Plan{Moves: []consolidation.Move{{VM: "y", From: "busy", To: "nowhere"}}}
-	if _, err := ex.ExecutePlan("x", plan, testDC()); err == nil {
-		t.Error("unknown target host must fail")
+	type moves = []consolidation.Move
+	for _, tc := range []struct {
+		name  string
+		ex    Executor
+		hosts func([]consolidation.HostState)
+		moves moves
+		want  string
+	}{
+		{name: "unknown VM", moves: moves{{VM: "ghost", From: "busy", To: "calm"}}, want: `unknown VM "ghost"`},
+		{name: "unknown source host", moves: moves{{VM: "y", From: "nowhere", To: "calm"}}, want: `unknown host "nowhere"`},
+		{name: "unknown target host", moves: moves{{VM: "y", From: "busy", To: "nowhere"}}, want: `unknown host "nowhere"`},
+		{name: "VM not on its source at that point in the plan",
+			moves: moves{{VM: "y", From: "busy", To: "calm"}, {VM: "y", From: "busy", To: "drainme"}},
+			want:  `VM "y" is on host "calm", not "busy"`},
+		{name: "same-host move", moves: moves{{VM: "y", From: "busy", To: "busy"}}, want: "does not change hosts"},
+		{name: "unnamed host", hosts: func(h []consolidation.HostState) { h[1].Name = "" }, want: "host has no name"},
+		{name: "duplicate host", hosts: func(h []consolidation.HostState) { h[1].Name = "busy" }, want: `duplicate host "busy"`},
+		{name: "unnamed VM", hosts: func(h []consolidation.HostState) { h[1].VMs[0].Name = "" }, want: "VM with no name"},
+		{name: "VM on two hosts", hosts: func(h []consolidation.HostState) { h[1].VMs[0].Name = "y" }, want: `VM "y" appears twice`},
+		{name: "VM twice on one host", hosts: func(h []consolidation.HostState) { h[1].VMs = append(h[1].VMs, h[1].VMs[0]) },
+			want: `VM "x" appears twice`},
+		{name: "negative CPU demand", hosts: func(h []consolidation.HostState) { h[1].VMs[0].BusyVCPUs = -1 }, want: "negative CPU demand"},
+		{name: "unknown pair", ex: Executor{Pair: "m01-nope"}, want: "unknown machine pair"},
+		{name: "cross-switch pair", ex: Executor{Pair: "m01/o1"}, want: "cannot migrate"},
+		{name: "post-copy", ex: Executor{Kind: migration.PostCopy}, want: "unsupported migration kind"},
+	} {
+		hosts := testDC()
+		if tc.hosts != nil {
+			tc.hosts(hosts)
+		}
+		_, err := tc.ex.ExecutePlan("x", &consolidation.Plan{Moves: tc.moves}, hosts)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 	// Empty plan executes trivially.
 	rep, err := ex.ExecutePlan("x", &consolidation.Plan{}, testDC())
@@ -152,16 +180,16 @@ func TestExecutePlanValidation(t *testing.T) {
 	}
 }
 
-// TestExecutePlanIgnoresHostCapacities pins the wrapper's compatibility
-// contract: the historical executor only read host names and VM
-// demands, so hosts without Threads/MemBytes/IdlePower must still
-// execute — and measure identically to fully specified hosts.
+// TestExecutePlanIgnoresHostCapacities pins the executor's contract: it
+// reads only host names and VM demands, so hosts without
+// Threads/MemBytes/IdlePower must still execute — and measure
+// identically to fully specified hosts.
 func TestExecutePlanIgnoresHostCapacities(t *testing.T) {
 	bare := []consolidation.HostState{
 		{Name: "a", VMs: []consolidation.VMState{
 			{Name: "v", MemBytes: gib(4), BusyVCPUs: 4, DirtyRatio: 0.3},
-			// A memory-less bystander: the executor only ever read
-			// BusyVCPUs and DirtyRatio, so this must not fail the plan.
+			// A memory-less bystander: the executor reads only BusyVCPUs
+			// and DirtyRatio, so this must not fail the plan.
 			{Name: "zeromem", BusyVCPUs: 2},
 		}},
 		{Name: "b"},
@@ -184,5 +212,37 @@ func TestExecutePlanIgnoresHostCapacities(t *testing.T) {
 	if bareRep.Total != fullRep.Total || bareRep.Elapsed != fullRep.Elapsed {
 		t.Errorf("capacities leaked into the measurement: %v/%v vs %v/%v",
 			bareRep.Total, bareRep.Elapsed, fullRep.Total, fullRep.Elapsed)
+	}
+}
+
+// TestExecutePlanDeterministicAcrossWorkers pins the executor's
+// guarantee: residual-load bookkeeping is derived in plan order before any
+// simulation starts, so a parallel execution measures exactly what the
+// sequential one did, move for move.
+func TestExecutePlanDeterministicAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation test")
+	}
+	hosts := testDC()
+	plan, err := consolidation.EnergyAware{Model: stubCost{}}.Plan(hosts, consolidation.Config{Horizon: 24 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Moves) < 2 {
+		t.Fatalf("plan has %d moves; need ≥ 2 for an ordering test", len(plan.Moves))
+	}
+
+	seq := Executor{Seed: 9, Workers: 1}
+	par := Executor{Seed: 9, Workers: 4}
+	repSeq, err := seq.ExecutePlan("energy-aware", plan, hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repPar, err := par.ExecutePlan("energy-aware", plan, hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(repSeq, repPar) {
+		t.Fatalf("reports differ between Workers=1 and Workers=4:\nseq: %+v\npar: %+v", repSeq, repPar)
 	}
 }

@@ -64,7 +64,7 @@ func TestPreparedRunMatchesFresh(t *testing.T) {
 		want   string
 	}{
 		{"repeated host", func(c *Config) { c.Hosts = append(slices.Clone(c.Hosts), c.Hosts[0]) }, "duplicate host"},
-		{"serial policy", func(c *Config) { c.Serial = true }, "serial execution needs an explicit move list"},
+		{"zero tick", func(c *Config) { c.Tick = 0 }, "positive tick period"},
 		{"unknown crash", func(c *Config) {
 			c.Failures = []FailureEvent{{At: 0, Kind: FailHostCrash, Host: "nowhere"}}
 		}, `crashes unknown host "nowhere"`},

@@ -109,8 +109,8 @@ type Report struct {
 	// switched off.
 	IdleSavings units.Watts
 	// PeakFlights is the most migrations ever simultaneously in the air
-	// — the fleet's worst-case concurrent transfer pressure (1 on serial
-	// timelines with moves, 0 when nothing migrated).
+	// — the fleet's worst-case concurrent transfer pressure (0 when
+	// nothing migrated).
 	PeakFlights int
 	// MaxStretch is the worst per-flight contention stretch of the
 	// timeline: how badly the most-contended transfer was slowed by

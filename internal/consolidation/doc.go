@@ -14,8 +14,8 @@
 // Position in the data flow (see ARCHITECTURE.md): a Policy turns a
 // []HostState into a Plan of Moves; the wavm3 package adapts its trained
 // Estimator into the CostModel the energy-aware policy prices with, and
-// internal/dcsim executes a finished Plan move by move as measured
-// migration simulations. Data-centre scenarios in the scenario library
+// internal/cluster's Executor carries out a finished Plan move by move
+// as measured migration simulations. Data-centre scenarios in the scenario library
 // (internal/scenario) describe HostStates declaratively and default to
 // the first-fit-decreasing policy, the only planner that needs no trained
 // model.

@@ -1,5 +1,5 @@
 // Package parallel is the concurrent experiment engine: a bounded worker
-// pool plus ordered-results collection that the experiments, sim and dcsim
+// pool plus ordered-results collection that the experiments, sim and cluster
 // layers use to fan independent work items — experimental points, repeated
 // runs, migration moves — out across CPUs without changing results.
 //

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/consolidation"
-	"repro/internal/dcsim"
 	"repro/internal/hw"
 	"repro/internal/migration"
 	"repro/internal/sim"
@@ -44,7 +43,7 @@ type Run struct {
 }
 
 // PlanRun is the compiled form of a data-centre scenario: a host
-// population and an explicit move plan for the dcsim executor. Workers
+// population and an explicit move plan for cluster.Executor. Workers
 // and Cache on the Executor are left to the caller.
 type PlanRun struct {
 	// Policy labels the execution report ("scenario/<name>" or the
@@ -55,7 +54,7 @@ type PlanRun struct {
 	// Plan holds the moves in execution order.
 	Plan *consolidation.Plan
 	// Executor is pre-configured with the spec's pair, kind and seed.
-	Executor dcsim.Executor
+	Executor cluster.Executor
 }
 
 // ClusterRun is the compiled form of a cluster scenario: a ready

@@ -11,8 +11,8 @@
 // internal/workload), migration-engine and power-meter overrides, repeat
 // policy, and, for data-centre scenarios, a host population with an
 // optional explicit move plan. Compile checks a Spec and lowers it in one
-// pass into sim.Scenario values (one per phase), a dcsim execution or a
-// prepared cluster timeline, rejecting bad specs with pathed errors
+// pass into sim.Scenario values (one per phase), a plan for the cluster
+// package's executor or a prepared cluster timeline, rejecting bad specs with pathed errors
 // ("phases[2].duration_s: …") that point at the offending JSON field.
 // Validate is Compile with the result dropped.
 //

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/consolidation"
-	"repro/internal/dcsim"
 	"repro/internal/hw"
 	"repro/internal/meter"
 	"repro/internal/migration"
@@ -113,7 +112,8 @@ type Spec struct {
 	Repeat *Repeat `json:"repeat,omitempty"`
 	// Datacenter turns the spec into a data-centre scenario: a host
 	// population whose consolidation plan is executed move by move as
-	// measured migrations (dcsim). Mutually exclusive with Migrating.
+	// measured migrations (cluster.Executor). Mutually exclusive with
+	// Migrating.
 	Datacenter *Datacenter `json:"datacenter,omitempty"`
 	// Cluster turns the spec into an N-host discrete-event timeline: a
 	// host population built from hw catalog machine models, evolved
@@ -798,14 +798,14 @@ func (s *Spec) compileDatacenter(kind migration.Kind) (*Compiled, error) {
 		return nil, errf(name, "repeat", "unused in data-centre scenarios (each move runs once)")
 	}
 	if s.Meter != nil || s.Migration != nil || s.Timing != nil {
-		// The dcsim executor derives per-move scenarios itself; overrides
+		// The plan executor derives per-move scenarios itself; overrides
 		// that would silently not apply are rejected.
 		return nil, errf(name, "meter/migration/timing", "unused in data-centre scenarios")
 	}
 	pr := &PlanRun{
 		Policy: "scenario/" + s.Name,
 		Hosts:  hosts,
-		Executor: dcsim.Executor{
+		Executor: cluster.Executor{
 			Pair: s.pair(),
 			Kind: kind,
 			Seed: s.EffectiveSeed(),

@@ -57,8 +57,8 @@ func wantPathError(t *testing.T, err error, want string) {
 }
 
 // wantSpecError checks that s fails Validate with a pathed error under
-// want, and that Compile, whose final engine check is cluster.Prepare
-// rather than Config.Validate, fails with the identical error.
+// want, and that Compile, whose final engine check is cluster.Prepare,
+// fails with the identical error.
 func wantSpecError(t *testing.T, s *Spec, want string) {
 	t.Helper()
 	err := s.Validate()

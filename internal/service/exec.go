@@ -77,9 +77,9 @@ func printRunLine(w io.Writer, label string, runs []*sim.RunResult) {
 		label, b.Runs, b.SourceJ/1e3, b.TargetJ/1e3, b.TotalJ()/1e3, b.MovedGiB(), b.Rounds, b.DowntimeS, b.DurationS)
 }
 
-// execPlan executes a data-centre scenario's move plan. The dcsim
-// executor predates the context plumbing and plans are short; it runs
-// uncancellable.
+// execPlan executes a data-centre scenario's move plan. It runs
+// uncancellable: cluster.Executor.ExecutePlan takes no context, and
+// plans are short.
 func execPlan(w io.Writer, s *scenario.Spec, pr *scenario.PlanRun, workers int, cache *sim.Cache) error {
 	fmt.Fprintf(w, "== %s (plan: %s)\n", s.Name, pr.Policy)
 	ex := pr.Executor

@@ -226,6 +226,25 @@ func TestRunByNameMatchesCLI(t *testing.T) {
 	}
 }
 
+// TestPlanMovesOneVMTwice: a plan that compiles may move one VM twice,
+// a→b then b→c; the second move starts where the first landed, and Exec
+// renders both.
+func TestPlanMovesOneVMTwice(t *testing.T) {
+	spec, err := scenario.Parse("twice", []byte(`{"version":1,"name":"twice","pair":"m01-m02","kind":"live",
+	"datacenter":{"hosts":[
+		{"name":"a","threads":32,"mem_gib":32,"idle_power_w":440,"vms":[{"name":"v","mem_gib":4,"busy_vcpus":4,"dirty_ratio":0.1}]},
+		{"name":"b","threads":32,"mem_gib":32,"idle_power_w":440},
+		{"name":"c","threads":32,"mem_gib":32,"idle_power_w":440}],
+	"moves":[{"vm":"v","from":"a","to":"b"},{"vm":"v","from":"b","to":"c"}]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := string(expectExec(t, spec))
+	if n := strings.Count(out, "   move v "); n != 2 || !strings.Contains(out, "total 2 move(s)") {
+		t.Errorf("want two rendered moves of v and a total of 2, got %d:\n%s", n, out)
+	}
+}
+
 func TestRunRequestRejections(t *testing.T) {
 	_, url := newTestServer(t, Config{ScenarioDir: scenarioDir})
 	cases := []struct {
