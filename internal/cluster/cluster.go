@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/consolidation"
@@ -268,6 +269,11 @@ type layout struct {
 	hostIdx map[string]int32 // host name → position in hosts
 	vmIdx   map[string]int32 // VM name → position among all VMs, in hosts order
 	nvms    int
+
+	// view is the t=0 policy view every run that plans starts from a
+	// copy of; the first such run builds it (initialView).
+	viewOnce sync.Once
+	view     *consolidation.View
 
 	// What validate read, so fits can tell whether a config is still the
 	// one checked. The slices are the config's own, held rather than

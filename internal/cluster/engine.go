@@ -162,7 +162,7 @@ type engine struct {
 	guests  []vmRT
 	now     time.Duration
 	tick    time.Duration
-	pending []TimedMove
+	pending []int // indices of the explicit moves not yet dispatched, in dispatch order
 	shifts  []PhaseShift
 	si      int
 	nextIdx int
@@ -189,14 +189,16 @@ type engine struct {
 
 	// Incremental policy-view state (see view.go). vp is the policy as a
 	// view planner; it is nil, and no view is kept, without a policy.
-	vp           consolidation.ViewPolicy
-	pview        consolidation.View
-	viewLive     int     // live slot count in the view arena
-	dirty        []int32 // hosts touched by events since the last refresh
-	marked       []bool  // by view index: the host is queued in dirty
-	varying      []int32 // hosts with phase-driven demand, refreshed every tick
-	removed      []int   // Order positions of the dirty hosts, per tick
-	orderScratch []int32
+	vp       consolidation.ViewPolicy
+	pview    consolidation.View
+	viewLive int     // live slot count in the view arena
+	dirty    []int32 // hosts touched by events since the last refresh
+	marked   []bool  // by view index: the host is queued in dirty
+	varying  []int32 // hosts with phase-driven demand, refreshed every tick
+	// Per-tick repair scratch: the Order and Live positions of the dirty
+	// hosts, and the buffers the repaired Order and Live are built in.
+	removed, liveRemoved      []int
+	orderScratch, liveScratch []int32
 	// viewEvents flags plan-input changes that are not per-host state
 	// (an abort cool-down expiring); havePlan/lastPlanMoves/lastPinned
 	// let a clean tick reuse the previous round's (empty) plan.
@@ -293,7 +295,7 @@ func newEngine(cfg Config) (*engine, error) {
 			return nil, fmt.Errorf("cluster: policy %s does not implement consolidation.ViewPolicy; the engine plans only against its view", cfg.Policy.Name())
 		}
 		e.vp = vp
-		e.buildView()
+		e.startView(l.initialView())
 		for _, h := range e.hosts {
 			if h.phasedRes > 0 {
 				e.markHostVarying(h)
@@ -302,8 +304,13 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 	// Explicit moves dispatch in (At, spec order); the stable sort keeps
 	// same-instant moves in the order the author wrote them.
-	e.pending = append([]TimedMove(nil), cfg.Moves...)
-	sort.SliceStable(e.pending, func(i, j int) bool { return e.pending[i].At < e.pending[j].At })
+	if len(cfg.Moves) > 0 {
+		e.pending = make([]int, len(cfg.Moves))
+		for i := range e.pending {
+			e.pending[i] = i
+		}
+		sort.SliceStable(e.pending, func(i, j int) bool { return cfg.Moves[e.pending[i]].At < cfg.Moves[e.pending[j]].At })
+	}
 	// Phase transitions inside the horizon, as observable events.
 	if cfg.Horizon > 0 {
 		for _, h := range e.hosts {
@@ -392,7 +399,7 @@ func (e *engine) nextEventTime() (time.Duration, bool) {
 		consider(e.tick)
 	}
 	if len(e.pending) > 0 {
-		consider(e.pending[0].At)
+		consider(e.cfg.Moves[e.pending[0]].At)
 	}
 	if e.si < len(e.shifts) {
 		consider(e.shifts[e.si].At)
@@ -508,10 +515,11 @@ func (e *engine) fire(t time.Duration) error {
 	return e.dispatchDue(t)
 }
 
-// dispatchDue runs the policy round and explicit moves due at instant t
-// and dispatches the resulting batch.
+// dispatchDue runs the policy round or the explicit moves due at instant
+// t and dispatches the resulting batch.
 func (e *engine) dispatchDue(t time.Duration) error {
 	var batch []TimedMove
+	var idx []int
 	if e.cfg.Policy != nil && e.tick <= t && e.tick < e.cfg.Horizon {
 		moves, pinnedLen, err := e.planRound(t)
 		if err != nil {
@@ -533,12 +541,13 @@ func (e *engine) dispatchDue(t time.Duration) error {
 			}
 		}
 	}
-	for len(e.pending) > 0 && e.pending[0].At <= t {
-		batch = append(batch, e.pending[0])
+	for len(e.pending) > 0 && e.cfg.Moves[e.pending[0]].At <= t {
+		batch = append(batch, e.cfg.Moves[e.pending[0]])
+		idx = append(idx, e.pending[0])
 		e.pending = e.pending[1:]
 	}
 	if len(batch) > 0 {
-		return e.dispatch(t, batch)
+		return e.dispatch(t, batch, idx)
 	}
 	return nil
 }
@@ -611,37 +620,64 @@ func (e *engine) guestNamed(name string) *vmRT {
 	return nil
 }
 
-// checkMove resolves and sanity-checks one dispatching move.
-func (e *engine) checkMove(m TimedMove) (*vmRT, *hostRT, error) {
+// MoveError is the refusal of one of Config.Moves at its dispatch, for
+// what only the run can know: its VM was elsewhere, because a failure
+// aborted an earlier move of it, or still in flight, or its destination
+// or switch was down. The move is the config's own, so the input is at
+// fault, not the engine. A planned move refused at dispatch is the
+// policy's fault and fails with the plain error.
+type MoveError struct {
+	// Index is the move's position in Config.Moves.
+	Index int
+	// Field names the TimedMove field at fault: "VM", "From", "To" or
+	// "At".
+	Field string
+	Err   error
+}
+
+// Error returns the refusal's message.
+func (e *MoveError) Error() string { return e.Err.Error() }
+
+// Unwrap returns the refusal.
+func (e *MoveError) Unwrap() error { return e.Err }
+
+// refuse builds checkMove's refusal of a move, naming the field at fault.
+func refuse(field, format string, args ...any) *MoveError {
+	return &MoveError{Field: field, Err: fmt.Errorf(format, args...)}
+}
+
+// checkMove resolves and sanity-checks one dispatching move. A refusal
+// comes without its Index.
+func (e *engine) checkMove(m TimedMove) (*vmRT, *hostRT, *MoveError) {
 	v := e.guestNamed(m.VM)
 	if v == nil {
-		return nil, nil, fmt.Errorf("cluster: move references unknown VM %q", m.VM)
+		return nil, nil, refuse("VM", "cluster: move references unknown VM %q", m.VM)
 	}
 	if v.migrating {
-		return nil, nil, fmt.Errorf("cluster: VM %q is already migrating", m.VM)
+		return nil, nil, refuse("At", "cluster: VM %q is already migrating", m.VM)
 	}
 	if v.host.Name != m.From {
-		return nil, nil, fmt.Errorf("cluster: VM %q is on host %q, not %q", m.VM, v.host.Name, m.From)
+		return nil, nil, refuse("From", "cluster: VM %q is on host %q, not %q", m.VM, v.host.Name, m.From)
 	}
 	dst := e.hostNamed(m.To)
 	if dst == nil {
-		return nil, nil, fmt.Errorf("cluster: move references unknown host %q", m.To)
+		return nil, nil, refuse("To", "cluster: move references unknown host %q", m.To)
 	}
 	if dst == v.host {
-		return nil, nil, fmt.Errorf("cluster: move of %q does not change hosts", m.VM)
+		return nil, nil, refuse("To", "cluster: move of %q does not change hosts", m.VM)
 	}
 	if v.host.sw != dst.sw {
-		return nil, nil, fmt.Errorf("cluster: no migration path from %s (%s) to %s (%s): different switches",
+		return nil, nil, refuse("To", "cluster: no migration path from %s (%s) to %s (%s): different switches",
 			v.host.Name, v.host.sw, dst.Name, dst.sw)
 	}
 	// Failure-aware admission: a crashed host takes no guests, a downed
 	// switch carries no new transfers. Moving *off* a crashed host is
 	// allowed — that is what an evacuation is.
 	if dst.down {
-		return nil, nil, fmt.Errorf("cluster: destination host %q is down", m.To)
+		return nil, nil, refuse("To", "cluster: destination host %q is down", m.To)
 	}
 	if e.switchDown(dst.sw) {
-		return nil, nil, fmt.Errorf("cluster: switch %q is down, refusing to admit %q", dst.sw, m.VM)
+		return nil, nil, refuse("At", "cluster: switch %q is down, refusing to admit %q", dst.sw, m.VM)
 	}
 	return v, dst, nil
 }
@@ -660,21 +696,29 @@ func (e *engine) checkMove(m TimedMove) (*vmRT, *hostRT, error) {
 // until every kernel run has succeeded. A simulate failure therefore
 // leaves the engine exactly as it was, so abort/retry layers above
 // never observe a half-dispatched batch.
-func (e *engine) dispatch(t time.Duration, batch []TimedMove) error {
+//
+// moveIdx holds each explicit move's index in Config.Moves, and is nil
+// for a planned batch: a refused explicit move fails with its
+// *MoveError, a refused planned move with the plain error.
+func (e *engine) dispatch(t time.Duration, batch []TimedMove, moveIdx []int) error {
 	flights := make([]*flight, 0, len(batch))
 	scs := make([]sim.Scenario, 0, len(batch))
 	staged := make(map[string]bool, len(batch))
-	for _, m := range batch {
+	for k, m := range batch {
 		v, dst, err := e.checkMove(m)
-		if err != nil {
-			return err
-		}
 		// A duplicate move of the same VM later in the batch must trip
 		// the same guard a committed flight would. Lowering is
 		// unaffected: it reads demands, so every scenario in the batch
 		// sees the dispatch-instant state.
-		if staged[m.VM] {
-			return fmt.Errorf("cluster: VM %q is already migrating", m.VM)
+		if err == nil && staged[m.VM] {
+			err = refuse("At", "cluster: VM %q is already migrating", m.VM)
+		}
+		if err != nil {
+			if moveIdx == nil {
+				return err.Err
+			}
+			err.Index = moveIdx[k]
+			return err
 		}
 		staged[m.VM] = true
 		idx := e.nextIdx + len(flights)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -271,7 +272,7 @@ func (p *viewCheck) PlanView(v *consolidation.View, cfg consolidation.Config) (*
 
 // viewDiff describes the first difference between two views in what a
 // policy reads: each host's name, capacities, Down, Busy, Mem and slot
-// list, and Order. It returns "" for views that plan alike.
+// list, Order and Live. It returns "" for views that plan alike.
 func viewDiff(got, want *consolidation.View) string {
 	if len(got.HostName) != len(want.HostName) {
 		return fmt.Sprintf("%d hosts, want %d", len(got.HostName), len(want.HostName))
@@ -289,6 +290,9 @@ func viewDiff(got, want *consolidation.View) string {
 	}
 	if !reflect.DeepEqual(got.Order, want.Order) {
 		return fmt.Sprintf("order %v, want %v", got.Order, want.Order)
+	}
+	if !slices.Equal(got.Live, want.Live) {
+		return fmt.Sprintf("live order %v, want %v", got.Live, want.Live)
 	}
 	return ""
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
@@ -144,14 +145,22 @@ func TestPreparedConfigConcurrentRuns(t *testing.T) {
 }
 
 // TestPreparedEngineAllocCeiling is the allocation gate for building a
-// run: on a prepared config, newEngine allocates only the run's mutable
-// state — a fixed number of arrays, whatever the fleet size — and no
-// per-host or per-VM objects such as name maps.
+// run: on a prepared config whose t=0 view a first run has built,
+// newEngine allocates only the run's mutable state — 21 objects,
+// whatever the fleet size: the engine, its host and guest arrays, the
+// report and switch map (7), and the copies of the view's mutable
+// arrays with the order-repair scratch (14) — and no per-host or per-VM
+// objects such as name maps. The bytes are held per host too: a run
+// that lays out its own t=0 view again (207 bytes a host at 100k hosts,
+// 215 at 8k) breaks it.
 func TestPreparedEngineAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race for the ceiling")
 	}
-	const ceiling = 32 // objects per newEngine call
+	const (
+		ceiling     = 21  // objects per newEngine call
+		byteCeiling = 185 // bytes per host per newEngine call
+	)
 	for _, n := range []int{8192, 100000} {
 		cfg, err := Prepare(sparseFleet(n))
 		if err != nil {
@@ -167,9 +176,148 @@ func TestPreparedEngineAllocCeiling(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		build()
 		runtime.ReadMemStats(&after)
-		t.Logf("%d hosts: newEngine allocates %.0f objects, %d bytes", n, allocs, after.TotalAlloc-before.TotalAlloc)
+		bytes := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%d hosts: newEngine allocates %.0f objects, %d bytes (%d a host)", n, allocs, bytes, bytes/uint64(n))
 		if allocs > ceiling {
 			t.Errorf("%d hosts: newEngine on a prepared config allocates %.0f objects, ceiling is %d", n, allocs, ceiling)
+		}
+		if bytes > byteCeiling*uint64(n) {
+			t.Errorf("%d hosts: newEngine on a prepared config allocates %d bytes, ceiling is %d a host", n, bytes, byteCeiling)
+		}
+	}
+}
+
+// viewFleets are the policy fleets the kept-view tests run: the policy
+// fixture, the policy fleets among the equivalence fleets (phased
+// guests, whose t=0 demand is a phase factor) and the sparse 8k fleet.
+func viewFleets() []namedFleet {
+	out := []namedFleet{{"policy fleet", policyFleet()}, {"sparse 8k fleet", sparseFleet(8192)}}
+	for i, cfg := range equivalenceFleets() {
+		if cfg.Policy != nil {
+			out = append(out, namedFleet{fmt.Sprintf("equivalence fleet %d", i), cfg})
+		}
+	}
+	return out
+}
+
+// TestPreparedViewMatchesRebuild checks the layout's kept t=0 view and
+// the copies runs start from: the view a run starts from must equal one
+// laid out afresh from the engine's host state at t=0, both for the run
+// that built it and for later runs, also after a run has planned on its
+// copy to the end of its timeline. A run shares the per-host constants
+// with the layout and owns everything it writes.
+func TestPreparedViewMatchesRebuild(t *testing.T) {
+	cache := sim.NewCache(0)
+	for _, f := range viewFleets() {
+		cfg, err := Prepare(f.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		cfg.Cache = cache
+		fresh := func(e *engine) string {
+			hosts, _, _ := (&scanEngine{engine: e}).snapshot(0)
+			return viewDiff(&e.pview, consolidation.NewView(hosts))
+		}
+		first, err := newEngine(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		if diff := fresh(first); diff != "" {
+			t.Errorf("%s: the building run's view differs from a fresh layout: %s", f.name, diff)
+		}
+		if _, err := first.run(); err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		second, err := newEngine(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		if diff := fresh(second); diff != "" {
+			t.Errorf("%s: after a run, a new run's view differs from a fresh layout: %s", f.name, diff)
+		}
+		kept, v := cfg.layout.view, &second.pview
+		if &v.HostName[0] != &kept.HostName[0] || &v.Threads[0] != &kept.Threads[0] ||
+			&v.MemCap[0] != &kept.MemCap[0] || &v.IdlePower[0] != &kept.IdlePower[0] {
+			t.Errorf("%s: a run copied the layout's per-host constants", f.name)
+		}
+		if &v.Down[0] == &kept.Down[0] || &v.Busy[0] == &kept.Busy[0] || &v.Mem[0] == &kept.Mem[0] ||
+			&v.VMStart[0] == &kept.VMStart[0] || &v.VMCount[0] == &kept.VMCount[0] || &v.Order[0] == &kept.Order[0] ||
+			(len(v.Live) > 0 && &v.Live[0] == &kept.Live[0]) || (len(v.VMName) > 0 && &v.VMName[0] == &kept.VMName[0]) {
+			t.Errorf("%s: a run shares an array it writes with the layout's view", f.name)
+		}
+	}
+}
+
+// TestPreparedRunTwice runs each kept-view fleet twice on one prepared
+// config, the first run building the layout's view and the second
+// starting from a copy of it: both reports must equal a run of the
+// config laid out afresh.
+func TestPreparedRunTwice(t *testing.T) {
+	cache := sim.NewCache(0)
+	for _, f := range viewFleets() {
+		cfg := f.cfg
+		cfg.Cache = cache
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		p, err := Prepare(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		for run := 1; run <= 2; run++ {
+			got, err := Run(p)
+			if err != nil {
+				t.Fatalf("%s: run %d: %v", f.name, run, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s: run %d of the prepared config differs from a fresh run:\nfresh: %+v\nprepared: %+v", f.name, run, want, got)
+			}
+		}
+	}
+}
+
+// TestPreparedViewConcurrentFirstRun starts four runs of one new
+// prepared config at once: the view is built once, by whichever run
+// gets there first, and shared by all (a second build, or a run writing
+// into the shared view, is a data race under -race), and every report
+// equals a serial run's.
+func TestPreparedViewConcurrentFirstRun(t *testing.T) {
+	cache := sim.NewCache(0)
+	serial := sparseFleet(8192)
+	serial.Cache = cache
+	want, err := Run(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := Prepare(sparseFleet(8192))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Cache = cache
+	engines := make([]*engine, 4)
+	reps := make([]*Report, len(engines))
+	errs := make([]error, len(engines))
+	var wg sync.WaitGroup
+	for i := range engines {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if engines[i], errs[i] = newEngine(cfg); errs[i] == nil {
+				reps[i], errs[i] = engines[i].run()
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, rep := range reps {
+		if errs[i] != nil {
+			t.Fatalf("concurrent first run %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(want, rep) {
+			t.Errorf("concurrent first run %d differs from the serial run", i)
+		}
+		if &engines[i].pview.HostName[0] != &cfg.layout.view.HostName[0] {
+			t.Errorf("concurrent first run %d started from a view of its own", i)
 		}
 	}
 }

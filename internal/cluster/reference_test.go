@@ -150,7 +150,7 @@ func (e *scanEngine) nextEventTimeScan() (time.Duration, bool) {
 		consider(e.tick)
 	}
 	if len(e.pending) > 0 {
-		consider(e.pending[0].At)
+		consider(e.cfg.Moves[e.pending[0]].At)
 	}
 	if e.si < len(e.shifts) {
 		consider(e.shifts[e.si].At)
@@ -256,6 +256,7 @@ func (e *scanEngine) fireScan(t time.Duration) error {
 // round: the snapshot at t, planned through the policy's classic Plan.
 func (e *scanEngine) dispatchDueScan(t time.Duration) error {
 	var batch []TimedMove
+	var idx []int
 	if e.cfg.Policy != nil && e.tick <= t && e.tick < e.cfg.Horizon {
 		hosts, pinned, evacuate := e.snapshot(t)
 		pc := e.cfg.PolicyConfig
@@ -275,12 +276,13 @@ func (e *scanEngine) dispatchDueScan(t time.Duration) error {
 			delete(e.fail.repin, name)
 		}
 	}
-	for len(e.pending) > 0 && e.pending[0].At <= t {
-		batch = append(batch, e.pending[0])
+	for len(e.pending) > 0 && e.cfg.Moves[e.pending[0]].At <= t {
+		batch = append(batch, e.cfg.Moves[e.pending[0]])
+		idx = append(idx, e.pending[0])
 		e.pending = e.pending[1:]
 	}
 	if len(batch) > 0 {
-		return e.dispatch(t, batch)
+		return e.dispatch(t, batch, idx)
 	}
 	return nil
 }

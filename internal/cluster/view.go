@@ -5,14 +5,16 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/consolidation"
 	"repro/internal/units"
 )
 
 // This file maintains the engine's persistent consolidation.View — the
-// struct-of-arrays policy input, the engine's only planning path — built
-// once per run and kept current under an event-driven dirty set, so a
-// planning round at fleet scale touches only the hosts events actually
-// changed since the last tick.
+// struct-of-arrays policy input, the engine's only planning path — kept
+// current under an event-driven dirty set, so a planning round at fleet
+// scale touches only the hosts events actually changed since the last
+// tick. A run starts from a copy of its layout's t=0 view, which the
+// first run of the layout that plans builds and every later run shares.
 //
 // Invariants (property-tested against the test-side linear-scan
 // reference, which plans every round from a snapshot of its own through
@@ -38,6 +40,11 @@ import (
 //     full sort exactly. Every ordering goes through the view's one
 //     comparator, consolidation.View.CompareHosts; the engine's hosts
 //     are name-sorted, so it breaks busy ties by index.
+//   - Live, Order's subsequence of live hosts, is repaired by the same
+//     merge: a dirty host leaves it at its binary-searched position if
+//     it was live before its refresh, and enters it if it is live after.
+//     Only a refresh changes whether a host is live, so the clean
+//     entries of Live stay exactly the live clean hosts.
 
 // markHostDirty queues a host for refresh at the next planning tick.
 func (e *engine) markHostDirty(h *hostRT) {
@@ -56,41 +63,47 @@ func (e *engine) markHostVarying(h *hostRT) {
 	}
 }
 
-// buildView lays the whole view out from the runtime state at time 0,
-// once per run, before any event: every host holds only its initial
-// residents, and nothing is marked yet. From then on viewTick keeps it
-// current.
-func (e *engine) buildView() {
-	v := &e.pview
-	n, slots := len(e.hosts), len(e.guests)
-	v.HostName = make([]string, 0, n)
-	v.Threads = make([]int, 0, n)
-	v.MemCap = make([]units.Bytes, 0, n)
-	v.IdlePower = make([]units.Watts, 0, n)
-	v.Down = make([]bool, n) // no host is down before the first event
-	v.Busy = make([]float64, 0, n)
-	v.Mem = make([]units.Bytes, 0, n)
-	v.VMStart = make([]int32, 0, n)
-	v.VMCount = make([]int32, 0, n)
-	// The arena keeps the allocator's size-class slack as capacity
-	// (slices.Grow exposes it, make does not), so the first hosts that
-	// outgrow their ranges relocate without copying the arena.
-	v.VMName = slices.Grow([]string(nil), slots)
-	v.VMMem = slices.Grow([]units.Bytes(nil), slots)
-	v.VMBusy = slices.Grow([]float64(nil), slots)
-	v.VMDirty = slices.Grow([]units.Fraction(nil), slots)
-	e.orderScratch = make([]int32, 0, n)
-	e.marked = make([]bool, n)
-	for _, h := range e.hosts {
+// initialView returns the layout's t=0 policy view, built by the first
+// caller. It is a pure function of the layout, so every run of the
+// layout may start from it; none writes to it.
+func (l *layout) initialView() *consolidation.View {
+	l.viewOnce.Do(func() { l.view = l.buildView() })
+	return l.view
+}
+
+// buildView lays the layout out as a policy view at time 0: every host
+// holds only its initial residents, and no host is down.
+func (l *layout) buildView() *consolidation.View {
+	n := len(l.hosts)
+	v := &consolidation.View{
+		HostName:  make([]string, 0, n),
+		Threads:   make([]int, 0, n),
+		MemCap:    make([]units.Bytes, 0, n),
+		IdlePower: make([]units.Watts, 0, n),
+		Down:      make([]bool, n),
+		Busy:      make([]float64, 0, n),
+		Mem:       make([]units.Bytes, 0, n),
+		VMStart:   make([]int32, 0, n),
+		VMCount:   make([]int32, 0, n),
+		VMName:    make([]string, 0, l.nvms),
+		VMMem:     make([]units.Bytes, 0, l.nvms),
+		VMBusy:    make([]float64, 0, l.nvms),
+		VMDirty:   make([]units.Fraction, 0, l.nvms),
+		// The hosts are name-sorted (layout.order), so index order is
+		// name order — the precondition for the policies' order-indexed
+		// target scan.
+		NameOrdered: true,
+	}
+	for _, h := range l.hosts {
 		v.HostName = append(v.HostName, h.Name)
 		v.Threads = append(v.Threads, h.Threads)
 		v.MemCap = append(v.MemCap, h.MemBytes)
 		v.IdlePower = append(v.IdlePower, h.IdlePower)
 		v.VMStart = append(v.VMStart, int32(len(v.VMName)))
-		v.VMCount = append(v.VMCount, int32(len(h.vms)))
+		v.VMCount = append(v.VMCount, int32(len(h.VMs)))
 		busy := 0.0
 		var mem units.Bytes
-		for _, g := range h.vms {
+		for _, g := range h.VMs {
 			b := g.busyAt(0)
 			v.VMName = append(v.VMName, g.Name)
 			v.VMMem = append(v.VMMem, g.MemBytes)
@@ -102,12 +115,39 @@ func (e *engine) buildView() {
 		v.Busy = append(v.Busy, busy)
 		v.Mem = append(v.Mem, mem)
 	}
-	e.viewLive = len(v.VMName)
-	// The engine's hosts are name-sorted (layout.order), so index order
-	// is name order — the precondition for the policies' order-indexed
-	// target scan.
-	v.NameOrdered = true
 	v.SortOrder()
+	return v
+}
+
+// startView readies the run's view from the layout's t=0 view v0. The
+// per-host constants are shared, since no run writes them; what the
+// run's refreshes, order repair and arena moves write is copied, the
+// arena with the allocator's size-class slack as capacity, so the first
+// hosts that outgrow their ranges relocate without copying it. The copy
+// starts without a planning workspace.
+func (e *engine) startView(v0 *consolidation.View) {
+	e.pview = consolidation.View{
+		HostName:    v0.HostName,
+		Threads:     v0.Threads,
+		MemCap:      v0.MemCap,
+		IdlePower:   v0.IdlePower,
+		Down:        slices.Clone(v0.Down),
+		Busy:        slices.Clone(v0.Busy),
+		Mem:         slices.Clone(v0.Mem),
+		VMStart:     slices.Clone(v0.VMStart),
+		VMCount:     slices.Clone(v0.VMCount),
+		Order:       slices.Clone(v0.Order),
+		Live:        slices.Clone(v0.Live),
+		VMName:      slices.Clone(v0.VMName),
+		VMMem:       slices.Clone(v0.VMMem),
+		VMBusy:      slices.Clone(v0.VMBusy),
+		VMDirty:     slices.Clone(v0.VMDirty),
+		NameOrdered: v0.NameOrdered,
+	}
+	e.viewLive = len(v0.VMName)
+	e.orderScratch = make([]int32, 0, len(v0.Order))
+	e.liveScratch = make([]int32, 0, len(v0.Live))
+	e.marked = make([]bool, len(v0.HostName))
 }
 
 // refreshHostView rewrites one host's view slots and aggregates at
@@ -153,14 +193,13 @@ func (e *engine) refreshHostView(h *hostRT, t time.Duration) {
 }
 
 // viewTick folds the varying set into the dirty set, refreshes every
-// dirty host at time t, and repairs Order without reading it entry by
-// entry: each dirty host is located by binary search before its refresh
-// changes its key, and Order is rebuilt from bulk copies of the clean
-// runs between those positions, each refreshed host inserted at its
-// binary-searched position by its new key. The comparator runs
-// O(dirty · log hosts) times per tick; the marks only deduplicate the
-// dirty list. It reports whether anything was refreshed — a clean
-// tick's view (and therefore its plan) is identical to the last one.
+// dirty host at time t, and repairs Order and Live without reading them
+// entry by entry: each dirty host is located by binary search before
+// its refresh changes its key, and each sequence is rebuilt by repair.
+// The comparator runs O(dirty · log hosts) times per tick; the marks
+// only deduplicate the dirty list. It reports whether anything was
+// refreshed — a clean tick's view (and therefore its plan) is identical
+// to the last one.
 func (e *engine) viewTick(t time.Duration) bool {
 	// Varying hosts (phased residents or phased reservations) refresh
 	// every tick; hosts whose phased population dropped to zero leave
@@ -181,33 +220,57 @@ func (e *engine) viewTick(t time.Duration) bool {
 	}
 	v := &e.pview
 	compare := v.CompareHosts(v.Busy)
-	// Order is sorted under the loads it was last repaired with, so each
-	// dirty host is found at its exact position before it refreshes.
-	e.removed = e.removed[:0]
+	// Order and Live are sorted under the loads they were last repaired
+	// with, so each dirty host is found at its exact position before it
+	// refreshes; it is in Live exactly when it was live at that refresh.
+	e.removed, e.liveRemoved = e.removed[:0], e.liveRemoved[:0]
 	for _, hi := range e.dirty {
 		at, _ := slices.BinarySearchFunc(v.Order, hi, compare)
 		e.removed = append(e.removed, at)
+		if v.LiveHost(hi) {
+			at, _ = slices.BinarySearchFunc(v.Live, hi, compare)
+			e.liveRemoved = append(e.liveRemoved, at)
+		}
 	}
 	for _, vi := range e.dirty {
 		e.refreshHostView(e.hosts[vi], t)
 	}
 	slices.Sort(e.removed)
+	slices.Sort(e.liveRemoved)
 	slices.SortFunc(e.dirty, compare)
-	// Merge: the clean entries form len(removed)+1 sorted runs between
-	// the removed positions, and lie in the (busy, name) total order
-	// across runs too. Each refreshed host, in its new key order, skips
-	// the runs wholly below it and is inserted at its binary-searched
-	// position in the first run that is not.
-	old, removed := v.Order, e.removed
+	v.Order, e.orderScratch = repair(v.Order, e.removed, e.dirty, compare, e.orderScratch[:0]), v.Order[:0]
+	// The dirty list, filtered in place to the hosts live after their
+	// refresh, is what enters Live.
+	live := e.dirty[:0]
+	for _, hi := range e.dirty {
+		e.marked[hi] = false
+		if v.LiveHost(hi) {
+			live = append(live, hi)
+		}
+	}
+	v.Live, e.liveScratch = repair(v.Live, e.liveRemoved, live, compare, e.liveScratch[:0]), v.Live[:0]
+	e.dirty = e.dirty[:0]
+	e.compactArena()
+	return true
+}
+
+// repair rebuilds into out the sorted host sequence old after the hosts
+// at its sorted positions removed changed their keys, inserting the
+// hosts of ins, which are in their new key order. The clean entries
+// form len(removed)+1 sorted runs between the removed positions, and
+// lie in the (busy, name) total order across runs too. Each inserted
+// host skips the runs wholly below it and goes in at its
+// binary-searched position in the first run that is not; the runs are
+// copied in bulk.
+func repair(old []int32, removed []int, ins []int32, compare func(i, j int32) int, out []int32) []int32 {
 	runEnd := func(r int) int {
 		if r < len(removed) {
 			return removed[r]
 		}
 		return len(old)
 	}
-	out := e.orderScratch[:0]
 	r, lo, end := 0, 0, runEnd(0)
-	for _, hi := range e.dirty {
+	for _, hi := range ins {
 		for r < len(removed) && (lo == end || compare(old[end-1], hi) < 0) {
 			out = append(out, old[lo:end]...)
 			r++
@@ -217,21 +280,15 @@ func (e *engine) viewTick(t time.Duration) bool {
 		out = append(out, old[lo:lo+at]...)
 		out = append(out, hi)
 		lo += at
-		e.marked[hi] = false
 	}
 	for {
 		out = append(out, old[lo:end]...)
 		if r == len(removed) {
-			break
+			return out
 		}
 		r++
 		lo, end = removed[r-1]+1, runEnd(r)
 	}
-	e.orderScratch = old[:0]
-	v.Order = out
-	e.dirty = e.dirty[:0]
-	e.compactArena()
-	return true
 }
 
 // compactArena rewrites the VM arena without the stale ranges left by

@@ -110,51 +110,28 @@ func (p EnergyAware) planView(v *View, cfg Config) (*Plan, error) {
 		return nil, err
 	}
 
-	// Drain candidates: least loaded first (cheapest to empty). When
-	// nothing was evacuated the view's maintained Order is exactly this
-	// permutation; otherwise re-sort a copy under the post-evacuation
-	// aggregates.
-	order := v.Order
-	if len(w.touched) > 0 {
-		order = w.resort()
-	}
-
+	// Drain candidates: the live hosts, least loaded first (cheapest to
+	// empty). When nothing was evacuated the view's maintained Live is
+	// exactly this sequence; otherwise a copy of Order is re-sorted under
+	// the post-evacuation aggregates and filtered. Empty and crashed
+	// hosts are left out: a crashed host draws no idle power, so
+	// emptying it frees nothing, and its residents move through
+	// evacuation, not consolidation. No host becomes live during the
+	// drain loop, because a drain target must already hold guests.
+	//
 	// The order-indexed target scan: HeuristicCost's energy is strictly
 	// increasing in the destination's busy for a fixed (VM, source), so
 	// the cheapest admissible unmutated target is the first admissible
-	// host walking Order busy-ascending — and with NameOrdered, its
-	// (busy, name)-first position also reproduces the historical
+	// host walking the live order busy-ascending — and with NameOrdered,
+	// its (busy, name)-first position also reproduces the historical
 	// lowest-index tie-break. Hosts the plan has mutated are priced
-	// individually as finalists. liveOrder pre-drops hosts that can
-	// never take a drain guest (empty or down), so the walk skips a
-	// mostly-empty fleet in O(1). The drain loop walks it too: no host
-	// becomes live during the loop, because a drain target must already
-	// hold guests, so the hosts it leaves out are exactly those the
-	// loop's first two checks would skip.
+	// individually as finalists.
 	_, fastOK := p.Model.(HeuristicCost)
 	fastOK = fastOK && v.NameOrdered
-	var liveOrder []int32
-	sources := order
-	if fastOK {
-		w.live = w.live[:0]
-		for _, j := range order {
-			if w.count(j) > 0 && !v.Down[j] {
-				w.live = append(w.live, j)
-			}
-		}
-		liveOrder, sources = w.live, w.live
-	}
+	live := w.liveOrder()
 
 	sc := &w.drain
-	for _, si := range sources {
-		if w.count(si) == 0 {
-			continue
-		}
-		// A crashed host draws no idle power: emptying it frees nothing,
-		// and its residents move through evacuation, not consolidation.
-		if v.Down[si] {
-			continue
-		}
+	for _, si := range live {
 		// A host that just received migrations is pinned for this round:
 		// re-draining it would move VMs twice and burn energy for nothing.
 		if w.received(si) {
@@ -166,7 +143,7 @@ func (p EnergyAware) planView(v *View, cfg Config) (*Plan, error) {
 		if w.hostHasPinned(si, pinned) {
 			continue
 		}
-		moves, ok, err := p.drainView(w, si, cfg, len(plan.Moves), sc, liveOrder, fastOK)
+		moves, ok, err := p.drainView(w, si, cfg, len(plan.Moves), sc, live, fastOK)
 		if err != nil {
 			return nil, err
 		}

@@ -29,6 +29,9 @@ import (
 //     the same permutation. CompareHosts is that order's one
 //     comparator; under NameOrdered it breaks busy ties by index,
 //     which is name order there, without comparing a string.
+//   - Live is the subsequence of Order whose hosts are live (see
+//     LiveHost): up, with at least one slot. It is maintained with
+//     Order, so a planning call reads it instead of filtering Order.
 //   - A host's slots list its residents first (in the owner's
 //     iteration order) and any reservation entries after them, exactly
 //     as the AoS snapshot ordered HostState.VMs.
@@ -45,6 +48,9 @@ type View struct {
 	VMCount   []int32
 	// Order is the host permutation ascending by (Busy, HostName).
 	Order []int32
+	// Live is Order without the hosts that are down or hold no slot:
+	// the only hosts a drain may empty or fill.
+	Live []int32
 	// VM slot arena.
 	VMName  []string
 	VMMem   []units.Bytes
@@ -107,13 +113,26 @@ func (v *View) AppendHost(h HostState) {
 	v.Mem = append(v.Mem, mem)
 }
 
-// SortOrder (re)builds Order ascending by (Busy, HostName).
+// SortOrder (re)builds Order ascending by (Busy, HostName), and Live
+// from it.
 func (v *View) SortOrder() {
 	v.Order = slices.Grow(v.Order[:0], v.hostCount())
 	for i := range v.HostName {
 		v.Order = append(v.Order, int32(i))
 	}
 	slices.SortFunc(v.Order, v.CompareHosts(v.Busy))
+	v.Live = v.Live[:0]
+	for _, i := range v.Order {
+		if v.LiveHost(i) {
+			v.Live = append(v.Live, i)
+		}
+	}
+}
+
+// LiveHost reports whether host i belongs in Live: it is up and holds
+// at least one slot, a resident or a reservation.
+func (v *View) LiveHost(i int32) bool {
+	return v.VMCount[i] > 0 && !v.Down[i]
 }
 
 // CompareHosts orders host indices by (busy, HostName) under the given
@@ -173,12 +192,11 @@ type vwork struct {
 	// target scan must price them individually instead of trusting the
 	// snapshot order. The next plan resets the workspace by walking it.
 	touched []int32
-	// drain is EnergyAware's tentative-drain scratch; order and live
-	// back the re-sorted drain order and its live-host subset, and
-	// loads the full-length busy keys the re-sort compares.
+	// drain is EnergyAware's tentative-drain scratch; order backs the
+	// re-sorted drain order, and loads the full-length busy keys the
+	// re-sort compares.
 	drain viewDrainScratch
 	order []int32
-	live  []int32
 	loads []float64
 }
 
@@ -266,6 +284,24 @@ func (w *vwork) resort() []int32 {
 	w.order = append(w.order[:0], w.v.Order...)
 	slices.SortFunc(w.order, w.v.CompareHosts(w.loads))
 	return w.order
+}
+
+// liveOrder returns the live hosts in drain order under the plan so
+// far: the view's Live while the plan has touched no host, and
+// otherwise the re-sorted order, filtered in place by the workspace's
+// resident counts.
+func (w *vwork) liveOrder() []int32 {
+	if len(w.touched) == 0 {
+		return w.v.Live
+	}
+	order := w.resort()
+	live := order[:0]
+	for _, j := range order {
+		if w.count(j) > 0 && !w.v.Down[j] {
+			live = append(live, j)
+		}
+	}
+	return live
 }
 
 // touch returns host i's overlay entry, making it on the first touch:

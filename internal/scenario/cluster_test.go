@@ -97,6 +97,16 @@ func TestClusterValidationPaths(t *testing.T) {
 			s.Cluster.Hosts[0].VMs[0].Phases[0].DurationS = 1e11
 		}, "cluster.hosts[0].vms[0].phases[0].duration_s"},
 		{"cross-switch move", func(s *Spec) { s.Cluster.Hosts[1].Machine = "o1" }, "(compiled)"},
+		{"first move not from the initial host", func(s *Spec) {
+			s.Cluster.Hosts = append(s.Cluster.Hosts, ClusterHostSpec{Name: "c", Machine: "m01"})
+			s.Cluster.Moves[0].From = "c"
+		}, "cluster.moves[0].from"},
+		{"later move not from where the last one landed", func(s *Spec) {
+			s.Cluster.Moves = append(s.Cluster.Moves, TimedMoveSpec{VM: "v1", From: "a", To: "b", AtS: 1200})
+		}, "cluster.moves[1].from"},
+		{"moves replayed in dispatch order", func(s *Spec) {
+			s.Cluster.Moves = []TimedMoveSpec{{VM: "v1", From: "a", To: "b", AtS: 1200}, {VM: "v1", From: "b", To: "a", AtS: 60}}
+		}, "cluster.moves[1].from"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -129,6 +139,45 @@ func TestClusterValidationPaths(t *testing.T) {
 			wantSpecError(t, s, tc.wantPath)
 		})
 	}
+}
+
+// TestClusterMoveSourceReplay checks the sources the compile-time replay
+// of explicit moves accepts: moves listed out of time order run in
+// dispatch order, and after a move a failure could abort, a VM's next
+// move may start where that move began as well as where it ends. Such
+// a move that the run finds impossible is refused there, at its path.
+func TestClusterMoveSourceReplay(t *testing.T) {
+	s := clusterBase()
+	s.Cluster.Moves = []TimedMoveSpec{{VM: "v1", From: "b", To: "a", AtS: 1200}, {VM: "v1", From: "a", To: "b", AtS: 60}}
+	if err := s.Validate(); err != nil {
+		t.Errorf("moves listed out of time order: %v", err)
+	}
+	for _, f := range []FailureSpec{{AtS: 61, Kind: "flight-abort", VM: "v1"}, {AtS: 61, Kind: "host-crash", Host: "a"}} {
+		s := clusterBase()
+		s.Cluster.Moves = append(s.Cluster.Moves, TimedMoveSpec{VM: "v1", From: "a", To: "b", AtS: 1200})
+		s.Cluster.Failures = []FailureSpec{f}
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s after the first move: a second move from its source refused: %v", f.Kind, err)
+		}
+		// A failure at the dispatch instant applies before it.
+		s.Cluster.Failures[0].AtS = 60
+		wantSpecError(t, s, "cluster.moves[1].from")
+	}
+
+	// A flight-abort at 1,100 s could abort the first move as far as the
+	// spec says, but that flight has landed by then: the run finds v1 on
+	// b and refuses the second move, which RunError roots at its path.
+	s = clusterBase()
+	s.Cluster.Moves = append(s.Cluster.Moves, TimedMoveSpec{VM: "v1", From: "a", To: "b", AtS: 1200})
+	s.Cluster.Failures = []FailureSpec{{AtS: 1100, Kind: "flight-abort", VM: "v1"}}
+	c, err := s.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := c.Cluster.Config
+	cfg.Cache = sim.NewCache(0)
+	_, err = cluster.Run(cfg)
+	wantPathError(t, s.RunError(err), "cluster.moves[1].from")
 }
 
 // clusterFailureBase extends clusterBase with a legal failure schedule:

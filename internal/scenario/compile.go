@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"time"
@@ -72,12 +74,22 @@ type ClusterRun struct {
 
 // Compiled is everything a spec lowers to. Exactly one of Runs (migration
 // scenarios, one entry per phase), Plan (data-centre scenarios) or
-// Cluster (N-host timelines) is populated.
+// Cluster (N-host timelines) is populated. A Compiled is read-only, as
+// a prepared cluster config is: Compile may hand the same one to every
+// caller, and concurrent runs share it.
 type Compiled struct {
 	Spec    *Spec
 	Runs    []Run
 	Plan    *PlanRun
 	Cluster *ClusterRun
+}
+
+// keptCompile is what Parse compiled a spec to, with the spec's JSON
+// encoding at that moment, by which Compile tells whether the spec has
+// been edited since.
+type keptCompile struct {
+	c   *Compiled
+	enc []byte
 }
 
 // Compile checks the spec exhaustively and lowers it into executable
@@ -87,7 +99,24 @@ type Compiled struct {
 // cluster.Prepare. The result is deterministic: the same spec compiles
 // to the same scenarios — and therefore the same run-cache keys — in
 // every process, on every machine.
+//
+// A spec from Parse (and so from Load, LoadDir and LoadGlob) was
+// compiled there, and Compile returns that result while the spec is
+// the one Parse returned and still encodes to the same JSON. A spec
+// whose exported fields were edited since, and a copy of a spec, are
+// compiled afresh. Compile never writes to the spec, so concurrent
+// calls are safe.
 func (s *Spec) Compile() (*Compiled, error) {
+	if k := s.kept; k != nil && k.c.Spec == s {
+		if enc, err := json.Marshal(s); err == nil && bytes.Equal(enc, k.enc) {
+			return k.c, nil
+		}
+	}
+	return s.compile()
+}
+
+// compile is Compile without the kept result.
+func (s *Spec) compile() (*Compiled, error) {
 	name := s.Name
 	if s.Version != CurrentVersion {
 		return nil, errf(name, "version", "unsupported version %d (this build reads version %d)", s.Version, CurrentVersion)

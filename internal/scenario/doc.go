@@ -25,8 +25,10 @@
 // results.
 //
 // The registry half of the package (Load, LoadDir, LoadGlob) reads
-// scenario files from disk with strict JSON decoding (unknown fields are
-// errors, catching typos in committed scenarios) and cross-file checks:
+// scenario files from disk with strict JSON decoding (unknown fields, a
+// repeated key and a key that matches a field only without regard to
+// case are errors, catching typos in committed scenarios), keeps each
+// spec's validating compile for Compile to return, and cross-file checks:
 // within one directory, scenario names and effective seeds must be
 // unique, keeping library entries independent samples and their cache
 // identities distinct. List builds the catalog of a loaded spec set.

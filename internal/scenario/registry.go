@@ -26,24 +26,32 @@ func Load(path string) (*Spec, error) {
 // no file (the fuzz target). The name labels errors; it is usually a
 // path but any request identifier works. Every failure, for any input,
 // is a *Error value with a field path — Parse never panics on malformed
-// bytes.
+// bytes. Validating is compiling, and the spec keeps what it compiled
+// to, so Compile on the returned spec lowers nothing again while the
+// spec is unchanged.
 func Parse(name string, data []byte) (*Spec, error) {
 	s, err := Decode(name, data)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.Validate(); err != nil {
+	c, err := s.compile()
+	if err != nil {
 		return nil, err
+	}
+	// A decoded spec holds no value encoding/json cannot write back.
+	if enc, err := json.Marshal(s); err == nil {
+		s.kept = &keptCompile{c: c, enc: enc}
 	}
 	return s, nil
 }
 
 // Decode is Parse without the validation: the strict JSON decode alone,
-// which rejects malformed JSON, unknown fields and trailing data but
-// checks nothing the spec's values mean. A caller that compiles the spec
-// anyway (wavm3d, after admission) decodes it with this and gets
-// Validate's pathed errors from Compile, without lowering the spec
-// twice.
+// which rejects malformed JSON, unknown fields, trailing data, a key
+// repeated within one object and a key that names a field only without
+// regard to case, but checks nothing the spec's values mean. A caller
+// that compiles the spec anyway (wavm3d, after admission) decodes it
+// with this and gets Validate's pathed errors from Compile, without
+// lowering the spec twice.
 func Decode(name string, data []byte) (*Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -59,9 +67,13 @@ func Decode(name string, data []byte) (*Spec, error) {
 		return nil, &Error{Scenario: name, Path: "(json)",
 			Msg: fmt.Sprintf("malformed JSON near byte %d: %v", offset, err)}
 	}
-	// Reject trailing garbage after the top-level value.
-	if dec.More() {
+	// Reject trailing garbage after the top-level value; only white space
+	// may follow it (dec.More would let a stray '}' or ']' through).
+	if len(bytes.TrimSpace(data[dec.InputOffset():])) > 0 {
 		return nil, &Error{Scenario: name, Path: "(json)", Msg: "trailing data after the scenario object"}
+	}
+	if err := checkKeys(name, data); err != nil {
+		return nil, err
 	}
 	return &s, nil
 }

@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"sort"
 	"time"
 
 	"repro/internal/cluster"
@@ -122,6 +124,9 @@ type Spec struct {
 	// links (internal/cluster). Mutually exclusive with Migrating and
 	// Datacenter.
 	Cluster *ClusterSpec `json:"cluster,omitempty"`
+
+	// kept is what Parse compiled the spec to (see Compile).
+	kept *keptCompile
 }
 
 // Guest describes the migrating VM.
@@ -601,7 +606,8 @@ func validName(name string) bool {
 
 // Validate checks the spec exhaustively and returns the first failure as
 // a pathed *Error. It is Compile with the result dropped: checking and
-// lowering are one pass, so a spec is valid exactly when it compiles.
+// lowering are one pass, so a spec is valid exactly when it compiles,
+// and an unedited spec from Parse is checked without lowering it again.
 func (s *Spec) Validate() error {
 	_, err := s.Compile()
 	return err
@@ -691,13 +697,11 @@ func (s *Spec) compileMigration(kind migration.Kind) (*Compiled, error) {
 			return nil, errf(name, "repeat.variance_tol", "must be non-negative, got %v", r.VarianceTol)
 		}
 	}
-	// Belt and braces: the compiled base scenario must satisfy the
-	// simulator's own validation too.
-	if err := base.Validate(); err != nil {
-		return nil, errf(name, "(compiled)", "%v", err)
-	}
 	out := &Compiled{Spec: s}
 	if len(s.Phases) == 0 {
+		if err := s.checkRun(base, ""); err != nil {
+			return nil, err
+		}
 		out.Runs = []Run{{
 			Label:       s.Name,
 			Scenario:    base,
@@ -716,6 +720,9 @@ func (s *Spec) compileMigration(kind migration.Kind) (*Compiled, error) {
 		sc.SourceLoadVMs = scaleVMs(s.SourceLoadVMs, factor)
 		sc.TargetLoadVMs = scaleVMs(s.TargetLoadVMs, factor)
 		sc.Seed = base.Seed + int64(i)*phaseSeedStride
+		if err := s.checkRun(sc, fmt.Sprintf("phases[%d]", i)); err != nil {
+			return nil, err
+		}
 		out.Runs = append(out.Runs, Run{
 			Label:       fmt.Sprintf("%s/%s", s.Name, p.label(i)),
 			Scenario:    sc,
@@ -724,6 +731,125 @@ func (s *Spec) compileMigration(kind migration.Kind) (*Compiled, error) {
 		})
 	}
 	return out, nil
+}
+
+// checkMoveSources replays the lowered explicit moves of each VM in
+// the engine's dispatch order, (at_s, spec order), and refuses at its
+// from field a move that cannot start where it says: a VM's first move
+// must start on the VM's initial host, and a later one where the
+// previous move ended or, if a failure event could abort the previous
+// move, where that move began. hosts is the expanded population.
+func (s *Spec) checkMoveSources(hosts []ClusterHostSpec, moves []cluster.TimedMove, failures []cluster.FailureEvent) error {
+	if len(moves) == 0 {
+		return nil
+	}
+	// place is where a VM is: on at, or on alt if a failure aborts the
+	// move that took it to at (moves[last], -1 for none).
+	type place struct {
+		at, alt string
+		last    int
+	}
+	where := make(map[string]place, len(moves))
+	for _, m := range moves {
+		where[m.VM] = place{last: -1}
+	}
+	for _, h := range hosts {
+		for _, v := range h.VMs {
+			if p, ok := where[v.Name]; ok {
+				p.at = h.Name
+				where[v.Name] = p
+			}
+		}
+	}
+	order := make([]int, len(moves))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return moves[order[a]].At < moves[order[b]].At })
+	for _, i := range order {
+		m := moves[i]
+		p := where[m.VM]
+		if m.From != p.at && (p.alt == "" || m.From != p.alt) {
+			path := fmt.Sprintf("cluster.moves[%d].from", i)
+			switch {
+			case p.last < 0:
+				return errf(s.Name, path, "VM %q starts on host %q, not %q", m.VM, p.at, m.From)
+			case p.alt == "":
+				return errf(s.Name, path, "VM %q is on host %q after moves[%d], not %q", m.VM, p.at, p.last, m.From)
+			}
+			return errf(s.Name, path, "VM %q is on host %q after moves[%d], or on %q if a failure aborts that move, not %q",
+				m.VM, p.at, p.last, p.alt, m.From)
+		}
+		next := place{at: m.To, last: i}
+		if couldAbort(m, failures) {
+			next.alt = m.From
+		}
+		where[m.VM] = next
+	}
+	return nil
+}
+
+// couldAbort reports whether a failure event after m's dispatch could
+// abort it: a flight-abort naming its VM or a crash of either end.
+// Events at the dispatch instant apply before it.
+func couldAbort(m cluster.TimedMove, failures []cluster.FailureEvent) bool {
+	for _, f := range failures {
+		if f.At <= m.At {
+			continue
+		}
+		switch f.Kind {
+		case cluster.FailFlightAbort:
+			if f.VM == m.VM {
+				return true
+			}
+		case cluster.FailHostCrash:
+			if f.Host == m.From || f.Host == m.To {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// RunError roots a cluster run's refusal of one of the spec's own moves
+// (a *cluster.MoveError) at the move's field path, as an *Error: what
+// only the run can know, such as an abort that kept the VM on an
+// earlier host or a flight still in the air, made the move impossible.
+// Any other error is returned as it is.
+func (s *Spec) RunError(err error) error {
+	var me *cluster.MoveError
+	if !errors.As(err, &me) {
+		return err
+	}
+	field := "at_s"
+	switch me.Field {
+	case "From":
+		field = "from"
+	case "To":
+		field = "to"
+	}
+	return errf(s.Name, fmt.Sprintf("cluster.moves[%d].%s", me.Index, field), "%v", me.Err)
+}
+
+// checkRun holds a compiled block to the simulator's own validation,
+// which every run repeats. Load VMs that do not fit a host fail at the
+// field that set their count: the phase at path, which scales the
+// counts, or else source_load_vms or target_load_vms.
+func (s *Spec) checkRun(sc sim.Scenario, path string) error {
+	err := sc.Validate()
+	var fit *sim.FitError
+	switch {
+	case err == nil:
+		return nil
+	case !errors.As(err, &fit):
+		return errf(s.Name, "(compiled)", "%v", err)
+	case path != "":
+	case fit.Target:
+		path = "target_load_vms"
+	default:
+		path = "source_load_vms"
+	}
+	return errf(s.Name, path, "%v", err)
 }
 
 // compileDatacenter checks the data-centre form of the spec and lowers
@@ -1065,6 +1191,9 @@ func (s *Spec) compileCluster(kind migration.Kind) (*Compiled, error) {
 		return nil, errf(name, "cluster.evacuation_deadline_s", "needs failures to score against")
 	}
 	if cfg.EvacuationDeadline, err = seconds(name, "cluster.evacuation_deadline_s", c.EvacuationDeadlineS); err != nil {
+		return nil, err
+	}
+	if err := s.checkMoveSources(hosts, cfg.Moves, cfg.Failures); err != nil {
 		return nil, err
 	}
 	if cfg, err = cluster.Prepare(cfg); err != nil {

@@ -3,8 +3,10 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -159,6 +161,17 @@ func TestValidationFailurePaths(t *testing.T) {
 		{"unknown guest type", func(s *Spec) { s.Migrating.Type = "mainframe" }, "migrating.type"},
 		{"negative source load", func(s *Spec) { s.SourceLoadVMs = -1 }, "source_load_vms"},
 		{"negative target load", func(s *Spec) { s.TargetLoadVMs = -2 }, "target_load_vms"},
+		// dom-0 (0.5 GiB), the 4 GiB guest and 56 load VMs of 0.5 GiB
+		// need 32.5 GiB of m01's and m02's 32 GiB; 55 fit.
+		{"source load VMs overfill the host", func(s *Spec) { s.SourceLoadVMs = 56 }, "source_load_vms"},
+		{"target load VMs overfill the host", func(s *Spec) { s.TargetLoadVMs = 56 }, "target_load_vms"},
+		{"burst phase scales load VMs past the host", func(s *Spec) {
+			s.SourceLoadVMs = 40 // 1.5 × 40 = 60 at the burst's peak
+			s.Phases = []PhaseSpec{
+				{Kind: "steady", DurationS: 60},
+				{Kind: "burst", DurationS: 60, Level: 1, Peak: 1.5},
+			}
+		}, "phases[1]"},
 		{"bad load workload", func(s *Spec) { s.LoadWorkload = &Workload{Profile: "nope"} }, "load_workload.profile"},
 		{"zero-length phase", func(s *Spec) {
 			s.Phases = []PhaseSpec{{Kind: "steady", DurationS: 0}}
@@ -481,6 +494,146 @@ func TestLoadRejectsMalformedJSON(t *testing.T) {
 	}
 }
 
+// TestLoadVMsThatFitCompile pins the edge of the load-VM rule: 55 load
+// VMs beside the guest fill m01 and m02 exactly, on either side, and so
+// does a phase that scales 40 to 55.
+func TestLoadVMsThatFitCompile(t *testing.T) {
+	for _, mut := range []func(*Spec){
+		func(s *Spec) { s.SourceLoadVMs = 55 },
+		func(s *Spec) { s.TargetLoadVMs = 55 },
+		func(s *Spec) {
+			s.SourceLoadVMs = 40
+			s.Phases = []PhaseSpec{{Kind: "steady", DurationS: 60, Level: 1.375}}
+		},
+	} {
+		s := minimal()
+		mut(s)
+		if _, err := s.Compile(); err != nil {
+			t.Errorf("%+v: %v", s, err)
+		}
+	}
+}
+
+// TestDecodeKeyPaths is the table of keys the strict decoder refuses
+// with the key's path: a key repeated within one object, at the top
+// level or nested, and a key that names a field only when case is
+// ignored. encoding/json alone accepts each of these, and the last
+// value wins. testdata/fuzz/FuzzSpecDecode holds the two committed
+// inputs among them.
+func TestDecodeKeyPaths(t *testing.T) {
+	cases := []struct {
+		name, body, wantPath string
+	}{
+		{"case-folded key after the exact one",
+			`{"version":1,"name":"k","migrating":{"workload":{"profile":"matrixmult"}},"source_load_vms":2,"SOURCE_LOAD_VMS":3}`,
+			"SOURCE_LOAD_VMS"},
+		{"case-folded key alone", `{"version":1,"Pair":"m01-m02","name":"k"}`, "Pair"},
+		{"repeated key", `{"version":1,"name":"k","source_load_vms":2,"source_load_vms":3}`, "source_load_vms"},
+		{"case-folded key before a repeated key",
+			`{"version":1,"name":"k","Pair":"m01-m02","source_load_vms":2,"source_load_vms":3}`, "Pair"},
+		{"repeated key in an array element",
+			`{"version":1,"name":"k","cluster":{"hosts":[{"name":"a","machine":"m01"},{"name":"b","machine":"m01","name":"c"}]}}`,
+			"cluster.hosts[1].name"},
+		{"case-folded key in a pointer field", `{"version":1,"name":"k","timing":{"Pre_S":12}}`, "timing.Pre_S"},
+		{"escaped spelling of a key already given",
+			`{"version":1,"name":"k","source_load_vms":2, "source_load_vm\u0073" : 3}`, "source_load_vms"},
+		{"repeated key in a nested array element, with white space",
+			"{ \"version\" : 1 ,\n \"name\" : \"k\" , \"phases\" : [ { \"kind\" : \"steady\" } ,\n\t{ \"kind\" : \"burst\" , \"at\" : null , \"kind\" : \"ramp\" } ] }",
+			"phases[1].kind"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Decode("keys", []byte(tc.body))
+			wantPathError(t, err, tc.wantPath)
+			var se *Error
+			if errors.As(err, &se); se.Path != tc.wantPath {
+				t.Errorf("path %q, want exactly %q", se.Path, tc.wantPath)
+			}
+			var loose Spec
+			if err := json.Unmarshal([]byte(tc.body), &loose); err != nil {
+				t.Errorf("encoding/json refuses the body itself: %v", err)
+			}
+		})
+	}
+	// Equal keys in distinct objects are not repeats, and values, escaped
+	// strings and nested arrays among them, are not keys.
+	if _, err := Decode("keys", []byte(`{"version":1,"name":"k","description":"a \"quoted\" {\"name\":1}, [x]","migrating":{"type":"migrating-cpu","workload":{"profile":"idle"}},"load_workload":{"profile":"idle"},"cluster":{"hosts":[{"name":"a","machine":"m01","vms":[{"name":"v","mem_gib":1e0,"phases":[]}]},{"name":"b","machine":"m01","vms":[]}]}}`)); err != nil {
+		t.Errorf("distinct objects with equal keys refused: %v", err)
+	}
+}
+
+// TestCompileKeepsParseResult checks the compile a parsed spec keeps:
+// LoadDir compiles every library spec once, and Compile on an unedited
+// spec returns that result, lowering nothing again (a fleet spec's
+// compile allocates megabytes), while a spec edited after Parse, in a
+// field or as an edited copy, compiles afresh and a copy never gets the
+// original's result.
+func TestCompileKeepsParseResult(t *testing.T) {
+	specs, err := LoadDir(libraryDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleets := 0
+	for _, s := range specs {
+		first, err := s.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := s.Compile(); again != first || first.Spec != s {
+			t.Errorf("%s: a second Compile of the loaded spec lowered it again", s.Name)
+		}
+		if s.Cluster == nil || len(s.Cluster.Fleet) == 0 || raceEnabled {
+			continue
+		}
+		fleets++
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := s.Compile(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if b := after.TotalAlloc - before.TotalAlloc; b > 64<<10 {
+			t.Errorf("%s: Compile of the loaded spec allocates %d bytes; the fleet expanded again", s.Name, b)
+		}
+	}
+	if !raceEnabled && fleets < 3 {
+		t.Fatalf("library has %d fleet specs, want at least 3", fleets)
+	}
+
+	s, err := Load(filepath.Join(libraryDir, "c1-cpuload-live.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, err := s.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := *s
+	if c, err := cp.Compile(); err != nil || c == kept || c.Spec != &cp {
+		t.Errorf("an unedited copy got the original's compile (%v)", err)
+	}
+	cp.Name = "c1-copy"
+	if c, err := cp.Compile(); err != nil || c.Runs[0].Label != "c1-copy" {
+		t.Errorf("an edited copy did not compile afresh: %+v, %v", c, err)
+	}
+	s.SourceLoadVMs = 7
+	edited, err := s.Compile()
+	if err != nil || edited == kept || edited.Runs[0].Scenario.SourceLoadVMs != 7 {
+		t.Fatalf("a spec edited after Parse did not compile afresh: %v", err)
+	}
+	if kept.Runs[0].Scenario.SourceLoadVMs != 5 {
+		t.Error("compiling the edited spec changed the kept result")
+	}
+	s.SourceLoadVMs = 56
+	if _, err := s.Compile(); err == nil {
+		t.Error("an edit Compile should refuse was accepted")
+	}
+	s.SourceLoadVMs = 5
+	if c, _ := s.Compile(); c != kept {
+		t.Error("the spec edited back to what Parse read did not get the kept compile")
+	}
+}
+
 func TestLoadRejectsUnknownFields(t *testing.T) {
 	dir := t.TempDir()
 	path := write(t, dir, "typo.json", `{"version": 1, "name": "typo", "migratng": {}}`)
@@ -492,9 +645,14 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 func TestLoadRejectsTrailingData(t *testing.T) {
 	dir := t.TempDir()
 	s := mustJSON(t, minimal())
-	path := write(t, dir, "trail.json", s+`{"another": 1}`)
-	_, err := Load(path)
-	wantPathError(t, err, "(json)")
+	for i, trail := range []string{`{"another": 1}`, "}", "\n]\n", " x"} {
+		path := write(t, dir, fmt.Sprintf("trail%d.json", i), s+trail)
+		_, err := Load(path)
+		wantPathError(t, err, "(json)")
+	}
+	if _, err := Load(write(t, dir, "space.json", s+" \n\t")); err != nil {
+		t.Errorf("trailing white space refused: %v", err)
+	}
 }
 
 func TestLoadMissingFile(t *testing.T) {

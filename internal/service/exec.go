@@ -109,7 +109,7 @@ func execCluster(ctx context.Context, w io.Writer, s *scenario.Spec, cr *scenari
 	fmt.Fprintf(w, "== %s (cluster: %d hosts, %s)\n", s.Name, len(cr.Config.Hosts), cr.Policy)
 	rep, err := experiments.RunCluster(experiments.Config{Workers: workers, Cache: cache, Ctx: ctx}, cr.Config)
 	if err != nil {
-		return nil, err
+		return nil, s.RunError(err)
 	}
 	for _, tick := range rep.Ticks {
 		fmt.Fprintf(w, "   tick  t=%9.1fs  planned %2d move(s)  %d pinned\n",

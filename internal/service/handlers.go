@@ -129,7 +129,8 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 // client disconnect, per-request deadline or daemon drain, whichever
 // comes first. Only the body's JSON is checked before admission; the
 // spec is checked and lowered once, inside the slot, so a saturated
-// daemon rejects a request without compiling it.
+// daemon rejects a request without compiling it. A library entry was
+// compiled at start-up, so a ?name= run compiles nothing.
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	if s.isDraining() {
 		writeError(w, http.StatusServiceUnavailable, apiError{
@@ -137,7 +138,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	spec, ok := s.decodeRunRequest(w, r)
+	compiled, spec, ok := s.decodeRunRequest(w, r)
 	if !ok {
 		return
 	}
@@ -168,13 +169,14 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	// Check and lower the spec inside the slot, under the request
+	// Check and lower a posted spec inside the slot, under the request
 	// deadline. Compile is Validate, so a body whose values are wrong
 	// fails here with its field path.
-	compiled, err := spec.Compile()
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, scenarioAPIError(err))
-		return
+	if compiled == nil {
+		if compiled, err = spec.Compile(); err != nil {
+			writeError(w, http.StatusUnprocessableEntity, scenarioAPIError(err))
+			return
+		}
 	}
 
 	// Buffer the rendering so failures yield a clean JSON error, never
@@ -189,11 +191,12 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	_, _ = buf.WriteTo(w)
 }
 
-// decodeRunRequest resolves the request to a spec: a strictly decoded
+// decodeRunRequest resolves the request to its spec: a strictly decoded
 // JSON body, not yet validated (handleRuns compiles it once admitted),
-// or a library lookup when ?name= is given with no body. On failure it
-// writes the error response and returns ok=false.
-func (s *Server) decodeRunRequest(w http.ResponseWriter, r *http.Request) (*scenario.Spec, bool) {
+// or, when ?name= is given with no body, a library entry with its
+// compiled form, which is nil for a body. On failure it writes the
+// error response and returns ok=false.
+func (s *Server) decodeRunRequest(w http.ResponseWriter, r *http.Request) (*scenario.Compiled, *scenario.Spec, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
 	if err != nil {
 		status, code := http.StatusBadRequest, codeInvalidRequest
@@ -202,36 +205,36 @@ func (s *Server) decodeRunRequest(w http.ResponseWriter, r *http.Request) (*scen
 			status = http.StatusRequestEntityTooLarge
 		}
 		writeError(w, status, apiError{Code: code, Message: fmt.Sprintf("reading request body: %v", err)})
-		return nil, false
+		return nil, nil, false
 	}
 	if name := r.URL.Query().Get("name"); name != "" {
 		if len(body) > 0 {
 			writeError(w, http.StatusBadRequest, apiError{
 				Code: codeInvalidRequest, Message: "pass either ?name= or a spec body, not both",
 			})
-			return nil, false
+			return nil, nil, false
 		}
-		spec, ok := s.byName[name]
+		c, ok := s.byName[name]
 		if !ok {
 			writeError(w, http.StatusNotFound, apiError{
 				Code: codeNotFound, Message: fmt.Sprintf("no library scenario named %q", name), Scenario: name,
 			})
-			return nil, false
+			return nil, nil, false
 		}
-		return spec, true
+		return c, c.Spec, true
 	}
 	if len(body) == 0 {
 		writeError(w, http.StatusBadRequest, apiError{
 			Code: codeInvalidRequest, Message: "empty body; POST a scenario spec or pass ?name=",
 		})
-		return nil, false
+		return nil, nil, false
 	}
 	spec, err := scenario.Decode("(request)", body)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, scenarioAPIError(err))
-		return nil, false
+		return nil, nil, false
 	}
-	return spec, true
+	return nil, spec, true
 }
 
 // scenarioAPIError maps a scenario load/validate failure onto the JSON
@@ -247,8 +250,11 @@ func scenarioAPIError(err error) apiError {
 
 // writeRunFailure classifies a run error into the status the client can
 // act on: its own deadline (504), its own disconnect (499, unseen),
-// the daemon draining mid-run (503), or a genuine failure (500).
+// the daemon draining mid-run (503), its own spec, which asked for a
+// move the run could not make (422 with the move's path), or a genuine
+// failure (500).
 func (s *Server) writeRunFailure(w http.ResponseWriter, runCtx context.Context, name string, err error) {
+	var serr *scenario.Error
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout, apiError{
@@ -262,6 +268,8 @@ func (s *Server) writeRunFailure(w http.ResponseWriter, runCtx context.Context, 
 		writeError(w, statusClientClosedRequest, apiError{
 			Code: codeInvalidRequest, Message: "client closed the request", Scenario: name,
 		})
+	case errors.As(err, &serr):
+		writeError(w, http.StatusUnprocessableEntity, scenarioAPIError(err))
 	default:
 		s.cfg.Logger.Printf("service: run %s failed: %v", name, err)
 		writeError(w, http.StatusInternalServerError, apiError{

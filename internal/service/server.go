@@ -100,8 +100,11 @@ func (c Config) withDefaults() Config {
 // and the embedded http.Server.
 type Server struct {
 	cfg     Config
-	library []scenario.Info           // catalog in name order (empty without ScenarioDir)
-	byName  map[string]*scenario.Spec // library lookup for ?name= runs
+	library []scenario.Info // catalog in name order (empty without ScenarioDir)
+	// byName is the compiled library, by name: a ?name= run compiles
+	// nothing, and concurrent runs of one entry share its read-only
+	// Compiled.
+	byName  map[string]*scenario.Compiled
 	adm     *admission
 	httpSrv *http.Server
 
@@ -115,13 +118,14 @@ type Server struct {
 	draining chan struct{}
 }
 
-// New builds a Server, loading the scenario library when ScenarioDir is
-// set (a broken library is a startup error, not a per-request surprise).
+// New builds a Server, loading and compiling the scenario library when
+// ScenarioDir is set (a broken library is a startup error, not a
+// per-request surprise).
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
-		byName:   map[string]*scenario.Spec{},
+		byName:   map[string]*scenario.Compiled{},
 		adm:      newAdmission(cfg.MaxConcurrent, cfg.QueueDepth),
 		draining: make(chan struct{}),
 	}
@@ -133,7 +137,12 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.library = scenario.List(specs)
 		for _, sp := range specs {
-			s.byName[sp.Name] = sp
+			// The compile LoadDir validated each spec with.
+			c, err := sp.Compile()
+			if err != nil {
+				return nil, fmt.Errorf("service: compiling scenario library: %w", err)
+			}
+			s.byName[sp.Name] = c
 		}
 	}
 	s.httpSrv = &http.Server{

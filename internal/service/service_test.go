@@ -226,6 +226,153 @@ func TestRunByNameMatchesCLI(t *testing.T) {
 	}
 }
 
+// TestByNameRunCompilesNothing: a ?name= run executes the Compiled the
+// daemon built at start-up, for every library entry and on every
+// request, so a request expands no fleet: a by-name request for the
+// 100k-host drain-100k-rolling allocates kilobytes, where a compile
+// allocates tens of megabytes.
+func TestByNameRunCompilesNothing(t *testing.T) {
+	var mu sync.Mutex
+	var got []*scenario.Compiled
+	record := func(ctx context.Context, w io.Writer, c *scenario.Compiled, workers int, cache *sim.Cache) (*ExecResult, error) {
+		mu.Lock()
+		got = append(got, c)
+		mu.Unlock()
+		return &ExecResult{}, nil
+	}
+	s, url := newTestServer(t, Config{ScenarioDir: scenarioDir, execOverride: record})
+	for round := 0; round < 2; round++ {
+		for _, in := range s.library {
+			if status, body, _ := postRun(t, url+"/v1/runs?name="+in.Name, ""); status != http.StatusOK {
+				t.Fatalf("%s: status = %d\n%s", in.Name, status, body)
+			}
+			if c := got[len(got)-1]; c != s.byName[in.Name] || c.Spec.Name != in.Name {
+				t.Errorf("round %d: %s ran a Compiled other than the library's", round, in.Name)
+			}
+		}
+	}
+	if raceEnabled {
+		return // race instrumentation allocates
+	}
+	const requests, ceiling = 4, 1 << 20 // bytes per request
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < requests; i++ {
+		if status, body, _ := postRun(t, url+"/v1/runs?name=drain-100k-rolling", ""); status != http.StatusOK {
+			t.Fatalf("status = %d\n%s", status, body)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	b := (after.TotalAlloc - before.TotalAlloc) / requests
+	t.Logf("a by-name drain-100k-rolling request allocates %d bytes", b)
+	if b > ceiling {
+		t.Errorf("a by-name drain-100k-rolling request allocates %d bytes, ceiling is %d: it compiled", b, ceiling)
+	}
+}
+
+// TestConcurrentByNameRunsShareCompiled runs every library entry once
+// by name, then again from concurrent clients: every concurrent
+// response must equal the first, though the runs of one entry share
+// one read-only Compiled and, for a cluster entry, its layout and t=0
+// view. The 100k-host entry is left out under the race detector.
+func TestConcurrentByNameRunsShareCompiled(t *testing.T) {
+	s, url := newTestServer(t, Config{
+		ScenarioDir: scenarioDir, Cache: sim.NewCache(0),
+		MaxConcurrent: 4, QueueDepth: 64,
+	})
+	want := map[string][]byte{}
+	var names []string
+	for _, in := range s.library {
+		if raceEnabled && in.Cluster >= 32768 {
+			continue
+		}
+		status, body, _ := postRun(t, url+"/v1/runs?name="+in.Name, "")
+		if status != http.StatusOK {
+			t.Fatalf("%s: warm-up status = %d\n%s", in.Name, status, body)
+		}
+		want[in.Name] = body
+		names = append(names, in.Name)
+	}
+	const clients = 2
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		for _, name := range names {
+			wg.Add(1)
+			go func(name string) {
+				defer wg.Done()
+				status, got, _ := postRun(t, url+"/v1/runs?name="+name, "")
+				if status != http.StatusOK {
+					t.Errorf("%s: status = %d\n%s", name, status, got)
+					return
+				}
+				if !bytes.Equal(got, want[name]) {
+					t.Errorf("%s: a concurrent response differs from the warm-up response", name)
+				}
+			}(name)
+		}
+	}
+	wg.Wait()
+}
+
+// TestRunRefusalsOfTheSpec: a spec whose own values the run cannot
+// carry out answers 422 with the field path, whether Compile refuses it
+// (load VMs that do not fit, a move from a host its VM is not on) or
+// only the run can tell (a move of a VM still in flight); a 500 stays
+// for the daemon's own faults.
+func TestRunRefusalsOfTheSpec(t *testing.T) {
+	_, url := newTestServer(t, Config{Cache: sim.NewCache(0)})
+	load := func(name string) map[string]any {
+		b, err := os.ReadFile(filepath.Join(scenarioDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	moves := func(m map[string]any) []any { return m["cluster"].(map[string]any)["moves"].([]any) }
+	cases := []struct {
+		name, file string
+		edit       func(map[string]any)
+		path       string
+	}{
+		{"load VMs overfill the source", "c1-cpuload-live.json", func(m map[string]any) { m["source_load_vms"] = 56 }, "source_load_vms"},
+		{"load VMs overfill the target", "c1-cpuload-live.json", func(m map[string]any) { m["target_load_vms"] = 56 }, "target_load_vms"},
+		{"move from a host its VM is not on", "contended-links-4.json", func(m map[string]any) {
+			moves(m)[0].(map[string]any)["from"] = "c3"
+		}, "cluster.moves[0].from"},
+		{"move of a VM still in flight", "contended-links-4.json", func(m map[string]any) {
+			c := m["cluster"].(map[string]any)
+			c["moves"] = append(moves(m), map[string]any{"vm": "mover-a", "from": "c2", "to": "c4", "at_s": 1})
+		}, "cluster.moves[2].at_s"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := load(tc.file)
+			tc.edit(m)
+			body, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			status, resp, _ := postRun(t, url+"/v1/runs", string(body))
+			if status != http.StatusUnprocessableEntity {
+				t.Fatalf("status = %d, want 422\n%s", status, resp)
+			}
+			var env struct {
+				Error apiError `json:"error"`
+			}
+			if err := json.Unmarshal(resp, &env); err != nil {
+				t.Fatal(err)
+			}
+			if env.Error.Code != codeInvalidScenario || env.Error.Path != tc.path {
+				t.Errorf("code %q, path %q; want %q, %q (%s)", env.Error.Code, env.Error.Path, codeInvalidScenario, tc.path, env.Error.Message)
+			}
+		})
+	}
+}
+
 // TestPlanMovesOneVMTwice: a plan that compiles may move one VM twice,
 // a→b then b→c; the second move starts where the first landed, and Exec
 // renders both.

@@ -132,21 +132,73 @@ func (s Scenario) withDefaults() Scenario {
 	return s
 }
 
-// Validate rejects impossible scenarios.
+// Validate rejects impossible scenarios, among them load VMs that do
+// not fit their host (a *FitError), which xen would refuse to attach
+// mid-run.
 func (s Scenario) Validate() error {
 	if s.SourceLoadVMs < 0 || s.TargetLoadVMs < 0 {
 		return fmt.Errorf("sim: negative load VM count")
 	}
-	if _, err := vm.Lookup(s.withDefaults().MigratingType); err != nil {
+	d := s.withDefaults()
+	guest, err := vm.Lookup(d.MigratingType)
+	if err != nil {
 		return err
 	}
-	if err := s.withDefaults().MigratingProfile.Validate(); err != nil {
+	if err := d.MigratingProfile.Validate(); err != nil {
 		return err
 	}
-	if err := s.withDefaults().LoadProfile.Validate(); err != nil {
+	if err := d.LoadProfile.Validate(); err != nil {
+		return err
+	}
+	src, dst, err := hw.Pair(d.Pair)
+	if err != nil {
+		return err
+	}
+	if err := fits(src, guest, s.SourceLoadVMs, false); err != nil {
+		return err
+	}
+	if err := fits(dst, guest, s.TargetLoadVMs, true); err != nil {
 		return err
 	}
 	return s.Meter.Validate()
+}
+
+// FitError reports load VMs that do not fit a host of the scenario's
+// pair: xen attaches a guest only while dom-0, the migrating guest and
+// the load VMs together fit the host's RAM. The source holds the guest
+// from the start, the target from activation.
+type FitError struct {
+	// Target marks the target host; false is the source.
+	Target bool
+	// Host names the machine, LoadVMs the count that does not fit, and
+	// Max the most that fit.
+	Host         string
+	LoadVMs, Max int
+	RAM          units.Bytes
+}
+
+func (e *FitError) Error() string {
+	side := "source"
+	if e.Target {
+		side = "target"
+	}
+	return fmt.Sprintf("sim: %d load VMs do not fit the %s host %s: beside dom-0 and the migrating guest its %v of RAM holds at most %d",
+		e.LoadVMs, side, e.Host, e.RAM, e.Max)
+}
+
+// fits applies xen's attach rule to n load VMs beside the migrating
+// guest on host h, without multiplying n, so no count overflows it.
+func fits(h hw.MachineSpec, guest vm.InstanceType, n int, target bool) error {
+	types := vm.Types()
+	free := h.RAM - types[vm.TypeDom0].RAM - guest.RAM
+	max := int64(-1)
+	if free >= 0 {
+		max = int64(free / types[vm.TypeLoadCPU].RAM)
+	}
+	if int64(n) <= max {
+		return nil
+	}
+	return &FitError{Target: target, Host: h.Name, LoadVMs: n, Max: int(max), RAM: h.RAM}
 }
 
 // RunResult is everything one testbed run yields.
