@@ -37,9 +37,9 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -69,21 +69,22 @@ type VM struct {
 	Phases []workload.Phase
 }
 
-// Validate rejects malformed VM descriptors.
-func (v VM) Validate() error {
+// validate rejects a malformed VM descriptor, which sits at
+// Hosts[host].VMs[vm], with an *InputError naming its field.
+func (v VM) validate(host, vm int) error {
 	switch {
 	case v.Name == "":
-		return errors.New("cluster: VM has no name")
+		return refuseVM(host, vm, "Name", "required")
 	case v.MemBytes <= 0:
-		return fmt.Errorf("cluster: VM %s has no memory", v.Name)
+		return refuseVM(host, vm, "MemBytes", "must be positive, got %d", v.MemBytes)
 	case v.BusyVCPUs < 0:
-		return fmt.Errorf("cluster: VM %s has negative CPU demand", v.Name)
+		return refuseVM(host, vm, "BusyVCPUs", "must be non-negative, got %v", v.BusyVCPUs)
 	case v.DirtyRatio < 0 || v.DirtyRatio > 1:
-		return fmt.Errorf("cluster: VM %s dirty ratio %v outside [0,1]", v.Name, v.DirtyRatio)
+		return refuseVM(host, vm, "DirtyRatio", "%v outside [0, 1]", v.DirtyRatio)
 	}
 	for i, p := range v.Phases {
 		if err := p.Validate(); err != nil {
-			return fmt.Errorf("cluster: VM %s phase %d: %w", v.Name, i, err)
+			return refuseVM(host, vm, "Phases", "phase %d: %w", i, err)
 		}
 	}
 	return nil
@@ -142,31 +143,42 @@ type resolved struct {
 }
 
 // resolve fills the host's capacity fields from its machine model and
-// validates the host. The catalog is passed in because fleet-scale
-// configs resolve thousands of hosts per run and hw.Catalog builds a
-// fresh map per call.
-func (h Host) resolve(cat map[string]hw.MachineSpec) (resolved, error) {
+// validates the host, which sits at Hosts[i]. A guest whose peak demand
+// exceeds the machine's threads is refused: no placement can carry it,
+// and its load would not fit either end of a lowered migration. The
+// catalog is passed in because fleet-scale configs resolve thousands of
+// hosts per run and hw.Catalog builds a fresh map per call.
+func (h Host) resolve(cat map[string]hw.MachineSpec, i int) (resolved, error) {
 	spec, known := cat[h.Machine]
 	switch {
 	case h.Name == "":
-		return resolved{}, errors.New("cluster: host has no name")
+		return resolved{}, refuse("Hosts", i, "Name", "required")
 	case h.Machine == "":
-		return resolved{}, fmt.Errorf("cluster: host %s needs a machine model", h.Name)
+		return resolved{}, refuse("Hosts", i, "Machine", "needs a machine model (catalog: %s)", hw.Models())
 	case !known:
-		return resolved{}, fmt.Errorf("cluster: host %s: unknown machine model %q", h.Name, h.Machine)
+		return resolved{}, refuse("Hosts", i, "Machine", "unknown machine model %q (catalog: %s)", h.Machine, hw.Models())
 	}
-	out := resolved{Host: h, Threads: spec.Threads, MemBytes: spec.RAM, IdlePower: spec.IdlePower(), sw: spec.Switch}
-	seen := map[string]bool{}
-	for _, v := range h.VMs {
-		if err := v.Validate(); err != nil {
-			return out, err
+	for j, v := range h.VMs {
+		if err := v.validate(i, j); err != nil {
+			return resolved{}, err
 		}
-		if seen[v.Name] {
-			return out, fmt.Errorf("cluster: duplicate VM %q on host %s", v.Name, h.Name)
+		factor := 1.0 // the largest Level or Peak a phase names, or 1 without phases
+		if len(v.Phases) > 0 {
+			factor = 0
 		}
-		seen[v.Name] = true
+		for _, p := range v.Phases {
+			level := p.Level
+			if level == 0 {
+				level = 1 // the phase default; a zero Peak selects Level
+			}
+			factor = max(factor, level, p.Peak)
+		}
+		if peak := v.BusyVCPUs * factor; !(peak <= float64(spec.Threads)) {
+			return resolved{}, refuseVM(i, j, "BusyVCPUs", "peak demand of %v busy vCPUs exceeds the %d threads of machine %s",
+				peak, spec.Threads, h.Machine)
+		}
 	}
-	return out, nil
+	return resolved{Host: h, Threads: spec.Threads, MemBytes: spec.RAM, IdlePower: spec.IdlePower(), sw: spec.Switch}, nil
 }
 
 // TimedMove is one explicit migration of a cluster timeline.
@@ -240,10 +252,61 @@ type Config struct {
 	layout *layout
 }
 
-// Prepare validates cfg and returns it with its layout attached: the
-// resolved hosts in name order plus host and VM name indices. Run then
-// builds only the mutable per-run state, so a config run many times — a
-// compiled scenario — is validated, sorted and indexed once.
+// InputError is the refusal of one of a config's own fields, located at
+// it: Field names the Config field (or the plan executor's input: Hosts,
+// Moves, Kind), Index the element's position in that list and VM
+// the guest's position in Hosts[Index].VMs, each -1 when none is at
+// fault, and Attr the element's field ("BusyVCPUs", "From", "Switch"),
+// empty when the element as a whole is at fault.
+//
+// Prepare and Executor.Lower refuse with one, and so does a run, for one
+// of Config.Moves it cannot carry out for what only the run knows (the
+// VM still in flight or kept elsewhere by an abort, a destination or
+// switch that is down, load VMs that do not fit an end of the lowered
+// migration). A planned move refused at dispatch is the policy's fault
+// and fails with a plain error.
+type InputError struct {
+	Field     string
+	Index, VM int
+	Attr      string
+	Err       error
+}
+
+// Error renders "cluster: <location>: <refusal>", the location in Go
+// syntax, such as "Hosts[1].VMs[0].BusyVCPUs".
+func (e *InputError) Error() string {
+	loc := e.Field
+	if e.Index >= 0 {
+		loc += fmt.Sprintf("[%d]", e.Index)
+	}
+	if e.VM >= 0 {
+		loc += fmt.Sprintf(".VMs[%d]", e.VM)
+	}
+	if e.Attr != "" {
+		loc += "." + e.Attr
+	}
+	return "cluster: " + loc + ": " + e.Err.Error()
+}
+
+// Unwrap returns the refusal.
+func (e *InputError) Unwrap() error { return e.Err }
+
+// refuse builds a refusal of attribute attr of element index of field,
+// or of field as a whole when index is -1.
+func refuse(field string, index int, attr, format string, args ...any) *InputError {
+	return &InputError{Field: field, Index: index, VM: -1, Attr: attr, Err: fmt.Errorf(format, args...)}
+}
+
+// refuseVM builds a refusal of attribute attr of Hosts[host].VMs[vm].
+func refuseVM(host, vm int, attr, format string, args ...any) *InputError {
+	return &InputError{Field: "Hosts", Index: host, VM: vm, Attr: attr, Err: fmt.Errorf(format, args...)}
+}
+
+// Prepare validates cfg, refusing it with an *InputError, and returns it
+// with its layout attached: the resolved hosts in name order plus host
+// and VM name indices. Run then builds only the mutable per-run state,
+// so a config run many times — a compiled scenario — is validated,
+// sorted and indexed once.
 //
 // A prepared config's Hosts, Moves and Failures are read-only. Copies
 // keep the layout, and may set Workers, Cache, Ctx, PolicyConfig, Seed
@@ -311,16 +374,17 @@ func sameSlice[T any](a, b []T) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// validate rejects unusable configurations and returns the layout its
-// checks built, before order: the hosts resolved in Config.Hosts order,
-// and the name indices as the checks used them (host name → position in
-// Hosts, VM names as a set). Prepare orders it.
+// validate rejects unusable configurations with an *InputError and
+// returns the layout its checks built, before order: the hosts resolved
+// in Config.Hosts order, and the name indices as the checks used them
+// (host name → position in Hosts, VM name → its initial host's position
+// in Hosts). Prepare orders it.
 func (c Config) validate() (*layout, error) {
 	if len(c.Hosts) == 0 {
-		return nil, errors.New("cluster: no hosts")
+		return nil, refuse("Hosts", -1, "", "no hosts")
 	}
 	if c.Kind != migration.Live && c.Kind != migration.NonLive {
-		return nil, fmt.Errorf("cluster: unsupported migration kind %v (want live or non-live)", c.Kind)
+		return nil, refuse("Kind", -1, "", "unsupported migration kind %v (want live or non-live)", c.Kind)
 	}
 	cat := hw.Catalog()
 	hosts := make([]resolved, len(c.Hosts))
@@ -330,47 +394,47 @@ func (c Config) validate() (*layout, error) {
 	for _, h := range c.Hosts {
 		nvms += len(h.VMs)
 	}
-	vms := make(map[string]int32, nvms)
+	vms := make(map[string]int32, nvms) // VM name → its initial host's position in Hosts
 	l := &layout{
 		hosts: make([]*resolved, len(c.Hosts)), hostIdx: index, vmIdx: vms, nvms: nvms,
 		cfgHosts: c.Hosts, moves: c.Moves, failures: c.Failures, scalars: scalarsOf(c),
 	}
 	for i, h := range c.Hosts {
-		r, err := h.resolve(cat)
+		r, err := h.resolve(cat, i)
 		if err != nil {
 			return nil, err
 		}
 		if _, dup := index[r.Name]; dup {
-			return nil, fmt.Errorf("cluster: duplicate host %q", r.Name)
+			return nil, refuse("Hosts", i, "Name", "duplicate host %q", r.Name)
 		}
 		index[r.Name] = int32(i)
 		hosts[i] = r
 		l.hosts[i] = &hosts[i]
 		switches[i] = r.sw
-		for _, v := range h.VMs {
+		for j, v := range h.VMs {
 			if _, dup := vms[v.Name]; dup {
-				return nil, fmt.Errorf("cluster: VM %q appears on two hosts", v.Name)
+				return nil, refuseVM(i, j, "Name", "VM %q already exists in the cluster", v.Name)
 			}
-			vms[v.Name] = 0
+			vms[v.Name] = int32(i)
 			// The policy view names in-flight destination reservations
 			// "<vm>+incoming" in the same namespace as real VMs; a real VM
 			// wearing that suffix would silently alias a reservation (and
 			// its pin).
 			if c.Policy != nil && strings.HasSuffix(v.Name, "+incoming") {
-				return nil, fmt.Errorf("cluster: VM name %q ends in \"+incoming\", which is reserved for in-flight reservations in policy timelines", v.Name)
+				return nil, refuseVM(i, j, "Name", "%q ends in \"+incoming\", which is reserved for in-flight reservations in policy timelines", v.Name)
 			}
 		}
 	}
 	if c.Policy != nil {
 		switch {
 		case len(c.Moves) > 0:
-			return nil, errors.New("cluster: a policy and explicit moves are mutually exclusive")
+			return nil, refuse("Moves", -1, "", "a policy and explicit moves are mutually exclusive")
 		case c.Tick <= 0:
-			return nil, errors.New("cluster: a policy needs a positive tick period")
+			return nil, refuse("Tick", -1, "", "a policy needs a positive tick period, got %v", c.Tick)
 		case c.Horizon <= 0:
-			return nil, errors.New("cluster: a policy needs a positive horizon")
+			return nil, refuse("Horizon", -1, "", "a policy needs a positive horizon, got %v", c.Horizon)
 		case len(c.Hosts) < 2:
-			return nil, errors.New("cluster: planning needs at least two hosts")
+			return nil, refuse("Hosts", -1, "", "planning needs at least two hosts, got %d", len(c.Hosts))
 		}
 		// The built-in policies are topology-blind: on a mixed-switch
 		// population they would eventually plan a cross-switch move and
@@ -378,7 +442,7 @@ func (c Config) validate() (*layout, error) {
 		// routing is a planned extension (see ROADMAP).
 		for i, sw := range switches {
 			if sw != switches[0] {
-				return nil, fmt.Errorf("cluster: policy-driven timelines need all hosts on one switch; %s is on %q, %s on %q",
+				return nil, refuse("Hosts", i, "Machine", "policy-driven timelines need all hosts on one switch; %s is on %q, %s on %q",
 					c.Hosts[0].Name, switches[0], c.Hosts[i].Name, sw)
 			}
 		}
@@ -390,22 +454,22 @@ func (c Config) validate() (*layout, error) {
 		_, vmOK := vms[m.VM]
 		switch {
 		case m.VM == "":
-			return nil, fmt.Errorf("cluster: move %d has no VM", i)
+			return nil, refuse("Moves", i, "VM", "required")
 		case dispatched[m.VM][m.At]:
-			return nil, fmt.Errorf("cluster: move %d dispatches VM %q twice at %v", i, m.VM, m.At)
+			return nil, refuse("Moves", i, "At", "dispatches VM %q twice at %v", m.VM, m.At)
 		case !vmOK:
-			return nil, fmt.Errorf("cluster: move %d references unknown VM %q", i, m.VM)
+			return nil, refuse("Moves", i, "VM", "unknown VM %q", m.VM)
 		case !fromOK:
-			return nil, fmt.Errorf("cluster: move %d references unknown host %q", i, m.From)
+			return nil, refuse("Moves", i, "From", "unknown host %q", m.From)
 		case !toOK:
-			return nil, fmt.Errorf("cluster: move %d references unknown host %q", i, m.To)
+			return nil, refuse("Moves", i, "To", "unknown host %q", m.To)
 		case m.From == m.To:
-			return nil, fmt.Errorf("cluster: move %d does not change hosts (%q)", i, m.From)
+			return nil, refuse("Moves", i, "To", "move does not change hosts, both are %q", m.From)
 		case m.At < 0:
-			return nil, fmt.Errorf("cluster: move %d starts before the timeline (%v)", i, m.At)
+			return nil, refuse("Moves", i, "At", "starts before the timeline (%v)", m.At)
 		case switches[from] != switches[to]:
-			return nil, fmt.Errorf("cluster: move %d has no migration path from %s (%s) to %s (%s): different switches",
-				i, m.From, switches[from], m.To, switches[to])
+			return nil, refuse("Moves", i, "To", "no migration path from %s (%s) to %s (%s): different switches",
+				m.From, switches[from], m.To, switches[to])
 		}
 		if dispatched[m.VM] == nil {
 			dispatched[m.VM] = map[time.Duration]bool{}
@@ -415,7 +479,84 @@ func (c Config) validate() (*layout, error) {
 	if err := c.validateFailures(index, vms, switches); err != nil {
 		return nil, err
 	}
+	if err := c.checkSources(vms); err != nil {
+		return nil, err
+	}
 	return l, nil
+}
+
+// checkSources replays the explicit moves of each VM in dispatch order
+// and refuses, at its From, a move that cannot start where it says: a
+// VM's first move must start on the VM's initial host (vms maps it to
+// its position in Hosts), and a later one where the previous move ended
+// or, if a failure event could abort the previous move, where that move
+// began. What the replay cannot tell, whether such a failure does abort
+// the move, the run checks at dispatch (checkMove).
+func (c Config) checkSources(vms map[string]int32) error {
+	// place is where a VM is: on at, or on alt if a failure aborts the
+	// move that took it to at (Moves[last], -1 for none).
+	type place struct {
+		at, alt string
+		last    int
+	}
+	where := make(map[string]place, len(c.Moves))
+	for _, i := range inOrder(len(c.Moves), func(i int) time.Duration { return c.Moves[i].At }) {
+		m := c.Moves[i]
+		p, moved := where[m.VM]
+		if !moved {
+			p = place{at: c.Hosts[vms[m.VM]].Name, last: -1}
+		}
+		if m.From != p.at && (p.alt == "" || m.From != p.alt) {
+			switch {
+			case p.last < 0:
+				return refuse("Moves", i, "From", "VM %q starts on host %q, not %q", m.VM, p.at, m.From)
+			case p.alt == "":
+				return refuse("Moves", i, "From", "VM %q is on host %q after moves[%d], not %q", m.VM, p.at, p.last, m.From)
+			}
+			return refuse("Moves", i, "From", "VM %q is on host %q after moves[%d], or on %q if a failure aborts that move, not %q",
+				m.VM, p.at, p.last, p.alt, m.From)
+		}
+		next := place{at: m.To, last: i}
+		if c.couldAbort(m) {
+			next.alt = m.From
+		}
+		where[m.VM] = next
+	}
+	return nil
+}
+
+// couldAbort reports whether a failure event after m's dispatch could
+// abort it: a flight-abort naming its VM or a crash of either end.
+// Events at the dispatch instant apply before it.
+func (c Config) couldAbort(m TimedMove) bool {
+	for _, f := range c.Failures {
+		if f.At <= m.At {
+			continue
+		}
+		switch f.Kind {
+		case FailFlightAbort:
+			if f.VM == m.VM {
+				return true
+			}
+		case FailHostCrash:
+			if f.Host == m.From || f.Host == m.To {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// inOrder returns the positions 0 to n-1 in the engine's order of
+// timed inputs, moves and failure events alike: by at(i), same-instant
+// ones in the order declared.
+func inOrder(n int, at func(i int) time.Duration) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return at(order[a]) < at(order[b]) })
+	return order
 }
 
 // order sorts the layout's hosts, and each host's VMs, by name — the

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -35,6 +37,30 @@ func vmSpec(name string, busy float64, dirty units.Fraction) VM {
 	return VM{Name: name, MemBytes: gib(4), BusyVCPUs: busy, DirtyRatio: dirty}
 }
 
+// at is where a refusal is expected: an InputError's Field, Index, VM
+// and Attr.
+func at(field string, index, vm int, attr string) InputError {
+	return InputError{Field: field, Index: index, VM: vm, Attr: attr}
+}
+
+// wantRefusal checks that err is an *InputError located at want whose
+// message mentions msg.
+func wantRefusal(t *testing.T, name string, err error, want InputError, msg string) {
+	t.Helper()
+	var ie *InputError
+	switch {
+	case err == nil:
+		t.Errorf("%s: accepted", name)
+	case !errors.As(err, &ie):
+		t.Errorf("%s: %T %q is not an *InputError", name, err, err)
+	case ie.Field != want.Field || ie.Index != want.Index || ie.VM != want.VM || ie.Attr != want.Attr:
+		t.Errorf("%s: refused at %s[%d] VM %d .%s, want %s[%d] VM %d .%s (%v)",
+			name, ie.Field, ie.Index, ie.VM, ie.Attr, want.Field, want.Index, want.VM, want.Attr, err)
+	case !strings.Contains(err.Error(), msg):
+		t.Errorf("%s: error %q does not mention %q", name, err, msg)
+	}
+}
+
 func TestValidate(t *testing.T) {
 	good := Config{
 		Kind:  migration.Live,
@@ -44,55 +70,73 @@ func TestValidate(t *testing.T) {
 	if _, err := Prepare(good); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
+	policy := func(c *Config, p consolidation.Policy) {
+		c.Moves = nil
+		c.Policy = p
+		c.Tick = time.Hour
+		c.Horizon = time.Hour
+	}
+	energyAware := consolidation.EnergyAware{Model: consolidation.HeuristicCost{}}
 	cases := []struct {
 		name string
 		mut  func(*Config)
 		want string
+		at   InputError
 	}{
-		{"no hosts", func(c *Config) { c.Hosts = nil }, "no hosts"},
-		{"post-copy", func(c *Config) { c.Kind = migration.PostCopy }, "unsupported migration kind"},
-		{"unknown machine", func(c *Config) { c.Hosts[0].Machine = "z9" }, "unknown machine model"},
-		{"no machine", func(c *Config) { c.Hosts[0].Machine = "" }, "needs a machine model"},
-		{"dup host", func(c *Config) { c.Hosts[1].Name = "h00" }, "duplicate host"},
-		{"dup vm", func(c *Config) { c.Hosts[1].VMs = []VM{vmSpec("a", 1, 0)} }, "two hosts"},
-		{"unknown move vm", func(c *Config) { c.Moves[0].VM = "ghost" }, "unknown VM"},
-		{"unknown move host", func(c *Config) { c.Moves[0].To = "h99" }, "unknown host"},
-		{"same host move", func(c *Config) { c.Moves[0].To = "h00" }, "does not change hosts"},
-		{"negative at", func(c *Config) { c.Moves[0].At = -time.Second }, "before the timeline"},
+		{"no hosts", func(c *Config) { c.Hosts = nil }, "no hosts", at("Hosts", -1, -1, "")},
+		{"post-copy", func(c *Config) { c.Kind = migration.PostCopy }, "unsupported migration kind", at("Kind", -1, -1, "")},
+		{"unknown machine", func(c *Config) { c.Hosts[0].Machine = "z9" }, "unknown machine model", at("Hosts", 0, -1, "Machine")},
+		{"no machine", func(c *Config) { c.Hosts[0].Machine = "" }, "needs a machine model", at("Hosts", 0, -1, "Machine")},
+		{"dup host", func(c *Config) { c.Hosts[1].Name = "h00" }, "duplicate host", at("Hosts", 1, -1, "Name")},
+		{"dup vm", func(c *Config) { c.Hosts[1].VMs = []VM{vmSpec("a", 1, 0)} }, "already exists", at("Hosts", 1, 0, "Name")},
+		{"unknown move vm", func(c *Config) { c.Moves[0].VM = "ghost" }, "unknown VM", at("Moves", 0, -1, "VM")},
+		{"unknown move host", func(c *Config) { c.Moves[0].To = "h99" }, "unknown host", at("Moves", 0, -1, "To")},
+		{"same host move", func(c *Config) { c.Moves[0].To = "h00" }, "does not change hosts", at("Moves", 0, -1, "To")},
+		{"negative at", func(c *Config) { c.Moves[0].At = -time.Second }, "before the timeline", at("Moves", 0, -1, "At")},
 		{"policy and moves", func(c *Config) {
-			c.Policy = consolidation.EnergyAware{Model: consolidation.HeuristicCost{}}
+			c.Policy = energyAware
 			c.Tick = time.Hour
 			c.Horizon = time.Hour
-		}, "mutually exclusive"},
+		}, "mutually exclusive", at("Moves", -1, -1, "")},
 		{"policy no tick", func(c *Config) {
-			c.Moves = nil
-			c.Policy = consolidation.EnergyAware{Model: consolidation.HeuristicCost{}}
-			c.Horizon = time.Hour
-		}, "tick period"},
+			policy(c, energyAware)
+			c.Tick = 0
+		}, "tick period", at("Tick", -1, -1, "")},
 		{"policy no horizon", func(c *Config) {
-			c.Moves = nil
-			c.Policy = consolidation.EnergyAware{Model: consolidation.HeuristicCost{}}
-			c.Tick = time.Hour
-		}, "horizon"},
+			policy(c, energyAware)
+			c.Horizon = 0
+		}, "horizon", at("Horizon", -1, -1, "")},
 		{"policy with mixed switches", func(c *Config) {
 			// Topology-blind policies would plan a cross-switch move and
 			// abort mid-timeline; Prepare must refuse the population.
-			c.Moves = nil
-			c.Policy = consolidation.EnergyAware{Model: consolidation.HeuristicCost{}}
-			c.Tick = time.Hour
-			c.Horizon = time.Hour
+			policy(c, energyAware)
 			c.Hosts[1].Machine = "o1"
-		}, "one switch"},
+		}, "one switch", at("Hosts", 1, -1, "Machine")},
 		{"same vm dispatched twice at one instant", func(c *Config) {
 			c.Moves = append(c.Moves, TimedMove{VM: "a", From: "h00", To: "h01"})
-		}, "twice"},
+		}, "twice", at("Moves", 1, -1, "At")},
 		{"reserved vm name under policy", func(c *Config) {
-			c.Moves = nil
-			c.Policy = consolidation.EnergyAware{Model: consolidation.HeuristicCost{}}
-			c.Tick = time.Hour
-			c.Horizon = time.Hour
+			policy(c, energyAware)
 			c.Hosts[1].VMs = []VM{vmSpec("a+incoming", 1, 0)}
-		}, "reserved"},
+		}, "reserved", at("Hosts", 1, 0, "Name")},
+		// A guest busier than its host's threads: no placement carries
+		// it, and a move into its host would lower to load VMs beyond the
+		// testbed (or, from 1e300 vCPUs, to a count that wraps negative).
+		{"vm demand beyond int range", func(c *Config) {
+			c.Hosts[1].VMs = []VM{vmSpec("b", 1e300, 0)}
+		}, "exceeds the 32 threads", at("Hosts", 1, 0, "BusyVCPUs")},
+		{"vm demand beyond the testbed", func(c *Config) {
+			c.Hosts[1].VMs = []VM{vmSpec("b", 400, 0)}
+		}, "exceeds the 32 threads", at("Hosts", 1, 0, "BusyVCPUs")},
+		{"vm demand no host of the plan can hold", func(c *Config) {
+			policy(c, consolidation.FirstFitDecreasing{Model: consolidation.HeuristicCost{}})
+			c.Hosts[0].VMs = []VM{vmSpec("a", 40, 0.1)}
+		}, "exceeds the 32 threads", at("Hosts", 0, 0, "BusyVCPUs")},
+		{"vm demand beyond its host at a phase peak", func(c *Config) {
+			v := vmSpec("b", 20, 0)
+			v.Phases = []workload.Phase{{Kind: workload.PhaseSteady, Duration: time.Minute}, {Kind: workload.PhaseBurst, Duration: time.Minute, Peak: 2}}
+			c.Hosts[1].VMs = []VM{v}
+		}, "peak demand of 40 busy vCPUs", at("Hosts", 1, 0, "BusyVCPUs")},
 	}
 	for _, tc := range cases {
 		cfg := Config{
@@ -102,13 +146,7 @@ func TestValidate(t *testing.T) {
 		}
 		tc.mut(&cfg)
 		_, err := Prepare(cfg)
-		if err == nil {
-			t.Errorf("%s: accepted", tc.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
-		}
+		wantRefusal(t, tc.name, err, tc.at, tc.want)
 	}
 }
 
@@ -537,11 +575,45 @@ func TestRunRefusesOverlappingMovesOfOneVM(t *testing.T) {
 	cfg := explicitPair(0)
 	cfg.Moves = []TimedMove{
 		{VM: "va", From: "h00", To: "h01", At: 0},
-		{VM: "va", From: "h00", To: "h03", At: time.Second},
+		{VM: "va", From: "h01", To: "h03", At: time.Second},
 	}
 	_, err := Run(cfg)
 	if err == nil || !strings.Contains(err.Error(), "already migrating") {
 		t.Fatalf("overlapping dispatch of one VM: err = %v, want already-migrating refusal", err)
+	}
+}
+
+// TestRunRefusesMoveBeyondTheTestbed: an explicit move whose lowered
+// migration puts more load VMs on one end than the testbed host's RAM
+// holds is refused as the move's own input, at that end; the batch
+// commits nothing. A planned move's kernel failure stays a plain error.
+func TestRunRefusesMoveBeyondTheTestbed(t *testing.T) {
+	mover := vmSpec("a", 4, 0.1)
+	piled := make([]VM, 8)
+	for i := range piled {
+		piled[i] = vmSpec(fmt.Sprintf("p%d", i), 30, 0.1)
+	}
+	for _, tc := range []struct {
+		name  string
+		hosts []Host
+		side  string
+	}{
+		{"piled target", fleet("m01", []VM{mover}, piled), "To"},
+		{"piled source", fleet("m01", append([]VM{mover}, piled...), nil), "From"},
+	} {
+		_, err := Run(Config{Kind: migration.Live, Hosts: tc.hosts, Moves: []TimedMove{{VM: "a", From: "h00", To: "h01"}}})
+		wantRefusal(t, tc.name, err, at("Moves", 0, -1, tc.side), "60 load VMs do not fit")
+		if fit := (*sim.FitError)(nil); !errors.As(err, &fit) {
+			t.Errorf("%s: the refusal %v does not carry the kernel's *sim.FitError", tc.name, err)
+		}
+	}
+	cfg := policyFleet()
+	cfg.simOverride = func(sim.Scenario) (*sim.RunResult, error) {
+		return nil, &sim.FitError{Target: true, Host: "m01", LoadVMs: 60, Max: 6}
+	}
+	var ie *InputError
+	if _, err := Run(cfg); err == nil || errors.As(err, &ie) {
+		t.Errorf("planned move the kernel refused: err = %v, want a plain error", err)
 	}
 }
 

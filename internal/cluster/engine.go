@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -216,10 +217,12 @@ type engine struct {
 
 // pendingDispatch carries a staged dispatch batch from the event that
 // admitted it to the join point: the flights (not yet engine state),
-// the dispatch instant, and the channel its kernel results arrive on.
+// the dispatch instant, each flight's index in Config.Moves (nil for a
+// planned batch), and the channel its kernel results arrive on.
 type pendingDispatch struct {
 	t       time.Duration
 	flights []*flight
+	moves   []int
 	ch      chan dispatchResult
 }
 
@@ -305,11 +308,7 @@ func newEngine(cfg Config) (*engine, error) {
 	// Explicit moves dispatch in (At, spec order); the stable sort keeps
 	// same-instant moves in the order the author wrote them.
 	if len(cfg.Moves) > 0 {
-		e.pending = make([]int, len(cfg.Moves))
-		for i := range e.pending {
-			e.pending[i] = i
-		}
-		sort.SliceStable(e.pending, func(i, j int) bool { return cfg.Moves[e.pending[i]].At < cfg.Moves[e.pending[j]].At })
+		e.pending = inOrder(len(cfg.Moves), func(i int) time.Duration { return cfg.Moves[i].At })
 	}
 	// Phase transitions inside the horizon, as observable events.
 	if cfg.Horizon > 0 {
@@ -620,64 +619,38 @@ func (e *engine) guestNamed(name string) *vmRT {
 	return nil
 }
 
-// MoveError is the refusal of one of Config.Moves at its dispatch, for
-// what only the run can know: its VM was elsewhere, because a failure
-// aborted an earlier move of it, or still in flight, or its destination
-// or switch was down. The move is the config's own, so the input is at
-// fault, not the engine. A planned move refused at dispatch is the
-// policy's fault and fails with the plain error.
-type MoveError struct {
-	// Index is the move's position in Config.Moves.
-	Index int
-	// Field names the TimedMove field at fault: "VM", "From", "To" or
-	// "At".
-	Field string
-	Err   error
-}
-
-// Error returns the refusal's message.
-func (e *MoveError) Error() string { return e.Err.Error() }
-
-// Unwrap returns the refusal.
-func (e *MoveError) Unwrap() error { return e.Err }
-
-// refuse builds checkMove's refusal of a move, naming the field at fault.
-func refuse(field, format string, args ...any) *MoveError {
-	return &MoveError{Field: field, Err: fmt.Errorf(format, args...)}
-}
-
 // checkMove resolves and sanity-checks one dispatching move. A refusal
-// comes without its Index.
-func (e *engine) checkMove(m TimedMove) (*vmRT, *hostRT, *MoveError) {
+// names the move's field at fault and comes without its Index.
+func (e *engine) checkMove(m TimedMove) (*vmRT, *hostRT, *InputError) {
 	v := e.guestNamed(m.VM)
 	if v == nil {
-		return nil, nil, refuse("VM", "cluster: move references unknown VM %q", m.VM)
+		return nil, nil, refuse("Moves", -1, "VM", "unknown VM %q", m.VM)
 	}
 	if v.migrating {
-		return nil, nil, refuse("At", "cluster: VM %q is already migrating", m.VM)
+		return nil, nil, refuse("Moves", -1, "At", "VM %q is already migrating", m.VM)
 	}
 	if v.host.Name != m.From {
-		return nil, nil, refuse("From", "cluster: VM %q is on host %q, not %q", m.VM, v.host.Name, m.From)
+		return nil, nil, refuse("Moves", -1, "From", "VM %q is on host %q, not %q", m.VM, v.host.Name, m.From)
 	}
 	dst := e.hostNamed(m.To)
 	if dst == nil {
-		return nil, nil, refuse("To", "cluster: move references unknown host %q", m.To)
+		return nil, nil, refuse("Moves", -1, "To", "unknown host %q", m.To)
 	}
 	if dst == v.host {
-		return nil, nil, refuse("To", "cluster: move of %q does not change hosts", m.VM)
+		return nil, nil, refuse("Moves", -1, "To", "move of %q does not change hosts", m.VM)
 	}
 	if v.host.sw != dst.sw {
-		return nil, nil, refuse("To", "cluster: no migration path from %s (%s) to %s (%s): different switches",
+		return nil, nil, refuse("Moves", -1, "To", "no migration path from %s (%s) to %s (%s): different switches",
 			v.host.Name, v.host.sw, dst.Name, dst.sw)
 	}
 	// Failure-aware admission: a crashed host takes no guests, a downed
 	// switch carries no new transfers. Moving *off* a crashed host is
 	// allowed — that is what an evacuation is.
 	if dst.down {
-		return nil, nil, refuse("To", "cluster: destination host %q is down", m.To)
+		return nil, nil, refuse("Moves", -1, "To", "destination host %q is down", m.To)
 	}
 	if e.switchDown(dst.sw) {
-		return nil, nil, refuse("At", "cluster: switch %q is down, refusing to admit %q", dst.sw, m.VM)
+		return nil, nil, refuse("Moves", -1, "At", "switch %q is down, refusing to admit %q", dst.sw, m.VM)
 	}
 	return v, dst, nil
 }
@@ -699,7 +672,7 @@ func (e *engine) checkMove(m TimedMove) (*vmRT, *hostRT, *MoveError) {
 //
 // moveIdx holds each explicit move's index in Config.Moves, and is nil
 // for a planned batch: a refused explicit move fails with its
-// *MoveError, a refused planned move with the plain error.
+// *InputError, a refused planned move with a plain error.
 func (e *engine) dispatch(t time.Duration, batch []TimedMove, moveIdx []int) error {
 	flights := make([]*flight, 0, len(batch))
 	scs := make([]sim.Scenario, 0, len(batch))
@@ -711,11 +684,11 @@ func (e *engine) dispatch(t time.Duration, batch []TimedMove, moveIdx []int) err
 		// unaffected: it reads demands, so every scenario in the batch
 		// sees the dispatch-instant state.
 		if err == nil && staged[m.VM] {
-			err = refuse("At", "cluster: VM %q is already migrating", m.VM)
+			err = refuse("Moves", -1, "At", "VM %q is already migrating", m.VM)
 		}
 		if err != nil {
 			if moveIdx == nil {
-				return err.Err
+				return fmt.Errorf("cluster: %w", err.Err)
 			}
 			err.Index = moveIdx[k]
 			return err
@@ -733,9 +706,9 @@ func (e *engine) dispatch(t time.Duration, batch []TimedMove, moveIdx []int) err
 		flights = append(flights, f)
 		scs = append(scs, sc)
 	}
-	pd := &pendingDispatch{t: t, flights: flights, ch: make(chan dispatchResult, 1)}
+	pd := &pendingDispatch{t: t, flights: flights, moves: moveIdx, ch: make(chan dispatchResult, 1)}
 	go func() {
-		runs, err := e.simulate(scs, func(i int) int { return flights[i].idx })
+		runs, err := e.simulate(pd, scs)
 		pd.ch <- dispatchResult{runs: runs, err: err}
 	}()
 	e.pendJoin = pd
@@ -789,14 +762,15 @@ func (e *engine) joinPending() error {
 	return nil
 }
 
-// simulate answers a batch of lowered scenarios through the cache in
-// parallel, wrapping any failure with the identity of its move (idx
-// maps a batch position to the move's dispatch index). The engine reads
-// only each run's summary, so a persistent-tier hit decodes no trace.
-// The engine's context bounds the whole fan-out: once it is done, no
-// further kernel run dispatches and running ones abandon at their next
-// step.
-func (e *engine) simulate(scs []sim.Scenario, idx func(i int) int) ([]*sim.RunResult, error) {
+// simulate answers a batch's lowered scenarios through the cache in
+// parallel, wrapping any failure with the identity of its move. Load VMs
+// that do not fit an end of an explicit move's lowered migration are the
+// move's own input: that failure is an *InputError at the move's From or
+// To. The engine reads only each run's summary, so a persistent-tier hit
+// decodes no trace. The engine's context bounds the whole fan-out: once
+// it is done, no further kernel run dispatches and running ones abandon
+// at their next step.
+func (e *engine) simulate(pd *pendingDispatch, scs []sim.Scenario) ([]*sim.RunResult, error) {
 	run := func(sc sim.Scenario) (*sim.RunResult, error) {
 		return e.cfg.Cache.SummaryCtx(e.ctx, sc)
 	}
@@ -805,10 +779,19 @@ func (e *engine) simulate(scs []sim.Scenario, idx func(i int) int) ([]*sim.RunRe
 	}
 	return parallel.MapCtx(e.ctx, e.cfg.Workers, len(scs), func(i int) (*sim.RunResult, error) {
 		res, err := run(scs[i])
-		if err != nil {
-			return nil, fmt.Errorf("cluster: executing move %d (%s): %w", idx(i), scs[i].Name, err)
+		if err == nil {
+			return res, nil
 		}
-		return res, nil
+		err = fmt.Errorf("executing move %d (%s): %w", pd.flights[i].idx, scs[i].Name, err)
+		var fit *sim.FitError
+		if pd.moves == nil || !errors.As(err, &fit) {
+			return nil, fmt.Errorf("cluster: %w", err)
+		}
+		side := "From"
+		if fit.Target {
+			side = "To"
+		}
+		return nil, &InputError{Field: "Moves", Index: pd.moves[i], VM: -1, Attr: side, Err: err}
 	})
 }
 

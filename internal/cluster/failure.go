@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -363,14 +362,15 @@ func (e *engine) buildPowerTrace() {
 
 // validateFailures rejects unusable failure schedules against the
 // already-resolved host index (name → position in Hosts), VM name set
-// and per-host switch domains. Beyond per-event shape checks it simulates
-// the event order to refuse double crashes, unpaired outage windows, and
-// explicit moves that statically must fail at dispatch (to a crashed
-// host, or onto a downed switch). The moves themselves are already
-// validated, so every move's hosts are in the index.
+// and per-host switch domains, with an *InputError. Beyond per-event
+// shape checks it simulates the event order to refuse double crashes,
+// unpaired outage windows, and explicit moves that statically must fail
+// at dispatch (to a crashed host, or onto a downed switch). The moves
+// themselves are already validated, so every move's hosts are in the
+// index.
 func (c Config) validateFailures(index, vms map[string]int32, switches []string) error {
 	if c.EvacuationDeadline < 0 {
-		return fmt.Errorf("cluster: negative evacuation deadline %v", c.EvacuationDeadline)
+		return refuse("EvacuationDeadline", -1, "", "negative evacuation deadline %v", c.EvacuationDeadline)
 	}
 	if len(c.Failures) == 0 {
 		return nil
@@ -381,42 +381,44 @@ func (c Config) validateFailures(index, vms map[string]int32, switches []string)
 	}
 	for i, ev := range c.Failures {
 		if ev.At < 0 {
-			return fmt.Errorf("cluster: failure %d happens before the timeline (%v)", i, ev.At)
+			return refuse("Failures", i, "At", "happens before the timeline (%v)", ev.At)
 		}
 		switch ev.Kind {
 		case FailHostCrash:
 			_, hostKnown := index[ev.Host]
 			switch {
-			case ev.Host == "" || ev.VM != "" || ev.Switch != "":
-				return fmt.Errorf("cluster: failure %d (%s) must target exactly one host", i, ev.Kind)
+			case ev.Host == "":
+				return refuse("Failures", i, "Host", "required for kind %q", ev.Kind)
+			case ev.VM != "" || ev.Switch != "":
+				return refuse("Failures", i, "", "%q must target exactly one host", ev.Kind)
 			case !hostKnown:
-				return fmt.Errorf("cluster: failure %d crashes unknown host %q", i, ev.Host)
+				return refuse("Failures", i, "Host", "crashes unknown host %q", ev.Host)
 			}
 		case FailFlightAbort:
 			_, vmKnown := vms[ev.VM]
 			switch {
-			case ev.VM == "" || ev.Host != "" || ev.Switch != "":
-				return fmt.Errorf("cluster: failure %d (%s) must target exactly one VM", i, ev.Kind)
+			case ev.VM == "":
+				return refuse("Failures", i, "VM", "required for kind %q", ev.Kind)
+			case ev.Host != "" || ev.Switch != "":
+				return refuse("Failures", i, "", "%q must target exactly one VM", ev.Kind)
 			case !vmKnown:
-				return fmt.Errorf("cluster: failure %d aborts unknown VM %q", i, ev.VM)
+				return refuse("Failures", i, "VM", "aborts unknown VM %q", ev.VM)
 			}
 		case FailSwitchOutage, FailSwitchRestore:
 			switch {
-			case ev.Switch == "" || ev.Host != "" || ev.VM != "":
-				return fmt.Errorf("cluster: failure %d (%s) must target exactly one switch", i, ev.Kind)
+			case ev.Switch == "":
+				return refuse("Failures", i, "Switch", "required for kind %q", ev.Kind)
+			case ev.Host != "" || ev.VM != "":
+				return refuse("Failures", i, "", "%q must target exactly one switch", ev.Kind)
 			case !domains[ev.Switch]:
-				return fmt.Errorf("cluster: failure %d references unknown switch %q", i, ev.Switch)
+				return refuse("Failures", i, "Switch", "references unknown switch %q", ev.Switch)
 			}
 		default:
-			return fmt.Errorf("cluster: failure %d has unknown kind %q", i, ev.Kind)
+			return refuse("Failures", i, "Kind", "unknown kind %q", ev.Kind)
 		}
 	}
 	// Replay the schedule in the engine's (At, declaration) order.
-	order := make([]int, len(c.Failures))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return c.Failures[order[a]].At < c.Failures[order[b]].At })
+	order := inOrder(len(c.Failures), func(i int) time.Duration { return c.Failures[i].At })
 	crashAt := map[string]time.Duration{}
 	openAt := map[string]time.Duration{}
 	swDown := map[string]bool{}
@@ -426,18 +428,18 @@ func (c Config) validateFailures(index, vms map[string]int32, switches []string)
 		switch ev.Kind {
 		case FailHostCrash:
 			if _, dup := crashAt[ev.Host]; dup {
-				return fmt.Errorf("cluster: failure %d crashes host %q twice", i, ev.Host)
+				return refuse("Failures", i, "Host", "crashes host %q twice", ev.Host)
 			}
 			crashAt[ev.Host] = ev.At
 		case FailSwitchOutage:
 			if swDown[ev.Switch] {
-				return fmt.Errorf("cluster: failure %d takes switch %q down twice without a restore", i, ev.Switch)
+				return refuse("Failures", i, "Switch", "takes switch %q down twice without a restore", ev.Switch)
 			}
 			swDown[ev.Switch] = true
 			openAt[ev.Switch] = ev.At
 		case FailSwitchRestore:
 			if !swDown[ev.Switch] {
-				return fmt.Errorf("cluster: failure %d restores switch %q, which is not down", i, ev.Switch)
+				return refuse("Failures", i, "Switch", "restores switch %q, which is not down", ev.Switch)
 			}
 			swDown[ev.Switch] = false
 			outages[ev.Switch] = append(outages[ev.Switch], [2]time.Duration{openAt[ev.Switch], ev.At})
@@ -450,13 +452,13 @@ func (c Config) validateFailures(index, vms map[string]int32, switches []string)
 	}
 	for i, m := range c.Moves {
 		if at, dead := crashAt[m.To]; dead && m.At >= at {
-			return fmt.Errorf("cluster: move %d dispatches %q to host %q after it crashes at %v", i, m.VM, m.To, at)
+			return refuse("Moves", i, "To", "dispatches %q to host %q after it crashes at %v", m.VM, m.To, at)
 		}
 		sw := switches[index[m.To]]
 		for _, w := range outages[sw] {
 			if m.At >= w[0] && m.At < w[1] {
-				return fmt.Errorf("cluster: move %d dispatches %q at %v, inside an outage of switch %q starting at %v",
-					i, m.VM, m.At, sw, w[0])
+				return refuse("Moves", i, "At", "dispatches %q at %v, inside an outage of switch %q starting at %v",
+					m.VM, m.At, sw, w[0])
 			}
 		}
 	}

@@ -477,53 +477,77 @@ func TestValidateFailures(t *testing.T) {
 		name string
 		mut  func(*Config)
 		want string
+		at   InputError
 	}{
-		{"negative at", func(c *Config) { c.Failures[0].At = -time.Second }, "before the timeline"},
-		{"unknown crash host", func(c *Config) { c.Failures[0].Host = "h99" }, "unknown host"},
-		{"two targets", func(c *Config) { c.Failures[0].VM = "va" }, "exactly one"},
-		{"unknown kind", func(c *Config) { c.Failures[0].Kind = "meteor" }, "unknown kind"},
+		{"negative at", func(c *Config) { c.Failures[0].At = -time.Second }, "before the timeline", at("Failures", 0, -1, "At")},
+		{"unknown crash host", func(c *Config) { c.Failures[0].Host = "h99" }, "unknown host", at("Failures", 0, -1, "Host")},
+		{"crash without a host", func(c *Config) { c.Failures[0].Host = "" }, "required", at("Failures", 0, -1, "Host")},
+		{"two targets", func(c *Config) { c.Failures[0].VM = "va" }, "exactly one", at("Failures", 0, -1, "")},
+		{"unknown kind", func(c *Config) { c.Failures[0].Kind = "meteor" }, "unknown kind", at("Failures", 0, -1, "Kind")},
 		{"unknown abort vm", func(c *Config) {
 			c.Failures[0] = FailureEvent{Kind: FailFlightAbort, VM: "ghost"}
-		}, "unknown VM"},
+		}, "unknown VM", at("Failures", 0, -1, "VM")},
 		{"unknown switch", func(c *Config) {
 			c.Failures[0] = FailureEvent{Kind: FailSwitchOutage, Switch: "nope"}
-		}, "unknown switch"},
+		}, "unknown switch", at("Failures", 0, -1, "Switch")},
 		{"double crash", func(c *Config) {
 			c.Failures = append(c.Failures, FailureEvent{At: time.Minute, Kind: FailHostCrash, Host: "h01"})
-		}, "twice"},
+		}, "twice", at("Failures", 1, -1, "Host")},
 		{"double outage", func(c *Config) {
 			c.Failures = []FailureEvent{
 				{Kind: FailSwitchOutage, Switch: "Cisco Catalyst 3750"},
 				{At: time.Second, Kind: FailSwitchOutage, Switch: "Cisco Catalyst 3750"},
 			}
-		}, "twice"},
+		}, "twice", at("Failures", 1, -1, "Switch")},
 		{"unpaired restore", func(c *Config) {
 			c.Failures = []FailureEvent{{Kind: FailSwitchRestore, Switch: "Cisco Catalyst 3750"}}
-		}, "not down"},
-		{"negative deadline", func(c *Config) { c.EvacuationDeadline = -time.Second }, "deadline"},
+		}, "not down", at("Failures", 0, -1, "Switch")},
+		{"negative deadline", func(c *Config) { c.EvacuationDeadline = -time.Second }, "deadline", at("EvacuationDeadline", -1, -1, "")},
 		{"move to crashed host", func(c *Config) {
 			c.Failures[0] = FailureEvent{At: time.Second, Kind: FailHostCrash, Host: "h01"}
 			c.Moves[0].At = 2 * time.Second
-		}, "after it crashes"},
+		}, "after it crashes", at("Moves", 0, -1, "To")},
 		{"move inside outage", func(c *Config) {
 			c.Failures = []FailureEvent{
 				{At: time.Second, Kind: FailSwitchOutage, Switch: "Cisco Catalyst 3750"},
 				{At: time.Minute, Kind: FailSwitchRestore, Switch: "Cisco Catalyst 3750"},
 			}
 			c.Moves[0].At = 30 * time.Second
-		}, "outage"},
+		}, "outage", at("Moves", 0, -1, "At")},
+		// The replay of each VM's explicit moves: a move must start where
+		// the VM is at its dispatch, or where a failure could have kept it.
+		{"first move not from the initial host", func(c *Config) { c.Moves[0].From = "h01"; c.Moves[0].To = "h00" },
+			`starts on host "h00", not "h01"`, at("Moves", 0, -1, "From")},
+		{"later move not from where the last one landed", func(c *Config) {
+			c.Failures = nil
+			c.Moves = append(c.Moves, TimedMove{VM: "va", From: "h00", To: "h01", At: time.Hour})
+		}, `after moves[0], not "h00"`, at("Moves", 1, -1, "From")},
+		{"moves replayed in dispatch order", func(c *Config) {
+			c.Failures = nil
+			c.Moves = []TimedMove{{VM: "va", From: "h00", To: "h01", At: time.Hour}, {VM: "va", From: "h01", To: "h00"}}
+		}, `starts on host "h00"`, at("Moves", 1, -1, "From")},
+		{"a failure before the dispatch aborts nothing", func(c *Config) {
+			c.Failures[0] = FailureEvent{At: time.Minute, Kind: FailFlightAbort, VM: "va"}
+			c.Moves = append(c.Moves, TimedMove{VM: "va", From: "h00", To: "h01", At: time.Minute})
+			c.Moves[0].At = time.Minute
+			c.Moves[1].At = time.Hour
+		}, `after moves[0], not "h00"`, at("Moves", 1, -1, "From")},
 	}
 	for _, tc := range cases {
 		cfg := singleMove()
 		cfg.Failures = []FailureEvent{{At: time.Minute, Kind: FailHostCrash, Host: "h01"}}
 		tc.mut(&cfg)
 		_, err := Prepare(cfg)
-		if err == nil {
-			t.Errorf("%s: accepted", tc.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		wantRefusal(t, tc.name, err, tc.at, tc.want)
+	}
+	// After a move a failure could abort, the VM's next move may start
+	// where that move began as well as where it ends.
+	for _, f := range []FailureEvent{{At: time.Second, Kind: FailFlightAbort, VM: "va"}, {At: time.Second, Kind: FailHostCrash, Host: "h00"}} {
+		cfg := singleMove()
+		cfg.Failures = []FailureEvent{f}
+		cfg.Moves = append(cfg.Moves, TimedMove{VM: "va", From: "h00", To: "h01", At: time.Hour})
+		if _, err := Prepare(cfg); err != nil {
+			t.Errorf("%s after the first move: a second move from its source refused: %v", f.Kind, err)
 		}
 	}
 	// A move dispatched exactly at the restore instant is legal: outage

@@ -70,80 +70,12 @@ type Executor struct {
 
 // ExecutePlan simulates every move of a plan in order against the
 // evolving placement and returns the measured report. hosts is the
-// pre-plan state. A plan that moves one VM twice chains the moves: the
-// second starts from where the first landed. The run takes no context
-// and cannot be cancelled.
+// pre-plan state. Lower checks and lowers the plan first. The run takes
+// no context and cannot be cancelled.
 func (e Executor) ExecutePlan(policy string, plan *consolidation.Plan, hosts []consolidation.HostState) (*ExecutionReport, error) {
-	if plan == nil {
-		return nil, errors.New("cluster: nil plan")
-	}
-	pair := e.Pair
-	if pair == "" {
-		pair = hw.PairM
-	}
-	src, dst, err := hw.Pair(pair)
-	switch {
-	case e.Kind != migration.Live && e.Kind != migration.NonLive:
-		return nil, fmt.Errorf("cluster: unsupported migration kind %v (want live or non-live)", e.Kind)
-	case err != nil:
+	scs, err := e.Lower(plan, hosts)
+	if err != nil {
 		return nil, err
-	case src.Switch != dst.Switch:
-		return nil, fmt.Errorf("cluster: pair %q spans switches %q and %q and cannot migrate", pair, src.Switch, dst.Switch)
-	case len(hosts) == 0:
-		return nil, errors.New("cluster: no hosts")
-	}
-	// The placement keeps each host's residents in name order, as the
-	// engine does, so a host's demand sums in the engine's order and
-	// rounds to the same load-VM count.
-	placed := make(map[string][]consolidation.VMState, len(hosts))
-	where := make(map[string]string) // VM name → its host's name
-	for _, h := range hosts {
-		if h.Name == "" {
-			return nil, errors.New("cluster: host has no name")
-		}
-		if _, dup := placed[h.Name]; dup {
-			return nil, fmt.Errorf("cluster: duplicate host %q", h.Name)
-		}
-		for _, v := range h.VMs {
-			_, dup := where[v.Name]
-			switch {
-			case v.Name == "":
-				return nil, fmt.Errorf("cluster: host %s has a VM with no name", h.Name)
-			case dup:
-				return nil, fmt.Errorf("cluster: VM %q appears twice", v.Name)
-			case v.BusyVCPUs < 0:
-				return nil, fmt.Errorf("cluster: VM %s has negative CPU demand", v.Name)
-			}
-			where[v.Name] = h.Name
-		}
-		vms := slices.Clone(h.VMs)
-		slices.SortFunc(vms, func(a, b consolidation.VMState) int { return strings.Compare(a.Name, b.Name) })
-		placed[h.Name] = vms
-	}
-	scs := make([]sim.Scenario, len(plan.Moves))
-	for i, m := range plan.Moves {
-		at, known := where[m.VM]
-		from, fromOK := placed[m.From]
-		to, toOK := placed[m.To]
-		switch {
-		case !known:
-			return nil, fmt.Errorf("cluster: move %d references unknown VM %q", i, m.VM)
-		case !fromOK:
-			return nil, fmt.Errorf("cluster: move %d references unknown host %q", i, m.From)
-		case !toOK:
-			return nil, fmt.Errorf("cluster: move %d references unknown host %q", i, m.To)
-		case m.From == m.To:
-			return nil, fmt.Errorf("cluster: move %d does not change hosts (%q)", i, m.From)
-		case at != m.From:
-			return nil, fmt.Errorf("cluster: move %d: VM %q is on host %q, not %q", i, m.VM, at, m.From)
-		}
-		k := slices.IndexFunc(from, func(v consolidation.VMState) bool { return v.Name == m.VM })
-		v := from[k]
-		scs[i] = lowerMove(e.Kind, e.Seed, i, pair, m, busyExcluding(from, k), busyExcluding(to, -1), v.DirtyRatio.Clamp())
-		j, _ := slices.BinarySearchFunc(to, m.VM, func(g consolidation.VMState, name string) int { return strings.Compare(g.Name, name) })
-		placed[m.From] = slices.Delete(from, k, k+1)
-		placed[m.To] = slices.Insert(to, j, v)
-		where[m.VM] = m.To
 	}
 	ctx := context.TODO() // ExecutePlan takes no context: plan-form runs are uncancellable
 	runs, err := parallel.MapCtx(ctx, e.Workers, len(scs), func(i int) (*sim.RunResult, error) {
@@ -169,6 +101,98 @@ func (e Executor) ExecutePlan(policy string, plan *consolidation.Plan, hosts []c
 		rep.Elapsed += res.Duration
 	}
 	return rep, nil
+}
+
+// Lower checks a plan against the pre-plan hosts and lowers each move,
+// in plan order against the placement the moves before it leave, into
+// the testbed scenario ExecutePlan simulates. A plan that moves one VM
+// twice chains the moves: the second starts from where the first
+// landed. A host, guest or move it refuses is an *InputError located in
+// hosts or plan.Moves, as is the executor's own Kind; a move is refused
+// too when its lowered migration does not fit the pair.
+func (e Executor) Lower(plan *consolidation.Plan, hosts []consolidation.HostState) ([]sim.Scenario, error) {
+	if plan == nil {
+		return nil, errors.New("cluster: nil plan")
+	}
+	pair := e.Pair
+	if pair == "" {
+		pair = hw.PairM
+	}
+	src, dst, err := hw.Pair(pair)
+	switch {
+	case e.Kind != migration.Live && e.Kind != migration.NonLive:
+		return nil, refuse("Kind", -1, "", "unsupported migration kind %v (want live or non-live)", e.Kind)
+	case err != nil:
+		return nil, err
+	case src.Switch != dst.Switch:
+		return nil, fmt.Errorf("cluster: pair %q spans switches %q and %q and cannot migrate", pair, src.Switch, dst.Switch)
+	case len(hosts) == 0:
+		return nil, refuse("Hosts", -1, "", "no hosts")
+	}
+	// The placement keeps each host's residents in name order, as the
+	// engine does, so a host's demand sums in the engine's order and
+	// rounds to the same load-VM count.
+	placed := make(map[string][]consolidation.VMState, len(hosts))
+	where := make(map[string]string) // VM name → its host's name
+	for i, h := range hosts {
+		if h.Name == "" {
+			return nil, refuse("Hosts", i, "Name", "host has no name")
+		}
+		if _, dup := placed[h.Name]; dup {
+			return nil, refuse("Hosts", i, "Name", "duplicate host %q", h.Name)
+		}
+		for j, v := range h.VMs {
+			_, dup := where[v.Name]
+			switch {
+			case v.Name == "":
+				return nil, refuseVM(i, j, "Name", "host %s has a VM with no name", h.Name)
+			case dup:
+				return nil, refuseVM(i, j, "Name", "VM %q appears twice", v.Name)
+			case v.BusyVCPUs < 0:
+				return nil, refuseVM(i, j, "BusyVCPUs", "VM %s has negative CPU demand", v.Name)
+			}
+			where[v.Name] = h.Name
+		}
+		vms := slices.Clone(h.VMs)
+		slices.SortFunc(vms, func(a, b consolidation.VMState) int { return strings.Compare(a.Name, b.Name) })
+		placed[h.Name] = vms
+	}
+	scs := make([]sim.Scenario, len(plan.Moves))
+	for i, m := range plan.Moves {
+		at, known := where[m.VM]
+		from, fromOK := placed[m.From]
+		to, toOK := placed[m.To]
+		switch {
+		case !known:
+			return nil, refuse("Moves", i, "VM", "unknown VM %q", m.VM)
+		case !fromOK:
+			return nil, refuse("Moves", i, "From", "unknown host %q", m.From)
+		case !toOK:
+			return nil, refuse("Moves", i, "To", "unknown host %q", m.To)
+		case m.From == m.To:
+			return nil, refuse("Moves", i, "To", "move does not change hosts, both are %q", m.From)
+		case at != m.From:
+			return nil, refuse("Moves", i, "From", "VM %q is on host %q, not %q", m.VM, at, m.From)
+		}
+		k := slices.IndexFunc(from, func(v consolidation.VMState) bool { return v.Name == m.VM })
+		v := from[k]
+		scs[i] = lowerMove(e.Kind, e.Seed, i, pair, m, busyExcluding(from, k), busyExcluding(to, -1), v.DirtyRatio.Clamp())
+		// Residents that lower to more load VMs than an end of the pair
+		// holds, or to a count past int range, refuse the move at that end.
+		if err := scs[i].Validate(); err != nil {
+			var fit *sim.FitError
+			side := "To"
+			if errors.As(err, &fit) && !fit.Target || scs[i].SourceLoadVMs < 0 {
+				side = "From"
+			}
+			return nil, refuse("Moves", i, side, "%w", err)
+		}
+		j, _ := slices.BinarySearchFunc(to, m.VM, func(g consolidation.VMState, name string) int { return strings.Compare(g.Name, name) })
+		placed[m.From] = slices.Delete(from, k, k+1)
+		placed[m.To] = slices.Insert(to, j, v)
+		where[m.VM] = m.To
+	}
+	return scs, nil
 }
 
 // busyExcluding sums the CPU demand of a name-ordered resident list in

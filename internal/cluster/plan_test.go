@@ -157,6 +157,15 @@ func TestExecutePlanValidation(t *testing.T) {
 		{name: "VM twice on one host", hosts: func(h []consolidation.HostState) { h[1].VMs = append(h[1].VMs, h[1].VMs[0]) },
 			want: `VM "x" appears twice`},
 		{name: "negative CPU demand", hosts: func(h []consolidation.HostState) { h[1].VMs[0].BusyVCPUs = -1 }, want: "negative CPU demand"},
+		// Residents that lower to more load VMs than an end of the pair
+		// holds: 240 busy vCPUs are 60 load VMs.
+		{name: "target piled past the pair", hosts: func(h []consolidation.HostState) { h[1].VMs[0].BusyVCPUs = 240 },
+			moves: moves{{VM: "y", From: "busy", To: "calm"}}, want: "Moves[0].To: sim: 60 load VMs do not fit the target host"},
+		{name: "source piled past the pair", hosts: func(h []consolidation.HostState) {
+			h[1].VMs = append(h[1].VMs, consolidation.VMState{Name: "pile", BusyVCPUs: 240})
+		}, moves: moves{{VM: "x", From: "calm", To: "busy"}}, want: "Moves[0].From: sim: 60 load VMs do not fit the source host"},
+		{name: "demand past int range", hosts: func(h []consolidation.HostState) { h[1].VMs[0].BusyVCPUs = 1e300 },
+			moves: moves{{VM: "y", From: "busy", To: "calm"}}, want: "Moves[0].To: sim: negative load VM count"},
 		{name: "unknown pair", ex: Executor{Pair: "m01-nope"}, want: "unknown machine pair"},
 		{name: "cross-switch pair", ex: Executor{Pair: "m01/o1"}, want: "cannot migrate"},
 		{name: "post-copy", ex: Executor{Kind: migration.PostCopy}, want: "unsupported migration kind"},

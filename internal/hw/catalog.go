@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/units"
@@ -102,6 +103,17 @@ func Catalog() map[string]MachineSpec {
 		"o2":  newMachine("o2", 40, 128*units.GiB, "Intel 82574L", "HP 1810-8G", oRate, xeonProfile()),
 		"h1":  newMachine("h1", 48, 64*units.GiB, "Intel X540-T2", "Cisco Catalyst 3750", hRate, denseProfile()),
 	}
+}
+
+// Models lists the catalog's machine models in name order, comma
+// separated, for error messages.
+func Models() string {
+	models := make([]string, 0, 5)
+	for m := range Catalog() {
+		models = append(models, m)
+	}
+	sort.Strings(models)
+	return strings.Join(models, ", ")
 }
 
 // Pair returns the (source, target) machines of a named pair. Beyond the

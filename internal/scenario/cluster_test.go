@@ -96,7 +96,16 @@ func TestClusterValidationPaths(t *testing.T) {
 		{"vm phase overflows a duration", func(s *Spec) {
 			s.Cluster.Hosts[0].VMs[0].Phases[0].DurationS = 1e11
 		}, "cluster.hosts[0].vms[0].phases[0].duration_s"},
-		{"cross-switch move", func(s *Spec) { s.Cluster.Hosts[1].Machine = "o1" }, "(compiled)"},
+		{"cross-switch move", func(s *Spec) { s.Cluster.Hosts[1].Machine = "o1" }, "cluster.moves[0].to"},
+		// A guest busier than its host's threads: a move into its host
+		// lowers its demand to load VMs, beyond int range from 1e300
+		// vCPUs and beyond the testbed's RAM from 400.
+		{"vm demand beyond int range", func(s *Spec) {
+			s.Cluster.Hosts[1].VMs = []ClusterVMSpec{{Name: "w", MemGiB: 4, BusyVCPUs: 1e300}}
+		}, "cluster.hosts[1].vms[0].busy_vcpus"},
+		{"vm demand beyond the testbed", func(s *Spec) {
+			s.Cluster.Hosts[1].VMs = []ClusterVMSpec{{Name: "w", MemGiB: 4, BusyVCPUs: 400}}
+		}, "cluster.hosts[1].vms[0].busy_vcpus"},
 		{"first move not from the initial host", func(s *Spec) {
 			s.Cluster.Hosts = append(s.Cluster.Hosts, ClusterHostSpec{Name: "c", Machine: "m01"})
 			s.Cluster.Moves[0].From = "c"
@@ -131,6 +140,11 @@ func TestClusterValidationPaths(t *testing.T) {
 		{"payback overflows a duration", func(s *Spec) { s.Cluster.PaybackS = 1e11 }, "cluster.payback_s"},
 		{"horizon overflows a duration", func(s *Spec) { s.Cluster.HorizonS = 1e11 }, "cluster.horizon_s"},
 		{"tick overflows a duration", func(s *Spec) { s.Cluster.TickS = 1e11 }, "cluster.tick_s"},
+		{"vm demand no host can hold", func(s *Spec) {
+			s.Cluster.Policy = PolicyFirstFit
+			s.Cluster.Hosts[0].VMs[0].BusyVCPUs = 40
+			s.Cluster.Hosts[0].VMs[0].Phases = nil
+		}, "cluster.hosts[0].vms[0].busy_vcpus"},
 	}
 	for _, tc := range policyCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -220,19 +234,18 @@ func TestClusterFailureValidationPaths(t *testing.T) {
 		{"deadline without failures", func(s *Spec) {
 			s.Cluster.Failures = nil
 		}, "cluster.evacuation_deadline_s"},
-		// The engine's own validation backstops the semantic checks the
-		// schema layer cannot see.
+		// What the engine sees only by replaying the schedule.
 		{"unknown switch domain", func(s *Spec) {
 			s.Cluster.Failures[1].Switch = "HP 1810-8G"
-		}, "(compiled)"},
+		}, "cluster.failures[1].switch"},
 		{"restore without outage", func(s *Spec) {
 			s.Cluster.Failures = s.Cluster.Failures[2:]
-		}, "(compiled)"},
-		{"move into crashed host", func(s *Spec) { s.Cluster.Failures[3].AtS = 10 }, "(compiled)"},
+		}, "cluster.failures[0].switch"},
+		{"move into crashed host", func(s *Spec) { s.Cluster.Failures[3].AtS = 10 }, "cluster.moves[0].to"},
 		{"move inside outage window", func(s *Spec) {
 			s.Cluster.Failures[1].AtS = 50
 			s.Cluster.Moves[0].AtS = 55
-		}, "(compiled)"},
+		}, "cluster.moves[0].at_s"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

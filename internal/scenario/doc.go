@@ -12,9 +12,18 @@
 // policy, and, for data-centre scenarios, a host population with an
 // optional explicit move plan. Compile checks a Spec and lowers it in one
 // pass into sim.Scenario values (one per phase), a plan for the cluster
-// package's executor or a prepared cluster timeline, rejecting bad specs with pathed errors
-// ("phases[2].duration_s: …") that point at the offending JSON field.
-// Validate is Compile with the result dropped.
+// package's executor or a prepared cluster timeline, rejecting bad specs
+// with pathed errors ("phases[2].duration_s: …") that point at the
+// offending JSON field. Validate is Compile with the result dropped.
+//
+// This package checks only what the JSON carries: unit conversions,
+// phase lowering, fleet expansion and the rules that exist only in the
+// spec format. The hosts, guests, moves and failures of the two
+// multi-host forms are checked by the engine itself, cluster.Prepare for
+// a cluster timeline and cluster.Executor.Lower for a data-centre plan,
+// so -check runs the run's own checks. Their refusals are located
+// *cluster.InputError values, which Spec.RunError roots at the JSON
+// path, for Compile and for a run that refuses an explicit move alike.
 //
 // Determinism and caching: a Spec pins every random choice. Its seed is
 // either given explicitly or derived from the scenario name with a stable

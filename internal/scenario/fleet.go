@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/hw"
 	"repro/internal/workload"
@@ -66,16 +64,6 @@ func (c *ClusterSpec) hostPath(hi int) string {
 	return fmt.Sprintf("cluster.fleet[%d].replica[%d]", gi, i)
 }
 
-// machineModels lists the catalog's machine models for error messages.
-func machineModels(cat map[string]hw.MachineSpec) string {
-	models := make([]string, 0, len(cat))
-	for m := range cat {
-		models = append(models, m)
-	}
-	sort.Strings(models)
-	return strings.Join(models, ", ")
-}
-
 // fleetJitter derives replica i's phase lead-in, in whole seconds of
 // [0, maxS): a splitmix64 finalizer over the scenario seed, the group
 // name and the replica index. Stable across sessions and machines by
@@ -120,7 +108,7 @@ func (s *Spec) validateFleetGroups() error {
 			return errf(name, path+".count", "cluster exceeds %d hosts in total (group %q brings it to %d)", MaxFleetHosts, g.Name, total)
 		}
 		if _, ok := cat[g.Machine]; !ok {
-			return errf(name, path+".machine", "unknown machine model %q (catalog: %s)", g.Machine, machineModels(cat))
+			return errf(name, path+".machine", "unknown machine model %q (catalog: %s)", g.Machine, hw.Models())
 		}
 		if g.PhaseJitterS < 0 {
 			return errf(name, path+".phase_jitter_s", "must be non-negative, got %v", g.PhaseJitterS)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/cluster"
@@ -733,102 +732,56 @@ func (s *Spec) compileMigration(kind migration.Kind) (*Compiled, error) {
 	return out, nil
 }
 
-// checkMoveSources replays the lowered explicit moves of each VM in
-// the engine's dispatch order, (at_s, spec order), and refuses at its
-// from field a move that cannot start where it says: a VM's first move
-// must start on the VM's initial host, and a later one where the
-// previous move ended or, if a failure event could abort the previous
-// move, where that move began. hosts is the expanded population.
-func (s *Spec) checkMoveSources(hosts []ClusterHostSpec, moves []cluster.TimedMove, failures []cluster.FailureEvent) error {
-	if len(moves) == 0 {
-		return nil
-	}
-	// place is where a VM is: on at, or on alt if a failure aborts the
-	// move that took it to at (moves[last], -1 for none).
-	type place struct {
-		at, alt string
-		last    int
-	}
-	where := make(map[string]place, len(moves))
-	for _, m := range moves {
-		where[m.VM] = place{last: -1}
-	}
-	for _, h := range hosts {
-		for _, v := range h.VMs {
-			if p, ok := where[v.Name]; ok {
-				p.at = h.Name
-				where[v.Name] = p
-			}
-		}
-	}
-	order := make([]int, len(moves))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return moves[order[a]].At < moves[order[b]].At })
-	for _, i := range order {
-		m := moves[i]
-		p := where[m.VM]
-		if m.From != p.at && (p.alt == "" || m.From != p.alt) {
-			path := fmt.Sprintf("cluster.moves[%d].from", i)
-			switch {
-			case p.last < 0:
-				return errf(s.Name, path, "VM %q starts on host %q, not %q", m.VM, p.at, m.From)
-			case p.alt == "":
-				return errf(s.Name, path, "VM %q is on host %q after moves[%d], not %q", m.VM, p.at, p.last, m.From)
-			}
-			return errf(s.Name, path, "VM %q is on host %q after moves[%d], or on %q if a failure aborts that move, not %q",
-				m.VM, p.at, p.last, p.alt, m.From)
-		}
-		next := place{at: m.To, last: i}
-		if couldAbort(m, failures) {
-			next.alt = m.From
-		}
-		where[m.VM] = next
-	}
-	return nil
-}
-
-// couldAbort reports whether a failure event after m's dispatch could
-// abort it: a flight-abort naming its VM or a crash of either end.
-// Events at the dispatch instant apply before it.
-func couldAbort(m cluster.TimedMove, failures []cluster.FailureEvent) bool {
-	for _, f := range failures {
-		if f.At <= m.At {
-			continue
-		}
-		switch f.Kind {
-		case cluster.FailFlightAbort:
-			if f.VM == m.VM {
-				return true
-			}
-		case cluster.FailHostCrash:
-			if f.Host == m.From || f.Host == m.To {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// RunError roots a cluster run's refusal of one of the spec's own moves
-// (a *cluster.MoveError) at the move's field path, as an *Error: what
-// only the run can know, such as an abort that kept the VM on an
-// earlier host or a flight still in the air, made the move impossible.
-// Any other error is returned as it is.
+// RunError roots a refusal of one of the spec's own fields, a
+// *cluster.InputError, at the field's JSON path, as an *Error. Compile
+// maps the refusals of cluster.Prepare and the plan executor's Lower
+// through it, and a run maps its refusal of an explicit move, for what
+// only the run can know (an abort that kept the VM on an earlier host,
+// a flight still in the air). Any other error is returned as it is.
 func (s *Spec) RunError(err error) error {
-	var me *cluster.MoveError
-	if !errors.As(err, &me) {
+	var ie *cluster.InputError
+	if !errors.As(err, &ie) {
 		return err
 	}
-	field := "at_s"
-	switch me.Field {
-	case "From":
-		field = "from"
-	case "To":
-		field = "to"
+	return errf(s.Name, s.inputPath(ie), "%v", ie.Err)
+}
+
+// inputPath is the JSON path of the field a *cluster.InputError
+// locates: a cluster host through its position in the fleet expansion
+// (hostPath), every other element by its index.
+func (s *Spec) inputPath(ie *cluster.InputError) string {
+	if ie.Field == "Kind" {
+		return "kind"
 	}
-	return errf(s.Name, fmt.Sprintf("cluster.moves[%d].%s", me.Index, field), "%v", me.Err)
+	form := "datacenter."
+	if s.Cluster != nil {
+		form = "cluster."
+	}
+	path := form + jsonName[ie.Field]
+	switch {
+	case ie.Index < 0:
+	case ie.Field == "Hosts" && s.Cluster != nil:
+		path = s.Cluster.hostPath(ie.Index)
+	default:
+		path += fmt.Sprintf("[%d]", ie.Index)
+	}
+	if ie.VM >= 0 {
+		path += fmt.Sprintf(".vms[%d]", ie.VM)
+	}
+	if ie.Attr != "" {
+		path += "." + jsonName[ie.Attr]
+	}
+	return path
+}
+
+// jsonName maps the engine's config and element field names to their
+// JSON keys in a spec.
+var jsonName = map[string]string{
+	"Hosts": "hosts", "Moves": "moves", "Failures": "failures", "Kind": "kind",
+	"Tick": "tick_s", "Horizon": "horizon_s", "EvacuationDeadline": "evacuation_deadline_s",
+	"Name": "name", "Machine": "machine", "MemBytes": "mem_gib", "BusyVCPUs": "busy_vcpus",
+	"DirtyRatio": "dirty_ratio", "Phases": "phases",
+	"VM": "vm", "From": "from", "To": "to", "At": "at_s", "Host": "host", "Switch": "switch",
 }
 
 // checkRun holds a compiled block to the simulator's own validation,
@@ -868,9 +821,6 @@ func (s *Spec) compileDatacenter(kind migration.Kind) (*Compiled, error) {
 	if s.LoadWorkload != nil {
 		return nil, errf(name, "load_workload", "unused in data-centre scenarios")
 	}
-	if kind == migration.PostCopy {
-		return nil, errf(name, "kind", "post-copy is not supported for data-centre plans")
-	}
 	dc := s.Datacenter
 	if len(dc.Hosts) < 2 {
 		return nil, errf(name, "datacenter.hosts", "need at least 2 hosts, got %d", len(dc.Hosts))
@@ -879,46 +829,10 @@ func (s *Spec) compileDatacenter(kind migration.Kind) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Replay the explicit moves against the evolving placement so a move
-	// referencing a VM after it has left its host fails here, not at run
-	// time.
-	placement := make(map[string]string) // VM -> current host
-	hostSet := make(map[string]bool, len(hosts))
 	for hi, h := range hosts {
 		if err := h.Validate(); err != nil {
 			return nil, errf(name, fmt.Sprintf("datacenter.hosts[%d]", hi), "%v", err)
 		}
-		if hostSet[h.Name] {
-			return nil, errf(name, fmt.Sprintf("datacenter.hosts[%d].name", hi), "duplicate host %q", h.Name)
-		}
-		hostSet[h.Name] = true
-		for _, v := range h.VMs {
-			if prev, dup := placement[v.Name]; dup {
-				return nil, errf(name, fmt.Sprintf("datacenter.hosts[%d].vms", hi), "VM %q already on host %q", v.Name, prev)
-			}
-			placement[v.Name] = h.Name
-		}
-	}
-	for mi, mv := range dc.Moves {
-		path := fmt.Sprintf("datacenter.moves[%d]", mi)
-		switch {
-		case mv.VM == "":
-			return nil, errf(name, path+".vm", "required")
-		case !hostSet[mv.From]:
-			return nil, errf(name, path+".from", "unknown host %q", mv.From)
-		case !hostSet[mv.To]:
-			return nil, errf(name, path+".to", "unknown host %q", mv.To)
-		case mv.From == mv.To:
-			return nil, errf(name, path+".to", "move must change hosts, both are %q", mv.To)
-		}
-		at, ok := placement[mv.VM]
-		if !ok {
-			return nil, errf(name, path+".vm", "unknown VM %q", mv.VM)
-		}
-		if at != mv.From {
-			return nil, errf(name, path+".from", "VM %q is on host %q at this point in the plan, not %q", mv.VM, at, mv.From)
-		}
-		placement[mv.VM] = mv.To
 	}
 	if r := s.Repeat; r != nil {
 		return nil, errf(name, "repeat", "unused in data-centre scenarios (each move runs once)")
@@ -931,24 +845,32 @@ func (s *Spec) compileDatacenter(kind migration.Kind) (*Compiled, error) {
 	pr := &PlanRun{
 		Policy: "scenario/" + s.Name,
 		Hosts:  hosts,
+		Plan:   &consolidation.Plan{},
 		Executor: cluster.Executor{
 			Pair: s.pair(),
 			Kind: kind,
 			Seed: s.EffectiveSeed(),
 		},
 	}
-	if len(dc.Moves) > 0 {
-		plan := &consolidation.Plan{}
-		for _, mv := range dc.Moves {
-			plan.Moves = append(plan.Moves, consolidation.Move{VM: mv.VM, From: mv.From, To: mv.To})
-		}
-		pr.Plan = plan
-	} else {
+	for _, mv := range dc.Moves {
+		pr.Plan.Moves = append(pr.Plan.Moves, consolidation.Move{VM: mv.VM, From: mv.From, To: mv.To})
+	}
+	// The executor's own check replays the explicit plan against the
+	// evolving placement, so a move referencing a VM after it has left
+	// its host fails here, not at run time. Without moves it checks the
+	// hosts the planner reads.
+	if _, err := pr.Executor.Lower(pr.Plan, hosts); err != nil {
+		return nil, s.RunError(err)
+	}
+	if len(dc.Moves) == 0 {
 		// No explicit moves: plan with the energy-blind first-fit-
 		// decreasing policy, the only built-in planner that needs no
 		// trained estimator — keeping compilation deterministic data.
 		ffd := consolidation.FirstFitDecreasing{}
 		plan, err := ffd.Plan(hosts, consolidation.Config{})
+		if err == nil {
+			_, err = pr.Executor.Lower(plan, hosts)
+		}
 		if err != nil {
 			return nil, errf(name, "datacenter", "planning moves with %s: %v", ffd.Name(), err)
 		}
@@ -966,8 +888,10 @@ const (
 
 // compileCluster checks the cluster form of the spec and lowers it into
 // a prepared cluster config. The fleet expands once, and each host is
-// lowered as it is checked. Preparing the config runs the engine's own
-// validation, the last check, so the engine validates a spec once too.
+// lowered in expansion order, so a host's position in the config is its
+// position in the expansion. Preparing the config runs the engine's own
+// validation, the only check of the hosts, guests, moves and failures
+// the config holds; RunError roots a refusal at its JSON path.
 func (s *Spec) compileCluster(kind migration.Kind) (*Compiled, error) {
 	name := s.Name
 	if s.Pair != "" {
@@ -990,9 +914,6 @@ func (s *Spec) compileCluster(kind migration.Kind) (*Compiled, error) {
 	}
 	if s.Meter != nil || s.Migration != nil || s.Timing != nil {
 		return nil, errf(name, "meter/migration/timing", "unused in cluster scenarios")
-	}
-	if kind == migration.PostCopy {
-		return nil, errf(name, "kind", "post-copy is not supported for cluster timelines")
 	}
 	c := s.Cluster
 	if err := s.validateFleetGroups(); err != nil {
@@ -1029,14 +950,6 @@ func (s *Spec) compileCluster(kind migration.Kind) (*Compiled, error) {
 		}
 	} else {
 		switch {
-		case len(c.Moves) > 0:
-			return nil, errf(name, "cluster.moves", "mutually exclusive with a policy")
-		case c.TickS <= 0:
-			return nil, errf(name, "cluster.tick_s", "must be positive with a policy, got %v", c.TickS)
-		case c.HorizonS <= 0:
-			return nil, errf(name, "cluster.horizon_s", "must be positive with a policy, got %v", c.HorizonS)
-		case c.hostCount() < 2:
-			return nil, errf(name, "cluster.hosts", "planning needs at least 2 hosts, got %d", c.hostCount())
 		case c.CPUCap < 0 || c.CPUCap > 1:
 			return nil, errf(name, "cluster.cpu_cap", "%v outside [0, 1]", c.CPUCap)
 		case c.MaxMoves < 0:
@@ -1052,49 +965,25 @@ func (s *Spec) compileCluster(kind migration.Kind) (*Compiled, error) {
 	if cfg.PolicyConfig.Horizon, err = seconds(name, "cluster.payback_s", c.PaybackS); err != nil {
 		return nil, err
 	}
-	cat := hw.Catalog()
 	hosts := s.expandedClusterHosts()
 	nvms := 0
 	for _, h := range hosts {
 		nvms += len(h.VMs)
 	}
-	hostSet := make(map[string]bool, len(hosts))
-	vmSet := make(map[string]bool, nvms)
 	// The lowered guests, and their phases, share backing arrays; each
 	// list is capped at its own length.
 	vms := make([]cluster.VM, 0, nvms)
 	var phases []workload.Phase
 	cfg.Hosts = make([]cluster.Host, len(hosts))
 	for hi, h := range hosts {
-		// Paths are formatted only for the error returned.
-		at := func(field string) string { return c.hostPath(hi) + field }
-		if h.Name == "" {
-			return nil, errf(name, at(".name"), "required")
-		}
-		if hostSet[h.Name] {
-			return nil, errf(name, at(".name"), "duplicate host %q", h.Name)
-		}
-		hostSet[h.Name] = true
-		if _, ok := cat[h.Machine]; !ok {
-			return nil, errf(name, at(".machine"), "unknown machine model %q (catalog: %s)", h.Machine, machineModels(cat))
-		}
 		first := len(vms)
 		for vi, v := range h.VMs {
-			vmAt := func(field string) string { return at(fmt.Sprintf(".vms[%d]", vi) + field) }
+			// Paths are formatted only for the error returned.
+			vmAt := func(field string) string { return c.hostPath(hi) + fmt.Sprintf(".vms[%d]", vi) + field }
 			mem, err := gib(name, v.MemGiB)
-			switch {
-			case v.Name == "":
-				return nil, errf(name, vmAt(".name"), "required")
-			case vmSet[v.Name]:
-				return nil, errf(name, vmAt(".name"), "VM %q already exists in the cluster", v.Name)
-			case err != nil:
+			if err != nil {
 				return nil, under(err, vmAt(""))
-			case v.BusyVCPUs < 0:
-				return nil, errf(name, vmAt(".busy_vcpus"), "must be non-negative, got %v", v.BusyVCPUs)
-			case v.DirtyRatio < 0 || v.DirtyRatio > 1:
-				return nil, errf(name, vmAt(".dirty_ratio"), "%v outside [0, 1]", v.DirtyRatio)
 			}
-			vmSet[v.Name] = true
 			cv := cluster.VM{
 				Name:       v.Name,
 				MemBytes:   mem,
@@ -1119,73 +1008,20 @@ func (s *Spec) compileCluster(kind migration.Kind) (*Compiled, error) {
 		}
 	}
 	for mi, m := range c.Moves {
-		path := fmt.Sprintf("cluster.moves[%d]", mi)
-		switch {
-		case m.VM == "":
-			return nil, errf(name, path+".vm", "required")
-		case !vmSet[m.VM]:
-			return nil, errf(name, path+".vm", "unknown VM %q", m.VM)
-		case !hostSet[m.From]:
-			return nil, errf(name, path+".from", "unknown host %q", m.From)
-		case !hostSet[m.To]:
-			return nil, errf(name, path+".to", "unknown host %q", m.To)
-		case m.From == m.To:
-			return nil, errf(name, path+".to", "move must change hosts, both are %q", m.To)
-		case m.AtS < 0:
-			return nil, errf(name, path+".at_s", "must be non-negative, got %v", m.AtS)
-		}
-		at, err := seconds(name, path+".at_s", m.AtS)
+		at, err := seconds(name, fmt.Sprintf("cluster.moves[%d].at_s", mi), m.AtS)
 		if err != nil {
 			return nil, err
 		}
 		cfg.Moves = append(cfg.Moves, cluster.TimedMove{VM: m.VM, From: m.From, To: m.To, At: at})
 	}
 	for fi, f := range c.Failures {
-		path := fmt.Sprintf("cluster.failures[%d]", fi)
-		if f.AtS < 0 {
-			return nil, errf(name, path+".at_s", "must be non-negative, got %v", f.AtS)
-		}
-		at, err := seconds(name, path+".at_s", f.AtS)
+		at, err := seconds(name, fmt.Sprintf("cluster.failures[%d].at_s", fi), f.AtS)
 		if err != nil {
 			return nil, err
-		}
-		switch cluster.FailureKind(f.Kind) {
-		case cluster.FailHostCrash:
-			switch {
-			case f.Host == "":
-				return nil, errf(name, path+".host", "required for kind %q", f.Kind)
-			case f.VM != "" || f.Switch != "":
-				return nil, errf(name, path, "%q targets a host only", f.Kind)
-			case !hostSet[f.Host]:
-				return nil, errf(name, path+".host", "unknown host %q", f.Host)
-			}
-		case cluster.FailFlightAbort:
-			switch {
-			case f.VM == "":
-				return nil, errf(name, path+".vm", "required for kind %q", f.Kind)
-			case f.Host != "" || f.Switch != "":
-				return nil, errf(name, path, "%q targets a VM only", f.Kind)
-			case !vmSet[f.VM]:
-				return nil, errf(name, path+".vm", "unknown VM %q", f.VM)
-			}
-		case cluster.FailSwitchOutage, cluster.FailSwitchRestore:
-			switch {
-			case f.Switch == "":
-				return nil, errf(name, path+".switch", "required for kind %q", f.Kind)
-			case f.Host != "" || f.VM != "":
-				return nil, errf(name, path, "%q targets a switch only", f.Kind)
-			}
-			// Switch-domain existence (and window pairing) is checked by
-			// the engine when the config is prepared.
-		default:
-			return nil, errf(name, path+".kind", "unknown failure kind %q", f.Kind)
 		}
 		cfg.Failures = append(cfg.Failures, cluster.FailureEvent{
 			At: at, Kind: cluster.FailureKind(f.Kind), Host: f.Host, VM: f.VM, Switch: f.Switch,
 		})
-	}
-	if c.EvacuationDeadlineS < 0 {
-		return nil, errf(name, "cluster.evacuation_deadline_s", "must be non-negative, got %v", c.EvacuationDeadlineS)
 	}
 	if c.EvacuationDeadlineS > 0 && len(c.Failures) == 0 {
 		return nil, errf(name, "cluster.evacuation_deadline_s", "needs failures to score against")
@@ -1193,11 +1029,8 @@ func (s *Spec) compileCluster(kind migration.Kind) (*Compiled, error) {
 	if cfg.EvacuationDeadline, err = seconds(name, "cluster.evacuation_deadline_s", c.EvacuationDeadlineS); err != nil {
 		return nil, err
 	}
-	if err := s.checkMoveSources(hosts, cfg.Moves, cfg.Failures); err != nil {
-		return nil, err
-	}
 	if cfg, err = cluster.Prepare(cfg); err != nil {
-		return nil, errf(name, "(compiled)", "%v", err)
+		return nil, s.RunError(err)
 	}
 	policy := "timeline"
 	if cfg.Policy != nil {

@@ -323,6 +323,9 @@ func TestDatacenterValidationPaths(t *testing.T) {
 		{"stale placement", func(s *Spec) {
 			s.Datacenter.Moves = append(s.Datacenter.Moves, MoveSpec{VM: "v1", From: "a", To: "b"})
 		}, "datacenter.moves[1].from"},
+		{"move into a host piled past the testbed", func(s *Spec) {
+			s.Datacenter.Hosts[1].VMs = []VMSpec{{Name: "w", MemGiB: 4, BusyVCPUs: 240}}
+		}, "datacenter.moves[0].to"},
 		{"repeat set", func(s *Spec) { s.Repeat = &Repeat{MinRuns: 3} }, "repeat"},
 		{"meter set", func(s *Spec) { s.Meter = &Meter{PeriodMS: 1000} }, "meter"},
 		{"load vms set", func(s *Spec) { s.SourceLoadVMs = 2 }, "source_load_vms"},

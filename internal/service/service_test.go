@@ -316,9 +316,11 @@ func TestConcurrentByNameRunsShareCompiled(t *testing.T) {
 
 // TestRunRefusalsOfTheSpec: a spec whose own values the run cannot
 // carry out answers 422 with the field path, whether Compile refuses it
-// (load VMs that do not fit, a move from a host its VM is not on) or
-// only the run can tell (a move of a VM still in flight); a 500 stays
-// for the daemon's own faults.
+// (load VMs that do not fit, a move from a host its VM is not on, a
+// move into a host that crashes first, a guest busier than its host) or
+// only the run can tell (a move of a VM still in flight, a move into a
+// host whose residents lower to more load VMs than the testbed holds);
+// a 500 stays for the daemon's own faults.
 func TestRunRefusalsOfTheSpec(t *testing.T) {
 	_, url := newTestServer(t, Config{Cache: sim.NewCache(0)})
 	load := func(name string) map[string]any {
@@ -333,6 +335,16 @@ func TestRunRefusalsOfTheSpec(t *testing.T) {
 		return m
 	}
 	moves := func(m map[string]any) []any { return m["cluster"].(map[string]any)["moves"].([]any) }
+	// onC2 puts n guests of the given demand on c2, where moves[0] goes.
+	onC2 := func(n int, busy float64) func(map[string]any) {
+		return func(m map[string]any) {
+			var vms []any
+			for i := 0; i < n; i++ {
+				vms = append(vms, map[string]any{"name": fmt.Sprintf("resident-%d", i), "mem_gib": 2, "busy_vcpus": busy})
+			}
+			m["cluster"].(map[string]any)["hosts"].([]any)[1].(map[string]any)["vms"] = vms
+		}
+	}
 	cases := []struct {
 		name, file string
 		edit       func(map[string]any)
@@ -347,6 +359,11 @@ func TestRunRefusalsOfTheSpec(t *testing.T) {
 			c := m["cluster"].(map[string]any)
 			c["moves"] = append(moves(m), map[string]any{"vm": "mover-a", "from": "c2", "to": "c4", "at_s": 1})
 		}, "cluster.moves[2].at_s"},
+		{"move into a host that crashes first", "contended-links-4.json", func(m map[string]any) {
+			m["cluster"].(map[string]any)["failures"] = []any{map[string]any{"at_s": 0, "kind": "host-crash", "host": "c2"}}
+		}, "cluster.moves[0].to"},
+		{"guest busier than its host", "contended-links-4.json", onC2(1, 1e300), "cluster.hosts[1].vms[0].busy_vcpus"},
+		{"move into a host piled past the testbed", "contended-links-4.json", onC2(8, 30), "cluster.moves[0].to"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
