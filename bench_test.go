@@ -26,6 +26,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -311,7 +312,7 @@ func benchRepeatedWorkers(b *testing.B, workers int) {
 		Seed:          37,
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunRepeatedWorkers(sc, 10, 0.10, workers); err != nil {
+		if _, err := (*sim.Cache)(nil).RunRepeatedCtx(context.Background(), sc, 10, 0.10, workers); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -90,10 +90,7 @@ func TestFinishWritesBenchJSON(t *testing.T) {
 	if !strings.Contains(log.String(), "tool-x: run cache:") {
 		t.Errorf("cache stats not logged: %q", log.String())
 	}
-	got, err := report.ReadBenchReport(c.BenchJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readBenchReport(t, c.BenchJSON)
 	if got.Tool != "tool-x" || len(got.Artefacts) != 1 {
 		b, _ := json.Marshal(got)
 		t.Errorf("round-tripped report: %s", b)
@@ -165,11 +162,22 @@ func TestFinishFlushesAsyncPublishes(t *testing.T) {
 	if !strings.Contains(log.String(), "store policy:") {
 		t.Errorf("store policy line not logged: %q", log.String())
 	}
-	got, err := report.ReadBenchReport(c.BenchJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readBenchReport(t, c.BenchJSON)
 	if got.BreakerState != "closed" || got.KernelRuns != 1 {
 		t.Errorf("benchjson resilience fields: %+v", got)
 	}
+}
+
+// readBenchReport decodes the -benchjson file at path.
+func readBenchReport(t *testing.T, path string) *report.BenchReport {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r report.BenchReport
+	if err := json.Unmarshal(b, &r); err != nil {
+		t.Fatal(err)
+	}
+	return &r
 }

@@ -548,7 +548,7 @@ func TestSerialMatchesEventLoop(t *testing.T) {
 	}
 	dc := make([]consolidation.HostState, len(hosts))
 	for i, h := range hosts {
-		dc[i].Name = h.Name
+		dc[i].Name, dc[i].Threads, dc[i].IdlePower = h.Name, 32, 440
 		for _, v := range h.VMs {
 			dc[i].VMs = append(dc[i].VMs, consolidation.VMState{Name: v.Name, MemBytes: v.MemBytes, BusyVCPUs: v.BusyVCPUs, DirtyRatio: v.DirtyRatio})
 		}

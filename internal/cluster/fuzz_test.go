@@ -80,6 +80,11 @@ var compileThenRunSeeds = []string{
 	`{"version":1,"name":"f-ffd-40","cluster":{"horizon_s":600,"tick_s":300,"policy":"first-fit-decreasing","hosts":[
 	  {"name":"a","machine":"m01","vms":[{"name":"v","mem_gib":4,"busy_vcpus":40}]},
 	  {"name":"b","machine":"m01"}]}}`,
+	// Three guests that no first-fit-decreasing repack can place within
+	// the 0.9 CPU cap, on hosts none of which is over its threads.
+	`{"version":1,"name":"f-ffd-stuck","cluster":{"horizon_s":600,"tick_s":300,"policy":"first-fit-decreasing","hosts":[
+	  {"name":"h01","machine":"m01","vms":[{"name":"v1","mem_gib":4,"busy_vcpus":15},{"name":"v2","mem_gib":4,"busy_vcpus":15}]},
+	  {"name":"h02","machine":"m01","vms":[{"name":"v3","mem_gib":4,"busy_vcpus":15}]}]}}`,
 	// A move into a host piled past the testbed: eight guests of 30
 	// busy vCPUs lower to 60 load VMs.
 	`{"version":1,"name":"f-piled","cluster":{"hosts":[

@@ -45,8 +45,10 @@ type ExecutionReport struct {
 //
 // The moves run one after another, each against the placement the moves
 // before it left, with no timeline and no link contention, and every
-// move lowers onto the one testbed pair Pair. The executor reads only
-// host names and VM demands, never host capacities or VM memory.
+// move lowers onto the one testbed pair Pair. The executor checks each
+// host's threads and idle power, which the planner reads, but measures
+// from host names and VM demands alone, never from host capacities or
+// VM memory.
 type Executor struct {
 	// Pair selects the simulated machine pair (hw.PairM by default).
 	Pair string
@@ -135,11 +137,16 @@ func (e Executor) Lower(plan *consolidation.Plan, hosts []consolidation.HostStat
 	placed := make(map[string][]consolidation.VMState, len(hosts))
 	where := make(map[string]string) // VM name → its host's name
 	for i, h := range hosts {
-		if h.Name == "" {
+		_, dup := placed[h.Name]
+		switch {
+		case h.Name == "":
 			return nil, refuse("Hosts", i, "Name", "host has no name")
-		}
-		if _, dup := placed[h.Name]; dup {
+		case dup:
 			return nil, refuse("Hosts", i, "Name", "duplicate host %q", h.Name)
+		case h.Threads <= 0:
+			return nil, refuse("Hosts", i, "Threads", "host %s has no CPU", h.Name)
+		case !(h.IdlePower > 0):
+			return nil, refuse("Hosts", i, "IdlePower", "host %s has no idle power", h.Name)
 		}
 		for j, v := range h.VMs {
 			_, dup := where[v.Name]
@@ -150,6 +157,8 @@ func (e Executor) Lower(plan *consolidation.Plan, hosts []consolidation.HostStat
 				return nil, refuseVM(i, j, "Name", "VM %q appears twice", v.Name)
 			case v.BusyVCPUs < 0:
 				return nil, refuseVM(i, j, "BusyVCPUs", "VM %s has negative CPU demand", v.Name)
+			case !(v.DirtyRatio >= 0 && v.DirtyRatio <= 1):
+				return nil, refuseVM(i, j, "DirtyRatio", "VM %s dirty ratio %v outside [0,1]", v.Name, v.DirtyRatio)
 			}
 			where[v.Name] = h.Name
 		}
@@ -176,7 +185,7 @@ func (e Executor) Lower(plan *consolidation.Plan, hosts []consolidation.HostStat
 		}
 		k := slices.IndexFunc(from, func(v consolidation.VMState) bool { return v.Name == m.VM })
 		v := from[k]
-		scs[i] = lowerMove(e.Kind, e.Seed, i, pair, m, busyExcluding(from, k), busyExcluding(to, -1), v.DirtyRatio.Clamp())
+		scs[i] = lowerMove(e.Kind, e.Seed, i, pair, m, busyExcluding(from, k), busyExcluding(to, -1), v.DirtyRatio)
 		// Residents that lower to more load VMs than an end of the pair
 		// holds, or to a count past int range, refuse the move at that end.
 		if err := scs[i].Validate(); err != nil {

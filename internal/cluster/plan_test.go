@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -157,6 +158,12 @@ func TestExecutePlanValidation(t *testing.T) {
 		{name: "VM twice on one host", hosts: func(h []consolidation.HostState) { h[1].VMs = append(h[1].VMs, h[1].VMs[0]) },
 			want: `VM "x" appears twice`},
 		{name: "negative CPU demand", hosts: func(h []consolidation.HostState) { h[1].VMs[0].BusyVCPUs = -1 }, want: "negative CPU demand"},
+		{name: "host without threads", hosts: func(h []consolidation.HostState) { h[1].Threads = 0 }, want: "Hosts[1].Threads: host calm has no CPU"},
+		{name: "host without idle power", hosts: func(h []consolidation.HostState) { h[1].IdlePower = 0 }, want: "Hosts[1].IdlePower: host calm has no idle power"},
+		{name: "dirty ratio above one", hosts: func(h []consolidation.HostState) { h[1].VMs[0].DirtyRatio = 1.5 },
+			want: "Hosts[1].VMs[0].DirtyRatio: VM x dirty ratio 1.5 outside [0,1]"},
+		{name: "dirty ratio NaN", hosts: func(h []consolidation.HostState) { h[1].VMs[0].DirtyRatio = units.Fraction(math.NaN()) },
+			want: "Hosts[1].VMs[0].DirtyRatio"},
 		// Residents that lower to more load VMs than an end of the pair
 		// holds: 240 busy vCPUs are 60 load VMs.
 		{name: "target piled past the pair", hosts: func(h []consolidation.HostState) { h[1].VMs[0].BusyVCPUs = 240 },
@@ -190,18 +197,18 @@ func TestExecutePlanValidation(t *testing.T) {
 }
 
 // TestExecutePlanIgnoresHostCapacities pins the executor's contract: it
-// reads only host names and VM demands, so hosts without
-// Threads/MemBytes/IdlePower must still execute — and measure
+// measures from host names and VM demands alone, so hosts with the least
+// threads and idle power it accepts and no memory must measure
 // identically to fully specified hosts.
 func TestExecutePlanIgnoresHostCapacities(t *testing.T) {
 	bare := []consolidation.HostState{
-		{Name: "a", VMs: []consolidation.VMState{
+		{Name: "a", Threads: 1, IdlePower: 1, VMs: []consolidation.VMState{
 			{Name: "v", MemBytes: gib(4), BusyVCPUs: 4, DirtyRatio: 0.3},
 			// A memory-less bystander: the executor reads only BusyVCPUs
 			// and DirtyRatio, so this must not fail the plan.
 			{Name: "zeromem", BusyVCPUs: 2},
 		}},
-		{Name: "b"},
+		{Name: "b", Threads: 1, IdlePower: 1},
 	}
 	full := testDC()[:0]
 	for _, h := range bare {

@@ -3,7 +3,7 @@ package consolidation
 import (
 	"fmt"
 	"math/rand"
-	"strings"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -306,20 +306,59 @@ func TestEnergyAwareNeverMovesVMTwice(t *testing.T) {
 	}
 }
 
+// TestFFDInfeasible: a VM no bin takes stays on its host, no move lands
+// on a host that ends the round past its cap, and the VMs that fit are
+// still repacked.
 func TestFFDInfeasible(t *testing.T) {
-	hosts := []HostState{
-		{Name: "a", Threads: 2, MemBytes: gib(4), IdlePower: 100, VMs: []VMState{
-			{Name: "v1", MemBytes: gib(4), BusyVCPUs: 2},
-		}},
-		{Name: "b", Threads: 2, MemBytes: gib(4), IdlePower: 100, VMs: []VMState{
-			{Name: "v2", MemBytes: gib(4), BusyVCPUs: 2},
-		}},
+	host := func(name string, threads int, vms ...VMState) HostState {
+		return HostState{Name: name, Threads: threads, MemBytes: gib(64), IdlePower: 440, VMs: vms}
 	}
-	// CPUCap 0.9 makes every VM (2 of 1.8 allowed) unplaceable.
-	if _, err := (FirstFitDecreasing{}).Plan(hosts, Config{}); err == nil {
-		t.Error("unplaceable VM must fail")
-	} else if !strings.Contains(err.Error(), "cannot place") {
-		t.Errorf("unexpected error: %v", err)
+	vm := func(name string, busy float64) VMState {
+		return VMState{Name: name, MemBytes: gib(4), BusyVCPUs: busy}
+	}
+	for _, tc := range []struct {
+		name  string
+		hosts []HostState
+		moves []Move
+		freed []string
+	}{{
+		// Caps are 0.9 of the threads: 28.8 here. The repack moves v2
+		// onto h02, then places v3 nowhere; v3 stays on h02, which would
+		// end at 30, so v2's move is undone.
+		name:  "the stuck VM's host took a move",
+		hosts: []HostState{host("h01", 32, vm("v1", 15), vm("v2", 15)), host("h02", 32, vm("v3", 15))},
+	}, {
+		// v4's 14 vCPUs fit no bin and stay on d; v2 and v3 still move.
+		name: "the stuck VM's host took none",
+		hosts: []HostState{
+			host("a", 32, vm("v1", 15), vm("v2", 15)),
+			host("b", 8, vm("v3", 6)),
+			host("c", 32),
+			host("d", 4, vm("v4", 14)),
+		},
+		moves: []Move{{VM: "v2", From: "a", To: "c"}, {VM: "v3", From: "b", To: "a"}},
+		freed: []string{"b"},
+	}} {
+		plan, err := (FirstFitDecreasing{}).Plan(tc.hosts, Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !slices.Equal(plan.Moves, tc.moves) || !slices.Equal(plan.FreedHosts, tc.freed) {
+			t.Errorf("%s: moves %+v, freed %v; want %+v, freed %v", tc.name, plan.Moves, plan.FreedHosts, tc.moves, tc.freed)
+		}
+		state := cloneHosts(tc.hosts)
+		for _, m := range plan.Moves {
+			v, ok := removeVM(hostByName(state, m.From), m.VM)
+			if !ok {
+				t.Fatalf("%s: move %+v references a VM not on its source", tc.name, m)
+			}
+			hostByName(state, m.To).VMs = append(hostByName(state, m.To).VMs, v)
+		}
+		for _, m := range plan.Moves {
+			if to := hostByName(state, m.To); to.BusyThreads() > float64(to.Threads)*0.9 || to.UsedMem() > to.MemBytes {
+				t.Errorf("%s: move %+v lands on a host that ends past its cap", tc.name, m)
+			}
+		}
 	}
 }
 

@@ -402,7 +402,9 @@ func (p EnergyAware) drainView(w *vwork, si int32, cfg Config, movesSoFar int, s
 // demand and re-pack them onto hosts first-fit, then express the result as
 // moves. It is the classic bin-packing consolidation the related work uses
 // and the paper's argument target — it never looks at migration energy, so
-// it will happily move a 95%-dirty VM onto a busy host.
+// it will happily move a 95%-dirty VM onto a busy host. A VM no bin
+// takes stays on its host, and a move into a host that the VMs left in
+// place push past its cap is undone.
 type FirstFitDecreasing struct {
 	// Model, when set, prices the resulting moves (for comparison); the
 	// policy itself ignores the prices.
@@ -496,6 +498,10 @@ func (p FirstFitDecreasing) planView(v *View, cfg Config) (*Plan, []int32, error
 			}
 		}
 	}
+	// Move j takes all[src[j]] to bin dst[j].
+	var src []int
+	var dst []int32
+	stuck := false
 	for idx, pl := range all {
 		// Move budget exhausted: every VM not yet processed stays where
 		// it is. They must land back in their origin bins, or the freed-
@@ -522,7 +528,13 @@ func (p FirstFitDecreasing) planView(v *View, cfg Config) (*Plan, []int32, error
 			}
 		}
 		if placedAt < 0 {
-			return nil, nil, fmt.Errorf("consolidation: FFD cannot place VM %q", pl.vm.Name)
+			// No bin takes the VM: it stays on its host, which may now
+			// end the round past its cap (see below).
+			binBusy[pl.from] += pl.vm.BusyVCPUs
+			binMem[pl.from] += pl.vm.MemBytes
+			binCnt[pl.from]++
+			stuck = true
+			continue
 		}
 		if placedAt != pl.from {
 			move := Move{VM: pl.vm.Name, From: v.HostName[pl.from], To: v.HostName[placedAt]}
@@ -536,7 +548,33 @@ func (p FirstFitDecreasing) planView(v *View, cfg Config) (*Plan, []int32, error
 				move.Cost = cost
 			}
 			plan.Moves = append(plan.Moves, move)
+			src = append(src, idx)
+			dst = append(dst, placedAt)
 		}
+	}
+	// A VM left on its host can push the host past its cap. A move into
+	// a bin past its cap is undone, which returns its VM to its own bin,
+	// until every kept move lands in a bin within its cap. Kept moves
+	// keep the price they were packed at.
+	for undone := stuck; undone; {
+		undone = false
+		k := 0
+		for j, to := range dst {
+			pl := all[src[j]]
+			if binBusy[to] > float64(v.Threads[to])*cfg.CPUCap || binMem[to] > v.MemCap[to] {
+				binBusy[to] -= pl.vm.BusyVCPUs
+				binMem[to] -= pl.vm.MemBytes
+				binCnt[to]--
+				binBusy[pl.from] += pl.vm.BusyVCPUs
+				binMem[pl.from] += pl.vm.MemBytes
+				binCnt[pl.from]++
+				undone = true
+				continue
+			}
+			plan.Moves[k], src[k], dst[k] = plan.Moves[j], src[j], to
+			k++
+		}
+		plan.Moves, src, dst = plan.Moves[:k], src[:k], dst[:k]
 	}
 	plan.MigrationEnergy = moveEnergy(plan.Moves)
 	return plan, binCnt, nil

@@ -184,7 +184,7 @@ func TestTrainErrors(t *testing.T) {
 
 func TestPredictEnergyCloseToMeasured(t *testing.T) {
 	ds := synthDataset(migration.Live, 8, 2)
-	train, test, err := ds.SplitReadings(0.2, 42)
+	train, test, err := ds.SplitRuns(0.5, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,35 +265,6 @@ func TestPredictPowerNeverNegative(t *testing.T) {
 	}
 }
 
-func TestPredictPhaseEnergy(t *testing.T) {
-	rec := synthRecord(migration.Live, Source, "x", 5, 0)
-	ds := synthDataset(migration.Live, 4, 0)
-	m, _ := Train(ds, migration.Live)
-	// Phase boundaries matching synthRecord's spans (8 initiation and 10
-	// activation samples at 500 ms around the variable-length transfer).
-	last := rec.Obs[len(rec.Obs)-1].At
-	b := trace.Boundaries{
-		MS: 0,
-		TS: 4 * time.Second,
-		TE: last - 5*time.Second + 500*time.Millisecond,
-		ME: last + 500*time.Millisecond,
-	}
-	pe, err := m.PredictPhaseEnergy(rec, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pe.Initiation <= 0 || pe.Transfer <= 0 || pe.Activation <= 0 {
-		t.Errorf("phase energies must be positive: %+v", pe)
-	}
-	total, err := m.PredictEnergy(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(pe.Total()-total)) > 1e-6*float64(total) {
-		t.Errorf("phase sum %v != total %v", pe.Total(), total)
-	}
-}
-
 func TestDatasetFilters(t *testing.T) {
 	ds := synthDataset(migration.Live, 3, 0)
 	nl := synthRecord(migration.NonLive, Source, "nl", 99, 0)
@@ -309,52 +280,6 @@ func TestDatasetFilters(t *testing.T) {
 	}
 	if got := len(ds.FilterPair("o1-o2", migration.Live, Target)); got != 0 {
 		t.Errorf("missing pair filter = %d, want 0", got)
-	}
-}
-
-func TestSplitReadings(t *testing.T) {
-	ds := synthDataset(migration.Live, 4, 0)
-	train, test, err := ds.SplitReadings(0.2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if train.Len() == 0 || test.Len() == 0 {
-		t.Fatal("both splits must be non-empty")
-	}
-	// Reading counts per run: 20% train, 80% test, disjoint and complete.
-	orig := ds.Runs[0]
-	var tr, te *RunRecord
-	for _, r := range train.Runs {
-		if r.RunID == orig.RunID {
-			tr = r
-		}
-	}
-	for _, r := range test.Runs {
-		if r.RunID == orig.RunID {
-			te = r
-		}
-	}
-	if tr == nil || te == nil {
-		t.Fatal("run missing from a split")
-	}
-	if len(tr.Obs)+len(te.Obs) != len(orig.Obs) {
-		t.Errorf("split lost readings: %d + %d != %d", len(tr.Obs), len(te.Obs), len(orig.Obs))
-	}
-	frac := float64(len(tr.Obs)) / float64(len(orig.Obs))
-	if frac < 0.15 || frac > 0.25 {
-		t.Errorf("training fraction = %v, want ≈0.2", frac)
-	}
-	// Observations stay time-ordered after the split.
-	for i := 1; i < len(tr.Obs); i++ {
-		if tr.Obs[i].At < tr.Obs[i-1].At {
-			t.Fatal("training observations out of order")
-		}
-	}
-	if _, _, err := ds.SplitReadings(0, 1); err == nil {
-		t.Error("frac 0 must fail")
-	}
-	if _, _, err := ds.SplitReadings(1, 1); err == nil {
-		t.Error("frac 1 must fail")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/migration"
 	"repro/internal/trace"
@@ -111,53 +110,6 @@ func (d *Dataset) FilterPair(pair string, kind migration.Kind, role Role) []*Run
 	return out
 }
 
-// SplitReadings partitions every record's observations into a training and
-// a test view, taking trainFrac of the *readings* (not the runs) uniformly
-// at random — the paper trains on "the 20% of the readings obtained by
-// running our experiments". Records keep their identity; the split returns
-// two datasets whose records share RunIDs but hold disjoint observations.
-// Records too small to split contribute everything to training.
-func (d *Dataset) SplitReadings(trainFrac float64, seed int64) (train, test *Dataset, err error) {
-	if trainFrac <= 0 || trainFrac >= 1 {
-		return nil, nil, errors.New("core: trainFrac must be in (0,1)")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	train, test = &Dataset{}, &Dataset{}
-	for _, r := range d.Runs {
-		n := len(r.Obs)
-		idx := rng.Perm(n)
-		k := int(float64(n) * trainFrac)
-		if k < 2 {
-			k = n // too few readings to split; keep whole run for training
-		}
-		pick := make(map[int]bool, k)
-		for _, i := range idx[:k] {
-			pick[i] = true
-		}
-		tr := cloneShallow(r)
-		te := cloneShallow(r)
-		for i, o := range r.Obs {
-			if pick[i] {
-				tr.Obs = append(tr.Obs, o)
-			} else {
-				te.Obs = append(te.Obs, o)
-			}
-		}
-		sortObs(tr.Obs)
-		sortObs(te.Obs)
-		if len(tr.Obs) >= 2 {
-			train.Runs = append(train.Runs, tr)
-		}
-		if len(te.Obs) >= 2 {
-			test.Runs = append(test.Runs, te)
-		}
-	}
-	if train.Len() == 0 {
-		return nil, nil, errors.New("core: split produced an empty training set")
-	}
-	return train, test, nil
-}
-
 // SplitRuns partitions whole runs: trainFrac of the runs go to training.
 // The split is stratified by (kind, role) so that every model the campaign
 // trains — live and non-live, source and target — sees training examples,
@@ -211,16 +163,6 @@ func (d *Dataset) SplitRuns(trainFrac float64, seed int64) (train, test *Dataset
 		}
 	}
 	return train, test, nil
-}
-
-func cloneShallow(r *RunRecord) *RunRecord {
-	c := *r
-	c.Obs = nil
-	return &c
-}
-
-func sortObs(obs []trace.Observation) {
-	sort.Slice(obs, func(i, j int) bool { return obs[i].At < obs[j].At })
 }
 
 // EnergyModel is the common contract of WAVM3 and the baselines: predict

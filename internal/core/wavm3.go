@@ -247,23 +247,6 @@ func (m *Model) PredictEnergy(r *RunRecord) (units.Joules, error) {
 	return pred.Energy(), nil
 }
 
-// PredictPhaseEnergy returns the per-phase split of the prediction, the
-// E(i), E(t), E(a) decomposition of Eq. 4.
-func (m *Model) PredictPhaseEnergy(r *RunRecord, b trace.Boundaries) (trace.PhaseEnergy, error) {
-	var out trace.PhaseEnergy
-	pred := &trace.PowerTrace{Host: r.RunID}
-	for _, o := range r.Obs {
-		w, err := m.PredictPower(r.Role, o)
-		if err != nil {
-			return out, err
-		}
-		if err := pred.Append(o.At, w); err != nil {
-			return out, err
-		}
-	}
-	return trace.EnergyByPhase(pred, b)
-}
-
 // WithBiasShift returns a copy of the model whose constants are shifted by
 // delta watts — the paper's C1→C2 correction: when predicting for a pair
 // whose idle power differs from the training pair's, subtract the idle

@@ -146,8 +146,9 @@ func (d *StabilisationDetector) Stable() bool { return d.streak >= d.Window }
 var ErrNeverStabilised = errors.New("meter: power never stabilised")
 
 // StabilisationPoint scans a power trace and returns the time of the first
-// sample at which the stabilisation rule holds. Used by the experiment
-// runner to trim pre-migration warm-up.
+// sample at which the stabilisation rule holds. The simulator's tests use
+// it to check that a run's pre-migration window stabilises under the
+// paper's rule.
 func StabilisationPoint(tr *trace.PowerTrace) (time.Duration, error) {
 	d := NewStabilisationDetector()
 	for _, s := range tr.Samples {

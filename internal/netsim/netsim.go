@@ -45,9 +45,6 @@ func NewLink(src, dst hw.MachineSpec) (*Link, error) {
 	return &Link{src: src, dst: dst, base: base}, nil
 }
 
-// BaseRate returns the zero-contention migration bandwidth.
-func (l *Link) BaseRate() units.BitsPerSecond { return l.base }
-
 // Achievable returns BW(S,T,t) given the CPU shares the migration helper
 // received on each endpoint (1 = fully scheduled). The stream is clocked
 // by the slower side. A small floor keeps the DMA path alive even under

@@ -46,30 +46,30 @@ func TestBaseRateIsMinOfEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.BaseRate() != 100*units.Mbps {
-		t.Errorf("base = %v, want the slower endpoint's 100 Mbit/s", l.BaseRate())
+	if got := l.Achievable(1, 1); got != 100*units.Mbps {
+		t.Errorf("unloaded achievable = %v, want the slower endpoint's 100 Mbit/s", got)
 	}
 }
 
 func TestAchievableSharesClamp(t *testing.T) {
 	l := mLink(t)
 	full := l.Achievable(1, 1)
-	if full != l.BaseRate() {
-		t.Errorf("unloaded achievable = %v, want base %v", full, l.BaseRate())
+	if full != l.base {
+		t.Errorf("unloaded achievable = %v, want base %v", full, l.base)
 	}
 	// Slower side clocks the stream.
-	if got := l.Achievable(0.5, 1); math.Abs(float64(got)-0.5*float64(l.BaseRate())) > 1e-6 {
+	if got := l.Achievable(0.5, 1); math.Abs(float64(got)-0.5*float64(l.base)) > 1e-6 {
 		t.Errorf("src-limited achievable = %v", got)
 	}
-	if got := l.Achievable(1, 0.5); math.Abs(float64(got)-0.5*float64(l.BaseRate())) > 1e-6 {
+	if got := l.Achievable(1, 0.5); math.Abs(float64(got)-0.5*float64(l.base)) > 1e-6 {
 		t.Errorf("dst-limited achievable = %v", got)
 	}
 	// Floor: starving the helper never kills the stream.
-	if got := l.Achievable(0, 0); float64(got) < 0.14*float64(l.BaseRate()) {
+	if got := l.Achievable(0, 0); float64(got) < 0.14*float64(l.base) {
 		t.Errorf("floored achievable = %v, too low", got)
 	}
 	// Over-unity shares clamp to base.
-	if got := l.Achievable(2, 3); got != l.BaseRate() {
+	if got := l.Achievable(2, 3); got != l.base {
 		t.Errorf("overshared achievable = %v", got)
 	}
 }

@@ -169,17 +169,3 @@ func (r *BenchReport) WriteJSONFile(path string) error {
 	}
 	return f.Close()
 }
-
-// ReadBenchReport parses a committed benchmark snapshot, the counterpart
-// of WriteJSONFile for trajectory comparisons.
-func ReadBenchReport(path string) (*BenchReport, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("report: %w", err)
-	}
-	var r BenchReport
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("report: parsing %s: %w", path, err)
-	}
-	return &r, nil
-}

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,8 +24,12 @@ func TestBenchReportRoundTrip(t *testing.T) {
 	if err := r.WriteJSONFile(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBenchReport(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var back BenchReport
+	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Tool != "wavm3bench" || !back.Quick || back.Seed != 7 || back.Workers != 2 {
@@ -64,18 +69,5 @@ func TestBenchReportJSONShape(t *testing.T) {
 		if !strings.Contains(b.String(), key) {
 			t.Errorf("JSON lacks %s:\n%s", key, b.String())
 		}
-	}
-}
-
-func TestReadBenchReportErrors(t *testing.T) {
-	if _, err := ReadBenchReport(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-		t.Error("missing file did not error")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte("{nope"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBenchReport(bad); err == nil {
-		t.Error("malformed JSON did not error")
 	}
 }

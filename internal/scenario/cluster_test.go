@@ -43,10 +43,10 @@ func clusterPolicyBase() *Spec {
 
 func TestClusterValidationPaths(t *testing.T) {
 	at := func(v float64) *float64 { return &v }
-	if err := clusterBase().Validate(); err != nil {
+	if _, err := clusterBase().Compile(); err != nil {
 		t.Fatalf("valid cluster spec rejected: %v", err)
 	}
-	if err := clusterPolicyBase().Validate(); err != nil {
+	if _, err := clusterPolicyBase().Compile(); err != nil {
 		t.Fatalf("valid policy cluster spec rejected: %v", err)
 	}
 	cases := []struct {
@@ -163,14 +163,14 @@ func TestClusterValidationPaths(t *testing.T) {
 func TestClusterMoveSourceReplay(t *testing.T) {
 	s := clusterBase()
 	s.Cluster.Moves = []TimedMoveSpec{{VM: "v1", From: "b", To: "a", AtS: 1200}, {VM: "v1", From: "a", To: "b", AtS: 60}}
-	if err := s.Validate(); err != nil {
+	if _, err := s.Compile(); err != nil {
 		t.Errorf("moves listed out of time order: %v", err)
 	}
 	for _, f := range []FailureSpec{{AtS: 61, Kind: "flight-abort", VM: "v1"}, {AtS: 61, Kind: "host-crash", Host: "a"}} {
 		s := clusterBase()
 		s.Cluster.Moves = append(s.Cluster.Moves, TimedMoveSpec{VM: "v1", From: "a", To: "b", AtS: 1200})
 		s.Cluster.Failures = []FailureSpec{f}
-		if err := s.Validate(); err != nil {
+		if _, err := s.Compile(); err != nil {
 			t.Errorf("%s after the first move: a second move from its source refused: %v", f.Kind, err)
 		}
 		// A failure at the dispatch instant applies before it.
@@ -210,7 +210,7 @@ func clusterFailureBase() *Spec {
 }
 
 func TestClusterFailureValidationPaths(t *testing.T) {
-	if err := clusterFailureBase().Validate(); err != nil {
+	if _, err := clusterFailureBase().Compile(); err != nil {
 		t.Fatalf("valid failure schedule rejected: %v", err)
 	}
 	cases := []struct {

@@ -26,7 +26,7 @@ const (
 
 // phaseSeedStride separates the derived seeds of a spec's phases. It is a
 // large prime, coprime to the repeat stride (1009) used inside
-// sim.RunRepeated and the point stride (7919) used by experiment
+// sim.Cache.RunRepeatedCtx and the point stride (7919) used by experiment
 // campaigns, so the seed lattices of phases, repeats and campaign points
 // never collide for realistic index ranges.
 const phaseSeedStride = 15485863

@@ -14,7 +14,7 @@
 // pass into sim.Scenario values (one per phase), a plan for the cluster
 // package's executor or a prepared cluster timeline, rejecting bad specs
 // with pathed errors ("phases[2].duration_s: …") that point at the
-// offending JSON field. Validate is Compile with the result dropped.
+// offending JSON field; a spec is valid exactly when it compiles.
 //
 // This package checks only what the JSON carries: unit conversions,
 // phase lowering, fleet expansion and the rules that exist only in the

@@ -36,7 +36,7 @@ func fleetSpec() *Spec {
 
 func TestFleetExpansion(t *testing.T) {
 	s := fleetSpec()
-	if err := s.Validate(); err != nil {
+	if _, err := s.Compile(); err != nil {
 		t.Fatalf("valid fleet spec rejected: %v", err)
 	}
 	hosts := s.expandedClusterHosts()
@@ -132,11 +132,11 @@ func TestFleetMovesAddressReplicas(t *testing.T) {
 	s.Cluster.Moves = []TimedMoveSpec{
 		{VM: "low-0001", From: "idle-0001", To: "idle-0000", AtS: 5},
 	}
-	if err := s.Validate(); err != nil {
+	if _, err := s.Compile(); err != nil {
 		t.Fatalf("move addressing a replica rejected: %v", err)
 	}
 	s.Cluster.Moves[0].VM = "low-9999"
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "unknown VM") {
+	if _, err := s.Compile(); err == nil || !strings.Contains(err.Error(), "unknown VM") {
 		t.Fatalf("move to a non-existent replica: err = %v", err)
 	}
 }
@@ -169,7 +169,7 @@ func TestFleetValidation(t *testing.T) {
 	for _, tc := range cases {
 		s := fleetSpec()
 		tc.mut(s)
-		err := s.Validate()
+		_, err := s.Compile()
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
@@ -211,7 +211,7 @@ func TestFleetErrorText(t *testing.T) {
 	for _, tc := range cases {
 		s := fleetSpec()
 		tc.mut(s)
-		if err := s.Validate(); err == nil || err.Error() != tc.want {
+		if _, err := s.Compile(); err == nil || err.Error() != tc.want {
 			t.Errorf("%s: Validate error\n  got  %v\n  want %s", tc.name, err, tc.want)
 		}
 		if _, err := s.Compile(); err == nil || err.Error() != tc.want {

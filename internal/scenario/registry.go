@@ -50,8 +50,8 @@ func Parse(name string, data []byte) (*Spec, error) {
 // repeated within one object and a key that names a field only without
 // regard to case, but checks nothing the spec's values mean. A caller
 // that compiles the spec anyway (wavm3d, after admission) decodes it
-// with this and gets Validate's pathed errors from Compile, without
-// lowering the spec twice.
+// with this and gets the pathed errors from Compile, without lowering
+// the spec twice.
 func Decode(name string, data []byte) (*Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()

@@ -603,15 +603,6 @@ func validName(name string) bool {
 	return true
 }
 
-// Validate checks the spec exhaustively and returns the first failure as
-// a pathed *Error. It is Compile with the result dropped: checking and
-// lowering are one pass, so a spec is valid exactly when it compiles,
-// and an unedited spec from Parse is checked without lowering it again.
-func (s *Spec) Validate() error {
-	_, err := s.Compile()
-	return err
-}
-
 // compileMigration checks the single-migration form of the spec and
 // lowers it into one run, or one run per phase.
 func (s *Spec) compileMigration(kind migration.Kind) (*Compiled, error) {
@@ -780,7 +771,7 @@ var jsonName = map[string]string{
 	"Hosts": "hosts", "Moves": "moves", "Failures": "failures", "Kind": "kind",
 	"Tick": "tick_s", "Horizon": "horizon_s", "EvacuationDeadline": "evacuation_deadline_s",
 	"Name": "name", "Machine": "machine", "MemBytes": "mem_gib", "BusyVCPUs": "busy_vcpus",
-	"DirtyRatio": "dirty_ratio", "Phases": "phases",
+	"DirtyRatio": "dirty_ratio", "Phases": "phases", "Threads": "threads", "IdlePower": "idle_power_w",
 	"VM": "vm", "From": "from", "To": "to", "At": "at_s", "Host": "host", "Switch": "switch",
 }
 
@@ -828,11 +819,6 @@ func (s *Spec) compileDatacenter(kind migration.Kind) (*Compiled, error) {
 	hosts, err := s.hostStates()
 	if err != nil {
 		return nil, err
-	}
-	for hi, h := range hosts {
-		if err := h.Validate(); err != nil {
-			return nil, errf(name, fmt.Sprintf("datacenter.hosts[%d]", hi), "%v", err)
-		}
 	}
 	if r := s.Repeat; r != nil {
 		return nil, errf(name, "repeat", "unused in data-centre scenarios (each move runs once)")

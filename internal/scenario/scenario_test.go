@@ -58,21 +58,17 @@ func wantPathError(t *testing.T, err error, want string) {
 	}
 }
 
-// wantSpecError checks that s fails Validate with a pathed error under
-// want, and that Compile, whose final engine check is cluster.Prepare,
-// fails with the identical error.
+// wantSpecError checks that s fails Compile with a pathed error under
+// want.
 func wantSpecError(t *testing.T, s *Spec, want string) {
 	t.Helper()
-	err := s.Validate()
+	_, err := s.Compile()
 	wantPathError(t, err, want)
-	if _, cerr := s.Compile(); cerr == nil || cerr.Error() != err.Error() {
-		t.Fatalf("Compile error %v differs from Validate's %v", cerr, err)
-	}
 }
 
 func TestMinimalSpecValidatesAndCompiles(t *testing.T) {
 	s := minimal()
-	if err := s.Validate(); err != nil {
+	if _, err := s.Compile(); err != nil {
 		t.Fatalf("minimal spec rejected: %v", err)
 	}
 	c, err := s.Compile()
@@ -268,7 +264,7 @@ func TestSecondsOverflowText(t *testing.T) {
 		{mem, `scenario "cl-test": cluster.hosts[0].vms[0].mem_gib: 1e+10 GiB exceeds the largest representable size (8589934591 GiB)`},
 		{subByte, `scenario "cl-test": cluster.hosts[0].vms[0].mem_gib: must be at least one byte, got 1e-12 GiB`},
 	} {
-		if err := tc.s.Validate(); err == nil || err.Error() != tc.want {
+		if _, err := tc.s.Compile(); err == nil || err.Error() != tc.want {
 			t.Errorf("error\n  got  %v\n  want %s", err, tc.want)
 		}
 	}
@@ -290,7 +286,7 @@ func TestDatacenterValidationPaths(t *testing.T) {
 			},
 		}
 	}
-	if err := base().Validate(); err != nil {
+	if _, err := base().Compile(); err != nil {
 		t.Fatalf("valid datacenter spec rejected: %v", err)
 	}
 
@@ -304,6 +300,12 @@ func TestDatacenterValidationPaths(t *testing.T) {
 		{"post-copy plan", func(s *Spec) { s.Kind = "post-copy" }, "kind"},
 		{"one host", func(s *Spec) { s.Datacenter.Hosts = s.Datacenter.Hosts[:1] }, "datacenter.hosts"},
 		{"invalid host", func(s *Spec) { s.Datacenter.Hosts[1].Threads = 0 }, "datacenter.hosts[1]"},
+		{"host without threads", func(s *Spec) { s.Datacenter.Hosts[0].Threads = 0 }, "datacenter.hosts[0].threads"},
+		{"host with negative threads", func(s *Spec) { s.Datacenter.Hosts[0].Threads = -4 }, "datacenter.hosts[0].threads"},
+		{"host without idle power", func(s *Spec) { s.Datacenter.Hosts[0].IdlePowerW = 0 }, "datacenter.hosts[0].idle_power_w"},
+		{"vm with negative demand", func(s *Spec) { s.Datacenter.Hosts[0].VMs[0].BusyVCPUs = -1 }, "datacenter.hosts[0].vms[0].busy_vcpus"},
+		{"vm dirty ratio above one", func(s *Spec) { s.Datacenter.Hosts[0].VMs[0].DirtyRatio = 1.5 }, "datacenter.hosts[0].vms[0].dirty_ratio"},
+		{"vm dirty ratio negative", func(s *Spec) { s.Datacenter.Hosts[0].VMs[0].DirtyRatio = -0.1 }, "datacenter.hosts[0].vms[0].dirty_ratio"},
 		{"host memory overflows", func(s *Spec) { s.Datacenter.Hosts[0].MemGiB = 1e10 }, "datacenter.hosts[0].mem_gib"},
 		{"vm memory overflows", func(s *Spec) { s.Datacenter.Hosts[0].VMs[0].MemGiB = 1e10 }, "datacenter.hosts[0].vms[0].mem_gib"},
 		{"host without memory", func(s *Spec) { s.Datacenter.Hosts[0].MemGiB = 0 }, "datacenter.hosts[0].mem_gib"},

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"syscall"
@@ -27,11 +28,15 @@ func runScenLibrary(t *testing.T, bin, scenDir, cacheDir, benchPath string) ([]b
 	if err := cmd.Run(); err != nil {
 		t.Fatalf("wavm3scen failed: %v\n%s", err, stderr.String())
 	}
-	perf, err := report.ReadBenchReport(benchPath)
+	b, err := os.ReadFile(benchPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stdout.Bytes(), perf
+	var perf report.BenchReport
+	if err := json.Unmarshal(b, &perf); err != nil {
+		t.Fatal(err)
+	}
+	return stdout.Bytes(), &perf
 }
 
 // healthCache mirrors the /healthz cache block.

@@ -184,20 +184,21 @@ func TestTimeoutFlagExitCode(t *testing.T) {
 	// wavm3scen's slow spec is mid-run at 150ms. Figure 2's two shortened
 	// runs finish within a millisecond, so the other batch rows use a
 	// deadline that has passed before their first run starts.
+	// The two wavm3bench rows cover a figure and a campaign.
 	cases := []struct {
-		tool     string
-		args     []string
-		code     int
-		inStderr string
+		name, tool string
+		args       []string
+		code       int
+		inStderr   string
 	}{
-		{"wavm3scen", []string{"-timeout", "150ms", specFile}, cliflags.ExitDeadline, "deadline"},
-		{"wavm3bench", []string{"-timeout", "1ns", "-only", "fig2"}, cliflags.ExitDeadline, "deadline"},
-		{"wavm3fit", []string{"-timeout", "1ns", "-quick"}, cliflags.ExitDeadline, "deadline"},
-		{"wavm3sim", []string{"-timeout", "1ns", "-quick"}, cliflags.ExitDeadline, "deadline"},
-		{"wavm3d", []string{"-timeout", "1s", "-addr", "127.0.0.1:0"}, 2, "-run-timeout"},
+		{"wavm3scen", "wavm3scen", []string{"-timeout", "150ms", specFile}, cliflags.ExitDeadline, "deadline"},
+		{"wavm3bench", "wavm3bench", []string{"-timeout", "1ns", "-only", "fig2"}, cliflags.ExitDeadline, "deadline"},
+		{"wavm3bench campaign", "wavm3bench", []string{"-timeout", "1ns", "-quick", "-only", "table3"}, cliflags.ExitDeadline, "deadline"},
+		{"wavm3sim", "wavm3sim", []string{"-timeout", "1ns", "-quick"}, cliflags.ExitDeadline, "deadline"},
+		{"wavm3d", "wavm3d", []string{"-timeout", "1s", "-addr", "127.0.0.1:0"}, 2, "-run-timeout"},
 	}
 	for _, tc := range cases {
-		t.Run(tc.tool, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			bin := buildTool(t, tc.tool)
 			args := tc.args
 			var profiles []string

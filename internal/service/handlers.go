@@ -170,8 +170,8 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	// Check and lower a posted spec inside the slot, under the request
-	// deadline. Compile is Validate, so a body whose values are wrong
-	// fails here with its field path.
+	// deadline. Compile is the spec's only check, so a body whose values
+	// are wrong fails here with its field path.
 	if compiled == nil {
 		if compiled, err = spec.Compile(); err != nil {
 			writeError(w, http.StatusUnprocessableEntity, scenarioAPIError(err))

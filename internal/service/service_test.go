@@ -182,27 +182,40 @@ func TestScenarioListing(t *testing.T) {
 	}
 }
 
-// TestRunSpecBodyMatchesCLI: a POSTed spec answers with exactly the
-// bytes wavm3scen prints for the same scenario.
+// TestRunSpecBodyMatchesCLI: a POSTed spec answers 200 with exactly the
+// bytes wavm3scen prints for the same scenario, which must run.
 func TestRunSpecBodyMatchesCLI(t *testing.T) {
 	_, url := newTestServer(t, Config{Cache: sim.NewCache(0)})
-	body, err := os.ReadFile(filepath.Join(scenarioDir, "nonlive-baseline.json"))
+	library, err := os.ReadFile(filepath.Join(scenarioDir, "nonlive-baseline.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	status, got, hdr := postRun(t, url+"/v1/runs", string(body))
-	if status != http.StatusOK {
-		t.Fatalf("status = %d\n%s", status, got)
-	}
-	if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	spec, err := scenario.Load(filepath.Join(scenarioDir, "nonlive-baseline.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := expectExec(t, spec); !bytes.Equal(got, want) {
-		t.Errorf("response differs from the CLI rendering:\ngot:\n%swant:\n%s", got, want)
+	for _, tc := range []struct{ name, body string }{
+		{"library spec", string(library)},
+		// A first-fit-decreasing round that places no guest: three of 15
+		// busy vCPUs on two 32-thread hosts, none over its threads.
+		{"first-fit-decreasing round that places no guest", `{"version":1,"name":"ffd-stuck","kind":"live",
+		"cluster":{"horizon_s":600,"tick_s":300,"policy":"first-fit-decreasing","hosts":[
+		{"name":"h01","machine":"m01","vms":[{"name":"v1","mem_gib":4,"busy_vcpus":15},{"name":"v2","mem_gib":4,"busy_vcpus":15}]},
+		{"name":"h02","machine":"m01","vms":[{"name":"v3","mem_gib":4,"busy_vcpus":15}]}]}}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, err := scenario.Parse(tc.name, []byte(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := expectExec(t, spec)
+			status, got, hdr := postRun(t, url+"/v1/runs", tc.body)
+			if status != http.StatusOK {
+				t.Fatalf("status = %d\n%s", status, got)
+			}
+			if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+				t.Errorf("Content-Type = %q", ct)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("response differs from the CLI rendering:\ngot:\n%swant:\n%s", got, want)
+			}
+		})
 	}
 }
 

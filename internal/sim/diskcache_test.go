@@ -154,7 +154,8 @@ func TestArtefactRoundTrip(t *testing.T) {
 }
 
 func TestDirStoreBasics(t *testing.T) {
-	store, err := NewDirStore(t.TempDir())
+	dir := t.TempDir()
+	store, err := NewDirStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestDirStoreBasics(t *testing.T) {
 		t.Fatalf("Get = %q, %v", got, err)
 	}
 	// No temp litter after a completed Put.
-	if tmp, _ := filepath.Glob(filepath.Join(store.Dir(), ".*.tmp-*")); len(tmp) != 0 {
+	if tmp, _ := filepath.Glob(filepath.Join(dir, ".*.tmp-*")); len(tmp) != 0 {
 		t.Errorf("temp files left behind: %v", tmp)
 	}
 	if err := store.Quarantine("a.v1.run", "checksum"); err != nil {
@@ -178,7 +179,7 @@ func TestDirStoreBasics(t *testing.T) {
 	if _, err := store.Get("a.v1.run"); !errors.Is(err, ErrArtefactNotFound) {
 		t.Errorf("quarantined artefact still readable: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(store.Dir(), quarantineDir, "a.v1.run.checksum")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, quarantineDir, "a.v1.run.checksum")); err != nil {
 		t.Errorf("quarantined file not preserved: %v", err)
 	}
 	// Quarantining an already-moved file is success (another process won).
@@ -232,14 +233,15 @@ func (failingStore) Lock(context.Context, string) (func(), error) { return func(
 // without that, every future corruption would fail its quarantine and
 // re-read the same bad file forever.
 func TestDirStoreQuarantineRecreatesDir(t *testing.T) {
-	store, err := NewDirStore(t.TempDir())
+	dir := t.TempDir()
+	store, err := NewDirStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Put("a.v1.run", []byte("rotten")); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.RemoveAll(filepath.Join(store.Dir(), quarantineDir)); err != nil {
+	if err := os.RemoveAll(filepath.Join(dir, quarantineDir)); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Quarantine("a.v1.run", "checksum"); err != nil {
@@ -248,7 +250,7 @@ func TestDirStoreQuarantineRecreatesDir(t *testing.T) {
 	if _, err := store.Get("a.v1.run"); !errors.Is(err, ErrArtefactNotFound) {
 		t.Errorf("quarantined artefact still readable: %v", err)
 	}
-	q, err := os.ReadFile(filepath.Join(store.Dir(), quarantineDir, "a.v1.run.checksum"))
+	q, err := os.ReadFile(filepath.Join(dir, quarantineDir, "a.v1.run.checksum"))
 	if err != nil || string(q) != "rotten" {
 		t.Errorf("quarantined file = %q, %v; want the original preserved", q, err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestRunRepeatedWorkersDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	ref, err := RunRepeatedWorkers(repeatedScenario(21), 3, 0.5, 1)
+	ref, err := (*Cache)(nil).RunRepeatedCtx(context.Background(), repeatedScenario(21), 3, 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestRunRepeatedWorkersDeterministic(t *testing.T) {
 		t.Fatalf("reference produced %d runs, want ≥ 3", len(ref))
 	}
 	for _, workers := range []int{2, 4, 8} {
-		got, err := RunRepeatedWorkers(repeatedScenario(21), 3, 0.5, workers)
+		got, err := (*Cache)(nil).RunRepeatedCtx(context.Background(), repeatedScenario(21), 3, 0.5, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +64,7 @@ func TestRunRepeatedSeedDerivation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	runs, err := RunRepeatedWorkers(repeatedScenario(5), 2, 0.9, 4)
+	runs, err := (*Cache)(nil).RunRepeatedCtx(context.Background(), repeatedScenario(5), 2, 0.9, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

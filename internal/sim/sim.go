@@ -465,30 +465,16 @@ func expectedSteps(sc Scenario, spec hw.MachineSpec) int {
 	return int(span/Step) + 2
 }
 
-// RunRepeated executes a scenario until the paper's variance-convergence
-// rule holds on the total source-side migration energy: at least minRuns
-// runs, and the variance change from adding the latest run below tol.
-// Each run gets a distinct derived seed. Runs fan out across all CPUs;
-// use RunRepeatedWorkers to bound or disable the parallelism.
-func RunRepeated(sc Scenario, minRuns int, tol float64) ([]*RunResult, error) {
-	return RunRepeatedWorkers(sc, minRuns, tol, 0)
-}
-
-// RunRepeatedWorkers is RunRepeated with an explicit worker budget
-// (<= 0 means runtime.NumCPU()). Run i always gets seed sc.Seed + i*1009
-// and the convergence rule is applied to run prefixes in index order, so
-// every worker count returns the bit-identical run sequence; workers only
-// changes how many speculative runs execute concurrently.
-func RunRepeatedWorkers(sc Scenario, minRuns int, tol float64, workers int) ([]*RunResult, error) {
-	return runRepeated(context.Background(), nil, sc, minRuns, tol, workers, true)
-}
-
-// RunRepeatedCtx is the cache-aware RunRepeatedWorkers: each run is
-// answered through the cache, and a nil receiver degrades to uncached
-// execution. It adds a cancellation boundary between speculative batches
-// and inside every run: a done ctx abandons the repeat sequence and
-// returns ctx's error. Prefixes returned before cancellation are
-// bit-identical to the uncancellable variant's.
+// RunRepeatedCtx executes a scenario until the paper's variance-
+// convergence rule holds on the total source-side migration energy: at
+// least minRuns runs, and the variance change from adding the latest run
+// below tol. Run i always gets seed sc.Seed + i*1009 and the rule is
+// applied to run prefixes in index order, so every worker count (<= 0
+// means runtime.NumCPU()) returns the bit-identical run sequence; workers
+// only changes how many speculative runs execute concurrently. Each run
+// is answered through the cache, and a nil receiver runs uncached. A
+// done ctx, checked between speculative batches and inside every run,
+// abandons the repeat sequence and returns ctx's error.
 func (c *Cache) RunRepeatedCtx(ctx context.Context, sc Scenario, minRuns int, tol float64, workers int) ([]*RunResult, error) {
 	return runRepeated(ctx, c, sc, minRuns, tol, workers, true)
 }

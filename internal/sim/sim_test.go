@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -271,7 +272,7 @@ func TestRunOnXeonPair(t *testing.T) {
 }
 
 func TestRunRepeatedConverges(t *testing.T) {
-	runs, err := RunRepeated(cpuScenario(migration.NonLive, 0, 0, 11), 3, 0.5)
+	runs, err := (*Cache)(nil).RunRepeatedCtx(context.Background(), cpuScenario(migration.NonLive, 0, 0, 11), 3, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestRunRepeatedConverges(t *testing.T) {
 	if runs[0].Scenario.Seed == runs[1].Scenario.Seed {
 		t.Error("derived seeds must differ per run")
 	}
-	if _, err := RunRepeated(cpuScenario(migration.NonLive, 0, 0, 1), 1, 0.5); err == nil {
+	if _, err := (*Cache)(nil).RunRepeatedCtx(context.Background(), cpuScenario(migration.NonLive, 0, 0, 1), 1, 0.5, 0); err == nil {
 		t.Error("minRuns < 2 must fail")
 	}
 }

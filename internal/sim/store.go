@@ -75,9 +75,6 @@ func NewDirStore(dir string) (*DirStore, error) {
 	return &DirStore{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *DirStore) Dir() string { return s.dir }
-
 // checkArtefactName refuses names that could escape the store directory
 // or collide with its internals. Cache-layer names are hex hashes plus a
 // version suffix, so anything else indicates a bug.

@@ -8,7 +8,7 @@
 // Position in the data flow (see ARCHITECTURE.md): stats is a leaf
 // dependency with no knowledge of migrations or power — internal/core and
 // internal/baseline fit their models through OLS here, and
-// sim.RunRepeated stops repeating when VarianceConverged says the paper's
-// 10% rule holds. Entry points: NewMatrix, OLS, NonNegativeOLS,
+// sim.Cache.RunRepeatedCtx stops repeating when VarianceConverged says
+// the paper's 10% rule holds. Entry points: NewMatrix, OLS, NonNegativeOLS,
 // DesignMatrix, MAE, RMSE, NRMSE, VarianceConverged, KFold.
 package stats

@@ -2,12 +2,8 @@ package trace
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
-	"time"
-
-	"repro/internal/units"
 )
 
 // WriteCSV writes the trace as "seconds,watts" rows with a header, the
@@ -29,38 +25,4 @@ func (p *PowerTrace) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV parses a trace previously written by WriteCSV.
-func ReadCSV(r io.Reader, host string) (*PowerTrace, error) {
-	cr := csv.NewReader(r)
-	recs, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading CSV: %w", err)
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("trace: empty CSV")
-	}
-	out := &PowerTrace{Host: host}
-	for i, rec := range recs {
-		if i == 0 && len(rec) >= 1 && rec[0] == "time_s" {
-			continue // header
-		}
-		if len(rec) < 2 {
-			return nil, fmt.Errorf("trace: CSV row %d has %d fields, want 2", i, len(rec))
-		}
-		secs, err := strconv.ParseFloat(rec[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: CSV row %d time: %w", i, err)
-		}
-		w, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: CSV row %d power: %w", i, err)
-		}
-		at := time.Duration(secs * float64(time.Second))
-		if err := out.Append(at, units.Watts(w)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -114,12 +114,3 @@ func Align(p *PowerTrace, f *FeatureTrace, b Boundaries) ([]Observation, error) 
 	}
 	return out, nil
 }
-
-// SplitByPhase groups observations by migration phase.
-func SplitByPhase(obs []Observation) map[Phase][]Observation {
-	out := make(map[Phase][]Observation)
-	for _, o := range obs {
-		out[o.Phase] = append(out[o.Phase], o)
-	}
-	return out
-}

@@ -175,14 +175,6 @@ func (v *VM) EndMigration() error {
 	return nil
 }
 
-// Destroy stops the VM and releases its memory (the source-side cleanup of
-// the activation phase).
-func (v *VM) Destroy() {
-	v.state = StateStopped
-	v.Memory = nil
-	v.demand = 0
-}
-
 // State returns the lifecycle state.
 func (v *VM) State() State { return v.state }
 
@@ -224,15 +216,6 @@ func (v *VM) StepMemory(dtSeconds, cpuShare float64) int64 {
 		cpuShare = 1
 	}
 	return v.dirtier.Step(v.Memory, dtSeconds*cpuShare)
-}
-
-// DirtyRate returns the nominal page-write rate of the guest's workload
-// while it is active.
-func (v *VM) DirtyRate() float64 {
-	if !v.Active() {
-		return 0
-	}
-	return v.dirtier.Rate()
 }
 
 // DirtyRatio returns DR(v,t): zero when suspended/stopped per Section IV-B.

@@ -59,13 +59,3 @@ func (ts *Toolstack) Create(typeID string, profile workload.Profile, seed int64)
 	g.SetDirtier(profile.Dirtier(seed))
 	return g, nil
 }
-
-// Destroy tears a guest down and releases its host slot.
-func (ts *Toolstack) Destroy(name string) error {
-	g, ok := ts.host.Guest(name)
-	if !ok {
-		return fmt.Errorf("xen: no guest %q", name)
-	}
-	g.Destroy()
-	return ts.host.Detach(name)
-}

@@ -2,7 +2,6 @@ package xen
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/hw"
 	"repro/internal/units"
@@ -112,18 +111,6 @@ func (h *Host) GuestIndex(name string) (int, bool) {
 	return slot, ok
 }
 
-// Guests returns all guests sorted by name (deterministic iteration).
-func (h *Host) Guests() []*vm.VM {
-	out := make([]*vm.VM, 0, len(h.index))
-	for _, g := range h.guests {
-		if g != nil {
-			out = append(out, g)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // SetMigrationActive marks/unmarks this host as a migration endpoint,
 // adding CPUmigr demand and the orchestration power overhead.
 func (h *Host) SetMigrationActive(active bool) { h.migActive = active }
@@ -163,8 +150,6 @@ type Allocation struct {
 	Migration units.Utilisation
 	// Saturated reports whether demand exceeded capacity (multiplexing).
 	Saturated bool
-
-	host *Host
 }
 
 // HostCPU returns CPU(h,t) per Eq. 2: everything the host's threads are
@@ -184,19 +169,6 @@ func (a Allocation) Guest(slot int) units.Utilisation {
 		return 0
 	}
 	return a.Guests[slot]
-}
-
-// GuestCPU returns the CPU granted to the named guest — the name-keyed
-// compatibility accessor over the slot-indexed grants.
-func (a Allocation) GuestCPU(name string) units.Utilisation {
-	if a.host == nil {
-		return 0
-	}
-	slot, ok := a.host.index[name]
-	if !ok {
-		return 0
-	}
-	return a.Guest(slot)
 }
 
 // MigrationShare returns granted/demanded for the migration helper; the
@@ -226,7 +198,7 @@ func (h *Host) Schedule() Allocation {
 	for i := range grants {
 		grants[i] = 0
 	}
-	alloc := Allocation{Guests: grants, host: h}
+	alloc := Allocation{Guests: grants}
 
 	vmm := h.VMMDemand().Clamp(cap)
 	alloc.VMM = vmm

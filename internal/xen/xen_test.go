@@ -43,6 +43,13 @@ func addVM(t *testing.T, h *Host, name, typeID string, demand units.Utilisation)
 	return g
 }
 
+// grant reads the CPU granted to the named guest, through its slot as
+// the kernel reads it.
+func grant(h *Host, a Allocation, name string) units.Utilisation {
+	slot, _ := h.GuestIndex(name)
+	return a.Guest(slot)
+}
+
 func TestNewHostValidates(t *testing.T) {
 	if _, err := NewHost(hw.MachineSpec{}); err == nil {
 		t.Error("invalid spec must fail")
@@ -82,17 +89,6 @@ func TestAttachMemoryLimit(t *testing.T) {
 	}
 }
 
-func TestGuestsSorted(t *testing.T) {
-	h := newHost(t, "m01")
-	addVM(t, h, "c", vm.TypeLoadCPU, 1)
-	addVM(t, h, "a", vm.TypeLoadCPU, 1)
-	addVM(t, h, "b", vm.TypeLoadCPU, 1)
-	gs := h.Guests()
-	if len(gs) != 3 || gs[0].Name != "a" || gs[1].Name != "b" || gs[2].Name != "c" {
-		t.Errorf("Guests not sorted: %v", []string{gs[0].Name, gs[1].Name, gs[2].Name})
-	}
-}
-
 func TestVMMDemandGrowsWithGuests(t *testing.T) {
 	h := newHost(t, "m01")
 	base := h.VMMDemand()
@@ -120,7 +116,7 @@ func TestScheduleUndersubscribed(t *testing.T) {
 	if alloc.Saturated {
 		t.Error("6 demanded of 32 must not saturate")
 	}
-	if alloc.GuestCPU("a") != 4 || alloc.GuestCPU("b") != 2 {
+	if grant(h, alloc, "a") != 4 || grant(h, alloc, "b") != 2 {
 		t.Errorf("full grants expected, got %v", alloc.Guests)
 	}
 	wantHost := float64(h.VMMDemand()) + 6
@@ -151,7 +147,7 @@ func TestScheduleSaturatedMultiplexing(t *testing.T) {
 		t.Errorf("saturated HostCPU = %v, want capacity %v", alloc.HostCPU(), h.Spec.Capacity())
 	}
 	// Guests all get the same scaled share (equal weights).
-	a, b := alloc.GuestCPU("a"), alloc.GuestCPU("b")
+	a, b := grant(h, alloc, "a"), grant(h, alloc, "b")
 	if math.Abs(float64(a-b)) > 1e-9 {
 		t.Errorf("equal demands got unequal grants: %v vs %v", a, b)
 	}
@@ -245,15 +241,6 @@ func TestToolstack(t *testing.T) {
 	}
 	if _, ok := h.Guest(g.Name); !ok {
 		t.Error("guest not attached to host")
-	}
-	if err := ts.Destroy(g.Name); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := h.Guest(g.Name); ok {
-		t.Error("guest still attached after destroy")
-	}
-	if err := ts.Destroy("ghost"); err == nil {
-		t.Error("destroying unknown guest must fail")
 	}
 }
 

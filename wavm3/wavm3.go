@@ -43,6 +43,7 @@
 package wavm3
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -461,13 +462,7 @@ func Simulate(sc Scenario) (*SimulationResult, error) { return sim.Run(sc) }
 // execution because run seeds derive from the run index alone and the
 // variance rule is applied to run prefixes in index order.
 func SimulateRepeated(sc Scenario, minRuns int, tol float64) ([]*SimulationResult, error) {
-	return sim.RunRepeated(sc, minRuns, tol)
-}
-
-// SimulateRepeatedWorkers is SimulateRepeated with an explicit worker
-// budget (<= 0 means runtime.NumCPU(), 1 forces sequential execution).
-func SimulateRepeatedWorkers(sc Scenario, minRuns int, tol float64, workers int) ([]*SimulationResult, error) {
-	return sim.RunRepeatedWorkers(sc, minRuns, tol, workers)
+	return (*sim.Cache)(nil).RunRepeatedCtx(context.Background(), sc, minRuns, tol, 0)
 }
 
 // TrainBaselines gives example programs access to baseline models trained
