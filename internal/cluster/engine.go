@@ -208,27 +208,6 @@ type engine struct {
 	lastPlanMoves int
 	lastPinned    int
 	downHosts     []*hostRT
-
-	// pendJoin is the one in-flight dispatch batch whose kernel runs
-	// were farmed to the worker pool; the event loop joins it before
-	// selecting the next event (see joinPending).
-	pendJoin *pendingDispatch
-}
-
-// pendingDispatch carries a staged dispatch batch from the event that
-// admitted it to the join point: the flights (not yet engine state),
-// the dispatch instant, each flight's index in Config.Moves (nil for a
-// planned batch), and the channel its kernel results arrive on.
-type pendingDispatch struct {
-	t       time.Duration
-	flights []*flight
-	moves   []int
-	ch      chan dispatchResult
-}
-
-type dispatchResult struct {
-	runs []*sim.RunResult
-	err  error
 }
 
 // Run executes one cluster timeline to completion and returns its
@@ -353,21 +332,12 @@ func (e *engine) run() (*Report, error) {
 	for {
 		// Cancellation boundary: one non-blocking poll per event (the
 		// checks vanish for background contexts, whose Done is nil).
-		// The context also bounds any kernel batch still in flight, so
-		// returning here cannot leak the dispatch goroutine.
 		if e.done != nil {
 			select {
 			case <-e.done:
 				return nil, e.ctx.Err()
 			default:
 			}
-		}
-		// Join the off-loop kernel batch before selecting the next
-		// event: a flight's first scheduler event (its head end) derives
-		// from its kernel result, so no later event may be chosen — let
-		// alone fired — until the batch has committed.
-		if err := e.joinPending(); err != nil {
-			return nil, err
 		}
 		t, ok := e.nextEventTime()
 		if !ok {
@@ -656,19 +626,17 @@ func (e *engine) checkMove(m TimedMove) (*vmRT, *hostRT, *InputError) {
 }
 
 // dispatch admits a batch of concurrent migrations at instant t: every
-// move is checked and lowered against the pre-batch state, then the
-// kernel runs are farmed to the worker pool off the event loop (each
-// seeded by its dispatch index). The staged flights become engine state
-// only when joinPending receives the batch's results — the event loop
-// joins before selecting any later event, because a flight's first
-// scheduler event derives from its kernel result.
+// move is checked and lowered against the pre-batch state, the batch's
+// kernel runs fan out to the worker pool (each seeded by its dispatch
+// index), and the flights then become engine state, each with its first
+// scheduler event, which derives from its kernel result.
 //
-// The batch is transactional: checks and lowering stage into the
-// pending batch, and nothing — not the migrating flags, the incoming
-// reservations, the dispatch counter, nor the scheduler heaps — mutates
-// until every kernel run has succeeded. A simulate failure therefore
-// leaves the engine exactly as it was, so abort/retry layers above
-// never observe a half-dispatched batch.
+// The batch is transactional: checks and lowering stage the batch, and
+// nothing — not the migrating flags, the incoming reservations, the
+// dispatch counter, nor the scheduler heaps — mutates until every kernel
+// run has succeeded. A simulate failure therefore leaves the engine
+// exactly as it was, so abort/retry layers above never observe a
+// half-dispatched batch.
 //
 // moveIdx holds each explicit move's index in Config.Moves, and is nil
 // for a planned batch: a refused explicit move fails with its
@@ -706,33 +674,11 @@ func (e *engine) dispatch(t time.Duration, batch []TimedMove, moveIdx []int) err
 		flights = append(flights, f)
 		scs = append(scs, sc)
 	}
-	pd := &pendingDispatch{t: t, flights: flights, moves: moveIdx, ch: make(chan dispatchResult, 1)}
-	go func() {
-		runs, err := e.simulate(pd, scs)
-		pd.ch <- dispatchResult{runs: runs, err: err}
-	}()
-	e.pendJoin = pd
-	return nil
-}
-
-// joinPending blocks on the in-flight dispatch batch, if any, and
-// commits it. On a kernel failure nothing has been committed — the
-// engine state is untouched and the error surfaces exactly as an
-// inline dispatch failure would have. The buffered result channel lets
-// the goroutine finish even if the run is abandoned by cancellation
-// first.
-func (e *engine) joinPending() error {
-	pd := e.pendJoin
-	if pd == nil {
-		return nil
+	runs, err := e.simulate(flights, moveIdx, scs)
+	if err != nil {
+		return err // nothing committed: the engine state is untouched
 	}
-	e.pendJoin = nil
-	res := <-pd.ch
-	if res.err != nil {
-		return res.err // nothing committed: the engine state is untouched
-	}
-	t, flights := pd.t, pd.flights
-	for i, run := range res.runs {
+	for i, run := range runs {
 		f := flights[i]
 		f.run = run
 		f.headEnd = t + (run.Bounds.TS - run.Bounds.MS)
@@ -770,7 +716,7 @@ func (e *engine) joinPending() error {
 // decodes no trace. The engine's context bounds the whole fan-out: once
 // it is done, no further kernel run dispatches and running ones abandon
 // at their next step.
-func (e *engine) simulate(pd *pendingDispatch, scs []sim.Scenario) ([]*sim.RunResult, error) {
+func (e *engine) simulate(flights []*flight, moveIdx []int, scs []sim.Scenario) ([]*sim.RunResult, error) {
 	run := func(sc sim.Scenario) (*sim.RunResult, error) {
 		return e.cfg.Cache.SummaryCtx(e.ctx, sc)
 	}
@@ -782,16 +728,16 @@ func (e *engine) simulate(pd *pendingDispatch, scs []sim.Scenario) ([]*sim.RunRe
 		if err == nil {
 			return res, nil
 		}
-		err = fmt.Errorf("executing move %d (%s): %w", pd.flights[i].idx, scs[i].Name, err)
+		err = fmt.Errorf("executing move %d (%s): %w", flights[i].idx, scs[i].Name, err)
 		var fit *sim.FitError
-		if pd.moves == nil || !errors.As(err, &fit) {
+		if moveIdx == nil || !errors.As(err, &fit) {
 			return nil, fmt.Errorf("cluster: %w", err)
 		}
 		side := "From"
 		if fit.Target {
 			side = "To"
 		}
-		return nil, &InputError{Field: "Moves", Index: pd.moves[i], VM: -1, Attr: side, Err: err}
+		return nil, &InputError{Field: "Moves", Index: moveIdx[i], VM: -1, Attr: side, Err: err}
 	})
 }
 

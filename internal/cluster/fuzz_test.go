@@ -85,6 +85,12 @@ var compileThenRunSeeds = []string{
 	`{"version":1,"name":"f-ffd-stuck","cluster":{"horizon_s":600,"tick_s":300,"policy":"first-fit-decreasing","hosts":[
 	  {"name":"h01","machine":"m01","vms":[{"name":"v1","mem_gib":4,"busy_vcpus":15},{"name":"v2","mem_gib":4,"busy_vcpus":15}]},
 	  {"name":"h02","machine":"m01","vms":[{"name":"v3","mem_gib":4,"busy_vcpus":15}]}]}}`,
+	// A first-fit-decreasing round cut short by its move budget, whose
+	// one move would land on a host that the guests left in place push
+	// past its threads.
+	`{"version":1,"name":"f-ffd-budget","cluster":{"horizon_s":900,"tick_s":300,"policy":"first-fit-decreasing","max_moves":1,"hosts":[
+	  {"name":"h01","machine":"m01","vms":[{"name":"v1","mem_gib":4,"busy_vcpus":14},{"name":"v2","mem_gib":4,"busy_vcpus":14}]},
+	  {"name":"h02","machine":"m01","vms":[{"name":"v3","mem_gib":4,"busy_vcpus":20}]}]}}`,
 	// A move into a host piled past the testbed: eight guests of 30
 	// busy vCPUs lower to 60 load VMs.
 	`{"version":1,"name":"f-piled","cluster":{"hosts":[

@@ -87,18 +87,6 @@ func endPlacement(e *engine) []placedHost {
 // place of the heaps.
 func (e *scanEngine) runScan() (*Report, error) {
 	for {
-		// joinPending commits a batch onto the timed heap; the scans keep
-		// it in their own list instead.
-		pd := e.pendJoin
-		if err := e.joinPending(); err != nil {
-			return nil, err
-		}
-		if pd != nil {
-			for _, f := range pd.flights {
-				e.timed.remove(f)
-			}
-			e.flights = append(e.flights, pd.flights...)
-		}
 		t, ok := e.nextEventTimeScan()
 		if !ok {
 			break
@@ -231,8 +219,9 @@ func (e *scanEngine) fireScan(t time.Duration) error {
 
 	// 2. Failure events: same-instant completions above beat the
 	// failure; shifts and dispatches below observe the post-failure
-	// state. An aborted flight's VM is no longer migrating, and no batch
-	// commits before the next join, so that marks every flight to drop.
+	// state. An aborted flight's VM is no longer migrating, and this
+	// instant's batch commits only in step 4, so that marks every flight
+	// to drop.
 	e.applyFailures(t)
 	kept = e.flights[:0]
 	for _, f := range e.flights {
@@ -281,8 +270,18 @@ func (e *scanEngine) dispatchDueScan(t time.Duration) error {
 		idx = append(idx, e.pending[0])
 		e.pending = e.pending[1:]
 	}
-	if len(batch) > 0 {
-		return e.dispatch(t, batch, idx)
+	if len(batch) == 0 {
+		return nil
+	}
+	// dispatch commits a batch onto the tail of the airborne list and
+	// the timed heap; the scans keep it in their own list instead.
+	n := len(e.fail.airborne)
+	if err := e.dispatch(t, batch, idx); err != nil {
+		return err
+	}
+	for _, f := range e.fail.airborne[n:] {
+		e.timed.remove(f)
+		e.flights = append(e.flights, f)
 	}
 	return nil
 }

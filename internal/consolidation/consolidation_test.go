@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/units"
@@ -306,9 +305,9 @@ func TestEnergyAwareNeverMovesVMTwice(t *testing.T) {
 	}
 }
 
-// TestFFDInfeasible: a VM no bin takes stays on its host, no move lands
-// on a host that ends the round past its cap, and the VMs that fit are
-// still repacked.
+// TestFFDInfeasible: a VM no bin takes, or one the move budget leaves
+// unreached, stays on its host, no move lands on a host that ends the
+// round past its cap, and the VMs that fit are still repacked.
 func TestFFDInfeasible(t *testing.T) {
 	host := func(name string, threads int, vms ...VMState) HostState {
 		return HostState{Name: name, Threads: threads, MemBytes: gib(64), IdlePower: 440, VMs: vms}
@@ -317,10 +316,11 @@ func TestFFDInfeasible(t *testing.T) {
 		return VMState{Name: name, MemBytes: gib(4), BusyVCPUs: busy}
 	}
 	for _, tc := range []struct {
-		name  string
-		hosts []HostState
-		moves []Move
-		freed []string
+		name     string
+		hosts    []HostState
+		maxMoves int
+		moves    []Move
+		freed    []string
 	}{{
 		// Caps are 0.9 of the threads: 28.8 here. The repack moves v2
 		// onto h02, then places v3 nowhere; v3 stays on h02, which would
@@ -338,8 +338,15 @@ func TestFFDInfeasible(t *testing.T) {
 		},
 		moves: []Move{{VM: "v2", From: "a", To: "c"}, {VM: "v3", From: "b", To: "a"}},
 		freed: []string{"b"},
+	}, {
+		// The repack moves v3 onto h01 and spends the budget of one
+		// move; v1 and v2 stay on h01, which would end at 48 busy vCPUs
+		// on 32 threads, so v3's move is undone.
+		name:     "the move budget is spent",
+		hosts:    []HostState{host("h01", 32, vm("v1", 14), vm("v2", 14)), host("h02", 32, vm("v3", 20))},
+		maxMoves: 1,
 	}} {
-		plan, err := (FirstFitDecreasing{}).Plan(tc.hosts, Config{})
+		plan, err := (FirstFitDecreasing{}).Plan(tc.hosts, Config{MaxMoves: tc.maxMoves})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -392,12 +399,43 @@ func TestPlanAppliesToConsistentState(t *testing.T) {
 	}
 }
 
-// TestPlanInvariantsProperty fuzzes random data centres and checks the
-// structural invariants of every produced plan: moves reference real VMs,
+// TestPlanInvariantsProperty builds random data centres on fixed seeds
+// and checks the structural invariants of every plan that either policy
+// makes under a move budget of none to three: moves reference real VMs,
 // no VM moves twice, freed hosts are genuinely empty after applying the
 // plan, and no host exceeds its CPU cap or memory.
 func TestPlanInvariantsProperty(t *testing.T) {
-	f := func(seed int64) bool {
+	violation := func(hosts []HostState, plan *Plan, cfg Config) string {
+		state := cloneHosts(hosts)
+		seen := map[string]bool{}
+		for _, m := range plan.Moves {
+			if seen[m.VM] {
+				return fmt.Sprintf("%s moves twice", m.VM)
+			}
+			seen[m.VM] = true
+			vm, ok := removeVM(hostByName(state, m.From), m.VM)
+			if !ok {
+				return fmt.Sprintf("move %+v references a VM not on its source", m)
+			}
+			dst := hostByName(state, m.To)
+			if dst == nil {
+				return fmt.Sprintf("move %+v names no host", m)
+			}
+			dst.VMs = append(dst.VMs, vm)
+		}
+		for _, h := range state {
+			if h.BusyThreads() > float64(h.Threads)*cfg.CPUCap+1e-9 || h.UsedMem() > h.MemBytes {
+				return fmt.Sprintf("host %s ends past its cap: %v busy, %v memory", h.Name, h.BusyThreads(), h.UsedMem())
+			}
+		}
+		for _, fh := range plan.FreedHosts {
+			if len(hostByName(state, fh).VMs) != 0 {
+				return fmt.Sprintf("freed host %s still runs VMs", fh)
+			}
+		}
+		return ""
+	}
+	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nHosts := 2 + rng.Intn(5)
 		hosts := make([]HostState, nHosts)
@@ -419,47 +457,17 @@ func TestPlanInvariantsProperty(t *testing.T) {
 				vmID++
 			}
 		}
-		cfg := Config{CPUCap: 0.9, Horizon: 24 * time.Hour}
-		plan, err := EnergyAware{Model: &stubModel{}}.Plan(hosts, cfg)
-		if err != nil {
-			return false
-		}
-		// Apply the plan.
-		state := cloneHosts(hosts)
-		seen := map[string]bool{}
-		for _, m := range plan.Moves {
-			if seen[m.VM] {
-				return false // moved twice
-			}
-			seen[m.VM] = true
-			vm, ok := removeVM(hostByName(state, m.From), m.VM)
-			if !ok {
-				return false // move references a VM not on its source
-			}
-			dst := hostByName(state, m.To)
-			if dst == nil {
-				return false
-			}
-			dst.VMs = append(dst.VMs, vm)
-		}
-		// Post-plan feasibility.
-		for _, h := range state {
-			if h.BusyThreads() > float64(h.Threads)*cfg.CPUCap+1e-9 {
-				return false
-			}
-			if h.UsedMem() > h.MemBytes {
-				return false
+		for _, p := range []Policy{EnergyAware{Model: &stubModel{}}, FirstFitDecreasing{Model: &stubModel{}}} {
+			for maxMoves := 0; maxMoves <= 3; maxMoves++ {
+				cfg := Config{CPUCap: 0.9, Horizon: 24 * time.Hour, MaxMoves: maxMoves}
+				plan, err := p.Plan(hosts, cfg)
+				if err != nil {
+					t.Fatalf("seed %d, %s, MaxMoves %d: %v", seed, p.Name(), maxMoves, err)
+				}
+				if msg := violation(hosts, plan, cfg); msg != "" {
+					t.Errorf("seed %d, %s, MaxMoves %d: %s", seed, p.Name(), maxMoves, msg)
+				}
 			}
 		}
-		// Freed hosts are empty.
-		for _, fh := range plan.FreedHosts {
-			if len(hostByName(state, fh).VMs) != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
 	}
 }

@@ -403,8 +403,9 @@ func (p EnergyAware) drainView(w *vwork, si int32, cfg Config, movesSoFar int, s
 // moves. It is the classic bin-packing consolidation the related work uses
 // and the paper's argument target — it never looks at migration energy, so
 // it will happily move a 95%-dirty VM onto a busy host. A VM no bin
-// takes stays on its host, and a move into a host that the VMs left in
-// place push past its cap is undone.
+// takes, or one the round reaches after its move budget is spent, stays
+// on its host, and a move into a host that the VMs left in place push
+// past its cap is undone.
 type FirstFitDecreasing struct {
 	// Model, when set, prices the resulting moves (for comparison); the
 	// policy itself ignores the prices.
@@ -503,18 +504,10 @@ func (p FirstFitDecreasing) planView(v *View, cfg Config) (*Plan, []int32, error
 	var dst []int32
 	stuck := false
 	for idx, pl := range all {
-		// Move budget exhausted: every VM not yet processed stays where
-		// it is. They must land back in their origin bins, or the freed-
-		// host accounting below would report hosts as empty that still
-		// run the unmoved tail of the packing order.
-		if cfg.MaxMoves > 0 && len(plan.Moves) >= cfg.MaxMoves {
-			for _, rest := range all[idx:] {
-				binCnt[rest.from]++
-			}
-			break
-		}
+		// Once the move budget is spent, no bin takes a VM.
+		spent := cfg.MaxMoves > 0 && len(plan.Moves) >= cfg.MaxMoves
 		placedAt := int32(-1)
-		for i := 0; i < n; i++ {
+		for i := 0; i < n && !spent; i++ {
 			if v.Down[i] {
 				continue // crashed bins take no guests
 			}

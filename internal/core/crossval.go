@@ -117,10 +117,3 @@ func CrossValidate(ds *Dataset, kind migration.Kind, k int, seed int64) (*CVResu
 	}
 	return out, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

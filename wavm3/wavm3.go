@@ -13,7 +13,9 @@
 //   - Estimator.Estimate answers the question the paper's model exists
 //     for: "how much energy will this migration cost on the source and
 //     target hosts?" — for a planned migration described by workload
-//     features, before running it.
+//     features, before running it. The features are constant within
+//     each phase, so the estimate is closed-form: each phase's predicted
+//     power times its span (core.Model.Estimate).
 //
 // All estimates are joules at the AC side of the two hosts, covering the
 // initiation, transfer and activation phases of the migration.
@@ -44,10 +46,8 @@ package wavm3
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -55,7 +55,6 @@ import (
 	"repro/internal/hw"
 	"repro/internal/migration"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -81,52 +80,11 @@ type Joules = units.Joules
 type Watts = units.Watts
 
 // Estimate is the per-host energy prediction for one migration.
-type Estimate struct {
-	// Source and Target are the predicted migration energies per host.
-	Source, Target Joules
-	// Duration is the predicted migration span (ms → me).
-	Duration time.Duration
-	// TransferBytes is the predicted amount of state data moved.
-	TransferBytes int64
-}
-
-// Total returns the data-centre-level energy of the migration.
-func (e Estimate) Total() Joules { return e.Source + e.Target }
+type Estimate = core.Estimate
 
 // Plan describes a migration whose energy is to be estimated, in the
 // model's feature terms.
-type Plan struct {
-	// Kind is the migration mechanism.
-	Kind Kind
-	// VMMemoryBytes is the migrating VM's memory size.
-	VMMemoryBytes int64
-	// VMBusyVCPUs is CPU(v,t): how many vCPUs the guest keeps busy.
-	VMBusyVCPUs float64
-	// DirtyRatio is the guest's steady-state dirty ratio (0 for non-live
-	// or idle-memory guests).
-	DirtyRatio float64
-	// SourceBusyThreads / TargetBusyThreads are CPU(h,t) of the two hosts
-	// *excluding* the migrating VM and the migration process itself.
-	SourceBusyThreads, TargetBusyThreads float64
-	// BandwidthBitsPerSec is the expected migration bandwidth; 0 selects
-	// the trained pair's hardware rate degraded by CPU contention.
-	BandwidthBitsPerSec float64
-}
-
-// Validate rejects unusable plans.
-func (p Plan) Validate() error {
-	switch {
-	case p.VMMemoryBytes <= 0:
-		return errors.New("wavm3: plan needs a VM memory size")
-	case p.VMBusyVCPUs < 0 || p.DirtyRatio < 0 || p.DirtyRatio > 1:
-		return errors.New("wavm3: plan has out-of-range workload features")
-	case p.SourceBusyThreads < 0 || p.TargetBusyThreads < 0:
-		return errors.New("wavm3: negative host load")
-	case p.BandwidthBitsPerSec < 0:
-		return errors.New("wavm3: negative bandwidth")
-	}
-	return nil
-}
+type Plan = core.Plan
 
 // Estimator is a trained WAVM3 model pair (live + non-live) bound to the
 // machine pair it was trained on.
@@ -156,7 +114,6 @@ type Estimator struct {
 // fitted is the immutable snapshot Estimate computes from: the fields an
 // Estimate call reads, captured under one lock acquisition.
 type fitted struct {
-	pair     string
 	src, dst hw.MachineSpec
 	live     *core.Model
 	nonlive  *core.Model
@@ -168,7 +125,7 @@ type fitted struct {
 func (e *Estimator) snapshot() fitted {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return fitted{pair: e.pair, src: e.src, dst: e.dst, live: e.live, nonlive: e.nonlive}
+	return fitted{src: e.src, dst: e.dst, live: e.live, nonlive: e.nonlive}
 }
 
 // TrainingConfig controls the campaign the estimator is trained on.
@@ -275,149 +232,17 @@ func (e *Estimator) Calibrate(pair string) error {
 	return nil
 }
 
-// Estimate predicts the migration energy of a plan by synthesising the
-// phase timeline the plan implies — initiation, a transfer whose length
-// follows from the data volume and achievable bandwidth, activation — and
-// integrating the per-phase power models over it (Eqs. 3–7).
+// Estimate predicts the migration energy of a plan on the estimator's
+// machine pair: the live or non-live model, by the plan's kind, priced in
+// closed form over the plan's initiation, transfer and activation phases
+// (core.Model.Estimate).
 func (e *Estimator) Estimate(p Plan) (Estimate, error) {
-	var out Estimate
-	if err := p.Validate(); err != nil {
-		return out, err
-	}
 	f := e.snapshot()
 	model := f.nonlive
 	if p.Kind == Live {
 		model = f.live
 	}
-
-	// Transfer volume: non-live moves the image once; live pre-copy
-	// retransmits dirtied pages, approaching Xen's 3× safety valve as the
-	// dirty ratio grows (the engine's measured expansion is ≈ 1+2·DR).
-	mem := float64(p.VMMemoryBytes)
-	expansion := 1.0
-	if p.Kind == Live {
-		expansion = 1 + 2*p.DirtyRatio
-		if expansion > migration.DefaultMaxDataFactor {
-			expansion = migration.DefaultMaxDataFactor
-		}
-	}
-	bytes := mem * expansion
-
-	// Achievable bandwidth: the hardware migration rate degraded by CPU
-	// contention on either endpoint, unless the caller pinned one.
-	bw := p.BandwidthBitsPerSec
-	if bw == 0 {
-		srcShare := helperShare(p.SourceBusyThreads+p.VMBusyVCPUs, float64(f.src.Threads))
-		dstShare := helperShare(p.TargetBusyThreads, float64(f.dst.Threads))
-		share := srcShare
-		if dstShare < share {
-			share = dstShare
-		}
-		bw = float64(f.src.MigrationRate) * share
-	}
-	transfer := time.Duration(bytes * 8 / bw * float64(time.Second))
-	init := migration.DefaultInitiationTime
-	activ := migration.DefaultActivationTime
-	out.Duration = init + transfer + activ
-	out.TransferBytes = int64(bytes)
-
-	// Synthesise the observation timeline at the meter cadence and
-	// integrate per host.
-	for _, role := range core.Roles() {
-		obs := f.synthObs(p, role, init, transfer, activ, bw)
-		rec := &core.RunRecord{
-			Pair: f.pair, Kind: p.Kind, Role: role, RunID: "estimate",
-			Obs:            obs,
-			MeasuredEnergy: 1, // unused by prediction; Validate needs > 0
-			VMMem:          units.Bytes(p.VMMemoryBytes),
-		}
-		pred, err := model.PredictEnergy(rec)
-		if err != nil {
-			return Estimate{}, err
-		}
-		if role == core.Source {
-			out.Source = pred
-		} else {
-			out.Target = pred
-		}
-	}
-	return out, nil
-}
-
-// helperShare approximates the CPU share the dom-0 migration helper gets
-// on a host with the given busy threads.
-func helperShare(busy, capacity float64) float64 {
-	demand := busy + float64(migrationHelperDemand)
-	if demand <= capacity {
-		return 1
-	}
-	return capacity / demand
-}
-
-const migrationHelperDemand = float64(1.35) // xen.MigrationCPUDemand
-
-// synthObs builds the plan's feature timeline for one role.
-func (f fitted) synthObs(p Plan, role core.Role, init, transfer, activ time.Duration, bw float64) []trace.Observation {
-	const step = 500 * time.Millisecond
-	var obs []trace.Observation
-	hostBusy := p.SourceBusyThreads
-	if role == core.Target {
-		hostBusy = p.TargetBusyThreads
-	}
-	add := func(at time.Duration, ph trace.Phase) {
-		o := trace.Observation{At: at, Phase: ph}
-		o.FeatureSample.At = at
-
-		vmOnHost := role == core.Source // pre-activation placement
-		guestActive := p.Kind == Live && !(ph == trace.PhaseActivation)
-		switch ph {
-		case trace.PhaseInitiation, trace.PhaseTransfer:
-			hcpu := hostBusy + vmmOverhead(hostBusy) + migrationHelperDemand
-			if vmOnHost && guestActive {
-				hcpu += p.VMBusyVCPUs
-				o.VMCPU = units.Utilisation(p.VMBusyVCPUs)
-				o.DirtyRatio = units.Fraction(p.DirtyRatio)
-			}
-			o.HostCPU = units.Utilisation(hcpu)
-			if ph == trace.PhaseTransfer {
-				o.Bandwidth = units.BitsPerSecond(bw)
-			}
-		case trace.PhaseActivation:
-			hcpu := hostBusy + vmmOverhead(hostBusy)
-			if role == core.Target {
-				// The guest starts on the target during activation.
-				hcpu += p.VMBusyVCPUs
-				o.VMCPU = units.Utilisation(p.VMBusyVCPUs)
-			}
-			o.HostCPU = units.Utilisation(hcpu)
-		}
-		// Clamp to physical capacity (multiplexing).
-		cap := units.Utilisation(f.src.Threads)
-		if role == core.Target {
-			cap = units.Utilisation(f.dst.Threads)
-		}
-		o.HostCPU = o.HostCPU.Clamp(cap)
-		obs = append(obs, o)
-	}
-	at := time.Duration(0)
-	for ; at < init; at += step {
-		add(at, trace.PhaseInitiation)
-	}
-	end := init + transfer
-	for ; at < end; at += step {
-		add(at, trace.PhaseTransfer)
-	}
-	end += activ
-	for ; at <= end; at += step {
-		add(at, trace.PhaseActivation)
-	}
-	return obs
-}
-
-// vmmOverhead approximates CPUVMM for a host running roughly busy/4
-// load VMs of 4 vCPUs each.
-func vmmOverhead(busyThreads float64) float64 {
-	return 0.25 + 0.08*(busyThreads/4+1)
+	return model.Estimate(p, f.src, f.dst)
 }
 
 // Suite exposes the underlying evaluation suite for advanced use (tables,

@@ -108,11 +108,18 @@ func TestEstimateMonotoneInDirtyRatio(t *testing.T) {
 	}
 }
 
+// TestEstimateMonotoneInHostLoad: more load on either host never makes a
+// migration cheaper. Over a grid of both kinds, four memory sizes, five
+// dirty ratios, three guest loads and four loads of the other host, each
+// host's load sweeps from idle to the 32 threads of an m01 less the
+// guest's vCPUs; no one-thread step may lower the predicted total. A
+// saturated source throttles the migration helper, so it also stretches
+// the migration.
 func TestEstimateMonotoneInHostLoad(t *testing.T) {
 	e := quickEstimator(t)
 	idle := Plan{Kind: NonLive, VMMemoryBytes: 4 << 30}
 	loaded := idle
-	loaded.SourceBusyThreads = 32 // saturated source throttles the helper
+	loaded.SourceBusyThreads = 32
 	ei, err := e.Estimate(idle)
 	if err != nil {
 		t.Fatal(err)
@@ -126,6 +133,41 @@ func TestEstimateMonotoneInHostLoad(t *testing.T) {
 	}
 	if el.Total() <= ei.Total() {
 		t.Errorf("loaded-source energy %v !> idle %v", el.Total(), ei.Total())
+	}
+
+	lowered := map[string]int{}
+	for _, kind := range []Kind{NonLive, Live} {
+		for _, gib := range []int64{1, 2, 4, 8} {
+			for _, dr := range []float64{0, 0.05, 0.3, 0.55, 0.95} {
+				for _, busy := range []float64{0, 1, 4} {
+					for _, other := range []float64{0, 8, 16, 28} {
+						for _, side := range []string{"target", "source"} {
+							var prev Estimate
+							for load := 0.0; load <= 32-busy; load++ {
+								p := Plan{Kind: kind, VMMemoryBytes: gib << 30, VMBusyVCPUs: busy, DirtyRatio: dr,
+									SourceBusyThreads: other, TargetBusyThreads: load}
+								if side == "source" {
+									p.SourceBusyThreads, p.TargetBusyThreads = load, other
+								}
+								est, err := e.Estimate(p)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if load > 0 && est.Total() < prev.Total() {
+									if lowered[side]++; lowered[side] <= 3 {
+										t.Errorf("%s load %v lowers the total from %v to %v: %+v", side, load, prev.Total(), est.Total(), p)
+									}
+								}
+								prev = est
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(lowered) > 0 {
+		t.Errorf("one-thread load steps that lower the total, by host: %v", lowered)
 	}
 }
 
@@ -254,8 +296,8 @@ func TestPlanConsolidation(t *testing.T) {
 	}
 }
 
-// TestEstimateMatchesSimulation closes the loop: the estimator's synthetic
-// phase-timeline prediction must land near what the full simulator
+// TestEstimateMatchesSimulation closes the loop: the estimator's
+// closed-form per-phase prediction must land near what the full simulator
 // actually measures for an equivalent scenario. This is the end-to-end
 // check that the trained model plus the duration heuristics are usable for
 // real decisions, not just for fitting their own training data.
