@@ -176,8 +176,7 @@ type engine struct {
 	switches map[string]*swState
 	active   []*swState
 	due      []*flight // per-fire scratch, reused
-	inFlight int
-	peak     int
+	peak     int       // the most flights airborne at once
 
 	// fail is the failure-injection state (see failure.go). The airborne
 	// list inside is maintained unconditionally; the event schedule and
@@ -190,16 +189,9 @@ type engine struct {
 
 	// Incremental policy-view state (see view.go). vp is the policy as a
 	// view planner; it is nil, and no view is kept, without a policy.
-	vp       consolidation.ViewPolicy
-	pview    consolidation.View
-	viewLive int     // live slot count in the view arena
-	dirty    []int32 // hosts touched by events since the last refresh
-	marked   []bool  // by view index: the host is queued in dirty
-	varying  []int32 // hosts with phase-driven demand, refreshed every tick
-	// Per-tick repair scratch: the Order and Live positions of the dirty
-	// hosts, and the buffers the repaired Order and Live are built in.
-	removed, liveRemoved      []int
-	orderScratch, liveScratch []int32
+	vp      consolidation.ViewPolicy
+	pview   consolidation.View
+	varying []int32 // hosts with phase-driven demand, marked every tick
 	// viewEvents flags plan-input changes that are not per-host state
 	// (an abort cool-down expiring); havePlan/lastPlanMoves/lastPinned
 	// let a clean tick reuse the previous round's (empty) plan.
@@ -277,7 +269,7 @@ func newEngine(cfg Config) (*engine, error) {
 			return nil, fmt.Errorf("cluster: policy %s does not implement consolidation.ViewPolicy; the engine plans only against its view", cfg.Policy.Name())
 		}
 		e.vp = vp
-		e.startView(l.initialView())
+		e.pview = l.initialView().Clone()
 		for _, h := range e.hosts {
 			if h.phasedRes > 0 {
 				e.markHostVarying(h)
@@ -693,7 +685,7 @@ func (e *engine) dispatch(t time.Duration, batch []TimedMove, moveIdx []int) err
 		f.to.incoming = append(f.to.incoming, f)
 		e.fail.airborne = append(e.fail.airborne, f)
 		if e.vp != nil {
-			e.markHostDirty(f.to)
+			e.pview.Mark(f.to.vi)
 			if f.vm.phased {
 				f.to.phasedInc++
 				e.markHostVarying(f.to)
@@ -701,10 +693,7 @@ func (e *engine) dispatch(t time.Duration, batch []TimedMove, moveIdx []int) err
 		}
 		e.timedPush(f, f.headEnd)
 	}
-	e.inFlight += len(flights)
-	if e.inFlight > e.peak {
-		e.peak = e.inFlight
-	}
+	e.peak = max(e.peak, len(e.fail.airborne))
 	return nil
 }
 
@@ -762,8 +751,8 @@ func (e *engine) land(f *flight, t time.Duration) {
 	if e.vp != nil {
 		// The source loses the guest, the destination converts its
 		// reservation into a resident.
-		e.markHostDirty(f.vm.host)
-		e.markHostDirty(f.to)
+		e.pview.Mark(f.vm.host.vi)
+		e.pview.Mark(f.to.vi)
 		if f.vm.phased {
 			f.vm.host.phasedRes--
 			f.to.phasedRes++
@@ -788,7 +777,6 @@ func (e *engine) land(f *flight, t time.Duration) {
 			e.fail.evacuatedAt[f.vm.Name] = t
 		}
 	}
-	e.inFlight--
 	e.recs = append(e.recs, indexedRec{idx: f.idx, rec: e.record(f, t)})
 }
 

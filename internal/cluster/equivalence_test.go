@@ -382,10 +382,11 @@ func TestFleetSummaryFields(t *testing.T) {
 
 // TestClusterTickAllocCeiling8k scales the allocation gate to fleet
 // size on the struct-of-arrays path: once the view arrays are sized, a
-// steady-state incremental tick — refresh a few dirty hosts, repair the
-// sorted order, rebuild the pinned lists — must not allocate at all on
-// the 8,192-host fleet: the order repair sorts and binary-searches with
-// slices' generic functions, which box nothing.
+// steady-state incremental tick — mark a few hosts, View.Update rewrites
+// them and repairs the sorted orders, rebuild the pinned lists — must
+// not allocate at all on the 8,192-host fleet: the order repair sorts
+// and binary-searches with slices' generic functions, which box
+// nothing, and the engine's fill closure stays on the stack.
 func TestClusterTickAllocCeiling8k(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race for the ceiling")
@@ -398,7 +399,7 @@ func TestClusterTickAllocCeiling8k(t *testing.T) {
 	touch := func() {
 		tick += 15 * time.Minute
 		for i := 1; i <= 8; i++ {
-			e.markHostDirty(e.hosts[(i*997)%len(e.hosts)])
+			e.pview.Mark(int32((i * 997) % len(e.hosts)))
 		}
 		if !e.viewTick(tick) {
 			t.Fatal("a dirty tick reported itself clean")

@@ -140,7 +140,7 @@ func (e *engine) crashHost(name string, t time.Duration) {
 	h := e.hostNamed(name)
 	h.down = true
 	if e.vp != nil {
-		e.markHostDirty(h)
+		e.pview.Mark(h.vi)
 		e.downHosts = append(e.downHosts, h)
 	}
 	e.fail.crashes = append(e.fail.crashes, crashRecord{at: t, host: h})
@@ -192,7 +192,7 @@ func (e *engine) abortFlight(f *flight, t time.Duration, reason string) {
 		// The destination loses its reservation. The source's slots are
 		// unchanged (the mover never left), and the repin added below is
 		// reflected through viewPinnedEvac at the next round.
-		e.markHostDirty(f.to)
+		e.pview.Mark(f.to.vi)
 		if f.vm.phased {
 			f.to.phasedInc--
 		}
@@ -207,7 +207,6 @@ func (e *engine) abortFlight(f *flight, t time.Duration, reason string) {
 		}
 	}
 	e.removeAirborne(f)
-	e.inFlight--
 	e.rep.Aborted = append(e.rep.Aborted, AbortRecord{
 		VM: f.vm.Name, From: f.from.Name, To: f.to.Name, Pair: f.pair,
 		Start: f.start, End: t, Phase: phase, Reason: reason, Energy: energy,

@@ -416,9 +416,9 @@ func TestDispatchTransactional(t *testing.T) {
 			t.Errorf("host %s left with %d incoming reservations", h.Name, len(h.incoming))
 		}
 	}
-	if e.inFlight != 0 || e.nextIdx != 0 || len(e.fail.airborne) != 0 || len(e.timed.fs) != 0 {
-		t.Errorf("engine state not rolled back: inFlight=%d nextIdx=%d airborne=%d timed=%d",
-			e.inFlight, e.nextIdx, len(e.fail.airborne), len(e.timed.fs))
+	if e.nextIdx != 0 || len(e.fail.airborne) != 0 || len(e.timed.fs) != 0 {
+		t.Errorf("engine state not rolled back: nextIdx=%d airborne=%d timed=%d",
+			e.nextIdx, len(e.fail.airborne), len(e.timed.fs))
 	}
 	if va := e.guestNamed("va"); va.host.Name != "h00" {
 		t.Errorf("va moved to %s despite the failed batch", va.host.Name)

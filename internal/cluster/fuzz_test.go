@@ -120,7 +120,8 @@ var compileThenRunSeeds = []string{
 // fail only by that context or with a *scenario.Error once Spec.RunError
 // has mapped it; a 500 from wavm3d is left for the daemon's own faults.
 // Every cluster report must pass the physics checker of
-// TestReportInvariants, with its end placement.
+// TestReportInvariants, with its end placement, and every planning
+// round must keep the hosts it fills within their caps (capCheck).
 func FuzzCompileThenRun(f *testing.F) {
 	for _, seed := range compileThenRunSeeds {
 		f.Add([]byte(seed))
@@ -144,7 +145,7 @@ func FuzzCompileThenRun(f *testing.F) {
 		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 		defer cancel()
 		if c.Cluster != nil {
-			cfg := c.Cluster.Config
+			cfg, _ := withCapCheck(t, s.Name, c.Cluster.Config)
 			cfg.Ctx, cfg.Cache, cfg.Workers = ctx, cache, 1
 			rep, final, err := cluster.RunPlaced(cfg)
 			if err == nil {

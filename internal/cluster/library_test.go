@@ -14,15 +14,16 @@ import (
 // through internal/scenario, twice on one compiled config: the first
 // run builds the layout's t=0 view, the second starts from a copy of
 // it. Both reports must pass every check, with their end placements,
-// and equal each other. The two largest fleets are left out under
-// -short, and the 100k-host one under the race detector.
+// and equal each other, and every planning round must keep the hosts
+// it fills within their caps (capCheck). The two largest fleets are
+// left out under -short, and the 100k-host one under the race detector.
 func TestLibraryPhysics(t *testing.T) {
 	specs, err := scenario.LoadDir("../../scenarios")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := sim.NewCache(0)
-	checked := 0
+	checked, rounds := 0, 0
 	for _, s := range specs {
 		c, err := s.Compile()
 		if err != nil {
@@ -37,7 +38,7 @@ func TestLibraryPhysics(t *testing.T) {
 		case cluster.RaceEnabled && s.Name == "drain-100k-rolling":
 			continue
 		}
-		cfg := c.Cluster.Config
+		cfg, caps := withCapCheck(t, s.Name, c.Cluster.Config)
 		cfg.Cache = cache
 		var reps [2]*cluster.Report
 		for run := range reps {
@@ -54,9 +55,12 @@ func TestLibraryPhysics(t *testing.T) {
 			t.Errorf("%s: the second run's report differs from the first's", s.Name)
 		}
 		checked++
+		if caps != nil {
+			rounds += caps.rounds
+		}
 	}
-	t.Logf("%d library cluster scenarios checked", checked)
-	if checked < 10 {
-		t.Fatalf("only %d library cluster scenarios checked", checked)
+	t.Logf("%d library cluster scenarios checked, %d planning rounds held to their caps", checked, rounds)
+	if checked < 10 || rounds == 0 {
+		t.Fatalf("only %d library cluster scenarios and %d planning rounds checked", checked, rounds)
 	}
 }

@@ -12,9 +12,10 @@ import (
 // View is the struct-of-arrays form of a fleet snapshot: parallel
 // per-host arrays plus one flat VM-slot arena, indexed by VMStart and
 // VMCount ranges. A policy snapshot at fleet scale is then O(1) slice
-// headers instead of O(VMs) struct copies, and a caller that maintains
-// a View incrementally (the cluster engine) only rewrites the slots of
-// hosts an event actually touched.
+// headers instead of O(VMs) struct copies. A caller that keeps a View
+// across events (the cluster engine) marks the hosts an event changed
+// with Mark, and Update rewrites only those hosts' slots and repairs
+// the orders; the View alone keeps the invariants below.
 //
 // Invariants, on which the policies' bit-identity to the historical
 // []HostState path rests:
@@ -26,11 +27,11 @@ import (
 //   - Order holds every host index, ascending by (Busy, HostName).
 //     Host names are unique, so the order is a unique total order and
 //     any maintenance strategy (full sort, incremental merge) yields
-//     the same permutation. CompareHosts is that order's one
+//     the same permutation. compareHosts is that order's one
 //     comparator; under NameOrdered it breaks busy ties by index,
 //     which is name order there, without comparing a string.
 //   - Live is the subsequence of Order whose hosts are live (see
-//     LiveHost): up, with at least one slot. It is maintained with
+//     liveHost): up, with at least one slot. It is maintained with
 //     Order, so a planning call reads it instead of filtering Order.
 //   - A host's slots list its residents first (in the owner's
 //     iteration order) and any reservation entries after them, exactly
@@ -59,7 +60,7 @@ type View struct {
 	// NameOrdered records that host index order equals host name order
 	// (the cluster engine sorts hosts by name). It licenses the
 	// order-indexed target scan, whose tie-breaking by name must agree
-	// with the historical tie-breaking by index, and lets CompareHosts
+	// with the historical tie-breaking by index, and lets compareHosts
 	// break busy ties by index instead of by name.
 	NameOrdered bool
 
@@ -67,6 +68,22 @@ type View struct {
 	// calls (see vwork); nil until the first plan. It makes a View
 	// single-planner: one View must not be planned concurrently.
 	work *vwork
+	// up is what Mark and Update keep between calls (see upkeep).
+	up upkeep
+}
+
+// upkeep is a View's incremental-upkeep state: the hosts marked since
+// the last Update, and the scratch Update reuses, so a steady Update
+// allocates nothing.
+type upkeep struct {
+	marks  []int32 // marked hosts, in mark order
+	marked []bool  // by host index: the host is in marks; nil until the first Mark
+	// removed and liveRemoved are the marked hosts' Order and Live
+	// positions before their rewrite; order and live are the buffers
+	// the repaired Order and Live are built in; slots is fill's buffer.
+	removed, liveRemoved []int
+	order, live          []int32
+	slots                []VMState
 }
 
 // ViewPolicy is a Policy that can plan directly against a View. The
@@ -90,27 +107,66 @@ func (v *View) vm(s int32) VMState {
 	return VMState{Name: v.VMName[s], MemBytes: v.VMMem[s], BusyVCPUs: v.VMBusy[s], DirtyRatio: v.VMDirty[s]}
 }
 
-// AppendHost flattens one host into the view (build helper).
+// Grow reserves room for hosts more hosts and vms more VM slots, so a
+// builder that knows its fleet's size appends without regrowing.
+func (v *View) Grow(hosts, vms int) {
+	v.HostName = slices.Grow(v.HostName, hosts)
+	v.Threads = slices.Grow(v.Threads, hosts)
+	v.MemCap = slices.Grow(v.MemCap, hosts)
+	v.IdlePower = slices.Grow(v.IdlePower, hosts)
+	v.Down = slices.Grow(v.Down, hosts)
+	v.Busy = slices.Grow(v.Busy, hosts)
+	v.Mem = slices.Grow(v.Mem, hosts)
+	v.VMStart = slices.Grow(v.VMStart, hosts)
+	v.VMCount = slices.Grow(v.VMCount, hosts)
+	v.VMName = slices.Grow(v.VMName, vms)
+	v.VMMem = slices.Grow(v.VMMem, vms)
+	v.VMBusy = slices.Grow(v.VMBusy, vms)
+	v.VMDirty = slices.Grow(v.VMDirty, vms)
+}
+
+// AppendHost flattens one host into the view (build helper). It does
+// not retain h.VMs.
 func (v *View) AppendHost(h HostState) {
 	v.HostName = append(v.HostName, h.Name)
 	v.Threads = append(v.Threads, h.Threads)
 	v.MemCap = append(v.MemCap, h.MemBytes)
 	v.IdlePower = append(v.IdlePower, h.IdlePower)
 	v.Down = append(v.Down, h.Down)
+	v.Busy = append(v.Busy, 0)
+	v.Mem = append(v.Mem, 0)
 	v.VMStart = append(v.VMStart, int32(len(v.VMName)))
-	v.VMCount = append(v.VMCount, int32(len(h.VMs)))
+	v.VMCount = append(v.VMCount, 0)
+	v.setSlots(int32(v.hostCount()-1), h.VMs, h.Down)
+}
+
+// setSlots rewrites host i's slots to vms and its down flag to down,
+// and re-sums its aggregates in slot order. The slots are rewritten in
+// place while they fit the host's arena range; a host that gains slots
+// moves its range to the arena's tail, leaving the old range unused.
+// Nothing reclaims unused ranges: the arena grows by the new slot count
+// of every host that grows (in the cluster engine, a dispatch's
+// destination, once per dispatch).
+func (v *View) setSlots(i int32, vms []VMState, down bool) {
+	n := int32(len(vms))
+	if n > v.VMCount[i] {
+		v.VMStart[i] = int32(len(v.VMName))
+		v.VMName = append(v.VMName, make([]string, n)...)
+		v.VMMem = append(v.VMMem, make([]units.Bytes, n)...)
+		v.VMBusy = append(v.VMBusy, make([]float64, n)...)
+		v.VMDirty = append(v.VMDirty, make([]units.Fraction, n)...)
+	}
+	v.VMCount[i] = n
+	k := v.VMStart[i]
 	busy := 0.0
 	var mem units.Bytes
-	for _, g := range h.VMs {
-		v.VMName = append(v.VMName, g.Name)
-		v.VMMem = append(v.VMMem, g.MemBytes)
-		v.VMBusy = append(v.VMBusy, g.BusyVCPUs)
-		v.VMDirty = append(v.VMDirty, g.DirtyRatio)
+	for _, g := range vms {
+		v.VMName[k], v.VMMem[k], v.VMBusy[k], v.VMDirty[k] = g.Name, g.MemBytes, g.BusyVCPUs, g.DirtyRatio
 		busy += g.BusyVCPUs
 		mem += g.MemBytes
+		k++
 	}
-	v.Busy = append(v.Busy, busy)
-	v.Mem = append(v.Mem, mem)
+	v.Busy[i], v.Mem[i], v.Down[i] = busy, mem, down
 }
 
 // SortOrder (re)builds Order ascending by (Busy, HostName), and Live
@@ -120,28 +176,28 @@ func (v *View) SortOrder() {
 	for i := range v.HostName {
 		v.Order = append(v.Order, int32(i))
 	}
-	slices.SortFunc(v.Order, v.CompareHosts(v.Busy))
+	slices.SortFunc(v.Order, v.compareHosts(v.Busy))
 	v.Live = v.Live[:0]
 	for _, i := range v.Order {
-		if v.LiveHost(i) {
+		if v.liveHost(i) {
 			v.Live = append(v.Live, i)
 		}
 	}
 }
 
-// LiveHost reports whether host i belongs in Live: it is up and holds
+// liveHost reports whether host i belongs in Live: it is up and holds
 // at least one slot, a resident or a reservation.
-func (v *View) LiveHost(i int32) bool {
+func (v *View) liveHost(i int32) bool {
 	return v.VMCount[i] > 0 && !v.Down[i]
 }
 
-// CompareHosts orders host indices by (busy, HostName) under the given
+// compareHosts orders host indices by (busy, HostName) under the given
 // per-host loads: the policies' unique total order, and the one
 // comparator that builds, re-sorts and repairs Order. It is written
 // with < and != so every comparison decides as the historical less
 // function did. Under NameOrdered a busy tie is broken by index, which
 // is name order there, without comparing the names.
-func (v *View) CompareHosts(busy []float64) func(i, j int32) int {
+func (v *View) compareHosts(busy []float64) func(i, j int32) int {
 	byName := !v.NameOrdered
 	return func(i, j int32) int {
 		switch {
@@ -153,6 +209,142 @@ func (v *View) CompareHosts(busy []float64) func(i, j int32) int {
 			return strings.Compare(v.HostName[i], v.HostName[j])
 		}
 		return cmp.Compare(i, j)
+	}
+}
+
+// Clone returns a copy of the view that Mark and Update may keep apart
+// from v. The per-host constants (HostName, Threads, MemCap,
+// IdlePower) are shared, since Update never writes them; everything
+// Update writes is copied, the arena with the allocator's size-class
+// slack as capacity, so the first hosts that outgrow their ranges move
+// without copying it. The copy starts with no marks and no planning
+// workspace.
+func (v *View) Clone() View {
+	return View{
+		HostName:    v.HostName,
+		Threads:     v.Threads,
+		MemCap:      v.MemCap,
+		IdlePower:   v.IdlePower,
+		Down:        slices.Clone(v.Down),
+		Busy:        slices.Clone(v.Busy),
+		Mem:         slices.Clone(v.Mem),
+		VMStart:     slices.Clone(v.VMStart),
+		VMCount:     slices.Clone(v.VMCount),
+		Order:       slices.Clone(v.Order),
+		Live:        slices.Clone(v.Live),
+		VMName:      slices.Clone(v.VMName),
+		VMMem:       slices.Clone(v.VMMem),
+		VMBusy:      slices.Clone(v.VMBusy),
+		VMDirty:     slices.Clone(v.VMDirty),
+		NameOrdered: v.NameOrdered,
+	}
+}
+
+// Mark queues host i for the next Update. Marking a host twice queues
+// it once.
+func (v *View) Mark(i int32) {
+	u := &v.up
+	if u.marked == nil {
+		u.marked = make([]bool, v.hostCount())
+	}
+	if !u.marked[i] {
+		u.marked[i] = true
+		u.marks = append(u.marks, i)
+	}
+}
+
+// Update rewrites every marked host from fill and repairs Order and
+// Live, then clears the marks. fill appends host i's slots to dst, its
+// residents first and its reservations after them, and returns the
+// slots and whether the host is down; Update calls it once per marked
+// host and does not keep it. Update reports whether any host was
+// marked: when none was, the view is unchanged.
+//
+// Order and Live are repaired without reading them entry by entry. Each
+// marked host is located by binary search under the loads the orders
+// were sorted by, before its rewrite changes them; the clean entries
+// between those positions keep their keys, so they stay sorted, and
+// repair rebuilds each order from bulk copies of those runs with each
+// rewritten host inserted at its new (busy, name) position. The order
+// is a unique total order, so the merge gives what a full sort gives.
+// A marked host leaves Live at its found position if it was live before
+// its rewrite, and enters it if it is live after; only a rewrite
+// changes whether a host is live. The comparator runs O(marked · log
+// hosts) times.
+func (v *View) Update(fill func(i int32, dst []VMState) ([]VMState, bool)) bool {
+	u := &v.up
+	if len(u.marks) == 0 {
+		return false
+	}
+	compare := v.compareHosts(v.Busy)
+	u.removed, u.liveRemoved = u.removed[:0], u.liveRemoved[:0]
+	for _, i := range u.marks {
+		at, _ := slices.BinarySearchFunc(v.Order, i, compare)
+		u.removed = append(u.removed, at)
+		if v.liveHost(i) {
+			at, _ = slices.BinarySearchFunc(v.Live, i, compare)
+			u.liveRemoved = append(u.liveRemoved, at)
+		}
+	}
+	for _, i := range u.marks {
+		var down bool
+		u.slots, down = fill(i, u.slots[:0])
+		v.setSlots(i, u.slots, down)
+	}
+	slices.Sort(u.removed)
+	slices.Sort(u.liveRemoved)
+	slices.SortFunc(u.marks, compare)
+	out := slices.Grow(u.order[:0], len(v.Order))
+	v.Order, u.order = repair(v.Order, u.removed, u.marks, compare, out), v.Order[:0]
+	// The marks, filtered in place to the hosts live after their
+	// rewrite, are what enters Live.
+	live := u.marks[:0]
+	for _, i := range u.marks {
+		u.marked[i] = false
+		if v.liveHost(i) {
+			live = append(live, i)
+		}
+	}
+	out = slices.Grow(u.live[:0], len(v.Live)+len(live))
+	v.Live, u.live = repair(v.Live, u.liveRemoved, live, compare, out), v.Live[:0]
+	u.marks = u.marks[:0]
+	return true
+}
+
+// repair rebuilds into out the sorted host sequence old after the hosts
+// at its sorted positions removed changed their keys, inserting the
+// hosts of ins, which are in their new key order. The clean entries
+// form len(removed)+1 sorted runs between the removed positions, and
+// lie in the (busy, name) total order across runs too. Each inserted
+// host skips the runs wholly below it and goes in at its
+// binary-searched position in the first run that is not; the runs are
+// copied in bulk.
+func repair(old []int32, removed []int, ins []int32, compare func(i, j int32) int, out []int32) []int32 {
+	runEnd := func(r int) int {
+		if r < len(removed) {
+			return removed[r]
+		}
+		return len(old)
+	}
+	r, lo, end := 0, 0, runEnd(0)
+	for _, hi := range ins {
+		for r < len(removed) && (lo == end || compare(old[end-1], hi) < 0) {
+			out = append(out, old[lo:end]...)
+			r++
+			lo, end = removed[r-1]+1, runEnd(r)
+		}
+		at, _ := slices.BinarySearchFunc(old[lo:end], hi, compare)
+		out = append(out, old[lo:lo+at]...)
+		out = append(out, hi)
+		lo += at
+	}
+	for {
+		out = append(out, old[lo:end]...)
+		if r == len(removed) {
+			return out
+		}
+		r++
+		lo, end = removed[r-1]+1, runEnd(r)
 	}
 }
 
@@ -282,7 +474,7 @@ func (w *vwork) resort() []int32 {
 		w.loads[i] = w.over[k].busy
 	}
 	w.order = append(w.order[:0], w.v.Order...)
-	slices.SortFunc(w.order, w.v.CompareHosts(w.loads))
+	slices.SortFunc(w.order, w.v.compareHosts(w.loads))
 	return w.order
 }
 

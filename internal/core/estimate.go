@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/hw"
@@ -32,20 +33,24 @@ type Plan struct {
 	BandwidthBitsPerSec float64
 }
 
-// Validate rejects unusable plans.
+// Validate rejects unusable plans. Every feature must be finite: the
+// range checks are written so that NaN fails them.
 func (p Plan) Validate() error {
 	switch {
 	case p.VMMemoryBytes <= 0:
 		return errors.New("core: plan needs a VM memory size")
-	case p.VMBusyVCPUs < 0 || p.DirtyRatio < 0 || p.DirtyRatio > 1:
+	case !within(p.VMBusyVCPUs, 0, math.MaxFloat64) || !within(p.DirtyRatio, 0, 1):
 		return errors.New("core: plan has out-of-range workload features")
-	case p.SourceBusyThreads < 0 || p.TargetBusyThreads < 0:
-		return errors.New("core: negative host load")
-	case p.BandwidthBitsPerSec < 0:
-		return errors.New("core: negative bandwidth")
+	case !within(p.SourceBusyThreads, 0, math.MaxFloat64) || !within(p.TargetBusyThreads, 0, math.MaxFloat64):
+		return errors.New("core: host load is negative or not finite")
+	case !within(p.BandwidthBitsPerSec, 0, math.MaxFloat64):
+		return errors.New("core: bandwidth is negative or not finite")
 	}
 	return nil
 }
+
+// within reports whether x lies in [lo, hi]; NaN lies nowhere.
+func within(x, lo, hi float64) bool { return x >= lo && x <= hi }
 
 // Estimate is the per-host energy prediction for one migration.
 type Estimate struct {
@@ -92,12 +97,15 @@ func (m *Model) Estimate(p Plan, src, dst hw.MachineSpec) (Estimate, error) {
 			helperShare(p.TargetBusyThreads, dst.Threads))
 		bw = float64(src.MigrationRate) * share
 	}
-	// The spans of modelPhases: initiation, transfer, activation.
-	spans := [3]time.Duration{
-		migration.DefaultInitiationTime,
-		time.Duration(bytes * 8 / bw * float64(time.Second)),
-		migration.DefaultActivationTime,
+	// The spans of modelPhases: initiation, transfer, activation. The
+	// volume and the whole span must fit an int64, and the comparisons
+	// fail for NaN.
+	head, tail := migration.DefaultInitiationTime, migration.DefaultActivationTime
+	transfer := bytes * 8 / bw * float64(time.Second)
+	if !(bytes < math.MaxInt64) || !(transfer < float64(math.MaxInt64-head-tail)) {
+		return Estimate{}, errors.New("core: plan's transfer volume or span overflows")
 	}
+	spans := [3]time.Duration{head, time.Duration(transfer), tail}
 	out := Estimate{Duration: spans[0] + spans[1] + spans[2], TransferBytes: int64(bytes)}
 
 	for _, role := range Roles() {
@@ -136,6 +144,9 @@ func (m *Model) Estimate(p Plan, src, dst hw.MachineSpec) (Estimate, error) {
 				return Estimate{}, err
 			}
 			joules += float64(w) * spans[i].Seconds()
+		}
+		if math.IsNaN(joules) || math.IsInf(joules, 0) {
+			return Estimate{}, fmt.Errorf("core: plan's %v energy is not finite", role)
 		}
 		if role == Source {
 			out.Source = units.Joules(joules)

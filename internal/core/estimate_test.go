@@ -124,3 +124,45 @@ func TestEstimateAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEstimateRefusesHostilePlans: a plan answers with finite numbers
+// or an error. Each row changes one field of a 4 GiB live plan on
+// m01-m02 to a value that once priced to NaN or negative energies, a
+// negative duration or a negative transfer volume without an error;
+// each must now be refused. Large but finite loads still price.
+func TestEstimateRefusesHostilePlans(t *testing.T) {
+	src, dst, err := hw.Pair("m01-m02")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &Model{Kind: migration.Live, Coeffs: synthCoeffs()}
+	base := Plan{Kind: migration.Live, VMMemoryBytes: 4 << 30, VMBusyVCPUs: 1, DirtyRatio: 0.55, SourceBusyThreads: 16}
+	for _, tc := range []struct {
+		name string
+		edit func(p *Plan)
+	}{
+		{"VM busy NaN", func(p *Plan) { p.VMBusyVCPUs = math.NaN() }},
+		{"dirty ratio NaN", func(p *Plan) { p.DirtyRatio = math.NaN() }},
+		{"source busy +Inf", func(p *Plan) { p.SourceBusyThreads = math.Inf(1) }},
+		{"source busy 1e300", func(p *Plan) { p.SourceBusyThreads = 1e300 }},
+		{"bandwidth 1 bit/s", func(p *Plan) { p.BandwidthBitsPerSec = 1 }},
+		{"bandwidth +Inf", func(p *Plan) { p.BandwidthBitsPerSec = math.Inf(1) }},
+		{"memory MaxInt64", func(p *Plan) { p.VMMemoryBytes = math.MaxInt64 }},
+		{"VM busy 1e300", func(p *Plan) { p.VMBusyVCPUs = 1e300 }},
+	} {
+		p := base
+		tc.edit(&p)
+		if got, err := m.Estimate(p, src, dst); err == nil {
+			t.Errorf("%s: priced without an error: %+v", tc.name, got)
+		}
+	}
+	for _, p := range []Plan{base, {Kind: migration.Live, VMMemoryBytes: 4 << 30, VMBusyVCPUs: 40, DirtyRatio: 0.55, SourceBusyThreads: 64}} {
+		got, err := m.Estimate(p, src, dst)
+		if err != nil {
+			t.Fatalf("%+v: %v", p, err)
+		}
+		if !(got.Source > 0 && got.Target > 0 && got.Duration > 0 && got.TransferBytes > 0) {
+			t.Errorf("%+v: estimate %+v is not positive", p, got)
+		}
+	}
+}

@@ -39,11 +39,7 @@ func newRig(t *testing.T, guestType string, profile workload.Profile, seed int64
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := xen.NewToolstack("xl", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := ts.Create(guestType, profile, seed)
+	g, err := src.Create(guestType, profile, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,9 +209,8 @@ func TestSaturatedSourceSlowsTransfer(t *testing.T) {
 	freeTransfer := ef.Boundaries().TE - ef.Boundaries().TS
 
 	loaded := newRig(t, vm.TypeMigratingCPU, workload.MatrixMultProfile(), 4)
-	ts, _ := xen.NewToolstack("xl", loaded.src)
 	for i := 0; i < 8; i++ {
-		if _, err := ts.Create(vm.TypeLoadCPU, workload.MatrixMultProfile(), int64(i)); err != nil {
+		if _, err := loaded.src.Create(vm.TypeLoadCPU, workload.MatrixMultProfile(), int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -253,27 +253,19 @@ func RunCtx(ctx context.Context, sc Scenario) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	srcTS, err := xen.NewToolstack("xl", src)
-	if err != nil {
-		return nil, err
-	}
-	dstTS, err := xen.NewToolstack("xl", dst)
-	if err != nil {
-		return nil, err
-	}
 
 	// Populate the hosts: migrating guest on the source, load VMs on both.
-	guest, err := srcTS.Create(sc.MigratingType, sc.MigratingProfile, sc.Seed*31+1)
+	guest, err := src.Create(sc.MigratingType, sc.MigratingProfile, sc.Seed*31+1)
 	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < sc.SourceLoadVMs; i++ {
-		if _, err := srcTS.Create(vm.TypeLoadCPU, sc.LoadProfile, sc.Seed*31+int64(i)+2); err != nil {
+		if _, err := src.Create(vm.TypeLoadCPU, sc.LoadProfile, sc.Seed*31+int64(i)+2); err != nil {
 			return nil, err
 		}
 	}
 	for i := 0; i < sc.TargetLoadVMs; i++ {
-		if _, err := dstTS.Create(vm.TypeLoadCPU, sc.LoadProfile, sc.Seed*31+int64(i)+100); err != nil {
+		if _, err := dst.Create(vm.TypeLoadCPU, sc.LoadProfile, sc.Seed*31+int64(i)+100); err != nil {
 			return nil, err
 		}
 	}

@@ -17,6 +17,7 @@
 // evaluates. Scheduling fills a dense, slot-indexed Allocation reused
 // across steps — Host.GuestIndex resolves a guest name to its slot once,
 // and Allocation.Guest reads by slot thereafter — keeping the kernel's
-// hot loop allocation-free. Toolstack mirrors the xl command surface used
-// to create and migrate guests.
+// hot loop allocation-free. Host.Create is the one xl command the
+// kernel needs: it creates, attaches and starts a guest by instance
+// type.
 package xen

@@ -6,6 +6,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/units"
 	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 // Scheduler constants, calibrated against the testbed's dom-0 behaviour.
@@ -37,6 +38,8 @@ type Host struct {
 	scratch []units.Utilisation
 	// migActive marks an in-flight migration with this host as an endpoint.
 	migActive bool
+	// created counts the guests Create has named on this host.
+	created int
 }
 
 // NewHost boots a hypervisor on the given machine.
@@ -93,6 +96,37 @@ func (h *Host) Detach(name string) error {
 	h.guests[slot] = nil
 	delete(h.index, name)
 	return nil
+}
+
+// Create builds, attaches and starts a guest of the named instance type,
+// as the paper's scripts did through the xl toolstack, wiring in the
+// workload profile's CPU demand and dirtier. Guests are named
+// <machine>-<type>-<n>, n counting this host's creations from 1; the
+// seed makes the guest's memory behaviour reproducible.
+func (h *Host) Create(typeID string, profile workload.Profile, seed int64) (*vm.VM, error) {
+	if err := profile.Validate(); err != nil {
+		return nil, err
+	}
+	t, err := vm.Lookup(typeID)
+	if err != nil {
+		return nil, err
+	}
+	h.created++
+	name := fmt.Sprintf("%s-%s-%d", h.Spec.Name, typeID, h.created)
+	g, err := vm.New(name, t)
+	if err != nil {
+		return nil, err
+	}
+	if err := h.Attach(g); err != nil {
+		return nil, err
+	}
+	if err := g.Start(); err != nil {
+		_ = h.Detach(name)
+		return nil, err
+	}
+	g.SetDemand(units.Utilisation(float64(t.VCPUs) * float64(profile.CPUPerVCPU)))
+	g.SetDirtier(profile.Dirtier(seed))
+	return g, nil
 }
 
 // Guest returns the named guest.

@@ -223,13 +223,9 @@ func TestHostLoadAssembly(t *testing.T) {
 	}
 }
 
-func TestToolstack(t *testing.T) {
+func TestHostCreate(t *testing.T) {
 	h := newHost(t, "m01")
-	ts, err := NewToolstack("xl", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := ts.Create(vm.TypeLoadCPU, workload.MatrixMultProfile(), 1)
+	g, err := h.Create(vm.TypeLoadCPU, workload.MatrixMultProfile(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,31 +240,21 @@ func TestToolstack(t *testing.T) {
 	}
 }
 
-func TestToolstackValidation(t *testing.T) {
+func TestHostCreateValidation(t *testing.T) {
 	h := newHost(t, "m01")
-	if _, err := NewToolstack("virsh", h); err == nil {
-		t.Error("unknown flavour must fail")
-	}
-	if _, err := NewToolstack("xm", nil); err == nil {
-		t.Error("nil host must fail")
-	}
-	ts, _ := NewToolstack("xm", h)
-	if _, err := ts.Create("bogus-type", workload.IdleProfile(), 1); err != nil {
-		// expected
-	} else {
+	if _, err := h.Create("bogus-type", workload.IdleProfile(), 1); err == nil {
 		t.Error("unknown type must fail")
 	}
-	if _, err := ts.Create(vm.TypeLoadCPU, workload.Profile{Name: "x", CPUPerVCPU: 2}, 1); err == nil {
+	if _, err := h.Create(vm.TypeLoadCPU, workload.Profile{Name: "x", CPUPerVCPU: 2}, 1); err == nil {
 		t.Error("invalid profile must fail")
 	}
 }
 
-func TestToolstackNamesUnique(t *testing.T) {
+func TestHostCreateNamesUnique(t *testing.T) {
 	h := newHost(t, "o1") // plenty of RAM
-	ts, _ := NewToolstack("xl", h)
 	seen := map[string]bool{}
 	for i := 0; i < 5; i++ {
-		g, err := ts.Create(vm.TypeLoadCPU, workload.MatrixMultProfile(), int64(i))
+		g, err := h.Create(vm.TypeLoadCPU, workload.MatrixMultProfile(), int64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
