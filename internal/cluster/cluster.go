@@ -305,8 +305,8 @@ func refuseVM(host, vm int, attr, format string, args ...any) *InputError {
 // Prepare validates cfg, refusing it with an *InputError, and returns it
 // with its layout attached: the resolved hosts in name order plus host
 // and VM name indices. Run then builds only the mutable per-run state,
-// so a config run many times — a compiled scenario — is validated,
-// sorted and indexed once.
+// and of the hosts only those the run touches, so a config run many
+// times — a compiled scenario — is validated, sorted and indexed once.
 //
 // A prepared config's Hosts, Moves and Failures are read-only. Copies
 // keep the layout, and may set Workers, Cache, Ctx, PolicyConfig, Seed
@@ -325,8 +325,9 @@ func Prepare(cfg Config) (Config, error) {
 }
 
 // layout is a validated config's hosts in the engine's iteration order,
-// plus the name indices a run resolves moves and failures through. No
-// run writes to it.
+// plus the name indices a run resolves moves and failures through, and
+// what the first runs derive from them once for all: the t=0 policy
+// view and the run facts. No run writes to it.
 type layout struct {
 	hosts   []*resolved      // name order, each host's VMs in name order
 	hostIdx map[string]int32 // host name → position in hosts
@@ -337,6 +338,11 @@ type layout struct {
 	// copy of; the first such run builds it (initialView).
 	viewOnce sync.Once
 	view     *consolidation.View
+	// facts are what every run derives alike from the hosts, such as
+	// the t=0-empty hosts and the idle floor; the first run builds them
+	// (runFacts).
+	factsOnce sync.Once
+	facts     *runFacts
 
 	// What validate read, so fits can tell whether a config is still the
 	// one checked. The slices are the config's own, held rather than

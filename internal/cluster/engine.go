@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -24,7 +25,8 @@ import (
 const seedStride = 607
 
 // hostRT is a host's runtime state: its resolved spec plus the resident
-// guests, kept in name order for deterministic iteration.
+// guests, kept in name order for deterministic iteration. A run builds
+// it at the host's first touch (engine.host).
 type hostRT struct {
 	*resolved
 	vms []*vmRT
@@ -154,18 +156,22 @@ type indexedRec struct {
 }
 
 type engine struct {
-	cfg  Config // its layout is set, and shared with every other run of cfg
-	ctx  context.Context
-	done <-chan struct{} // ctx.Done(), captured once; nil when uncancellable
+	cfg   Config    // its layout is set, and shared with every other run of cfg
+	facts *runFacts // the layout's, shared likewise
+	ctx   context.Context
+	done  <-chan struct{} // ctx.Done(), captured once; nil when uncancellable
 	// hosts and guests are this run's runtime state, in the layout's
-	// order, so the layout's name indices index them.
+	// order, so the layout's name indices index them. Both start nil;
+	// host materializes a host and its t=0 residents on first touch, and
+	// touched lists the hosts it materialized, in touch order. A host
+	// never touched is as it was at t=0, which the facts describe.
 	hosts   []*hostRT
-	guests  []vmRT
+	guests  []*vmRT
+	touched []int32
 	now     time.Duration
 	tick    time.Duration
 	pending []int // indices of the explicit moves not yet dispatched, in dispatch order
-	shifts  []PhaseShift
-	si      int
+	si      int   // cursor into facts.shifts
 	nextIdx int
 	recs    []indexedRec
 	rep     *Report
@@ -218,7 +224,10 @@ func Run(cfg Config) (*Report, error) {
 // newEngine builds a run's mutable state — the host and VM runtime
 // arrays, the policy view and the heaps — from cfg's layout. A config
 // without a layout that fits it is validated and laid out here, once
-// per run. A policy that cannot plan against the view is refused.
+// per run. A policy that cannot plan against the view is refused. No
+// host is built here but those a policy round refreshes every tick:
+// building a run of a prepared config costs the same at any fleet size,
+// bar the view's copy.
 func newEngine(cfg Config) (*engine, error) {
 	if !cfg.layout.fits(cfg) {
 		var err error
@@ -233,34 +242,14 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 	e := &engine{
 		cfg:      cfg,
+		facts:    l.runFacts(),
 		ctx:      ctx,
 		done:     ctx.Done(),
 		hosts:    make([]*hostRT, len(l.hosts)),
-		guests:   make([]vmRT, l.nvms),
+		guests:   make([]*vmRT, l.nvms),
 		rep:      &Report{},
 		timed:    flightHeap{key: dueKey},
 		switches: make(map[string]*swState),
-	}
-	// One backing array each for the hosts and the hosts' guest lists.
-	// Each guest list is capped at its own length, so a host that gains a
-	// guest reallocates instead of growing into the next host's list.
-	hostArr := make([]hostRT, len(l.hosts))
-	lists := make([]*vmRT, l.nvms)
-	k := 0
-	for i, r := range l.hosts {
-		h := &hostArr[i]
-		h.resolved, h.vi = r, int32(i)
-		h.vms = lists[k : k+len(r.VMs) : k+len(r.VMs)]
-		for j, v := range r.VMs {
-			vr := &e.guests[k+j]
-			vr.VM, vr.host, vr.phased = v, h, len(v.Phases) > 0
-			if vr.phased {
-				h.phasedRes++
-			}
-			h.vms[j] = vr
-		}
-		k += len(r.VMs)
-		e.hosts[i] = h
 	}
 	e.initFailures(cfg.Failures)
 	if cfg.Policy != nil {
@@ -270,10 +259,8 @@ func newEngine(cfg Config) (*engine, error) {
 		}
 		e.vp = vp
 		e.pview = l.initialView().Clone()
-		for _, h := range e.hosts {
-			if h.phasedRes > 0 {
-				e.markHostVarying(h)
-			}
+		for _, i := range e.facts.phased {
+			e.markHostVarying(e.host(i))
 		}
 	}
 	// Explicit moves dispatch in (At, spec order); the stable sort keeps
@@ -281,32 +268,36 @@ func newEngine(cfg Config) (*engine, error) {
 	if len(cfg.Moves) > 0 {
 		e.pending = inOrder(len(cfg.Moves), func(i int) time.Duration { return cfg.Moves[i].At })
 	}
-	// Phase transitions inside the horizon, as observable events.
-	if cfg.Horizon > 0 {
-		for _, h := range e.hosts {
-			for _, v := range h.vms {
-				cum := time.Duration(0)
-				for i, p := range v.Phases {
-					cum += p.Duration
-					if cum >= cfg.Horizon {
-						break
-					}
-					next := ""
-					if i+1 < len(v.Phases) {
-						next = phaseLabel(v.Phases[i+1], i+1)
-					}
-					e.shifts = append(e.shifts, PhaseShift{At: cum, VM: v.Name, Phase: next})
-				}
-			}
-		}
-		sort.SliceStable(e.shifts, func(i, j int) bool {
-			if e.shifts[i].At != e.shifts[j].At {
-				return e.shifts[i].At < e.shifts[j].At
-			}
-			return e.shifts[i].VM < e.shifts[j].VM
-		})
-	}
 	return e, nil
+}
+
+// host returns host i's runtime state, materializing the host and its
+// t=0 residents on the first touch. Every engine path that reaches a
+// host by name or view index comes through here; the varying set and
+// the touched list hold only hosts it built.
+func (e *engine) host(i int32) *hostRT {
+	if h := e.hosts[i]; h != nil {
+		return h
+	}
+	r := e.cfg.layout.hosts[i]
+	h := &hostRT{resolved: r, vi: i}
+	if len(r.VMs) > 0 {
+		k := e.facts.vmStart[i]
+		vs := make([]vmRT, len(r.VMs))
+		h.vms = make([]*vmRT, len(r.VMs))
+		for j, v := range r.VMs {
+			vr := &vs[j]
+			vr.VM, vr.host, vr.phased = v, h, len(v.Phases) > 0
+			if vr.phased {
+				h.phasedRes++
+			}
+			h.vms[j] = vr
+			e.guests[k+int32(j)] = vr
+		}
+	}
+	e.hosts[i] = h
+	e.touched = append(e.touched, i)
+	return h
 }
 
 // phaseLabel names a phase for the shift record.
@@ -362,8 +353,8 @@ func (e *engine) nextEventTime() (time.Duration, bool) {
 	if len(e.pending) > 0 {
 		consider(e.cfg.Moves[e.pending[0]].At)
 	}
-	if e.si < len(e.shifts) {
-		consider(e.shifts[e.si].At)
+	if e.si < len(e.facts.shifts) {
+		consider(e.facts.shifts[e.si].At)
 	}
 	if e.fail.fi < len(e.fail.events) {
 		consider(e.fail.events[e.fail.fi].At)
@@ -467,8 +458,8 @@ func (e *engine) fire(t time.Duration) error {
 	e.compactActive()
 
 	// 3. Workload phase transitions.
-	for e.si < len(e.shifts) && e.shifts[e.si].At <= t {
-		e.rep.Shifts = append(e.rep.Shifts, e.shifts[e.si])
+	for e.si < len(e.facts.shifts) && e.facts.shifts[e.si].At <= t {
+		e.rep.Shifts = append(e.rep.Shifts, e.facts.shifts[e.si])
 		e.si++
 	}
 
@@ -568,17 +559,22 @@ func lowerMove(kind migration.Kind, seed int64, idx int, pair string, m consolid
 // hostNamed returns the host called name, or nil.
 func (e *engine) hostNamed(name string) *hostRT {
 	if i, ok := e.cfg.layout.hostIdx[name]; ok {
-		return e.hosts[i]
+		return e.host(i)
 	}
 	return nil
 }
 
-// guestNamed returns the VM called name, or nil.
+// guestNamed returns the VM called name, or nil. A guest not yet built
+// is still on its initial host, which building builds it.
 func (e *engine) guestNamed(name string) *vmRT {
-	if i, ok := e.cfg.layout.vmIdx[name]; ok {
-		return &e.guests[i]
+	k, ok := e.cfg.layout.vmIdx[name]
+	if !ok {
+		return nil
 	}
-	return nil
+	if e.guests[k] == nil {
+		e.host(e.facts.vmHost[k])
+	}
+	return e.guests[k]
 }
 
 // checkMove resolves and sanity-checks one dispatching move. A refusal
@@ -818,25 +814,145 @@ func (e *engine) finish() {
 	}
 	e.rep.PeakFlights = e.peak
 	e.rep.ReplanRounds = len(e.rep.Ticks)
-	freed := 0
-	for _, h := range e.hosts {
-		if len(h.vms) == 0 && !h.down {
-			freed++
-		}
-	}
-	if freed > 0 {
-		e.rep.FreedHosts = make([]string, 0, freed)
-	}
-	for _, h := range e.hosts {
-		if len(h.vms) == 0 && !h.down {
-			e.rep.FreedHosts = append(e.rep.FreedHosts, h.Name)
-			e.rep.IdleSavings += h.IdlePower
-		}
-	}
+	e.freeHosts()
 	// Aborted flights spent real energy buying nothing; it still counts.
 	for _, a := range e.rep.Aborted {
 		e.rep.TotalEnergy += a.Energy
 	}
 	e.scoreSLO()
 	e.buildPowerTrace()
+}
+
+// freeHosts fills the report's FreedHosts, the live hosts left empty in
+// name order, and IdleSavings, their idle powers summed in that order.
+// An untouched host is as it was at t=0, up and freed exactly when it
+// started empty, so the layout's t=0-empty hosts, their names copied in
+// bulk, merge in index order with the touched hosts, each judged by its
+// end state.
+func (e *engine) freeHosts() {
+	f := e.facts
+	slices.Sort(e.touched)
+	freed := len(f.empty)
+	for _, i := range e.touched {
+		h := e.hosts[i]
+		if len(h.Host.VMs) == 0 {
+			freed-- // judged below by its end state, not as a t=0-empty host
+		}
+		if len(h.vms) == 0 && !h.down {
+			freed++
+		}
+	}
+	if freed == 0 {
+		return
+	}
+	names := make([]string, 0, freed)
+	var savings units.Watts
+	lo := 0 // the t=0-empty hosts before f.empty[lo] are merged
+	untouched := func(hi int) {
+		names = append(names, f.emptyNames[lo:hi]...)
+		for _, w := range f.emptyIdle[lo:hi] {
+			savings += w
+		}
+		lo = hi
+	}
+	for _, i := range e.touched {
+		at, found := slices.BinarySearch(f.empty[lo:], i)
+		untouched(lo + at)
+		if found {
+			lo++
+		}
+		if h := e.hosts[i]; len(h.vms) == 0 && !h.down {
+			names = append(names, h.Name)
+			savings += h.IdlePower
+		}
+	}
+	untouched(len(f.empty))
+	e.rep.FreedHosts, e.rep.IdleSavings = names, savings
+}
+
+// runFacts are what every run of a layout reads that does not change
+// from run to run, derived once from the layout by its first run
+// (layout.runFacts). They let a run build only the hosts it touches and
+// still start and end as if it had built them all.
+type runFacts struct {
+	// vmStart[i] is the position among all VMs of host i's first guest;
+	// vmHost[k] is VM k's initial host.
+	vmStart, vmHost []int32
+	// phased lists the hosts with a phased resident at t=0, ascending:
+	// a policy round refreshes them every tick.
+	phased []int32
+	// empty lists the hosts with no resident at t=0, ascending, and
+	// emptyNames and emptyIdle their names and idle powers.
+	empty      []int32
+	emptyNames []string
+	emptyIdle  []units.Watts
+	// idleFloor is every host's idle power, summed in host order: the
+	// fleet power trace's level at t=0.
+	idleFloor float64
+	// shifts are the workload phase transitions inside the horizon, by
+	// (At, VM).
+	shifts []PhaseShift
+}
+
+// runFacts returns the layout's run facts, built by the first caller.
+// Like the t=0 view, they are built by a run rather than by Prepare, so
+// a compile that never runs pays nothing for them; no run writes to
+// them.
+func (l *layout) runFacts() *runFacts {
+	l.factsOnce.Do(func() { l.facts = l.buildFacts() })
+	return l.facts
+}
+
+// buildFacts derives the run facts in one walk of the hosts in index
+// order, each host's guests in name order.
+func (l *layout) buildFacts() *runFacts {
+	nempty := 0
+	for _, r := range l.hosts {
+		if len(r.VMs) == 0 {
+			nempty++
+		}
+	}
+	f := &runFacts{
+		vmStart:    make([]int32, len(l.hosts)),
+		vmHost:     make([]int32, 0, l.nvms),
+		empty:      make([]int32, 0, nempty),
+		emptyNames: make([]string, 0, nempty),
+		emptyIdle:  make([]units.Watts, 0, nempty),
+	}
+	for i, r := range l.hosts {
+		f.vmStart[i] = int32(len(f.vmHost))
+		f.idleFloor += float64(r.IdlePower)
+		if len(r.VMs) == 0 {
+			f.empty = append(f.empty, int32(i))
+			f.emptyNames = append(f.emptyNames, r.Name)
+			f.emptyIdle = append(f.emptyIdle, r.IdlePower)
+		}
+		phased := false
+		for _, v := range r.VMs {
+			f.vmHost = append(f.vmHost, int32(i))
+			phased = phased || len(v.Phases) > 0
+			cum := time.Duration(0)
+			for k, p := range v.Phases {
+				cum += p.Duration
+				if cum >= l.scalars.horizon {
+					break
+				}
+				next := ""
+				if k+1 < len(v.Phases) {
+					next = phaseLabel(v.Phases[k+1], k+1)
+				}
+				f.shifts = append(f.shifts, PhaseShift{At: cum, VM: v.Name, Phase: next})
+			}
+		}
+		if phased {
+			f.phased = append(f.phased, int32(i))
+		}
+	}
+	sort.SliceStable(f.shifts, func(i, j int) bool {
+		if f.shifts[i].At != f.shifts[j].At {
+			return f.shifts[i].At < f.shifts[j].At
+		}
+		return f.shifts[i].VM < f.shifts[j].VM
+	})
+	return f
 }

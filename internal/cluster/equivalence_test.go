@@ -212,6 +212,12 @@ func randomFleets() []namedFleet {
 // flight-aborts, outage windows), so an event that fails to dirty a
 // host it touched leaves the view stale and the plans diverge here. A
 // fleet where planning legitimately fails must fail identically on both.
+//
+// Every fleet also runs on the production engine with every host built
+// before the first event: the report and end placement must equal the
+// run that builds only the hosts its events touch, so the end-of-run
+// facts that stand in for the untouched hosts (the freed list, the idle
+// savings, the power trace's floor) are held to a walk of every host.
 func TestSchedulerEquivalence(t *testing.T) {
 	all := randomFleets()
 	cache := sim.NewCache(0)
@@ -227,8 +233,18 @@ func TestSchedulerEquivalence(t *testing.T) {
 		if (errHeap == nil) != (errRef == nil) || (errHeap != nil && errHeap.Error() != errRef.Error()) {
 			t.Fatalf("%s: schedulers disagree on failure:\nproduction: %v\nreference: %v", f.name, errHeap, errRef)
 		}
+		dense, denseAt, errDense := runDense(cfg)
+		if (errHeap == nil) != (errDense == nil) || (errHeap != nil && errHeap.Error() != errDense.Error()) {
+			t.Fatalf("%s: sparse and dense runs disagree on failure:\nsparse: %v\ndense: %v", f.name, errHeap, errDense)
+		}
 		if errHeap != nil {
 			continue
+		}
+		if !reflect.DeepEqual(want, dense) {
+			t.Errorf("%s: sparse and dense reports differ:\nsparse: %+v\ndense: %+v", f.name, want, dense)
+		}
+		if !reflect.DeepEqual(wantAt, denseAt) {
+			t.Errorf("%s: sparse and dense end placements differ:\nsparse: %+v\ndense: %+v", f.name, wantAt, denseAt)
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("%s (policy=%v, %d moves, %d failures): production and reference reports differ:\nproduction: %+v\nreference: %+v",

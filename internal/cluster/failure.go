@@ -309,11 +309,7 @@ func (e *engine) buildPowerTrace() {
 		dw float64
 	}
 	deltas := make([]delta, 0, 1+len(e.fail.crashes)+2*(len(e.rep.Timeline)+len(e.rep.Aborted)))
-	base := 0.0
-	for _, h := range e.hosts {
-		base += float64(h.IdlePower)
-	}
-	deltas = append(deltas, delta{0, base})
+	deltas = append(deltas, delta{0, e.facts.idleFloor})
 	for _, c := range e.fail.crashes {
 		deltas = append(deltas, delta{c.at, -float64(c.host.IdlePower)})
 	}

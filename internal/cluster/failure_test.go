@@ -406,15 +406,23 @@ func TestDispatchTransactional(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "injected kernel failure") {
 		t.Fatalf("run with a failing kernel: err = %v", err)
 	}
-	for _, v := range e.guests {
-		if v.migrating {
-			t.Errorf("VM %s left marked migrating by the failed batch", v.Name)
+	// The failed batch moved no guest, so every guest is a resident of
+	// a host the accessor returns.
+	residents := 0
+	for i := range e.hosts {
+		h := e.host(int32(i))
+		residents += len(h.vms)
+		for _, v := range h.vms {
+			if v.migrating {
+				t.Errorf("VM %s left marked migrating by the failed batch", v.Name)
+			}
 		}
-	}
-	for _, h := range e.hosts {
 		if len(h.incoming) != 0 {
 			t.Errorf("host %s left with %d incoming reservations", h.Name, len(h.incoming))
 		}
+	}
+	if residents != len(e.guests) {
+		t.Errorf("%d of %d guests are residents after the failed batch", residents, len(e.guests))
 	}
 	if e.nextIdx != 0 || len(e.fail.airborne) != 0 || len(e.timed.fs) != 0 {
 		t.Errorf("engine state not rolled back: nextIdx=%d airborne=%d timed=%d",

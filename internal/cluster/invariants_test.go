@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -17,7 +18,8 @@ import (
 // finite and non-negative, contention only ever adds energy, the
 // report's totals are the sums of its parts, the fleet energy is the
 // hosts' idle draw over their live spans plus the migration energy, the
-// power trace is well formed, and every VM ends placed exactly once.
+// power trace is well formed, every VM ends placed exactly once, and
+// the freed hosts are the live hosts the end placement leaves empty.
 // Determinism cannot catch a wrong energy that is wrong the same way on
 // every run; these checks can.
 func TestReportInvariants(t *testing.T) {
@@ -108,15 +110,31 @@ func reportViolations(cfg Config, rep *Report, final []placedHost) []string {
 		return append(bad, err.Error())
 	}
 	want := float64(rep.TotalEnergy)
+	idle := map[string]units.Watts{}
 	for _, h := range l.hosts {
 		live := end
 		if at, crashed := crashAt[h.Name]; crashed {
 			live = at
 		}
 		want += float64(h.IdlePower) * live.Seconds()
+		idle[h.Name] = h.IdlePower
 	}
 	if got := float64(rep.FleetEnergy); math.Abs(got-want) > 1e-9*math.Abs(want) {
 		fail("FleetEnergy %v J, idle floors plus TotalEnergy give %v J", got, want)
+	}
+
+	// The end placement is in name order, as FreedHosts is, so the freed
+	// hosts' idle powers sum in the report's order.
+	var freed []string
+	var savings units.Watts
+	for _, h := range final {
+		if len(h.VMs) == 0 && !h.Down {
+			freed = append(freed, h.Name)
+			savings += idle[h.Name]
+		}
+	}
+	if !slices.Equal(rep.FreedHosts, freed) || rep.IdleSavings != savings {
+		fail("freed %v reclaiming %v W, the end placement frees %v reclaiming %v W", rep.FreedHosts, rep.IdleSavings, freed, savings)
 	}
 
 	placed := map[string]int{}

@@ -68,18 +68,26 @@ type Executor struct {
 	// candidate plans. nil runs uncached; cached results are
 	// bit-identical.
 	Cache *sim.Cache
+	// Ctx optionally bounds the plan's execution: once it is done, no
+	// further move simulation starts, running ones abandon at their next
+	// step, and ExecutePlan returns the context's error. nil means
+	// context.Background(). Cancellation never changes results — a plan
+	// that completes under any context is bit-identical.
+	Ctx context.Context
 }
 
 // ExecutePlan simulates every move of a plan in order against the
 // evolving placement and returns the measured report. hosts is the
-// pre-plan state. Lower checks and lowers the plan first. The run takes
-// no context and cannot be cancelled.
+// pre-plan state. Lower checks and lowers the plan first.
 func (e Executor) ExecutePlan(policy string, plan *consolidation.Plan, hosts []consolidation.HostState) (*ExecutionReport, error) {
 	scs, err := e.Lower(plan, hosts)
 	if err != nil {
 		return nil, err
 	}
-	ctx := context.TODO() // ExecutePlan takes no context: plan-form runs are uncancellable
+	ctx := e.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	runs, err := parallel.MapCtx(ctx, e.Workers, len(scs), func(i int) (*sim.RunResult, error) {
 		run, err := e.Cache.SummaryCtx(ctx, scs[i])
 		if err != nil {

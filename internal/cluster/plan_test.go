@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -9,6 +11,7 @@ import (
 
 	"repro/internal/consolidation"
 	"repro/internal/migration"
+	"repro/internal/sim"
 	"repro/internal/units"
 )
 
@@ -260,5 +263,39 @@ func TestExecutePlanDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if !reflect.DeepEqual(repSeq, repPar) {
 		t.Fatalf("reports differ between Workers=1 and Workers=4:\nseq: %+v\npar: %+v", repSeq, repPar)
+	}
+}
+
+// TestExecutePlanCancelled: under a cancelled Ctx, ExecutePlan returns
+// context.Canceled before its first kernel run; under a live one it
+// measures exactly what it measures without a context.
+func TestExecutePlanCancelled(t *testing.T) {
+	hosts := testDC()
+	plan, err := consolidation.EnergyAware{Model: stubCost{}}.Plan(hosts, consolidation.Config{Horizon: 24 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cache := sim.NewCache(0)
+	ex := Executor{Kind: migration.Live, Seed: 71, Cache: cache, Ctx: ctx}
+	if rep, err := ex.ExecutePlan("energy-aware", plan, hosts); !errors.Is(err, context.Canceled) || rep != nil {
+		t.Fatalf("cancelled ExecutePlan = %v, %v; want nil, context.Canceled", rep, err)
+	}
+	if n := cache.Snapshot().KernelRuns; n != 0 {
+		t.Errorf("cancelled ExecutePlan ran %d kernels, want 0", n)
+	}
+	ex.Ctx = context.Background()
+	live, err := ex.ExecutePlan("energy-aware", plan, hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex.Ctx = nil
+	bare, err := ex.ExecutePlan("energy-aware", plan, hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(live, bare) {
+		t.Errorf("a live context changed the report:\nctx: %+v\nnil: %+v", live, bare)
 	}
 }

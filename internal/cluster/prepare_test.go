@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/consolidation"
 	"repro/internal/sim"
@@ -145,21 +146,23 @@ func TestPreparedConfigConcurrentRuns(t *testing.T) {
 }
 
 // TestPreparedEngineAllocCeiling is the allocation gate for building a
-// run: on a prepared config whose t=0 view a first run has built,
-// newEngine allocates only the run's mutable state — 21 objects,
-// whatever the fleet size: the engine, its host and guest arrays, the
-// report and switch map (7), and the copies of the view's mutable
-// arrays with the order-repair scratch (14) — and no per-host or per-VM
-// objects such as name maps. The bytes are held per host too: a run
-// that lays out its own t=0 view again (207 bytes a host at 100k hosts,
-// 215 at 8k) breaks it.
+// run: on a prepared config whose t=0 view and run facts a first run
+// has built, newEngine allocates only the run's mutable state — 16
+// objects, whatever the fleet size: the engine, its host and guest
+// pointer arrays, the report and switch map (5), and the copies of the
+// view's mutable arrays (11) — and no per-host or per-VM objects such
+// as name maps or the runtime state of a host no event has touched. The
+// bytes are held per host too, at 64 (50 a host at 100k hosts, 53 at
+// 8k, most of it the view's copy): a run that builds every host's and
+// guest's runtime state up front (163 bytes a host at 100k hosts, 171
+// at 8k) or lays out its own t=0 view again (207 and 215) breaks it.
 func TestPreparedEngineAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race for the ceiling")
 	}
 	const (
-		ceiling     = 21  // objects per newEngine call
-		byteCeiling = 185 // bytes per host per newEngine call
+		ceiling     = 16 // objects per newEngine call
+		byteCeiling = 64 // bytes per host per newEngine call
 	)
 	for _, n := range []int{8192, 100000} {
 		cfg, err := Prepare(sparseFleet(n))
@@ -183,6 +186,67 @@ func TestPreparedEngineAllocCeiling(t *testing.T) {
 		}
 		if bytes > byteCeiling*uint64(n) {
 			t.Errorf("%d hosts: newEngine on a prepared config allocates %d bytes, ceiling is %d a host", n, bytes, byteCeiling)
+		}
+	}
+}
+
+// TestRunBuildsOnlyTouchedHosts runs a prepared 100,000-host fleet on
+// an explicit timeline of three moves and one host crash: each run must
+// build exactly the hosts those events name, and report what a run that
+// builds every host reports. Two runs start at once on a new layout, so
+// the run facts they share are built under -race by whichever comes
+// first.
+func TestRunBuildsOnlyTouchedHosts(t *testing.T) {
+	cfg := sparseFleet(100000)
+	cfg.Policy, cfg.PolicyConfig, cfg.Tick = nil, consolidation.Config{}, 0
+	cfg.Moves = []TimedMove{
+		{VM: "util000000", From: "low000000", To: "low000001"},
+		{VM: "svc000007", From: "app000007", To: "sp050000", At: 10 * time.Second},
+		{VM: "util000003", From: "low000003", To: "sp099999", At: 30 * time.Second},
+	}
+	cfg.Failures = []FailureEvent{{At: time.Minute, Kind: FailHostCrash, Host: "low000010"}}
+	named := []string{"app000007", "low000000", "low000001", "low000003", "low000010", "sp050000", "sp099999"}
+	cfg, err := Prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Cache = sim.NewCache(0)
+	engines := make([]*engine, 2)
+	reps := make([]*Report, len(engines))
+	errs := make([]error, len(engines))
+	var wg sync.WaitGroup
+	for i := range engines {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if engines[i], errs[i] = newEngine(cfg); errs[i] == nil {
+				reps[i], errs[i] = engines[i].run()
+			}
+		}(i)
+	}
+	wg.Wait()
+	want, _, err := runDense(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Timeline) != len(cfg.Moves) || want.OrphanedVMs != 1 {
+		t.Fatalf("fixture drift: %d moves landed and %d VMs orphaned, want %d and 1", len(want.Timeline), want.OrphanedVMs, len(cfg.Moves))
+	}
+	for i, e := range engines {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		var built []string
+		for _, h := range e.hosts {
+			if h != nil {
+				built = append(built, h.Name)
+			}
+		}
+		if !slices.Equal(built, named) {
+			t.Errorf("run %d built %d hosts, first %v, want exactly those its events name, %v", i, len(built), built[:min(len(built), 10)], named)
+		}
+		if !reflect.DeepEqual(want, reps[i]) {
+			t.Errorf("run %d differs from a run that builds every host:\nsparse: %+v\ndense: %+v", i, reps[i], want)
 		}
 	}
 }

@@ -57,6 +57,24 @@ func runPlaced(cfg Config) (*Report, []placedHost, error) {
 	return rep, endPlacement(e), nil
 }
 
+// runDense executes cfg like runPlaced, but with every host built
+// before the first event, as an engine that built all its hosts up
+// front would run it.
+func runDense(cfg Config) (*Report, []placedHost, error) {
+	e, err := newEngine(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i := range e.hosts {
+		e.host(int32(i))
+	}
+	rep, err := e.run()
+	if err != nil {
+		return nil, nil, err
+	}
+	return rep, endPlacement(e), nil
+}
+
 // placedHost is one host of a finished run's end placement.
 type placedHost struct {
 	Name string
@@ -67,10 +85,11 @@ type placedHost struct {
 }
 
 // endPlacement reads the end placement, in host name order, from the
-// engine's host state.
+// engine's host state, every host through the engine's accessor.
 func endPlacement(e *engine) []placedHost {
 	out := make([]placedHost, len(e.hosts))
-	for i, h := range e.hosts {
+	for i := range e.hosts {
+		h := e.host(int32(i))
 		p := placedHost{Name: h.Name, Down: h.down}
 		for _, v := range h.vms {
 			p.VMs = append(p.VMs, v.Name)
@@ -140,8 +159,8 @@ func (e *scanEngine) nextEventTimeScan() (time.Duration, bool) {
 	if len(e.pending) > 0 {
 		consider(e.cfg.Moves[e.pending[0]].At)
 	}
-	if e.si < len(e.shifts) {
-		consider(e.shifts[e.si].At)
+	if e.si < len(e.facts.shifts) {
+		consider(e.facts.shifts[e.si].At)
 	}
 	if e.fail.fi < len(e.fail.events) {
 		consider(e.fail.events[e.fail.fi].At)
@@ -232,8 +251,8 @@ func (e *scanEngine) fireScan(t time.Duration) error {
 	e.flights = kept
 
 	// 3. Workload phase transitions.
-	for e.si < len(e.shifts) && e.shifts[e.si].At <= t {
-		e.rep.Shifts = append(e.rep.Shifts, e.shifts[e.si])
+	for e.si < len(e.facts.shifts) && e.facts.shifts[e.si].At <= t {
+		e.rep.Shifts = append(e.rep.Shifts, e.facts.shifts[e.si])
 		e.si++
 	}
 
@@ -291,9 +310,11 @@ func (e *scanEngine) dispatchDueScan(t time.Duration) error {
 // in-flight guests pinned on their source and their destination
 // capacity held by a pinned reservation entry. Crashed hosts are
 // marked Down and their non-migrating residents listed as evacuees; a
-// VM in its post-abort cool-down is pinned like a mover.
+// VM in its post-abort cool-down is pinned like a mover. Every host is
+// read through the engine's accessor.
 func (e *scanEngine) snapshot(t time.Duration) (hosts []consolidation.HostState, pinned, evacuate []string) {
-	for _, h := range e.hosts {
+	for i := range e.hosts {
+		h := e.host(int32(i))
 		var vms []consolidation.VMState
 		for _, v := range h.vms {
 			vms = append(vms, consolidation.VMState{

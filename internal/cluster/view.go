@@ -87,7 +87,7 @@ func (e *engine) viewTick(t time.Duration) bool {
 	}
 	e.varying = keep
 	return e.pview.Update(func(i int32, dst []consolidation.VMState) ([]consolidation.VMState, bool) {
-		h := e.hosts[i]
+		h := e.host(i)
 		for _, g := range h.vms {
 			dst = append(dst, consolidation.VMState{Name: g.Name, MemBytes: g.MemBytes, BusyVCPUs: g.busyAt(t), DirtyRatio: g.dirtyAt(t)})
 		}

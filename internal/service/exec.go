@@ -36,7 +36,7 @@ func Exec(ctx context.Context, w io.Writer, c *scenario.Compiled, workers int, c
 		}
 		return &ExecResult{Cluster: rep}, nil
 	case c.Plan != nil:
-		return &ExecResult{}, execPlan(w, c.Spec, c.Plan, workers, cache)
+		return &ExecResult{}, execPlan(ctx, w, c.Spec, c.Plan, workers, cache)
 	default:
 		return &ExecResult{}, execRuns(ctx, w, c.Spec, c.Runs, workers, cache)
 	}
@@ -77,14 +77,13 @@ func printRunLine(w io.Writer, label string, runs []*sim.RunResult) {
 		label, b.Runs, b.SourceJ/1e3, b.TargetJ/1e3, b.TotalJ()/1e3, b.MovedGiB(), b.Rounds, b.DowntimeS, b.DurationS)
 }
 
-// execPlan executes a data-centre scenario's move plan. It runs
-// uncancellable: cluster.Executor.ExecutePlan takes no context, and
-// plans are short.
-func execPlan(w io.Writer, s *scenario.Spec, pr *scenario.PlanRun, workers int, cache *sim.Cache) error {
+// execPlan executes a data-centre scenario's move plan under ctx.
+func execPlan(ctx context.Context, w io.Writer, s *scenario.Spec, pr *scenario.PlanRun, workers int, cache *sim.Cache) error {
 	fmt.Fprintf(w, "== %s (plan: %s)\n", s.Name, pr.Policy)
 	ex := pr.Executor
 	ex.Workers = workers
 	ex.Cache = cache
+	ex.Ctx = ctx
 	rep, err := ex.ExecutePlan(pr.Policy, pr.Plan, pr.Hosts)
 	if err != nil {
 		return err

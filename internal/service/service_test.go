@@ -422,6 +422,34 @@ func TestPlanMovesOneVMTwice(t *testing.T) {
 	}
 }
 
+// TestPlanExecCancelled: a data-centre plan executed under a cancelled
+// context fails with context.Canceled before its first kernel run, as a
+// cluster timeline or a migration block does, so a client disconnect,
+// deadline or drain stops it.
+func TestPlanExecCancelled(t *testing.T) {
+	spec, err := scenario.Load(filepath.Join(scenarioDir, "consolidation-sweep.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := spec.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Plan == nil {
+		t.Fatal("fixture drift: consolidation-sweep is not a plan-form spec")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cache := sim.NewCache(0)
+	var buf bytes.Buffer
+	if _, err := Exec(ctx, &buf, c, 2, cache); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled plan Exec err = %v, want context.Canceled", err)
+	}
+	if n := cache.Snapshot().KernelRuns; n != 0 {
+		t.Errorf("cancelled plan Exec ran %d kernels, want 0", n)
+	}
+}
+
 func TestRunRequestRejections(t *testing.T) {
 	_, url := newTestServer(t, Config{ScenarioDir: scenarioDir})
 	cases := []struct {
