@@ -42,6 +42,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/consolidation"
@@ -313,7 +314,9 @@ func refuseVM(host, vm int, attr, format string, args ...any) *InputError {
 // or another policy. Run validates and lays out afresh a config whose
 // Hosts, Moves or Failures is another slice, whose other checked fields
 // have changed, or whose policy was set or unset. Concurrent runs
-// of one prepared config share the layout; none writes to it.
+// of one prepared config share the layout; none writes to what it
+// holds, and a run that finishes hands its own policy view back to it
+// for the next run to reuse.
 func Prepare(cfg Config) (Config, error) {
 	l, err := cfg.validate()
 	if err != nil {
@@ -327,17 +330,21 @@ func Prepare(cfg Config) (Config, error) {
 // layout is a validated config's hosts in the engine's iteration order,
 // plus the name indices a run resolves moves and failures through, and
 // what the first runs derive from them once for all: the t=0 policy
-// view and the run facts. No run writes to it.
+// view and the run facts. No run writes to them; a finished run hands
+// its own view back to the spare slot.
 type layout struct {
 	hosts   []*resolved      // name order, each host's VMs in name order
 	hostIdx map[string]int32 // host name → position in hosts
 	vmIdx   map[string]int32 // VM name → position among all VMs, in hosts order
 	nvms    int
 
-	// view is the t=0 policy view every run that plans starts from a
-	// copy of; the first such run builds it (initialView).
+	// view is the t=0 policy view every run that plans starts from; the
+	// first such run builds it (initialView). spare is a finished run's
+	// view, which the next run rewinds to view instead of copying it
+	// (takeView, keepView).
 	viewOnce sync.Once
 	view     *consolidation.View
+	spare    atomic.Pointer[consolidation.View]
 	// facts are what every run derives alike from the hosts, such as
 	// the t=0-empty hosts and the idle floor; the first run builds them
 	// (runFacts).

@@ -196,7 +196,7 @@ type engine struct {
 	// Incremental policy-view state (see view.go). vp is the policy as a
 	// view planner; it is nil, and no view is kept, without a policy.
 	vp      consolidation.ViewPolicy
-	pview   consolidation.View
+	pview   *consolidation.View
 	varying []int32 // hosts with phase-driven demand, marked every tick
 	// viewEvents flags plan-input changes that are not per-host state
 	// (an abort cool-down expiring); havePlan/lastPlanMoves/lastPinned
@@ -227,7 +227,8 @@ func Run(cfg Config) (*Report, error) {
 // per run. A policy that cannot plan against the view is refused. No
 // host is built here but those a policy round refreshes every tick:
 // building a run of a prepared config costs the same at any fleet size,
-// bar the view's copy.
+// bar the view, which is a finished run's rewound or else a copy of the
+// layout's (layout.takeView).
 func newEngine(cfg Config) (*engine, error) {
 	if !cfg.layout.fits(cfg) {
 		var err error
@@ -258,7 +259,7 @@ func newEngine(cfg Config) (*engine, error) {
 			return nil, fmt.Errorf("cluster: policy %s does not implement consolidation.ViewPolicy; the engine plans only against its view", cfg.Policy.Name())
 		}
 		e.vp = vp
-		e.pview = l.initialView().Clone()
+		e.pview = l.takeView()
 		for _, i := range e.facts.phased {
 			e.markHostVarying(e.host(i))
 		}
@@ -332,6 +333,11 @@ func (e *engine) run() (*Report, error) {
 		}
 	}
 	e.finish()
+	if e.pview != nil {
+		// The next run of the layout may take the view from here on.
+		e.cfg.layout.keepView(e.pview)
+		e.pview = nil
+	}
 	return e.rep, nil
 }
 
@@ -521,7 +527,7 @@ func (e *engine) planRound(t time.Duration) ([]consolidation.Move, int, error) {
 	pc := e.cfg.PolicyConfig
 	pc.Pinned = pinned
 	pc.Evacuate = evac
-	plan, err := e.vp.PlanView(&e.pview, pc)
+	plan, err := e.vp.PlanView(e.pview, pc)
 	if err != nil {
 		return nil, 0, fmt.Errorf("cluster: policy %s at t=%v: %w", e.cfg.Policy.Name(), t, err)
 	}

@@ -288,7 +288,7 @@ func (p *viewCheck) PlanView(v *consolidation.View, cfg consolidation.Config) (*
 
 // viewDiff describes the first difference between two views in what a
 // policy reads: each host's name, capacities, Down, Busy, Mem and slot
-// list, Order and Live. It returns "" for views that plan alike.
+// list, and Live. It returns "" for views that plan alike.
 func viewDiff(got, want *consolidation.View) string {
 	if len(got.HostName) != len(want.HostName) {
 		return fmt.Sprintf("%d hosts, want %d", len(got.HostName), len(want.HostName))
@@ -303,9 +303,6 @@ func viewDiff(got, want *consolidation.View) string {
 		if g, w := viewSlots(got, i), viewSlots(want, i); !reflect.DeepEqual(g, w) {
 			return fmt.Sprintf("host %s: slots %+v, want %+v", name, g, w)
 		}
-	}
-	if !reflect.DeepEqual(got.Order, want.Order) {
-		return fmt.Sprintf("order %v, want %v", got.Order, want.Order)
 	}
 	if !slices.Equal(got.Live, want.Live) {
 		return fmt.Sprintf("live order %v, want %v", got.Live, want.Live)
@@ -451,7 +448,7 @@ func TestPlanViewAllocBytes(t *testing.T) {
 		pc := e.cfg.PolicyConfig
 		pc.Pinned, pc.Evacuate = e.viewPinnedEvac()
 		plan := func() {
-			p, err := e.vp.PlanView(&e.pview, pc)
+			p, err := e.vp.PlanView(e.pview, pc)
 			if err != nil {
 				t.Fatal(err)
 			}

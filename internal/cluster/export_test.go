@@ -1,5 +1,7 @@
 package cluster
 
+import "repro/internal/consolidation"
+
 // Test-only exports for the external cluster_test package, which may
 // import packages that import this one, such as internal/scenario.
 
@@ -15,3 +17,20 @@ var ReportViolations = reportViolations
 
 // RaceEnabled reports whether the race detector instruments this build.
 const RaceEnabled = raceEnabled
+
+// StartRun builds a run of cfg as Run does, and returns the policy view
+// the run plans on (nil without a policy) and the run itself, which
+// also returns the end placement.
+func StartRun(cfg Config) (*consolidation.View, func() (*Report, []PlacedHost, error), error) {
+	e, err := newEngine(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e.pview, func() (*Report, []PlacedHost, error) {
+		rep, err := e.run()
+		if err != nil {
+			return nil, nil, err
+		}
+		return rep, endPlacement(e), nil
+	}, nil
+}

@@ -149,43 +149,59 @@ func TestPreparedConfigConcurrentRuns(t *testing.T) {
 // run: on a prepared config whose t=0 view and run facts a first run
 // has built, newEngine allocates only the run's mutable state — 16
 // objects, whatever the fleet size: the engine, its host and guest
-// pointer arrays, the report and switch map (5), and the copies of the
-// view's mutable arrays (11) — and no per-host or per-VM objects such
-// as name maps or the runtime state of a host no event has touched. The
-// bytes are held per host too, at 64 (50 a host at 100k hosts, 53 at
-// 8k, most of it the view's copy): a run that builds every host's and
-// guest's runtime state up front (163 bytes a host at 100k hosts, 171
-// at 8k) or lays out its own t=0 view again (207 and 215) breaks it.
+// pointer arrays, the report and switch map (5), the view (1) and the
+// copies of its mutable arrays (10) — and no per-host or per-VM objects
+// such as name maps or the runtime state of a host no event has
+// touched. The bytes are held per host too, at 64 (46 a host at 100k
+// hosts, 49 at 8k, most of it the view's copy): a run that builds every
+// host's and guest's runtime state up front (163 bytes a host at 100k
+// hosts, 171 at 8k) or lays out its own t=0 view again (207 and 215)
+// breaks it. Once a finished run has handed its view back, the next
+// newEngine rewinds that view instead of copying it: 5 objects and 16
+// bytes a host (10 measured at both sizes, nearly all of it the host
+// and guest pointer arrays), which a run that copies the view again
+// breaks.
 func TestPreparedEngineAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race for the ceiling")
 	}
-	const (
-		ceiling     = 16 // objects per newEngine call
-		byteCeiling = 64 // bytes per host per newEngine call
-	)
 	for _, n := range []int{8192, 100000} {
 		cfg, err := Prepare(sparseFleet(n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		build := func() {
-			if _, err := newEngine(cfg); err != nil {
-				t.Fatal(err)
+		for _, c := range []struct {
+			name                 string
+			ceiling, byteCeiling int // objects per newEngine call, bytes per host
+			build                func()
+		}{
+			{"cold", 16, 64, func() {
+				if _, err := newEngine(cfg); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"warm", 5, 16, func() {
+				e, err := newEngine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.layout.keepView(e.pview) // as a finished run hands it back
+			}},
+		} {
+			c.build() // build the t=0 view and run facts; the warm case keeps a view
+			allocs := testing.AllocsPerRun(5, c.build)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			c.build()
+			runtime.ReadMemStats(&after)
+			bytes := after.TotalAlloc - before.TotalAlloc
+			t.Logf("%d hosts, %s: newEngine allocates %.0f objects, %d bytes (%d a host)", n, c.name, allocs, bytes, bytes/uint64(n))
+			if allocs > float64(c.ceiling) {
+				t.Errorf("%d hosts, %s: newEngine on a prepared config allocates %.0f objects, ceiling is %d", n, c.name, allocs, c.ceiling)
 			}
-		}
-		allocs := testing.AllocsPerRun(5, build)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		build()
-		runtime.ReadMemStats(&after)
-		bytes := after.TotalAlloc - before.TotalAlloc
-		t.Logf("%d hosts: newEngine allocates %.0f objects, %d bytes (%d a host)", n, allocs, bytes, bytes/uint64(n))
-		if allocs > ceiling {
-			t.Errorf("%d hosts: newEngine on a prepared config allocates %.0f objects, ceiling is %d", n, allocs, ceiling)
-		}
-		if bytes > byteCeiling*uint64(n) {
-			t.Errorf("%d hosts: newEngine on a prepared config allocates %d bytes, ceiling is %d a host", n, bytes, byteCeiling)
+			if bytes > uint64(c.byteCeiling*n) {
+				t.Errorf("%d hosts, %s: newEngine on a prepared config allocates %d bytes, ceiling is %d a host", n, c.name, bytes, c.byteCeiling)
+			}
 		}
 	}
 }
@@ -265,11 +281,13 @@ func viewFleets() []namedFleet {
 }
 
 // TestPreparedViewMatchesRebuild checks the layout's kept t=0 view and
-// the copies runs start from: the view a run starts from must equal one
+// the views runs start from: the view a run starts from must equal one
 // laid out afresh from the engine's host state at t=0, both for the run
-// that built it and for later runs, also after a run has planned on its
-// copy to the end of its timeline. A run shares the per-host constants
-// with the layout and owns everything it writes.
+// that built the kept view, which plans on a copy of it, and for the
+// next run, which must plan on that copy again, rewound after the first
+// run planned on it to the end of its timeline. A run started while
+// another is live gets a copy of its own. Every run shares the per-host
+// constants with the layout and owns everything it writes.
 func TestPreparedViewMatchesRebuild(t *testing.T) {
 	cache := sim.NewCache(0)
 	for _, f := range viewFleets() {
@@ -278,44 +296,57 @@ func TestPreparedViewMatchesRebuild(t *testing.T) {
 			t.Fatalf("%s: %v", f.name, err)
 		}
 		cfg.Cache = cache
-		fresh := func(e *engine) string {
+		check := func(what string, e *engine) {
 			hosts, _, _ := (&scanEngine{engine: e}).snapshot(0)
-			return viewDiff(&e.pview, consolidation.NewView(hosts))
+			if diff := viewDiff(e.pview, consolidation.NewView(hosts)); diff != "" {
+				t.Errorf("%s: %s view differs from a fresh layout: %s", f.name, what, diff)
+			}
+			kept, v := cfg.layout.view, e.pview
+			if &v.HostName[0] != &kept.HostName[0] || &v.Threads[0] != &kept.Threads[0] ||
+				&v.MemCap[0] != &kept.MemCap[0] || &v.IdlePower[0] != &kept.IdlePower[0] {
+				t.Errorf("%s: %s view copied the layout's per-host constants", f.name, what)
+			}
+			if &v.Down[0] == &kept.Down[0] || &v.Busy[0] == &kept.Busy[0] || &v.Mem[0] == &kept.Mem[0] ||
+				&v.VMStart[0] == &kept.VMStart[0] || &v.VMCount[0] == &kept.VMCount[0] ||
+				(len(v.Live) > 0 && &v.Live[0] == &kept.Live[0]) || (len(v.VMName) > 0 && &v.VMName[0] == &kept.VMName[0]) {
+				t.Errorf("%s: %s view shares an array it writes with the layout's view", f.name, what)
+			}
 		}
 		first, err := newEngine(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}
-		if diff := fresh(first); diff != "" {
-			t.Errorf("%s: the building run's view differs from a fresh layout: %s", f.name, diff)
-		}
+		check("the building run's", first)
+		used := first.pview
 		if _, err := first.run(); err != nil {
 			t.Fatalf("%s: %v", f.name, err)
+		}
+		if first.pview != nil {
+			t.Errorf("%s: a finished run still holds the view it handed back", f.name)
 		}
 		second, err := newEngine(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}
-		if diff := fresh(second); diff != "" {
-			t.Errorf("%s: after a run, a new run's view differs from a fresh layout: %s", f.name, diff)
+		if second.pview != used {
+			t.Errorf("%s: the run after a finished one did not start from the finished run's view", f.name)
 		}
-		kept, v := cfg.layout.view, &second.pview
-		if &v.HostName[0] != &kept.HostName[0] || &v.Threads[0] != &kept.Threads[0] ||
-			&v.MemCap[0] != &kept.MemCap[0] || &v.IdlePower[0] != &kept.IdlePower[0] {
-			t.Errorf("%s: a run copied the layout's per-host constants", f.name)
+		check("the recycled", second)
+		third, err := newEngine(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
 		}
-		if &v.Down[0] == &kept.Down[0] || &v.Busy[0] == &kept.Busy[0] || &v.Mem[0] == &kept.Mem[0] ||
-			&v.VMStart[0] == &kept.VMStart[0] || &v.VMCount[0] == &kept.VMCount[0] || &v.Order[0] == &kept.Order[0] ||
-			(len(v.Live) > 0 && &v.Live[0] == &kept.Live[0]) || (len(v.VMName) > 0 && &v.VMName[0] == &kept.VMName[0]) {
-			t.Errorf("%s: a run shares an array it writes with the layout's view", f.name)
+		if third.pview == second.pview {
+			t.Errorf("%s: two live runs share a view", f.name)
 		}
+		check("a concurrent run's", third)
 	}
 }
 
 // TestPreparedRunTwice runs each kept-view fleet twice on one prepared
-// config, the first run building the layout's view and the second
-// starting from a copy of it: both reports must equal a run of the
-// config laid out afresh.
+// config, the first run building the layout's view and planning on a
+// copy of it, the second planning on that copy rewound: both reports
+// must equal a run of the config laid out afresh.
 func TestPreparedRunTwice(t *testing.T) {
 	cache := sim.NewCache(0)
 	for _, f := range viewFleets() {
@@ -359,16 +390,18 @@ func TestPreparedViewConcurrentFirstRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Cache = cache
-	engines := make([]*engine, 4)
-	reps := make([]*Report, len(engines))
-	errs := make([]error, len(engines))
+	views := make([]*consolidation.View, 4)
+	reps := make([]*Report, len(views))
+	errs := make([]error, len(views))
 	var wg sync.WaitGroup
-	for i := range engines {
+	for i := range views {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if engines[i], errs[i] = newEngine(cfg); errs[i] == nil {
-				reps[i], errs[i] = engines[i].run()
+			e, err := newEngine(cfg)
+			if errs[i] = err; err == nil {
+				views[i] = e.pview
+				reps[i], errs[i] = e.run()
 			}
 		}(i)
 	}
@@ -380,7 +413,7 @@ func TestPreparedViewConcurrentFirstRun(t *testing.T) {
 		if !reflect.DeepEqual(want, rep) {
 			t.Errorf("concurrent first run %d differs from the serial run", i)
 		}
-		if &engines[i].pview.HostName[0] != &cfg.layout.view.HostName[0] {
+		if &views[i].HostName[0] != &cfg.layout.view.HostName[0] {
 			t.Errorf("concurrent first run %d started from a view of its own", i)
 		}
 	}

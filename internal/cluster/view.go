@@ -10,11 +10,12 @@ import (
 // This file keeps the engine's persistent consolidation.View — the
 // struct-of-arrays policy input, the engine's only planning path —
 // current under events, so a planning round at fleet scale touches only
-// the hosts events changed since the last tick. A run starts from a
-// View.Clone of its layout's t=0 view, which the first run of the
-// layout that plans builds and every later run shares. The view keeps
-// its own invariants (see consolidation.View); the engine decides what
-// to mark.
+// the hosts events changed since the last tick. A run starts from its
+// layout's t=0 view, which the first run of the layout that plans
+// builds and every later run shares: from the view a finished run of
+// the layout handed back, rewound to it (View.Rewind), or else from a
+// View.Clone of it. The view keeps its own invariants (see
+// consolidation.View); the engine decides what to mark.
 //
 // Marking rules (property-tested against the test-side linear-scan
 // reference, which plans every round from a snapshot of its own through
@@ -44,6 +45,27 @@ func (e *engine) markHostVarying(h *hostRT) {
 func (l *layout) initialView() *consolidation.View {
 	l.viewOnce.Do(func() { l.view = l.buildView() })
 	return l.view
+}
+
+// takeView returns a view at the layout's t=0 state for a new run that
+// plans, which owns it until it finishes: the view a finished run handed
+// back, rewound, when the layout keeps one, and otherwise a copy of the
+// t=0 view. Taking is atomic, so no two live runs share a view.
+func (l *layout) takeView() *consolidation.View {
+	base := l.initialView()
+	if v := l.spare.Swap(nil); v != nil {
+		v.Rewind(base)
+		return v
+	}
+	v := base.Clone()
+	return &v
+}
+
+// keepView takes back the view of a run that finished, for the next run
+// to rewind, unless the layout keeps one already. A run that fails
+// hands nothing back.
+func (l *layout) keepView(v *consolidation.View) {
+	l.spare.CompareAndSwap(nil, v)
 }
 
 // buildView lays the layout out as a policy view at time 0: every host

@@ -112,8 +112,9 @@ func (p EnergyAware) planView(v *View, cfg Config) (*Plan, error) {
 
 	// Drain candidates: the live hosts, least loaded first (cheapest to
 	// empty). When nothing was evacuated the view's maintained Live is
-	// exactly this sequence; otherwise a copy of Order is re-sorted under
-	// the post-evacuation aggregates and filtered. Empty and crashed
+	// exactly this sequence; otherwise Live and the evacuation-touched
+	// hosts are re-sorted under the post-evacuation aggregates and
+	// filtered. Empty and crashed
 	// hosts are left out: a crashed host draws no idle power, so
 	// emptying it frees nothing, and its residents move through
 	// evacuation, not consolidation. No host becomes live during the

@@ -15,7 +15,8 @@ import (
 // headers instead of O(VMs) struct copies. A caller that keeps a View
 // across events (the cluster engine) marks the hosts an event changed
 // with Mark, and Update rewrites only those hosts' slots and repairs
-// the orders; the View alone keeps the invariants below.
+// Live; Rewind puts a used Clone back to the view it was cloned from.
+// The View alone keeps the invariants below.
 //
 // Invariants, on which the policies' bit-identity to the historical
 // []HostState path rests:
@@ -24,15 +25,14 @@ import (
 //     in slot order — never by incremental subtraction — so they equal
 //     what HostState.BusyThreads/UsedMem would return for the same VM
 //     list (floating-point addition is order-sensitive).
-//   - Order holds every host index, ascending by (Busy, HostName).
-//     Host names are unique, so the order is a unique total order and
-//     any maintenance strategy (full sort, incremental merge) yields
-//     the same permutation. compareHosts is that order's one
-//     comparator; under NameOrdered it breaks busy ties by index,
-//     which is name order there, without comparing a string.
-//   - Live is the subsequence of Order whose hosts are live (see
-//     liveHost): up, with at least one slot. It is maintained with
-//     Order, so a planning call reads it instead of filtering Order.
+//   - Live holds every live host (see liveHost: up, with at least one
+//     slot), ascending by (Busy, HostName), and no other host: the
+//     view's only order. Host names are unique, so the order is a
+//     unique total order and any maintenance strategy (full sort,
+//     incremental merge) yields the same permutation of any host set.
+//     compareHosts is that order's one comparator; under NameOrdered
+//     it breaks busy ties by index, which is name order there, without
+//     comparing a string.
 //   - A host's slots list its residents first (in the owner's
 //     iteration order) and any reservation entries after them, exactly
 //     as the AoS snapshot ordered HostState.VMs.
@@ -47,10 +47,8 @@ type View struct {
 	Mem       []units.Bytes
 	VMStart   []int32
 	VMCount   []int32
-	// Order is the host permutation ascending by (Busy, HostName).
-	Order []int32
-	// Live is Order without the hosts that are down or hold no slot:
-	// the only hosts a drain may empty or fill.
+	// Live is the live hosts ascending by (Busy, HostName): the only
+	// hosts a drain may empty or fill.
 	Live []int32
 	// VM slot arena.
 	VMName  []string
@@ -68,22 +66,28 @@ type View struct {
 	// calls (see vwork); nil until the first plan. It makes a View
 	// single-planner: one View must not be planned concurrently.
 	work *vwork
-	// up is what Mark and Update keep between calls (see upkeep).
+	// up is what Mark, Update and Rewind keep between calls (see upkeep).
 	up upkeep
 }
 
 // upkeep is a View's incremental-upkeep state: the hosts marked since
-// the last Update, and the scratch Update reuses, so a steady Update
-// allocates nothing.
+// the last Update, the hosts rewritten since the last Clone or Rewind,
+// and the scratch Update reuses, so a steady Update allocates nothing.
 type upkeep struct {
 	marks  []int32 // marked hosts, in mark order
 	marked []bool  // by host index: the host is in marks; nil until the first Mark
-	// removed and liveRemoved are the marked hosts' Order and Live
-	// positions before their rewrite; order and live are the buffers
-	// the repaired Order and Live are built in; slots is fill's buffer.
-	removed, liveRemoved []int
-	order, live          []int32
-	slots                []VMState
+	// rewritten lists the hosts Update has rewritten, each once, in
+	// first-rewrite order, and rewrote flags them by host index: what
+	// Rewind restores. setSlots is the only writer of a host's state, and
+	// Update is its only caller on a clone.
+	rewritten []int32
+	rewrote   []bool
+	// removed is the marked hosts' Live positions before their rewrite;
+	// live is the buffer the repaired Live is built in; slots is fill's
+	// buffer.
+	removed []int
+	live    []int32
+	slots   []VMState
 }
 
 // ViewPolicy is a Policy that can plan directly against a View. The
@@ -169,20 +173,16 @@ func (v *View) setSlots(i int32, vms []VMState, down bool) {
 	v.Busy[i], v.Mem[i], v.Down[i] = busy, mem, down
 }
 
-// SortOrder (re)builds Order ascending by (Busy, HostName), and Live
-// from it.
+// SortOrder (re)builds Live: the live hosts, sorted by (Busy,
+// HostName).
 func (v *View) SortOrder() {
-	v.Order = slices.Grow(v.Order[:0], v.hostCount())
-	for i := range v.HostName {
-		v.Order = append(v.Order, int32(i))
-	}
-	slices.SortFunc(v.Order, v.compareHosts(v.Busy))
 	v.Live = v.Live[:0]
-	for _, i := range v.Order {
-		if v.liveHost(i) {
-			v.Live = append(v.Live, i)
+	for i := range v.HostName {
+		if v.liveHost(int32(i)) {
+			v.Live = append(v.Live, int32(i))
 		}
 	}
+	slices.SortFunc(v.Live, v.compareHosts(v.Busy))
 }
 
 // liveHost reports whether host i belongs in Live: it is up and holds
@@ -193,7 +193,7 @@ func (v *View) liveHost(i int32) bool {
 
 // compareHosts orders host indices by (busy, HostName) under the given
 // per-host loads: the policies' unique total order, and the one
-// comparator that builds, re-sorts and repairs Order. It is written
+// comparator that builds, re-sorts and repairs Live. It is written
 // with < and != so every comparison decides as the historical less
 // function did. Under NameOrdered a busy tie is broken by index, which
 // is name order there, without comparing the names.
@@ -230,7 +230,6 @@ func (v *View) Clone() View {
 		Mem:         slices.Clone(v.Mem),
 		VMStart:     slices.Clone(v.VMStart),
 		VMCount:     slices.Clone(v.VMCount),
-		Order:       slices.Clone(v.Order),
 		Live:        slices.Clone(v.Live),
 		VMName:      slices.Clone(v.VMName),
 		VMMem:       slices.Clone(v.VMMem),
@@ -240,12 +239,49 @@ func (v *View) Clone() View {
 	}
 }
 
+// Rewind puts v, a Clone of base (or a view rewound to base) that Mark
+// and Update have since changed, back to what base.Clone() returns, and
+// keeps v's planning workspace and upkeep buffers, so a caller that
+// runs from one base view again and again copies it once. Only what
+// Update wrote is restored: each rewritten host's aggregates, down
+// flag, slot range and the arena slots of its range in base; the
+// arena's tail, where hosts that outgrew their ranges moved, is cleared
+// and cut off; Live is base's again; and pending marks are dropped. It
+// costs O(hosts rewritten + live hosts + tail slots). base must not
+// have changed since v was cloned from it.
+func (v *View) Rewind(base *View) {
+	u := &v.up
+	for _, i := range u.rewritten {
+		u.rewrote[i] = false
+		v.Down[i], v.Busy[i], v.Mem[i] = base.Down[i], base.Busy[i], base.Mem[i]
+		s, n := base.VMStart[i], base.VMCount[i]
+		v.VMStart[i], v.VMCount[i] = s, n
+		copy(v.VMName[s:s+n], base.VMName[s:s+n])
+		copy(v.VMMem[s:s+n], base.VMMem[s:s+n])
+		copy(v.VMBusy[s:s+n], base.VMBusy[s:s+n])
+		copy(v.VMDirty[s:s+n], base.VMDirty[s:s+n])
+	}
+	u.rewritten = u.rewritten[:0]
+	// A host's base range is written only in place, by that host, so
+	// everything past base's arena is the tail. Its names are cleared so
+	// the view keeps no reservation name alive.
+	m := len(base.VMName)
+	clear(v.VMName[m:])
+	v.VMName, v.VMMem, v.VMBusy, v.VMDirty = v.VMName[:m], v.VMMem[:m], v.VMBusy[:m], v.VMDirty[:m]
+	v.Live = append(v.Live[:0], base.Live...)
+	for _, i := range u.marks {
+		u.marked[i] = false
+	}
+	u.marks = u.marks[:0]
+}
+
 // Mark queues host i for the next Update. Marking a host twice queues
 // it once.
 func (v *View) Mark(i int32) {
 	u := &v.up
 	if u.marked == nil {
 		u.marked = make([]bool, v.hostCount())
+		u.rewrote = make([]bool, v.hostCount())
 	}
 	if !u.marked[i] {
 		u.marked[i] = true
@@ -253,49 +289,46 @@ func (v *View) Mark(i int32) {
 	}
 }
 
-// Update rewrites every marked host from fill and repairs Order and
-// Live, then clears the marks. fill appends host i's slots to dst, its
-// residents first and its reservations after them, and returns the
-// slots and whether the host is down; Update calls it once per marked
-// host and does not keep it. Update reports whether any host was
-// marked: when none was, the view is unchanged.
+// Update rewrites every marked host from fill and repairs Live, then
+// clears the marks. fill appends host i's slots to dst, its residents
+// first and its reservations after them, and returns the slots and
+// whether the host is down; Update calls it once per marked host and
+// does not keep it. Update reports whether any host was marked: when
+// none was, the view is unchanged.
 //
-// Order and Live are repaired without reading them entry by entry. Each
-// marked host is located by binary search under the loads the orders
-// were sorted by, before its rewrite changes them; the clean entries
-// between those positions keep their keys, so they stay sorted, and
-// repair rebuilds each order from bulk copies of those runs with each
-// rewritten host inserted at its new (busy, name) position. The order
-// is a unique total order, so the merge gives what a full sort gives.
-// A marked host leaves Live at its found position if it was live before
-// its rewrite, and enters it if it is live after; only a rewrite
-// changes whether a host is live. The comparator runs O(marked · log
-// hosts) times.
+// Live is repaired without reading it entry by entry. Each marked host
+// that is live before its rewrite is located by binary search under the
+// loads Live was sorted by, before its rewrite changes them; the clean
+// entries between those positions keep their keys, so they stay sorted,
+// and repair rebuilds Live from bulk copies of those runs with each
+// marked host that is live after its rewrite inserted at its new (busy,
+// name) position. Only a rewrite changes whether a host is live, so the
+// clean entries are exactly the live clean hosts, and the order is a
+// unique total order, so the merge gives what a full sort gives. The
+// comparator runs O(marked · log hosts) times.
 func (v *View) Update(fill func(i int32, dst []VMState) ([]VMState, bool)) bool {
 	u := &v.up
 	if len(u.marks) == 0 {
 		return false
 	}
 	compare := v.compareHosts(v.Busy)
-	u.removed, u.liveRemoved = u.removed[:0], u.liveRemoved[:0]
+	u.removed = u.removed[:0]
 	for _, i := range u.marks {
-		at, _ := slices.BinarySearchFunc(v.Order, i, compare)
-		u.removed = append(u.removed, at)
 		if v.liveHost(i) {
-			at, _ = slices.BinarySearchFunc(v.Live, i, compare)
-			u.liveRemoved = append(u.liveRemoved, at)
+			at, _ := slices.BinarySearchFunc(v.Live, i, compare)
+			u.removed = append(u.removed, at)
 		}
 	}
 	for _, i := range u.marks {
+		if !u.rewrote[i] {
+			u.rewrote[i] = true
+			u.rewritten = append(u.rewritten, i)
+		}
 		var down bool
 		u.slots, down = fill(i, u.slots[:0])
 		v.setSlots(i, u.slots, down)
 	}
 	slices.Sort(u.removed)
-	slices.Sort(u.liveRemoved)
-	slices.SortFunc(u.marks, compare)
-	out := slices.Grow(u.order[:0], len(v.Order))
-	v.Order, u.order = repair(v.Order, u.removed, u.marks, compare, out), v.Order[:0]
 	// The marks, filtered in place to the hosts live after their
 	// rewrite, are what enters Live.
 	live := u.marks[:0]
@@ -305,8 +338,9 @@ func (v *View) Update(fill func(i int32, dst []VMState) ([]VMState, bool)) bool 
 			live = append(live, i)
 		}
 	}
-	out = slices.Grow(u.live[:0], len(v.Live)+len(live))
-	v.Live, u.live = repair(v.Live, u.liveRemoved, live, compare, out), v.Live[:0]
+	slices.SortFunc(live, compare)
+	out := slices.Grow(u.live[:0], len(v.Live)+len(live))
+	v.Live, u.live = repair(v.Live, u.removed, live, compare, out), v.Live[:0]
 	u.marks = u.marks[:0]
 	return true
 }
@@ -464,24 +498,32 @@ func (w *vwork) counts() []int32 {
 	return cnt
 }
 
-// resort returns the drain order under the workspace's aggregates: a
-// copy of the view's Order re-sorted by the view's comparator, for a
-// plan whose evacuations moved some hosts' loads. Only then does it
-// fill the full-length key buffer the comparator reads.
+// resort returns the drain candidates in drain order under the
+// workspace's aggregates, for a plan whose evacuations moved some
+// hosts' loads: the view's Live and the touched hosts that are not in
+// it, sorted by the view's comparator. Only a touched host can change
+// whether it is live, so these are every host that may be live under
+// the plan. Only then does it fill the full-length key buffer the
+// comparator reads.
 func (w *vwork) resort() []int32 {
 	w.loads = append(w.loads[:0], w.v.Busy...)
 	for k, i := range w.touched {
 		w.loads[i] = w.over[k].busy
 	}
-	w.order = append(w.order[:0], w.v.Order...)
+	w.order = append(w.order[:0], w.v.Live...)
+	for _, i := range w.touched {
+		if !w.v.liveHost(i) {
+			w.order = append(w.order, i)
+		}
+	}
 	slices.SortFunc(w.order, w.v.compareHosts(w.loads))
 	return w.order
 }
 
 // liveOrder returns the live hosts in drain order under the plan so
 // far: the view's Live while the plan has touched no host, and
-// otherwise the re-sorted order, filtered in place by the workspace's
-// resident counts.
+// otherwise the re-sorted candidates, filtered in place by the
+// workspace's resident counts.
 func (w *vwork) liveOrder() []int32 {
 	if len(w.touched) == 0 {
 		return w.v.Live

@@ -269,23 +269,23 @@ func TestFleetCompileAllocCeiling(t *testing.T) {
 
 // TestFleetWarmRunAllocBytes holds a warm run of the 100k-host
 // drain-100k-rolling day under a byte ceiling: the spec compiles once,
-// a first run fills one memory cache and builds the layout's t=0 view
-// and run facts, and the second run, which runs no kernel and starts
-// from a copy of that view, is measured. What it allocates is its copy
-// of the view, the runtime state of the few hundred hosts its moves
+// a first run fills one memory cache, builds the layout's t=0 view and
+// run facts and hands its own view back, and the second run, which runs
+// no kernel and plans on that view rewound, is measured. What it
+// allocates is the runtime state of the few hundred hosts its moves
 // touch, the planning rounds and the report, whose freed-host list
-// names ~75k hosts. So a run that builds every host's and guest's
-// runtime state up front (22.0 MB in all), lays out and sorts its own
-// t=0 view (26.3 MB in all), builds a list with one entry per empty
-// host on every planning round (about 75k names a round), keeps dense
-// per-host overlay arrays in its planning workspace (41.3 MB in all),
-// or snapshots every host and its guests into the report (37.1 MB in
-// all), breaks the ceiling.
+// names ~75k hosts. So a run that copies the t=0 view (10.9 MB in all),
+// builds every host's and guest's runtime state up front (22.0 MB in
+// all), lays out and sorts its own t=0 view (26.3 MB in all), builds a
+// list with one entry per empty host on every planning round (about 75k
+// names a round), keeps dense per-host overlay arrays in its planning
+// workspace (41.3 MB in all), or snapshots every host and its guests
+// into the report (37.1 MB in all), breaks the ceiling.
 func TestFleetWarmRunAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race for the ceiling")
 	}
-	const ceiling = 14 << 20 // bytes allocated by the warm run (10.9 MB measured)
+	const ceiling = 4 << 20 // bytes allocated by the warm run (2.9 MB measured)
 	s, err := Load(filepath.Join(libraryDir, "drain-100k-rolling.json"))
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/experiments"
@@ -26,20 +25,45 @@ type ExecResult struct {
 // and the CLI's stdout stay byte-identical by construction, which is
 // what the CI smoke test pins. Output is written progressively; callers
 // that must not emit partial output on failure (HTTP handlers) pass a
-// buffer.
+// buffer. A failed write to w fails Exec with the write's error, unless
+// the run itself failed: once a write has failed, nothing more is
+// written.
 func Exec(ctx context.Context, w io.Writer, c *scenario.Compiled, workers int, cache *sim.Cache) (*ExecResult, error) {
+	out := &latchWriter{w: w}
+	res := &ExecResult{}
+	var err error
 	switch {
 	case c.Cluster != nil:
-		rep, err := execCluster(ctx, w, c.Spec, c.Cluster, workers, cache)
-		if err != nil {
-			return nil, err
-		}
-		return &ExecResult{Cluster: rep}, nil
+		res.Cluster, err = execCluster(ctx, out, c.Spec, c.Cluster, workers, cache)
 	case c.Plan != nil:
-		return &ExecResult{}, execPlan(ctx, w, c.Spec, c.Plan, workers, cache)
+		err = execPlan(ctx, out, c.Spec, c.Plan, workers, cache)
 	default:
-		return &ExecResult{}, execRuns(ctx, w, c.Spec, c.Runs, workers, cache)
+		err = execRuns(ctx, out, c.Spec, c.Runs, workers, cache)
 	}
+	if err == nil {
+		err = out.err
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// latchWriter passes writes to w until one fails, keeps that first
+// error and drops every later write, so the renderers write without
+// checking each line and Exec reports the loss once.
+type latchWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (l *latchWriter) Write(p []byte) (int, error) {
+	if l.err != nil {
+		return 0, l.err
+	}
+	n, err := l.w.Write(p)
+	l.err = err
+	return n, err
 }
 
 // execRuns executes the migration blocks of one spec and prints one
@@ -133,8 +157,7 @@ func execCluster(ctx context.Context, w io.Writer, s *scenario.Spec, cr *scenari
 			a.Start.Seconds(), a.End.Seconds(), a.Energy.KiloJoules(), a.Reason)
 	}
 	if len(rep.FreedHosts) > 0 {
-		fmt.Fprintf(w, "   freed %s  (%.0f W idle reclaimed)\n",
-			strings.Join(rep.FreedHosts, ", "), float64(rep.IdleSavings))
+		writeFreed(w, rep.FreedHosts, rep.IdleSavings)
 	}
 	if len(cr.Config.Failures) > 0 {
 		deadline := "met"
@@ -147,4 +170,26 @@ func execCluster(ctx context.Context, w io.Writer, s *scenario.Spec, cr *scenari
 	fmt.Fprintf(w, "   total %d move(s)  %9.3f kJ  makespan %9.1fs\n",
 		len(rep.Timeline), rep.TotalEnergy.KiloJoules(), rep.Makespan.Seconds())
 	return rep, nil
+}
+
+// writeFreed renders the freed-host line — the hosts joined by ", ",
+// then the idle power reclaimed — into one buffer of exactly its size
+// and writes it once, to Exec's latchWriter, which keeps any error. At
+// fleet scale the line names ~75k hosts (~1 MB), which strings.Join and
+// then fmt's own buffer would each copy.
+func writeFreed(w io.Writer, hosts []string, idle units.Watts) {
+	const head, sep = "   freed ", ", "
+	tail := fmt.Sprintf("  (%.0f W idle reclaimed)\n", float64(idle))
+	n := len(head) + len(sep)*(len(hosts)-1) + len(tail)
+	for _, h := range hosts {
+		n += len(h)
+	}
+	line := append(make([]byte, 0, n), head...)
+	for i, h := range hosts {
+		if i > 0 {
+			line = append(line, sep...)
+		}
+		line = append(line, h...)
+	}
+	w.Write(append(line, tail...))
 }

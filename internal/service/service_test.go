@@ -450,6 +450,90 @@ func TestPlanExecCancelled(t *testing.T) {
 	}
 }
 
+// errFull is the failure of a failAfter writer.
+var errFull = errors.New("no space left")
+
+// failAfter is a writer with room for n bytes: a write that does not
+// fit takes what fits and fails, as a full device does, and so does
+// every write after it, which late counts.
+type failAfter struct {
+	n, late int
+	failed  bool
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if f.failed {
+		f.late++
+		return 0, errFull
+	}
+	if len(p) > f.n {
+		k := f.n
+		f.n, f.failed = 0, true
+		return k, errFull
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestExecReportsWriteErrors runs one scenario of each form — migration
+// blocks, a move plan and a cluster timeline — into a writer with room
+// for fewer bytes than the scenario renders: Exec must fail with the
+// writer's error, and write nothing more after the failed write. With
+// room for every byte it must succeed. The cluster form is also cut off
+// inside its freed-host line, which is written in one piece.
+func TestExecReportsWriteErrors(t *testing.T) {
+	cache := sim.NewCache(0)
+	for _, c := range []struct{ form, file string }{
+		{"migration", "nonlive-baseline.json"},
+		{"plan", "consolidation-sweep.json"},
+		{"cluster", "drain-16-maintenance.json"},
+	} {
+		spec, err := scenario.Load(filepath.Join(scenarioDir, c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled, err := spec.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		form := "migration"
+		switch {
+		case compiled.Cluster != nil:
+			form = "cluster"
+		case compiled.Plan != nil:
+			form = "plan"
+		}
+		if form != c.form {
+			t.Fatalf("fixture drift: %s is a %s-form spec, not a %s-form one", c.file, form, c.form)
+		}
+		var buf bytes.Buffer
+		if _, err := Exec(context.Background(), &buf, compiled, 0, cache); err != nil {
+			t.Fatalf("%s: %v", c.file, err)
+		}
+		out := buf.String()
+		room := []int{0, len(out) / 2, len(out) - 1}
+		if c.form == "cluster" {
+			at := strings.Index(out, "   freed ")
+			if at < 0 {
+				t.Fatalf("fixture drift: %s frees no host", c.file)
+			}
+			room = append(room, at+12)
+		}
+		for _, n := range room {
+			w := &failAfter{n: n}
+			if _, err := Exec(context.Background(), w, compiled, 0, cache); !errors.Is(err, errFull) {
+				t.Errorf("%s form, room for %d of %d bytes: Exec err = %v, want the write error", c.form, n, len(out), err)
+			}
+			if w.late > 0 {
+				t.Errorf("%s form, room for %d of %d bytes: Exec wrote %d more times after a failed write", c.form, n, len(out), w.late)
+			}
+		}
+		if _, err := Exec(context.Background(), &failAfter{n: len(out)}, compiled, 0, cache); err != nil {
+			t.Errorf("%s form, room for every byte: Exec err = %v", c.form, err)
+		}
+	}
+}
+
 func TestRunRequestRejections(t *testing.T) {
 	_, url := newTestServer(t, Config{ScenarioDir: scenarioDir})
 	cases := []struct {
