@@ -47,19 +47,23 @@ func modelPhases() []trace.Phase {
 	return []trace.Phase{trace.PhaseInitiation, trace.PhaseTransfer, trace.PhaseActivation}
 }
 
-// featureRow builds the design-matrix row for one observation of a phase.
-// The transfer phase of a non-live migration omits the DR and CPU(v)
-// regressors: the guest is suspended throughout, so the columns would be
-// identically zero and the design rank deficient.
-func featureRow(kind migration.Kind, ph trace.Phase, o trace.Observation) []float64 {
+// maxFeatures is the widest feature row of any phase: the live transfer
+// phase's four regressors.
+const maxFeatures = 4
+
+// appendFeatures appends the design-matrix row of one observation of a
+// phase to dst. The transfer phase of a non-live migration omits the DR
+// and CPU(v) regressors: the guest is suspended throughout, so the
+// columns would be identically zero and the design rank deficient.
+func appendFeatures(dst []float64, kind migration.Kind, ph trace.Phase, o trace.Observation) []float64 {
 	switch ph {
 	case trace.PhaseTransfer:
 		if kind == migration.Live {
-			return []float64{float64(o.HostCPU), float64(o.Bandwidth), float64(o.DirtyRatio), float64(o.VMCPU)}
+			return append(dst, float64(o.HostCPU), float64(o.Bandwidth), float64(o.DirtyRatio), float64(o.VMCPU))
 		}
-		return []float64{float64(o.HostCPU), float64(o.Bandwidth)}
+		return append(dst, float64(o.HostCPU), float64(o.Bandwidth))
 	default:
-		return []float64{float64(o.HostCPU), float64(o.VMCPU)}
+		return append(dst, float64(o.HostCPU), float64(o.VMCPU))
 	}
 }
 
@@ -80,14 +84,16 @@ func coeffsFrom(kind migration.Kind, ph trace.Phase, beta []float64) PhaseCoeffs
 	return pc
 }
 
-// fitPhase runs the constrained least-squares fit for one phase. Feature
-// columns that are identically zero in the data (e.g. CPU(v,t) on the
-// target during initiation, where the guest does not exist yet) are
-// excluded from the design — they carry no information and would make it
-// rank deficient — and their coefficients reported as exact zeros, which
-// is how the paper's Tables III/IV show β(i)=0 for the target.
-func fitPhase(rows [][]float64, y []float64) ([]float64, error) {
-	nf := len(rows[0])
+// fitPhase runs the constrained least-squares fit for one phase over the
+// row-major features feat (nf values per observation) and the targets y.
+// Feature columns that are identically zero in the data (e.g. CPU(v,t)
+// on the target during initiation, where the guest does not exist yet)
+// are excluded from the design — they carry no information and would
+// make it rank deficient — and their coefficients reported as exact
+// zeros, which is how the paper's Tables III/IV show β(i)=0 for the
+// target.
+func fitPhase(feat []float64, nf int, y []float64) ([]float64, error) {
+	n := len(y)
 	// A column with (numerically) no variation carries no information
 	// beyond the intercept: identically-zero regressors (CPU(v,t) on the
 	// target before activation) and constants (HostCPU on an idle-only
@@ -95,13 +101,13 @@ func fitPhase(rows [][]float64, y []float64) ([]float64, error) {
 	// the bias.
 	live := make([]int, 0, nf)
 	for j := 0; j < nf; j++ {
-		lo, hi := rows[0][j], rows[0][j]
-		for _, r := range rows {
-			if r[j] < lo {
-				lo = r[j]
+		lo, hi := feat[j], feat[j]
+		for i := j; i < len(feat); i += nf {
+			if feat[i] < lo {
+				lo = feat[i]
 			}
-			if r[j] > hi {
-				hi = r[j]
+			if feat[i] > hi {
+				hi = feat[i]
 			}
 		}
 		scale := math.Max(math.Abs(hi), 1)
@@ -114,30 +120,22 @@ func fitPhase(rows [][]float64, y []float64) ([]float64, error) {
 	// deficient (e.g. two proportional regressors in a degenerate training
 	// subset), drop trailing columns until it is solvable — a conservative
 	// fallback that always terminates at the intercept-only model.
-	for len(live) >= 0 {
-		reduced := make([][]float64, len(rows))
-		for i, r := range rows {
-			rr := make([]float64, len(live))
+	for {
+		// The design: an intercept column of ones (the paper's constants
+		// C), then the live features.
+		x := stats.NewMatrix(n, len(live)+1)
+		for i := 0; i < n; i++ {
+			row := feat[i*nf : (i+1)*nf]
+			x.Set(i, 0, 1)
 			for jj, j := range live {
-				rr[jj] = r[j]
+				x.Set(i, jj+1, row[j])
 			}
-			reduced[i] = rr
-		}
-		var x *stats.Matrix
-		var err error
-		if len(live) == 0 {
-			x = stats.NewMatrix(len(rows), 1)
-			for i := 0; i < len(rows); i++ {
-				x.Set(i, 0, 1)
-			}
-		} else if x, err = stats.DesignMatrix(reduced, true); err != nil {
-			return nil, err
 		}
 		// Constrain every slope (all columns but the intercept) to be
 		// non-negative; power cannot fall when load rises.
-		constrained := make([]int, 0, x.Cols()-1)
-		for j := 1; j < x.Cols(); j++ {
-			constrained = append(constrained, j)
+		constrained := make([]int, len(live))
+		for jj := range constrained {
+			constrained[jj] = jj + 1
 		}
 		fit, err := stats.NonNegativeOLS(x, y, constrained)
 		if errors.Is(err, stats.ErrRankDeficient) && len(live) > 0 {
@@ -154,41 +152,51 @@ func fitPhase(rows [][]float64, y []float64) ([]float64, error) {
 		}
 		return out, nil
 	}
-	return nil, stats.ErrRankDeficient
 }
 
 // Train fits WAVM3 for one migration kind from the training dataset,
 // producing one coefficient set per role per phase. The fit is least
 // squares with non-negativity on the physical slopes, which reproduces the
 // exact zeros of the paper's Tables III/IV (e.g. β(i)=0 on the target,
-// where CPU(v,t) is identically zero during initiation).
+// where CPU(v,t) is identically zero during initiation). Each (role,
+// phase) is gathered into one flat feature buffer and one target buffer,
+// both reused across the call.
 func Train(ds *Dataset, kind migration.Kind) (*Model, error) {
 	if ds == nil || ds.Len() == 0 {
 		return nil, errors.New("core: empty training dataset")
 	}
 	m := &Model{Kind: kind, Coeffs: make(map[Role]map[trace.Phase]PhaseCoeffs)}
+	var feat, y []float64
 	for _, role := range Roles() {
 		recs := ds.Filter(kind, role)
 		if len(recs) == 0 {
 			return nil, fmt.Errorf("core: no %v/%v records to train on", kind, role)
 		}
+		// Size the buffers for every observation of the role, so no phase
+		// regrows them.
+		obs := 0
+		for _, rec := range recs {
+			obs += len(rec.Obs)
+		}
+		if cap(y) < obs {
+			feat, y = make([]float64, 0, obs*maxFeatures), make([]float64, 0, obs)
+		}
 		m.Coeffs[role] = make(map[trace.Phase]PhaseCoeffs)
 		for _, ph := range modelPhases() {
-			var rows [][]float64
-			var y []float64
+			feat, y = feat[:0], y[:0]
 			for _, rec := range recs {
 				for _, o := range rec.Obs {
 					if o.Phase != ph {
 						continue
 					}
-					rows = append(rows, featureRow(kind, ph, o))
+					feat = appendFeatures(feat, kind, ph, o)
 					y = append(y, float64(o.Power))
 				}
 			}
-			if len(rows) < 4 {
-				return nil, fmt.Errorf("core: only %d %v readings for %v/%v", len(rows), ph, kind, role)
+			if len(y) < 4 {
+				return nil, fmt.Errorf("core: only %d %v readings for %v/%v", len(y), ph, kind, role)
 			}
-			beta, err := fitPhase(rows, y)
+			beta, err := fitPhase(feat, len(feat)/len(y), y)
 			if err != nil {
 				return nil, fmt.Errorf("core: fitting %v/%v/%v: %w", kind, role, ph, err)
 			}
@@ -208,6 +216,12 @@ func (m *Model) PredictPower(role Role, o trace.Observation) (units.Watts, error
 	if !ok {
 		return 0, fmt.Errorf("core: model has no coefficients for phase %v", o.Phase)
 	}
+	return m.power(pc, o), nil
+}
+
+// power evaluates Eqs. 5–7 for one observation with its phase's
+// coefficients, shifted by the model's bias and clamped at zero.
+func (m *Model) power(pc PhaseCoeffs, o trace.Observation) units.Watts {
 	var p float64
 	switch o.Phase {
 	case trace.PhaseTransfer:
@@ -220,13 +234,13 @@ func (m *Model) PredictPower(role Role, o trace.Observation) (units.Watts, error
 	if p < 0 {
 		p = 0
 	}
-	return units.Watts(p), nil
+	return units.Watts(p)
 }
 
 // PredictEnergy implements EnergyModel: Eq. 3's integral of the predicted
 // per-phase powers over the migration, evaluated with the trapezoidal rule
 // on the observation timestamps (Eq. 4's per-phase sum falls out of the
-// phase labels).
+// phase labels). The record's role coefficients are looked up once.
 func (m *Model) PredictEnergy(r *RunRecord) (units.Joules, error) {
 	if err := r.Validate(); err != nil {
 		return 0, err
@@ -234,13 +248,18 @@ func (m *Model) PredictEnergy(r *RunRecord) (units.Joules, error) {
 	if r.Kind != m.Kind {
 		return 0, fmt.Errorf("core: %v model cannot predict a %v run", m.Kind, r.Kind)
 	}
+	phases, ok := m.Coeffs[r.Role]
+	if !ok {
+		return 0, fmt.Errorf("core: model has no coefficients for role %v", r.Role)
+	}
 	pred := &trace.PowerTrace{Host: r.RunID}
+	pred.Reserve(len(r.Obs))
 	for _, o := range r.Obs {
-		w, err := m.PredictPower(r.Role, o)
-		if err != nil {
-			return 0, err
+		pc, ok := phases[o.Phase]
+		if !ok {
+			return 0, fmt.Errorf("core: model has no coefficients for phase %v", o.Phase)
 		}
-		if err := pred.Append(o.At, w); err != nil {
+		if err := pred.Append(o.At, m.power(pc, o)); err != nil {
 			return 0, err
 		}
 	}

@@ -68,17 +68,28 @@ func cloneDataset(ds *core.Dataset) *core.Dataset {
 	return out
 }
 
+// restoreObs copies the observations of src back into dst, a
+// cloneDataset copy of it.
+func restoreObs(dst, src *core.Dataset) {
+	for i, r := range dst.Runs {
+		copy(r.Obs, src.Runs[i].Obs)
+	}
+}
+
 // AblateLive runs the feature-ablation study on a suite's live-migration
 // data: for each variant, zero the feature in copies of the train and test
-// sets, retrain, and evaluate per role.
+// sets, retrain, and evaluate per role. One copy of each set serves every
+// variant: its observations are copied back from the suite's before the
+// variant zeroes its feature.
 func AblateLive(s *Suite) ([]Ablation, error) {
 	if s == nil || s.TrainM == nil || s.TestM == nil {
 		return nil, errors.New("experiments: ablation needs a built suite")
 	}
+	train, test := cloneDataset(s.TrainM), cloneDataset(s.TestM)
 	var out []Ablation
 	for _, v := range ablationVariants() {
-		train := cloneDataset(s.TrainM)
-		test := cloneDataset(s.TestM)
+		restoreObs(train, s.TrainM)
+		restoreObs(test, s.TestM)
 		for _, r := range train.Runs {
 			v.zero(r)
 		}

@@ -355,7 +355,8 @@ func (m *Meter) config(scenario string) (sim.MeterConfig, error) {
 // Repeat is the repeat policy: how many times each compiled run executes
 // and when the paper's variance-convergence rule stops it.
 type Repeat struct {
-	// MinRuns is the repeat floor; at least 2 (the default).
+	// MinRuns is the repeat floor; at least 2 (the default) and at most
+	// sim.MaxRuns, where every repeat sequence stops.
 	MinRuns int `json:"min_runs,omitempty"`
 	// VarianceTol is the convergence tolerance; 0 selects 0.5.
 	VarianceTol float64 `json:"variance_tol,omitempty"`
@@ -682,6 +683,9 @@ func (s *Spec) compileMigration(kind migration.Kind) (*Compiled, error) {
 	if r := s.Repeat; r != nil {
 		if r.MinRuns == 1 || r.MinRuns < 0 {
 			return nil, errf(name, "repeat.min_runs", "need at least 2 runs for the variance rule, got %d", r.MinRuns)
+		}
+		if r.MinRuns > sim.MaxRuns {
+			return nil, errf(name, "repeat.min_runs", "a scenario repeats at most %d times, got a floor of %d", sim.MaxRuns, r.MinRuns)
 		}
 		if r.VarianceTol < 0 {
 			return nil, errf(name, "repeat.variance_tol", "must be non-negative, got %v", r.VarianceTol)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/migration"
+	"repro/internal/sim"
 	"repro/internal/vm"
 )
 
@@ -213,6 +214,7 @@ func TestValidationFailurePaths(t *testing.T) {
 		{"bad meter period", func(s *Spec) { s.Meter = &Meter{PeriodMS: 250} }, "meter"},
 		{"meter period overflows a duration", func(s *Spec) { s.Meter = &Meter{PeriodMS: 1 << 58} }, "meter.period_ms"},
 		{"one repeat run", func(s *Spec) { s.Repeat = &Repeat{MinRuns: 1} }, "repeat.min_runs"},
+		{"repeat floor above the run cap", func(s *Spec) { s.Repeat = &Repeat{MinRuns: sim.MaxRuns + 1} }, "repeat.min_runs"},
 		{"negative variance tol", func(s *Spec) { s.Repeat = &Repeat{VarianceTol: -0.1} }, "repeat.variance_tol"},
 		{"duplicate phase names", func(s *Spec) {
 			s.Phases = []PhaseSpec{

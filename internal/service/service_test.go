@@ -329,11 +329,12 @@ func TestConcurrentByNameRunsShareCompiled(t *testing.T) {
 
 // TestRunRefusalsOfTheSpec: a spec whose own values the run cannot
 // carry out answers 422 with the field path, whether Compile refuses it
-// (load VMs that do not fit, a move from a host its VM is not on, a
-// move into a host that crashes first, a guest busier than its host) or
-// only the run can tell (a move of a VM still in flight, a move into a
-// host whose residents lower to more load VMs than the testbed holds);
-// a 500 stays for the daemon's own faults.
+// (load VMs that do not fit, a repeat floor above the run cap, a move
+// from a host its VM is not on, a move into a host that crashes first,
+// a guest busier than its host) or only the run can tell (a move of a
+// VM still in flight, a move into a host whose residents lower to more
+// load VMs than the testbed holds); a 500 stays for the daemon's own
+// faults.
 func TestRunRefusalsOfTheSpec(t *testing.T) {
 	_, url := newTestServer(t, Config{Cache: sim.NewCache(0)})
 	load := func(name string) map[string]any {
@@ -365,6 +366,9 @@ func TestRunRefusalsOfTheSpec(t *testing.T) {
 	}{
 		{"load VMs overfill the source", "c1-cpuload-live.json", func(m map[string]any) { m["source_load_vms"] = 56 }, "source_load_vms"},
 		{"load VMs overfill the target", "c1-cpuload-live.json", func(m map[string]any) { m["target_load_vms"] = 56 }, "target_load_vms"},
+		{"repeat floor above the run cap", "nonlive-baseline.json", func(m map[string]any) {
+			m["repeat"] = map[string]any{"min_runs": 60}
+		}, "repeat.min_runs"},
 		{"move from a host its VM is not on", "contended-links-4.json", func(m map[string]any) {
 			moves(m)[0].(map[string]any)["from"] = "c3"
 		}, "cluster.moves[0].from"},

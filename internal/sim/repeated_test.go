@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/migration"
@@ -73,5 +74,24 @@ func TestRunRepeatedSeedDerivation(t *testing.T) {
 		if r.Scenario.Seed != want {
 			t.Errorf("run %d seed = %d, want %d", i, r.Scenario.Seed, want)
 		}
+	}
+}
+
+// TestRunRepeatedRefusesFloorAboveCap: a repeat floor above MaxRuns can
+// never be met, since the sequence stops at MaxRuns; both repeat drivers
+// refuse it before any run, where they used to return MaxRuns runs.
+func TestRunRepeatedRefusesFloorAboveCap(t *testing.T) {
+	c := NewCache(0)
+	for name, repeat := range map[string]func(context.Context, Scenario, int, float64, int) ([]*RunResult, error){
+		"RunRepeatedCtx":     c.RunRepeatedCtx,
+		"SummaryRepeatedCtx": c.SummaryRepeatedCtx,
+	} {
+		runs, err := repeat(context.Background(), repeatedScenario(3), MaxRuns+10, 0.1, 2)
+		if err == nil || !strings.Contains(err.Error(), "exceeds the cap") {
+			t.Errorf("%s with a floor of %d: %d runs, error %v; want a refusal", name, MaxRuns+10, len(runs), err)
+		}
+	}
+	if st := c.Snapshot(); st.KernelRuns != 0 {
+		t.Errorf("refused floors ran %d kernels, want 0", st.KernelRuns)
 	}
 }

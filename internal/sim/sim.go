@@ -460,7 +460,8 @@ func expectedSteps(sc Scenario, spec hw.MachineSpec) int {
 // RunRepeatedCtx executes a scenario until the paper's variance-
 // convergence rule holds on the total source-side migration energy: at
 // least minRuns runs, and the variance change from adding the latest run
-// below tol. Run i always gets seed sc.Seed + i*1009 and the rule is
+// below tol, or MaxRuns runs. A floor below 2 or above MaxRuns is
+// refused before any run. Run i always gets seed sc.Seed + i*1009 and the rule is
 // applied to run prefixes in index order, so every worker count (<= 0
 // means runtime.NumCPU()) returns the bit-identical run sequence; workers
 // only changes how many speculative runs execute concurrently. Each run
@@ -477,21 +478,28 @@ func (c *Cache) SummaryRepeatedCtx(ctx context.Context, sc Scenario, minRuns int
 	return runRepeated(ctx, c, sc, minRuns, tol, workers, false)
 }
 
+// MaxRuns caps the runs of one repeated scenario: the repeat sequence
+// stops there whether or not the variance rule has held. A repeat floor
+// above it could never be met, so RunRepeatedCtx refuses one.
+const MaxRuns = 50
+
 // runRepeated answers each run through c.lookup with the given traces
 // flag.
 func runRepeated(ctx context.Context, c *Cache, sc Scenario, minRuns int, tol float64, workers int, traces bool) ([]*RunResult, error) {
 	if minRuns < 2 {
 		return nil, errors.New("sim: need at least two runs")
 	}
-	const maxRuns = 50
+	if minRuns > MaxRuns {
+		return nil, fmt.Errorf("sim: a repeat floor of %d runs exceeds the cap of %d", minRuns, MaxRuns)
+	}
 	// The convergence rule inspects growing prefixes in index order
 	// (parallel.UntilCtx's contract), so the per-run energies accumulate
 	// incrementally instead of being rebuilt from the whole prefix on
 	// every check — the check stays O(new runs), not O(prefix²).
-	energies := make([]float64, 0, maxRuns)
+	energies := make([]float64, 0, MaxRuns)
 	// minRuns is the first-batch hint: convergence cannot fire earlier, so
 	// speculating past it before the first variance check is pure waste.
-	return parallel.UntilCtx(ctx, workers, maxRuns, minRuns,
+	return parallel.UntilCtx(ctx, workers, MaxRuns, minRuns,
 		func(i int) (*RunResult, error) {
 			run := sc
 			run.Seed = sc.Seed + int64(i)*1009

@@ -55,10 +55,20 @@ func (m *Matrix) Set(i, j int, v float64) {
 	m.data[i*m.cols+j] = v
 }
 
+// check panics on an index outside the matrix. The panic value formats
+// its message only when printed, so check, At and Set stay small enough
+// to inline.
 func (m *Matrix) check(i, j int) {
-	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("stats: index (%d,%d) out of bounds for %d×%d matrix", i, j, m.rows, m.cols))
+	if uint(i) >= uint(m.rows) || uint(j) >= uint(m.cols) {
+		panic(indexError{i, j, m.rows, m.cols})
 	}
+}
+
+// indexError is the panic value of an out-of-bounds access.
+type indexError struct{ i, j, rows, cols int }
+
+func (e indexError) Error() string {
+	return fmt.Sprintf("stats: index (%d,%d) out of bounds for %d×%d matrix", e.i, e.j, e.rows, e.cols)
 }
 
 // Row returns a copy of row i.

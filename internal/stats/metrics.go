@@ -114,7 +114,9 @@ type ErrorReport struct {
 	NRMSE float64
 }
 
-// Errors computes MAE, RMSE and NRMSE in one pass over the pair of series.
+// Errors computes MAE, RMSE and NRMSE over the pair of series, one
+// metric at a time: three walks of the pair (NRMSE computes the RMSE
+// again) and two of actual for NRMSE's range.
 func Errors(predicted, actual []float64) (ErrorReport, error) {
 	var rep ErrorReport
 	var err error

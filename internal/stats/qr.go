@@ -20,13 +20,15 @@ type QR struct {
 var ErrRankDeficient = errors.New("stats: matrix is rank deficient")
 
 // DecomposeQR computes the Householder QR decomposition of a. It requires
-// at least as many rows as columns.
+// at least as many rows as columns. The loops index the copy's row-major
+// backing slice directly, element (i, j) at i·n + j.
 func DecomposeQR(a *Matrix) (*QR, error) {
 	m, n := a.Rows(), a.Cols()
 	if m < n {
 		return nil, errors.New("stats: QR requires rows >= cols")
 	}
 	qr := a.Clone()
+	d := qr.data
 	tau := make([]float64, n)
 
 	for k := 0; k < n; k++ {
@@ -34,7 +36,7 @@ func DecomposeQR(a *Matrix) (*QR, error) {
 		// diagonal.
 		normX := 0.0
 		for i := k; i < m; i++ {
-			v := qr.At(i, k)
+			v := d[i*n+k]
 			normX += v * v
 		}
 		normX = math.Sqrt(normX)
@@ -42,29 +44,29 @@ func DecomposeQR(a *Matrix) (*QR, error) {
 			tau[k] = 0
 			continue
 		}
-		alpha := qr.At(k, k)
+		alpha := d[k*n+k]
 		if alpha > 0 {
 			normX = -normX
 		}
 		// v = x - normX * e1, normalised so v[0] = 1.
 		v0 := alpha - normX
-		qr.Set(k, k, normX)
+		d[k*n+k] = normX
 		for i := k + 1; i < m; i++ {
-			qr.Set(i, k, qr.At(i, k)/v0)
+			d[i*n+k] /= v0
 		}
 		tau[k] = -v0 / normX
 
 		// Apply the reflector to the remaining columns:
 		// A := (I - tau v vᵀ) A.
 		for j := k + 1; j < n; j++ {
-			s := qr.At(k, j)
+			s := d[k*n+j]
 			for i := k + 1; i < m; i++ {
-				s += qr.At(i, k) * qr.At(i, j)
+				s += d[i*n+k] * d[i*n+j]
 			}
 			s *= tau[k]
-			qr.Set(k, j, qr.At(k, j)-s)
+			d[k*n+j] -= s
 			for i := k + 1; i < m; i++ {
-				qr.Set(i, j, qr.At(i, j)-s*qr.At(i, k))
+				d[i*n+j] -= s * d[i*n+k]
 			}
 		}
 	}
@@ -111,18 +113,19 @@ func (q *QR) Q() *Matrix {
 
 // applyQT overwrites b with Qᵀ·b.
 func (q *QR) applyQT(b []float64) {
-	for k := 0; k < q.n; k++ {
+	d, n := q.qr.data, q.n
+	for k := 0; k < n; k++ {
 		if q.tau[k] == 0 {
 			continue
 		}
 		s := b[k]
 		for i := k + 1; i < q.m; i++ {
-			s += q.qr.At(i, k) * b[i]
+			s += d[i*n+k] * b[i]
 		}
 		s *= q.tau[k]
 		b[k] -= s
 		for i := k + 1; i < q.m; i++ {
-			b[i] -= s * q.qr.At(i, k)
+			b[i] -= s * d[i*n+k]
 		}
 	}
 }
@@ -137,12 +140,13 @@ func (q *QR) Solve(b []float64) ([]float64, error) {
 	// tiny against its own column's norm in R. A global tolerance would
 	// miss collinear columns whose magnitude dwarfs the others (e.g. a
 	// bandwidth regressor in bit/s next to a unit intercept).
-	colNorm := make([]float64, q.n)
+	d, n := q.qr.data, q.n
+	colNorm := make([]float64, n)
 	anySignal := false
-	for j := 0; j < q.n; j++ {
+	for j := 0; j < n; j++ {
 		s := 0.0
 		for i := 0; i <= j; i++ {
-			v := q.qr.At(i, j)
+			v := d[i*n+j]
 			s += v * v
 		}
 		colNorm[j] = math.Sqrt(s)
@@ -158,17 +162,17 @@ func (q *QR) Solve(b []float64) ([]float64, error) {
 	copy(work, b)
 	q.applyQT(work)
 
-	x := make([]float64, q.n)
-	for i := q.n - 1; i >= 0; i-- {
-		d := q.qr.At(i, i)
-		if math.Abs(d) <= 1e-10*colNorm[i] {
+	x := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
+		rii := d[i*n+i]
+		if math.Abs(rii) <= 1e-10*colNorm[i] {
 			return nil, ErrRankDeficient
 		}
 		s := work[i]
-		for j := i + 1; j < q.n; j++ {
-			s -= q.qr.At(i, j) * x[j]
+		for j := i + 1; j < n; j++ {
+			s -= d[i*n+j] * x[j]
 		}
-		x[i] = s / d
+		x[i] = s / rii
 	}
 	return x, nil
 }

@@ -61,31 +61,40 @@ func OLS(x *Matrix, y []float64) (*LinearFit, error) {
 // physical coefficients (power per unit CPU, per unit bandwidth, …) are
 // non-negative by construction, and Tables III/IV contain exact zeros
 // (e.g. β(i) on the target, γ(t) on the target) that this reproduces.
+// While no column is clamped the fit runs on x itself, which DecomposeQR
+// copies; after a clamp it runs on a copy of the kept columns.
 func NonNegativeOLS(x *Matrix, y []float64, constrained []int) (*LinearFit, error) {
-	active := make(map[int]bool) // columns forced to zero
-	isConstrained := make(map[int]bool, len(constrained))
+	cols := x.Cols()
+	clamped := make([]bool, cols)
+	isConstrained := make([]bool, cols)
 	for _, c := range constrained {
-		if c < 0 || c >= x.Cols() {
+		if c < 0 || c >= cols {
 			return nil, fmt.Errorf("stats: constrained column %d out of range", c)
 		}
 		isConstrained[c] = true
 	}
 
-	for iter := 0; iter <= x.Cols(); iter++ {
-		// Build the reduced design without the zeroed columns.
-		keep := make([]int, 0, x.Cols())
-		for j := 0; j < x.Cols(); j++ {
-			if !active[j] {
+	keep := make([]int, 0, cols)
+	for iter := 0; iter <= cols; iter++ {
+		keep = keep[:0]
+		for j := 0; j < cols; j++ {
+			if !clamped[j] {
 				keep = append(keep, j)
 			}
 		}
 		if len(keep) == 0 {
 			return nil, errors.New("stats: all columns constrained to zero")
 		}
-		red := NewMatrix(x.Rows(), len(keep))
-		for i := 0; i < x.Rows(); i++ {
-			for jj, j := range keep {
-				red.Set(i, jj, x.At(i, j))
+		red := x
+		if len(keep) < cols {
+			// Build the reduced design without the clamped columns.
+			red = NewMatrix(x.rows, len(keep))
+			for i := 0; i < x.rows; i++ {
+				src := x.data[i*cols : (i+1)*cols]
+				dst := red.data[i*len(keep) : (i+1)*len(keep)]
+				for jj, j := range keep {
+					dst[jj] = src[j]
+				}
 			}
 		}
 		fit, err := OLS(red, y)
@@ -100,15 +109,17 @@ func NonNegativeOLS(x *Matrix, y []float64, constrained []int) (*LinearFit, erro
 			}
 		}
 		if worst < 0 {
-			// Feasible: expand back to full coefficient vector.
-			full := make([]float64, x.Cols())
-			for jj, j := range keep {
-				full[j] = fit.Coeffs[jj]
+			if len(keep) < cols {
+				// Feasible: expand back to full coefficient vector.
+				full := make([]float64, cols)
+				for jj, j := range keep {
+					full[j] = fit.Coeffs[jj]
+				}
+				fit.Coeffs = full
 			}
-			fit.Coeffs = full
 			return fit, nil
 		}
-		active[worst] = true
+		clamped[worst] = true
 	}
 	return nil, errors.New("stats: non-negative OLS did not converge")
 }

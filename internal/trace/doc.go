@@ -11,7 +11,10 @@
 // te, me). EnergyByPhase turns a power trace plus boundaries into the
 // paper's four per-phase energy metrics, and Align zips power and
 // features into the Observation rows that regression datasets
-// (internal/core) are built from. Time lookups use sort.Search over the
-// monotone sample times; traces are treated as immutable once a run
-// completes, which is what lets the run cache share them between hits.
+// (internal/core) are built from. Window lookups (Slice, EnergyBetween,
+// Align's migration window) use sort.Search over the monotone sample
+// times; walks that query a whole span in time order (Align's feature
+// join, Resample, AverageTraces) move forward cursors instead. Traces
+// are treated as immutable once a run completes, which is what lets the
+// run cache share them between hits.
 package trace

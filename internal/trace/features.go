@@ -3,7 +3,6 @@ package trace
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/units"
@@ -54,24 +53,34 @@ func (f *FeatureTrace) Reserve(n int) {
 	f.Samples = s
 }
 
-// At returns the feature sample nearest to t (ties resolve to the earlier
-// sample). It errors on an empty trace.
-func (f *FeatureTrace) At(t time.Duration) (FeatureSample, error) {
-	n := len(f.Samples)
-	if n == 0 {
-		return FeatureSample{}, errors.New("trace: empty feature trace")
+// featureCursor answers nearest-sample queries on a feature trace in
+// non-decreasing query order, walking forward over the samples instead
+// of searching them, so a whole walk costs one pass. It relies on the
+// non-decreasing time order Append enforces.
+type featureCursor struct {
+	samples []FeatureSample
+	next    int // the first sample at or after the last query
+}
+
+// nearest returns the sample nearest to t; a tie resolves to the earlier
+// sample, and a query outside the trace's span to its first or last
+// sample. The trace must not be empty, and t must not be earlier than
+// the previous query.
+func (c *featureCursor) nearest(t time.Duration) FeatureSample {
+	s := c.samples
+	for c.next < len(s) && s[c.next].At < t {
+		c.next++
 	}
-	i := sort.Search(n, func(i int) bool { return f.Samples[i].At >= t })
-	if i == 0 {
-		return f.Samples[0], nil
+	switch i := c.next; {
+	case i == 0:
+		return s[0]
+	case i == len(s):
+		return s[i-1]
+	case s[i].At-t < t-s[i-1].At:
+		return s[i]
+	default:
+		return s[i-1]
 	}
-	if i == n {
-		return f.Samples[n-1], nil
-	}
-	if f.Samples[i].At-t < t-f.Samples[i-1].At {
-		return f.Samples[i], nil
-	}
-	return f.Samples[i-1], nil
 }
 
 // Observation pairs one power reading with the features that explain it and
@@ -85,8 +94,11 @@ type Observation struct {
 }
 
 // Align joins a power trace with its feature trace and phase boundaries
-// into regression observations: one per power sample within [MS, ME],
-// labelled with the phase it belongs to and the nearest feature sample.
+// into regression observations: one per power sample in [MS, ME),
+// labelled with the phase it belongs to and the nearest feature sample
+// (the earlier one on a tie). A sample at exactly ME is not one: the
+// migration has ended there, and PhaseAt calls it normal. Both traces
+// must be in the non-decreasing time order Append enforces.
 func Align(p *PowerTrace, f *FeatureTrace, b Boundaries) ([]Observation, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
@@ -97,20 +109,14 @@ func Align(p *PowerTrace, f *FeatureTrace, b Boundaries) ([]Observation, error) 
 	if f.Len() == 0 {
 		return nil, errors.New("trace: no feature samples to align")
 	}
-	var out []Observation
-	for _, s := range p.Samples {
-		ph := b.PhaseAt(s.At)
-		if ph == PhaseNormal {
-			continue
-		}
-		fs, err := f.At(s.At)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Observation{At: s.At, Phase: ph, Power: s.Power, FeatureSample: fs})
-	}
-	if len(out) == 0 {
+	window := p.Samples[p.searchAt(b.MS):p.searchAt(b.ME)]
+	if len(window) == 0 {
 		return nil, errors.New("trace: no power samples fall inside the migration window")
+	}
+	out := make([]Observation, len(window))
+	c := featureCursor{samples: f.Samples}
+	for i, s := range window {
+		out[i] = Observation{At: s.At, Phase: b.PhaseAt(s.At), Power: s.Power, FeatureSample: c.nearest(s.At)}
 	}
 	return out, nil
 }

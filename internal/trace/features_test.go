@@ -22,7 +22,8 @@ func TestFeatureTraceAppendAndAt(t *testing.T) {
 	if err := ft.Append(FeatureSample{At: time.Second}); err == nil {
 		t.Error("out-of-order feature append must fail")
 	}
-	// Nearest-sample lookup.
+	// Nearest-sample lookup, one cursor for the whole walk.
+	c := featureCursor{samples: ft.Samples}
 	cases := []struct {
 		at   time.Duration
 		want units.Utilisation
@@ -34,17 +35,9 @@ func TestFeatureTraceAppendAndAt(t *testing.T) {
 		{10 * time.Second, 4},
 	}
 	for _, tc := range cases {
-		got, err := ft.At(tc.at)
-		if err != nil {
-			t.Fatal(err)
+		if got := c.nearest(tc.at); got.HostCPU != tc.want {
+			t.Errorf("nearest(%v).HostCPU = %v, want %v", tc.at, got.HostCPU, tc.want)
 		}
-		if got.HostCPU != tc.want {
-			t.Errorf("At(%v).HostCPU = %v, want %v", tc.at, got.HostCPU, tc.want)
-		}
-	}
-	empty := &FeatureTrace{}
-	if _, err := empty.At(0); err == nil {
-		t.Error("At on empty feature trace must fail")
 	}
 }
 

@@ -142,26 +142,33 @@ func (p *PowerTrace) MeanPower() units.Watts {
 	return units.Watts(float64(p.Energy()) / d.Seconds())
 }
 
-// PowerAt returns the linearly interpolated power at time t. Outside the
-// trace span it clamps to the nearest sample.
-func (p *PowerTrace) PowerAt(t time.Duration) (units.Watts, error) {
-	n := len(p.Samples)
-	if n == 0 {
-		return 0, errors.New("trace: empty trace")
+// powerCursor answers interpolation queries on a power trace in
+// non-decreasing query order, walking forward over the samples instead
+// of searching them, so a whole walk costs one pass. It relies on the
+// non-decreasing time order Append enforces.
+type powerCursor struct {
+	samples []Sample
+	next    int // the first sample at or after the last query inside the span
+}
+
+// at returns the power linearly interpolated at t, clamped to the first
+// or last sample outside the trace's span. The trace must not be empty,
+// and t must not be earlier than the previous query.
+func (c *powerCursor) at(t time.Duration) units.Watts {
+	s := c.samples
+	if t <= s[0].At {
+		return s[0].Power
 	}
-	if t <= p.Samples[0].At {
-		return p.Samples[0].Power, nil
+	if t >= s[len(s)-1].At {
+		return s[len(s)-1].Power
 	}
-	if t >= p.Samples[n-1].At {
-		return p.Samples[n-1].Power, nil
+	for s[c.next].At < t {
+		c.next++
 	}
-	i := sort.Search(n, func(i int) bool { return p.Samples[i].At >= t })
-	a, b := p.Samples[i-1], p.Samples[i]
-	if b.At == a.At {
-		return b.Power, nil
-	}
+	// a.At < t ≤ b.At: the segment has a positive length.
+	a, b := s[c.next-1], s[c.next]
 	frac := float64(t-a.At) / float64(b.At-a.At)
-	return units.Watts(float64(a.Power) + frac*(float64(b.Power)-float64(a.Power))), nil
+	return units.Watts(float64(a.Power) + frac*(float64(b.Power)-float64(a.Power)))
 }
 
 // Resample returns a copy of the trace sampled at fixed dt intervals over
@@ -171,17 +178,15 @@ func (p *PowerTrace) Resample(dt time.Duration) (*PowerTrace, error) {
 	if dt <= 0 {
 		return nil, errors.New("trace: resample interval must be positive")
 	}
-	if len(p.Samples) == 0 {
-		return &PowerTrace{Host: p.Host}, nil
-	}
 	out := &PowerTrace{Host: p.Host}
-	end := p.Samples[len(p.Samples)-1].At
-	for t := p.Samples[0].At; t <= end; t += dt {
-		w, err := p.PowerAt(t)
-		if err != nil {
-			return nil, err
-		}
-		out.Samples = append(out.Samples, Sample{At: t, Power: w})
+	if len(p.Samples) == 0 {
+		return out, nil
+	}
+	start, end := p.Samples[0].At, p.Samples[len(p.Samples)-1].At
+	out.Samples = make([]Sample, 0, (end-start)/dt+1)
+	c := powerCursor{samples: p.Samples}
+	for t := start; t <= end; t += dt {
+		out.Samples = append(out.Samples, Sample{At: t, Power: c.at(t)})
 	}
 	return out, nil
 }
@@ -194,7 +199,7 @@ func AverageTraces(runs []*PowerTrace, dt time.Duration) (*PowerTrace, error) {
 	if len(runs) == 0 {
 		return nil, errors.New("trace: no runs to average")
 	}
-	resampled := make([]*PowerTrace, 0, len(runs))
+	resampled := make([]powerCursor, 0, len(runs))
 	var longest time.Duration
 	for _, r := range runs {
 		rs, err := r.Resample(dt)
@@ -207,23 +212,20 @@ func AverageTraces(runs []*PowerTrace, dt time.Duration) (*PowerTrace, error) {
 		if d := rs.Samples[len(rs.Samples)-1].At; d > longest {
 			longest = d
 		}
-		resampled = append(resampled, rs)
+		resampled = append(resampled, powerCursor{samples: rs.Samples})
 	}
 	if len(resampled) == 0 {
 		return nil, errors.New("trace: all runs empty")
 	}
-	out := &PowerTrace{Host: runs[0].Host}
+	out := &PowerTrace{Host: runs[0].Host, Samples: make([]Sample, 0, longest/dt+1)}
 	for t := time.Duration(0); t <= longest; t += dt {
 		sum, cnt := 0.0, 0
-		for _, r := range resampled {
-			if len(r.Samples) == 0 || t > r.Samples[len(r.Samples)-1].At {
+		for i := range resampled {
+			r := &resampled[i]
+			if t > r.samples[len(r.samples)-1].At {
 				continue
 			}
-			w, err := r.PowerAt(t)
-			if err != nil {
-				return nil, err
-			}
-			sum += float64(w)
+			sum += float64(r.at(t))
 			cnt++
 		}
 		if cnt == 0 {

@@ -104,8 +104,11 @@ func TestEnergyAdditivity(t *testing.T) {
 	}
 }
 
+// TestPowerAt: the power cursor interpolates inside the trace's span and
+// clamps to the first and last samples outside it.
 func TestPowerAt(t *testing.T) {
 	tr := mkTrace(t, 400, 600)
+	c := powerCursor{samples: tr.Samples}
 	for _, tc := range []struct {
 		at   time.Duration
 		want float64
@@ -116,17 +119,9 @@ func TestPowerAt(t *testing.T) {
 		{time.Second, 600},
 		{5 * time.Second, 600}, // clamp after
 	} {
-		got, err := tr.PowerAt(tc.at)
-		if err != nil {
-			t.Fatal(err)
+		if got := c.at(tc.at); math.Abs(float64(got)-tc.want) > 1e-9 {
+			t.Errorf("at(%v) = %v, want %v", tc.at, got, tc.want)
 		}
-		if math.Abs(float64(got)-tc.want) > 1e-9 {
-			t.Errorf("PowerAt(%v) = %v, want %v", tc.at, got, tc.want)
-		}
-	}
-	empty := &PowerTrace{}
-	if _, err := empty.PowerAt(0); err == nil {
-		t.Error("PowerAt on empty trace must fail")
 	}
 }
 

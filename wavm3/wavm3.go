@@ -133,7 +133,8 @@ type TrainingConfig struct {
 	// Pair selects the machine pair (PairOpteron by default).
 	Pair string
 	// RunsPerPoint is the repeat count per experimental point (the paper
-	// used ≥ 10; smaller values train faster at some accuracy cost).
+	// used ≥ 10; smaller values train faster at some accuracy cost), at
+	// most 50: a point repeats no more often.
 	RunsPerPoint int
 	// Quick trims the sweeps to their extreme points. Training drops from
 	// minutes to seconds; coefficient quality degrades gracefully.
@@ -282,7 +283,8 @@ type Scenario = sim.Scenario
 func Simulate(sc Scenario) (*SimulationResult, error) { return sim.Run(sc) }
 
 // SimulateRepeated repeats a scenario until the paper's variance rule
-// holds (≥ minRuns runs, variance change < tol). Repeats fan out across
+// holds (≥ minRuns runs, variance change < tol), or 50 runs; a minRuns
+// above 50 is refused. Repeats fan out across
 // all CPUs; the returned run sequence is bit-identical to a sequential
 // execution because run seeds derive from the run index alone and the
 // variance rule is applied to run prefixes in index order.

@@ -254,6 +254,16 @@ func TestSimulateFacade(t *testing.T) {
 	}
 }
 
+// TestSimulateRepeatedRefusesFloorAboveCap: a repeat floor the run cap
+// cannot meet is refused, where it used to run the capped 50 runs and
+// report no error.
+func TestSimulateRepeatedRefusesFloorAboveCap(t *testing.T) {
+	runs, err := SimulateRepeated(Scenario{Kind: NonLive, MigratingType: vm.TypeMigratingCPU, Seed: 4}, 60, 0.1)
+	if err == nil {
+		t.Fatalf("a floor of 60 runs returned %d runs and no error", len(runs))
+	}
+}
+
 func TestPlanConsolidation(t *testing.T) {
 	e := quickEstimator(t)
 	hosts := []HostState{
