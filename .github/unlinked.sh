@@ -23,10 +23,11 @@ for p in $(go -C bench list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./
 done
 
 # Linked: the programs' text symbols, with generic instantiations
-# (F[go.shape.int]) and pointer receivers ((*T).M) normalised to F and T.M.
+# (F[go.shape.int]), pointer receivers ((*T).M) and assembly functions'
+# ABI0 symbols (F.abi0) normalised to F and T.M.
 for b in "$work"/bin/*; do go tool nm "$b"; done |
 	sed -nE 's/^ *[0-9a-f]+ [Tt] (repro\/.*)/\1/p' |
-	sed -E ':a; s/\[[^][]*\]//; ta; s/\(\*([^)]*)\)/\1/' |
+	sed -E ':a; s/\[[^][]*\]//; ta; s/\(\*([^)]*)\)/\1/; s/\.abi0$//' |
 	sort -u >"$work/linked"
 
 # Declared: every function and method go doc lists, as path.F or path.T.M.

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/vm"
@@ -126,16 +125,18 @@ func RecordFromRun(run *sim.RunResult, role core.Role, id string) (*core.RunReco
 }
 
 // meanTransferBandwidth averages BW(S,T,t) over the transfer-phase
-// observations (STRUNK's BW(S,T) input).
+// observations with a positive bandwidth (STRUNK's BW(S,T) input),
+// summing in observation order as stats.Mean does.
 func meanTransferBandwidth(obs []trace.Observation) units.BitsPerSecond {
-	var vals []float64
+	sum, n := 0.0, 0
 	for _, o := range obs {
 		if o.Phase == trace.PhaseTransfer && o.Bandwidth > 0 {
-			vals = append(vals, float64(o.Bandwidth))
+			sum += float64(o.Bandwidth)
+			n++
 		}
 	}
-	if len(vals) == 0 {
+	if n == 0 {
 		return 0
 	}
-	return units.BitsPerSecond(stats.Mean(vals))
+	return units.BitsPerSecond(sum / float64(n))
 }

@@ -165,6 +165,15 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// kernelBlock is the number of draws per call of the uniform kernel: an
+// assembly call is not preemptible, so a long step yields between blocks.
+const kernelBlock = 1024
+
+// useKernel routes UniformDirtier.Step's whole blocks through the
+// kernel. It is set once at init, where the CPU can run the kernel; only
+// tests flip it.
+var useKernel = kernelSupported()
+
 // seedState returns the generator state for a seed, one draw past it so
 // small adjacent seeds are decorrelated before first use.
 func seedState(seed int64) uint64 { return uint64(seed) + weyl }
@@ -183,9 +192,15 @@ func (u *UniformDirtier) Step(im *Image, dtSeconds float64) int64 {
 	u.carry -= float64(n)
 	// The generator state, the bitmap and the new-page count stay in
 	// locals for the whole step and are written back once, so no draw
-	// stores through a pointer.
+	// stores through a pointer. Whole blocks go through the kernel where
+	// it runs; the rest, and every draw elsewhere, through the Go loop. A
+	// step under one block skips the kernel's call and its 8 KiB buffer.
 	s, d, span64, added := u.rng, im.dirty, uint64(span), units.Pages(0)
-	for i := int64(0); i < n; i++ {
+	i := int64(0)
+	if useKernel && span64 < 1<<32 && n >= kernelBlock {
+		i, s, added = uniformBlocks(d, s, span64, n)
+	}
+	for ; i < n; i++ {
 		s += weyl
 		p, _ := bits.Mul64(mix64(s), span64) // p < span ≤ total
 		added += mark(d, p)

@@ -104,8 +104,13 @@ func (h *refHotCold) Step(im *Image, dt float64) int64 {
 // step lengths (with fractional carry and non-positive steps), cleaning
 // single pages and whole images in between. After every step the issued
 // count, the dirty-page count and every bitmap word must agree, and at
-// the end so must the next draw of the generators.
+// the end so must the next draw of the generators. Every trial runs once
+// with the uniform kernel on and once with the Go loop alone.
 func TestDirtierMatchesReference(t *testing.T) {
+	kernelModes(t, dirtiersMatchReference)
+}
+
+func dirtiersMatchReference(t *testing.T) {
 	rnd := rand.New(rand.NewSource(20151))
 	hotProbs := []float64{0, 0.37, 1}
 	for trial := 0; trial < 240; trial++ {

@@ -49,7 +49,9 @@ func Split(budget, outer int) (outerWorkers, innerWorkers int) {
 // Pool is a bounded worker pool. At most its configured width of tasks
 // run concurrently; Go blocks while the pool is full, and Wait returns
 // the error of the lowest-indexed failed task — the error a sequential
-// loop over the same tasks would have surfaced first.
+// loop over the same tasks would have surfaced first. A pool of width one
+// runs each task on the caller's goroutine, inside Go, so a task's panic
+// unwinds through its caller.
 type Pool struct {
 	sem chan struct{}
 	wg  sync.WaitGroup
@@ -64,10 +66,14 @@ func NewPool(workers int) *Pool {
 	return &Pool{sem: make(chan struct{}, Workers(workers)), errIdx: -1}
 }
 
-// Go schedules one indexed task, blocking until a worker slot frees up.
-// The index establishes error precedence: on multiple failures, Wait
-// reports the lowest index's error regardless of completion order.
-func (p *Pool) Go(idx int, fn func() error) {
+// Go schedules fn(idx), blocking until a worker slot frees up. The index
+// establishes error precedence: on multiple failures, Wait reports the
+// lowest index's error regardless of completion order.
+func (p *Pool) Go(idx int, fn func(idx int) error) {
+	if cap(p.sem) == 1 {
+		p.record(idx, fn(idx))
+		return
+	}
 	p.sem <- struct{}{}
 	p.wg.Add(1)
 	go func() {
@@ -75,14 +81,20 @@ func (p *Pool) Go(idx int, fn func() error) {
 			<-p.sem
 			p.wg.Done()
 		}()
-		if err := fn(); err != nil {
-			p.mu.Lock()
-			if p.err == nil || idx < p.errIdx {
-				p.err, p.errIdx = err, idx
-			}
-			p.mu.Unlock()
-		}
+		p.record(idx, fn(idx))
 	}()
+}
+
+// record keeps err if it is the lowest-indexed failure so far.
+func (p *Pool) record(idx int, err error) {
+	if err == nil {
+		return
+	}
+	p.mu.Lock()
+	if p.err == nil || idx < p.errIdx {
+		p.err, p.errIdx = err, idx
+	}
+	p.mu.Unlock()
 }
 
 // Failed reports whether some already-finished task returned an error;
@@ -116,6 +128,14 @@ func (p *Pool) Wait() error {
 // reported.
 func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
+	task := func(i int) error {
+		v, err := fn(i)
+		if err != nil {
+			return err
+		}
+		out[i] = v // distinct index per task: no two goroutines share a slot
+		return nil
+	}
 	p := NewPool(workers)
 	cancelled := -1 // index of the first item never dispatched
 	for i := 0; i < n && !p.Failed(); i++ {
@@ -123,15 +143,7 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error
 			cancelled = i
 			break
 		}
-		i := i
-		p.Go(i, func() error {
-			v, err := fn(i)
-			if err != nil {
-				return err
-			}
-			out[i] = v // distinct index per task: no two goroutines share a slot
-			return nil
-		})
+		p.Go(i, task)
 	}
 	err := p.Wait()
 	if cancelled >= 0 && (err == nil || p.errIdx > cancelled) {
@@ -195,13 +207,13 @@ func UntilCtx[T any](ctx context.Context, workers, max, hint int, fn func(i int)
 		base := len(out)
 		vals := make([]T, batch)
 		errs := make([]error, batch)
+		task := func(j int) error {
+			vals[j], errs[j] = fn(base + j)
+			return nil // errors are replayed in order below
+		}
 		p := NewPool(w)
 		for j := 0; j < batch; j++ {
-			j := j
-			p.Go(j, func() error {
-				vals[j], errs[j] = fn(base + j)
-				return nil // errors are replayed in order below
-			})
+			p.Go(j, task)
 		}
 		p.Wait() // tasks never return errors; this is a barrier
 		for j := 0; j < batch; j++ {

@@ -249,3 +249,42 @@ func TestUntilStopSeesDensePrefixes(t *testing.T) {
 		}
 	}
 }
+
+// TestWidthOneRunsInline holds a width-one MapCtx of 64 tasks to a fixed
+// allocation count, whatever the task count: its tasks run on the
+// caller's goroutine, so no task starts a goroutine or allocates a
+// closure for one.
+func TestWidthOneRunsInline(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	ctx := context.Background()
+	fn := func(i int) (int, error) { return i, nil }
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := MapCtx(ctx, 1, 64, fn); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const ceiling = 8 // the results, the pool, its semaphore and the task closure
+	if allocs > ceiling {
+		t.Fatalf("a width-one MapCtx of 64 tasks allocates %.0f times, ceiling %d: its tasks no longer run inline", allocs, ceiling)
+	}
+}
+
+// TestWidthOnePanicReachesCaller: a width-one task's panic unwinds
+// through MapCtx into its caller, where a recover can answer it.
+func TestWidthOnePanicReachesCaller(t *testing.T) {
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		MapCtx(context.Background(), 1, 3, func(i int) (int, error) {
+			if i == 1 {
+				panic("boom")
+			}
+			return i, nil
+		})
+		return nil
+	}()
+	if got != "boom" {
+		t.Fatalf("recovered %v, want the task's panic", got)
+	}
+}

@@ -8,28 +8,32 @@ import (
 )
 
 // maxRunAllocs is the committed allocation ceiling for one sim.Run of a
-// representative CPULOAD scenario. The allocation-free kernel needs ~60
-// allocations per run (all setup: hosts, guests, images, traces); the
-// ceiling leaves headroom for incidental growth but fails CI long before
-// a per-step allocation regression (each step used to cost two maps,
-// ~3000 allocations per run).
+// representative CPULOAD scenario and of the memory-heavy MEMLOAD point.
+// The allocation-free kernel needs ~70 and ~50 allocations per run (all
+// setup: hosts, guests, images, traces); the ceiling leaves headroom for
+// incidental growth but fails CI long before a per-step allocation
+// regression (each step used to cost two maps, ~3000 allocations per
+// run).
 const maxRunAllocs = 200
 
 // TestSimRunAllocCeiling is the allocation-regression smoke: a per-step
 // allocation anywhere in the kernel multiplies the count by the step
-// total and trips the ceiling.
+// total and trips the ceiling. The MEMLOAD point's pagedirtier draws its
+// pages through the uniform dirtier's assembly kernel where the CPU runs
+// it.
 func TestSimRunAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	sc := benchScenario(migration.Live)
-	avg := testing.AllocsPerRun(3, func() {
-		if _, err := Run(sc); err != nil {
-			t.Fatal(err)
+	for _, sc := range []Scenario{benchScenario(migration.Live), liveMemScenario()} {
+		avg := testing.AllocsPerRun(3, func() {
+			if _, err := Run(sc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > maxRunAllocs {
+			t.Fatalf("sim.Run of %s allocates %.0f times, ceiling %d — a per-step allocation crept back into the kernel", sc.Name, avg, maxRunAllocs)
 		}
-	})
-	if avg > maxRunAllocs {
-		t.Fatalf("sim.Run allocates %.0f times, ceiling %d — a per-step allocation crept back into the kernel", avg, maxRunAllocs)
 	}
 }
 
