@@ -139,19 +139,12 @@ func run() (err error) {
 		// session cache traffic across both tiers (a nil cache reads as
 		// zero lookups).
 		d := cache.Snapshot().Delta(before)
-		perf.AddWithCache(specs[i].Name, time.Since(t0), report.CacheDelta{
-			Hits: d.Hits, Misses: d.Misses, DiskHits: d.DiskHits, DiskMisses: d.DiskMisses,
-		})
+		a := report.BenchArtefact{ID: specs[i].Name, Seconds: time.Since(t0).Seconds(), CacheStats: &d}
 		// Chaos scenarios also record their SLO outcome in the artefact.
 		if res.Cluster != nil && len(c.Cluster.Config.Failures) > 0 {
-			perf.AnnotateSLO(report.SLO{
-				AbortedFlights: res.Cluster.AbortedFlights,
-				OrphanedVMs:    res.Cluster.OrphanedVMs,
-				EvacuatedVMs:   res.Cluster.EvacuatedVMs,
-				DeadlineMet:    res.Cluster.EvacuationDeadlineMet,
-				FleetEnergyJ:   float64(res.Cluster.FleetEnergy),
-			})
+			a.SLO = &res.Cluster.SLO
 		}
+		perf.Artefacts = append(perf.Artefacts, a)
 	}
 
 	if err := common.Finish(os.Stderr, perf, cache, started); err != nil {

@@ -50,13 +50,14 @@ type Common struct {
 	CacheOpTimeout time.Duration
 	// CacheRetries is how many times a failed store op is re-attempted,
 	// with capped doubling backoff, before being survived as a miss.
+	// 0 disables retrying.
 	CacheRetries int
 	// CacheBreaker opens the store circuit breaker after this many
 	// consecutive failures, running the cache memory-only until a
 	// half-open probe finds the store healed. 0 disables the breaker.
 	CacheBreaker int
 	// CacheBreakerCooldown is how long the breaker stays open before
-	// probing.
+	// probing. 0 probes with the next operation.
 	CacheBreakerCooldown time.Duration
 	// BenchJSON, when non-empty, is where the machine-readable timing
 	// and cache metrics go.
@@ -84,7 +85,7 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.DurationVar(&c.CacheOpTimeout, "cache-op-timeout", 2*time.Second, "bound one persistent-store operation (0 = unbounded); a slower store degrades to misses, never stalls")
 	fs.IntVar(&c.CacheRetries, "cache-retries", 2, "re-attempts per failed store operation, with doubling backoff (0 = no retries)")
 	fs.IntVar(&c.CacheBreaker, "cache-breaker", 5, "consecutive store failures that open the circuit breaker and degrade the cache to memory-only (0 = no breaker)")
-	fs.DurationVar(&c.CacheBreakerCooldown, "cache-breaker-cooldown", time.Second, "how long the open breaker waits before half-open probing the store")
+	fs.DurationVar(&c.CacheBreakerCooldown, "cache-breaker-cooldown", time.Second, "how long the open breaker waits before half-open probing the store (0 = probe at once)")
 	fs.StringVar(&c.BenchJSON, "benchjson", "", "write machine-readable timing and cache metrics to this path")
 	fs.DurationVar(&c.Timeout, "timeout", 0, "abort the session after this wall-clock span (e.g. 90s, 5m; 0 = unbounded; exit code 3 on expiry)")
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a pprof CPU profile of the session to this path")
@@ -177,28 +178,19 @@ func (c *Common) Cache() (*sim.Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Flag zero means "mechanism off", which the config spells as a
-	// negative (its own zero selects the defaults).
-	disabled := func(d time.Duration) time.Duration {
-		if d <= 0 {
-			return -1
-		}
-		return d
-	}
-	rc := sim.ResilienceConfig{
-		OpTimeout:        disabled(c.CacheOpTimeout),
+	return sim.NewCacheWithStore(0, sim.NewResilientStore(dir, c.resilience())), nil
+}
+
+// resilience is the store policy the cache-* flags select; a flag at 0
+// turns its mechanism off.
+func (c *Common) resilience() sim.ResilienceConfig {
+	return sim.ResilienceConfig{
+		OpTimeout:        c.CacheOpTimeout,
 		Retries:          c.CacheRetries,
 		BreakerThreshold: c.CacheBreaker,
 		BreakerCooldown:  c.CacheBreakerCooldown,
 		AsyncPublish:     true,
 	}
-	if rc.Retries <= 0 {
-		rc.Retries = -1
-	}
-	if rc.BreakerThreshold <= 0 {
-		rc.BreakerThreshold = -1
-	}
-	return sim.NewCacheWithStore(0, sim.NewResilientStore(dir, rc)), nil
 }
 
 // NewBenchReport starts a benchmark report for the named tool with the
@@ -222,28 +214,15 @@ func (c *Common) Finish(w io.Writer, perf *report.BenchReport, cache *sim.Cache,
 		fmt.Fprintf(w, "%s: cache store close: %v\n", perf.Tool, err)
 	}
 	perf.TotalSeconds = time.Since(started).Seconds()
-	stats := cache.Snapshot()
-	perf.CacheHits, perf.CacheMisses = stats.Hits, stats.Misses
-	perf.CacheEntries = stats.Entries
-	perf.KernelRuns = stats.KernelRuns
-	if cache.Persistent() {
-		perf.DiskHits, perf.DiskMisses = stats.DiskHits, stats.DiskMisses
-		perf.Quarantined = stats.Quarantined
-		perf.StoreErrors = stats.StoreErrors
-		perf.StoreRetries = stats.Retries
-		perf.StoreTimeouts = stats.Timeouts
-		perf.BreakerOpens = stats.BreakerOpens
-		perf.BreakerState = stats.BreakerState
-		perf.PublishDrops = stats.PublishDrops
-	}
+	perf.CacheStats = cache.Snapshot()
 	if cache != nil {
 		fmt.Fprintf(w, "%s: run cache: %d hits, %d misses, %d entries, %d kernel runs\n",
-			perf.Tool, perf.CacheHits, perf.CacheMisses, perf.CacheEntries, perf.KernelRuns)
+			perf.Tool, perf.Hits, perf.Misses, perf.Entries, perf.KernelRuns)
 		if cache.Persistent() {
 			fmt.Fprintf(w, "%s: cache dir: %d disk hits, %d disk misses, %d quarantined\n",
-				perf.Tool, stats.DiskHits, stats.DiskMisses, stats.Quarantined)
+				perf.Tool, perf.DiskHits, perf.DiskMisses, perf.Quarantined)
 			fmt.Fprintf(w, "%s: store policy: %d errors, %d retries, %d timeouts, %d breaker opens (%s), %d publish drops\n",
-				perf.Tool, stats.StoreErrors, stats.Retries, stats.Timeouts, stats.BreakerOpens, stats.BreakerState, stats.PublishDrops)
+				perf.Tool, perf.StoreErrors, perf.Retries, perf.Timeouts, perf.BreakerOpens, perf.BreakerState, perf.PublishDrops)
 		}
 	}
 	if c.BenchJSON == "" {

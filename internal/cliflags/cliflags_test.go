@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -129,6 +131,135 @@ func TestResilienceFlagsParse(t *testing.T) {
 		c.CacheRetries != 1 || c.CacheBreaker != 3 ||
 		c.CacheBreakerCooldown != 200*time.Millisecond {
 		t.Errorf("parsed %+v", c)
+	}
+}
+
+// faultStore is an in-memory sim.CacheStore holding no artefact: it
+// fails its next fails operations, holds each operation until hold
+// closes when hold is set, and counts the operations that reach it.
+type faultStore struct {
+	mu           sync.Mutex
+	fails, calls int
+	hold         chan struct{}
+}
+
+func (s *faultStore) op() error {
+	s.mu.Lock()
+	s.calls++
+	fail := s.fails > 0
+	if fail {
+		s.fails--
+	}
+	s.mu.Unlock()
+	if s.hold != nil {
+		<-s.hold
+	}
+	if fail {
+		return errors.New("injected store failure")
+	}
+	return nil
+}
+
+func (s *faultStore) callCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.calls
+}
+
+func (s *faultStore) Get(string) ([]byte, error) {
+	if err := s.op(); err != nil {
+		return nil, err
+	}
+	return nil, sim.ErrArtefactNotFound
+}
+
+func (s *faultStore) Put(string, []byte) error        { return s.op() }
+func (s *faultStore) Quarantine(string, string) error { return s.op() }
+func (s *faultStore) Lock(context.Context, string) (func(), error) {
+	return func() {}, s.op()
+}
+
+// TestCacheFlagsZeroMeansOff pins the store policy's one definition:
+// the default flag values build the policy the commands have always
+// run, and each of the four -cache-* flags at 0 turns its mechanism
+// off, checked on a store that fails on cue.
+func TestCacheFlagsZeroMeansOff(t *testing.T) {
+	policy := func(args ...string) sim.ResilienceConfig {
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		c := Register(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return c.resilience()
+	}
+	def := sim.ResilienceConfig{OpTimeout: 2 * time.Second, Retries: 2,
+		BreakerThreshold: 5, BreakerCooldown: time.Second, AsyncPublish: true}
+	if got := policy(); got != def {
+		t.Fatalf("default flags build %+v, want %+v", got, def)
+	}
+
+	for _, tc := range []struct {
+		flag  string
+		field func(*sim.ResilienceConfig)
+		// check drives the store built from the flag at 0.
+		check func(t *testing.T, rs *sim.ResilientStore, inner *faultStore)
+	}{
+		{"-cache-op-timeout", func(c *sim.ResilienceConfig) { c.OpTimeout = 0 },
+			func(t *testing.T, rs *sim.ResilientStore, inner *faultStore) {
+				// A store slower than any bound still answers.
+				inner.hold = make(chan struct{})
+				time.AfterFunc(50*time.Millisecond, func() { close(inner.hold) })
+				if _, err := rs.Get("a"); !errors.Is(err, sim.ErrArtefactNotFound) {
+					t.Errorf("held Get = %v, want the store's answer", err)
+				}
+			}},
+		{"-cache-retries", func(c *sim.ResilienceConfig) { c.Retries = 0 },
+			func(t *testing.T, rs *sim.ResilientStore, inner *faultStore) {
+				inner.fails = 1
+				if _, err := rs.Get("a"); err == nil || inner.callCount() != 1 {
+					t.Errorf("failing Get = %v after %d store calls, want its failure after 1", err, inner.callCount())
+				}
+			}},
+		{"-cache-breaker", func(c *sim.ResilienceConfig) { c.BreakerThreshold = 0 },
+			func(t *testing.T, rs *sim.ResilientStore, inner *faultStore) {
+				// Nine consecutive failures, past the default threshold of 5,
+				// all reach the store.
+				inner.fails = 1 << 30
+				for i := 0; i < 3; i++ {
+					if _, err := rs.Get("a"); errors.Is(err, sim.ErrBreakerOpen) {
+						t.Fatalf("Get %d: %v with the breaker off", i, err)
+					}
+				}
+				if n := inner.callCount(); n != 9 {
+					t.Errorf("%d store calls, want 9 (3 Gets of 3 attempts)", n)
+				}
+			}},
+		{"-cache-breaker-cooldown", func(c *sim.ResilienceConfig) { c.BreakerCooldown = 0 },
+			func(t *testing.T, rs *sim.ResilientStore, inner *faultStore) {
+				// The fifth failure, the second Get's second attempt, opens
+				// the breaker, and its retry is the half-open probe.
+				inner.fails = 5
+				rs.Get("a")
+				if _, err := rs.Get("a"); !errors.Is(err, sim.ErrArtefactNotFound) {
+					t.Errorf("Get that opened the breaker = %v, want its probe's answer", err)
+				}
+				if st := rs.ResilienceStats(); st.BreakerOpens != 1 || st.BreakerState != "closed" {
+					t.Errorf("stats = %+v, want a breaker that opened once and re-closed", st)
+				}
+			}},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			want := def
+			tc.field(&want)
+			got := policy(tc.flag, "0")
+			if got != want {
+				t.Fatalf("%s 0 builds %+v, want %+v", tc.flag, got, want)
+			}
+			inner := &faultStore{}
+			rs := sim.NewResilientStore(inner, got)
+			defer rs.Close()
+			tc.check(t, rs, inner)
+		})
 	}
 }
 

@@ -123,25 +123,33 @@ type Report struct {
 	// Aborted lists the migrations killed by failure events, in abort
 	// order (empty without failure injection).
 	Aborted []AbortRecord
-	// AbortedFlights is len(Aborted) — the timeline's SLO-visible
-	// failure count.
-	AbortedFlights int
-	// OrphanedVMs counts the VMs stranded by host crashes;
-	// EvacuatedVMs counts how many of them landed on a live host again.
-	OrphanedVMs  int
-	EvacuatedVMs int
-	// EvacuationDeadlineMet reports the crash-recovery SLO: every
-	// orphaned VM landed on a live host, within
-	// Config.EvacuationDeadline of its crash when a deadline is set.
-	// Vacuously true when nothing crashed.
-	EvacuationDeadlineMet bool
 	// PowerTrace is the fleet's piecewise-constant power timeline: the
 	// idle floors of the live hosts (a crashed host's floor drops out at
 	// the crash) plus each migration's — and each aborted flight's —
 	// energy spread over its wall-clock span.
 	PowerTrace []PowerPoint
-	// FleetEnergy integrates PowerTrace over [0, max(Makespan, Horizon,
-	// last breakpoint)]: the energy-over-time score chaos scenarios are
-	// judged by, idle draw included.
-	FleetEnergy units.Joules
+	// SLO holds the scores a chaos scenario is judged by.
+	SLO
+}
+
+// SLO is a timeline's failure-injection outcome, the scores a chaos
+// scenario is judged by. Its JSON keys are the ones wavm3scen's
+// -benchjson records for a chaos scenario.
+type SLO struct {
+	// AbortedFlights is len(Report.Aborted) — the timeline's SLO-visible
+	// failure count.
+	AbortedFlights int `json:"aborted_flights,omitempty"`
+	// OrphanedVMs counts the VMs stranded by host crashes;
+	// EvacuatedVMs counts how many of them landed on a live host again.
+	OrphanedVMs  int `json:"orphaned_vms,omitempty"`
+	EvacuatedVMs int `json:"evacuated_vms,omitempty"`
+	// EvacuationDeadlineMet reports the crash-recovery SLO: every
+	// orphaned VM landed on a live host, within
+	// Config.EvacuationDeadline of its crash when a deadline is set.
+	// Vacuously true when nothing crashed.
+	EvacuationDeadlineMet bool `json:"evacuation_deadline_met"`
+	// FleetEnergy integrates Report.PowerTrace over [0, max(Makespan,
+	// Horizon, last breakpoint)]: the energy-over-time score chaos
+	// scenarios are judged by, idle draw included.
+	FleetEnergy units.Joules `json:"fleet_energy_j,omitempty"`
 }

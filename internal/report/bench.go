@@ -7,6 +7,9 @@ import (
 	"os"
 	"runtime"
 	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/sim"
 )
 
 // BenchArtefact is the machine-readable timing of one generated artefact
@@ -17,55 +20,15 @@ type BenchArtefact struct {
 	ID string `json:"id"`
 	// Seconds is the wall-clock time to produce it.
 	Seconds float64 `json:"seconds"`
-	// CacheHits/CacheMisses are the run-cache lookups this artefact
-	// made (deltas over the session cache, so per-artefact cache
-	// effectiveness is visible in committed BENCH snapshots). Omitted
-	// for artefacts recorded without cache attribution.
-	CacheHits   uint64 `json:"cache_hits,omitempty"`
-	CacheMisses uint64 `json:"cache_misses,omitempty"`
-	// DiskHits/DiskMisses are the persistent-tier probes this artefact's
-	// memory misses made when a cache dir was in use: DiskHits answered
-	// from committed artefacts on disk, DiskMisses ran the kernel and
-	// published a new artefact. Omitted for memory-only sessions.
-	DiskHits   uint64 `json:"disk_hits,omitempty"`
-	DiskMisses uint64 `json:"disk_misses,omitempty"`
-	// SLO scoring of chaos (failure-injecting) cluster scenarios; all
-	// omitted for artefacts without failure injection, so historical
-	// snapshots compare cleanly.
-	AbortedFlights int `json:"aborted_flights,omitempty"`
-	OrphanedVMs    int `json:"orphaned_vms,omitempty"`
-	EvacuatedVMs   int `json:"evacuated_vms,omitempty"`
-	// EvacuationDeadlineMet is a pointer so "not a chaos scenario"
-	// (absent) and "deadline missed" (false) stay distinguishable.
-	EvacuationDeadlineMet *bool `json:"evacuation_deadline_met,omitempty"`
-	// FleetEnergyJ integrates the fleet power trace — idle floors plus
-	// migration spans — over the scenario's span.
-	FleetEnergyJ float64 `json:"fleet_energy_j,omitempty"`
-}
-
-// SLO describes the failure-injection outcome of a chaos scenario for
-// AnnotateSLO.
-type SLO struct {
-	AbortedFlights int
-	OrphanedVMs    int
-	EvacuatedVMs   int
-	DeadlineMet    bool
-	FleetEnergyJ   float64
-}
-
-// AnnotateSLO attaches chaos-scenario SLO scores to the most recently
-// added artefact (a no-op when nothing has been added).
-func (r *BenchReport) AnnotateSLO(s SLO) {
-	if len(r.Artefacts) == 0 {
-		return
-	}
-	a := &r.Artefacts[len(r.Artefacts)-1]
-	a.AbortedFlights = s.AbortedFlights
-	a.OrphanedVMs = s.OrphanedVMs
-	a.EvacuatedVMs = s.EvacuatedVMs
-	met := s.DeadlineMet
-	a.EvacuationDeadlineMet = &met
-	a.FleetEnergyJ = s.FleetEnergyJ
+	// CacheStats is the run-cache traffic this artefact made across both
+	// tiers: the session cache's Snapshot().Delta over its production.
+	// Nil, and its keys omitted, for artefacts recorded without cache
+	// attribution.
+	*sim.CacheStats
+	// SLO scores a chaos (failure-injecting) cluster scenario. Nil, and
+	// its keys omitted, for every other artefact, so historical snapshots
+	// compare cleanly.
+	*cluster.SLO
 }
 
 // BenchReport is the machine-readable outcome of one wavm3bench session:
@@ -89,29 +52,11 @@ type BenchReport struct {
 	Workers int   `json:"workers"`
 	// Artefacts are the per-artefact timings in generation order.
 	Artefacts []BenchArtefact `json:"artefacts"`
-	// CacheHits/CacheMisses/CacheEntries describe the shared run cache at
-	// session end (zero when caching is disabled).
-	CacheHits    uint64 `json:"cache_hits"`
-	CacheMisses  uint64 `json:"cache_misses"`
-	CacheEntries int    `json:"cache_entries"`
-	// DiskHits/DiskMisses describe the persistent tier at session end
-	// (omitted for memory-only sessions); KernelRuns counts simulations
-	// actually executed — zero for a fully warm persistent cache, which
-	// is exactly what the CI warm-phase gate asserts.
-	DiskHits    uint64 `json:"disk_hits,omitempty"`
-	DiskMisses  uint64 `json:"disk_misses,omitempty"`
-	KernelRuns  uint64 `json:"kernel_runs"`
-	Quarantined uint64 `json:"quarantined_artefacts,omitempty"`
-	// Store resilience counters (omitted for memory-only sessions):
-	// store ops that failed and were survived, re-attempts, per-op bound
-	// hits, circuit-breaker trips with the breaker's end-of-session
-	// state, and async publishes shed past the budget.
-	StoreErrors   uint64 `json:"store_errors,omitempty"`
-	StoreRetries  uint64 `json:"store_retries,omitempty"`
-	StoreTimeouts uint64 `json:"store_timeouts,omitempty"`
-	BreakerOpens  uint64 `json:"breaker_opens,omitempty"`
-	BreakerState  string `json:"breaker_state,omitempty"`
-	PublishDrops  uint64 `json:"publish_drops,omitempty"`
+	// CacheStats describes the shared run cache at session end (zero
+	// when caching is disabled). Its KernelRuns is zero for a fully
+	// warm persistent cache, which is exactly what the CI warm-phase
+	// gate asserts.
+	sim.CacheStats
 	// TotalSeconds is the whole session's wall-clock time.
 	TotalSeconds float64 `json:"total_seconds"`
 }
@@ -130,24 +75,6 @@ func NewBenchReport(tool string) *BenchReport {
 // Add appends one artefact timing.
 func (r *BenchReport) Add(id string, d time.Duration) {
 	r.Artefacts = append(r.Artefacts, BenchArtefact{ID: id, Seconds: d.Seconds()})
-}
-
-// CacheDelta is the run-cache traffic attributable to one artefact:
-// memory-tier lookups plus (for cache-dir sessions) persistent-tier
-// probes.
-type CacheDelta struct {
-	Hits, Misses         uint64
-	DiskHits, DiskMisses uint64
-}
-
-// AddWithCache appends one artefact timing with its run-cache lookup
-// deltas (traffic generated while producing this artefact).
-func (r *BenchReport) AddWithCache(id string, d time.Duration, delta CacheDelta) {
-	r.Artefacts = append(r.Artefacts, BenchArtefact{
-		ID: id, Seconds: d.Seconds(),
-		CacheHits: delta.Hits, CacheMisses: delta.Misses,
-		DiskHits: delta.DiskHits, DiskMisses: delta.DiskMisses,
-	})
 }
 
 // WriteJSON renders the report as indented JSON.

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/report"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // runScenLibrary executes the real wavm3scen binary over the whole
@@ -39,15 +40,10 @@ func runScenLibrary(t *testing.T, bin, scenDir, cacheDir, benchPath string) ([]b
 	return stdout.Bytes(), &perf
 }
 
-// healthCache mirrors the /healthz cache block.
+// healthCache is the /healthz cache block.
 type healthCache struct {
-	Hits        uint64 `json:"hits"`
-	Misses      uint64 `json:"misses"`
-	KernelRuns  uint64 `json:"kernel_runs"`
-	Persistent  bool   `json:"persistent"`
-	DiskHits    uint64 `json:"disk_hits"`
-	DiskMisses  uint64 `json:"disk_misses"`
-	Quarantined uint64 `json:"quarantined"`
+	sim.CacheStats
+	Persistent bool `json:"persistent"`
 }
 
 func getHealthCache(t *testing.T, baseURL string) healthCache {

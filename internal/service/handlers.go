@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // statusClientClosedRequest is nginx's 499: the client went away before
@@ -29,56 +30,25 @@ func (s *Server) Handler() http.Handler {
 	return recoverPanics(s.cfg.Logger, mux)
 }
 
-// cacheStatus is the run-cache block of the health payload: the two
-// memory-tier counters every session has, plus the persistent-tier
-// counters when a cache dir is attached. KernelRuns is the operational
-// headline — a warm replica fleet sharing one cache dir serves with
-// this stuck at the simulations only it has seen first.
-type cacheStatus struct {
-	Hits        uint64 `json:"hits"`
-	Misses      uint64 `json:"misses"`
-	Entries     int    `json:"entries"`
-	KernelRuns  uint64 `json:"kernel_runs"`
-	Persistent  bool   `json:"persistent"`
-	DiskHits    uint64 `json:"disk_hits,omitempty"`
-	DiskMisses  uint64 `json:"disk_misses,omitempty"`
-	Quarantined uint64 `json:"quarantined,omitempty"`
-	StoreErrors uint64 `json:"store_errors,omitempty"`
-	// Store resilience counters: retries/timeouts of store ops, breaker
-	// trips and current breaker state ("open" means the persistent tier
-	// is sick and the daemon is serving memory-only — degraded, correct),
-	// async publishes shed past the budget.
-	StoreRetries  uint64 `json:"store_retries,omitempty"`
-	StoreTimeouts uint64 `json:"store_timeouts,omitempty"`
-	BreakerOpens  uint64 `json:"breaker_opens,omitempty"`
-	BreakerState  string `json:"breaker_state,omitempty"`
-	PublishDrops  uint64 `json:"publish_drops,omitempty"`
-}
-
-// healthStatus is the GET /healthz payload.
-type healthStatus struct {
-	Status string       `json:"status"`
-	Cache  *cacheStatus `json:"cache,omitempty"`
-}
-
 // handleHealthz reports liveness: the process is up, even while
 // draining (a draining daemon is healthy, just not ready). The payload
-// doubles as the daemon's metrics surface for the run cache, so
+// doubles as the daemon's metrics surface for the run cache — its
+// sim.CacheStats, beside whether it has a persistent tier — so
 // operators and CI can read hit rates and kernel-run counts without a
-// separate metrics stack.
+// separate metrics stack. KernelRuns is the operational headline: a
+// warm daemon over a shared cache dir serves with it stuck at the
+// simulations only it has seen first.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	out := healthStatus{Status: "ok"}
+	type cacheBlock struct {
+		sim.CacheStats
+		Persistent bool `json:"persistent"`
+	}
+	out := struct {
+		Status string      `json:"status"`
+		Cache  *cacheBlock `json:"cache,omitempty"`
+	}{Status: "ok"}
 	if c := s.cfg.Cache; c != nil {
-		st := c.Snapshot()
-		out.Cache = &cacheStatus{
-			Hits: st.Hits, Misses: st.Misses, Entries: st.Entries,
-			KernelRuns: st.KernelRuns, Persistent: c.Persistent(),
-			DiskHits: st.DiskHits, DiskMisses: st.DiskMisses,
-			Quarantined: st.Quarantined, StoreErrors: st.StoreErrors,
-			StoreRetries: st.Retries, StoreTimeouts: st.Timeouts,
-			BreakerOpens: st.BreakerOpens, BreakerState: st.BreakerState,
-			PublishDrops: st.PublishDrops,
-		}
+		out.Cache = &cacheBlock{c.Snapshot(), c.Persistent()}
 	}
 	writeJSON(w, http.StatusOK, out)
 }

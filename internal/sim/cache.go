@@ -63,33 +63,36 @@ type Cache struct {
 }
 
 // CacheStats is a point-in-time snapshot of a cache's counters across
-// both tiers. Hits/Misses count memory-tier lookups: every RunCtx or
-// SummaryCtx counts one, a RunCtx that replaces a completed summary-only
-// entry counting a miss, and a waiter that re-dispatches (its leader
-// failed, or left a summary it cannot use) counts once more;
-// DiskHits/DiskMisses count persistent-tier probes by
-// leaders of memory misses; KernelRuns counts simulations actually
-// executed — the number a warm, intact cache drives to zero; Quarantined
-// counts corrupt artefacts moved aside; StoreErrors counts store I/O
-// failures survived by degrading to uncached behaviour.
+// both tiers, and the one declaration of them: -benchjson and wavm3d's
+// /healthz render it under its JSON keys. Hits/Misses count memory-tier
+// lookups: every RunCtx or SummaryCtx counts one, a RunCtx that
+// replaces a completed summary-only entry counting a miss, and a waiter
+// that re-dispatches (its leader failed, or left a summary it cannot
+// use) counts once more; DiskHits/DiskMisses count persistent-tier
+// probes by leaders of memory misses; KernelRuns counts simulations
+// actually executed — the number a warm, intact cache drives to zero;
+// Quarantined counts corrupt artefacts moved aside; StoreErrors counts
+// store I/O failures survived by degrading to uncached behaviour.
 //
-// When the store is wrapped in a ResilientStore the policy counters are
-// merged in: Retries/Timeouts count re-attempted and bound-exceeded
-// store ops, BreakerOpens counts circuit-breaker trips, PublishDrops
-// counts async publishes shed past the budget, and BreakerState is the
-// breaker's current state ("closed" when no breaker is configured).
+// When the store is a ResilientStore the policy counters are merged
+// in: Retries/Timeouts count re-attempted and bound-exceeded store ops,
+// BreakerOpens counts circuit-breaker trips, PublishDrops counts async
+// publishes shed past the budget, and BreakerState is the breaker's
+// current state ("closed" when no breaker is configured).
 type CacheStats struct {
-	Hits, Misses         uint64
-	DiskHits, DiskMisses uint64
-	KernelRuns           uint64
-	Quarantined          uint64
-	StoreErrors          uint64
-	Retries              uint64
-	Timeouts             uint64
-	BreakerOpens         uint64
-	PublishDrops         uint64
-	BreakerState         string
-	Entries              int
+	Hits         uint64 `json:"hits"`
+	Misses       uint64 `json:"misses"`
+	Entries      int    `json:"entries"`
+	KernelRuns   uint64 `json:"kernel_runs"`
+	DiskHits     uint64 `json:"disk_hits,omitempty"`
+	DiskMisses   uint64 `json:"disk_misses,omitempty"`
+	Quarantined  uint64 `json:"quarantined,omitempty"`
+	StoreErrors  uint64 `json:"store_errors,omitempty"`
+	Retries      uint64 `json:"store_retries,omitempty"`
+	Timeouts     uint64 `json:"store_timeouts,omitempty"`
+	BreakerOpens uint64 `json:"breaker_opens,omitempty"`
+	BreakerState string `json:"breaker_state,omitempty"`
+	PublishDrops uint64 `json:"publish_drops,omitempty"`
 }
 
 // Delta returns the counter movement from prev to s (Entries and
@@ -99,17 +102,17 @@ func (s CacheStats) Delta(prev CacheStats) CacheStats {
 	return CacheStats{
 		Hits:         s.Hits - prev.Hits,
 		Misses:       s.Misses - prev.Misses,
+		Entries:      s.Entries,
+		KernelRuns:   s.KernelRuns - prev.KernelRuns,
 		DiskHits:     s.DiskHits - prev.DiskHits,
 		DiskMisses:   s.DiskMisses - prev.DiskMisses,
-		KernelRuns:   s.KernelRuns - prev.KernelRuns,
 		Quarantined:  s.Quarantined - prev.Quarantined,
 		StoreErrors:  s.StoreErrors - prev.StoreErrors,
 		Retries:      s.Retries - prev.Retries,
 		Timeouts:     s.Timeouts - prev.Timeouts,
 		BreakerOpens: s.BreakerOpens - prev.BreakerOpens,
-		PublishDrops: s.PublishDrops - prev.PublishDrops,
 		BreakerState: s.BreakerState,
-		Entries:      s.Entries,
+		PublishDrops: s.PublishDrops - prev.PublishDrops,
 	}
 }
 
@@ -175,6 +178,8 @@ func cacheKey(sc Scenario) Scenario {
 //     have received from the original leader; a caller only ever sees
 //     its own error, never an innocent propagation of someone else's
 //     context.Canceled.
+//   - A leader whose compute panics is failed the same way before the
+//     panic reaches its own caller, so its waiters re-dispatch too.
 //
 // Failures are not memoized, so a deterministic error (an invalid
 // scenario) terminates: the retrying waiter becomes the leader, computes
@@ -240,21 +245,35 @@ func (c *Cache) lookup(ctx context.Context, sc Scenario, traces bool) (*RunResul
 		c.evictLocked()
 		c.mu.Unlock()
 
-		res, err := c.compute(ctx, sc, key, traces)
-		e.res, e.err = res, err
-		if err != nil {
-			// Failures are not memoized: drop the entry *before* releasing
-			// the waiters, so their retry finds a clean slot.
+		if err := c.lead(ctx, sc, key, e, traces); err != nil {
+			return nil, err
+		}
+		return e.result(sc), nil
+	}
+}
+
+// errLeaderPanicked marks the entry of a leader whose compute panicked.
+// Its waiters re-dispatch on it like on any failure, so no caller ever
+// receives it.
+var errLeaderPanicked = errors.New("sim: cache leader panicked")
+
+// lead answers key's in-flight entry e as its leader and releases e's
+// waiters. Failures are not memoized: a failed entry leaves the map
+// *before* its waiters wake, so their retry finds a clean slot. A
+// compute that panics fails the entry the same way before the panic
+// continues, so no waiter blocks on an entry nobody completes.
+func (c *Cache) lead(ctx context.Context, sc, key Scenario, e *cacheEntry, traces bool) error {
+	e.err = errLeaderPanicked
+	defer func() {
+		if e.err != nil {
 			c.mu.Lock()
 			c.removeLocked(&key, e)
 			c.mu.Unlock()
 		}
 		close(e.done)
-		if err != nil {
-			return nil, err
-		}
-		return e.result(sc), nil
-	}
+	}()
+	e.res, e.err = c.compute(ctx, sc, key, traces)
+	return e.err
 }
 
 // compute answers a memory-tier miss as the key's in-flight leader:
@@ -398,22 +417,18 @@ func (c *Cache) Snapshot() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
+	var s CacheStats
+	if rs, ok := c.store.(*ResilientStore); ok {
+		s = rs.ResilienceStats()
+	}
 	c.mu.Lock()
-	s := CacheStats{Hits: c.hits, Misses: c.misses, Entries: len(c.entries)}
+	s.Hits, s.Misses, s.Entries = c.hits, c.misses, len(c.entries)
 	c.mu.Unlock()
 	s.DiskHits = c.diskHits.Load()
 	s.DiskMisses = c.diskMisses.Load()
 	s.KernelRuns = c.kernelRuns.Load()
 	s.Quarantined = c.quarantined.Load()
 	s.StoreErrors = c.storeErrors.Load()
-	if rep, ok := c.store.(interface{ ResilienceStats() ResilienceStats }); ok {
-		r := rep.ResilienceStats()
-		s.Retries = r.Retries
-		s.Timeouts = r.Timeouts
-		s.BreakerOpens = r.BreakerOpens
-		s.PublishDrops = r.PublishDrops
-		s.BreakerState = r.BreakerState
-	}
 	return s
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
@@ -164,6 +165,77 @@ func TestCacheCancelledWaiterLeavesLeader(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain, got.r) {
 		t.Error("leader result is not bit-identical to an uncached run")
+	}
+}
+
+// panicGetStore is a scriptStore whose first Get signals entered, waits
+// for release and panics.
+type panicGetStore struct {
+	*scriptStore
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (s *panicGetStore) Get(name string) ([]byte, error) {
+	first := false
+	s.once.Do(func() { first = true })
+	if first {
+		close(s.entered)
+		<-s.release
+		panic("injected store panic")
+	}
+	return s.scriptStore.Get(name)
+}
+
+// TestCacheLeaderPanicRedispatches: a leader whose store Get panics
+// leaves nothing behind. The panic reaches the leader's own caller; a
+// waiter that joined it re-dispatches and runs the scenario, and so does
+// a later lookup of the same key, instead of either blocking on the
+// abandoned entry until its deadline.
+func TestCacheLeaderPanicRedispatches(t *testing.T) {
+	store := &panicGetStore{scriptStore: newScriptStore(),
+		entered: make(chan struct{}), release: make(chan struct{})}
+	c := NewCacheWithStore(0, store)
+	sc := diskScenario(21)
+
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		c.RunCtx(context.Background(), sc)
+	}()
+	<-store.entered // the leader holds the entry, inside Get
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	type res struct {
+		r   *RunResult
+		err error
+	}
+	waiter := make(chan res, 1)
+	go func() {
+		r, err := c.RunCtx(ctx, sc)
+		waiter <- res{r, err}
+	}()
+	// The waiter has joined the in-flight entry once the hit is counted.
+	waitStats(t, c, func(hits, misses uint64) bool { return hits >= 1 })
+
+	close(store.release)
+	if p := <-leader; p == nil {
+		t.Fatal("the store's panic did not reach the leader's caller")
+	}
+	want, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := <-waiter
+	if got.err != nil || !reflect.DeepEqual(got.r, want) {
+		t.Errorf("waiter of the panicked leader = %v; want the run", got.err)
+	}
+	if r, err := c.RunCtx(ctx, sc); err != nil || !reflect.DeepEqual(r, want) {
+		t.Fatalf("lookup after the panic = %v; want the run", err)
+	}
+	if st := c.Snapshot(); st.KernelRuns != 1 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want 1 kernel run and 1 entry", st)
 	}
 }
 

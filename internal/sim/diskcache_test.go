@@ -269,7 +269,14 @@ func TestWedgedLockTimesOutToOwnerWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	const lockTimeout = 40 * time.Millisecond
-	rs := NewResilientStore(store, ResilienceConfig{lockTimeout: lockTimeout})
+	// The commands' default policy, with a short lock timeout.
+	rs := NewResilientStore(store, ResilienceConfig{
+		OpTimeout:        2 * time.Second,
+		Retries:          2,
+		BreakerThreshold: 5,
+		BreakerCooldown:  time.Second,
+		lockTimeout:      lockTimeout,
+	})
 
 	sc := diskScenario(9)
 	keyBytes := encodeCacheKey(cacheKey(sc))

@@ -22,25 +22,24 @@ var ErrStoreTimeout = errors.New("sim: store operation timed out")
 // a half-open probe succeeds.
 var ErrBreakerOpen = errors.New("sim: store circuit breaker open")
 
-// ResilienceConfig tunes a ResilientStore. Zero values select the
-// defaults noted per field; negative values disable the mechanism where
-// that is meaningful (OpTimeout, Retries, BreakerThreshold).
-// The exported fields are the ones the commands' cache-* flags set; the
-// rest keep their defaults outside tests, and a zero or negative value
-// in them selects the default.
+// ResilienceConfig tunes a ResilientStore. Its exported fields are the
+// values of the commands' -cache-* flags, whose defaults live in
+// cliflags.Register, and a zero or negative value in any of them turns
+// its mechanism off. The unexported fields keep their defaults outside
+// tests, and a zero or negative value in them selects the default.
 type ResilienceConfig struct {
-	// OpTimeout bounds one Get/Put/Quarantine attempt (default 2s; the
-	// hot-path guarantee that no kernel run or HTTP request waits on a
-	// hung store past this). Negative disables.
+	// OpTimeout bounds one Get/Put/Quarantine attempt: the hot-path
+	// guarantee that no kernel run or HTTP request waits on a hung store
+	// past it. Off: unbounded.
 	OpTimeout time.Duration
-	// Retries is the number of re-attempts after a transient failure
-	// (default 2, so up to 3 attempts). Negative disables retrying.
+	// Retries is the number of re-attempts after a transient failure.
+	// Off: one attempt.
 	Retries int
 	// BreakerThreshold opens the breaker after this many consecutive
-	// failed operations (default 5). Negative disables the breaker.
+	// failed operations. Off: no breaker.
 	BreakerThreshold int
 	// BreakerCooldown is how long the breaker stays open before allowing
-	// one half-open probe (default 1s).
+	// one half-open probe. Off: the next operation is the probe.
 	BreakerCooldown time.Duration
 	// AsyncPublish moves Puts off the caller's path onto a bounded-budget
 	// background worker. A publish that doesn't fit the budget falls
@@ -65,16 +64,9 @@ type ResilienceConfig struct {
 	drainTimeout time.Duration
 }
 
+// withDefaults fills the unexported knobs; the exported fields are used
+// as given.
 func (c ResilienceConfig) withDefaults() ResilienceConfig {
-	def := func(v *time.Duration, d time.Duration) {
-		if *v == 0 {
-			*v = d
-		} else if *v < 0 {
-			*v = 0
-		}
-	}
-	def(&c.OpTimeout, 2*time.Second)
-	def(&c.BreakerCooldown, time.Second)
 	orDefault := func(v *time.Duration, d time.Duration) {
 		if *v <= 0 {
 			*v = d
@@ -84,30 +76,10 @@ func (c ResilienceConfig) withDefaults() ResilienceConfig {
 	orDefault(&c.retryBase, 25*time.Millisecond)
 	orDefault(&c.retryCap, 250*time.Millisecond)
 	orDefault(&c.drainTimeout, 5*time.Second)
-	if c.Retries == 0 {
-		c.Retries = 2
-	} else if c.Retries < 0 {
-		c.Retries = 0
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 5
-	} else if c.BreakerThreshold < 0 {
-		c.BreakerThreshold = 0
-	}
 	if c.publishBudget <= 0 {
 		c.publishBudget = 64
 	}
 	return c
-}
-
-// ResilienceStats is the policy layer's contribution to CacheStats,
-// merged into Cache.Snapshot via an interface assertion on the store.
-type ResilienceStats struct {
-	Retries      uint64
-	Timeouts     uint64
-	BreakerOpens uint64
-	PublishDrops uint64
-	BreakerState string
 }
 
 // Breaker state names as surfaced in stats, benchjson and /healthz.
@@ -352,21 +324,17 @@ func NewResilientStore(inner CacheStore, cfg ResilienceConfig) *ResilientStore {
 	return s
 }
 
-// ResilienceStats reports the policy layer's counters; Cache.Snapshot
-// merges them into CacheStats.
-func (s *ResilientStore) ResilienceStats() ResilienceStats {
-	state, opens := s.breaker.snapshot()
-	var drops uint64
+// ResilienceStats reports the policy layer's counters — Retries,
+// Timeouts, BreakerOpens, BreakerState and PublishDrops — in a
+// CacheStats whose other counters are zero; Cache.Snapshot adds the
+// cache's own.
+func (s *ResilientStore) ResilienceStats() CacheStats {
+	st := CacheStats{Retries: s.retries.Load(), Timeouts: s.timeouts.Load()}
+	st.BreakerState, st.BreakerOpens = s.breaker.snapshot()
 	if s.pub != nil {
-		drops = s.pub.drops.Load()
+		st.PublishDrops = s.pub.drops.Load()
 	}
-	return ResilienceStats{
-		Retries:      s.retries.Load(),
-		Timeouts:     s.timeouts.Load(),
-		BreakerOpens: opens,
-		PublishDrops: drops,
-		BreakerState: state,
-	}
+	return st
 }
 
 // Close drains pending async publishes (bounded by the drain timeout) and

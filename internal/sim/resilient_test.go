@@ -112,6 +112,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	inner.data["a"] = []byte("payload")
 	const cooldown = 40 * time.Millisecond
 	rs := NewResilientStore(inner, ResilienceConfig{
+		OpTimeout:        2 * time.Second,
 		Retries:          -1, // one attempt per op: op failures map 1:1 to breaker failures
 		BreakerThreshold: 3,
 		BreakerCooldown:  cooldown,
@@ -166,6 +167,54 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
+// TestBreakerZeroCooldownProbesAtOnce: a zero cooldown turns the wait
+// off, as a zero does in every exported ResilienceConfig field, so the
+// operation right after the breaker opens is its half-open probe.
+func TestBreakerZeroCooldownProbesAtOnce(t *testing.T) {
+	inner := newScriptStore()
+	inner.data["a"] = []byte("payload")
+	rs := NewResilientStore(inner, ResilienceConfig{BreakerThreshold: 1, BreakerCooldown: 0})
+
+	inner.failNext(1)
+	if _, err := rs.Get("a"); err == nil {
+		t.Fatal("scripted fault did not fail the Get")
+	}
+	if st := rs.ResilienceStats(); st.BreakerState != "open" || st.BreakerOpens != 1 {
+		t.Fatalf("after the fault: stats = %+v, want an open breaker", st)
+	}
+	data, err := rs.Get("a")
+	if err != nil || string(data) != "payload" {
+		t.Fatalf("Get right after the breaker opened = %q, %v; want the probe to reach the store", data, err)
+	}
+	if st := rs.ResilienceStats(); st.BreakerState != "closed" || st.BreakerOpens != 1 {
+		t.Fatalf("after the probe: stats = %+v, want a re-closed breaker", st)
+	}
+}
+
+// TestResilienceConfigUsedAsGiven: withDefaults fills only the
+// unexported knobs, so the exported fields, which are the -cache-*
+// flags' values, reach the policy unchanged, zero and negative
+// included, and a zero config builds neither a breaker nor a publisher.
+func TestResilienceConfigUsedAsGiven(t *testing.T) {
+	for _, cfg := range []ResilienceConfig{
+		{},
+		{OpTimeout: -1, Retries: -1, BreakerThreshold: -1, BreakerCooldown: -1},
+		{OpTimeout: 2 * time.Second, Retries: 2, BreakerThreshold: 5, BreakerCooldown: time.Second, AsyncPublish: true},
+	} {
+		got := cfg.withDefaults()
+		if got.lockTimeout <= 0 || got.retryBase <= 0 || got.retryCap <= 0 || got.publishBudget <= 0 || got.drainTimeout <= 0 {
+			t.Errorf("withDefaults(%+v) left an unexported knob unset: %+v", cfg, got)
+		}
+		got.lockTimeout, got.retryBase, got.retryCap, got.publishBudget, got.drainTimeout = 0, 0, 0, 0, 0
+		if got != cfg {
+			t.Errorf("withDefaults changed the exported fields: %+v, want %+v", got, cfg)
+		}
+	}
+	if rs := NewResilientStore(newScriptStore(), ResilienceConfig{}); rs.breaker != nil || rs.pub != nil {
+		t.Error("a zero config built a breaker or an async publisher")
+	}
+}
+
 // TestRetryRecoversTransientFaults asserts a transient fault burst
 // shorter than the retry budget is absorbed: the caller sees success,
 // the retries are counted, and a clean miss is never retried.
@@ -173,6 +222,7 @@ func TestRetryRecoversTransientFaults(t *testing.T) {
 	inner := newScriptStore()
 	inner.data["a"] = []byte("payload")
 	rs := NewResilientStore(inner, ResilienceConfig{
+		OpTimeout:        2 * time.Second,
 		Retries:          2,
 		retryBase:        time.Millisecond,
 		retryCap:         4 * time.Millisecond,
@@ -243,6 +293,7 @@ func TestAsyncPublishDrainAndBackpressure(t *testing.T) {
 	inner.block = make(chan struct{})
 	inner.entered = make(chan struct{}, 4)
 	rs := NewResilientStore(inner, ResilienceConfig{
+		OpTimeout:        2 * time.Second,
 		Retries:          -1,
 		BreakerThreshold: -1,
 		AsyncPublish:     true,
@@ -299,6 +350,7 @@ func TestBreakerDegradesCacheToMemoryOnly(t *testing.T) {
 	inner := newScriptStore()
 	inner.failNext(1 << 30) // fail everything, forever
 	rs := NewResilientStore(inner, ResilienceConfig{
+		OpTimeout:        2 * time.Second,
 		Retries:          -1,
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Minute, // stays open for the whole test
@@ -389,6 +441,7 @@ func TestCancelledLockProbeReleasesBreaker(t *testing.T) {
 	inner.data["a"] = []byte("payload")
 	const cooldown = 10 * time.Millisecond
 	rs := NewResilientStore(inner, ResilienceConfig{
+		OpTimeout:        2 * time.Second,
 		Retries:          -1,
 		BreakerThreshold: 1,
 		BreakerCooldown:  cooldown,
@@ -431,6 +484,7 @@ func TestCancelledNonProbeLockKeepsProbe(t *testing.T) {
 	inner.entered = make(chan struct{}, 4)
 	const cooldown = 10 * time.Millisecond
 	rs := NewResilientStore(inner, ResilienceConfig{
+		OpTimeout:        2 * time.Second,
 		Retries:          -1,
 		BreakerThreshold: 1,
 		BreakerCooldown:  cooldown,

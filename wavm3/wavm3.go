@@ -34,14 +34,14 @@
 // # Run cache
 //
 // Simulated runs are pure functions of their physical scenario and seed,
-// so training memoizes them in a bounded, concurrency-safe run cache
-// (disable with TrainingConfig.DisableRunCache). The campaign families
-// overlap — every family revisits the zero-load baseline point — and each
-// distinct (scenario, seed) block is simulated exactly once per training
-// call. Determinism guarantee: a cache hit returns a result bit-identical
-// to what a fresh simulation would have produced (results are immutable
-// and the cache key excludes only the display label), so caching, like
-// parallelism, never changes datasets, coefficients or estimates.
+// so training memoizes them in a bounded, concurrency-safe run cache.
+// The campaign families overlap — every family revisits the zero-load
+// baseline point — and each distinct (scenario, seed) block is simulated
+// exactly once per training call. Determinism guarantee: a cache hit
+// returns a result bit-identical to what a fresh simulation would have
+// produced (results are immutable and the cache key excludes only the
+// display label), so caching, like parallelism, never changes datasets,
+// coefficients or estimates.
 package wavm3
 
 import (
@@ -146,13 +146,6 @@ type TrainingConfig struct {
 	// coefficients are bit-identical for every value; workers only changes
 	// training wall-clock.
 	Workers int
-	// DisableRunCache turns off the cross-family run cache. The campaign's
-	// families overlap (every family revisits the zero-load baseline
-	// point), so training memoizes each distinct (scenario, seed) run by
-	// default; caching never changes the fitted coefficients — cached
-	// results are bit-identical — and this knob exists for memory-
-	// constrained callers and for regression tests of that guarantee.
-	DisableRunCache bool
 }
 
 // TrainEstimator runs a CPULOAD+MEMLOAD campaign on the simulated testbed
@@ -173,9 +166,7 @@ func TrainEstimator(cfg TrainingConfig) (*Estimator, error) {
 		VarianceTol: 0.5,
 		Seed:        cfg.Seed,
 		Workers:     cfg.Workers,
-	}
-	if !cfg.DisableRunCache {
-		ecfg.Cache = sim.NewCache(0)
+		Cache:       sim.NewCache(0),
 	}
 	if cfg.Quick {
 		ecfg.LoadLevels = []int{0, 5, 8}
